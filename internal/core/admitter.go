@@ -27,7 +27,7 @@ type Admitter struct {
 	lives   *liveTable
 	obs     *obs.AdmissionObs // nil-safe hooks; nil = observability off
 
-	admitted []*Solution
+	admitted int // monotone: departed sessions stay counted but are not retained
 	rejected int
 }
 
@@ -93,7 +93,7 @@ func (a *Admitter) Commit(req *multicast.Request, sol *Solution) (*Solution, err
 		return nil, err
 	}
 	a.lives.record(req, sol, alloc)
-	a.admitted = append(a.admitted, sol)
+	a.admitted++
 	a.obs.CommitDone(start, req.ID, sol.Servers, sol.OperationalCost)
 	return sol, nil
 }
@@ -138,7 +138,7 @@ func (a *Admitter) Restore(req *multicast.Request, sol *Solution) error {
 		return err
 	}
 	a.lives.record(req, sol, alloc)
-	a.admitted = append(a.admitted, sol)
+	a.admitted++
 	return nil
 }
 
@@ -185,22 +185,21 @@ func (a *Admitter) Replace(reqID int, sol *Solution) error {
 func (a *Admitter) LiveCount() int { return a.lives.live() }
 
 // Lives returns the solutions currently holding resources, in
-// ascending request-ID order. Unlike Admitted it excludes departed and
-// shed sessions, so recomputing every returned tree's allocation must
-// exactly account for capacity minus residual on every link and server
-// — the conservation invariant the scenario harness and the engine
-// fuzz targets check continuously.
-func (a *Admitter) Lives() []*Solution { return a.lives.solutions() }
+// ascending request-ID order. Departed and shed sessions are excluded,
+// so recomputing every returned tree's allocation must exactly account
+// for capacity minus residual on every link and server — the
+// conservation invariant the scenario harness and the engine fuzz
+// targets check continuously.
+func (a *Admitter) Lives() []*Solution { return a.lives.solutions(false) }
 
-// Admitted returns the solutions admitted so far (shared slice copy).
-func (a *Admitter) Admitted() []*Solution {
-	out := make([]*Solution, len(a.admitted))
-	copy(out, a.admitted)
-	return out
-}
+// Admitted returns the same live sessions as Lives in the order they
+// were recorded live — admission order. A session that has departed is
+// no longer retained (AdmittedCount still counts it): an admitter
+// serving a long request stream holds only what is live.
+func (a *Admitter) Admitted() []*Solution { return a.lives.solutions(true) }
 
-// AdmittedCount reports |S(k)|.
-func (a *Admitter) AdmittedCount() int { return len(a.admitted) }
+// AdmittedCount reports |S(k)|, departed sessions included.
+func (a *Admitter) AdmittedCount() int { return a.admitted }
 
 // RejectedCount reports how many requests were rejected.
 func (a *Admitter) RejectedCount() int { return a.rejected }

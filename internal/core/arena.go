@@ -2,15 +2,17 @@ package core
 
 import (
 	"nfvmcast/internal/graph"
+	"nfvmcast/internal/multicast"
 )
 
 // PlanArena owns the per-plan scratch memory of the online planners:
 // the Dijkstra workspace and Steiner scratch of the per-candidate KMB
-// runs, the hoisted terminal and LCA argument slices, and the closure
-// evaluator's per-candidate buffers. One arena serves one Plan call at
-// a time; the admission engine keeps one per planner worker so
-// concurrent planners never share scratch, and arena-less Plan calls
-// draw from a pool. The zero value is ready to use.
+// runs, the hoisted terminal slices, the rooted view and path buffer of
+// pseudo-tree realization, and the closure evaluator's per-candidate
+// buffers. One arena serves one Plan call at a time; the admission
+// engine keeps one per planner worker so concurrent planners never
+// share scratch, and arena-less Plan calls draw from a pool. The zero
+// value is ready to use.
 //
 // Arenas only relocate transient state — every planner result is
 // identical with or without one.
@@ -19,10 +21,12 @@ type PlanArena struct {
 	steiner graph.SteinerScratch
 	eval    evalScratch
 
-	terms   []graph.NodeID
-	sps     []*graph.ShortestPaths
-	dstSPs  []*graph.ShortestPaths
-	lcaArgs []graph.NodeID
+	terms  []graph.NodeID
+	sps    []*graph.ShortestPaths
+	dstSPs []*graph.ShortestPaths
+
+	rooted rootedView      // the candidate's Steiner tree rooted at s_k
+	hops   []multicast.Hop // one path of the winner's pseudo tree
 }
 
 // NewPlanArena returns an empty arena. Arenas grow to workload size on

@@ -28,6 +28,8 @@ type liveTable struct {
 	nw    *sdn.Network
 	byID  map[int]sdn.Allocation
 	solBy map[int]*Solution
+	seqBy map[int]uint64 // when the session was recorded, for admission order
+	seq   uint64
 }
 
 func newLiveTable(nw *sdn.Network) *liveTable {
@@ -35,12 +37,22 @@ func newLiveTable(nw *sdn.Network) *liveTable {
 		nw:    nw,
 		byID:  make(map[int]sdn.Allocation),
 		solBy: make(map[int]*Solution),
+		seqBy: make(map[int]uint64),
 	}
 }
 
 func (l *liveTable) record(req *multicast.Request, sol *Solution, alloc sdn.Allocation) {
 	l.byID[req.ID] = alloc
 	l.solBy[req.ID] = sol
+	l.seq++
+	l.seqBy[req.ID] = l.seq
+}
+
+// forget drops a session's records without touching the network.
+func (l *liveTable) forget(reqID int) {
+	delete(l.byID, reqID)
+	delete(l.solBy, reqID)
+	delete(l.seqBy, reqID)
 }
 
 func (l *liveTable) depart(reqID int) (*Solution, error) {
@@ -52,8 +64,7 @@ func (l *liveTable) depart(reqID int) (*Solution, error) {
 		return nil, err
 	}
 	sol := l.solBy[reqID]
-	delete(l.byID, reqID)
-	delete(l.solBy, reqID)
+	l.forget(reqID)
 	return sol, nil
 }
 
@@ -62,13 +73,17 @@ func (l *liveTable) live() int { return len(l.byID) }
 // solutions returns the live sessions' realisations in ascending
 // request-ID order — the deterministic view consistency oracles (the
 // scenario harness, the engine fuzz targets) compare against residual
-// capacities.
-func (l *liveTable) solutions() []*Solution {
+// capacities — or, with byAdmission, in the order they were recorded.
+func (l *liveTable) solutions(byAdmission bool) []*Solution {
 	ids := make([]int, 0, len(l.solBy))
 	for id := range l.solBy {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	if byAdmission {
+		sort.Slice(ids, func(i, j int) bool { return l.seqBy[ids[i]] < l.seqBy[ids[j]] })
+	} else {
+		sort.Ints(ids)
+	}
 	out := make([]*Solution, len(ids))
 	for i, id := range ids {
 		out[i] = l.solBy[id]

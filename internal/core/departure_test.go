@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
+	"nfvmcast/internal/graph"
 	"nfvmcast/internal/multicast"
 )
 
@@ -161,8 +163,103 @@ func TestReplaceSwapsRecordedAllocation(t *testing.T) {
 	if _, err := cp.Admit(testRequest(t, nw, 35)); err != nil {
 		t.Fatal(err)
 	}
-	id := cp.Admitted()[1].Request.ID
+	id := cp.Admitted()[0].Request.ID // the departed session is no longer retained
 	if err := cp.Replace(id, nil); err == nil {
 		t.Fatal("nil replacement accepted")
+	}
+}
+
+// TestAdmitterRetainsOnlyLiveSessions cycles 50,000 sessions through
+// commit→depart (and restore→drop, the WAL replay pair) on one admitter.
+// Each carries its own 2 KiB of payload, so retaining departed sessions
+// — as the admitted list once did, 1.2–1.6 GB after 15 s of the
+// benchmark's engine-hot-pool — would hold ≈ 100 MiB here; the heap must
+// stay flat, the retained set must equal the live table, and
+// AdmittedCount must still count every session.
+func TestAdmitterRetainsOnlyLiveSessions(t *testing.T) {
+	nw := testNetwork(t, 30, 12)
+	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := testRequest(t, nw, 13)
+	planned, err := cp.Planner().Plan(nw, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	const sessions = 50_000
+	for i := 0; i < sessions; i++ {
+		req := *base
+		req.ID = 1000 + i
+		sol := *planned
+		sol.Request = &req
+		sol.Servers = append(make([]graph.NodeID, 0, 256), planned.Servers...)
+		if i%2 == 0 {
+			if _, err := cp.Commit(&req, &sol); err != nil {
+				t.Fatal(err)
+			}
+			if got := cp.Admitted(); len(got) != 1 || got[0] != &sol {
+				t.Fatalf("session %d: %d retained while one is live", i, len(got))
+			}
+			if _, err := cp.Depart(req.ID); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			if err := cp.Restore(&req, &sol); err != nil {
+				t.Fatal(err)
+			}
+			if err := cp.RestoreDrop(req.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := len(cp.Admitted()); n != 0 || cp.LiveCount() != 0 {
+		t.Fatalf("%d sessions retained, %d live after every one departed", n, cp.LiveCount())
+	}
+	if cp.AdmittedCount() != sessions {
+		t.Fatalf("AdmittedCount = %d, want %d", cp.AdmittedCount(), sessions)
+	}
+	if after := heap(); after > before+16<<20 {
+		t.Fatalf("heap grew %d MiB over %d departed sessions", (after-before)>>20, sessions)
+	}
+}
+
+// TestAdmittedIsAdmissionOrder: Admitted lists live sessions in the
+// order they were admitted, whatever their IDs; Lives sorts by ID.
+func TestAdmittedIsAdmissionOrder(t *testing.T) {
+	nw := testNetwork(t, 30, 12)
+	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{30, 10, 20} {
+		req := testRequest(t, nw, 13)
+		req.ID = id
+		if _, err := cp.Admit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cp.Depart(10); err != nil {
+		t.Fatal(err)
+	}
+	ids := func(sols []*Solution) []int {
+		var out []int
+		for _, s := range sols {
+			out = append(out, s.Request.ID)
+		}
+		return out
+	}
+	if got := ids(cp.Admitted()); len(got) != 2 || got[0] != 30 || got[1] != 20 {
+		t.Fatalf("Admitted() order %v, want [30 20]", got)
+	}
+	if got := ids(cp.Lives()); len(got) != 2 || got[0] != 20 || got[1] != 30 {
+		t.Fatalf("Lives() order %v, want [20 30]", got)
 	}
 }

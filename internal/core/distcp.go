@@ -387,25 +387,24 @@ func (s *distSearch) finalFor(v graph.NodeID) distFinal {
 		return fin
 	}
 	fin := distFinal{}
-	spV, err := s.spc.fromWith(v, &s.arena.ws)
-	if err == nil {
-		s.arena.terms = append(s.arena.terms[:0], v)
-		s.arena.terms = append(s.arena.terms, s.req.Destinations...)
-		s.arena.sps = append(s.arena.sps[:0], spV)
-		s.arena.sps = append(s.arena.sps, s.arena.dstSPs...)
-		st, serr := graph.SteinerKMBWithSPs(s.w.g, s.arena.terms, s.arena.sps, &s.arena.steiner)
-		if serr == nil {
-			fin.ok = true
-			for _, e := range st.EdgeIDs {
-				if s.p.model.LinkWeight(s.nw, s.w.hostEdge(e)) >= s.p.model.SigmaE {
-					fin.ok = false
-					break
-				}
-				fin.cT += s.p.model.LinkCost(s.nw, s.w.hostEdge(e))
+	// No Dijkstra rooted at v: KMB reads v's closure row out of the
+	// destinations' trees (the nil slot; see CPPlanner.PlanContext).
+	s.arena.terms = append(s.arena.terms[:0], v)
+	s.arena.terms = append(s.arena.terms, s.req.Destinations...)
+	s.arena.sps = append(s.arena.sps[:0], nil)
+	s.arena.sps = append(s.arena.sps, s.arena.dstSPs...)
+	st, serr := graph.SteinerKMBWithSPs(s.w.g, s.arena.terms, s.arena.sps, &s.arena.steiner)
+	if serr == nil {
+		fin.ok = true
+		for _, e := range st.EdgeIDs {
+			if s.p.model.LinkWeight(s.nw, s.w.hostEdge(e)) >= s.p.model.SigmaE {
+				fin.ok = false
+				break
 			}
-			if fin.ok {
-				fin.edges = append([]graph.EdgeID(nil), st.EdgeIDs...)
-			}
+			fin.cT += s.p.model.LinkCost(s.nw, s.w.hostEdge(e))
+		}
+		if fin.ok {
+			fin.edges = append([]graph.EdgeID(nil), st.EdgeIDs...)
 		}
 	}
 	s.finals[v] = fin

@@ -120,11 +120,12 @@ func (p *CPPlanner) PlanContext(
 			ErrRejected, ErrComputeExhausted, req.ComputeDemandMHz())
 	}
 
-	// KMB needs one shortest-path tree per terminal, and every
-	// candidate server shares the terminals {s_k} ∪ D_k — so the
+	// Every candidate server shares the terminals {s_k} ∪ D_k, so the
 	// source- and destination-rooted Dijkstras run once per request
-	// (through the epoch cache: once per residual state) instead of
-	// once per candidate, and each candidate only adds its own root.
+	// (through the epoch cache: once per residual state). The candidate
+	// itself gets no Dijkstra: the work graph is undirected, so KMB reads
+	// its closure row out of those trees (nil slot below) — 1+|D_k|
+	// Dijkstras per plan however many servers are tried.
 	spSrc, err := spc.fromWith(req.Source, &arena.ws)
 	if err != nil {
 		return nil, err
@@ -144,7 +145,7 @@ func (p *CPPlanner) PlanContext(
 
 	var (
 		bestSelection = graph.Infinity
-		bestTree      *multicast.PseudoTree
+		bestSteiner   *graph.SteinerTree
 		bestServer    = graph.NodeID(-1)
 	)
 	for _, v := range w.servers {
@@ -156,26 +157,28 @@ func (p *CPPlanner) PlanContext(
 		if p.model.ServerWeight(nw, v) >= p.model.SigmaV {
 			continue
 		}
-		// Admissible pre-KMB bound: any Steiner tree over
-		// {s_k, v} ∪ D_k contains a path s_k→v and a path to the
-		// farthest destination, so its cost is at least
-		// max(dist(s,v), max_d dist(s,d)); adding the server cost
-		// lower-bounds the selection cost before running KMB at all.
-		// A pruned candidate satisfies sel >= lower0 >= bestSelection
-		// and would lose the strict `sel < bestSelection` comparison,
-		// so the chosen server and tree are bit-identical with or
-		// without the pruning (spSrc.Dist[v] = Infinity reproduces the
-		// KMB-unreachable `continue`).
+		// Pre-KMB cut: any Steiner tree over {s_k, v} ∪ D_k contains a
+		// path s_k→v and a path to the farthest destination, so its
+		// work-graph weight is at least max(dist(s,v), max_d dist(s,d)).
+		// This is NOT an admissible bound on the selection cost it is
+		// compared with: spSrc.Dist is in work-graph weights — the
+		// request's marginal weight β^{util after} − 1 per link — while
+		// bestSelection sums absolute costs B_e·(β^{util now} − 1). Where
+		// links carry load the absolute costs are the larger (B_e is in
+		// the thousands) and only losers are cut; on an idle network
+		// (link costs 0, or float residue after admit→depart) the cut
+		// discards cheaper candidates: 4,000 seed-7 admit→depart requests
+		// on Waxman-250 cost 33,620,663 with it, 28,479,615 without. The
+		// recorded decisions (bench/expected.json, the oracles) include
+		// it, so it stays until a reference planner settles the matter
+		// (ROADMAP item 4(a)). spSrc.Dist[v] = Infinity reproduces the
+		// KMB-unreachable `continue`.
 		if lower0 := maxf(spSrc.Dist[v], dMax) + p.model.ServerCost(nw, v); lower0 >= bestSelection {
-			continue
-		}
-		spV, verr := spc.fromWith(v, &arena.ws)
-		if verr != nil {
 			continue
 		}
 		arena.terms = append(arena.terms[:0], req.Source, v)
 		arena.terms = append(arena.terms, req.Destinations...)
-		arena.sps = append(arena.sps[:0], spSrc, spV)
+		arena.sps = append(arena.sps[:0], spSrc, nil)
 		arena.sps = append(arena.sps, arena.dstSPs...)
 		st, err := graph.SteinerKMBWithSPs(w.g, arena.terms, arena.sps, &arena.steiner)
 		if err != nil {
@@ -204,7 +207,7 @@ func (p *CPPlanner) PlanContext(
 		// exponential costs. The back-tracking term c(p_{v,u}) is a sum
 		// of non-negative link costs, so c(T) + c_v(SC_k) lower-bounds
 		// the selection cost — candidates that cannot beat the incumbent
-		// skip pseudo-tree realization entirely. A skipped candidate's
+		// skip rooting their tree entirely. A skipped candidate's
 		// true cost satisfies sel >= lower >= bestSelection, so it would
 		// have lost the strict `sel < bestSelection` comparison anyway:
 		// the chosen server and tree are bit-identical with or without
@@ -217,18 +220,26 @@ func (p *CPPlanner) PlanContext(
 		if lower >= bestSelection {
 			continue
 		}
-		tree, retCost, err := p.realize(nw, w, req, v, st, arena)
+		u, err := rootAtSource(w, req, v, st, arena)
 		if err != nil {
 			continue
 		}
-		sel := lower + retCost
-		if sel < bestSelection {
-			bestSelection, bestTree, bestServer = sel, tree, v
+		var retCost float64 // c(p_{v,u}), from v upwards
+		for at := v; at != u; at = arena.rooted.parentNode[at] {
+			retCost += p.model.LinkCost(nw, w.hostEdge(arena.rooted.parentEdge[at]))
+		}
+		if sel := lower + retCost; sel < bestSelection {
+			bestSelection, bestSteiner, bestServer = sel, st, v
 		}
 	}
-	if bestTree == nil {
+	if bestSteiner == nil {
 		return nil, fmt.Errorf("%w: %w: no admissible server/tree",
 			ErrRejected, ErrThresholdExceeded)
+	}
+	// Candidates were only priced; the winner alone gets a pseudo tree.
+	bestTree, err := realizeSingleServer(w, req, bestServer, bestSteiner, arena)
+	if err != nil {
+		return nil, err
 	}
 	return &Solution{
 		Request:         req,
@@ -239,79 +250,84 @@ func (p *CPPlanner) PlanContext(
 	}, nil
 }
 
-// realize turns a Steiner tree over {s_k, v} ∪ D_k into the pseudo
-// tree of paper §V.B, pricing the back-tracking path with the model's
-// absolute exponential link cost.
-func (p *CPPlanner) realize(
-	nw *sdn.Network, w *workGraph, req *multicast.Request, v graph.NodeID, st *graph.SteinerTree,
-	arena *PlanArena,
-) (*multicast.PseudoTree, float64, error) {
-	return realizeSingleServer(w, req, v, st, arena, func(e graph.EdgeID) float64 {
-		return p.model.LinkCost(nw, e)
-	})
+// rootAtSource roots the Steiner tree st over {s_k, v} ∪ D_k at s_k in
+// the arena's rooted view and returns u = LCA(v, d_1, ..., d_m)
+// (Algorithm 2, step 10), the node the processed stream back-tracks to.
+// It fails when st is not a tree containing the source, the server and
+// every destination.
+func rootAtSource(
+	w *workGraph, req *multicast.Request, v graph.NodeID, st *graph.SteinerTree, arena *PlanArena,
+) (graph.NodeID, error) {
+	rt := &arena.rooted
+	if err := rt.root(w.g, st.EdgeIDs, req.Source); err != nil {
+		return 0, err
+	}
+	u, ok := v, rt.inTree(v)
+	for _, d := range req.Destinations {
+		if !ok {
+			break
+		}
+		u, ok = rt.lca(u, d)
+	}
+	if !ok {
+		return 0, fmt.Errorf("%w: server %d or a destination outside the tree",
+			graph.ErrNodeOutOfRange, v)
+	}
+	return u, nil
 }
 
 // realizeSingleServer turns a Steiner tree over {s_k, v} ∪ D_k into the
 // pseudo tree of paper §V.B: unprocessed traffic follows the tree path
 // s_k→v; processed traffic serves v's subtree directly and back-tracks
 // from v to u = LCA(v, d_1, ..., d_m) for the remaining destinations.
-// It returns the tree plus the cost of the back-tracking path c(p_{v,u})
-// priced by linkCost over host edge IDs — Online_CP prices it with the
-// exponential model, the repair planner with the operational unit cost.
-// Shared by CPPlanner.PlanContext and RepairReroute so a repaired tree
-// has exactly the structure a fresh plan would produce.
+// Shared by CPPlanner.PlanContext — which prices every candidate's
+// back-tracking path but realises the winner only — and RepairReroute,
+// so a repaired tree has exactly the structure a fresh plan would
+// produce.
 func realizeSingleServer(
-	w *workGraph, req *multicast.Request, v graph.NodeID, st *graph.SteinerTree,
-	arena *PlanArena, linkCost func(e graph.EdgeID) float64,
-) (*multicast.PseudoTree, float64, error) {
-	rt, err := graph.NewRootedTree(w.g, st.EdgeIDs, req.Source)
+	w *workGraph, req *multicast.Request, v graph.NodeID, st *graph.SteinerTree, arena *PlanArena,
+) (*multicast.PseudoTree, error) {
+	u, err := rootAtSource(w, req, v, st, arena)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	arena.lcaArgs = append(arena.lcaArgs[:0], v)
-	arena.lcaArgs = append(arena.lcaArgs, req.Destinations...)
-	u, err := rt.LCAAll(arena.lcaArgs...)
-	if err != nil {
-		return nil, 0, err
-	}
-
+	rt := &arena.rooted
 	tree := multicast.NewPseudoTree(req.Source, req.Destinations, []graph.NodeID{v})
+	// Every path below joins a node to one of its ancestors (s_k is the
+	// root; u is an ancestor of v and of every destination), so it is the
+	// parent walk from desc, its hops turned round and replayed from the
+	// ancestor's end when traffic flows down, away from the root.
+	addPath := func(anc, desc graph.NodeID, down, processed bool) {
+		hops := arena.hops[:0]
+		for at := desc; at != anc; at = rt.parentNode[at] {
+			h := multicast.Hop{From: at, To: rt.parentNode[at], Edge: w.hostEdge(rt.parentEdge[at]), Processed: processed}
+			if down {
+				h.From, h.To = h.To, h.From
+			}
+			hops = append(hops, h)
+		}
+		arena.hops = hops
+		for i := range hops {
+			if down {
+				tree.AddHop(hops[len(hops)-1-i])
+			} else {
+				tree.AddHop(hops[i])
+			}
+		}
+	}
 
 	// Unprocessed: source down the tree to the server.
-	nodes, edges, err := rt.PathBetween(req.Source, v)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := w.addHostPath(tree, nodes, edges, false); err != nil {
-		return nil, 0, err
-	}
-
+	addPath(req.Source, v, true, false)
 	// Processed: back-track v → u, then fan out u → d and v → d.
-	var retCost float64
-	nodes, edges, err = rt.PathBetween(v, u)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := w.addHostPath(tree, nodes, edges, true); err != nil {
-		return nil, 0, err
-	}
-	for _, e := range edges {
-		retCost += linkCost(w.hostEdge(e))
-	}
+	addPath(u, v, false, true)
 	for _, d := range req.Destinations {
 		start := u
-		if onPath, perr := rt.LCA(v, d); perr == nil && onPath == v {
+		if a, _ := rt.lca(v, d); a == v {
 			start = v // d lies in v's subtree: serve it directly
 		}
-		nodes, edges, err = rt.PathBetween(start, d)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := w.addHostPath(tree, nodes, edges, true); err != nil {
-			return nil, 0, err
-		}
+		addPath(start, d, true, true)
 	}
-	return tree, retCost, nil
+	return tree, nil
 }
 
 // IsRejection reports whether err represents an admission-policy

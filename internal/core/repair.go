@@ -67,9 +67,7 @@ func RepairReroute(
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
-	tree, _, err := realizeSingleServer(w, req, server, st, arena, func(e graph.EdgeID) float64 {
-		return nw.LinkUnitCost(e) * req.BandwidthMbps
-	})
+	tree, err := realizeSingleServer(w, req, server, st, arena)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
@@ -149,7 +147,6 @@ func (a *Admitter) DropLive(reqID int) error {
 	if _, ok := a.lives.byID[reqID]; !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownRequest, reqID)
 	}
-	delete(a.lives.byID, reqID)
-	delete(a.lives.solBy, reqID)
+	a.lives.forget(reqID)
 	return nil
 }

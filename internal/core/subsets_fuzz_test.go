@@ -33,8 +33,8 @@ func FuzzForEachSubset(f *testing.F) {
 	f.Add(uint8(10), uint8(1), uint16(2))
 	f.Add(uint8(9), uint8(200), uint16(40))
 	f.Fuzz(func(t *testing.T, nRaw, kRaw uint8, stopRaw uint16) {
-		n := int(nRaw % 12)  // keep C(n, k) enumerable
-		k := int(kRaw % 14)  // deliberately allowed to exceed n
+		n := int(nRaw % 12) // keep C(n, k) enumerable
+		k := int(kRaw % 14) // deliberately allowed to exceed n
 		items := fuzzItems(n)
 
 		seen := make(map[string]int)

@@ -302,12 +302,21 @@ func (s *Server) maintain() {
 	}
 }
 
-// Serve accepts connections on ln until Shutdown.
+// Serve accepts connections on ln until Shutdown. When Shutdown has
+// already begun, it closes ln and returns nil without serving.
 func (s *Server) Serve(ln net.Listener) error {
 	srv := &http.Server{Handler: s.Handler()}
 	s.mu.Lock()
 	s.httpSrv = srv
 	s.mu.Unlock()
+	select {
+	case <-s.draining:
+		// Shutdown closes draining before it looks for httpSrv, so it
+		// may have found none and will not come back to stop this one.
+		_ = ln.Close() // nothing was accepted on it; the drain outcome is Shutdown's
+		return nil
+	default:
+	}
 	err := srv.Serve(ln)
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil

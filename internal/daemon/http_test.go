@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -367,6 +368,54 @@ func TestMetricsSurface(t *testing.T) {
 		resp, data := doJSON(t, "GET", base+path, "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: %d %s", path, resp.StatusCode, data)
+		}
+	}
+}
+
+// TestShutdownRacingServe: Shutdown may run before Serve has registered
+// its http.Server, find nothing to stop, and return — Serve must notice
+// the drain itself, or it accepts forever. Both orders and the true
+// race are driven; every Serve must return nil with its listener closed.
+func TestShutdownRacingServe(t *testing.T) {
+	deadline := testutil.WatchdogFor(t)
+	for round := 0; round < 30; round++ {
+		srv, err := New(Config{Topology: "geant", Seed: 42, Policy: "SP"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		shut := make(chan error, 1)
+		serve := func() { served <- srv.Serve(ln) }
+		shutdown := func() { shut <- srv.Shutdown(testutil.Context(t)) }
+		switch round % 3 {
+		case 0: // Shutdown strictly first: the order that used to hang
+			shutdown()
+			go serve()
+		case 1: // both at once
+			go shutdown()
+			go serve()
+		case 2: // Serve gets a head start
+			go serve()
+			runtime.Gosched()
+			go shutdown()
+		}
+		for _, ch := range []chan error{shut, served} {
+			select {
+			case err := <-ch:
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+			case <-time.After(deadline):
+				t.Fatalf("round %d: Serve or Shutdown still running %v after the drain began", round, deadline)
+			}
+		}
+		if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+			conn.Close()
+			t.Fatalf("round %d: listener still accepting after Serve returned", round)
 		}
 	}
 }

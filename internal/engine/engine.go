@@ -505,15 +505,6 @@ func (e *Engine) updateContext(ctx context.Context, f func(nw *sdn.Network) erro
 // Planner returns the engine's planning policy.
 func (e *Engine) Planner() core.Planner { return e.adm.Planner() }
 
-// Admitted returns the solutions admitted so far.
-func (e *Engine) Admitted() []*core.Solution {
-	var out []*core.Solution
-	if xerr := e.exec(func() { out = e.adm.Admitted() }); xerr != nil {
-		return nil
-	}
-	return out
-}
-
 // AdmittedCount reports the number of admitted requests.
 func (e *Engine) AdmittedCount() int {
 	var n int

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -178,5 +180,132 @@ func TestSteinerScratchReuseAcrossGraphs(t *testing.T) {
 		if !reflect.DeepEqual(got.EdgeIDs, want.EdgeIDs) || got.Weight != want.Weight {
 			t.Fatalf("size %d: %v != %v", n, got.EdgeIDs, want.EdgeIDs)
 		}
+	}
+}
+
+// TestSteinerKMBNilRowMatchesFull pins the symmetric-closure-row form of
+// SteinerKMBWithSPs: with any one terminal's tree withheld, the closure
+// row read from the other terminals' trees must give the byte-identical
+// tree (EdgeIDs and Weight) — or the same ErrDisconnected — as the
+// all-trees call. Random float weights keep shortest paths and closure
+// weights tie-free, the condition the doc comment states. Every third
+// graph gets a second component so some terminal sets straddle it.
+func TestSteinerKMBNilRowMatchesFull(t *testing.T) {
+	scratch := new(SteinerScratch)
+	graphs, disconnected, dupLater, dedupedAway := 0, 0, 0, 0
+	for seed := int64(0); seed < 320; seed++ {
+		rng := rand.New(rand.NewSource(1000 + seed))
+		n := 4 + rng.Intn(40)
+		g := randomConnectedGraph(rng, n, rng.Intn(70))
+		if seed%3 == 0 { // a second component of 1-5 nodes
+			base := g.NumNodes()
+			for i, extra := 0, 1+rng.Intn(5); i < extra; i++ {
+				v := g.AddNode()
+				if v > base {
+					g.MustAddEdge(base+rng.Intn(v-base), v, rng.Float64()*10)
+				}
+			}
+			n = g.NumNodes()
+		}
+		graphs++
+		sps := make([]*ShortestPaths, n)
+		for v := range sps {
+			sp, err := Dijkstra(g, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sps[v] = sp
+		}
+		for trial := 0; trial < 4; trial++ {
+			k := 2 + rng.Intn(6)
+			terms := make([]NodeID, k)
+			for i := range terms {
+				terms[i] = rng.Intn(n)
+			}
+			switch trial {
+			case 1: // the planner's server ∈ D_k: terminal 1 repeats at the end
+				terms[k-1] = terms[k/2]
+			case 2: // the planner's server == source: terminal 1 deduped away
+				terms[1] = terms[0]
+			}
+			full := make([]*ShortestPaths, k)
+			for i, v := range terms {
+				full[i] = sps[v]
+			}
+			want, wantErr := SteinerKMBWithSPs(g, terms, full, scratch)
+			if wantErr != nil {
+				if !errors.Is(wantErr, ErrDisconnected) {
+					t.Fatalf("seed %d trial %d: all-trees call: %v", seed, trial, wantErr)
+				}
+				disconnected++
+			}
+			for hole := range terms {
+				// Withhold the tree at one position only; a later
+				// duplicate of that terminal keeps its tree and must be
+				// deduplicated away unused.
+				first := true
+				for _, v := range terms[:hole] {
+					first = first && v != terms[hole]
+				}
+				later := false
+				for _, v := range terms[hole+1:] {
+					later = later || v == terms[hole]
+				}
+				if first && later {
+					dupLater++
+				}
+				if !first {
+					dedupedAway++
+				}
+				withNil := append([]*ShortestPaths(nil), full...)
+				withNil[hole] = nil
+				got, err := SteinerKMBWithSPs(g, terms, withNil, scratch)
+				if wantErr != nil {
+					if !errors.Is(err, ErrDisconnected) {
+						t.Fatalf("seed %d trial %d hole %d: err %v, want ErrDisconnected", seed, trial, hole, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("seed %d trial %d hole %d: %v", seed, trial, hole, err)
+				}
+				if !reflect.DeepEqual(got.EdgeIDs, want.EdgeIDs) ||
+					math.Float64bits(got.Weight) != math.Float64bits(want.Weight) ||
+					!reflect.DeepEqual(got.Terminals, want.Terminals) {
+					t.Fatalf("seed %d trial %d hole %d terms %v:\n got %v (w=%v)\nwant %v (w=%v)",
+						seed, trial, hole, terms, got.EdgeIDs, got.Weight, want.EdgeIDs, want.Weight)
+				}
+			}
+		}
+	}
+	if graphs < 300 || disconnected == 0 || dupLater == 0 || dedupedAway == 0 {
+		t.Fatalf("coverage: %d graphs, %d disconnected sets, %d holes duplicated later, %d deduped away",
+			graphs, disconnected, dupLater, dedupedAway)
+	}
+}
+
+// TestSteinerKMBNilRowContract: an unreachable tree-less terminal is
+// ErrDisconnected, two distinct tree-less terminals are refused, and a
+// tree-less terminal alone is the trivial tree.
+func TestSteinerKMBNilRowContract(t *testing.T) {
+	g := New(4) // 0-1-2, node 3 isolated
+	g.MustAddEdge(0, 1, 1)
+	g.MustAddEdge(1, 2, 2)
+	sp0, _ := Dijkstra(g, 0)
+	sp2, _ := Dijkstra(g, 2)
+	if _, err := SteinerKMBWithSPs(g, []NodeID{0, 3, 2}, []*ShortestPaths{sp0, nil, sp2}, nil); !errors.Is(err, ErrDisconnected) {
+		t.Fatalf("unreachable tree-less terminal: err %v, want ErrDisconnected", err)
+	}
+	if _, err := SteinerKMBWithSPs(g, []NodeID{0, 1, 2}, []*ShortestPaths{sp0, nil, nil}, nil); err == nil {
+		t.Fatal("two tree-less terminals accepted")
+	}
+	// The same tree-less terminal twice is one distinct terminal.
+	tree, err := SteinerKMBWithSPs(g, []NodeID{0, 1, 1, 2}, []*ShortestPaths{sp0, nil, nil, sp2}, nil)
+	if err != nil || !reflect.DeepEqual(tree.EdgeIDs, []EdgeID{0, 1}) {
+		t.Fatalf("repeated tree-less terminal: %v %v", tree, err)
+	}
+	tree, err = SteinerKMBWithSPs(g, []NodeID{1}, []*ShortestPaths{nil}, nil)
+	if err != nil || len(tree.EdgeIDs) != 0 {
+		t.Fatalf("lone tree-less terminal: %v %v", tree, err)
 	}
 }

@@ -68,11 +68,11 @@ type SteinerScratch struct {
 	hostOf  []EdgeID
 	subMST  MST
 
-	isTerm   []bool   // step-5 pruning, indexed by compact node ID
-	deg      []int32  // likewise
+	isTerm   []bool    // step-5 pruning, indexed by compact node ID
+	deg      []int32   // likewise
 	incident [][]int32 // compact node -> incident sub-edge IDs
-	alive    []bool   // indexed by sub-edge ID
-	queue    []int32  // compact node IDs pending prune
+	alive    []bool    // indexed by sub-edge ID
+	queue    []int32   // compact node IDs pending prune
 }
 
 // ensure sizes the stamp arrays for a host graph with n nodes and m
@@ -140,6 +140,15 @@ func SteinerKMBScratch(g *Graph, terminals []NodeID, scratch *SteinerScratch) (*
 // same {source} ∪ destinations — compute each root's Dijkstra once and
 // reuse it across all calls, cutting the per-call Dijkstra count to
 // zero. The result is identical to SteinerKMB on the same terminals.
+//
+// At most one distinct terminal may come with a nil tree. g is
+// undirected, so that terminal's closure row is read from the other
+// terminals' trees (d(v,t) = sps[t].Dist[v]) and its closure-MST edges
+// are expanded by walking sps[t] back from v: a caller's one varying
+// terminal needs no Dijkstra. Such a weight may differ from v's own
+// Dijkstra in the last ulp, and of two equally short paths the other may
+// be taken; the output equals the all-trees call whenever shortest paths
+// and closure-edge weights are tie-free.
 func SteinerKMBWithSPs(
 	g *Graph, terminals []NodeID, sps []*ShortestPaths, scratch *SteinerScratch,
 ) (*SteinerTree, error) {
@@ -170,6 +179,7 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 	// supplied shortest-path trees along in lockstep.
 	s.terms = s.terms[:0]
 	s.dedupSPs = s.dedupSPs[:0]
+	rowless := false // a terminal without a tree was seen; a second is refused
 	for i, v := range terminals {
 		if s.nodeGen[v] == gen {
 			continue
@@ -178,9 +188,10 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 		s.terms = append(s.terms, v)
 		if sps != nil {
 			sp := sps[i]
-			if sp == nil || sp.Source != v {
+			if sp == nil && rowless || sp != nil && sp.Source != v {
 				return nil, fmt.Errorf("graph: shortest-path tree %d is not rooted at terminal %d", i, v)
 			}
+			rowless = rowless || sp == nil
 			s.dedupSPs = append(s.dedupSPs, sp)
 		}
 	}
@@ -210,7 +221,11 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 	s.closure.Reset(len(terms))
 	for i := 0; i < len(terms); i++ {
 		for j := i + 1; j < len(terms); j++ {
-			d := termSPs[i].Dist[terms[j]]
+			from, to := i, j
+			if termSPs[from] == nil {
+				from, to = j, i
+			}
+			d := termSPs[from].Dist[terms[to]]
 			if d >= Infinity {
 				return nil, fmt.Errorf("graph: terminals %d and %d: %w", terms[i], terms[j], ErrDisconnected)
 			}
@@ -226,7 +241,11 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 	s.union = s.union[:0]
 	for _, cid := range s.closureMST.EdgeIDs {
 		ce := s.closure.Edge(cid)
-		ok := termSPs[ce.U].VisitPathEdges(terms[ce.V], func(he EdgeID) bool {
+		from, to := ce.U, ce.V
+		if termSPs[from] == nil {
+			from, to = to, from
+		}
+		ok := termSPs[from].VisitPathEdges(terms[to], func(he EdgeID) bool {
 			if s.edgeGen[he] != gen {
 				s.edgeGen[he] = gen
 				s.union = append(s.union, he)
