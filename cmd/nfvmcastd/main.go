@@ -20,6 +20,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -30,13 +31,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "nfvmcastd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run is the daemon's whole life: parse flags, recover, serve until a
+// signal arrives, drain. Progress lines go to out.
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("nfvmcastd", flag.ContinueOnError)
 	var (
 		addr          = fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
@@ -78,10 +81,10 @@ func run(args []string) error {
 		return err
 	}
 	for _, b := range srv.Boot() {
-		fmt.Printf("shard %s: recovered to lsn %d (%d records, %d sessions adopted, snapshot lsn %d)\n",
+		fmt.Fprintf(out, "shard %s: recovered to lsn %d (%d records, %d sessions adopted, snapshot lsn %d)\n",
 			b.Shard, b.LastLSN, b.Records, b.Adopted, b.SnapshotLSN)
 		if b.TornTail {
-			fmt.Printf("shard %s: torn tail cut at lsn %d — unacked suffix discarded\n", b.Shard, b.LastLSN)
+			fmt.Fprintf(out, "shard %s: torn tail cut at lsn %d — unacked suffix discarded\n", b.Shard, b.LastLSN)
 		}
 	}
 
@@ -92,11 +95,11 @@ func run(args []string) error {
 		_ = srv.Shutdown(shutdownCtx)
 		return err
 	}
-	fmt.Printf("nfvmcastd: listening on http://%s (topology %s, policy %s, %d shard(s)", ln.Addr(), *topoName, *policy, *shards)
+	fmt.Fprintf(out, "nfvmcastd: listening on http://%s (topology %s, policy %s, %d shard(s)", ln.Addr(), *topoName, *policy, *shards)
 	if *walDir != "" {
-		fmt.Printf(", wal %s", *walDir)
+		fmt.Fprintf(out, ", wal %s", *walDir)
 	}
-	fmt.Println(")")
+	fmt.Fprintln(out, ")")
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -113,14 +116,14 @@ func run(args []string) error {
 		return err
 	case <-ctx.Done():
 		stop()
-		fmt.Println("nfvmcastd: draining (signal received)")
+		fmt.Fprintln(out, "nfvmcastd: draining (signal received)")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			return err
 		}
 		<-errCh
-		fmt.Println("nfvmcastd: drained, state snapshotted, logs closed")
+		fmt.Fprintln(out, "nfvmcastd: drained, state snapshotted, logs closed")
 		return nil
 	}
 }

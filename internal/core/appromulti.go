@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"nfvmcast/internal/graph"
 	"nfvmcast/internal/multicast"
@@ -54,9 +55,9 @@ type Options struct {
 // DefaultOptions returns the evaluation defaults (K = 3).
 func DefaultOptions() Options { return Options{K: 3} }
 
-// disableSubsetPruning turns the candidate lower-bound pruning off —
-// test instrumentation for asserting pruned and unpruned sweeps return
-// byte-identical solutions.
+// disableSubsetPruning turns the candidate lower-bound pruning and the
+// dominated-subset skip off — test instrumentation for asserting pruned
+// and exhaustive sweeps return byte-identical solutions.
 var disableSubsetPruning bool
 
 // ApproMulti implements Algorithm 1 (Appro_Multi) and its capacitated
@@ -162,15 +163,27 @@ type candidate struct {
 // forEachSubset order (sizes ascending, lexicographic within a size),
 // then one rooted candidate per reachable server. The index in the
 // returned slice is the tie-break between equal-cost candidates, so
-// this order is load-bearing for reproducibility.
+// this order is load-bearing for reproducibility. All server lists are
+// windows of one flat array.
 func collectCandidates(reachSrv []graph.NodeID, k int) []candidate {
-	cands := make([]candidate, 0, countSubsets(len(reachSrv), k)+len(reachSrv))
+	n := len(reachSrv)
+	members := n
+	for size := 1; size <= k && size <= n; size++ {
+		members += size * binomial(n, size)
+	}
+	flat := make([]graph.NodeID, 0, members)
+	cands := make([]candidate, 0, countSubsets(n, k)+n)
+	add := func(servers []graph.NodeID, rooted bool) {
+		start := len(flat)
+		flat = append(flat, servers...)
+		cands = append(cands, candidate{servers: flat[start:len(flat):len(flat)], rooted: rooted})
+	}
 	forEachSubset(reachSrv, k, func(subset []graph.NodeID) bool {
-		cands = append(cands, candidate{servers: append([]graph.NodeID(nil), subset...)})
+		add(subset, false)
 		return true
 	})
-	for _, v := range reachSrv {
-		cands = append(cands, candidate{servers: []graph.NodeID{v}, rooted: true})
+	for i := range reachSrv {
+		add(reachSrv[i:i+1], true)
 	}
 	return cands
 }
@@ -219,9 +232,9 @@ func evaluateCandidates(
 	locals := make([]bestCandidate, workers)
 	sawDelay := make([]bool, workers)
 	// Per-worker scratch arenas: candidate evaluation reuses one
-	// allocation set per goroutine instead of rebuilding closures,
-	// pruning graphs and adjacency maps for each of the O(|V_S|^K)
-	// candidates.
+	// allocation set (and one closure skeleton) per goroutine instead of
+	// rebuilding closures, pruning graphs and adjacency maps for each of
+	// the O(|V_S|^K) candidates.
 	scratches := make([]evalScratch, workers)
 	for i := range locals {
 		locals[i] = bestCandidate{op: graph.Infinity, idx: -1}
@@ -253,11 +266,12 @@ func evaluateCandidates(
 					minUnit = u
 				}
 			}
+			sub := ev.resolve(c.servers, nil, s)
 			var procLB float64
 			for _, d := range req.Destinations {
 				best := graph.Infinity
-				for _, v := range c.servers {
-					if dd := ev.spSrv[v].Dist[d]; dd < best {
+				for i := range sub {
+					if dd := sub[i].sp.Dist[d]; dd < best {
 						best = dd
 					}
 				}
@@ -286,10 +300,19 @@ func evaluateCandidates(
 			servers, realEdges, auxCost, cerr = ev.steiner(c.servers, omega, s)
 		}
 		if cerr != nil {
-			return // infeasible candidate, e.g. a destination unreachable through it
+			// Infeasible (e.g. a destination unreachable through it) or
+			// dominated: the latter's tree is that of an earlier
+			// candidate, which also raises the same delay flag unless it
+			// was bound-pruned or out-priced — and then a tree exists.
+			return
 		}
-		tree, derr := decompose(w, req, spSrc, servers, realEdges, s)
-		if derr != nil {
+		// Price on scratch; realise only what beats the incumbent. A
+		// candidate priced at or above it loses the strict < below just
+		// as its built tree would, and while the worker holds no tree
+		// (the only time the delay flag matters) the limit is infinite
+		// and every candidate is still built and checked.
+		tree, op := realiseBelow(nw, w, req, spSrc, servers, realEdges, s, local.op)
+		if tree == nil {
 			return
 		}
 		if opts.MaxDeliveryHops > 0 {
@@ -302,15 +325,14 @@ func evaluateCandidates(
 				return
 			}
 		}
-		// Strict < plus increasing idx per worker keeps the
-		// lowest-index minimum in each slot.
-		if op := OperationalCost(nw, req, tree); op < local.op {
-			*local = bestCandidate{op: op, aux: auxCost, tree: tree, idx: idx}
-		}
+		// op < local.op: strict < plus increasing idx per worker keeps
+		// the lowest-index minimum in each slot.
+		*local = bestCandidate{op: op, aux: auxCost, tree: tree, idx: idx}
 	}
 	// eval never fails (infeasible candidates are skipped); the only
 	// error out of the pool is cancellation between candidates.
 	perr := parallel.ForEachIndex(workers, workers, func(wi int) error {
+		ev.prepare(&scratches[wi])
 		for idx := wi; idx < len(cands); idx += workers {
 			if opts.ctx != nil {
 				if cerr := opts.ctx.Err(); cerr != nil {
@@ -336,6 +358,100 @@ func evaluateCandidates(
 		}
 	}
 	return best, sawDelayViolation, nil
+}
+
+// treeLoads lists the links of the pseudo-multicast tree decompose
+// would build from (servers, realEdges), without building it: work-graph
+// edges in ascending order — which is ascending host order, work graphs
+// keep the host's edge order — each with its number of directed
+// traversals. The unprocessed stream is the union of the source's
+// shortest paths to the servers, one traversal per edge (the paths lie
+// in one shortest-path tree, so a walk towards the source stops at the
+// first edge an earlier walk took); the processed stream crosses every
+// real edge once. ok is false when a server is cut off from the source.
+// The result is scratch-backed.
+func treeLoads(
+	w *workGraph,
+	spSrc *graph.ShortestPaths,
+	servers []graph.NodeID,
+	realEdges []graph.EdgeID,
+	s *evalScratch,
+) (loads []edgeLoad, ok bool) {
+	s.ensure(w.g.NumNodes(), w.g.NumEdges())
+	gen := s.nextGen()
+	s.crossings = s.crossings[:0]
+	stamp := func(e graph.EdgeID) bool {
+		if s.edgeGen[e] == gen {
+			return false
+		}
+		s.edgeGen[e] = gen
+		s.crossings = append(s.crossings, e)
+		return true
+	}
+	for _, v := range servers {
+		if !spSrc.VisitPathEdges(v, stamp) {
+			return nil, false
+		}
+	}
+	s.crossings = append(s.crossings, realEdges...)
+	sort.Ints(s.crossings)
+	s.loads = s.loads[:0]
+	for _, e := range s.crossings {
+		if n := len(s.loads); n > 0 && s.loads[n-1].edge == e {
+			s.loads[n-1].load++
+		} else {
+			s.loads = append(s.loads, edgeLoad{edge: e, load: 1})
+		}
+	}
+	return s.loads, true
+}
+
+// operationalPrice is OperationalCost of the tree decompose would build
+// from (servers, realEdges), summed over treeLoads' multiset in the
+// same order — links ascending, then servers — so the two agree to the
+// last bit.
+func operationalPrice(
+	nw *sdn.Network, w *workGraph, req *multicast.Request, loads []edgeLoad, servers []graph.NodeID,
+) float64 {
+	var cost float64
+	for _, l := range loads {
+		cost += float64(l.load) * req.BandwidthMbps * nw.LinkUnitCost(w.hostEdge(l.edge))
+	}
+	demand := req.ComputeDemandMHz()
+	for _, v := range servers {
+		cost += demand * nw.ServerUnitCost(v)
+	}
+	return cost
+}
+
+// realiseBelow builds the pseudo-multicast tree of (servers, realEdges)
+// and returns it with its operational cost — but only when that cost is
+// strictly below limit, which it finds out by pricing on scratch first.
+// It returns nil for a candidate at or above the limit and for one
+// decompose rejects.
+func realiseBelow(
+	nw *sdn.Network,
+	w *workGraph,
+	req *multicast.Request,
+	spSrc *graph.ShortestPaths,
+	servers []graph.NodeID,
+	realEdges []graph.EdgeID,
+	s *evalScratch,
+	limit float64,
+) (*multicast.PseudoTree, float64) {
+	loads, ok := treeLoads(w, spSrc, servers, realEdges, s)
+	if !ok || operationalPrice(nw, w, req, loads, servers) >= limit {
+		return nil, 0
+	}
+	tree, err := decompose(w, req, spSrc, servers, realEdges, s)
+	if err != nil {
+		return nil, 0
+	}
+	op := OperationalCost(nw, req, tree)
+	if op >= limit {
+		return nil, 0
+	}
+	return tree, op
 }
 
 // decompose converts an auxiliary Steiner tree — given as the used

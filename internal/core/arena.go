@@ -40,18 +40,37 @@ type refinePayload struct {
 	virtual graph.NodeID // -1 when real
 }
 
+// subsetServer is one server of the candidate subset under evaluation:
+// its map lookups resolved once per candidate, plus whether any
+// destination enters the closure through it.
+type subsetServer struct {
+	sp      *graph.ShortestPaths
+	omega   float64
+	entered bool
+}
+
+// edgeLoad is one link of a decomposed tree's edge multiset: a
+// work-graph edge and the number of directed traversals it carries (2
+// where the unprocessed and the processed stream cross the same link).
+type edgeLoad struct {
+	edge graph.EdgeID
+	load int
+}
+
 // evalScratch is the per-candidate scratch of the closure evaluator
-// and the tree decomposition: metric closures, MST workspaces, the
-// stamped expansion-union buffers, the pruning graph of KMB steps 4-5
-// and the component-orientation state of decompose. Appro_Multi's
-// candidate evaluation hands each worker goroutine its own instance;
-// the online planners keep one inside their PlanArena. The zero value
-// is ready to use.
+// and the tree decomposition: the metric closure (whose skeleton
+// closureEvaluator.prepare builds once per evaluator), MST workspaces,
+// the stamped expansion-union buffers, the pruning graph of KMB steps
+// 4-5, the link multiset of treeLoads and the component-orientation
+// state of decompose. Appro_Multi's candidate evaluation hands each
+// worker goroutine its own instance; the online planners keep one
+// inside their PlanArena. The zero value is ready to use.
 type evalScratch struct {
 	closure    graph.Graph // metric closure over {virtual source} ∪ D_k
 	closureMST graph.MST
 	mst        graph.MSTWorkspace
 
+	sub   []subsetServer // the candidate subset, resolved
 	entry []graph.NodeID // per-destination cheapest entry server
 
 	gen     uint32   // stamp generation for the union/visited sets
@@ -70,6 +89,9 @@ type evalScratch struct {
 	queue     []graph.NodeID
 	servers   []graph.NodeID
 	realEdges []graph.EdgeID
+
+	crossings []graph.EdgeID // treeLoads: one entry per stream crossing a link
+	loads     []edgeLoad     // treeLoads: the (edge, load) sequence
 
 	adj    [][]graph.Neighbor // decompose: component adjacency
 	adjGen []uint32           // decompose: node -> generation adj was truncated

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -15,12 +16,13 @@ import (
 // through the KMB metric closure in O(|D_k|^2 + |D_k|*|subset|).
 //
 // Thread safety: a closureEvaluator is read-only after
-// newClosureEvaluator returns. steiner and steinerRooted keep all
-// mutable state in the caller's evalScratch and only read the
+// newClosureEvaluator returns. prepare, steiner and steinerRooted keep
+// all mutable state in the caller's evalScratch and only read the
 // precomputed ShortestPaths, so one evaluator may be shared by any
-// number of goroutines as long as each brings its own scratch — this
-// is what Appro_Multi's parallel candidate evaluation relies on, and
-// the -race stress tests in parallel_test.go pin it down.
+// number of goroutines as long as each brings its own (prepared)
+// scratch — this is what Appro_Multi's parallel candidate evaluation
+// relies on, and the -race stress tests in parallel_test.go pin it
+// down.
 type closureEvaluator struct {
 	w     *workGraph
 	req   *multicast.Request
@@ -62,55 +64,102 @@ func newClosureEvaluator(
 	return ev, nil
 }
 
-// closureMST computes the MST of the metric closure over the terminals
-// {virtual source} ∪ D_k for the given subset: closure node 0 is the
-// virtual source, node j+1 is destination j. It returns the closure
-// MST edges plus, per destination, the cheapest entry server realising
-// the virtual-source distance (all scratch-backed, valid until the
-// next call with s). ok is false when some destination cannot be
-// reached through any subset server.
-func (ev *closureEvaluator) closureMST(
-	subset []graph.NodeID, omega map[graph.NodeID]float64, s *evalScratch,
-) (mst *graph.MST, closure *graph.Graph, entry []graph.NodeID, ok bool) {
-	m := len(ev.req.Destinations)
+// errDominated reports a subset whose destinations all enter the
+// closure through a proper sub-subset U: the closure — and so the KMB
+// tree, its decomposition and its cost — is that of U bit for bit, and
+// U, being smaller, is enumerated earlier and wins every tie.
+var errDominated = errors.New("core: subset dominated by its entry servers")
+
+// prepare builds the subset-independent skeleton of the metric closure
+// in s — closure node 0 is the virtual source, node j+1 destination j;
+// edge j is the virtual-source edge of destination j (weighted per
+// candidate), followed by the destination–destination distances — and
+// sizes s for the work graph. It must run once per (evaluator, scratch)
+// pair before steiner or steinerRooted; a scratch that outlives its
+// evaluator (PlanArena.eval) is re-prepared by the next one.
+func (ev *closureEvaluator) prepare(s *evalScratch) {
+	s.ensure(ev.w.g.NumNodes(), ev.w.g.NumEdges())
+	dests := ev.req.Destinations
+	m := len(dests)
 	s.closure.Reset(m + 1)
-	s.entry = s.entry[:0]
-	for j, d := range ev.req.Destinations {
-		best := graph.Infinity
-		bestV := graph.NodeID(-1)
-		for _, v := range subset {
-			if dist := ev.spSrv[v].Dist[d]; dist < graph.Infinity {
-				if c := omega[v] + dist; c < best {
-					best, bestV = c, v
-				}
-			}
-		}
-		if bestV == -1 {
-			return nil, nil, nil, false
-		}
-		s.entry = append(s.entry, bestV)
-		s.closure.MustAddEdge(0, j+1, best)
+	for j := range dests {
+		s.closure.MustAddEdge(0, j+1, 0)
 	}
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
-			d := ev.spDst[i].Dist[ev.req.Destinations[j]]
-			if d < graph.Infinity {
+			if d := ev.spDst[i].Dist[dests[j]]; d < graph.Infinity {
 				s.closure.MustAddEdge(i+1, j+1, d)
 			}
 		}
 	}
-	if err := s.mst.Prim(&s.closure, &s.closureMST); err != nil {
-		return nil, nil, nil, false
-	}
-	return &s.closureMST, &s.closure, s.entry, true
 }
 
-// expand converts a closure MST into the union of work-graph edges and
-// used virtual servers (KMB step 3). The returned slices are
+// setVirtual weights the virtual-source edge of destination j.
+func (s *evalScratch) setVirtual(j int, w float64) {
+	if err := s.closure.SetWeight(j, w); err != nil {
+		panic(err) // a negative distance, as MustAddEdge would report it
+	}
+}
+
+// resolve looks the subset's shortest-path trees (and, when omega is
+// non-nil, virtual-edge weights) up once, so the per-destination loops
+// index a slice instead of two maps.
+func (ev *closureEvaluator) resolve(
+	subset []graph.NodeID, omega map[graph.NodeID]float64, s *evalScratch,
+) []subsetServer {
+	s.sub = s.sub[:0]
+	for _, v := range subset {
+		s.sub = append(s.sub, subsetServer{sp: ev.spSrv[v], omega: omega[v]})
+	}
+	return s.sub
+}
+
+// closureMST computes the MST of the metric closure over the terminals
+// {virtual source} ∪ D_k for the given subset into s.closureMST and,
+// per destination, the cheapest entry server realising the
+// virtual-source distance into s.entry (the first such server in subset
+// order). It fails with ErrUnreachable when some destination cannot be
+// reached through any subset server, and with errDominated — before
+// Prim — when the entry servers are a proper subset of subset.
+func (ev *closureEvaluator) closureMST(
+	subset []graph.NodeID, omega map[graph.NodeID]float64, s *evalScratch,
+) error {
+	sub := ev.resolve(subset, omega, s)
+	s.entry = s.entry[:0]
+	entered := 0
+	for j, d := range ev.req.Destinations {
+		best := graph.Infinity
+		bestI := -1
+		for i := range sub {
+			if dist := sub[i].sp.Dist[d]; dist < graph.Infinity {
+				if c := sub[i].omega + dist; c < best {
+					best, bestI = c, i
+				}
+			}
+		}
+		if bestI == -1 {
+			return ErrUnreachable
+		}
+		if !sub[bestI].entered {
+			sub[bestI].entered = true
+			entered++
+		}
+		s.entry = append(s.entry, subset[bestI])
+		s.setVirtual(j, best)
+	}
+	if entered < len(subset) && !disableSubsetPruning {
+		return errDominated
+	}
+	if err := s.mst.Prim(&s.closure, &s.closureMST); err != nil {
+		return ErrUnreachable
+	}
+	return nil
+}
+
+// expand converts the closure MST in s into the union of work-graph
+// edges and used virtual servers (KMB step 3). The returned slices are
 // scratch-backed, deduplicated and unsorted (refine sorts them).
-func (ev *closureEvaluator) expand(
-	mst *graph.MST, closure *graph.Graph, entry []graph.NodeID, s *evalScratch,
-) (union []graph.EdgeID, virt []graph.NodeID, err error) {
+func (ev *closureEvaluator) expand(s *evalScratch) (union []graph.EdgeID, virt []graph.NodeID, err error) {
 	gen := s.nextGen()
 	s.union = s.union[:0]
 	s.virt = s.virt[:0]
@@ -122,15 +171,15 @@ func (ev *closureEvaluator) expand(
 		return true
 	}
 	dests := ev.req.Destinations
-	for _, cid := range mst.EdgeIDs {
-		ce := closure.Edge(cid)
+	for _, cid := range s.closureMST.EdgeIDs {
+		ce := s.closure.Edge(cid)
 		a, b := ce.U, ce.V
 		if a > b {
 			a, b = b, a
 		}
 		if a == 0 {
 			// Virtual source to destination b-1 through its entry server.
-			v := entry[b-1]
+			v := s.entry[b-1]
 			if s.nodeGen[v] != gen {
 				s.nodeGen[v] = gen
 				s.virt = append(s.virt, v)
@@ -301,7 +350,8 @@ func (ev *closureEvaluator) refine(
 // the single-server "rooted" candidate (route to the server first,
 // then distribute), which is always in the solution space of the
 // problem and complements the virtual-source construction whose
-// closure offsets all source-side distances by ω.
+// closure offsets all source-side distances by ω. s must have been
+// prepared by ev.
 func (ev *closureEvaluator) steinerRooted(
 	root graph.NodeID, s *evalScratch,
 ) (realEdges []graph.EdgeID, cost float64, err error) {
@@ -309,68 +359,38 @@ func (ev *closureEvaluator) steinerRooted(
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: server %d has no precomputed paths", ErrUnreachable, root)
 	}
-	s.ensure(ev.w.g.NumNodes(), ev.w.g.NumEdges())
-	m := len(ev.req.Destinations)
-	s.closure.Reset(m + 1)
+	s.entry = s.entry[:0]
 	for j, d := range ev.req.Destinations {
 		dist := spRoot.Dist[d]
 		if dist >= graph.Infinity {
 			return nil, 0, fmt.Errorf("%w: destination %d from server %d", ErrUnreachable, d, root)
 		}
-		s.closure.MustAddEdge(0, j+1, dist)
-	}
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			d := ev.spDst[i].Dist[ev.req.Destinations[j]]
-			if d < graph.Infinity {
-				s.closure.MustAddEdge(i+1, j+1, d)
-			}
-		}
+		s.entry = append(s.entry, root) // expand: every destination enters at root
+		s.setVirtual(j, dist)
 	}
 	if err := s.mst.Prim(&s.closure, &s.closureMST); err != nil {
 		return nil, 0, err
 	}
-	gen := s.nextGen()
-	s.union = s.union[:0]
-	addEdge := func(e graph.EdgeID) bool {
-		if s.edgeGen[e] != gen {
-			s.edgeGen[e] = gen
-			s.union = append(s.union, e)
-		}
-		return true
+	union, _, err := ev.expand(s)
+	if err != nil {
+		return nil, 0, err
 	}
-	for _, cid := range s.closureMST.EdgeIDs {
-		ce := s.closure.Edge(cid)
-		a, b := ce.U, ce.V
-		if a > b {
-			a, b = b, a
-		}
-		var pok bool
-		if a == 0 {
-			pok = spRoot.VisitPathEdges(ev.req.Destinations[b-1], addEdge)
-		} else {
-			pok = ev.spDst[a-1].VisitPathEdges(ev.req.Destinations[b-1], addEdge)
-		}
-		if !pok {
-			return nil, 0, ErrUnreachable
-		}
-	}
-	_, realEdges, cost, err = ev.refine(s.union, nil, nil, s, root)
+	_, realEdges, cost, err = ev.refine(union, nil, nil, s, root)
 	return realEdges, cost, err
 }
 
 // steiner runs the full KMB pipeline for one server subset and
 // returns the used servers, the surviving real work-graph edges
-// (scratch-backed), and the auxiliary Steiner tree cost c(T_k^i).
+// (scratch-backed), and the auxiliary Steiner tree cost c(T_k^i); a
+// dominated subset (see errDominated) is reported before any of it
+// runs. s must have been prepared by ev.
 func (ev *closureEvaluator) steiner(
 	subset []graph.NodeID, omega map[graph.NodeID]float64, s *evalScratch,
 ) (servers []graph.NodeID, realEdges []graph.EdgeID, auxCost float64, err error) {
-	s.ensure(ev.w.g.NumNodes(), ev.w.g.NumEdges())
-	mst, closure, entry, ok := ev.closureMST(subset, omega, s)
-	if !ok {
-		return nil, nil, 0, ErrUnreachable
+	if err := ev.closureMST(subset, omega, s); err != nil {
+		return nil, nil, 0, err
 	}
-	union, virt, err := ev.expand(mst, closure, entry, s)
+	union, virt, err := ev.expand(s)
 	if err != nil {
 		return nil, nil, 0, err
 	}

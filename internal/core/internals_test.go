@@ -117,7 +117,9 @@ func TestClosureSteinerMatchesGenericKMBOnSingleton(t *testing.T) {
 		if eerr != nil {
 			t.Fatal(eerr)
 		}
-		_, _, gotCost, serr := ev.steiner([]graph.NodeID{v}, omega, new(evalScratch))
+		scratch := new(evalScratch)
+		ev.prepare(scratch)
+		_, _, gotCost, serr := ev.steiner([]graph.NodeID{v}, omega, scratch)
 		if serr != nil {
 			t.Fatal(serr)
 		}

@@ -59,19 +59,18 @@ func AlgOneServer(nw *sdn.Network, req *multicast.Request, capacitated bool) (*S
 		bestTree *multicast.PseudoTree
 		scratch  evalScratch
 	)
-	for _, v := range reachSrv {
+	ev.prepare(&scratch)
+	for i, v := range reachSrv {
 		realEdges, treeCost, rerr := ev.steinerRooted(v, &scratch)
 		if rerr != nil {
 			continue
 		}
-		tree, derr := decompose(w, req, spSrc, []graph.NodeID{v}, realEdges, &scratch)
-		if derr != nil {
+		tree, cost := realiseBelow(nw, w, req, spSrc, reachSrv[i:i+1], realEdges, &scratch, bestCost)
+		if tree == nil {
 			continue
 		}
-		sel := spSrc.Dist[v] + nw.ServerUnitCost(v)*demand + treeCost
-		if cost := OperationalCost(nw, req, tree); cost < bestCost {
-			bestCost, bestSel, bestTree = cost, sel, tree
-		}
+		bestCost, bestTree = cost, tree
+		bestSel = spSrc.Dist[v] + nw.ServerUnitCost(v)*demand + treeCost
 	}
 	if bestTree == nil {
 		return nil, fmt.Errorf("%w: no server can reach source and all destinations",
@@ -125,6 +124,7 @@ func AlgOneServerNearest(nw *sdn.Network, req *multicast.Request, capacitated bo
 		return nil, err
 	}
 	var scratch evalScratch
+	ev.prepare(&scratch)
 	realEdges, treeCost, err := ev.steinerRooted(nearest, &scratch)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"nfvmcast/internal/graph"
@@ -138,43 +137,37 @@ func (p *CPKPlanner) PlanWith(nw *sdn.Network, req *multicast.Request, arena *Pl
 		return nil, err
 	}
 
-	// Host-edge weight lookup for threshold (b) and selection.
-	hostWeight := make(map[graph.EdgeID]float64, w.g.NumEdges())
-	for le := 0; le < w.g.NumEdges(); le++ {
-		hostWeight[w.hostEdge(le)] = w.g.Weight(le)
-	}
+	ev.prepare(&arena.eval)
 
 	var (
 		bestSel  = graph.Infinity
 		bestTree *multicast.PseudoTree
 	)
+	// consider prices one candidate on scratch and builds its tree only
+	// when it beats the incumbent.
 	consider := func(servers []graph.NodeID, realEdges []graph.EdgeID) {
-		tree, derr := decompose(w, req, spSrc, servers, realEdges, &arena.eval)
-		if derr != nil {
+		loads, ok := treeLoads(w, spSrc, servers, realEdges, &arena.eval)
+		if !ok {
 			return
 		}
 		// Threshold (b): every tree link under σ_e (pre-allocation
-		// weights, as in Online_CP). Sum in sorted edge order: float
-		// addition is order-dependent, and a map-ordered sum would make
-		// near-tie subset selection non-deterministic run to run.
-		loads := tree.LinkLoads()
-		treeEdges := make([]graph.EdgeID, 0, len(loads))
-		for e := range loads {
-			treeEdges = append(treeEdges, e)
-		}
-		sort.Ints(treeEdges)
+		// weights, as in Online_CP). Sum in ascending edge order: float
+		// addition is order-dependent, and any other order would make
+		// near-tie subset selection differ run to run.
 		sel := 0.0
-		for _, e := range treeEdges {
-			we := p.model.LinkWeight(nw, e)
-			if we >= p.model.SigmaE {
+		for _, l := range loads {
+			if p.model.LinkWeight(nw, w.hostEdge(l.edge)) >= p.model.SigmaE {
 				return
 			}
-			sel += float64(loads[e]) * hostWeight[e]
+			sel += float64(l.load) * w.g.Weight(l.edge)
 		}
 		for _, v := range servers {
 			sel += p.model.ServerWeight(nw, v)
 		}
-		if sel < bestSel {
+		if sel >= bestSel {
+			return
+		}
+		if tree, derr := decompose(w, req, spSrc, servers, realEdges, &arena.eval); derr == nil {
 			bestSel, bestTree = sel, tree
 		}
 	}
@@ -184,9 +177,9 @@ func (p *CPKPlanner) PlanWith(nw *sdn.Network, req *multicast.Request, arena *Pl
 		}
 		return true
 	})
-	for _, v := range candidates {
+	for i, v := range candidates {
 		if realEdges, _, rerr := ev.steinerRooted(v, &arena.eval); rerr == nil {
-			consider([]graph.NodeID{v}, realEdges)
+			consider(candidates[i:i+1], realEdges)
 		}
 	}
 	if bestTree == nil {

@@ -1,11 +1,12 @@
 package core
 
 // Byte-identity oracles for the planning fast paths: subset
-// branch-and-bound pruning in Appro_Multi and the admitter's
-// fast-reject must be invisible in outputs — identical trees, costs
-// and error messages to the unpruned/full paths.
+// branch-and-bound pruning and the dominated-subset skip in Appro_Multi
+// and the admitter's fast-reject must be invisible in outputs —
+// identical trees, costs and error messages to the unpruned/full paths.
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,18 +54,32 @@ func sameSolution(t *testing.T, got, want *Solution, label string) {
 }
 
 // TestApproMultiPruningByteIdentical runs the subset sweep with and
-// without branch-and-bound pruning over a spread of topologies, K
-// values and worker counts, demanding identical solutions (or
-// identical errors).
+// without branch-and-bound pruning and the dominated-subset skip (one
+// hook turns both off) over a spread of topologies, K values and worker
+// counts, demanding identical solutions (or identical errors) — and
+// that the skip did fire on the grid.
 func TestApproMultiPruningByteIdentical(t *testing.T) {
 	if disableSubsetPruning {
 		t.Fatal("pruning globally disabled")
 	}
 	nets := []*sdn.Network{testNetwork(t, 40, 3), geantNetwork(t, 5)}
+	skipped := 0
 	for ni, nw := range nets {
 		for seed := int64(0); seed < 8; seed++ {
 			req := testRequest(t, nw, 300+seed)
 			for _, k := range []int{1, 2, 3} {
+				if fx := newSweepFixture(t, nw, req, true, k); fx != nil {
+					var s evalScratch
+					fx.ev.prepare(&s)
+					for _, c := range fx.cands {
+						if c.rooted {
+							continue
+						}
+						if _, _, _, err := fx.ev.steiner(c.servers, fx.omega, &s); errors.Is(err, errDominated) {
+							skipped++
+						}
+					}
+				}
 				for _, workers := range []int{1, 4} {
 					opts := Options{K: k, Capacitated: true, Workers: workers}
 					pruned, perr := ApproMulti(nw, req, opts)
@@ -85,6 +100,9 @@ func TestApproMultiPruningByteIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+	if skipped == 0 {
+		t.Fatal("dominated-subset skip never fired on the grid")
 	}
 }
 
