@@ -17,6 +17,11 @@
 // server-side deadline (Config.RequestTimeout). SIGTERM handling is
 // the caller's (see cmd/nfvmcastd): Server.Shutdown drains in-flight
 // requests, takes a final snapshot per shard and closes the logs.
+//
+// Acks wait for the disk and nothing else does: each shard's engine
+// acks a journaled operation from its committer once one fsync barrier
+// covers it (internal/engine/committer.go), and snapshot upkeep runs
+// on a background goroutine that handlers only signal.
 package daemon
 
 import (
@@ -162,7 +167,13 @@ type Server struct {
 	draining chan struct{} // closed at Shutdown: submit answers 503
 	drainOne sync.Once
 
-	mu      sync.Mutex // guards httpSrv and snapshot maintenance
+	// Snapshot upkeep: handlers kick the upkeep goroutine (a signal,
+	// never a wait); it exits when draining closes and closes
+	// upkeepDone. Both are nil without a WAL.
+	upkeep     chan struct{}
+	upkeepDone chan struct{}
+
+	mu      sync.Mutex // guards httpSrv
 	httpSrv *http.Server
 }
 
@@ -280,6 +291,9 @@ func New(cfg Config) (*Server, error) {
 			s.closeLogs()
 			return nil, err
 		}
+		s.upkeep = make(chan struct{}, 1)
+		s.upkeepDone = make(chan struct{})
+		go s.upkeepLoop()
 	}
 	return s, nil
 }
@@ -290,14 +304,30 @@ func (s *Server) Boot() []BootStats { return append([]BootStats(nil), s.boot...)
 // Router exposes the underlying shard router (tests, embedding).
 func (s *Server) Router() *shard.Router { return s.router }
 
-// maintain runs snapshot upkeep: any shard past its snapshot cadence
-// gets one. Called opportunistically after state-changing requests.
-func (s *Server) maintain() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, l := range s.logs {
-		if l.ShouldSnapshot() {
-			_, _ = l.Snapshot(s.router.Engine(id)) // failure surfaces on the next barrier
+// kickUpkeep asks for snapshot upkeep after a state-changing request. It
+// only signals: the snapshot a shard is due is taken by the upkeep
+// goroutine, off the ack path of this and every concurrent request.
+func (s *Server) kickUpkeep() {
+	select {
+	case s.upkeep <- struct{}{}:
+	default: // a kick is already pending, or there is no WAL
+	}
+}
+
+// upkeepLoop gives every shard past its snapshot cadence a snapshot,
+// once per kick, until Shutdown begins.
+func (s *Server) upkeepLoop() {
+	defer close(s.upkeepDone)
+	for {
+		select {
+		case <-s.upkeep:
+			for id, l := range s.logs {
+				if l.ShouldSnapshot() {
+					_, _ = l.Snapshot(s.router.Engine(id)) // failure surfaces on the next barrier
+				}
+			}
+		case <-s.draining:
+			return
 		}
 	}
 }
@@ -325,8 +355,9 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Shutdown drains the daemon: new submissions are refused, in-flight
-// requests finish (bounded by ctx), each shard takes a final snapshot,
-// and the router and logs close. Safe to call once; subsequent calls
+// requests finish (bounded by ctx), the upkeep goroutine stops, each
+// shard takes a final snapshot, and the router (engines, then their
+// committers) and finally the logs close. Safe to call once; subsequent calls
 // return the first outcome.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
@@ -337,6 +368,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		if srv != nil {
 			err = srv.Shutdown(ctx)
+		}
+		if s.upkeepDone != nil {
+			<-s.upkeepDone // no upkeep snapshot races the final ones
 		}
 		for id, l := range s.logs {
 			if _, serr := l.Snapshot(s.router.Engine(id)); serr != nil && err == nil {

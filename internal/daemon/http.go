@@ -222,7 +222,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeAdmitError(w, err)
 		return
 	}
-	s.maintain()
+	s.kickUpkeep()
 	shardID, _ := s.router.ShardFor(body.Tenant)
 	writeJSON(w, http.StatusOK, SubmitResponse{
 		ID:       req.ID,
@@ -244,7 +244,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		writeAdmitError(w, err)
 		return
 	}
-	s.maintain()
+	s.kickUpkeep()
 	writeJSON(w, http.StatusOK, ReleaseResponse{
 		ID:       body.ID,
 		Solution: wal.EncodeSolution(sol),
@@ -295,7 +295,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		writeAdmitError(w, err)
 		return
 	}
-	s.maintain()
+	s.kickUpkeep()
 	writeJSON(w, http.StatusOK, ApplyResponse{Applied: len(muts)})
 }
 

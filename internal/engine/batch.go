@@ -25,7 +25,6 @@ package engine
 // ascending request ID within an epoch).
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -34,15 +33,16 @@ import (
 )
 
 // commitTicket is one planned solution waiting for an epoch commit.
-// verdict is filled on the writer during the epoch and sent on done
-// only after the epoch's journal barrier — acks never precede
-// durability (see commitEpoch).
+// verdict is filled on the writer during the epoch; the ack is
+// released by the writer at once for a member that journaled nothing,
+// and by the committer after the epoch's shared barrier for the rest —
+// acks never precede durability (see commitEpoch and committer.go).
 type commitTicket struct {
 	req     *multicast.Request
 	sol     *core.Solution
 	epoch   uint64
 	verdict commitVerdict
-	done    chan commitVerdict
+	ack
 }
 
 type commitVerdict struct {
@@ -51,30 +51,31 @@ type commitVerdict struct {
 	err   error
 }
 
-// ticketPool recycles commit tickets (and their buffered verdict
-// channels) across epochs. The writer's verdict send is its last touch
+// ticketPool recycles commit tickets (and their buffered ack
+// channels) across epochs. The send on done is the engine's last touch
 // of a ticket, so returning the ticket after the receive never races.
 var ticketPool = sync.Pool{New: func() any {
-	return &commitTicket{done: make(chan commitVerdict, 1)}
+	return &commitTicket{ack: ack{done: make(chan struct{}, 1)}}
 }}
 
 // submitCommit queues sol for the next commit epoch and waits for its
 // verdict. Only called on the batched concurrent path.
 func (e *Engine) submitCommit(req *multicast.Request, sol *core.Solution, epoch uint64) (*core.Solution, bool, error) {
 	t := ticketPool.Get().(*commitTicket)
-	t.req, t.sol, t.epoch, t.verdict = req, sol, epoch, commitVerdict{}
+	t.req, t.sol, t.epoch = req, sol, epoch
+	v := commitVerdict{err: ErrClosed}
 	select {
 	case e.commits <- t:
-		// The writer has the ticket and always answers it.
-		v := <-t.done
-		t.req, t.sol, t.verdict = nil, nil, commitVerdict{}
-		ticketPool.Put(t)
-		return v.sol, v.stale, v.err
+		// The writer has the ticket and it is always answered.
+		<-t.done
+		if v = t.verdict; t.jerr != nil {
+			v = commitVerdict{err: t.jerr} // the epoch's barrier failed
+		}
 	case <-e.quit:
-		t.req, t.sol, t.verdict = nil, nil, commitVerdict{}
-		ticketPool.Put(t)
-		return nil, false, ErrClosed
 	}
+	t.req, t.sol, t.verdict, t.ack = nil, nil, commitVerdict{}, ack{done: t.done}
+	ticketPool.Put(t)
+	return v.sol, v.stale, v.err
 }
 
 // commitEpoch runs on the writer: starting from the ticket just
@@ -107,57 +108,19 @@ drained:
 		}
 	}
 	nw.EndMutationBatch()
-	e.journalEpoch(batch)
+	// Journal the epoch's successful commits, one Admitted append per
+	// member. A member whose append failed is unwound on the spot; the
+	// others are staged together and share the committer's next barrier
+	// — the group-commit amortisation — which, should it fail, unwinds
+	// them like any other admission.
 	for _, t := range batch {
-		t.done <- t.verdict
+		e.cur = &t.ack
+		if t.verdict.err == nil {
+			if jerr := e.journalCommitted(t.req, t.verdict.sol); jerr != nil {
+				t.verdict = commitVerdict{err: jerr}
+			}
+		}
+		e.settle(&t.ack)
 	}
 	e.obs.BatchCommitted(len(batch))
-}
-
-// journalEpoch makes an epoch's successful commits durable under one
-// barrier — the group-commit amortisation: the journal buffers one
-// Admitted append per member and fsyncs once for the whole epoch. A
-// member whose append failed, and every member after it (append order
-// is ack order; a later member may not be durable before an earlier
-// hole), is unwound — departed again, its verdict rewritten to
-// ErrDurability — as is the whole epoch when the barrier itself fails.
-// Verdicts have not been sent yet, so no caller ever holds an ack for
-// an operation the log missed.
-func (e *Engine) journalEpoch(batch []*commitTicket) {
-	if e.journal == nil {
-		return
-	}
-	failedAt := len(batch)
-	var jerr error
-	for i, t := range batch {
-		if t.verdict.err != nil {
-			continue
-		}
-		if jerr = e.journal.Admitted(t.req, t.verdict.sol); jerr != nil {
-			failedAt = i
-			break
-		}
-	}
-	var berr error
-	if failedAt > 0 {
-		berr = e.journal.Barrier()
-	}
-	if failedAt == len(batch) && berr == nil {
-		return
-	}
-	if jerr == nil {
-		jerr = berr
-	}
-	for i, t := range batch {
-		if t.verdict.err != nil {
-			continue
-		}
-		if i < failedAt && berr == nil {
-			continue
-		}
-		if _, derr := e.adm.Depart(t.req.ID); derr == nil {
-			e.mutations++
-		}
-		t.verdict = commitVerdict{err: fmt.Errorf("%w: %v", ErrDurability, jerr)}
-	}
 }

@@ -82,7 +82,8 @@ type Options struct {
 	BatchWindow int
 	// Journal, when set, makes the engine durable: every
 	// state-changing outcome is appended to the journal on the writer
-	// goroutine before the operation acks (see journal.go and
+	// goroutine and made durable by the committer goroutine's barrier
+	// before the operation acks (see journal.go, committer.go and
 	// internal/wal). nil (the default) keeps the engine in-memory.
 	Journal Journal
 }
@@ -135,8 +136,16 @@ type Engine struct {
 	reconf core.Reconfigurer
 
 	// journal receives state-changing outcomes before they ack (nil =
-	// durability off). Touched only on the writer goroutine.
+	// durability off): appends on the writer goroutine, Barrier on the
+	// committer goroutine (com, see committer.go). cur is the ack of the
+	// operation the writer is running — where the append helpers note
+	// that a barrier is owed — and staged collects one writer
+	// iteration's owing acks for the hand-off; both are touched only on
+	// the writer goroutine and only with a journal attached.
 	journal Journal
+	com     *committer
+	cur     *ack
+	staged  []*ack
 
 	// mutations counts state changes (commits, departs, replaces,
 	// updates) and is touched only on the writer goroutine. A commit
@@ -163,11 +172,12 @@ type planSlot struct {
 }
 
 // wop is a pooled writer operation: the closure to run on the writer
-// goroutine and a reusable buffered ack channel. Recycling the
-// envelope keeps exec allocation-free apart from the caller's closure.
+// goroutine and a reusable ack (buffered channel plus, with a journal,
+// the durability bookkeeping of committer.go). Recycling the envelope
+// keeps exec allocation-free apart from the caller's closure.
 type wop struct {
-	f    func()
-	done chan struct{}
+	f func()
+	ack
 }
 
 // New returns an engine owning nw that admits with planner's policy.
@@ -193,7 +203,7 @@ func New(nw *sdn.Network, planner core.Planner, opts Options) *Engine {
 		quit:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
-	e.opPool.New = func() any { return &wop{done: make(chan struct{}, 1)} }
+	e.opPool.New = func() any { return &wop{ack: ack{done: make(chan struct{}, 1)}} }
 	for i := 0; i < workers; i++ {
 		e.planSlots <- &planSlot{arena: core.NewPlanArena(), view: &sdn.Network{}}
 	}
@@ -208,7 +218,13 @@ func New(nw *sdn.Network, planner core.Planner, opts Options) *Engine {
 			e.recArena = core.NewPlanArena()
 		}
 	}
-	go e.writer()
+	if e.journal == nil {
+		go e.writer()
+	} else {
+		e.com = newCommitter()
+		go e.journaledWriter()
+		go e.commitLoop()
+	}
 	return e
 }
 
@@ -229,27 +245,54 @@ func (e *Engine) writer() {
 	}
 }
 
-// Close stops the writer goroutine and waits for it to exit. Admits
-// already committed stay allocated; operations submitted after (or
-// racing) Close return ErrClosed. Close is idempotent.
+// journaledWriter is the writer of an engine with a journal: the same
+// loop, except that an operation which appended to the journal is not
+// acked here but handed to the committer (see committer.go), and the
+// writer goes straight on to the next operation.
+func (e *Engine) journaledWriter() {
+	defer e.com.stop()
+	for {
+		select {
+		case op := <-e.ops:
+			e.cur = &op.ack
+			op.f()
+			e.settle(&op.ack)
+		case t := <-e.commits:
+			e.commitEpoch(t)
+		case <-e.quit:
+			return
+		}
+		e.handOff()
+	}
+}
+
+// Close stops the writer goroutine and waits for it to exit; with a
+// journal it also drains the committer, so every operation the writer
+// had taken is barriered and acked before Close returns (close the
+// journal's log after the engine, never before). Admits already
+// committed stay allocated; operations submitted after (or racing)
+// Close return ErrClosed. Close is idempotent.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.quit) })
 	<-e.done
 }
 
-// exec runs f on the writer goroutine and waits for it to finish. The
-// op envelope is pooled; the writer's ack on the buffered done channel
-// is its last touch of the envelope, so recycling after the receive
-// never races the writer.
+// exec runs f on the writer goroutine and waits for its ack — with a
+// journal, for the barrier covering whatever f appended. It returns
+// ErrClosed when the op never ran and the ErrDurability verdict of a
+// failed barrier. The op envelope is pooled; the ack on the buffered
+// done channel is the engine's last touch of the envelope, so recycling
+// after the receive never races the writer or the committer.
 func (e *Engine) exec(f func()) error {
 	op := e.opPool.Get().(*wop)
 	op.f = f
 	select {
 	case e.ops <- op:
 		<-op.done
-		op.f = nil
+		jerr := op.jerr
+		op.f, op.ack = nil, ack{done: op.done}
 		e.opPool.Put(op)
-		return nil
+		return jerr
 	case <-e.quit:
 		op.f = nil
 		e.opPool.Put(op)
@@ -361,7 +404,8 @@ func (e *Engine) planOnSnapshot(ctx context.Context, req *multicast.Request, slo
 }
 
 // tryCommit validates sol against the live residuals on the writer.
-// The error is nil on success, ErrClosed, or the allocation violation;
+// The error is nil on success, ErrClosed, ErrDurability, or the
+// allocation violation;
 // stale reports whether the live state had moved past the plan's
 // snapshot epoch by commit time. With BatchWindow > 1 the commit joins
 // the writer's next epoch batch (see batch.go) — same verdicts, with

@@ -57,8 +57,9 @@ func WithBatchWindow(n int) Option {
 }
 
 // WithJournal makes the engine durable: every state-changing outcome
-// is appended to j on the writer goroutine before the operation acks
-// (see Journal and internal/wal). nil keeps the engine in-memory.
+// is appended to j on the writer goroutine and barriered by the
+// committer goroutine before the operation acks (see Journal,
+// committer.go and internal/wal). nil keeps the engine in-memory.
 func WithJournal(j Journal) Option {
 	return func(o *Options) { o.Journal = j }
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -28,6 +29,11 @@ func goldenRegistry() *Registry {
 	for _, v := range []float64{0.0005, 0.002, 0.002, 0.05, 0.5} {
 		h.Observe(v)
 	}
+	// One shard's log mid-flight: lsn 8 appended, a barrier covered 7.
+	w := NewWALObs(reg, "s0")
+	w.Appended(7, 412)
+	w.Fsynced(7, 400*time.Microsecond)
+	w.Appended(8, 96)
 	return reg
 }
 

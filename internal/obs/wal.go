@@ -1,5 +1,7 @@
 package obs
 
+import "time"
+
 // WALObs binds the instruments of one write-ahead log (one shard's
 // segment chain in internal/wal): append/byte/fsync counters on the
 // write side, replay counters on the recovery side, and the
@@ -16,6 +18,8 @@ type WALObs struct {
 	replayFalls *Counter
 	segments    *Gauge
 	lastLSN     *Gauge
+	durableLSN  *Gauge
+	fsyncTime   *Histogram
 }
 
 // NewWALObs registers the WAL instrument set for one shard on reg
@@ -44,6 +48,10 @@ func NewWALObs(reg *Registry, shard string) *WALObs {
 			"Live segment files in the log directory.", base...),
 		lastLSN: reg.Gauge("nfv_wal_last_lsn",
 			"LSN of the most recently appended record.", base...),
+		durableLSN: reg.Gauge("nfv_wal_durable_lsn",
+			"Last LSN a completed fsync barrier covered; nfv_wal_last_lsn minus this is what acks are waiting on.", base...),
+		fsyncTime: reg.Histogram("nfv_wal_fsync_seconds",
+			"Duration of each fsync barrier.", nil, base...),
 	}
 }
 
@@ -57,12 +65,15 @@ func (o *WALObs) Appended(lsn uint64, n int) {
 	o.lastLSN.Set(float64(lsn))
 }
 
-// Fsynced counts one fsync barrier.
-func (o *WALObs) Fsynced() {
+// Fsynced counts one fsync barrier that made every record up to lsn
+// durable and took d.
+func (o *WALObs) Fsynced(lsn uint64, d time.Duration) {
 	if o == nil {
 		return
 	}
 	o.fsyncs.Inc()
+	o.durableLSN.Set(float64(lsn))
+	o.fsyncTime.Observe(d.Seconds())
 }
 
 // Rotated counts one segment rotation; n is the new live segment count.

@@ -8,8 +8,9 @@ import (
 )
 
 // Journal adapts a Log to the engine's durability hook: each outcome
-// becomes one appended record, and Barrier maps straight to the log's
-// group-commit fsync. Construction order resolves the
+// becomes one appended record (on the engine's writer), and Barrier
+// (on the engine's committer, overlapping later appends) maps straight
+// to the log's group-commit fsync. Construction order resolves the
 // chicken-and-egg between log and engine — open the log, build the
 // engine with the journal attached, then Recover:
 //
@@ -69,5 +70,6 @@ func (j *Journal) MutationsApplied(muts []engine.Mutation) error {
 	return err
 }
 
-// Barrier makes everything appended so far durable (one fsync).
+// Barrier makes everything appended before the call durable (one
+// fsync, outside the log's mutex).
 func (j *Journal) Barrier() error { return j.l.Barrier() }

@@ -61,7 +61,11 @@ type liveSnap struct {
 // garbage-collects segments and older snapshots the new snapshot
 // subsumes (the previous snapshot is kept as a fallback). It returns
 // the covered LSN. The engine must be the one this log journals for —
-// the covered LSN is read inside the capture, so it is exact.
+// the covered LSN is read inside the capture, so it is exact. The
+// capture can include operations whose records are appended but whose
+// barrier is still owed (the engine acks from its committer), so the
+// snapshot is published only after a barrier of its own: a snapshot
+// never claims an LSN the segment chain could lose in a crash.
 func (l *Log) Snapshot(eng *engine.Engine) (uint64, error) {
 	var snap *snapshotFile
 	err := eng.SnapshotState(func(nw *sdn.Network, lives []*core.Solution) {
@@ -71,6 +75,9 @@ func (l *Log) Snapshot(eng *engine.Engine) (uint64, error) {
 		snap = captureSnapshot(lsn, nw, lives)
 	})
 	if err != nil {
+		return 0, err
+	}
+	if err := l.Barrier(); err != nil {
 		return 0, err
 	}
 	payload, err := json.Marshal(snap)

@@ -21,15 +21,20 @@
 // error (ErrLogCorrupt / ErrLogTruncated) rather than silently
 // skipping records.
 //
-// Durability contract: the engine appends on its writer goroutine and
-// calls Barrier (one fsync, group-committed per epoch) before acking —
-// "acked implies logged". The first append/sync failure is sticky: the
+// Durability contract: the engine appends on its writer goroutine, its
+// committer goroutine calls Barrier (one fsync for every record
+// appended before the call) and only then releases the acks of the
+// operations those records describe — "acked implies logged". The
+// fsync runs outside the log mutex, so Append, ShouldSnapshot and
+// LastLSN never wait for the disk and the writer keeps appending while
+// a barrier is in flight. The first append/sync failure is sticky: the
 // log refuses further writes, the engine surfaces ErrDurability, and
 // the process restarts into recovery.
 package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -38,6 +43,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"nfvmcast/internal/obs"
 )
@@ -78,27 +84,36 @@ type Options struct {
 }
 
 // Log is one append-only write-ahead log directory. Appends arrive
-// from a single goroutine at a time (the engine's writer); reads
-// (Replay, stats) may be concurrent with nothing — recovery runs
-// before the engine takes traffic. The mutex guards the cheap
-// bookkeeping so stats helpers stay safe anytime.
+// from a single goroutine at a time (the engine's writer); Barrier may
+// be called from other goroutines (the engine's committer, Snapshot)
+// and overlaps appends. Replay runs before the engine takes traffic.
+// mu guards the bookkeeping and the active segment's identity and is
+// never held across a barrier's fsync — only a rotation (once per
+// SegmentBytes) syncs under it; syncMu serialises barriers among
+// themselves, so one that finds nothing new to sync can rely on its
+// predecessor having finished.
 type Log struct {
 	dir  string
 	opts Options
 
-	mu        sync.Mutex
-	f         *os.File // active segment
-	segPath   string
-	segStart  uint64 // first LSN the active segment holds (or will)
-	segBytes  int64
-	segCount  int
-	lastLSN   uint64 // last durable-appendable LSN assigned
-	snapLSN   uint64 // LSN covered by the newest snapshot on disk
-	sinceSnap int    // records appended since the newest snapshot
-	dirty     bool   // bytes written since the last sync
-	tailErr   error  // the torn tail Open cut, if any (typed)
-	err       error  // sticky append/sync failure
-	buf       []byte // frame scratch
+	// syncFile is the fsync (a field so tests can park or fail it).
+	syncFile func(*os.File) error
+
+	syncMu sync.Mutex // held for a whole Barrier; taken before mu
+
+	mu         sync.Mutex
+	f          *os.File // active segment
+	segPath    string
+	segStart   uint64 // first LSN the active segment holds (or will)
+	segBytes   int64
+	segCount   int
+	lastLSN    uint64 // last LSN assigned (appended, not necessarily synced)
+	durableLSN uint64 // every record up to here has been synced
+	snapLSN    uint64 // LSN covered by the newest snapshot on disk
+	sinceSnap  int    // records appended since the newest snapshot
+	tailErr    error  // the torn tail Open cut, if any (typed)
+	err        error  // sticky append/sync failure
+	buf        []byte // frame scratch
 }
 
 // Open opens (or creates) the log directory, scans the segment chain,
@@ -115,7 +130,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create dir: %w", err)
 	}
-	l := &Log{dir: dir, opts: opts}
+	l := &Log{dir: dir, opts: opts, syncFile: (*os.File).Sync}
 
 	segs, err := l.segments()
 	if err != nil {
@@ -192,7 +207,10 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
+// observeOpen finishes Open: what survived on disk is as durable as it
+// will get, so the first barrier only owes what is appended from here.
 func (l *Log) observeOpen() {
+	l.durableLSN = l.lastLSN
 	l.opts.Obs.Rotated(l.segCount) // sets the segment gauge
 }
 
@@ -264,42 +282,62 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	l.lastLSN = rec.LSN
 	l.segBytes += int64(len(buf))
 	l.sinceSnap++
-	l.dirty = true
 	l.opts.Obs.Appended(rec.LSN, len(buf))
 	return rec.LSN, nil
 }
 
-// Barrier makes every appended record durable (fsync of the active
-// segment). The engine calls it once per ack boundary — per operation,
-// or once per commit epoch in batched mode (group commit).
+// Barrier makes every record appended before the call durable. It
+// captures the active segment and the last LSN under the mutex and
+// fsyncs outside it, so appends proceed while the disk works; records
+// appended meanwhile are the next barrier's. Older segments need no
+// sync here: a rotation syncs the segment it seals. If a rotation seals
+// the captured segment while this sync is in flight, the sync either
+// still lands on the open descriptor or finds it closed — and then the
+// rotation's own sync already covered every captured record.
 func (l *Log) Barrier() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	f, path, lsn := l.f, l.segPath, l.lastLSN
+	err, clean := l.err, lsn <= l.durableLSN
+	l.mu.Unlock()
+	if err != nil || clean {
+		return err
+	}
+	start := time.Now()
+	var serr error
+	if !l.opts.NoSync {
+		serr = l.syncFile(f)
+	}
+	took := time.Since(start)
+
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if serr != nil && errors.Is(serr, os.ErrClosed) && l.f != f && l.err == nil {
+		serr = nil // sealed, and synced, by a rotation
+	}
+	if serr != nil && l.err == nil {
+		l.err = fmt.Errorf("wal: sync %s: %w", path, serr)
+	}
 	if l.err != nil {
 		return l.err
 	}
-	if !l.dirty {
-		return nil
+	if lsn > l.durableLSN {
+		l.durableLSN = lsn
 	}
-	if !l.opts.NoSync {
-		if err := l.f.Sync(); err != nil {
-			l.err = fmt.Errorf("wal: sync %s: %w", l.segPath, err)
-			return l.err
-		}
-	}
-	l.dirty = false
-	l.opts.Obs.Fsynced()
+	l.opts.Obs.Fsynced(lsn, took)
 	return nil
 }
 
-// rotateLocked seals the active segment and starts a new one named by
-// the next LSN. Caller holds l.mu.
+// rotateLocked seals the active segment — syncing whatever no barrier
+// has covered yet, so a sealed segment is always durable — and starts a
+// new one named by the next LSN. Caller holds l.mu.
 func (l *Log) rotateLocked() error {
-	if l.dirty && !l.opts.NoSync {
-		if err := l.f.Sync(); err != nil {
+	if l.lastLSN > l.durableLSN && !l.opts.NoSync {
+		if err := l.syncFile(l.f); err != nil {
 			return fmt.Errorf("wal: sync %s before rotation: %w", l.segPath, err)
 		}
-		l.dirty = false
+		l.durableLSN = l.lastLSN
 	}
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: close %s: %w", l.segPath, err)
@@ -340,8 +378,8 @@ func (l *Log) Close() error {
 		return l.err
 	}
 	var first error
-	if l.dirty && !l.opts.NoSync {
-		first = l.f.Sync()
+	if l.lastLSN > l.durableLSN && !l.opts.NoSync {
+		first = l.syncFile(l.f)
 	}
 	if cerr := l.f.Close(); first == nil {
 		first = cerr

@@ -552,7 +552,10 @@ var (
 	// rather than mid-chain corruption.
 	IsRecoverableTailError = wal.IsRecoverableTail
 	// WithJournal makes an engine durable: every state-changing
-	// outcome is journalled (and barriered) before the caller's ack.
+	// outcome is journalled on the writer and made durable by the
+	// engine's committer — one barrier for every operation waiting on
+	// one — before the caller's ack. Close the engine before the
+	// journal's log.
 	WithJournal = engine.WithJournal
 )
 
