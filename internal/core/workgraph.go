@@ -12,7 +12,9 @@ import (
 //
 // Thread safety: a workGraph is immutable after buildWorkGraph
 // returns (explicit-auxiliary evaluation clones g before mutating),
-// so it may be read from any number of goroutines concurrently.
+// so it may be read from any number of goroutines concurrently. That
+// is also what lets buildWorkGraphFrom share one graph's adjacency,
+// toHost and fromHost among many work graphs.
 type workGraph struct {
 	g        *graph.Graph
 	toHost   []graph.EdgeID
@@ -42,19 +44,65 @@ func buildWorkGraph(
 	fromHost := make([]int32, hg.NumEdges())
 	for e := 0; e < hg.NumEdges(); e++ {
 		fromHost[e] = -1
-		if !nw.LinkUp(e) {
-			continue // failed links are physically unusable
-		}
-		if capacitated && nw.ResidualBandwidth(e) < req.BandwidthMbps {
+		if !linkMember(nw, req, capacitated, e) {
 			continue
 		}
 		he := hg.Edge(e)
 		fromHost[e] = int32(g.MustAddEdge(he.U, he.V, weight(e)))
 		toHost = append(toHost, e)
 	}
+	return &workGraph{g: g, toHost: toHost, fromHost: fromHost, servers: eligibleServers(nw, req, capacitated)}
+}
+
+// buildWorkGraphFrom is buildWorkGraph for a request whose view has the
+// same shape as tmpl's, a work graph built earlier over the same
+// network structure: when req keeps exactly tmpl's links, the result
+// re-prices every edge on a WeightClone of tmpl.g and shares tmpl's
+// adjacency, toHost and fromHost instead of re-inserting every edge.
+// It returns nil — build cold instead — when the membership differs.
+//
+// The result is identical to buildWorkGraph's: the same kept links in
+// host-edge order give the same local IDs and the same adjacency order
+// (buildWorkGraph inserts edges in host order), and every weight comes
+// from the same formula over the same residuals.
+func buildWorkGraphFrom(
+	tmpl *workGraph,
+	nw *sdn.Network,
+	req *multicast.Request,
+	capacitated bool,
+	weight func(host graph.EdgeID) float64,
+) *workGraph {
+	m := nw.NumEdges()
+	if tmpl.g.NumNodes() != nw.NumNodes() || len(tmpl.fromHost) != m {
+		return nil
+	}
+	for e := 0; e < m; e++ {
+		if linkMember(nw, req, capacitated, e) != (tmpl.fromHost[e] >= 0) {
+			return nil
+		}
+	}
+	g := tmpl.g.WeightClone()
+	for local, e := range tmpl.toHost {
+		if g.SetWeight(local, weight(e)) != nil {
+			return nil // a negative price: let the cold build report it
+		}
+	}
+	return &workGraph{g: g, toHost: tmpl.toHost, fromHost: tmpl.fromHost, servers: eligibleServers(nw, req, capacitated)}
+}
+
+// linkMember reports whether host link e belongs to req's view: up,
+// and with residual bandwidth >= b_k when capacitated.
+func linkMember(nw *sdn.Network, req *multicast.Request, capacitated bool, e graph.EdgeID) bool {
+	return nw.LinkUp(e) && (!capacitated || nw.ResidualBandwidth(e) >= req.BandwidthMbps)
+}
+
+// eligibleServers lists the servers that may host req's chain: up, and
+// with residual computing >= C_v(SC_k) when capacitated.
+func eligibleServers(nw *sdn.Network, req *multicast.Request, capacitated bool) []graph.NodeID {
 	demand := req.ComputeDemandMHz()
-	var servers []graph.NodeID
-	for _, v := range nw.Servers() {
+	all := nw.Servers() // a fresh copy: filter it in place
+	servers := all[:0]
+	for _, v := range all {
 		if !nw.ServerUp(v) {
 			continue // failed servers cannot host new VMs
 		}
@@ -63,7 +111,7 @@ func buildWorkGraph(
 		}
 		servers = append(servers, v)
 	}
-	return &workGraph{g: g, toHost: toHost, fromHost: fromHost, servers: servers}
+	return servers
 }
 
 // hostPath converts a local (nodes, edges) path to host edge IDs.

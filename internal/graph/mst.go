@@ -28,7 +28,7 @@ func KruskalMST(g *Graph) (*MST, error) {
 }
 
 // PrimMST computes a minimum spanning tree of g starting from node 0
-// using a binary heap. Returns ErrDisconnected when g is not connected
+// using the indexed heap. Returns ErrDisconnected when g is not connected
 // (the partial tree covering node 0's component is still returned).
 func PrimMST(g *Graph) (*MST, error) {
 	var ws MSTWorkspace
@@ -116,12 +116,11 @@ func (ws *MSTWorkspace) Prim(g *Graph, out *MST) error {
 			out.EdgeIDs = append(out.EdgeIDs, e)
 			out.Weight += g.Weight(e)
 		}
-		g.VisitNeighbors(v, func(to NodeID, id EdgeID, w float64) bool {
-			if !inTree[to] && h.PushOrDecrease(to, w) {
-				bestEdge[to] = id
+		for _, he := range g.adj[v] {
+			if !inTree[he.to] && h.PushOrDecrease(he.to, g.edges[he.id].W) {
+				bestEdge[he.to] = he.id
 			}
-			return true
-		})
+		}
 	}
 	if covered != n {
 		return ErrDisconnected

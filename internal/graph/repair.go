@@ -87,14 +87,9 @@ func (ws *DijkstraWorkspace) RepairInto(
 
 	// Start from the old tree verbatim.
 	sp.Source = src
-	sp.Dist = growFloats(sp.Dist, n)
-	sp.parentNode = growInts(sp.parentNode, n)
-	sp.parentEdge = growInts(sp.parentEdge, n)
-	sp.depth = growInt32s(sp.depth, n)
+	sp.resize(n)
 	copy(sp.Dist, old.Dist)
-	copy(sp.parentNode, old.parentNode)
-	copy(sp.parentEdge, old.parentEdge)
-	copy(sp.depth, old.depth)
+	copy(sp.cols, old.cols) // same n, same column layout
 
 	// Child lists of the old tree, array-linked.
 	rs := &ws.repair
@@ -125,7 +120,7 @@ func (ws *DijkstraWorkspace) RepairInto(
 	for _, e := range changed {
 		ed := g.Edge(e)
 		for _, v := range [2]NodeID{ed.U, ed.V} {
-			if old.parentEdge[v] != e || rs.invGen[v] == gen {
+			if old.parentEdge[v] != int32(e) || rs.invGen[v] == gen {
 				continue
 			}
 			if !mark(v) {
@@ -159,19 +154,18 @@ func (ws *DijkstraWorkspace) RepairInto(
 	relax := func(from, to NodeID, id EdgeID, w float64) {
 		if nd := sp.Dist[from] + w; nd < sp.Dist[to] {
 			sp.Dist[to] = nd
-			sp.parentNode[to] = from
-			sp.parentEdge[to] = id
+			sp.parentNode[to] = int32(from)
+			sp.parentEdge[to] = int32(id)
 			sp.depth[to] = sp.depth[from] + 1
 			h.PushOrDecrease(to, nd)
 		}
 	}
 	for _, x := range rs.invalid {
-		g.VisitNeighbors(x, func(to NodeID, id EdgeID, w float64) bool {
-			if rs.invGen[to] != gen {
-				relax(to, x, id, w)
+		for _, he := range g.adj[x] {
+			if rs.invGen[he.to] != gen {
+				relax(he.to, x, he.id, g.edges[he.id].W)
 			}
-			return true
-		})
+		}
 	}
 	for _, e := range changed {
 		ed := g.Edge(e)
@@ -186,16 +180,13 @@ func (ws *DijkstraWorkspace) RepairInto(
 	// nodes are achievable upper bounds, so the loop only ever lowers
 	// them along real paths; re-insertion after a pop (the indexed
 	// heap permits it) handles the rare cascade where a valid label
-	// improves after a dependent node was already popped.
+	// improves after a dependent node was already popped. As in
+	// DijkstraInto, a queued key always equals its node's label.
 	for h.Len() > 0 {
-		u, du := h.Pop()
-		if du > sp.Dist[u] {
-			continue
+		u, _ := h.Pop()
+		for _, he := range g.adj[u] {
+			relax(u, he.to, he.id, g.edges[he.id].W)
 		}
-		g.VisitNeighbors(u, func(to NodeID, id EdgeID, w float64) bool {
-			relax(u, to, id, w)
-			return true
-		})
 	}
 	return true, nil
 }

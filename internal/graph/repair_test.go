@@ -139,7 +139,7 @@ func TestRepairIntoDamageFallback(t *testing.T) {
 	var rootEdge EdgeID = -1
 	for v := 0; v < 40; v++ {
 		if old.parentNode[v] == 0 {
-			rootEdge = old.parentEdge[v]
+			rootEdge = EdgeID(old.parentEdge[v])
 			break
 		}
 	}

@@ -6,12 +6,36 @@ import "fmt"
 // computation: per-node distances, the predecessor arcs of a
 // shortest-path tree rooted at Source, and per-node tree depths (hop
 // counts) so path extraction can preallocate exactly.
+//
+// The three tree columns are int32 and carved from one backing slice,
+// so a tree costs two arrays (Dist and the columns): the planners build
+// and cache one tree per terminal per residual state, and on a cold
+// plan tree arrays are a large share of all bytes allocated.
 type ShortestPaths struct {
 	Source     NodeID
 	Dist       []float64 // Dist[v] == Infinity when v is unreachable
-	parentNode []NodeID  // -1 at the source and at unreachable nodes
-	parentEdge []EdgeID  // -1 likewise
+	parentNode []int32   // -1 at the source and at unreachable nodes
+	parentEdge []int32   // -1 likewise
 	depth      []int32   // hops from the source; -1 at unreachable nodes
+	cols       []int32   // backing of the three columns above
+}
+
+// resize points sp's arrays at n nodes, reusing their storage when it
+// is large enough. Contents are unspecified afterwards.
+func (sp *ShortestPaths) resize(n int) {
+	if cap(sp.Dist) < n {
+		sp.Dist = make([]float64, n)
+	} else {
+		sp.Dist = sp.Dist[:n]
+	}
+	if cap(sp.cols) < 3*n {
+		sp.cols = make([]int32, 3*n)
+	} else {
+		sp.cols = sp.cols[:3*n]
+	}
+	sp.parentNode = sp.cols[:n:n]
+	sp.parentEdge = sp.cols[n : 2*n : 2*n]
+	sp.depth = sp.cols[2*n:]
 }
 
 // Dijkstra computes single-source shortest paths from src over the
@@ -46,59 +70,38 @@ func (ws *DijkstraWorkspace) DijkstraInto(g *Graph, src NodeID, sp *ShortestPath
 	}
 	n := g.NumNodes()
 	sp.Source = src
-	sp.Dist = growFloats(sp.Dist, n)
-	sp.parentNode = growInts(sp.parentNode, n)
-	sp.parentEdge = growInts(sp.parentEdge, n)
-	sp.depth = growInt32s(sp.depth, n)
-	for i := 0; i < n; i++ {
-		sp.Dist[i] = Infinity
-		sp.parentNode[i] = -1
-		sp.parentEdge[i] = -1
-		sp.depth[i] = -1
+	sp.resize(n)
+	dist, parentNode, parentEdge, depth := sp.Dist, sp.parentNode, sp.parentEdge, sp.depth
+	for i := range dist {
+		dist[i] = Infinity
 	}
-	sp.Dist[src] = 0
-	sp.depth[src] = 0
+	for i := range sp.cols {
+		sp.cols[i] = -1
+	}
+	dist[src] = 0
+	depth[src] = 0
 	h := &ws.heap
 	h.reset(n)
 	h.PushOrDecrease(src, 0)
+	// Under decrease-key every node is queued at most once at a time
+	// with its current label, so a popped key always equals Dist[u]:
+	// no stale-entry check.
+	adj, edges := g.adj, g.edges
 	for h.Len() > 0 {
 		u, du := h.Pop()
-		if du > sp.Dist[u] {
-			continue
-		}
-		g.VisitNeighbors(u, func(to NodeID, id EdgeID, w float64) bool {
-			if nd := du + w; nd < sp.Dist[to] {
-				sp.Dist[to] = nd
-				sp.parentNode[to] = u
-				sp.parentEdge[to] = id
-				sp.depth[to] = sp.depth[u] + 1
+		d1 := depth[u] + 1
+		for _, he := range adj[u] {
+			to := he.to
+			if nd := du + edges[he.id].W; nd < dist[to] {
+				dist[to] = nd
+				parentNode[to] = int32(u)
+				parentEdge[to] = int32(he.id)
+				depth[to] = d1
 				h.PushOrDecrease(to, nd)
 			}
-			return true
-		})
+		}
 	}
 	return nil
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
 }
 
 // Reachable reports whether v was reached from the source.
@@ -106,7 +109,7 @@ func (sp *ShortestPaths) Reachable(v NodeID) bool { return sp.Dist[v] < Infinity
 
 // Parent returns the predecessor node of v in the shortest-path tree,
 // or -1 for the source and unreachable nodes.
-func (sp *ShortestPaths) Parent(v NodeID) NodeID { return sp.parentNode[v] }
+func (sp *ShortestPaths) Parent(v NodeID) NodeID { return NodeID(sp.parentNode[v]) }
 
 // Depth returns the hop count of the tree path source→v, or -1 when v
 // is unreachable.
@@ -126,8 +129,8 @@ func (sp *ShortestPaths) PathTo(v NodeID) (nodes []NodeID, edges []EdgeID, ok bo
 	at := v
 	for i := d; i > 0; i-- {
 		nodes[i] = at
-		edges[i-1] = sp.parentEdge[at]
-		at = sp.parentNode[at]
+		edges[i-1] = EdgeID(sp.parentEdge[at])
+		at = NodeID(sp.parentNode[at])
 	}
 	nodes[0] = at
 	return nodes, edges, true
@@ -142,8 +145,8 @@ func (sp *ShortestPaths) VisitPathEdges(v NodeID, fn func(EdgeID) bool) bool {
 	if v < 0 || v >= len(sp.Dist) || !sp.Reachable(v) {
 		return false
 	}
-	for at := v; sp.parentEdge[at] != -1; at = sp.parentNode[at] {
-		if !fn(sp.parentEdge[at]) {
+	for at := v; sp.parentEdge[at] != -1; at = NodeID(sp.parentNode[at]) {
+		if !fn(EdgeID(sp.parentEdge[at])) {
 			return true
 		}
 	}
