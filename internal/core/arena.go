@@ -66,8 +66,12 @@ type edgeLoad struct {
 // worker goroutine its own instance; the online planners keep one
 // inside their PlanArena. The zero value is ready to use.
 type evalScratch struct {
-	closure    graph.Graph // metric closure over {virtual source} ∪ D_k
+	closure    graph.Graph  // metric closure over {virtual source} ∪ D_k
+	reduced    graph.Graph  // its virtual edges plus M_D (see prepare)
+	reducedOK  bool         // M_D is certified unique: reduced may stand in
+	spine      []graph.Edge // M_D's edges over destination indices
 	closureMST graph.MST
+	tree       *graph.Graph // the closure closureMST's edge IDs index
 	mst        graph.MSTWorkspace
 
 	sub   []subsetServer // the candidate subset, resolved
@@ -81,6 +85,7 @@ type evalScratch struct {
 
 	tg        graph.Graph // pruning graph over n+1 nodes (KMB steps 4-5)
 	payloads  []refinePayload
+	dsu       graph.DisjointSet // refine's cycle check over the union
 	forest    graph.MST
 	isTerm    []bool
 	deg       []int32

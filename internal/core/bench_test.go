@@ -14,10 +14,10 @@ import (
 // the writer by >100x) — on the Fig. 8 workload: Waxman n=100, a
 // partially loaded network (64 admitted sessions), and a 64-request
 // pool cycled without committing, so every iteration is one
-// CPPlanner.Plan against fixed residuals. The recorded baseline lives
-// in results/BENCH_plan.json; regenerate it with
+// CPPlanner.Plan against fixed residuals. CI's bench regression gate
+// holds it to results/bench_baseline.txt; refresh that file's rows with
 //
-//	go test ./internal/core/ -run '^$' -bench BenchmarkCPPlan -benchtime 2s
+//	go test ./internal/core/ -run '^$' -bench 'BenchmarkCPPlan$' -benchtime 1s -count 3 -cpu 1 -benchmem
 func BenchmarkCPPlan(b *testing.B) {
 	topo, err := topology.WaxmanDegree(100, topology.DefaultAvgDegree, 0.14, 42)
 	if err != nil {

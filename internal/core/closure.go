@@ -71,34 +71,84 @@ func newClosureEvaluator(
 var errDominated = errors.New("core: subset dominated by its entry servers")
 
 // prepare builds the subset-independent skeleton of the metric closure
-// in s — closure node 0 is the virtual source, node j+1 destination j;
-// edge j is the virtual-source edge of destination j (weighted per
-// candidate), followed by the destination–destination distances — and
-// sizes s for the work graph. It must run once per (evaluator, scratch)
-// pair before steiner or steinerRooted; a scratch that outlives its
-// evaluator (PlanArena.eval) is re-prepared by the next one.
+// in s and sizes s for the work graph. It must run once per (evaluator,
+// scratch) pair before steiner or steinerRooted; a scratch that
+// outlives its evaluator (PlanArena.eval) is re-prepared by the next
+// one.
+//
+// The skeleton is two graphs over the same nodes — closure node 0 is
+// the virtual source, node j+1 destination j — whose edge j is the
+// virtual-source edge of destination j, weighted per candidate. The
+// full closure follows with every destination–destination distance;
+// the reduced closure only with the edges of M_D, the MST of those
+// distances. A destination pair outside M_D is the strict maximum of a
+// cycle through M_D when M_D is unique, so it is in no MST of any
+// candidate's closure (DESIGN.md §8); the reduced closure is usable
+// only then.
 func (ev *closureEvaluator) prepare(s *evalScratch) {
 	s.ensure(ev.w.g.NumNodes(), ev.w.g.NumEdges())
 	dests := ev.req.Destinations
 	m := len(dests)
+	dd := &s.reduced // the destination–destination graph, until rebuilt below
+	dd.Reset(m)
+	for i := 0; i < m; i++ {
+		for j := i + 1; j < m; j++ {
+			if d := ev.spDst[i].Dist[dests[j]]; d < graph.Infinity {
+				dd.MustAddEdge(i, j, d)
+			}
+		}
+	}
+	s.reducedOK = s.mst.Prim(dd, &s.closureMST) == nil && s.closureMST.Unique
+	s.spine = s.spine[:0]
+	for _, id := range s.closureMST.EdgeIDs {
+		s.spine = append(s.spine, dd.Edge(id))
+	}
 	s.closure.Reset(m + 1)
 	for j := range dests {
 		s.closure.MustAddEdge(0, j+1, 0)
 	}
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			if d := ev.spDst[i].Dist[dests[j]]; d < graph.Infinity {
-				s.closure.MustAddEdge(i+1, j+1, d)
-			}
-		}
+	for id := 0; id < dd.NumEdges(); id++ {
+		e := dd.Edge(id)
+		s.closure.MustAddEdge(e.U+1, e.V+1, e.W)
+	}
+	s.reduced.Reset(m + 1)
+	for j := range dests {
+		s.reduced.MustAddEdge(0, j+1, 0)
+	}
+	for _, e := range s.spine {
+		s.reduced.MustAddEdge(e.U+1, e.V+1, e.W)
 	}
 }
 
-// setVirtual weights the virtual-source edge of destination j.
+// setVirtual weights the virtual-source edge of destination j in the
+// reduced closure; closureTree copies the weights to the full closure
+// when it needs that one.
 func (s *evalScratch) setVirtual(j int, w float64) {
-	if err := s.closure.SetWeight(j, w); err != nil {
+	if err := s.reduced.SetWeight(j, w); err != nil {
 		panic(err) // a negative distance, as MustAddEdge would report it
 	}
+}
+
+// closureTree computes the closure MST for the virtual-edge weights
+// set by setVirtual into s.closureMST and points s.tree at the closure
+// whose edge IDs it holds. Prim runs on the reduced closure; its tree
+// is kept only when both it and M_D are certified unique, which makes
+// it the full closure's only MST too. Otherwise Prim runs on the full
+// closure, so ties break exactly as they always have.
+func (s *evalScratch) closureTree() error {
+	if s.reducedOK {
+		if err := s.mst.Prim(&s.reduced, &s.closureMST); err == nil && s.closureMST.Unique {
+			s.tree = &s.reduced
+			return nil
+		}
+	}
+	for j := 0; j < s.closure.NumNodes()-1; j++ {
+		if err := s.closure.SetWeight(j, s.reduced.Weight(j)); err != nil {
+			return err
+		}
+	}
+	s.tree = &s.closure
+	return s.mst.Prim(&s.closure, &s.closureMST)
 }
 
 // resolve looks the subset's shortest-path trees (and, when omega is
@@ -115,7 +165,7 @@ func (ev *closureEvaluator) resolve(
 }
 
 // closureMST computes the MST of the metric closure over the terminals
-// {virtual source} ∪ D_k for the given subset into s.closureMST and,
+// {virtual source} ∪ D_k for the given subset (see closureTree) and,
 // per destination, the cheapest entry server realising the
 // virtual-source distance into s.entry (the first such server in subset
 // order). It fails with ErrUnreachable when some destination cannot be
@@ -150,7 +200,7 @@ func (ev *closureEvaluator) closureMST(
 	if entered < len(subset) && !disableSubsetPruning {
 		return errDominated
 	}
-	if err := s.mst.Prim(&s.closure, &s.closureMST); err != nil {
+	if err := s.closureTree(); err != nil {
 		return ErrUnreachable
 	}
 	return nil
@@ -172,7 +222,7 @@ func (ev *closureEvaluator) expand(s *evalScratch) (union []graph.EdgeID, virt [
 	}
 	dests := ev.req.Destinations
 	for _, cid := range s.closureMST.EdgeIDs {
-		ce := s.closure.Edge(cid)
+		ce := s.tree.Edge(cid)
 		a, b := ce.U, ce.V
 		if a > b {
 			a, b = b, a
@@ -224,23 +274,37 @@ func (ev *closureEvaluator) refine(
 
 	// Pruning graph over n+1 nodes holding only the union edges;
 	// payload maps pruning edge -> (real work edge | virtual server).
+	// One union-find pass over the same edges finds whether any closes
+	// a cycle.
 	tg := &s.tg
 	tg.Reset(n + 1)
 	s.payloads = s.payloads[:0]
+	s.dsu.Reset(n + 1)
+	acyclic := true
 	for _, e := range union {
 		he := w.g.Edge(e)
 		tg.MustAddEdge(he.U, he.V, he.W)
 		s.payloads = append(s.payloads, refinePayload{real: e, virtual: -1})
+		acyclic = acyclic && s.dsu.Union(he.U, he.V)
 	}
 	for _, v := range virt {
 		tg.MustAddEdge(virtualNode, v, omega[v])
 		s.payloads = append(s.payloads, refinePayload{virtual: v})
+		acyclic = acyclic && s.dsu.Union(virtualNode, v)
 	}
 
 	// Spanning forest of the union: the terminal component is a tree,
 	// isolated nodes contribute nothing, so ErrDisconnected is
-	// expected and benign here.
-	if ferr := s.mst.Kruskal(tg, &s.forest); ferr != nil && ferr != graph.ErrDisconnected {
+	// expected and benign here. An acyclic union is its own spanning
+	// forest — every edge, in whatever order Kruskal would sort them —
+	// so only a cyclic one pays for the sort. (The fast path leaves
+	// s.forest.Weight stale; nothing reads it.)
+	if acyclic {
+		s.forest.EdgeIDs = s.forest.EdgeIDs[:0]
+		for id := range s.payloads {
+			s.forest.EdgeIDs = append(s.forest.EdgeIDs, id)
+		}
+	} else if ferr := s.mst.Kruskal(tg, &s.forest); ferr != nil && ferr != graph.ErrDisconnected {
 		return nil, nil, 0, ferr
 	}
 
@@ -355,20 +419,7 @@ func (ev *closureEvaluator) refine(
 func (ev *closureEvaluator) steinerRooted(
 	root graph.NodeID, s *evalScratch,
 ) (realEdges []graph.EdgeID, cost float64, err error) {
-	spRoot, ok := ev.spSrv[root]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: server %d has no precomputed paths", ErrUnreachable, root)
-	}
-	s.entry = s.entry[:0]
-	for j, d := range ev.req.Destinations {
-		dist := spRoot.Dist[d]
-		if dist >= graph.Infinity {
-			return nil, 0, fmt.Errorf("%w: destination %d from server %d", ErrUnreachable, d, root)
-		}
-		s.entry = append(s.entry, root) // expand: every destination enters at root
-		s.setVirtual(j, dist)
-	}
-	if err := s.mst.Prim(&s.closure, &s.closureMST); err != nil {
+	if err := ev.rootedMST(root, s); err != nil {
 		return nil, 0, err
 	}
 	union, _, err := ev.expand(s)
@@ -377,6 +428,26 @@ func (ev *closureEvaluator) steinerRooted(
 	}
 	_, realEdges, cost, err = ev.refine(union, nil, nil, s, root)
 	return realEdges, cost, err
+}
+
+// rootedMST is closureMST for the rooted candidate of root: the
+// closure over {root} ∪ D_k, root standing in for the virtual source,
+// with every destination entering at root.
+func (ev *closureEvaluator) rootedMST(root graph.NodeID, s *evalScratch) error {
+	spRoot, ok := ev.spSrv[root]
+	if !ok {
+		return fmt.Errorf("%w: server %d has no precomputed paths", ErrUnreachable, root)
+	}
+	s.entry = s.entry[:0]
+	for j, d := range ev.req.Destinations {
+		dist := spRoot.Dist[d]
+		if dist >= graph.Infinity {
+			return fmt.Errorf("%w: destination %d from server %d", ErrUnreachable, d, root)
+		}
+		s.entry = append(s.entry, root) // expand: every destination enters at root
+		s.setVirtual(j, dist)
+	}
+	return s.closureTree()
 }
 
 // steiner runs the full KMB pipeline for one server subset and

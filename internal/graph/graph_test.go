@@ -279,9 +279,12 @@ func TestIndexedHeapContains(t *testing.T) {
 	if !h.Contains(1) {
 		t.Fatal("pushed node missing")
 	}
-	// Pushing a HIGHER priority is a no-op.
-	if h.PushOrDecrease(1, 9) {
-		t.Fatal("increase reported as change")
+	// Pushing a HIGHER priority is a no-op; an equal one is a tie.
+	if changed, tie := h.PushOrDecrease(1, 9); changed || tie {
+		t.Fatalf("increase reported as (changed %v, tie %v)", changed, tie)
+	}
+	if changed, tie := h.PushOrDecrease(1, 5); changed || !tie {
+		t.Fatalf("equal offer reported as (changed %v, tie %v), want (false, true)", changed, tie)
 	}
 	v, p := h.Pop()
 	if v != 1 || p != 5 {

@@ -63,19 +63,20 @@ func (h *indexedHeap) Contains(v NodeID) bool { return h.pos[v] >= 0 }
 
 // PushOrDecrease inserts v with priority p, or lowers v's priority to p
 // when v is already queued with a higher priority. It reports whether
-// the heap changed.
-func (h *indexedHeap) PushOrDecrease(v NodeID, p float64) bool {
+// the heap changed and, when it did not, whether p tied v's queued
+// priority (Prim's uniqueness certificate reads that).
+func (h *indexedHeap) PushOrDecrease(v NodeID, p float64) (changed, tie bool) {
 	i := int(h.pos[v])
 	if i >= 0 {
-		if p >= h.items[i].key {
-			return false
+		if k := h.items[i].key; p >= k {
+			return false, p == k
 		}
 	} else {
 		i = len(h.items)
 		h.items = append(h.items, heapEntry{})
 	}
 	h.up(i, heapEntry{key: p, node: int32(v)})
-	return true
+	return true, false
 }
 
 // Pop removes and returns the node with the minimum priority.

@@ -153,11 +153,11 @@ func TestIndexedHeapMatchesSort(t *testing.T) {
 			case r < 6: // push or decrease
 				p := key()
 				old, queued := ref[v]
-				changed := h.PushOrDecrease(v, p)
+				changed, tie := h.PushOrDecrease(v, p)
 				sh.pushOrDecrease(v, p)
-				if want := !queued || p < old; changed != want {
-					t.Fatalf("trial %d: PushOrDecrease(%d, %v) = %v, want %v (queued %v at %v)",
-						trial, v, p, changed, want, queued, old)
+				if want, wantTie := !queued || p < old, queued && p == old; changed != want || tie != wantTie {
+					t.Fatalf("trial %d: PushOrDecrease(%d, %v) = (%v, %v), want (%v, %v) (queued %v at %v)",
+						trial, v, p, changed, tie, want, wantTie, queued, old)
 				}
 				if changed {
 					ref[v] = p

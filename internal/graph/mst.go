@@ -14,6 +14,14 @@ var ErrDisconnected = errors.New("graph: disconnected")
 type MST struct {
 	EdgeIDs []EdgeID
 	Weight  float64
+	// Unique is set by Prim when every step's minimum crossing edge was
+	// strictly lighter than every other edge crossing the same cut. Each
+	// such edge then lies in every minimum spanning tree (cut property),
+	// so the tree is the graph's only one and any MST algorithm returns
+	// its edge set. A false value proves nothing: Prim clears it on any
+	// equal key, even one a later offer undercuts. Kruskal and a
+	// disconnected Prim leave it false.
+	Unique bool
 }
 
 // KruskalMST computes a minimum spanning forest of g and returns it as
@@ -68,6 +76,7 @@ func (ws *MSTWorkspace) Kruskal(g *Graph, out *MST) error {
 	ws.dsu.Reset(g.NumNodes())
 	out.EdgeIDs = out.EdgeIDs[:0]
 	out.Weight = 0
+	out.Unique = false
 	for _, id := range order {
 		e := g.Edge(id)
 		if ws.dsu.Union(e.U, e.V) {
@@ -82,12 +91,20 @@ func (ws *MSTWorkspace) Kruskal(g *Graph, out *MST) error {
 }
 
 // Prim computes a minimum spanning tree of g starting from node 0 into
-// out (out.EdgeIDs is truncated and reused). Error behaviour matches
+// out (out.EdgeIDs is truncated and reused) and reports in out.Unique
+// whether the run certified it as g's only one. Error behaviour matches
 // PrimMST.
+//
+// The queue holds, for every node outside the tree, the lightest edge
+// from the tree to it, so the pop is the cut's minimum crossing edge. It
+// was unique when no other node's key equals it (the new top after the
+// pop) and no second edge into the popped node matched its key (an
+// offer equal to a queued key, which the queue otherwise ignores).
 func (ws *MSTWorkspace) Prim(g *Graph, out *MST) error {
 	n := g.NumNodes()
 	out.EdgeIDs = out.EdgeIDs[:0]
 	out.Weight = 0
+	out.Unique = true
 	if n == 0 {
 		return nil
 	}
@@ -106,9 +123,12 @@ func (ws *MSTWorkspace) Prim(g *Graph, out *MST) error {
 	h.PushOrDecrease(0, 0)
 	covered := 0
 	for h.Len() > 0 {
-		v, _ := h.Pop()
+		v, k := h.Pop()
 		if inTree[v] {
 			continue
+		}
+		if h.Len() > 0 && h.items[0].key == k {
+			out.Unique = false
 		}
 		inTree[v] = true
 		covered++
@@ -117,12 +137,19 @@ func (ws *MSTWorkspace) Prim(g *Graph, out *MST) error {
 			out.Weight += g.Weight(e)
 		}
 		for _, he := range g.adj[v] {
-			if !inTree[he.to] && h.PushOrDecrease(he.to, g.edges[he.id].W) {
+			if inTree[he.to] {
+				continue
+			}
+			changed, tie := h.PushOrDecrease(he.to, g.edges[he.id].W)
+			if changed {
 				bestEdge[he.to] = he.id
+			} else if tie {
+				out.Unique = false
 			}
 		}
 	}
 	if covered != n {
+		out.Unique = false
 		return ErrDisconnected
 	}
 	return nil
