@@ -107,30 +107,13 @@ func (c *Config) withDefaults() Config {
 
 // buildNetwork constructs the seeded substrate named by cfg.
 func buildNetwork(cfg *Config) (*sdn.Network, error) {
-	var (
-		topo *topology.Topology
-		err  error
-	)
-	switch cfg.Topology {
-	case "geant":
-		topo = topology.GEANT()
-	case "as1755":
-		topo = topology.AS1755()
-	case "as4755":
-		topo = topology.AS4755()
-	case "waxman":
-		n := cfg.Nodes
-		if n == 0 {
-			n = 100
-		}
-		topo, err = topology.WaxmanDegree(n, topology.DefaultAvgDegree, 0.14, cfg.Seed)
-	case "fattree":
-		topo, err = topology.FatTree(4, cfg.Seed)
-	default:
-		err = fmt.Errorf("daemon: unknown topology %q", cfg.Topology)
+	n := cfg.Nodes
+	if n == 0 {
+		n = 100 // waxman's default size; the other topologies fix theirs
 	}
+	topo, err := topology.ByName(cfg.Topology, n, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("daemon: %w", err)
 	}
 	return sdn.NewNetwork(topo, sdn.DefaultConfig(), rand.New(rand.NewSource(cfg.Seed)))
 }

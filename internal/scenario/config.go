@@ -14,11 +14,12 @@
 //     residual capacities, obs event-stream consistency, flow-table
 //     budgets, and a no-wedged-writer liveness watchdog.
 //
-// The runner expands a config into one deterministic virtual-time
-// timeline and drives the engine through it sequentially, so a
-// scenario's fingerprint is byte-identical at any engine worker count
-// — the same property the engine's determinism oracle pins, extended
-// to whole workloads. Scenarios beyond the paper's Poisson-only
+// The harness expands a config into one deterministic virtual-time
+// timeline, and one executor drives it sequentially through a
+// deployment target — a single engine, a shard router or a live
+// daemon — so a scenario's fingerprint is byte-identical at any engine
+// worker count: the same property the engine's determinism oracle
+// pins, extended to whole workloads. Scenarios beyond the paper's Poisson-only
 // evaluation (§VI) are what every later subsystem (sharding, daemon
 // recovery, new planners) will be regression-tested against.
 package scenario

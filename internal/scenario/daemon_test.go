@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"path/filepath"
+	"regexp"
 	"testing"
 	"time"
 
@@ -132,6 +133,80 @@ func TestRunDaemonDeterministic(t *testing.T) {
 		if a.Fingerprint != b.Fingerprint {
 			t.Errorf("shard %s decision fingerprints diverge", a.ID)
 		}
+	}
+}
+
+// admitLine picks the decision out of an admit transcript line: request
+// ID, exact cost and servers, whatever the line's shard field says.
+var admitLine = regexp.MustCompile(`admit req=(\d+) tenant=\S+(?: shard=\S+)? (cost=\S+ servers=\[[^\]]*\])`)
+
+// admissions lists a run's admissions in transcript order.
+func admissions(res *Result) []string {
+	var out []string
+	for _, m := range admitLine.FindAllStringSubmatch(res.Transcript(), -1) {
+		out = append(out, "req="+m[1]+" "+m[2])
+	}
+	return out
+}
+
+// TestRunDaemonMatchesInProcess is the cross-deployment oracle: one
+// scenario run in-process and again through a daemon serving the same
+// substrate, policy and shard count must make the same decisions — the
+// same totals, the same per-tenant books and the same ordered
+// admissions down to the cost bits. Sessions the daemon's recovery
+// shed are learned at release and counted as shed, so the daemon's
+// books close exactly like the in-process ones.
+func TestRunDaemonMatchesInProcess(t *testing.T) {
+	for _, name := range []string{"flash-crowd", "regional-failure", "rolling-drain", "multi-tenant", "sharded-tenants"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			cfg, ok := LibraryConfig(name)
+			if !ok {
+				t.Fatalf("library scenario %q missing", name)
+			}
+			in, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, base := startDaemon(t, daemon.Config{
+				Topology: cfg.Topology.Name, Nodes: cfg.Topology.Size, Seed: cfg.Seed, Policy: cfg.Policy,
+				Shards: max(cfg.Shards, 1), BatchWindow: cfg.BatchWindow,
+				WALDir: filepath.Join(t.TempDir(), "wal"), NoSync: true,
+			})
+			wire, err := RunDaemon(cfg, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range wire.Violations {
+				t.Errorf("daemon-mode violation: %s", v)
+			}
+			got := [5]int{wire.Arrivals, wire.Admitted, wire.Rejected, wire.Departed, wire.Shed}
+			want := [5]int{in.Arrivals, in.Admitted, in.Rejected, in.Departed, in.Shed}
+			if got != want {
+				t.Errorf("daemon arrivals/admitted/rejected/departed/shed = %v, in-process %v", got, want)
+			}
+			if wire.Admitted != wire.Departed+wire.Shed {
+				t.Errorf("daemon books: admitted %d != departed %d + shed %d", wire.Admitted, wire.Departed, wire.Shed)
+			}
+			for tenant, ts := range in.PerTenant {
+				if *wire.PerTenant[tenant] != *ts {
+					t.Errorf("tenant %s: daemon %+v, in-process %+v", tenant, *wire.PerTenant[tenant], *ts)
+				}
+			}
+			a, b := admissions(in), admissions(wire)
+			if len(a) != in.Admitted {
+				t.Fatalf("parsed %d admissions from the in-process transcript, want %d", len(a), in.Admitted)
+			}
+			if len(a) != len(b) {
+				t.Fatalf("in-process admitted %d sessions, daemon %d", len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("admission %d: in-process %s, daemon %s", i, a[i], b[i])
+				}
+			}
+		})
 	}
 }
 

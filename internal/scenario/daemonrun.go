@@ -2,16 +2,15 @@ package scenario
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 
 	"nfvmcast/internal/daemon"
+	"nfvmcast/internal/multicast"
+	"nfvmcast/internal/shard"
 	"nfvmcast/internal/testutil"
 	"nfvmcast/internal/wal"
 )
@@ -23,249 +22,112 @@ import (
 // and recovery happen in the daemon — so one scenario definition
 // exercises both the library and the service that wraps it.
 //
-// Differences from in-process runs, by construction:
-//   - resize failure steps are refused (clamping a shrink against live
-//     allocations needs residual visibility the wire API does not
-//     expose); state-mutation steps fan out fleet-wide via /v1/apply.
-//   - rule-budget controllers don't exist here; cfg.MaxRulesPerSwitch
-//     must be 0.
-//   - the Result fingerprint hashes the harness-side HTTP transcript,
-//     and ShardReports carries the daemon's own per-shard fingerprints
-//     from /v1/report — two daemon runs of one config agree on both.
+// The daemon is a target without cells: the executor sees only its
+// answers, never its residuals. By construction, then:
+//   - resize failure steps and rule budgets are refused up front;
+//     state-mutation steps fan out fleet-wide via /v1/apply;
+//   - recovery sheds are learned at release time (a 404 counts the
+//     session as shed), so the books still close admitted = departed +
+//     shed;
+//   - ShardReports carries the daemon's own per-shard fingerprints
+//     from /v1/report, which the transcript fingerprint folds in.
 
 // RunDaemon drives cfg's timeline against the daemon at baseURL.
 // The daemon must be configured with the same substrate the scenario
 // names (topology, seed) — node IDs in the expanded timeline address
 // that network.
 func RunDaemon(cfg *Config, baseURL string) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.MaxRulesPerSwitch > 0 {
-		return nil, fmt.Errorf("scenario %q: rule budgets are in-process only (daemon has no controller)", cfg.Name)
-	}
-	nw, err := networkFor(cfg)
+	events, err := timeline(cfg)
 	if err != nil {
 		return nil, err
 	}
-	events, err := buildTimeline(cfg, nw)
-	if err != nil {
-		return nil, err
-	}
-	for i := range events {
-		if events[i].kind == evFailure && events[i].fail.scale != 0 {
-			return nil, fmt.Errorf("scenario %q: resize step %q is in-process only (shrink clamping needs residual visibility)",
-				cfg.Name, events[i].fail.label)
-		}
-	}
-
-	d := &daemonRunner{
-		cfg:  cfg,
-		base: baseURL,
-		client: &http.Client{
-			Timeout: testutil.Watchdog(),
-		},
-		res: &Result{
-			Name:      cfg.Name,
-			Policy:    cfg.Policy,
-			Workers:   cfg.Workers,
-			Shards:    cfg.Shards,
-			PerTenant: make(map[string]*TenantStats),
-		},
-		live: make(map[int]string),
-	}
-	for _, t := range cfg.Tenants {
-		d.res.PerTenant[t.Name] = &TenantStats{}
-	}
-	start := time.Now()
-	if err := d.drive(events); err != nil {
-		return nil, err
-	}
-	d.res.ElapsedSeconds = time.Since(start).Seconds()
-	d.res.FinalLive = len(d.live)
-	d.res.transcript = d.tb.String()
-	sum := sha256.Sum256([]byte(d.res.transcript))
-	d.res.Fingerprint = hex.EncodeToString(sum[:])
-	return d.res, nil
+	return execute(cfg, events, &daemonTarget{
+		base:   baseURL,
+		client: &http.Client{Timeout: testutil.Watchdog()},
+	})
 }
 
-// daemonRunner drives one expanded timeline over HTTP.
-type daemonRunner struct {
-	cfg    *Config
+// daemonTarget is the HTTP client side of a daemon deployment.
+type daemonTarget struct {
 	base   string
 	client *http.Client
-	res    *Result
-	live   map[int]string
-	tb     bytes.Buffer
-
-	admitted, rejected, departed int
 }
 
-func (d *daemonRunner) linef(format string, args ...any) {
-	fmt.Fprintf(&d.tb, format+"\n", args...)
-}
-
-// post sends one JSON request; 429 backs off briefly (the daemon's
-// queue is bounded by design) before giving up.
-func (d *daemonRunner) post(path string, body any) (int, []byte, error) {
-	data, err := json.Marshal(body)
+// do sends one request — a POST of in, or a GET when in is nil — and
+// decodes a 200 answer into out. Any other status comes back with an
+// error; 429 backs off briefly first (the daemon's queue is bounded by
+// design).
+func (d *daemonTarget) do(path string, in, out any) (int, error) {
+	data, err := json.Marshal(in)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	for attempt := 0; ; attempt++ {
-		resp, err := d.client.Post(d.base+path, "application/json", bytes.NewReader(data))
+		var resp *http.Response
+		if in == nil {
+			resp, err = d.client.Get(d.base + path)
+		} else {
+			resp, err = d.client.Post(d.base+path, "application/json", bytes.NewReader(data))
+		}
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
-		out, rerr := io.ReadAll(resp.Body)
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if rerr != nil {
-			return 0, nil, rerr
-		}
-		if resp.StatusCode == http.StatusTooManyRequests && attempt < 8 {
+		switch {
+		case err != nil:
+			return 0, err
+		case resp.StatusCode == http.StatusTooManyRequests && attempt < 8:
 			time.Sleep(time.Duration(10<<attempt) * time.Millisecond)
 			continue
+		case resp.StatusCode != http.StatusOK:
+			return resp.StatusCode, fmt.Errorf("%s: HTTP %d: %s", path, resp.StatusCode, bytes.TrimSpace(body))
 		}
-		return resp.StatusCode, out, nil
+		return resp.StatusCode, json.Unmarshal(body, out)
 	}
 }
 
-func (d *daemonRunner) drive(events []event) error {
-	for i := range events {
-		ev := &events[i]
-		var err error
-		switch ev.kind {
-		case evArrival:
-			err = d.arrive(ev)
-		case evDeparture:
-			err = d.depart(ev.at, ev.reqID)
-		case evFailure:
-			err = d.failure(ev)
-		}
-		if err != nil {
-			return err
-		}
+func (d *daemonTarget) admit(tenant string, req *multicast.Request) (admission, error) {
+	var sr daemon.SubmitResponse
+	status, err := d.do("/v1/submit", daemon.SubmitRequest{Tenant: tenant, Request: wal.EncodeRequest(req)}, &sr)
+	if status == http.StatusConflict {
+		// The wire carries a rejection's code, not its typed cause.
+		return admission{reason: daemon.CodeRejected}, nil
 	}
-	ids := make([]int, 0, len(d.live))
-	for id := range d.live {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if err := d.depart(d.cfg.HorizonHours, id); err != nil {
-			return err
-		}
-	}
-	// Fold the daemon's own per-shard fingerprints into the result, so
-	// the harness view and the daemon view of the run are tied together.
-	status, body, err := d.get("/v1/report")
 	if err != nil {
-		return fmt.Errorf("scenario %q: report: %w", d.cfg.Name, err)
+		return admission{}, err
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("scenario %q: report: HTTP %d: %s", d.cfg.Name, status, body)
-	}
-	var rep daemon.ReportResponse
-	if err := json.Unmarshal(body, &rep); err != nil {
-		return fmt.Errorf("scenario %q: report: %w", d.cfg.Name, err)
-	}
-	d.res.ShardReports = rep.Report.Shards
-	d.linef("daemon merged=%s live=%d", rep.Report.Merged, rep.Report.Live)
-	d.linef("end admitted=%d rejected=%d departed=%d live=%d",
-		d.admitted, d.rejected, d.departed, len(d.live))
-	d.res.Admitted = d.admitted
-	d.res.Rejected = d.rejected
-	d.res.Departed = d.departed
-	return nil
+	return admission{shard: sr.Shard, sol: sr.Solution.Decode(req)}, nil
 }
 
-func (d *daemonRunner) get(path string) (int, []byte, error) {
-	resp, err := d.client.Get(d.base + path)
-	if err != nil {
-		return 0, nil, err
+func (d *daemonTarget) release(reqID int) error {
+	status, err := d.do("/v1/release", daemon.ReleaseRequest{ID: reqID}, &daemon.ReleaseResponse{})
+	if status == http.StatusNotFound {
+		return errShed
 	}
-	defer resp.Body.Close()
-	out, rerr := io.ReadAll(resp.Body)
-	if rerr != nil {
-		return 0, nil, rerr
-	}
-	return resp.StatusCode, out, nil
+	return err
 }
 
-func (d *daemonRunner) arrive(ev *event) error {
-	tenant := d.cfg.Tenants[ev.tenant].Name
-	ts := d.res.PerTenant[tenant]
-	ts.Arrivals++
-	d.res.Arrivals++
-	status, body, err := d.post("/v1/submit", daemon.SubmitRequest{
-		Tenant:  tenant,
-		Request: wal.EncodeRequest(ev.req),
-	})
-	if err != nil {
-		return fmt.Errorf("scenario %q: submit req %d: %w", d.cfg.Name, ev.req.ID, err)
+// apply sends a state batch fleet-wide; the executor refuses resize
+// steps for targets without cells before the run starts.
+func (d *daemonTarget) apply(fa *failureAction) ([]int, error) {
+	if len(fa.muts) == 0 {
+		return nil, nil
 	}
-	switch status {
-	case http.StatusOK:
-		var sr daemon.SubmitResponse
-		if err := json.Unmarshal(body, &sr); err != nil {
-			return fmt.Errorf("scenario %q: submit req %d: %w", d.cfg.Name, ev.req.ID, err)
-		}
-		d.live[ev.req.ID] = tenant
-		ts.Admitted++
-		d.admitted++
-		if len(d.live) > d.res.PeakLive {
-			d.res.PeakLive = len(d.live)
-		}
-		d.linef("t=%s admit req=%d tenant=%s shard=%s cost=%s servers=%v",
-			fmtG(ev.at), ev.req.ID, tenant, sr.Shard,
-			fmtG(sr.Solution.OperationalCost), sr.Solution.Servers)
-		return nil
-	case http.StatusConflict:
-		ts.Rejected++
-		d.rejected++
-		d.linef("t=%s reject req=%d tenant=%s", fmtG(ev.at), ev.req.ID, tenant)
-		return nil
-	default:
-		return fmt.Errorf("scenario %q: submit req %d: HTTP %d: %s", d.cfg.Name, ev.req.ID, status, body)
+	var ar daemon.ApplyResponse
+	if _, err := d.do("/v1/apply", daemon.ApplyRequest{All: true, Mutations: wal.EncodeMutations(fa.muts)}, &ar); err != nil {
+		return nil, err
 	}
+	return []int{ar.Applied}, nil
 }
 
-func (d *daemonRunner) depart(at float64, reqID int) error {
-	if _, ok := d.live[reqID]; !ok {
-		return nil
-	}
-	status, body, err := d.post("/v1/release", daemon.ReleaseRequest{ID: reqID})
-	if err != nil {
-		return fmt.Errorf("scenario %q: release req %d: %w", d.cfg.Name, reqID, err)
-	}
-	switch status {
-	case http.StatusOK:
-		delete(d.live, reqID)
-		d.departed++
-		d.linef("t=%s depart req=%d", fmtG(at), reqID)
-		return nil
-	case http.StatusNotFound:
-		// Shed behind the harness's back by the daemon's recovery
-		// ladder; the session is gone either way.
-		delete(d.live, reqID)
-		d.linef("t=%s depart req=%d (already gone)", fmtG(at), reqID)
-		return nil
-	default:
-		return fmt.Errorf("scenario %q: release req %d: HTTP %d: %s", d.cfg.Name, reqID, status, body)
-	}
-}
+func (d *daemonTarget) cells() []*cell   { return nil }
+func (d *daemonTarget) owner(int) string { return "" }
 
-func (d *daemonRunner) failure(ev *event) error {
-	status, body, err := d.post("/v1/apply", daemon.ApplyRequest{
-		All:       true,
-		Mutations: wal.EncodeMutations(ev.fail.muts),
-	})
-	if err != nil {
-		return fmt.Errorf("scenario %q: apply %q: %w", d.cfg.Name, ev.fail.label, err)
+func (d *daemonTarget) report() (*shard.Report, error) {
+	var rr daemon.ReportResponse
+	if _, err := d.do("/v1/report", nil, &rr); err != nil {
+		return nil, err
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("scenario %q: apply %q: HTTP %d: %s", d.cfg.Name, ev.fail.label, status, body)
-	}
-	d.linef("t=%s apply %s muts=%d", fmtG(ev.at), ev.fail.label, len(ev.fail.muts))
-	return nil
+	return &rr.Report, nil
 }

@@ -5,23 +5,28 @@ import (
 	"math"
 
 	"nfvmcast/internal/core"
+	"nfvmcast/internal/shard"
 )
 
-// The harness's continuous invariants. Each breach is recorded in
+// The harness's continuous invariants, checked over the target's
+// in-process cells (a remote target has none, so only its books and
+// the drained end state are checked). Each breach is recorded in
 // Result.Violations rather than aborting the run, so one run surfaces
 // every breach; tests then assert the list is empty.
 //
 //   - residual bounds (every event): 0 <= free <= cap on every link
-//     and server — an allocator double-release or over-commit shows up
-//     here first;
-//   - conservation (every checkEvery events and at the end): for every
-//     link and server, cap − free equals the sum of allocations of the
-//     engine's live table, and that table matches the runner's
-//     independent live view — the live table and the residual network
-//     must tell the same story;
-//   - session accounting: the obs counters close the equation
-//     admitted − departed − shed = live, and the live gauge and the
-//     engine agree on the count.
+//     and server of every cell — an allocator double-release or
+//     over-commit shows up here first;
+//   - conservation (every checkEvery events and at the end): per cell,
+//     cap − free equals the sum of allocations of the engine's live
+//     table, and that table matches the executor's independent live
+//     view and the target's owner map — the live table and the residual
+//     network must tell the same story;
+//   - session accounting: a cell that exposes its obs counters closes
+//     the equation admitted − departed − shed = live, and the live
+//     gauge and the engine agree on the count;
+//   - fleet totals: every live session sits in exactly one cell, and a
+//     fleet report's counts match the executor's.
 
 // tolerance for float residual comparisons: allocations are sums of
 // O(live·tree) float64 terms.
@@ -31,117 +36,132 @@ const eps = 1e-6
 // run in millions of identical lines.
 const maxViolations = 32
 
-func (r *runner) violatef(format string, args ...any) {
-	if len(r.res.Violations) < maxViolations {
-		r.res.Violations = append(r.res.Violations, fmt.Sprintf(format, args...))
+func (x *executor) violatef(format string, args ...any) {
+	if len(x.res.Violations) < maxViolations {
+		x.res.Violations = append(x.res.Violations, fmt.Sprintf(format, args...))
 	}
 }
 
-// checkBounds runs the cheap residual-bounds sweep.
-func (r *runner) checkBounds(at float64) {
-	for e := 0; e < r.nw.NumEdges(); e++ {
-		free, cap := r.nw.ResidualBandwidth(e), r.nw.BandwidthCap(e)
-		if free < -eps || free > cap+eps || math.IsNaN(free) {
-			r.violatef("t=%s link %d residual %g outside [0, %g]", fmtG(at), e, free, cap)
-		}
-	}
-	for _, v := range r.nw.Servers() {
-		free, cap := r.nw.ResidualCompute(v), r.nw.ComputeCap(v)
-		if free < -eps || free > cap+eps || math.IsNaN(free) {
-			r.violatef("t=%s server %d residual %g outside [0, %g]", fmtG(at), v, free, cap)
-		}
+// checkBounds runs the cheap residual-bounds sweep on every cell.
+func (x *executor) checkBounds(at float64) {
+	for _, c := range x.cells {
+		c.resources(func(kind string, id int, free, cap float64) {
+			if free < -eps || free > cap+eps || math.IsNaN(free) {
+				x.violatef("t=%s%s %s %d residual %g outside [0, %g]", fmtG(at), shardField(c.id), kind, id, free, cap)
+			}
+		})
 	}
 }
 
-// checkConservation reconciles three independent views of "who holds
-// what": the engine's live table, the network's residuals, and the
-// runner's own live set plus the obs counters. The error return is for
-// watchdog trips only; inconsistencies land in Violations.
-func (r *runner) checkConservation(at float64) error {
-	var lives []*core.Solution
-	if gerr := r.guard("Lives", at, func() { lives = r.eng.Lives() }); gerr != nil {
-		return gerr
+// checkConservation reconciles, per cell, independent views of "who
+// holds what": the engine's live table, the network's residuals, the
+// executor's live view, the target's owner map and (where exposed) the
+// obs counters — then closes the fleet equation. The error return is
+// for watchdog trips only; inconsistencies land in Violations.
+func (x *executor) checkConservation(at float64) error {
+	if len(x.cells) == 0 {
+		// Nothing in-process to reconcile, and a remote fleet's counters
+		// include sheds the executor only learns of at release.
+		return nil
 	}
-
-	// Live-table membership == the runner's independent view.
-	if len(lives) != len(r.live) {
-		r.violatef("t=%s live table has %d sessions, runner tracks %d", fmtG(at), len(lives), len(r.live))
-	}
-	wantLink := make([]float64, r.nw.NumEdges())
-	wantSrv := make(map[int]float64)
-	for _, sol := range lives {
-		if _, ok := r.live[sol.Request.ID]; !ok {
-			r.violatef("t=%s live table holds req %d the runner departed", fmtG(at), sol.Request.ID)
-		}
-		alloc := core.AllocationFor(sol.Request, sol.Tree)
-		for e, bw := range alloc.Links {
-			wantLink[e] += bw
-		}
-		for v, mhz := range alloc.Servers {
-			wantSrv[v] += mhz
-		}
-	}
-
-	// cap − free on every resource must equal the live table's sum. The
-	// tolerance carries a term in the capacity's own magnitude: cap −
-	// free cannot be more precise than cap's ulp.
+	// cap − free cannot be more precise than cap's ulp, so the tolerance
+	// carries a term in the capacity's own magnitude.
 	tol := func(want, cap float64) float64 {
 		return eps*math.Max(1, math.Abs(want)) + 1e-9*math.Abs(cap)
 	}
-	for e := 0; e < r.nw.NumEdges(); e++ {
-		cap := r.nw.BandwidthCap(e)
-		got := cap - r.nw.ResidualBandwidth(e)
-		if math.Abs(got-wantLink[e]) > tol(wantLink[e], cap) {
-			r.violatef("t=%s link %d allocated %g but live table sums to %g", fmtG(at), e, got, wantLink[e])
+	total := 0
+	for _, c := range x.cells {
+		var lives []*core.Solution
+		if err := x.guard("Lives", at, func() error { lives = c.eng.Lives(); return nil }); err != nil {
+			return fmt.Errorf("scenario %q: %w", x.cfg.Name, err)
 		}
-	}
-	for _, v := range r.nw.Servers() {
-		cap := r.nw.ComputeCap(v)
-		got := cap - r.nw.ResidualCompute(v)
-		if math.Abs(got-wantSrv[v]) > tol(wantSrv[v], cap) {
-			r.violatef("t=%s server %d allocated %g but live table sums to %g", fmtG(at), v, got, wantSrv[v])
+		total += len(lives)
+		want := map[string]map[int]float64{"link": {}, "server": {}}
+		for _, sol := range lives {
+			id := sol.Request.ID
+			if owner, ok := x.live[id]; !ok {
+				x.violatef("t=%s%s live table holds req %d the executor departed", fmtG(at), shardField(c.id), id)
+			} else if owner != c.id {
+				x.violatef("t=%s%s live table holds req %d the executor saw admitted by %q", fmtG(at), shardField(c.id), id, owner)
+			}
+			if owner := x.t.owner(id); owner != c.id {
+				x.violatef("t=%s%s live table holds req %d the target's owner map gives to %q", fmtG(at), shardField(c.id), id, owner)
+			}
+			alloc := core.AllocationFor(sol.Request, sol.Tree)
+			for e, bw := range alloc.Links {
+				want["link"][e] += bw
+			}
+			for v, mhz := range alloc.Servers {
+				want["server"][v] += mhz
+			}
+		}
+		c.resources(func(kind string, id int, free, cap float64) {
+			if got, w := cap-free, want[kind][id]; math.Abs(got-w) > tol(w, cap) {
+				x.violatef("t=%s%s %s %d allocated %g but live table sums to %g", fmtG(at), shardField(c.id), kind, id, got, w)
+			}
+		})
+
+		// Session accounting: counters close admitted − departed − shed =
+		// live, and every view agrees on the count.
+		if c.aobs != nil {
+			adm, dep, shed := c.aobs.AdmittedCount(), c.aobs.DepartedCount(), c.aobs.ShedCount()
+			if int(adm)-int(dep)-int(shed) != len(lives) {
+				x.violatef("t=%s%s obs counters admitted=%d departed=%d shed=%d but %d sessions live",
+					fmtG(at), shardField(c.id), adm, dep, shed, len(lives))
+			}
+			if gauge := int(c.aobs.LiveSessions()); gauge != len(lives) {
+				x.violatef("t=%s%s live gauge %d disagrees with live table %d", fmtG(at), shardField(c.id), gauge, len(lives))
+			}
+		}
+		var count int
+		if err := x.guard("LiveCount", at, func() error { count = c.eng.LiveCount(); return nil }); err != nil {
+			return fmt.Errorf("scenario %q: %w", x.cfg.Name, err)
+		}
+		if count != len(lives) {
+			x.violatef("t=%s%s LiveCount %d disagrees with live table %d", fmtG(at), shardField(c.id), count, len(lives))
 		}
 	}
 
-	// Session accounting: counters close admitted − departed − shed =
-	// live, and every view agrees on the count.
-	adm, dep, shed := r.aobs.AdmittedCount(), r.aobs.DepartedCount(), r.aobs.ShedCount()
-	if int(adm)-int(dep)-int(shed) != len(lives) {
-		r.violatef("t=%s obs counters admitted=%d departed=%d shed=%d but %d sessions live",
-			fmtG(at), adm, dep, shed, len(lives))
+	// Live-table membership == the executor's view: every session a
+	// cell holds matched the executor's owner above, so equal totals
+	// mean no session is missing from any cell. The fleet's own report
+	// then closes against the executor's counts.
+	if total != len(x.live) {
+		x.violatef("t=%s cells hold %d sessions, executor tracks %d", fmtG(at), total, len(x.live))
 	}
-	if gauge := int(r.aobs.LiveSessions()); gauge != len(lives) {
-		r.violatef("t=%s live gauge %d disagrees with live table %d", fmtG(at), gauge, len(lives))
+	var rep *shard.Report
+	if err := x.guard("Report", at, func() (err error) { rep, err = x.t.report(); return err }); err != nil {
+		return fmt.Errorf("scenario %q: report: %w", x.cfg.Name, err)
 	}
-	var count int
-	if gerr := r.guard("LiveCount", at, func() { count = r.eng.LiveCount() }); gerr != nil {
-		return gerr
+	if rep == nil {
+		return nil
 	}
-	if count != len(lives) {
-		r.violatef("t=%s LiveCount %d disagrees with live table %d", fmtG(at), count, len(lives))
+	if rep.Live != len(x.live) {
+		x.violatef("t=%s fleet report live=%d, executor tracks %d", fmtG(at), rep.Live, len(x.live))
+	}
+	if rep.Admitted != x.res.Admitted || rep.Rejected != x.res.Rejected || rep.Departed != x.res.Departed {
+		x.violatef("t=%s fleet report admitted=%d rejected=%d departed=%d, executor counts %d/%d/%d",
+			fmtG(at), rep.Admitted, rep.Rejected, rep.Departed, x.res.Admitted, x.res.Rejected, x.res.Departed)
 	}
 	return nil
 }
 
 // checkDrained asserts the end state: with every session departed the
-// residual network must be whole again (free == cap everywhere) and
-// the flow tables empty.
-func (r *runner) checkDrained() {
-	if len(r.live) != 0 {
-		r.violatef("end: %d sessions still live after horizon drain", len(r.live))
+// residual network of every cell must be whole again (free == cap
+// everywhere) and the flow tables empty.
+func (x *executor) checkDrained() {
+	if len(x.live) != 0 {
+		x.violatef("end: %d sessions still live after horizon drain", len(x.live))
 		return
 	}
-	for e := 0; e < r.nw.NumEdges(); e++ {
-		if diff := r.nw.BandwidthCap(e) - r.nw.ResidualBandwidth(e); math.Abs(diff) > eps {
-			r.violatef("end: link %d still has %g Mbps allocated after all departures", e, diff)
-		}
+	for _, c := range x.cells {
+		c.resources(func(kind string, id int, free, cap float64) {
+			if diff := cap - free; math.Abs(diff) > eps {
+				x.violatef("end:%s %s %d still has %g allocated after all departures", shardField(c.id), kind, id, diff)
+			}
+		})
 	}
-	for _, v := range r.nw.Servers() {
-		if diff := r.nw.ComputeCap(v) - r.nw.ResidualCompute(v); math.Abs(diff) > eps {
-			r.violatef("end: server %d still has %g MHz allocated after all departures", v, diff)
-		}
-	}
-	if r.ctrl != nil && r.ctrl.TotalRules() != 0 {
-		r.violatef("end: %d flow rules still installed after all departures", r.ctrl.TotalRules())
+	if x.ctrl != nil && x.ctrl.TotalRules() != 0 {
+		x.violatef("end: %d flow rules still installed after all departures", x.ctrl.TotalRules())
 	}
 }

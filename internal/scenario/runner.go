@@ -12,8 +12,6 @@ import (
 	"time"
 
 	"nfvmcast/internal/core"
-	"nfvmcast/internal/engine"
-	"nfvmcast/internal/obs"
 	recov "nfvmcast/internal/recover"
 	"nfvmcast/internal/sdn"
 	"nfvmcast/internal/shard"
@@ -58,9 +56,9 @@ type Result struct {
 	Fingerprint     string    `json:"fingerprint"`
 	RecoverySeconds []float64 `json:"recoverySeconds,omitempty"`
 	ElapsedSeconds  float64   `json:"elapsedSeconds"`
-	// ShardReports carries the router's per-shard fan-in (sharded runs
-	// only): per-shard decision counts and transcript fingerprints in
-	// ascending shard-ID order.
+	// ShardReports carries the fleet's per-shard fan-in (sharded and
+	// daemon runs only): per-shard decision counts and transcript
+	// fingerprints in ascending shard-ID order.
 	ShardReports []shard.ShardReport `json:"shardReports,omitempty"`
 
 	transcript string
@@ -70,7 +68,7 @@ type Result struct {
 // hashes — the artifact to diff when two runs disagree.
 func (r *Result) Transcript() string { return r.transcript }
 
-// Every engine call the runner makes is bounded by the shared
+// Every target call the executor makes is bounded by the shared
 // testutil.Watchdog() budget (2 minutes scaled by NFVMCAST_TEST_SLOW).
 // The single-writer engine must never wedge: a call that does not
 // return within this budget is a liveness violation, not slowness.
@@ -79,134 +77,123 @@ func (r *Result) Transcript() string { return r.transcript }
 // check; cheap residual-bounds checks run every event.
 const defaultCheckEvery = 32
 
-// runner drives one expanded timeline through one engine.
-type runner struct {
-	cfg  *Config
-	nw   *sdn.Network
-	eng  *engine.Engine
-	ctrl *sdn.Controller
-	aobs *obs.AdmissionObs
-	res  *Result
-
-	live       map[int]string // request ID -> tenant name, runner-side live view
-	caps0      []float64      // original link capacities, resize baseline
-	lastRec    *recov.Report
-	tb         strings.Builder
-	checkEvery int
-	events     int
-	watchdog   time.Duration
-}
-
 // networkFor builds the scenario's substrate network. The seed feeds
 // both topology synthesis (waxman/fattree) and capacity/server
 // placement, so one (config, seed) pair names one concrete network.
 func networkFor(cfg *Config) (*sdn.Network, error) {
-	var (
-		topo *topology.Topology
-		err  error
-	)
-	switch cfg.Topology.Name {
-	case "geant":
-		topo = topology.GEANT()
-	case "as1755":
-		topo = topology.AS1755()
-	case "as4755":
-		topo = topology.AS4755()
-	case "waxman":
-		topo, err = topology.WaxmanDegree(cfg.Topology.Size, topology.DefaultAvgDegree, 0.14, cfg.Seed)
-	case "fattree":
-		topo, err = topology.FatTree(4, cfg.Seed)
-	default:
-		err = fmt.Errorf("scenario %q: unknown topology %q", cfg.Name, cfg.Topology.Name)
-	}
+	topo, err := topology.ByName(cfg.Topology.Name, cfg.Topology.Size, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario %q: %w", cfg.Name, err)
 	}
 	return sdn.NewNetwork(topo, sdn.DefaultConfig(), rand.New(rand.NewSource(cfg.Seed)))
 }
 
-// plannerFor builds the scenario's admission planner from the policy
-// registry (core.Planners lists what resolves).
-func plannerFor(cfg *Config, n int) (core.Planner, error) {
-	p, err := core.NewPlanner(cfg.Policy, core.PlannerOptions{Nodes: n})
+// substrate builds one admission cell's network and its planner,
+// resolved from the policy registry (core.Planners lists what
+// resolves). Every call builds an identical replica.
+func substrate(cfg *Config) (*sdn.Network, core.Planner, error) {
+	nw, err := networkFor(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %q: unknown policy %q", cfg.Name, cfg.Policy)
+		return nil, nil, err
 	}
-	return p, nil
+	p, err := core.NewPlanner(cfg.Policy, core.PlannerOptions{Nodes: nw.NumNodes()})
+	if err != nil {
+		return nil, nil, fmt.Errorf("scenario %q: unknown policy %q", cfg.Name, cfg.Policy)
+	}
+	return nw, p, nil
 }
 
 // recoveryPolicy maps the config's recovery mode onto an engine
 // policy. An empty mode means self-healing on exactly when the
 // scenario injects failures.
 func recoveryPolicy(cfg *Config) *recov.Policy {
-	mode := cfg.Recovery
-	if mode == "" {
-		if len(cfg.Failures) == 0 {
-			mode = "off"
-		} else {
-			mode = "default"
-		}
-	}
-	switch mode {
-	case "default":
-		pol := recov.DefaultPolicy()
-		return &pol
-	case "replan":
+	switch {
+	case cfg.Recovery == "replan":
 		return &recov.Policy{Gamma: 0, RetryBudget: 2}
-	default:
+	case cfg.Recovery == "off", cfg.Recovery == "" && len(cfg.Failures) == 0:
 		return nil
 	}
+	pol := recov.DefaultPolicy()
+	return &pol
 }
 
 // fmtG renders a float exactly (shortest round-trip form), the only
 // float format allowed into the transcript.
 func fmtG(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
-// Run validates cfg, expands its timeline and drives the engine
-// through it, checking invariants as it goes. The error return is for
-// broken configs and harness-level failures (a wedged writer, an
-// inconsistent recovery report); engine-level invariant breaches land
-// in Result.Violations so a run reports them all.
-func Run(cfg *Config) (*Result, error) {
+// shardField renders a transcript line's shard field: empty for an
+// unsharded subject.
+func shardField(id string) string {
+	if id == "" {
+		return ""
+	}
+	return " shard=" + id
+}
+
+// timeline validates cfg and expands it against the scenario
+// substrate. Expansion reads only the network's structure, so a fresh
+// copy serves every target.
+func timeline(cfg *Config) ([]event, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Shards > 1 {
-		return runSharded(cfg)
 	}
 	nw, err := networkFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	events, err := buildTimeline(cfg, nw)
+	return buildTimeline(cfg, nw)
+}
+
+// Run validates cfg, expands its timeline and drives it in-process —
+// through one engine, or through a shard router when cfg.Shards > 1 —
+// checking invariants as it goes. The error return is for broken
+// configs and harness-level failures (a wedged writer, an inconsistent
+// recovery report); engine-level invariant breaches land in
+// Result.Violations so a run reports them all.
+func Run(cfg *Config) (*Result, error) {
+	events, err := timeline(cfg)
 	if err != nil {
 		return nil, err
 	}
-	planner, err := plannerFor(cfg, nw.NumNodes())
+	newTarget := newEngineTarget
+	if cfg.Shards > 1 {
+		newTarget = newRouterTarget
+	}
+	t, closeTarget, err := newTarget(cfg)
 	if err != nil {
 		return nil, err
 	}
-	reg := obs.NewRegistry()
-	aobs := obs.NewAdmissionObs(reg, cfg.Policy, obs.AdmissionObsOptions{})
-	eng := engine.New(nw, planner, engine.Options{
-		Workers:     cfg.Workers,
-		Obs:         aobs,
-		Recovery:    recoveryPolicy(cfg),
-		BatchWindow: cfg.BatchWindow,
-	})
-	defer eng.Close()
-	var ctrl *sdn.Controller
-	if cfg.MaxRulesPerSwitch > 0 {
-		if ctrl, err = sdn.NewControllerWithRuleLimit(nw, cfg.MaxRulesPerSwitch); err != nil {
-			return nil, err
-		}
-	}
-	r := &runner{
-		cfg:  cfg,
-		nw:   nw,
-		eng:  eng,
-		ctrl: ctrl,
-		aobs: aobs,
+	defer closeTarget()
+	return execute(cfg, events, t)
+}
+
+// executor drives one expanded timeline through one target. It keeps
+// its own books — the live view, the Result counters, the transcript —
+// and reconciles them with the target's cells as it goes.
+type executor struct {
+	cfg   *Config
+	t     target
+	cells []*cell
+	// sharded selects the sharded transcript lines: the cells carry
+	// shard ids.
+	sharded bool
+	ctrl    *sdn.Controller
+	res     *Result
+
+	live       map[int]string  // request ID -> admitting shard ("" unsharded)
+	lastRec    []*recov.Report // per cell: the last absorbed recovery pass
+	tb         strings.Builder
+	checkEvery int
+	events     int
+	watchdog   time.Duration
+}
+
+// execute runs events through t and seals the result.
+func execute(cfg *Config, events []event, t target) (*Result, error) {
+	x := &executor{
+		cfg:   cfg,
+		t:     t,
+		cells: t.cells(),
 		res: &Result{
 			Name:      cfg.Name,
 			Policy:    cfg.Policy,
@@ -218,280 +205,302 @@ func Run(cfg *Config) (*Result, error) {
 		checkEvery: cfg.CheckEveryEvents,
 		watchdog:   testutil.Watchdog(),
 	}
-	if r.checkEvery == 0 {
-		r.checkEvery = defaultCheckEvery
+	x.sharded = len(x.cells) > 0 && x.cells[0].id != ""
+	x.lastRec = make([]*recov.Report, len(x.cells))
+	if x.checkEvery == 0 {
+		x.checkEvery = defaultCheckEvery
 	}
-	for _, t := range cfg.Tenants {
-		r.res.PerTenant[t.Name] = &TenantStats{}
+	for _, tn := range cfg.Tenants {
+		x.res.PerTenant[tn.Name] = &TenantStats{}
 	}
-	r.caps0 = make([]float64, nw.NumEdges())
-	for e := range r.caps0 {
-		r.caps0[e] = nw.BandwidthCap(e)
+	if cfg.MaxRulesPerSwitch > 0 {
+		// Flow tables belong to one network: a rule budget needs exactly
+		// one in-process cell.
+		if len(x.cells) != 1 {
+			return nil, fmt.Errorf("scenario %q: rule budgets need a single in-process engine", cfg.Name)
+		}
+		ctrl, err := sdn.NewControllerWithRuleLimit(x.cells[0].nw, cfg.MaxRulesPerSwitch)
+		if err != nil {
+			return nil, err
+		}
+		x.ctrl = ctrl
 	}
+	if len(x.cells) == 0 {
+		// Refuse up front rather than half-apply: clamping a shrink
+		// against live allocations needs residuals only cells expose.
+		for i := range events {
+			if events[i].kind == evFailure && events[i].fail.scale != 0 {
+				return nil, fmt.Errorf("scenario %q: resize step %q needs in-process cells (shrink clamping reads residuals)",
+					cfg.Name, events[i].fail.label)
+			}
+		}
+	}
+
 	start := time.Now()
-	if err := r.drive(events); err != nil {
+	if err := x.drive(events); err != nil {
 		return nil, err
 	}
-	r.res.ElapsedSeconds = time.Since(start).Seconds()
-	r.res.FinalLive = len(r.live)
-	r.res.transcript = r.tb.String()
-	sum := sha256.Sum256([]byte(r.res.transcript))
-	r.res.Fingerprint = hex.EncodeToString(sum[:])
-	return r.res, nil
+	x.res.ElapsedSeconds = time.Since(start).Seconds()
+	x.res.FinalLive = len(x.live)
+	var rep *shard.Report
+	if err := x.guard("Report", cfg.HorizonHours, func() (err error) {
+		rep, err = t.report()
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("scenario %q: report: %w", cfg.Name, err)
+	}
+	if rep != nil {
+		x.res.ShardReports = rep.Shards
+		// The transcript already interleaves every shard's decisions in
+		// arrival order; folding the fleet's merged per-shard digest in
+		// ties the fingerprint to both views of the run.
+		x.linef("router merged=%s", rep.Merged)
+	}
+	x.res.transcript = x.tb.String()
+	sum := sha256.Sum256([]byte(x.res.transcript))
+	x.res.Fingerprint = hex.EncodeToString(sum[:])
+	return x.res, nil
 }
 
 // linef appends one transcript line.
-func (r *runner) linef(format string, args ...any) {
-	fmt.Fprintf(&r.tb, format+"\n", args...)
+func (x *executor) linef(format string, args ...any) {
+	fmt.Fprintf(&x.tb, format+"\n", args...)
 }
 
-// guard runs one engine call under the liveness watchdog. The engine
+// guard runs one target call under the liveness watchdog. The engine
 // owns a single writer goroutine; any call that fails to return is a
 // wedged writer — the one failure mode a black-box harness cannot
 // observe from return values alone.
-func (r *runner) guard(op string, at float64, f func()) error {
-	done := make(chan struct{})
-	go func() {
-		f()
-		close(done)
-	}()
+func (x *executor) guard(op string, at float64, f func() error) error {
+	done := make(chan error, 1)
+	go func() { done <- f() }()
 	select {
-	case <-done:
-		return nil
-	case <-time.After(r.watchdog):
-		return fmt.Errorf("scenario %q: liveness violation: engine %s wedged at t=%s (no response in %v)",
-			r.cfg.Name, op, fmtG(at), r.watchdog)
+	case err := <-done:
+		return err
+	case <-time.After(x.watchdog):
+		return fmt.Errorf("liveness violation: %s wedged at t=%s (no response in %v)", op, fmtG(at), x.watchdog)
 	}
 }
 
 // drive processes the timeline in order, departs every session still
 // live at the horizon, and closes with a full invariant sweep.
-func (r *runner) drive(events []event) error {
+func (x *executor) drive(events []event) error {
 	for i := range events {
 		ev := &events[i]
 		var err error
 		switch ev.kind {
 		case evArrival:
-			err = r.arrive(ev)
+			err = x.arrive(ev)
 		case evDeparture:
-			err = r.depart(ev.at, ev.reqID)
+			err = x.depart(ev.at, ev.reqID)
 		case evFailure:
-			err = r.failure(ev)
+			err = x.failure(ev)
 		}
 		if err != nil {
 			return err
 		}
-		r.events++
-		r.checkBounds(ev.at)
-		if r.events%r.checkEvery == 0 {
-			if err := r.checkConservation(ev.at); err != nil {
+		x.events++
+		x.checkBounds(ev.at)
+		if x.events%x.checkEvery == 0 {
+			if err := x.checkConservation(ev.at); err != nil {
 				return err
 			}
 		}
 	}
 	// Horizon: everything still holding resources departs, in ID order
-	// (the iteration below is over live IDs sorted by the caller's
-	// insertion pattern — depart explicitly sorted to stay deterministic).
-	for _, id := range r.liveIDs() {
-		if err := r.depart(r.cfg.HorizonHours, id); err != nil {
+	// (depart explicitly sorted to stay deterministic).
+	for _, id := range x.liveIDs() {
+		if err := x.depart(x.cfg.HorizonHours, id); err != nil {
 			return err
 		}
 	}
-	r.checkBounds(r.cfg.HorizonHours)
-	if err := r.checkConservation(r.cfg.HorizonHours); err != nil {
+	x.checkBounds(x.cfg.HorizonHours)
+	if err := x.checkConservation(x.cfg.HorizonHours); err != nil {
 		return err
 	}
-	r.checkDrained()
-	r.linef("end admitted=%d rejected=%d rule-rejected=%d departed=%d shed=%d repaired=%d+%d live=%d",
-		r.res.Admitted, r.res.Rejected, r.res.RuleRejected, r.res.Departed,
-		r.res.Shed, r.res.RepairedLocal, r.res.RepairedReplan, len(r.live))
+	x.checkDrained()
+	r := x.res
+	if x.sharded {
+		x.linef("end admitted=%d rejected=%d departed=%d shed=%d repaired=%d+%d live=%d shards=%d",
+			r.Admitted, r.Rejected, r.Departed, r.Shed, r.RepairedLocal, r.RepairedReplan, len(x.live), len(x.cells))
+	} else {
+		x.linef("end admitted=%d rejected=%d rule-rejected=%d departed=%d shed=%d repaired=%d+%d live=%d",
+			r.Admitted, r.Rejected, r.RuleRejected, r.Departed, r.Shed, r.RepairedLocal, r.RepairedReplan, len(x.live))
+	}
 	return nil
 }
 
-// arrive admits one request and, under a rule-limited controller,
-// compiles the admitted tree into flow rules (departing the session
-// again if a switch table overflows).
-func (r *runner) arrive(ev *event) error {
+// release departs one session through the target under the watchdog.
+func (x *executor) release(at float64, reqID int) error {
+	return x.guard("Release", at, func() error { return x.t.release(reqID) })
+}
+
+// arrive offers one request to the target and, under a rule-limited
+// controller, compiles the admitted tree into flow rules (departing
+// the session again if a switch table overflows).
+func (x *executor) arrive(ev *event) error {
 	req := ev.req
-	tenant := r.cfg.Tenants[ev.tenant].Name
-	ts := r.res.PerTenant[tenant]
+	tenant := x.cfg.Tenants[ev.tenant].Name
+	ts := x.res.PerTenant[tenant]
 	ts.Arrivals++
-	r.res.Arrivals++
-	var (
-		sol *core.Solution
-		err error
-	)
-	if gerr := r.guard("Admit", ev.at, func() { sol, err = r.eng.Admit(req) }); gerr != nil {
-		return gerr
+	x.res.Arrivals++
+	var adm admission
+	if err := x.guard("Admit", ev.at, func() (err error) {
+		adm, err = x.t.admit(tenant, req)
+		return err
+	}); err != nil {
+		return fmt.Errorf("scenario %q: admit req %d: %w", x.cfg.Name, req.ID, err)
 	}
-	if err != nil {
+	if adm.sol == nil {
 		ts.Rejected++
-		r.res.Rejected++
-		r.linef("t=%s reject req=%d tenant=%s reason=%s", fmtG(ev.at), req.ID, tenant, core.RejectReason(err))
+		x.res.Rejected++
+		x.linef("t=%s reject req=%d tenant=%s reason=%s", fmtG(ev.at), req.ID, tenant, adm.reason)
 		return nil
 	}
-	if r.ctrl != nil {
-		if ierr := r.ctrl.Install(req, sol.Tree); ierr != nil {
+	if x.ctrl != nil {
+		if ierr := x.ctrl.Install(req, adm.sol.Tree); ierr != nil {
 			if !errors.Is(ierr, sdn.ErrTableFull) {
-				return fmt.Errorf("scenario %q: install req %d: %w", r.cfg.Name, req.ID, ierr)
+				return fmt.Errorf("scenario %q: install req %d: %w", x.cfg.Name, req.ID, ierr)
 			}
-			if gerr := r.guard("Depart", ev.at, func() { _, err = r.eng.Depart(req.ID) }); gerr != nil {
-				return gerr
-			}
-			if err != nil {
-				return fmt.Errorf("scenario %q: depart rule-rejected req %d: %w", r.cfg.Name, req.ID, err)
+			if err := x.release(ev.at, req.ID); err != nil {
+				return fmt.Errorf("scenario %q: depart rule-rejected req %d: %w", x.cfg.Name, req.ID, err)
 			}
 			ts.Rejected++
-			r.res.RuleRejected++
-			r.linef("t=%s rule-reject req=%d tenant=%s", fmtG(ev.at), req.ID, tenant)
+			x.res.RuleRejected++
+			x.linef("t=%s rule-reject req=%d tenant=%s", fmtG(ev.at), req.ID, tenant)
 			return nil
 		}
 	}
-	r.live[req.ID] = tenant
+	x.live[req.ID] = adm.shard
 	ts.Admitted++
-	r.res.Admitted++
-	if len(r.live) > r.res.PeakLive {
-		r.res.PeakLive = len(r.live)
+	x.res.Admitted++
+	if len(x.live) > x.res.PeakLive {
+		x.res.PeakLive = len(x.live)
 	}
-	r.linef("t=%s admit req=%d tenant=%s cost=%s servers=%v",
-		fmtG(ev.at), req.ID, tenant, fmtG(sol.OperationalCost), sol.Servers)
+	x.linef("t=%s admit req=%d tenant=%s%s cost=%s servers=%v",
+		fmtG(ev.at), req.ID, tenant, shardField(adm.shard), fmtG(adm.sol.OperationalCost), adm.sol.Servers)
 	return nil
 }
 
 // depart releases one session if it is still live; sessions shed by
 // recovery or bounced by the rule budget have already released.
-func (r *runner) depart(at float64, reqID int) error {
-	if _, ok := r.live[reqID]; !ok {
+func (x *executor) depart(at float64, reqID int) error {
+	if _, ok := x.live[reqID]; !ok {
 		return nil
 	}
-	var err error
-	if gerr := r.guard("Depart", at, func() { _, err = r.eng.Depart(reqID) }); gerr != nil {
-		return gerr
+	err := x.release(at, reqID)
+	if errors.Is(err, errShed) {
+		// A target without cells sheds behind the executor's back; the
+		// session is gone either way and counts as shed.
+		delete(x.live, reqID)
+		x.res.Shed++
+		x.linef("t=%s depart req=%d (already shed)", fmtG(at), reqID)
+		return nil
 	}
 	if err != nil {
-		return fmt.Errorf("scenario %q: depart req %d: %w", r.cfg.Name, reqID, err)
+		return fmt.Errorf("scenario %q: depart req %d: %w", x.cfg.Name, reqID, err)
 	}
-	if r.ctrl != nil && r.ctrl.Installed(reqID) {
-		if err := r.ctrl.Uninstall(reqID); err != nil {
-			return fmt.Errorf("scenario %q: uninstall req %d: %w", r.cfg.Name, reqID, err)
+	if x.ctrl != nil && x.ctrl.Installed(reqID) {
+		if err := x.ctrl.Uninstall(reqID); err != nil {
+			return fmt.Errorf("scenario %q: uninstall req %d: %w", x.cfg.Name, reqID, err)
 		}
 	}
-	delete(r.live, reqID)
-	r.res.Departed++
-	r.linef("t=%s depart req=%d", fmtG(at), reqID)
+	delete(x.live, reqID)
+	x.res.Departed++
+	x.linef("t=%s depart req=%d", fmtG(at), reqID)
 	return nil
 }
 
-// failure applies one failure-script action through the typed Apply
-// surface and reconciles the runner's live view (and the flow tables)
-// with whatever the automatic recovery pass decided.
-func (r *runner) failure(ev *event) error {
+// failure applies one failure-script action through the target and
+// reconciles the executor's live view (and the flow tables) with
+// whatever the automatic recovery passes decided.
+func (x *executor) failure(ev *event) error {
 	fa := ev.fail
-	muts := fa.muts
-	if fa.scale != 0 {
-		muts = r.resizeMuts(fa.scale)
+	var applied []int
+	if err := x.guard("Apply", ev.at, func() (err error) {
+		applied, err = x.t.apply(fa)
+		return err
+	}); err != nil {
+		return fmt.Errorf("scenario %q: failure script step %q: %w", x.cfg.Name, fa.label, err)
 	}
-	if len(muts) == 0 {
-		r.linef("t=%s fail %s (no-op)", fmtG(ev.at), fa.label)
+	switch {
+	case len(applied) == 0:
+		x.linef("t=%s fail %s (no-op)", fmtG(ev.at), fa.label)
 		return nil
+	case !x.sharded:
+		x.linef("t=%s fail %s (%d mutations)", fmtG(ev.at), fa.label, applied[0])
+	case fa.scale != 0:
+		x.linef("t=%s fail %s (%d shards)", fmtG(ev.at), fa.label, len(applied))
+	default:
+		x.linef("t=%s fail %s (%d mutations x %d shards)", fmtG(ev.at), fa.label, len(fa.muts), len(applied))
 	}
-	var err error
-	if gerr := r.guard("Apply", ev.at, func() { err = r.eng.Apply(muts...) }); gerr != nil {
-		return gerr
-	}
-	if err != nil {
-		return fmt.Errorf("scenario %q: failure script step %q: %w", r.cfg.Name, fa.label, err)
-	}
-	r.res.FailureBatches++
-	r.linef("t=%s fail %s (%d mutations)", fmtG(ev.at), fa.label, len(muts))
-	return r.absorbRecovery(ev.at)
+	x.res.FailureBatches++
+	return x.absorbRecovery(ev.at)
 }
 
-// resizeMuts builds the LinkCapacity batch for a resize step: every
-// link moves to scale× its original capacity (scale < 0 restores the
-// original), clamped so live allocations are never cut — right-sizing
-// is a capacity decision, not an implicit failure.
-func (r *runner) resizeMuts(scale float64) []engine.Mutation {
-	muts := make([]engine.Mutation, 0, r.nw.NumEdges())
-	for e := 0; e < r.nw.NumEdges(); e++ {
-		target := scale * r.caps0[e]
-		if scale < 0 {
-			target = r.caps0[e]
-		}
-		if alloc := r.nw.BandwidthCap(e) - r.nw.ResidualBandwidth(e); target < alloc {
-			target = alloc
-		}
-		if target == r.nw.BandwidthCap(e) {
+// absorbRecovery folds every cell's latest recovery pass (if the last
+// failure triggered one) into the executor's books, in cell order so
+// the transcript stays deterministic: shed sessions leave the live
+// view and the flow tables, repaired sessions get their replacement
+// trees re-compiled into rules.
+func (x *executor) absorbRecovery(at float64) error {
+	for i, c := range x.cells {
+		rep := c.eng.LastRecovery()
+		if rep == nil || rep == x.lastRec[i] {
 			continue
 		}
-		muts = append(muts, engine.Mutation{Kind: engine.LinkCapacity, ID: e, Capacity: target})
-	}
-	return muts
-}
-
-// absorbRecovery folds the engine's latest recovery pass (if the last
-// failure triggered one) into the runner's bookkeeping: shed sessions
-// leave the live view and the flow tables, repaired sessions get their
-// replacement trees re-compiled into rules.
-func (r *runner) absorbRecovery(at float64) error {
-	rep := r.eng.LastRecovery()
-	if rep == nil || rep == r.lastRec {
-		return nil
-	}
-	r.lastRec = rep
-	r.res.RecoveryPasses++
-	r.res.RepairedLocal += rep.Local
-	r.res.RepairedReplan += rep.Replanned
-	r.res.Shed += rep.Shed
-	r.res.RecoverySeconds = append(r.res.RecoverySeconds, rep.Duration.Seconds())
-	for _, o := range rep.Outcomes {
-		if o.Mode == recov.ModeShed {
-			if _, ok := r.live[o.RequestID]; !ok {
-				return fmt.Errorf("scenario %q: recovery shed req %d the runner never saw live", r.cfg.Name, o.RequestID)
+		x.lastRec[i] = rep
+		x.res.RecoveryPasses++
+		x.res.RepairedLocal += rep.Local
+		x.res.RepairedReplan += rep.Replanned
+		x.res.Shed += rep.Shed
+		x.res.RecoverySeconds = append(x.res.RecoverySeconds, rep.Duration.Seconds())
+		for _, o := range rep.Outcomes {
+			if o.Mode == recov.ModeShed {
+				if owner, ok := x.live[o.RequestID]; !ok || owner != c.id {
+					return fmt.Errorf("scenario %q:%s recovery shed req %d the executor saw live on %q (live: %v)",
+						x.cfg.Name, shardField(c.id), o.RequestID, owner, ok)
+				}
+				delete(x.live, o.RequestID)
+				if x.ctrl != nil && x.ctrl.Installed(o.RequestID) {
+					if err := x.ctrl.Uninstall(o.RequestID); err != nil {
+						return fmt.Errorf("scenario %q: uninstall shed req %d: %w", x.cfg.Name, o.RequestID, err)
+					}
+				}
+				continue
 			}
-			delete(r.live, o.RequestID)
-			if r.ctrl != nil && r.ctrl.Installed(o.RequestID) {
-				if err := r.ctrl.Uninstall(o.RequestID); err != nil {
-					return fmt.Errorf("scenario %q: uninstall shed req %d: %w", r.cfg.Name, o.RequestID, err)
+			if x.ctrl == nil || o.Solution == nil {
+				continue
+			}
+			// Re-compile the replacement tree. A replacement that overflows
+			// a flow table is departed like any other rule rejection.
+			if x.ctrl.Installed(o.RequestID) {
+				if err := x.ctrl.Uninstall(o.RequestID); err != nil {
+					return fmt.Errorf("scenario %q: uninstall repaired req %d: %w", x.cfg.Name, o.RequestID, err)
 				}
 			}
-			continue
-		}
-		if r.ctrl == nil || o.Solution == nil {
-			continue
-		}
-		// Re-compile the replacement tree. A replacement that overflows
-		// a flow table is departed like any other rule rejection.
-		if r.ctrl.Installed(o.RequestID) {
-			if err := r.ctrl.Uninstall(o.RequestID); err != nil {
-				return fmt.Errorf("scenario %q: uninstall repaired req %d: %w", r.cfg.Name, o.RequestID, err)
+			if err := x.ctrl.Install(o.Solution.Request, o.Solution.Tree); err != nil {
+				if !errors.Is(err, sdn.ErrTableFull) {
+					return fmt.Errorf("scenario %q: reinstall repaired req %d: %w", x.cfg.Name, o.RequestID, err)
+				}
+				if err := x.release(at, o.RequestID); err != nil {
+					return fmt.Errorf("scenario %q: depart rule-bounced repair req %d: %w", x.cfg.Name, o.RequestID, err)
+				}
+				delete(x.live, o.RequestID)
+				x.res.RuleRejected++
+				x.linef("t=%s rule-reject repaired req=%d", fmtG(at), o.RequestID)
 			}
 		}
-		if err := r.ctrl.Install(o.Solution.Request, o.Solution.Tree); err != nil {
-			if !errors.Is(err, sdn.ErrTableFull) {
-				return fmt.Errorf("scenario %q: reinstall repaired req %d: %w", r.cfg.Name, o.RequestID, err)
-			}
-			var derr error
-			if gerr := r.guard("Depart", at, func() { _, derr = r.eng.Depart(o.RequestID) }); gerr != nil {
-				return gerr
-			}
-			if derr != nil {
-				return fmt.Errorf("scenario %q: depart rule-bounced repair req %d: %w", r.cfg.Name, o.RequestID, derr)
-			}
-			delete(r.live, o.RequestID)
-			r.res.RuleRejected++
-			r.linef("t=%s rule-reject repaired req=%d", fmtG(at), o.RequestID)
-		}
+		x.linef("t=%s recovery%s local=%d replan=%d shed=%d\n%s",
+			fmtG(at), shardField(c.id), rep.Local, rep.Replanned, rep.Shed, rep.Fingerprint())
 	}
-	r.linef("t=%s recovery local=%d replan=%d shed=%d\n%s",
-		fmtG(at), rep.Local, rep.Replanned, rep.Shed, rep.Fingerprint())
 	return nil
 }
 
-// liveIDs returns the runner's live request IDs in ascending order.
-func (r *runner) liveIDs() []int {
-	ids := make([]int, 0, len(r.live))
-	for id := range r.live {
+// liveIDs returns the executor's live request IDs in ascending order.
+func (x *executor) liveIDs() []int {
+	ids := make([]int, 0, len(x.live))
+	for id := range x.live {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)

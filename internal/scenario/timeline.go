@@ -36,7 +36,6 @@ const (
 type event struct {
 	at   float64
 	kind eventKind
-	seq  int // global tie-break, assigned after the time sort
 
 	// arrival
 	req    *multicast.Request
@@ -265,6 +264,13 @@ func expandFailures(cfg *Config, nw *sdn.Network) ([]event, error) {
 	add := func(at float64, fa *failureAction) {
 		out = append(out, event{at: at, kind: evFailure, fail: fa})
 	}
+	// outage takes ids down at at and, when dur > 0, back up dur later.
+	outage := func(at, dur float64, kind engine.MutationKind, ids []int, downLabel, upLabel string) {
+		add(at, &failureAction{label: downLabel, muts: stateMuts(kind, ids, false)})
+		if dur > 0 {
+			add(at+dur, &failureAction{label: upLabel, muts: stateMuts(kind, ids, true)})
+		}
+	}
 	for fi := range cfg.Failures {
 		f := &cfg.Failures[fi]
 		where := fmt.Sprintf("scenario %q: failure %d", cfg.Name, fi)
@@ -273,30 +279,14 @@ func expandFailures(cfg *Config, nw *sdn.Network) ([]event, error) {
 			if f.ID >= nw.NumEdges() {
 				return nil, fmt.Errorf("%s: link %d out of range (m=%d)", where, f.ID, nw.NumEdges())
 			}
-			add(f.AtHours, &failureAction{
-				label: fmt.Sprintf("link %d down", f.ID),
-				muts:  stateMuts(engine.LinkState, []int{f.ID}, false),
-			})
-			if f.DurationHours > 0 {
-				add(f.AtHours+f.DurationHours, &failureAction{
-					label: fmt.Sprintf("link %d up", f.ID),
-					muts:  stateMuts(engine.LinkState, []int{f.ID}, true),
-				})
-			}
+			outage(f.AtHours, f.DurationHours, engine.LinkState, []int{f.ID},
+				fmt.Sprintf("link %d down", f.ID), fmt.Sprintf("link %d up", f.ID))
 		case FailServer:
 			if !nw.IsServer(f.ID) {
 				return nil, fmt.Errorf("%s: node %d has no attached server", where, f.ID)
 			}
-			add(f.AtHours, &failureAction{
-				label: fmt.Sprintf("server %d down", f.ID),
-				muts:  stateMuts(engine.ServerState, []int{f.ID}, false),
-			})
-			if f.DurationHours > 0 {
-				add(f.AtHours+f.DurationHours, &failureAction{
-					label: fmt.Sprintf("server %d up", f.ID),
-					muts:  stateMuts(engine.ServerState, []int{f.ID}, true),
-				})
-			}
+			outage(f.AtHours, f.DurationHours, engine.ServerState, []int{f.ID},
+				fmt.Sprintf("server %d down", f.ID), fmt.Sprintf("server %d up", f.ID))
 		case FailRegion:
 			if f.Epicenter >= nw.NumNodes() {
 				return nil, fmt.Errorf("%s: epicenter %d out of range (n=%d)", where, f.Epicenter, nw.NumNodes())
@@ -305,16 +295,9 @@ func expandFailures(cfg *Config, nw *sdn.Network) ([]event, error) {
 			if len(links) == nw.NumEdges() {
 				return nil, fmt.Errorf("%s: region around %d radius %d fails every link", where, f.Epicenter, f.RadiusHops)
 			}
-			add(f.AtHours, &failureAction{
-				label: fmt.Sprintf("region around %d down (%d links)", f.Epicenter, len(links)),
-				muts:  stateMuts(engine.LinkState, links, false),
-			})
-			if f.DurationHours > 0 {
-				add(f.AtHours+f.DurationHours, &failureAction{
-					label: fmt.Sprintf("region around %d up (%d links)", f.Epicenter, len(links)),
-					muts:  stateMuts(engine.LinkState, links, true),
-				})
-			}
+			outage(f.AtHours, f.DurationHours, engine.LinkState, links,
+				fmt.Sprintf("region around %d down (%d links)", f.Epicenter, len(links)),
+				fmt.Sprintf("region around %d up (%d links)", f.Epicenter, len(links)))
 		case FailDrain:
 			servers := drainServers(f, nw)
 			for _, v := range servers {
@@ -328,16 +311,8 @@ func expandFailures(cfg *Config, nw *sdn.Network) ([]event, error) {
 					return nil, fmt.Errorf("%s: drain of server %d at %g spills past horizon %g",
 						where, v, at, cfg.HorizonHours)
 				}
-				add(at, &failureAction{
-					label: fmt.Sprintf("drain server %d", v),
-					muts:  stateMuts(engine.ServerState, []int{v}, false),
-				})
-				if f.DurationHours > 0 {
-					add(at+f.DurationHours, &failureAction{
-						label: fmt.Sprintf("undrain server %d", v),
-						muts:  stateMuts(engine.ServerState, []int{v}, true),
-					})
-				}
+				outage(at, f.DurationHours, engine.ServerState, []int{v},
+					fmt.Sprintf("drain server %d", v), fmt.Sprintf("undrain server %d", v))
 			}
 		case FailResize:
 			add(f.AtHours, &failureAction{
@@ -388,17 +363,12 @@ func buildTimeline(cfg *Config, nw *sdn.Network) ([]event, error) {
 		return nil, err
 	}
 	events = append(events, fails...)
-	for i := range events {
-		events[i].seq = i
-	}
+	// The stable sort breaks (time, kind) ties by expansion order.
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].at != events[j].at {
 			return events[i].at < events[j].at
 		}
-		if events[i].kind != events[j].kind {
-			return events[i].kind < events[j].kind
-		}
-		return events[i].seq < events[j].seq
+		return events[i].kind < events[j].kind
 	})
 	return events, nil
 }

@@ -55,7 +55,7 @@ var (
 	// ErrUnknownShard is returned for shard IDs the router does not own.
 	ErrUnknownShard = errors.New("shard: unknown shard")
 	// ErrUnknownSession is returned by Release for request IDs no shard
-	// admitted (or that already departed).
+	// admitted (or that already departed, or recovery shed).
 	ErrUnknownSession = errors.New("shard: unknown session")
 	// ErrShardStopped is returned when an operation targets a stopped
 	// shard.
@@ -369,12 +369,19 @@ func (r *Router) Release(reqID int) (*core.Solution, error) {
 		return nil, fmt.Errorf("%w: %s (request %d)", ErrShardStopped, id, reqID)
 	}
 	sol, err := s.eng.Depart(reqID)
-	if err != nil {
+	if errors.Is(err, core.ErrUnknownRequest) {
+		// Recovery shed the session and released its resources already:
+		// the session is unknown now, and its owner entry goes with it.
+		err = fmt.Errorf("%w: request %d was shed by %s", ErrUnknownSession, reqID, id)
+	} else if err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
 	delete(r.owner, reqID)
 	r.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	s.departed++
 	s.record(fmt.Sprintf("depart req=%d cost=%s",

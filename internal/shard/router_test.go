@@ -10,6 +10,7 @@ import (
 	"nfvmcast/internal/core"
 	"nfvmcast/internal/engine"
 	"nfvmcast/internal/multicast"
+	recov "nfvmcast/internal/recover"
 	"nfvmcast/internal/sdn"
 	"nfvmcast/internal/shard"
 	"nfvmcast/internal/topology"
@@ -191,6 +192,36 @@ func TestRouterReleaseFindsSessionAfterRebalance(t *testing.T) {
 	}
 	if _, err := r.Release(req.ID); !errors.Is(err, shard.ErrUnknownSession) {
 		t.Fatalf("double release: %v, want ErrUnknownSession", err)
+	}
+}
+
+// TestRouterReleaseOfShedSession: once recovery has shed a session its
+// engine no longer holds it, so Release must answer ErrUnknownSession
+// (the daemon's 404) rather than pass the engine's error through, and
+// must drop the session's owner entry instead of keeping it forever.
+func TestRouterReleaseOfShedSession(t *testing.T) {
+	pol := recov.DefaultPolicy()
+	r := testRouter(t, []string{"s0", "s1"}, func(o *shard.Options) { o.Recovery = &pol })
+	req := testRequests(t, 1, 9)[0]
+	if _, err := r.Admit("alpha", req); err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	home := r.Owner(req.ID)
+	var down []engine.Mutation
+	for _, v := range r.Network(home).Servers() {
+		down = append(down, engine.Mutation{Kind: engine.ServerState, ID: v, Up: false})
+	}
+	if err := r.ApplyShard(home, down...); err != nil {
+		t.Fatalf("fail every server: %v", err)
+	}
+	if rep := r.Engine(home).LastRecovery(); rep == nil || rep.Shed != 1 {
+		t.Fatalf("recovery report %+v, want the one session shed", rep)
+	}
+	if _, err := r.Release(req.ID); !errors.Is(err, shard.ErrUnknownSession) {
+		t.Fatalf("release of shed session: %v, want ErrUnknownSession", err)
+	}
+	if owner := r.Owner(req.ID); owner != "" {
+		t.Fatalf("shed session still owned by %q after release", owner)
 	}
 }
 

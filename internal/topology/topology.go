@@ -34,6 +34,27 @@ type Topology struct {
 	Servers int
 }
 
+// ByName builds the named substrate topology shared by the admission
+// daemon and the scenario harness, so a scenario can address a
+// daemon's network by (name, size, seed): geant, as1755, as4755,
+// waxman (size nodes) or fattree (k = 4). seed feeds the synthetic
+// ones.
+func ByName(name string, size int, seed int64) (*Topology, error) {
+	switch name {
+	case "geant":
+		return GEANT(), nil
+	case "as1755":
+		return AS1755(), nil
+	case "as4755":
+		return AS4755(), nil
+	case "waxman":
+		return WaxmanDegree(size, DefaultAvgDegree, 0.14, seed)
+	case "fattree":
+		return FatTree(4, seed)
+	}
+	return nil, fmt.Errorf("unknown topology %q", name)
+}
+
 // NumNodes reports the node count.
 func (t *Topology) NumNodes() int { return t.Graph.NumNodes() }
 
