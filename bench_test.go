@@ -8,6 +8,7 @@ package nfvmcast
 // `go run ./cmd/nfvsim -experiment all`.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -167,11 +168,9 @@ func BenchmarkFig7ApproMultiCapN150(b *testing.B) {
 // --- Figures 8-9: online admission sequences ---
 
 // benchOnline measures a full admission sequence (the online figures'
-// unit of work) for one admitter constructor.
-func benchOnline(b *testing.B, topoName string, n, requests int,
-	newAdmitter func(*sdn.Network) (interface {
-		Admit(*multicast.Request) (*core.Solution, error)
-	}, error)) {
+// unit of work) for one registered policy, admitted through a
+// core.Admitter.
+func benchOnline(b *testing.B, topoName string, n, requests int, policy string) {
 	b.Helper()
 	base := benchNetwork(b, topoName, n, 42)
 	gen, err := multicast.NewGenerator(base.NumNodes(), multicast.OnlineGeneratorConfig(), 7)
@@ -187,58 +186,29 @@ func benchOnline(b *testing.B, topoName string, n, requests int,
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		nw := base.Clone()
-		adm, err := newAdmitter(nw)
+		planner, err := core.NewPlanner(policy, core.PlannerOptions{Nodes: nw.NumNodes()})
 		if err != nil {
 			b.Fatal(err)
 		}
+		adm := core.NewAdmitter(nw, planner)
 		b.StartTimer()
 		for _, r := range reqs {
-			if _, err := adm.Admit(r); err != nil && !core.IsRejection(err) {
+			if _, err := adm.Admit(context.Background(), r, nil); err != nil && !core.IsRejection(err) {
 				b.Fatal(err)
 			}
 		}
 	}
 }
 
-func BenchmarkFig8OnlineCPN100(b *testing.B) {
-	benchOnline(b, "waxman", 100, 100, func(nw *sdn.Network) (interface {
-		Admit(*multicast.Request) (*core.Solution, error)
-	}, error) {
-		return core.NewOnlineCP(nw, core.DefaultCostModel(nw.NumNodes()))
-	})
-}
+func BenchmarkFig8OnlineCPN100(b *testing.B) { benchOnline(b, "waxman", 100, 100, "Online_CP") }
 
-func BenchmarkFig8OnlineSPN100(b *testing.B) {
-	benchOnline(b, "waxman", 100, 100, func(nw *sdn.Network) (interface {
-		Admit(*multicast.Request) (*core.Solution, error)
-	}, error) {
-		return core.NewOnlineSP(nw), nil
-	})
-}
+func BenchmarkFig8OnlineSPN100(b *testing.B) { benchOnline(b, "waxman", 100, 100, "SP") }
 
-func BenchmarkFig8OnlineSPStaticN100(b *testing.B) {
-	benchOnline(b, "waxman", 100, 100, func(nw *sdn.Network) (interface {
-		Admit(*multicast.Request) (*core.Solution, error)
-	}, error) {
-		return core.NewOnlineSPStatic(nw), nil
-	})
-}
+func BenchmarkFig8OnlineSPStaticN100(b *testing.B) { benchOnline(b, "waxman", 100, 100, "SP_Static") }
 
-func BenchmarkFig9GEANTOnlineCP(b *testing.B) {
-	benchOnline(b, "geant", 0, 100, func(nw *sdn.Network) (interface {
-		Admit(*multicast.Request) (*core.Solution, error)
-	}, error) {
-		return core.NewOnlineCP(nw, core.DefaultCostModel(nw.NumNodes()))
-	})
-}
+func BenchmarkFig9GEANTOnlineCP(b *testing.B) { benchOnline(b, "geant", 0, 100, "Online_CP") }
 
-func BenchmarkFig9AS1755OnlineCP(b *testing.B) {
-	benchOnline(b, "as1755", 0, 100, func(nw *sdn.Network) (interface {
-		Admit(*multicast.Request) (*core.Solution, error)
-	}, error) {
-		return core.NewOnlineCP(nw, core.DefaultCostModel(nw.NumNodes()))
-	})
-}
+func BenchmarkFig9AS1755OnlineCP(b *testing.B) { benchOnline(b, "as1755", 0, 100, "Online_CP") }
 
 // --- Parallel subset evaluation (DESIGN.md §8) ---
 
@@ -385,13 +355,7 @@ func BenchmarkSubstrateTopologyWaxman(b *testing.B) {
 
 // --- Extension benchmarks ---
 
-func BenchmarkExtOnlineCPK2N100(b *testing.B) {
-	benchOnline(b, "waxman", 100, 100, func(nw *sdn.Network) (interface {
-		Admit(*multicast.Request) (*core.Solution, error)
-	}, error) {
-		return core.NewOnlineCPK(nw, core.DefaultCostModel(nw.NumNodes()), 2)
-	})
-}
+func BenchmarkExtOnlineCPK2N100(b *testing.B) { benchOnline(b, "waxman", 100, 100, "Online_CPK") }
 
 func BenchmarkExtReoptimize(b *testing.B) {
 	base := benchNetwork(b, "waxman", 100, 42)
@@ -408,10 +372,10 @@ func BenchmarkExtReoptimize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		nw := base.Clone()
-		sp := core.NewOnlineSP(nw)
+		sp := core.NewAdmitter(nw, core.NewSPPlanner())
 		var sessions []*core.Solution
 		for _, r := range reqs {
-			if sol, err := sp.Admit(r); err == nil {
+			if sol, err := sp.Admit(context.Background(), r, nil); err == nil {
 				sessions = append(sessions, sol)
 			}
 		}

@@ -55,7 +55,7 @@ func run(args []string) error {
 		seed        = fs.Int64("seed", 42, "random seed")
 		k           = fs.Int("k", 3, "server budget K for Appro_Multi")
 		workers     = fs.Int("workers", 0, "subset-evaluation goroutines per Appro_Multi solve (0 = sequential; the harness already parallelises across sweep points)")
-		engWorkers  = fs.Int("engine-workers", 0, "planning goroutines per admission engine in the online drivers (0/1 = sequential, byte-identical to the direct admitters; -1 = all CPUs)")
+		engWorkers  = fs.Int("engine-workers", 0, "planning goroutines per admission engine in the online drivers (0/1 = sequential, byte-identical to a sequential core.Admitter; -1 = all CPUs)")
 		quick       = fs.Bool("quick", false, "smaller sweeps for a fast smoke run")
 		jsonDir     = fs.String("json", "", "also write results as JSON into this directory")
 		reps        = fs.Int("reps", 1, "repetitions per experiment (mean ± 95% CI when > 1)")

@@ -71,8 +71,8 @@ func run() error {
 		return err
 	}
 	// Each policy runs behind an admission engine owning its replica.
-	// Sequential mode (zero workers) keeps decisions identical to the
-	// direct admitters; a provider ingesting concurrent channel-setup
+	// Sequential mode (zero workers) keeps decisions identical to a
+	// core admitter driving the same planner; a provider ingesting concurrent channel-setup
 	// calls would add nfvmcast.WithWorkers(n) instead.
 	cpPlanner, err := nfvmcast.NewCPPlanner(nfvmcast.DefaultCostModel(networkSize))
 	if err != nil {

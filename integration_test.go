@@ -7,6 +7,7 @@ package nfvmcast_test
 // stage.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -27,10 +28,11 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := nfvmcast.NewOnlineCP(nw, nfvmcast.DefaultCostModel(n))
+	planner, err := nfvmcast.NewCPPlanner(nfvmcast.DefaultCostModel(n))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cp := nfvmcast.NewAdmitter(nw, planner)
 	ctrl, err := nfvmcast.NewControllerWithRuleLimit(nw, 200)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +63,7 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 		if gerr != nil {
 			t.Fatal(gerr)
 		}
-		sol, aerr := cp.Admit(req)
+		sol, aerr := cp.Admit(context.Background(), req, nil)
 		if aerr != nil {
 			if !nfvmcast.IsRejection(aerr) {
 				t.Fatalf("admission %d: %v", i, aerr)
@@ -113,7 +115,7 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 		delete(live, id)
 		fresh := sol.Request.Clone()
 		fresh.ID += 10000
-		newSol, aerr := cp.Admit(fresh)
+		newSol, aerr := cp.Admit(context.Background(), fresh, nil)
 		if aerr != nil {
 			continue // degraded network may reject
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"nfvmcast/internal/multicast"
 	"nfvmcast/internal/obs"
@@ -11,8 +12,8 @@ import (
 // Admitter is the shared commit half of online admission: it binds a
 // Planner to the network it admits onto and owns the whole admit/
 // depart lifecycle — plan, allocate, record the live session, count
-// the decision. OnlineCP, OnlineSP, OnlineSPStatic and OnlineCPK are
-// thin wrappers that pair it with their planner; the admission engine
+// the decision. NewAdmitter(nw, planner) with any registered planner is
+// the sequential online algorithm; the admission engine
 // (internal/engine) drives the same machinery with planning moved onto
 // snapshots.
 //
@@ -54,31 +55,63 @@ func (a *Admitter) Planner() Planner { return a.planner }
 // residual snapshot) with instrumentation: the plan counter, sampled
 // planner latency, and an AdmitPlanned event on success. It does not
 // count rejections — the caller decides whether a failed plan is final
-// (CountRejection) or re-planned.
-func (a *Admitter) PlanOn(view *sdn.Network, req *multicast.Request) (*Solution, error) {
-	return a.PlanOnWith(view, req, nil)
+// (CountRejection) or re-planned. ctx and arena go to the planner (see
+// Planner.Plan); a ctx already done on entry cancels before the plan
+// timer starts.
+func (a *Admitter) PlanOn(
+	ctx context.Context, view *sdn.Network, req *multicast.Request, arena *PlanArena,
+) (*Solution, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, canceled(err)
+	}
+	start := a.obs.Now()
+	// Provably-doomed requests (see FastRejecter) skip the work graph
+	// and Steiner machinery entirely; the error is exactly what the
+	// full plan would have returned.
+	var sol *Solution
+	err := a.fastReject(view, req)
+	if err == nil {
+		sol, err = a.planner.Plan(ctx, view, req, arena)
+	}
+	if err != nil {
+		a.obs.PlanDone(start, req.ID, nil, 0, err)
+		return nil, err
+	}
+	a.obs.PlanDone(start, req.ID, sol.Servers, sol.OperationalCost, nil)
+	return sol, nil
 }
 
-// PlanOnWith is PlanOn with a caller-owned scratch arena, forwarded to
-// the planner when it implements ArenaPlanner (and ignored otherwise).
-// The engine keeps one arena per planner slot so concurrent plans
-// reuse scratch without sharing it.
+// PlanOnWith is PlanOn without cancellation. It remains only because
+// the benchmark harness (bench/) calls it; everything else calls PlanOn.
 func (a *Admitter) PlanOnWith(view *sdn.Network, req *multicast.Request, arena *PlanArena) (*Solution, error) {
-	return a.PlanOnContext(context.Background(), view, req, arena)
+	return a.PlanOn(context.Background(), view, req, arena)
 }
 
 // Admit decides request req: on admission it returns the realised
-// solution (already allocated on the network); on rejection it
-// returns ErrRejected (wrapped with the reason) and leaves the network
-// untouched.
-func (a *Admitter) Admit(req *multicast.Request) (*Solution, error) {
-	return a.AdmitWith(req, nil)
-}
-
-// AdmitWith is Admit with a caller-owned scratch arena for the plan
-// step (see PlanOnWith). Decisions are identical to Admit.
-func (a *Admitter) AdmitWith(req *multicast.Request, arena *PlanArena) (*Solution, error) {
-	return a.AdmitContext(context.Background(), req, arena)
+// solution (already allocated on the network); on rejection it returns
+// ErrRejected (wrapped with the reason) and leaves the network
+// untouched. A canceled plan leaves the network untouched too, is not
+// counted as a rejection, and returns an error for which IsCanceled
+// holds. arena may be nil (see Planner.Plan).
+func (a *Admitter) Admit(ctx context.Context, req *multicast.Request, arena *PlanArena) (*Solution, error) {
+	sol, err := a.PlanOn(ctx, a.nw, req, arena)
+	if err != nil {
+		if IsCanceled(err) {
+			return nil, err
+		}
+		a.CountRejection(req, err)
+		return nil, err
+	}
+	sol, err = a.Commit(req, sol)
+	if err != nil {
+		// Planners only propose trees that fit the residual view; a
+		// commit failure here means per-link aggregation of
+		// back-tracking traffic exceeded a residual, so reject.
+		err = fmt.Errorf("%w: %w", ErrRejected, err)
+		a.CountRejection(req, err)
+		return nil, err
+	}
+	return sol, nil
 }
 
 // Commit validates a planned solution against the network's current
@@ -98,15 +131,12 @@ func (a *Admitter) Commit(req *multicast.Request, sol *Solution) (*Solution, err
 	return sol, nil
 }
 
-// CountRejection records a rejection of req decided outside Admit (the
-// engine's snapshot-planning path, where plan and commit are separate
-// steps). err is classified into a canonical reason (RejectReason) for
-// the per-reason counters and the Rejected event.
+// CountRejection records a rejection of req — Admit's own, or one
+// decided outside it (the engine's snapshot-planning path, where plan
+// and commit are separate steps). err is classified into a canonical
+// reason (RejectReason) for the per-reason counters and the Rejected
+// event.
 func (a *Admitter) CountRejection(req *multicast.Request, err error) {
-	a.countRejection(req, err)
-}
-
-func (a *Admitter) countRejection(req *multicast.Request, err error) {
 	a.rejected++
 	a.obs.RejectedReason(req.ID, RejectReason(err))
 }
@@ -123,53 +153,43 @@ func (a *Admitter) Depart(reqID int) (*Solution, error) {
 	return sol, nil
 }
 
-// Restore re-installs a previously-committed session without
-// planning: sol's resource bundle is allocated and the session
-// recorded live, exactly as Commit left it. It is the replay primitive
-// of the write-ahead log (internal/wal) — recovery rebuilds the live
-// table from logged solutions instead of re-running planners, so a
-// replayed engine is byte-identical to the pre-crash one regardless of
-// planner or policy. Restore deliberately skips the observability
-// hooks: replay reconstructs state, not history, and must not inflate
-// the lifecycle counters or re-emit admission events.
-func (a *Admitter) Restore(req *multicast.Request, sol *Solution) error {
-	alloc := AllocationFor(req, sol.Tree)
-	if err := a.nw.Allocate(alloc); err != nil {
+// Replay sets session reqID to sol without planning: a nil sol drops
+// the session (releasing its bundle), a live session is re-bound to sol,
+// and any other sol is installed as a newly committed session. It is the
+// replay primitive of the write-ahead log (internal/wal) — recovery
+// rebuilds the live table from logged solutions instead of re-running
+// planners, so a replayed engine is byte-identical to the pre-crash one
+// regardless of planner or policy. Replay deliberately skips the
+// observability hooks: it reconstructs state, not history, and must not
+// inflate the lifecycle counters or re-emit admission events. A re-bind
+// whose allocation fails re-installs the original bundle, so the table
+// never ends up half-swapped.
+func (a *Admitter) Replay(reqID int, sol *Solution) error {
+	if sol == nil {
+		_, err := a.lives.depart(reqID)
 		return err
 	}
-	a.lives.record(req, sol, alloc)
-	a.admitted++
-	return nil
-}
-
-// RestoreReplace is the replay form of a repair or re-optimisation
-// outcome: the live session reqID releases its current bundle and is
-// re-recorded as realised by sol (allocated fresh). On an allocation
-// failure the original bundle is re-installed, so the table never ends
-// up half-swapped.
-func (a *Admitter) RestoreReplace(reqID int, sol *Solution) error {
-	old, err := a.lives.depart(reqID)
-	if err != nil {
-		return err
+	old, live := a.lives.solBy[reqID]
+	if live {
+		if _, err := a.lives.depart(reqID); err != nil {
+			return err
+		}
 	}
 	alloc := AllocationFor(sol.Request, sol.Tree)
 	if err := a.nw.Allocate(alloc); err != nil {
-		oldAlloc := AllocationFor(old.Request, old.Tree)
-		if rerr := a.nw.Allocate(oldAlloc); rerr == nil {
-			a.lives.record(old.Request, old, oldAlloc)
+		if live {
+			oldAlloc := AllocationFor(old.Request, old.Tree)
+			if rerr := a.nw.Allocate(oldAlloc); rerr == nil {
+				a.lives.record(old.Request, old, oldAlloc)
+			}
 		}
 		return err
 	}
 	a.lives.record(sol.Request, sol, alloc)
+	if !live {
+		a.admitted++
+	}
 	return nil
-}
-
-// RestoreDrop is the replay form of a departure or shed: the live
-// session's bundle is released and the session forgotten, without the
-// observability hooks (see Restore).
-func (a *Admitter) RestoreDrop(reqID int) error {
-	_, err := a.lives.depart(reqID)
-	return err
 }
 
 // Replace records that an admitted request is now realised by sol

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"nfvmcast/internal/graph"
 	"nfvmcast/internal/multicast"
 )
@@ -11,8 +13,8 @@ import (
 // pseudo-tree realization, and the closure evaluator's per-candidate
 // buffers. One arena serves one Plan call at a time; the admission
 // engine keeps one per planner worker so concurrent planners never
-// share scratch, and arena-less Plan calls draw from a pool. The zero
-// value is ready to use.
+// share scratch, and Plan calls handed a nil arena draw from arenaPool.
+// The zero value is ready to use.
 //
 // Arenas only relocate transient state — every planner result is
 // identical with or without one.
@@ -32,6 +34,10 @@ type PlanArena struct {
 // NewPlanArena returns an empty arena. Arenas grow to workload size on
 // first use and are reused across requests.
 func NewPlanArena() *PlanArena { return &PlanArena{} }
+
+// arenaPool is the scratch of every planner's Plan when the caller hands
+// it a nil arena; the planner returns the arena when the plan is done.
+var arenaPool = sync.Pool{New: func() any { return NewPlanArena() }}
 
 // refinePayload maps a pruning-graph edge back to what it represents:
 // a real work-graph edge, or the virtual edge of an auxiliary server.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"nfvmcast/internal/multicast"
@@ -11,7 +12,7 @@ import (
 func batchAdmitter(t *testing.T, n int) (*Admitter, []*multicast.Request, []*Solution) {
 	t.Helper()
 	nw := testNetwork(t, 40, 9)
-	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	cp, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,14 +21,14 @@ func batchAdmitter(t *testing.T, n int) (*Admitter, []*multicast.Request, []*Sol
 	for i := 0; i < n; i++ {
 		req := testRequest(t, nw, 300+int64(i))
 		req.ID = i
-		sol, err := cp.PlanOn(nw, req)
+		sol, err := cp.PlanOn(context.Background(), nw, req, nil)
 		if err != nil {
 			t.Fatalf("plan %d: %v", i, err)
 		}
 		reqs = append(reqs, req)
 		sols = append(sols, sol)
 	}
-	return cp.Admitter, reqs, sols
+	return cp, reqs, sols
 }
 
 func TestCommitBatchOrdersByRequestID(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -35,12 +36,12 @@ func BenchmarkCPPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	adm, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	adm, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, r := range warm {
-		if _, aerr := adm.Admit(r); aerr != nil && !IsRejection(aerr) {
+		if _, aerr := adm.Admit(context.Background(), r, nil); aerr != nil && !IsRejection(aerr) {
 			b.Fatal(aerr)
 		}
 	}
@@ -55,7 +56,7 @@ func BenchmarkCPPlan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, perr := planner.Plan(nw, pool[i%len(pool)]); perr != nil && !IsRejection(perr) {
+		if _, perr := planner.Plan(context.Background(), nw, pool[i%len(pool)], nil); perr != nil && !IsRejection(perr) {
 			b.Fatal(perr)
 		}
 	}

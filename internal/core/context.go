@@ -11,23 +11,12 @@ import (
 
 // Context-aware planning. Planning is the expensive half of admission
 // (one Steiner construction per candidate server, one subset sweep for
-// Appro_Multi), so it is the natural cancellation point: a planner that
-// implements ContextPlanner checks the context between candidate
-// evaluations and aborts with the context's error. Cancellation is not
-// an admission decision — a canceled plan satisfies neither IsRejection
-// nor any rejection sentinel, and the admitter does not count it.
-
-// ContextPlanner is implemented by planners whose candidate loop can be
-// canceled mid-plan. PlanContext(ctx, nw, req, arena) must return
-// exactly what PlanWith(nw, req, arena) would when ctx is never
-// canceled; once ctx is done it returns an error wrapping ctx.Err()
-// between candidate evaluations (already-started Steiner constructions
-// run to completion — cancellation is checked at candidate
-// granularity).
-type ContextPlanner interface {
-	Planner
-	PlanContext(ctx context.Context, nw *sdn.Network, req *multicast.Request, arena *PlanArena) (*Solution, error)
-}
+// Appro_Multi), so it is the natural cancellation point: every
+// Planner.Plan checks its context between candidate evaluations and
+// aborts with the context's error (already-started Steiner
+// constructions run to completion). Cancellation is not an admission
+// decision — a canceled plan satisfies neither IsRejection nor any
+// rejection sentinel, and the admitter does not count it.
 
 // canceled wraps a context error so callers can both recognise the
 // cancellation (errors.Is context.Canceled / DeadlineExceeded) and see
@@ -40,73 +29,6 @@ func canceled(err error) error {
 // deadline expiry rather than an admission decision.
 func IsCanceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// PlanOnContext is PlanOnWith with cancellation: when the planner
-// implements ContextPlanner the context aborts planning between
-// candidate evaluations; other planners only honour a context that is
-// already done on entry. Cancellation is not counted as a plan failure
-// event beyond the plans counter.
-func (a *Admitter) PlanOnContext(
-	ctx context.Context, view *sdn.Network, req *multicast.Request, arena *PlanArena,
-) (*Solution, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, canceled(err)
-	}
-	start := a.obs.Now()
-	// Provably-doomed requests (see FastRejecter) skip the work graph
-	// and Steiner machinery entirely; the error is exactly what the
-	// full plan would have returned.
-	if err := a.fastReject(view, req); err != nil {
-		a.obs.PlanDone(start, req.ID, nil, 0, err)
-		return nil, err
-	}
-	var sol *Solution
-	var err error
-	switch p := a.planner.(type) {
-	case ContextPlanner:
-		sol, err = p.PlanContext(ctx, view, req, arena)
-	case ArenaPlanner:
-		if arena != nil {
-			sol, err = p.PlanWith(view, req, arena)
-		} else {
-			sol, err = a.planner.Plan(view, req)
-		}
-	default:
-		sol, err = a.planner.Plan(view, req)
-	}
-	if err != nil {
-		a.obs.PlanDone(start, req.ID, nil, 0, err)
-		return nil, err
-	}
-	a.obs.PlanDone(start, req.ID, sol.Servers, sol.OperationalCost, nil)
-	return sol, nil
-}
-
-// AdmitContext is AdmitWith with cancellation. A canceled plan leaves
-// the network untouched, is not counted as a rejection, and returns an
-// error for which IsCanceled holds (and IsRejection does not).
-func (a *Admitter) AdmitContext(
-	ctx context.Context, req *multicast.Request, arena *PlanArena,
-) (*Solution, error) {
-	sol, err := a.PlanOnContext(ctx, a.nw, req, arena)
-	if err != nil {
-		if IsCanceled(err) {
-			return nil, err
-		}
-		a.countRejection(req, err)
-		return nil, err
-	}
-	sol, err = a.Commit(req, sol)
-	if err != nil {
-		// Planners only propose trees that fit the residual view; a
-		// commit failure here means per-link aggregation of
-		// back-tracking traffic exceeded a residual, so reject.
-		err = fmt.Errorf("%w: %w", ErrRejected, err)
-		a.countRejection(req, err)
-		return nil, err
-	}
-	return sol, nil
 }
 
 // ApproMultiContext is ApproMulti with cancellation: the candidate

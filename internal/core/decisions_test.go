@@ -12,6 +12,7 @@ package core
 // drifted record count in some other package's test.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -48,7 +49,7 @@ func decisionDigest(t *testing.T, policy string, nw *sdn.Network, seed int64, n 
 			t.Fatal(err)
 		}
 		put(req.ID)
-		sol, err := a.Admit(req)
+		sol, err := a.Admit(context.Background(), req, nil)
 		switch {
 		case IsRejection(err):
 			put(-1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -11,12 +12,12 @@ import (
 
 func TestDepartReleasesResources(t *testing.T) {
 	nw := testNetwork(t, 40, 5)
-	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	cp, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := testRequest(t, nw, 9)
-	sol, err := cp.Admit(req)
+	sol, err := cp.Admit(context.Background(), req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,18 +53,18 @@ func TestDepartReleasesResources(t *testing.T) {
 
 func TestDepartUnknownRequest(t *testing.T) {
 	nw := testNetwork(t, 30, 6)
-	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	cp, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cp.Depart(42); !errors.Is(err, ErrUnknownRequest) {
 		t.Fatalf("unknown departure = %v, want ErrUnknownRequest", err)
 	}
-	sp := NewOnlineSP(nw)
+	sp := NewAdmitter(nw, NewSPPlanner())
 	if _, err := sp.Depart(42); !errors.Is(err, ErrUnknownRequest) {
 		t.Fatalf("SP unknown departure = %v, want ErrUnknownRequest", err)
 	}
-	st := NewOnlineSPStatic(nw)
+	st := NewAdmitter(nw, NewSPStaticPlanner())
 	if _, err := st.Depart(42); !errors.Is(err, ErrUnknownRequest) {
 		t.Fatalf("SPStatic unknown departure = %v, want ErrUnknownRequest", err)
 	}
@@ -74,7 +75,7 @@ func TestDepartUnknownRequest(t *testing.T) {
 // and admission keeps succeeding (departures free enough room).
 func TestChurnSteadyState(t *testing.T) {
 	nw := testNetwork(t, 50, 12)
-	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	cp, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestChurnSteadyState(t *testing.T) {
 		if gerr != nil {
 			t.Fatal(gerr)
 		}
-		if _, aerr := cp.Admit(req); aerr == nil {
+		if _, aerr := cp.Admit(context.Background(), req, nil); aerr == nil {
 			live = append(live, liveEntry{id: req.ID, departAt: i + lifetime})
 			if i >= 400 {
 				lateAdmits++
@@ -130,12 +131,12 @@ func TestChurnSteadyState(t *testing.T) {
 
 func TestReplaceSwapsRecordedAllocation(t *testing.T) {
 	nw := testNetwork(t, 50, 33)
-	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	cp, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := testRequest(t, nw, 34)
-	if _, err := cp.Admit(req); err != nil {
+	if _, err := cp.Admit(context.Background(), req, nil); err != nil {
 		t.Fatal(err)
 	}
 	sessions := cp.Admitted()
@@ -160,7 +161,7 @@ func TestReplaceSwapsRecordedAllocation(t *testing.T) {
 	if err := cp.Replace(999, reopt[0]); err == nil {
 		t.Fatal("replace of unknown session accepted")
 	}
-	if _, err := cp.Admit(testRequest(t, nw, 35)); err != nil {
+	if _, err := cp.Admit(context.Background(), testRequest(t, nw, 35), nil); err != nil {
 		t.Fatal(err)
 	}
 	id := cp.Admitted()[0].Request.ID // the departed session is no longer retained
@@ -178,12 +179,12 @@ func TestReplaceSwapsRecordedAllocation(t *testing.T) {
 // AdmittedCount must still count every session.
 func TestAdmitterRetainsOnlyLiveSessions(t *testing.T) {
 	nw := testNetwork(t, 30, 12)
-	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	cp, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := testRequest(t, nw, 13)
-	planned, err := cp.Planner().Plan(nw, base)
+	planned, err := cp.Planner().Plan(context.Background(), nw, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +213,10 @@ func TestAdmitterRetainsOnlyLiveSessions(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			if err := cp.Restore(&req, &sol); err != nil {
+			if err := cp.Replay(req.ID, &sol); err != nil {
 				t.Fatal(err)
 			}
-			if err := cp.RestoreDrop(req.ID); err != nil {
+			if err := cp.Replay(req.ID, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -235,14 +236,14 @@ func TestAdmitterRetainsOnlyLiveSessions(t *testing.T) {
 // order they were admitted, whatever their IDs; Lives sorts by ID.
 func TestAdmittedIsAdmissionOrder(t *testing.T) {
 	nw := testNetwork(t, 30, 12)
-	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	cp, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []int{30, 10, 20} {
 		req := testRequest(t, nw, 13)
 		req.ID = id
-		if _, err := cp.Admit(req); err != nil {
+		if _, err := cp.Admit(context.Background(), req, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

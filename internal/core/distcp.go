@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"nfvmcast/internal/graph"
 	"nfvmcast/internal/multicast"
@@ -39,10 +38,9 @@ const DefaultSplitLimit = 2
 // CPPlanner it serves one logical network plus read-only clones, and
 // memoizes residual work graphs across Plan calls.
 type DistCPPlanner struct {
-	model  CostModel
-	split  int
-	cache  workGraphCache
-	arenas sync.Pool // *PlanArena for arena-less Plan calls
+	model CostModel
+	split int
+	cache workGraphCache
 }
 
 // NewDistCPPlanner returns a distributed-chain planner that may split a
@@ -55,15 +53,10 @@ func NewDistCPPlanner(model CostModel, splitLimit int) (*DistCPPlanner, error) {
 		return nil, fmt.Errorf("core: split limit must be >= 1, got %d", splitLimit)
 	}
 	p := &DistCPPlanner{model: model, split: splitLimit}
-	// Identical residual-view recipe to CPPlanner: capacitated link
-	// filtering by the request's bandwidth, marginal exponential
-	// pricing. The work-graph cache is therefore shared across residual
-	// epochs exactly as Online_CP's is (hits, re-keys, patches).
-	p.cache.capacitated = true
-	p.cache.weight = func(nw *sdn.Network, req *multicast.Request, e graph.EdgeID) float64 {
-		utilAfter := 1 - (nw.ResidualBandwidth(e)-req.BandwidthMbps)/nw.BandwidthCap(e)
-		return math.Pow(p.model.Beta, utilAfter) - 1
-	}
+	// Identical residual-view recipe to CPPlanner, so the work-graph
+	// cache is shared across residual epochs exactly as Online_CP's is
+	// (hits, re-keys, patches).
+	p.cache.priceMarginal(model)
 	return p, nil
 }
 
@@ -72,17 +65,6 @@ func (p *DistCPPlanner) Name() string { return "Dist_CP" }
 
 // SplitLimit reports the planner's segment budget.
 func (p *DistCPPlanner) SplitLimit() int { return p.split }
-
-// Plan computes the cheapest feasible distributed pseudo-multicast tree
-// for req under the exponential weights and the admission thresholds.
-func (p *DistCPPlanner) Plan(nw *sdn.Network, req *multicast.Request) (*Solution, error) {
-	return p.PlanContext(context.Background(), nw, req, nil)
-}
-
-// PlanWith is Plan with a caller-owned scratch arena.
-func (p *DistCPPlanner) PlanWith(nw *sdn.Network, req *multicast.Request, arena *PlanArena) (*Solution, error) {
-	return p.PlanContext(context.Background(), nw, req, arena)
-}
 
 // minSegmentDemand is the smallest compute demand any single segment of
 // any admissible split can impose: the full chain when no split is
@@ -106,8 +88,8 @@ func (p *DistCPPlanner) minSegmentDemand(req *multicast.Request) float64 {
 // validation, compute exhaustion (no up server can host even the
 // smallest possible segment, so no split fits anywhere), and the whole
 // candidate pool pricing over σ_v (every segment position would be
-// skipped by threshold (a)). Each mirrors the exact error PlanContext
-// would produce; anything subtler returns nil and defers to the full
+// skipped by threshold (a)). Each mirrors the exact error Plan would
+// produce; anything subtler returns nil and defers to the full
 // plan.
 func (p *DistCPPlanner) FastReject(view *sdn.Network, req *multicast.Request) error {
 	if err := validateInput(view, req); err != nil {
@@ -158,18 +140,16 @@ type distHop struct {
 
 type distHopKey struct{ from, to graph.NodeID }
 
-// PlanContext is PlanWith with cancellation, checked between candidate
-// segment counts and before each Steiner construction.
-func (p *DistCPPlanner) PlanContext(
+// Plan computes the cheapest feasible distributed pseudo-multicast tree
+// for req under the exponential weights and the admission thresholds.
+// ctx is checked between candidate segment counts and before each
+// Steiner construction.
+func (p *DistCPPlanner) Plan(
 	ctx context.Context, nw *sdn.Network, req *multicast.Request, arena *PlanArena,
 ) (*Solution, error) {
 	if arena == nil {
-		pooled, _ := p.arenas.Get().(*PlanArena)
-		if pooled == nil {
-			pooled = NewPlanArena()
-		}
-		defer p.arenas.Put(pooled)
-		arena = pooled
+		arena = arenaPool.Get().(*PlanArena)
+		defer arenaPool.Put(arena)
 	}
 	if err := validateInput(nw, req); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
@@ -270,7 +250,7 @@ func (p *DistCPPlanner) PlanContext(
 	}, nil
 }
 
-// distSearch carries one PlanContext invocation's state through the
+// distSearch carries one Plan invocation's state through the
 // tuple sweep.
 type distSearch struct {
 	p     *DistCPPlanner
@@ -388,7 +368,7 @@ func (s *distSearch) finalFor(v graph.NodeID) distFinal {
 	}
 	fin := distFinal{}
 	// No Dijkstra rooted at v: KMB reads v's closure row out of the
-	// destinations' trees (the nil slot; see CPPlanner.PlanContext).
+	// destinations' trees (the nil slot; see CPPlanner.Plan).
 	s.arena.terms = append(s.arena.terms[:0], v)
 	s.arena.terms = append(s.arena.terms, s.req.Destinations...)
 	s.arena.sps = append(s.arena.sps[:0], nil)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -28,7 +29,7 @@ func TestDistCPAdmitsAndDelivers(t *testing.T) {
 	admitted := 0
 	for seed := int64(0); seed < 10; seed++ {
 		req := testRequest(t, nw, 300+seed)
-		sol, perr := p.Plan(nw, req)
+		sol, perr := p.Plan(context.Background(), nw, req, nil)
 		if perr != nil {
 			if !IsRejection(perr) {
 				t.Fatalf("seed %d: %v", seed, perr)
@@ -106,7 +107,7 @@ func TestDistCPSplitBeatsConsolidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.Plan(nw, req); !errors.Is(err, ErrComputeExhausted) {
+	if _, err := cp.Plan(context.Background(), nw, req, nil); !errors.Is(err, ErrComputeExhausted) {
 		t.Fatalf("consolidated plan err = %v, want ErrComputeExhausted", err)
 	}
 
@@ -114,7 +115,7 @@ func TestDistCPSplitBeatsConsolidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := dist.Plan(nw, req)
+	sol, err := dist.Plan(context.Background(), nw, req, nil)
 	if err != nil {
 		t.Fatalf("distributed plan: %v", err)
 	}
@@ -146,8 +147,8 @@ func TestDistCPDeterministic(t *testing.T) {
 	pA, pB := mk(), mk()
 	for seed := int64(0); seed < 12; seed++ {
 		req := testRequest(t, nwA, 500+seed)
-		solA, errA := pA.Plan(nwA, req)
-		solB, errB := pB.Plan(nwB, req)
+		solA, errA := pA.Plan(context.Background(), nwA, req, nil)
+		solB, errB := pB.Plan(context.Background(), nwB, req, nil)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("seed %d: decision diverged: %v vs %v", seed, errA, errB)
 		}
@@ -186,7 +187,7 @@ func TestDistCPFastRejectMatchesPlan(t *testing.T) {
 	check := func(label string, req *multicast.Request) {
 		t.Helper()
 		fast := p.FastReject(nw, req)
-		_, full := p.Plan(nw, req)
+		_, full := p.Plan(context.Background(), nw, req, nil)
 		if fast == nil {
 			if full != nil && !errors.Is(full, ErrRejected) {
 				t.Fatalf("%s: full plan failed hard: %v", label, full)
@@ -215,7 +216,7 @@ func TestDistCPFastRejectMatchesPlan(t *testing.T) {
 	}
 	req := testRequest(t, nw, 42)
 	fast := p.FastReject(drained, req)
-	_, full := p.Plan(drained, req)
+	_, full := p.Plan(context.Background(), drained, req, nil)
 	if fast == nil || full == nil || fast.Error() != full.Error() {
 		t.Fatalf("exhausted: FastReject %v, full plan %v — must both reject identically", fast, full)
 	}
@@ -235,7 +236,7 @@ func TestDistCPSplitLimitOne(t *testing.T) {
 	}
 	for seed := int64(0); seed < 8; seed++ {
 		req := testRequest(t, nw, 700+seed)
-		sol, perr := dist.Plan(nw, req)
+		sol, perr := dist.Plan(context.Background(), nw, req, nil)
 		if perr != nil {
 			if !IsRejection(perr) {
 				t.Fatalf("seed %d: %v", seed, perr)

@@ -10,6 +10,7 @@ package core
 // planner whose caches are rebuilt from scratch at the same state.
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -199,8 +200,8 @@ func TestMutateThenPlanEquivalence(t *testing.T) {
 					mut.step(t)
 					req := reqs[step%len(reqs)]
 					cold, _ := newPlanner()
-					coldSol, coldErr := cold.Plan(nw, req)
-					warmSol, warmErr := warm.Plan(nw, req)
+					coldSol, coldErr := cold.Plan(context.Background(), nw, req, nil)
+					warmSol, warmErr := warm.Plan(context.Background(), nw, req, nil)
 					if (warmErr == nil) != (coldErr == nil) {
 						t.Fatalf("step %d: err mismatch: warm %v, cold %v", step, warmErr, coldErr)
 					}

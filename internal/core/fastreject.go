@@ -17,7 +17,7 @@ import (
 // trees, or Steiner constructions.
 //
 // The contract is strict: FastReject may return a non-nil error only
-// when the planner's full Plan* path would provably return the *exact
+// when the planner's full Plan would provably return the *exact
 // same* error for this (view, request) pair — same sentinel chain,
 // same message. A nil return promises nothing. This keeps decision
 // sequences byte-identical with and without the fast path, which the
@@ -42,7 +42,7 @@ func (a *Admitter) fastReject(view *sdn.Network, req *multicast.Request) error {
 // capacitated work graph would have no servers), and the whole server
 // set pricing over σ_v (every candidate is skipped by threshold (a),
 // so the plan ends at "no admissible server/tree"). Each mirrors the
-// exact error PlanContext would produce; anything subtler returns nil
+// exact error Plan would produce; anything subtler returns nil
 // and defers to the full plan.
 func (p *CPPlanner) FastReject(view *sdn.Network, req *multicast.Request) error {
 	if err := validateInput(view, req); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,6 +10,25 @@ import (
 	"nfvmcast/internal/nfv"
 	"nfvmcast/internal/sdn"
 )
+
+// newCPAdmitter is sequential Online_CP on nw: a CPPlanner behind an
+// Admitter.
+func newCPAdmitter(nw *sdn.Network, model CostModel) (*Admitter, error) {
+	p, err := NewCPPlanner(model)
+	if err != nil {
+		return nil, err
+	}
+	return NewAdmitter(nw, p), nil
+}
+
+// newCPKAdmitter is sequential Online_CPK on nw with server budget k.
+func newCPKAdmitter(nw *sdn.Network, model CostModel, k int) (*Admitter, error) {
+	p, err := NewCPKPlanner(model, k)
+	if err != nil {
+		return nil, err
+	}
+	return NewAdmitter(nw, p), nil
+}
 
 func TestDefaultCostModel(t *testing.T) {
 	m := DefaultCostModel(100)
@@ -66,7 +86,7 @@ func TestCostModelWeightsGrowWithUtilisation(t *testing.T) {
 
 func TestOnlineCPAdmitsAndAllocates(t *testing.T) {
 	nw := testNetwork(t, 40, 5)
-	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	cp, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +99,7 @@ func TestOnlineCPAdmitsAndAllocates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := cp.Admit(req)
+	sol, err := cp.Admit(context.Background(), req, nil)
 	if err != nil {
 		t.Fatalf("first request rejected on an empty network: %v", err)
 	}
@@ -111,7 +131,7 @@ func TestOnlineCPAdmitsAndAllocates(t *testing.T) {
 
 func TestOnlineCPRejectionLeavesNetworkUntouched(t *testing.T) {
 	nw := testNetwork(t, 30, 6)
-	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	cp, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +145,7 @@ func TestOnlineCPRejectionLeavesNetworkUntouched(t *testing.T) {
 	}
 	snap := nw.Snapshot()
 	req := testRequest(t, nw, 10)
-	if _, err := cp.Admit(req); !IsRejection(err) {
+	if _, err := cp.Admit(context.Background(), req, nil); !IsRejection(err) {
 		t.Fatalf("Admit on saturated servers = %v, want rejection", err)
 	}
 	// Residuals unchanged after rejection.
@@ -142,7 +162,7 @@ func TestOnlineCPRejectionLeavesNetworkUntouched(t *testing.T) {
 
 func TestOnlineCPSequenceInvariants(t *testing.T) {
 	nw := testNetwork(t, 50, 12)
-	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	cp, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +175,7 @@ func TestOnlineCPSequenceInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, aerr := cp.Admit(req)
+		sol, aerr := cp.Admit(context.Background(), req, nil)
 		if aerr != nil {
 			if !IsRejection(aerr) {
 				t.Fatalf("request %d: unexpected error %v", i, aerr)
@@ -191,7 +211,7 @@ func TestOnlineCPSequenceInvariants(t *testing.T) {
 
 func TestOnlineSPSequence(t *testing.T) {
 	nw := testNetwork(t, 50, 12)
-	sp := NewOnlineSP(nw)
+	sp := NewAdmitter(nw, NewSPPlanner())
 	gen, err := multicast.NewGenerator(nw.NumNodes(), multicast.DefaultGeneratorConfig(), 13)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +221,7 @@ func TestOnlineSPSequence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, aerr := sp.Admit(req)
+		sol, aerr := sp.Admit(context.Background(), req, nil)
 		if aerr != nil {
 			if !IsRejection(aerr) {
 				t.Fatalf("request %d: unexpected error %v", i, aerr)
@@ -233,18 +253,18 @@ func TestOnlineSPSequence(t *testing.T) {
 func TestOnlineCPBeatsSPOnThroughput(t *testing.T) {
 	nwCP := testNetwork(t, 50, 21)
 	nwSP := testNetwork(t, 50, 21) // identical replica
-	cp, err := NewOnlineCP(nwCP, DefaultCostModel(nwCP.NumNodes()))
+	cp, err := newCPAdmitter(nwCP, DefaultCostModel(nwCP.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := NewOnlineSP(nwSP)
+	sp := NewAdmitter(nwSP, NewSPPlanner())
 	genCP, _ := multicast.NewGenerator(nwCP.NumNodes(), multicast.DefaultGeneratorConfig(), 33)
 	genSP, _ := multicast.NewGenerator(nwSP.NumNodes(), multicast.DefaultGeneratorConfig(), 33)
 	for i := 0; i < 300; i++ {
 		rq, _ := genCP.Next()
-		_, _ = cp.Admit(rq)
+		_, _ = cp.Admit(context.Background(), rq, nil)
 		rq2, _ := genSP.Next()
-		_, _ = sp.Admit(rq2)
+		_, _ = sp.Admit(context.Background(), rq2, nil)
 	}
 	if cp.AdmittedCount() < sp.AdmittedCount() {
 		t.Fatalf("Online_CP admitted %d < SP %d", cp.AdmittedCount(), sp.AdmittedCount())
@@ -254,7 +274,7 @@ func TestOnlineCPBeatsSPOnThroughput(t *testing.T) {
 
 func TestOnlineCPBadModel(t *testing.T) {
 	nw := testNetwork(t, 20, 2)
-	if _, err := NewOnlineCP(nw, CostModel{Alpha: 0.5, Beta: 2, SigmaE: 1, SigmaV: 1}); err == nil {
+	if _, err := newCPAdmitter(nw, CostModel{Alpha: 0.5, Beta: 2, SigmaE: 1, SigmaV: 1}); err == nil {
 		t.Fatal("invalid cost model accepted")
 	}
 }
@@ -284,7 +304,7 @@ func TestAllocationForBacktracking(t *testing.T) {
 
 func TestOnlineSPStaticSequence(t *testing.T) {
 	nw := testNetwork(t, 50, 16)
-	st := NewOnlineSPStatic(nw)
+	st := NewAdmitter(nw, NewSPStaticPlanner())
 	gen, err := multicast.NewGenerator(nw.NumNodes(), multicast.OnlineGeneratorConfig(), 17)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +314,7 @@ func TestOnlineSPStaticSequence(t *testing.T) {
 		if gerr != nil {
 			t.Fatal(gerr)
 		}
-		sol, aerr := st.Admit(req)
+		sol, aerr := st.Admit(context.Background(), req, nil)
 		if aerr != nil {
 			if !IsRejection(aerr) {
 				t.Fatalf("request %d: %v", i, aerr)
@@ -326,7 +346,7 @@ func TestOnlineSPStaticSequence(t *testing.T) {
 		t.Fatal("LiveCount after departure")
 	}
 	// SP variant LiveCount as well.
-	sp := NewOnlineSP(testNetwork(t, 30, 18))
+	sp := NewAdmitter(testNetwork(t, 30, 18), NewSPPlanner())
 	if sp.LiveCount() != 0 {
 		t.Fatal("fresh SP LiveCount != 0")
 	}

@@ -4,37 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"sync"
 
 	"nfvmcast/internal/graph"
 	"nfvmcast/internal/multicast"
 	"nfvmcast/internal/sdn"
 )
 
-// OnlineCP implements Algorithm 2 (Online_CP): online admission of
+// CPPlanner implements Algorithm 2 (Online_CP): online admission of
 // NFV-enabled multicast requests with K = 1 under the exponential cost
-// model, with competitive ratio O(log |V|). Construct one per request
-// sequence and feed arrivals to Admit; admitted requests' resources
-// are allocated on the network immediately. It pairs the pure
-// CPPlanner with the shared Admitter commit machinery.
-type OnlineCP struct {
-	*Admitter
-}
-
-// NewOnlineCP returns an admitter over nw with the given cost model.
-func NewOnlineCP(nw *sdn.Network, model CostModel) (*OnlineCP, error) {
-	p, err := NewCPPlanner(model)
-	if err != nil {
-		return nil, err
-	}
-	return &OnlineCP{Admitter: NewAdmitter(nw, p)}, nil
-}
-
-// CPPlanner is the pure planning half of Online_CP: the cheapest
-// feasible pseudo-multicast tree for a request under the exponential
-// weights and the admission thresholds, with no side effects on the
-// network view it plans against.
+// model, with competitive ratio O(log |V|). It is the pure planning
+// half — the cheapest feasible pseudo-multicast tree for a request under
+// the exponential weights and the admission thresholds, with no side
+// effects on the network view it plans against; pair it with
+// NewAdmitter (or an engine) to admit.
 //
 // A planner instance serves one logical network and its read-only
 // clones (the same constraint SPStaticPlanner documents): it memoizes
@@ -42,9 +24,8 @@ func NewOnlineCP(nw *sdn.Network, model CostModel) (*OnlineCP, error) {
 // versions, which identify a residual state only within one network
 // family.
 type CPPlanner struct {
-	model  CostModel
-	cache  workGraphCache
-	arenas sync.Pool // *PlanArena for arena-less Plan calls
+	model CostModel
+	cache workGraphCache
 }
 
 // NewCPPlanner returns an Online_CP planner with the given cost model.
@@ -53,68 +34,31 @@ func NewCPPlanner(model CostModel) (*CPPlanner, error) {
 		return nil, err
 	}
 	p := &CPPlanner{model: model}
-	// Residual view of the network. Steiner-tree construction prices
-	// each link with the request's marginal exponential cost — the
-	// weight increase its own b_k causes. On an idle network the
-	// paper's w_e(k) is 0 on every link, which would leave tree
-	// selection indifferent between short and long trees; the
-	// marginal form ≈ (b_k/B_e)·ln β at low load steers requests
-	// onto short, high-capacity trees and converges to w_e(k) as
-	// links fill. Admission thresholds still use the paper's
-	// pre-allocation weights. The recipe lives on the cache so
-	// incremental patches re-price edges exactly as a cold build
-	// would.
-	p.cache.capacitated = true
-	p.cache.weight = func(nw *sdn.Network, req *multicast.Request, e graph.EdgeID) float64 {
-		utilAfter := 1 - (nw.ResidualBandwidth(e)-req.BandwidthMbps)/nw.BandwidthCap(e)
-		return math.Pow(p.model.Beta, utilAfter) - 1
-	}
+	p.cache.priceMarginal(model)
 	return p, nil
 }
 
 // Name identifies the algorithm.
 func (p *CPPlanner) Name() string { return "Online_CP" }
 
-// view returns the residual work graph and shortest-path cache for
-// (nw, req) — cached, incrementally patched from a neighbouring
-// residual epoch, or cold-built, whichever the delta admits (see
-// workGraphCache).
-func (p *CPPlanner) view(nw *sdn.Network, req *multicast.Request) (*workGraph, *spCache) {
-	return p.cache.acquire(nw, req)
-}
-
 // Plan computes the cheapest feasible pseudo-multicast tree for req
-// under the exponential weights and the admission thresholds.
-func (p *CPPlanner) Plan(nw *sdn.Network, req *multicast.Request) (*Solution, error) {
-	return p.PlanContext(context.Background(), nw, req, nil)
-}
-
-// PlanWith is Plan with a caller-owned scratch arena (see PlanArena);
-// the engine hands each planner worker its own so concurrent plans
-// never share scratch. The result is identical to Plan.
-func (p *CPPlanner) PlanWith(nw *sdn.Network, req *multicast.Request, arena *PlanArena) (*Solution, error) {
-	return p.PlanContext(context.Background(), nw, req, arena)
-}
-
-// PlanContext is PlanWith with cancellation: ctx is checked between
-// candidate servers, so a canceled plan aborts after at most one more
-// Steiner construction. Results are identical to PlanWith whenever ctx
-// stays live.
-func (p *CPPlanner) PlanContext(
+// under the exponential weights and the admission thresholds. ctx is
+// checked between candidate servers, so a canceled plan aborts after at
+// most one more Steiner construction.
+func (p *CPPlanner) Plan(
 	ctx context.Context, nw *sdn.Network, req *multicast.Request, arena *PlanArena,
 ) (*Solution, error) {
 	if arena == nil {
-		pooled, _ := p.arenas.Get().(*PlanArena)
-		if pooled == nil {
-			pooled = NewPlanArena()
-		}
-		defer p.arenas.Put(pooled)
-		arena = pooled
+		arena = arenaPool.Get().(*PlanArena)
+		defer arenaPool.Put(arena)
 	}
 	if err := validateInput(nw, req); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	w, spc := p.view(nw, req)
+	// The residual work graph and shortest-path cache for (nw, req):
+	// cached, patched from a neighbouring residual epoch, or cold-built,
+	// whichever the delta admits (see workGraphCache).
+	w, spc := p.cache.acquire(nw, req)
 	if len(w.servers) == 0 {
 		return nil, fmt.Errorf("%w: %w: %0.f MHz demanded",
 			ErrRejected, ErrComputeExhausted, req.ComputeDemandMHz())
@@ -280,7 +224,7 @@ func rootAtSource(
 // pseudo tree of paper §V.B: unprocessed traffic follows the tree path
 // s_k→v; processed traffic serves v's subtree directly and back-tracks
 // from v to u = LCA(v, d_1, ..., d_m) for the remaining destinations.
-// Shared by CPPlanner.PlanContext — which prices every candidate's
+// Shared by CPPlanner.Plan — which prices every candidate's
 // back-tracking path but realises the winner only — and RepairReroute,
 // so a repaired tree has exactly the structure a fresh plan would
 // produce.

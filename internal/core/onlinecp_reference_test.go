@@ -22,7 +22,7 @@ import (
 	"nfvmcast/internal/sdn"
 )
 
-// planPerCandidateReference is CPPlanner.PlanContext as it stood before
+// planPerCandidateReference is CPPlanner.Plan as it stood before
 // this oracle was written (only the arena's retired lcaArgs slice
 // became a local).
 func (p *CPPlanner) planPerCandidateReference(
@@ -31,7 +31,7 @@ func (p *CPPlanner) planPerCandidateReference(
 	if err := validateInput(nw, req); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	w, spc := p.view(nw, req)
+	w, spc := p.cache.acquire(nw, req)
 	if len(w.servers) == 0 {
 		return nil, fmt.Errorf("%w: %w: %0.f MHz demanded",
 			ErrRejected, ErrComputeExhausted, req.ComputeDemandMHz())
@@ -213,7 +213,7 @@ func TestCPPlanMatchesPerCandidateReference(t *testing.T) {
 				}
 				arena, refArena := NewPlanArena(), NewPlanArena()
 
-				// FIFO of committed plans. As in Admitter.AdmitContext, a
+				// FIFO of committed plans. As in Admitter.Admit, a
 				// plan whose back-tracking traffic crosses one link twice
 				// can exceed that link's residual; it is then not committed.
 				var live []sdn.Allocation
@@ -232,7 +232,7 @@ func TestCPPlanMatchesPerCandidateReference(t *testing.T) {
 						if gerr != nil {
 							t.Fatal(gerr)
 						}
-						if sol, perr := prod.PlanContext(context.Background(), nw, req, arena); perr == nil {
+						if sol, perr := prod.Plan(context.Background(), nw, req, arena); perr == nil {
 							commit(sol)
 						} else if !IsRejection(perr) {
 							t.Fatal(perr)
@@ -281,7 +281,7 @@ func TestCPPlanMatchesPerCandidateReference(t *testing.T) {
 					if gerr != nil {
 						t.Fatal(gerr)
 					}
-					got, gotErr := prod.PlanContext(context.Background(), nw, req, arena)
+					got, gotErr := prod.Plan(context.Background(), nw, req, arena)
 					want, wantErr := ref.planPerCandidateReference(context.Background(), nw, req, refArena)
 					total++
 					if (gotErr == nil) != (wantErr == nil) {

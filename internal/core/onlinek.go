@@ -1,47 +1,32 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"math"
-	"sync"
 
 	"nfvmcast/internal/graph"
 	"nfvmcast/internal/multicast"
 	"nfvmcast/internal/sdn"
 )
 
-// OnlineCPK is an extension beyond the paper: online admission with
+// CPKPlanner is an extension beyond the paper: online admission with
 // service chains replicated on up to K servers. The paper proves its
 // competitive ratio only for K = 1 and leaves the general case open;
-// OnlineCPK combines Appro_Multi's server-subset search with
+// CPKPlanner combines Appro_Multi's server-subset search with
 // Online_CP's exponential cost model — subsets are evaluated on the
 // residual network priced with marginal exponential link weights, and
 // the same per-resource admission thresholds apply (every tree link
 // must satisfy w_e(k) < σ_e, every used server w_v(k) < σ_v). No
 // competitive-ratio claim is made; the harness measures it
 // empirically (ext-onlinek).
-type OnlineCPK struct {
-	*Admitter
-}
-
-// NewOnlineCPK returns a K-server online admitter over nw.
-func NewOnlineCPK(nw *sdn.Network, model CostModel, k int) (*OnlineCPK, error) {
-	p, err := NewCPKPlanner(model, k)
-	if err != nil {
-		return nil, err
-	}
-	return &OnlineCPK{Admitter: NewAdmitter(nw, p)}, nil
-}
-
-// CPKPlanner is the pure planning half of OnlineCPK. Like CPPlanner it
-// memoizes residual work graphs per (structure, mutation, request
-// parameter) key, so one instance must serve one logical network and
-// its read-only clones.
+//
+// Like CPPlanner it memoizes residual work graphs per (structure,
+// mutation, request parameter) key, so one instance must serve one
+// logical network and its read-only clones.
 type CPKPlanner struct {
-	model  CostModel
-	k      int
-	cache  workGraphCache
-	arenas sync.Pool // *PlanArena for arena-less Plan calls
+	model CostModel
+	k     int
+	cache workGraphCache
 }
 
 // NewCPKPlanner returns a K-server online planner.
@@ -53,49 +38,27 @@ func NewCPKPlanner(model CostModel, k int) (*CPKPlanner, error) {
 		return nil, fmt.Errorf("core: invalid K=%d (need K >= 1)", k)
 	}
 	p := &CPKPlanner{model: model, k: k}
-	// Residual network with marginal exponential link weights (the
-	// same pricing Online_CP uses for tree construction); the recipe
-	// lives on the cache so incremental patches re-price edges exactly
-	// as a cold build would.
-	p.cache.capacitated = true
-	p.cache.weight = func(nw *sdn.Network, req *multicast.Request, e graph.EdgeID) float64 {
-		utilAfter := 1 - (nw.ResidualBandwidth(e)-req.BandwidthMbps)/nw.BandwidthCap(e)
-		return math.Pow(p.model.Beta, utilAfter) - 1
-	}
+	p.cache.priceMarginal(model)
 	return p, nil
 }
 
 // Name identifies the algorithm.
 func (p *CPKPlanner) Name() string { return "Online_CPK" }
 
-// view returns the residual work graph and shortest-path cache for
-// (nw, req) — cached, incrementally patched, or cold-built (see
-// workGraphCache).
-func (p *CPKPlanner) view(nw *sdn.Network, req *multicast.Request) (*workGraph, *spCache) {
-	return p.cache.acquire(nw, req)
-}
-
 // Plan proposes the cheapest admissible tree over server subsets of
-// size <= K under the exponential cost model's thresholds.
-func (p *CPKPlanner) Plan(nw *sdn.Network, req *multicast.Request) (*Solution, error) {
-	arena, _ := p.arenas.Get().(*PlanArena)
+// size <= K under the exponential cost model's thresholds. ctx is
+// checked between candidate subsets.
+func (p *CPKPlanner) Plan(
+	ctx context.Context, nw *sdn.Network, req *multicast.Request, arena *PlanArena,
+) (*Solution, error) {
 	if arena == nil {
-		arena = NewPlanArena()
-	}
-	defer p.arenas.Put(arena)
-	return p.PlanWith(nw, req, arena)
-}
-
-// PlanWith is Plan with a caller-owned scratch arena; results are
-// identical to Plan.
-func (p *CPKPlanner) PlanWith(nw *sdn.Network, req *multicast.Request, arena *PlanArena) (*Solution, error) {
-	if arena == nil {
-		return p.Plan(nw, req)
+		arena = arenaPool.Get().(*PlanArena)
+		defer arenaPool.Put(arena)
 	}
 	if err := validateInput(nw, req); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	w, spc := p.view(nw, req)
+	w, spc := p.cache.acquire(nw, req)
 	if len(w.servers) == 0 {
 		return nil, fmt.Errorf("%w: %w", ErrRejected, ErrComputeExhausted)
 	}
@@ -172,12 +135,18 @@ func (p *CPKPlanner) PlanWith(nw *sdn.Network, req *multicast.Request, arena *Pl
 		}
 	}
 	forEachSubset(candidates, p.k, func(subset []graph.NodeID) bool {
-		if servers, realEdges, _, cerr := ev.steiner(subset, omega, &arena.eval); cerr == nil {
+		if ctx.Err() != nil {
+			return false
+		}
+		if servers, realEdges, _, serr := ev.steiner(subset, omega, &arena.eval); serr == nil {
 			consider(servers, realEdges)
 		}
 		return true
 	})
 	for i, v := range candidates {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, canceled(cerr)
+		}
 		if realEdges, _, rerr := ev.steinerRooted(v, &arena.eval); rerr == nil {
 			consider(candidates[i:i+1], realEdges)
 		}

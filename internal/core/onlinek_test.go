@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -13,17 +14,17 @@ import (
 
 func TestOnlineCPKValidation(t *testing.T) {
 	nw := testNetwork(t, 30, 2)
-	if _, err := NewOnlineCPK(nw, DefaultCostModel(nw.NumNodes()), 0); err == nil {
+	if _, err := newCPKAdmitter(nw, DefaultCostModel(nw.NumNodes()), 0); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := NewOnlineCPK(nw, CostModel{Alpha: 0.5}, 2); err == nil {
+	if _, err := newCPKAdmitter(nw, CostModel{Alpha: 0.5}, 2); err == nil {
 		t.Fatal("invalid model accepted")
 	}
 }
 
 func TestOnlineCPKSequenceInvariants(t *testing.T) {
 	nw := testNetwork(t, 50, 14)
-	ok2, err := NewOnlineCPK(nw, DefaultCostModel(nw.NumNodes()), 2)
+	ok2, err := newCPKAdmitter(nw, DefaultCostModel(nw.NumNodes()), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestOnlineCPKSequenceInvariants(t *testing.T) {
 		if gerr != nil {
 			t.Fatal(gerr)
 		}
-		sol, aerr := ok2.Admit(req)
+		sol, aerr := ok2.Admit(context.Background(), req, nil)
 		if aerr != nil {
 			if !IsRejection(aerr) {
 				t.Fatalf("request %d: %v", i, aerr)
@@ -85,7 +86,7 @@ func TestOnlineCPKAtLeastCompetitiveWithK1(t *testing.T) {
 	counts := make(map[int]int)
 	for _, k := range []int{1, 2} {
 		nw := testNetwork(t, 50, 26)
-		adm, err := NewOnlineCPK(nw, DefaultCostModel(nw.NumNodes()), k)
+		adm, err := newCPKAdmitter(nw, DefaultCostModel(nw.NumNodes()), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestOnlineCPKAtLeastCompetitiveWithK1(t *testing.T) {
 			if gerr != nil {
 				t.Fatal(gerr)
 			}
-			_, _ = adm.Admit(req)
+			_, _ = adm.Admit(context.Background(), req, nil)
 		}
 		counts[k] = adm.AdmittedCount()
 	}
@@ -108,14 +109,14 @@ func TestOnlineCPKAtLeastCompetitiveWithK1(t *testing.T) {
 	}
 }
 
-// planPerCandidateReference is CPKPlanner.PlanWith as it was before
+// planPerCandidateReference is CPKPlanner.Plan as it was before
 // candidates were priced on scratch: every subset through the unskipped
 // KMB pipeline, a tree built per candidate, thresholds and selection
 // cost read off its LinkLoads. Kept as the decision oracle.
 func (p *CPKPlanner) planPerCandidateReference(nw *sdn.Network, req *multicast.Request) (*Solution, error) {
 	disableSubsetPruning = true
 	defer func() { disableSubsetPruning = false }()
-	w, spc := p.view(nw, req)
+	w, spc := p.cache.acquire(nw, req)
 	if len(w.servers) == 0 {
 		return nil, ErrComputeExhausted
 	}
@@ -243,7 +244,7 @@ func TestCPKPlanMatchesPerCandidateReference(t *testing.T) {
 			}
 			label := fmt.Sprintf("%s/req=%d", tc.name, i)
 			want, werr := ref.planPerCandidateReference(nw, req)
-			got, perr := prod.Plan(nw, req)
+			got, perr := prod.Plan(context.Background(), nw, req, nil)
 			if (werr == nil) != (perr == nil) {
 				t.Fatalf("%s: plan err %v, reference err %v", label, perr, werr)
 			}

@@ -24,19 +24,13 @@ type Planner interface {
 	// Name identifies the algorithm (for diagnostics and series labels).
 	Name() string
 	// Plan proposes a solution for req against the residual state of
-	// nw, read-only. A policy refusal satisfies IsRejection.
-	Plan(nw *sdn.Network, req *multicast.Request) (*Solution, error)
-}
-
-// ArenaPlanner is implemented by planners whose Plan can run on
-// caller-owned scratch memory (see PlanArena). Callers that plan in a
-// loop — the admission engine's worker slots, benchmark drivers — keep
-// one arena per goroutine and avoid re-growing planner scratch on
-// every request. PlanWith(nw, req, arena) must return exactly what
-// Plan(nw, req) would; a nil arena is equivalent to Plan.
-type ArenaPlanner interface {
-	Planner
-	PlanWith(nw *sdn.Network, req *multicast.Request, arena *PlanArena) (*Solution, error)
+	// nw, read-only. A policy refusal satisfies IsRejection. ctx is
+	// checked between candidate evaluations: once it is done, Plan
+	// returns an error for which IsCanceled holds (never a rejection),
+	// and while it stays live the result does not depend on it. arena is
+	// caller-owned scratch (one per goroutine, reused across calls); a
+	// nil arena draws one from a shared pool, with identical results.
+	Plan(ctx context.Context, nw *sdn.Network, req *multicast.Request, arena *PlanArena) (*Solution, error)
 }
 
 // ApproCapPlanner adapts the offline Appro_Multi_Cap algorithm to the
@@ -59,19 +53,13 @@ func NewApproCapPlanner(opts Options) *ApproCapPlanner {
 // Name identifies the algorithm.
 func (p *ApproCapPlanner) Name() string { return "Appro_Multi_Cap" }
 
-// Plan solves req with Appro_Multi_Cap on the residual network.
-// Infeasibility is an admission refusal here (the sequential-admission
-// reading of the offline algorithm), so errors satisfy IsRejection
-// while still matching the original sentinel via errors.Is.
-func (p *ApproCapPlanner) Plan(nw *sdn.Network, req *multicast.Request) (*Solution, error) {
-	return p.PlanContext(context.Background(), nw, req, nil)
-}
-
-// PlanContext is Plan with cancellation between candidate server
-// subsets (the arena is ignored: Appro_Multi keeps its own per-worker
-// scratch). A canceled plan is not a rejection: the error wraps
-// ctx.Err(), not ErrRejected.
-func (p *ApproCapPlanner) PlanContext(
+// Plan solves req with Appro_Multi_Cap on the residual network,
+// checking ctx between candidate server subsets (the arena is unused:
+// Appro_Multi keeps its own per-worker scratch). Infeasibility is an
+// admission refusal here (the sequential-admission reading of the
+// offline algorithm), so errors satisfy IsRejection while still
+// matching the original sentinel via errors.Is.
+func (p *ApproCapPlanner) Plan(
 	ctx context.Context, nw *sdn.Network, req *multicast.Request, _ *PlanArena,
 ) (*Solution, error) {
 	sol, err := ApproMultiContext(ctx, nw, req, p.opts)

@@ -6,6 +6,7 @@ package core
 // identical trees, costs and error messages to the unpruned/full paths.
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -151,13 +152,13 @@ func TestFastRejectMatchesFullPlan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return p.Plan(nw, req)
+				return p.Plan(context.Background(), nw, req, nil)
 			}
 			p, err := NewCPKPlanner(model, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return p.Plan(nw, req)
+			return p.Plan(context.Background(), nw, req, nil)
 		}
 		fast := func(req *multicast.Request) error {
 			if mode == "cp" {
@@ -215,8 +216,8 @@ func TestFastRejectMatchesFullPlan(t *testing.T) {
 		tight := model
 		tight.SigmaV = 1e-12
 		var tp interface {
-			Plan(*sdn.Network, *multicast.Request) (*Solution, error)
-			FastReject(*sdn.Network, *multicast.Request) error
+			Planner
+			FastRejecter
 		}
 		var err error
 		if mode == "cp" {
@@ -227,7 +228,7 @@ func TestFastRejectMatchesFullPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, perr = tp.Plan(nw, req)
+		_, perr = tp.Plan(context.Background(), nw, req, nil)
 		ferr = tp.FastReject(nw, req)
 		if perr == nil || ferr == nil {
 			t.Fatalf("%s: zero threshold admitted: plan=%v fast=%v", mode, perr, ferr)

@@ -5,6 +5,7 @@ package core
 // the optimum oracle.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -174,7 +175,7 @@ func TestPropertyOnlineCPWithinFourTimesOptimal(t *testing.T) {
 		// Pre-load the network with a few admissions so weights are
 		// non-trivial.
 		model := DefaultCostModel(nw.NumNodes())
-		cp, err := NewOnlineCP(nw, model)
+		cp, err := newCPAdmitter(nw, model)
 		if err != nil {
 			return false
 		}
@@ -188,9 +189,9 @@ func TestPropertyOnlineCPWithinFourTimesOptimal(t *testing.T) {
 			if gerr != nil {
 				return false
 			}
-			_, _ = cp.Admit(r)
+			_, _ = cp.Admit(context.Background(), r, nil)
 		}
-		sol, err := cp.Planner().Plan(nw, req)
+		sol, err := cp.Planner().Plan(context.Background(), nw, req, nil)
 		if err != nil {
 			return true // rejection is allowed; nothing to verify
 		}

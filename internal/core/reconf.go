@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 
 	"nfvmcast/internal/graph"
@@ -112,8 +113,9 @@ func (p *ReconfPlanner) priceTree(nw *sdn.Network, tree *multicast.PseudoTree) f
 // the planner's migration budget are attempted. Each attempt releases
 // the session, re-plans it with the wrapped Online_CP on the freed
 // residual view, and keeps the replacement only when the hysteresis
-// rule oldPrice >= β·newCost holds; otherwise the original tree is
-// re-bound unchanged. A failed re-plan always restores the original.
+// rule oldPrice >= β·newCost holds; otherwise — or when the re-plan
+// fails — the original allocation and the residuals are restored
+// exactly.
 func (p *ReconfPlanner) Reconfigure(a *Admitter, arena *PlanArena) []ReconfOutcome {
 	if arena == nil {
 		arena = NewPlanArena()
@@ -146,21 +148,22 @@ func (p *ReconfPlanner) Reconfigure(a *Admitter, arena *PlanArena) []ReconfOutco
 		if !ok {
 			continue
 		}
+		// A session that stays put gets the residuals back bit for bit:
+		// re-allocating the bundle just released is float addition, which
+		// need not round-trip, and a journal replays only migrations — it
+		// could not reproduce that drift.
+		before := nw.Snapshot()
 		if err := a.ReleaseLive(c.id); err != nil {
 			continue
 		}
 		// Price the released tree on the same residual view the re-plan
 		// sees, so the hysteresis comparison is apples-to-apples.
 		oldPrice := p.priceTree(nw, sol.Tree)
-		fresh, err := p.CPPlanner.PlanWith(nw, sol.Request, arena)
-		if err != nil || oldPrice < p.beta*fresh.SelectionCost {
-			// Not worth migrating (or no longer plannable): restore the
-			// original allocation, which must fit — it was just freed.
-			_ = a.Rebind(c.id, sol)
-			continue
-		}
-		if err := a.Rebind(c.id, fresh); err != nil {
-			_ = a.Rebind(c.id, sol)
+		fresh, err := p.CPPlanner.Plan(context.Background(), nw, sol.Request, arena)
+		if err != nil || oldPrice < p.beta*fresh.SelectionCost || a.Rebind(c.id, fresh) != nil {
+			// Not worth migrating, no longer plannable, or the new tree
+			// does not fit: the session keeps its original allocation.
+			_ = nw.Restore(before)
 			continue
 		}
 		outcomes = append(outcomes, ReconfOutcome{

@@ -6,6 +6,7 @@ package core
 // end.
 
 import (
+	"context"
 	"testing"
 
 	"nfvmcast/internal/graph"
@@ -14,7 +15,7 @@ import (
 
 func TestFailureRecoveryWorkflow(t *testing.T) {
 	nw := testNetwork(t, 50, 31)
-	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
+	cp, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestFailureRecoveryWorkflow(t *testing.T) {
 		if gerr != nil {
 			t.Fatal(gerr)
 		}
-		sol, aerr := cp.Admit(req)
+		sol, aerr := cp.Admit(context.Background(), req, nil)
 		if aerr != nil {
 			continue
 		}
@@ -77,7 +78,7 @@ func TestFailureRecoveryWorkflow(t *testing.T) {
 	for _, req := range reAdmit {
 		fresh := req.Clone()
 		fresh.ID += 1000 // new session identity
-		sol, aerr := cp.Admit(fresh)
+		sol, aerr := cp.Admit(context.Background(), fresh, nil)
 		if aerr != nil {
 			if IsRejection(aerr) {
 				continue // degraded network may genuinely lack room

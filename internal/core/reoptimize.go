@@ -20,9 +20,9 @@ import (
 // It returns the (possibly replaced) sessions in the same order, the
 // number improved, and the total operational cost saved.
 //
-// When the sessions are managed by an online admitter (OnlineCP and
-// friends), inform it of each replacement via its Replace method so a
-// later Depart releases the new allocation, not the stale one.
+// When the sessions are managed by an Admitter or an engine, inform it
+// of each replacement via its Replace method so a later Depart releases
+// the new allocation, not the stale one.
 func Reoptimize(
 	nw *sdn.Network, sessions []*Solution, opts Options,
 ) (out []*Solution, improved int, saved float64, err error) {

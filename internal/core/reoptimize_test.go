@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"nfvmcast/internal/multicast"
@@ -17,7 +18,7 @@ func admitWithSP(t *testing.T, nwSeed, wlSeed int64, count int) (
 ) {
 	t.Helper()
 	network := testNetwork(t, 60, nwSeed)
-	sp := NewOnlineSP(network)
+	sp := NewAdmitter(network, NewSPPlanner())
 	gen, err := multicast.NewGenerator(network.NumNodes(), multicast.OnlineGeneratorConfig(), wlSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +28,7 @@ func admitWithSP(t *testing.T, nwSeed, wlSeed int64, count int) (
 		if gerr != nil {
 			t.Fatal(gerr)
 		}
-		if sol, aerr := sp.Admit(req); aerr == nil {
+		if sol, aerr := sp.Admit(context.Background(), req, nil); aerr == nil {
 			sessions = append(sessions, sol)
 		}
 	}

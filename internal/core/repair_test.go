@@ -113,32 +113,26 @@ func TestApproMultiContextCanceled(t *testing.T) {
 	}
 }
 
-// TestCPPlannerPlanContextCanceled mirrors the check for the online
-// planner path used by the engine.
-func TestCPPlannerPlanContextCanceled(t *testing.T) {
+// TestPlannersCancelBetweenCandidates mirrors the check for the
+// online planner path used by the engine: every registered planner's
+// Plan, called directly with a canceled context (so the admitter's
+// entry check cannot answer for it), stops with an error for which
+// IsCanceled holds and IsRejection does not.
+func TestPlannersCancelBetweenCandidates(t *testing.T) {
 	nw := testNetwork(t, 50, 3)
 	req := testRequest(t, nw, 5)
-	cp, err := NewOnlineCP(nw, DefaultCostModel(nw.NumNodes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := cp.Planner().(*CPPlanner)
-
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.PlanContext(ctx, nw, req, nil); !IsCanceled(err) {
-		t.Fatalf("canceled plan returned %v, want IsCanceled", err)
-	}
-
-	live, err := p.PlanContext(context.Background(), nw, req, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := p.Plan(nw, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.OperationalCost != plain.OperationalCost {
-		t.Fatalf("PlanContext cost %v != Plan cost %v", live.OperationalCost, plain.OperationalCost)
+	for _, spec := range Planners() {
+		p, err := spec.New(PlannerOptions{Nodes: nw.NumNodes()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Plan(context.Background(), nw, req, nil); err != nil {
+			t.Fatalf("%s: fixture request not admissible: %v", spec.Name, err)
+		}
+		if _, err := p.Plan(ctx, nw, req, nil); !IsCanceled(err) || IsRejection(err) {
+			t.Fatalf("%s: canceled plan returned %v, want a cancellation", spec.Name, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -9,7 +10,7 @@ import (
 	"nfvmcast/internal/sdn"
 )
 
-// OnlineSP is the evaluation's online baseline heuristic SP (paper
+// SPPlanner is the evaluation's online baseline heuristic SP (paper
 // §VI.A): it removes links and servers without enough available
 // resources, assigns every remaining link the same unit weight, and
 // for each candidate server v picks a shortest path s_k→v plus the
@@ -17,16 +18,6 @@ import (
 // destinations, keeping the minimum-cost combination. Unlike
 // Online_CP it ignores resource utilisation, so it piles load onto
 // already-busy links.
-type OnlineSP struct {
-	*Admitter
-}
-
-// NewOnlineSP returns an SP admitter over nw.
-func NewOnlineSP(nw *sdn.Network) *OnlineSP {
-	return &OnlineSP{Admitter: NewAdmitter(nw, NewSPPlanner())}
-}
-
-// SPPlanner is the pure planning half of the adaptive SP baseline.
 type SPPlanner struct{}
 
 // NewSPPlanner returns an adaptive-SP planner.
@@ -36,8 +27,10 @@ func NewSPPlanner() *SPPlanner { return &SPPlanner{} }
 func (p *SPPlanner) Name() string { return "SP" }
 
 // Plan proposes the cheapest shortest-path combination on the residual
-// network with uniform link weights.
-func (p *SPPlanner) Plan(nw *sdn.Network, req *multicast.Request) (*Solution, error) {
+// network with uniform link weights (the arena is unused).
+func (p *SPPlanner) Plan(
+	ctx context.Context, nw *sdn.Network, req *multicast.Request, _ *PlanArena,
+) (*Solution, error) {
 	if err := validateInput(nw, req); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
@@ -49,11 +42,7 @@ func (p *SPPlanner) Plan(nw *sdn.Network, req *multicast.Request) (*Solution, er
 	if len(w.servers) == 0 {
 		return nil, fmt.Errorf("%w: %w", ErrRejected, ErrComputeExhausted)
 	}
-	sol, err := planSP(nw, req, w, newSPCache(w.g), nil)
-	if err != nil {
-		return nil, err
-	}
-	return sol, nil
+	return planSP(ctx, nw, req, w, newSPCache(w.g), nil)
 }
 
 // planSP is the shortest-path server selection shared by the adaptive
@@ -61,9 +50,9 @@ func (p *SPPlanner) Plan(nw *sdn.Network, req *multicast.Request) (*Solution, er
 // the source) + (hop count of the SP tree restricted to destination
 // paths), then realise the pseudo tree from the cached SP trees.
 // eligible, when non-nil, filters candidate servers beyond the work
-// graph's own pruning.
+// graph's own pruning. ctx is checked between candidate servers.
 func planSP(
-	nw *sdn.Network, req *multicast.Request, w *workGraph, sp *spCache,
+	ctx context.Context, nw *sdn.Network, req *multicast.Request, w *workGraph, sp *spCache,
 	eligible func(graph.NodeID) bool,
 ) (*Solution, error) {
 	spSrc, err := sp.from(req.Source)
@@ -76,6 +65,9 @@ func planSP(
 		bestSP     *graph.ShortestPaths
 	)
 	for _, v := range w.servers {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, canceled(cerr)
+		}
 		if !spSrc.Reachable(v) {
 			continue
 		}
@@ -142,7 +134,7 @@ func planSP(
 	}, nil
 }
 
-// OnlineSPStatic is a congestion-oblivious variant of SP that models
+// SPStaticPlanner is a congestion-oblivious variant of SP that models
 // static shortest-path multicast routing (fixed routes, as in plain
 // IP multicast over static routing tables): trees are always computed
 // on the pristine topology with uniform weights, and a request whose
@@ -150,17 +142,8 @@ func planSP(
 // re-routing around loaded links. It quantifies how much of
 // Online_CP's advantage comes from load awareness: against this
 // baseline the admission gap of the paper's Figs. 8-9 opens fully.
-type OnlineSPStatic struct {
-	*Admitter
-}
-
-// NewOnlineSPStatic returns a static-routes SP admitter over nw.
-func NewOnlineSPStatic(nw *sdn.Network) *OnlineSPStatic {
-	return &OnlineSPStatic{Admitter: NewAdmitter(nw, NewSPStaticPlanner())}
-}
-
-// SPStaticPlanner is the pure planning half of the static-routes SP
-// baseline. Because its work graph is the pristine topology with
+//
+// Because its work graph is the pristine topology with
 // uniform weights — independent of residual load and of the request —
 // the planner memoizes that graph and its shortest-path trees across
 // Plan calls, keyed on the network's StructureVersion; only failure
@@ -205,14 +188,16 @@ func (p *SPStaticPlanner) view(nw *sdn.Network, req *multicast.Request) (*workGr
 // Plan proposes the fixed shortest-path tree for req on the pristine
 // topology; the commit step decides whether it still fits the residual
 // capacities. Static routing still will not place the VM on a server
-// that cannot host it.
-func (p *SPStaticPlanner) Plan(nw *sdn.Network, req *multicast.Request) (*Solution, error) {
+// that cannot host it. The arena is unused.
+func (p *SPStaticPlanner) Plan(
+	ctx context.Context, nw *sdn.Network, req *multicast.Request, _ *PlanArena,
+) (*Solution, error) {
 	if err := validateInput(nw, req); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
 	w, sp := p.view(nw, req)
 	demand := req.ComputeDemandMHz()
-	sol, err := planSP(nw, req, w, sp, func(v graph.NodeID) bool {
+	sol, err := planSP(ctx, nw, req, w, sp, func(v graph.NodeID) bool {
 		return nw.ResidualCompute(v) >= demand
 	})
 	if err != nil {

@@ -129,7 +129,7 @@ func TestTemplateBuildMatchesColdBuild(t *testing.T) {
 	}
 
 	// 200 live sessions.
-	adm, err := NewOnlineCP(nw, model)
+	adm, err := newCPAdmitter(nw, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestTemplateBuildMatchesColdBuild(t *testing.T) {
 		if tries > 2000 {
 			t.Fatalf("only %d sessions admitted", live)
 		}
-		if _, aerr := adm.Admit(next()); aerr == nil {
+		if _, aerr := adm.Admit(context.Background(), next(), nil); aerr == nil {
 			live++
 		} else if !IsRejection(aerr) {
 			t.Fatal(aerr)
@@ -238,7 +238,7 @@ func TestTemplateBuildConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Plan(nw, reqs[0]); err != nil && !IsRejection(err) {
+	if _, err := p.Plan(context.Background(), nw, reqs[0], nil); err != nil && !IsRejection(err) {
 		t.Fatal(err) // the shared template
 	}
 	tmpl, _ := p.cache.acquire(nw, reqs[0])
@@ -251,7 +251,7 @@ func TestTemplateBuildConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i], wantErr[i] = cold.Plan(nw, req)
+		want[i], wantErr[i] = cold.Plan(context.Background(), nw, req, nil)
 	}
 
 	const planners, walkers = 4, 2
@@ -288,7 +288,7 @@ func TestTemplateBuildConcurrent(t *testing.T) {
 			defer plans.Done()
 			arena := NewPlanArena()
 			for i := w; i < len(reqs); i += planners {
-				got[i], gotErr[i] = p.PlanContext(context.Background(), nw, reqs[i], arena)
+				got[i], gotErr[i] = p.Plan(context.Background(), nw, reqs[i], arena)
 			}
 		}(w)
 	}

@@ -14,6 +14,7 @@ package core
 // pass.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -152,7 +153,7 @@ func onlineTieDigest(t *testing.T, policy string, nw *sdn.Network, reqs []*multi
 	h := sha256.New()
 	var live []int
 	for i, req := range reqs {
-		sol, err := a.Admit(req)
+		sol, err := a.Admit(context.Background(), req, nil)
 		switch {
 		case IsRejection(err):
 			sol = nil

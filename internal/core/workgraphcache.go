@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 
 	"nfvmcast/internal/graph"
@@ -171,6 +172,26 @@ type workGraphCache struct {
 	// templated counts the cold builds that shared a cached entry's
 	// adjacency (buildWorkGraphFrom).
 	templated uint64
+}
+
+// priceMarginal sets the residual-view recipe of the exponential-cost
+// planners (Online_CP, Online_CPK, Dist_CP): links without the request's
+// bandwidth are dropped, and Steiner construction prices each remaining
+// link with the request's marginal exponential cost — the weight
+// increase its own b_k causes, β^{util after} − 1. On an idle network the
+// paper's w_e(k) is 0 on every link, which would leave tree selection
+// indifferent between short and long trees; the marginal form
+// ≈ (b_k/B_e)·ln β at low load steers requests onto short,
+// high-capacity trees and converges to w_e(k) as links fill. Admission
+// thresholds still use the paper's pre-allocation weights. The recipe
+// lives on the cache so incremental patches re-price edges exactly as a
+// cold build would.
+func (c *workGraphCache) priceMarginal(model CostModel) {
+	c.capacitated = true
+	c.weight = func(nw *sdn.Network, req *multicast.Request, e graph.EdgeID) float64 {
+		utilAfter := 1 - (nw.ResidualBandwidth(e)-req.BandwidthMbps)/nw.BandwidthCap(e)
+		return math.Pow(model.Beta, utilAfter) - 1
+	}
 }
 
 // workGraphCacheSize bounds the LRU. Entries are cheap to retain

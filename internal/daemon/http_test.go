@@ -167,11 +167,7 @@ type blockingPlanner struct {
 
 func (p *blockingPlanner) Name() string { return "blocking" }
 
-func (p *blockingPlanner) Plan(nw *sdn.Network, req *multicast.Request) (*core.Solution, error) {
-	return p.PlanContext(context.Background(), nw, req, nil)
-}
-
-func (p *blockingPlanner) PlanContext(ctx context.Context, nw *sdn.Network, req *multicast.Request, _ *core.PlanArena) (*core.Solution, error) {
+func (p *blockingPlanner) Plan(ctx context.Context, nw *sdn.Network, req *multicast.Request, _ *core.PlanArena) (*core.Solution, error) {
 	select {
 	case p.entered <- struct{}{}:
 	default:

@@ -176,19 +176,23 @@ func (e *Engine) Apply(muts ...Mutation) error {
 // opaque to the log. Durable deployments must therefore mutate through
 // Apply.
 func (e *Engine) ApplyContext(ctx context.Context, muts ...Mutation) error {
-	return e.updateContext(ctx, func(nw *sdn.Network) error {
-		for i, m := range muts {
-			if reason := validateMutation(nw, m); reason != "" {
-				return &MalformedMutationError{Index: i, Mutation: m, Reason: reason}
-			}
+	return e.updateContext(ctx, func(nw *sdn.Network) error { return applyBatch(nw, muts) }, muts)
+}
+
+// applyBatch validates the whole batch, then applies it in order. It
+// must be called on the writer goroutine.
+func applyBatch(nw *sdn.Network, muts []Mutation) error {
+	for i, m := range muts {
+		if reason := validateMutation(nw, m); reason != "" {
+			return &MalformedMutationError{Index: i, Mutation: m, Reason: reason}
 		}
-		for _, m := range muts {
-			if err := applyMutation(nw, m); err != nil {
-				return fmt.Errorf("engine: apply %s: %w", m, err)
-			}
+	}
+	for _, m := range muts {
+		if err := applyMutation(nw, m); err != nil {
+			return fmt.Errorf("engine: apply %s: %w", m, err)
 		}
-		return nil
-	}, muts)
+	}
+	return nil
 }
 
 // Lives returns the solutions currently holding resources, in

@@ -108,7 +108,7 @@ drained:
 		}
 	}
 	nw.EndMutationBatch()
-	// Journal the epoch's successful commits, one Admitted append per
+	// Journal the epoch's successful commits, one Admitted outcome per
 	// member. A member whose append failed is unwound on the spot; the
 	// others are staged together and share the committer's next barrier
 	// — the group-commit amortisation — which, should it fail, unwinds

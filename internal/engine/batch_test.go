@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -35,7 +36,7 @@ func TestEpochBatchAmortizesMutationVersion(t *testing.T) {
 	sols := make([]*core.Solution, n)
 	for i, req := range reqs {
 		req.ID = perm[i]
-		sol, err := eng.adm.PlanOn(nw.Clone(), req)
+		sol, err := eng.adm.PlanOn(context.Background(), nw.Clone(), req, nil)
 		if err != nil {
 			t.Fatalf("plan %d: %v", i, err)
 		}

@@ -39,26 +39,18 @@ func newGatedJournal() *gatedJournal {
 	}
 }
 
-func (j *gatedJournal) note(admittedID int, admitted bool) error {
+func (j *gatedJournal) Append(o Outcome) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.broken != nil {
 		return j.broken
 	}
 	j.appended++
-	if admitted {
-		j.seqOf[admittedID] = j.appended
+	if o.Kind == Admitted {
+		j.seqOf[o.ReqID] = j.appended
 	}
 	return nil
 }
-
-func (j *gatedJournal) Admitted(req *multicast.Request, _ *core.Solution) error {
-	return j.note(req.ID, true)
-}
-func (j *gatedJournal) Departed(int) error                 { return j.note(0, false) }
-func (j *gatedJournal) Repaired(int, *core.Solution) error { return j.note(0, false) }
-func (j *gatedJournal) Shed(int) error                     { return j.note(0, false) }
-func (j *gatedJournal) MutationsApplied([]Mutation) error  { return j.note(0, false) }
 
 func (j *gatedJournal) Barrier() error {
 	j.mu.Lock()

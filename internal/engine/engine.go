@@ -12,9 +12,8 @@
 //
 // In sequential mode (Options.Workers <= 1) plan and commit execute as
 // one atomic step on the writer, so admit/reject decisions, trees and
-// costs are byte-identical to driving a core.Admitter — or the
-// original per-algorithm admitters — directly; the determinism oracle
-// in engine_test.go pins this. A sequentially-driven engine (one
+// costs are byte-identical to driving a core.Admitter directly; the
+// determinism oracle in engine_test.go pins this. A sequentially-driven engine (one
 // in-flight Admit at a time) produces the same decisions at any worker
 // count, because a snapshot taken with no in-flight commits equals the
 // live residual state.
@@ -54,7 +53,7 @@ var ErrCommitConflict = core.ErrCommitConflict
 type Options struct {
 	// Workers bounds how many Admit calls may plan concurrently.
 	// 0 or 1 selects sequential mode: plan and commit run as one
-	// atomic writer step, reproducing the direct admitters exactly.
+	// atomic writer step, reproducing a core.Admitter exactly.
 	// n > 1 allows n concurrent planners against residual snapshots;
 	// negative requests one planner slot per CPU.
 	Workers int
@@ -310,9 +309,8 @@ func (e *Engine) Admit(req *multicast.Request) (*core.Solution, error) {
 }
 
 // AdmitContext is Admit with cancellation: ctx aborts planning between
-// candidate evaluations (when the planner supports it — see
-// core.ContextPlanner) and between the plan and re-plan rounds of the
-// concurrent path. A canceled admission leaves the network untouched,
+// candidate evaluations (see core.Planner) and between the plan and
+// re-plan rounds of the concurrent path. A canceled admission leaves the network untouched,
 // is not counted as a rejection, and returns an error for which
 // core.IsCanceled holds; once the plan reaches commit, the commit runs
 // to completion regardless of ctx, so a request never ends up
@@ -326,7 +324,7 @@ func (e *Engine) AdmitContext(ctx context.Context, req *multicast.Request) (*cor
 		var sol *core.Solution
 		var err error
 		if xerr := e.exec(func() {
-			sol, err = e.adm.AdmitContext(ctx, req, e.seqArena)
+			sol, err = e.adm.Admit(ctx, req, e.seqArena)
 			if err == nil {
 				e.mutations++
 				if err = e.journalCommitted(req, sol); err != nil {
@@ -399,7 +397,7 @@ func (e *Engine) planOnSnapshot(ctx context.Context, req *multicast.Request, slo
 	}); xerr != nil {
 		return nil, 0, xerr
 	}
-	sol, err := e.adm.PlanOnContext(ctx, slot.view, req, slot.arena)
+	sol, err := e.adm.PlanOn(ctx, slot.view, req, slot.arena)
 	return sol, epoch, err
 }
 
@@ -455,7 +453,7 @@ func (e *Engine) Depart(reqID int) (*core.Solution, error) {
 		sol, err = e.adm.Depart(reqID)
 		if err == nil {
 			e.mutations++
-			err = e.journalAfter(func(j Journal) error { return j.Departed(reqID) })
+			err = e.journalOutcomes(Outcome{Kind: Departed, ReqID: reqID})
 		}
 	}); xerr != nil {
 		return nil, xerr
@@ -471,7 +469,7 @@ func (e *Engine) Replace(reqID int, sol *core.Solution) error {
 		err = e.adm.Replace(reqID, sol)
 		if err == nil {
 			e.mutations++
-			err = e.journalAfter(func(j Journal) error { return j.Repaired(reqID, sol) })
+			err = e.journalOutcomes(Outcome{Kind: Repaired, ReqID: reqID, Solution: sol})
 		}
 	}); xerr != nil {
 		return xerr
@@ -505,8 +503,8 @@ func (e *Engine) UpdateContext(ctx context.Context, f func(nw *sdn.Network) erro
 // jmuts, when non-empty, is the typed description of what f does (Apply
 // passes its validated batch); it is journaled as a mutation_applied
 // record after f succeeds, before the automatic recovery pass — replay
-// re-applies the batch with RestoreApply and then replays recovery's
-// own repaired/shed records in log order. A raw Update closure has no
+// re-applies the batch (Replay) and then recovery's own repaired/shed
+// outcomes in log order. A raw Update closure has no
 // typed description, so with a journal attached its effects would be
 // invisible to replay; such updates are not journaled (documented on
 // Apply) and durable deployments must mutate through Apply.
@@ -523,9 +521,7 @@ func (e *Engine) updateContext(ctx context.Context, f func(nw *sdn.Network) erro
 		// in-flight plan straddling this update commits as stale.
 		e.mutations++
 		if err == nil && len(jmuts) > 0 {
-			if jerr := e.journalAfter(func(j Journal) error { return j.MutationsApplied(jmuts) }); jerr != nil {
-				err = jerr
-			}
+			err = e.journalOutcomes(Outcome{Kind: MutationsApplied, Mutations: jmuts})
 		}
 		if after := nw.StructureVersion(); after != before {
 			detail := fmt.Sprintf("structure version %d -> %d", before, after)

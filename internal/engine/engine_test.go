@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -43,61 +44,14 @@ func testNetwork(t *testing.T, topoName string, seed int64) *sdn.Network {
 	return nw
 }
 
-// plannerFor builds a fresh planner of each policy under test.
+// plannerFor builds a fresh registry planner of the named policy.
 func plannerFor(t *testing.T, name string, nw *sdn.Network) core.Planner {
 	t.Helper()
-	switch name {
-	case "Online_CP":
-		p, err := core.NewCPPlanner(core.DefaultCostModel(nw.NumNodes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	case "SP":
-		return core.NewSPPlanner()
-	case "SP_Static":
-		return core.NewSPStaticPlanner()
-	case "Online_CPK":
-		p, err := core.NewCPKPlanner(core.DefaultCostModel(nw.NumNodes()), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	default:
-		t.Fatalf("unknown planner %q", name)
-		return nil
+	p, err := core.NewPlanner(name, core.PlannerOptions{Nodes: nw.NumNodes()})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// directAdmitterFor builds the pre-engine admitter for the same policy,
-// the oracle the engine must reproduce.
-func directAdmitterFor(t *testing.T, name string, nw *sdn.Network) interface {
-	Admit(*multicast.Request) (*core.Solution, error)
-	AdmittedCount() int
-	RejectedCount() int
-} {
-	t.Helper()
-	switch name {
-	case "Online_CP":
-		a, err := core.NewOnlineCP(nw, core.DefaultCostModel(nw.NumNodes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	case "SP":
-		return core.NewOnlineSP(nw)
-	case "SP_Static":
-		return core.NewOnlineSPStatic(nw)
-	case "Online_CPK":
-		a, err := core.NewOnlineCPK(nw, core.DefaultCostModel(nw.NumNodes()), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	default:
-		t.Fatalf("unknown admitter %q", name)
-		return nil
-	}
+	return p
 }
 
 // decision is one request's outcome, captured in enough detail that two
@@ -161,24 +115,16 @@ func requestPool(t *testing.T, n, count int, seed int64) []*multicast.Request {
 	return reqs
 }
 
-// directOraclePolicies are the registry policies with a pre-engine
-// direct admitter to compare against; the rest of the registry is
-// checked for self-consistency across worker counts (the workers=1 run
-// is the reference).
-var directOraclePolicies = map[string]bool{
-	"Online_CP": true, "SP": true, "SP_Static": true, "Online_CPK": true,
-}
-
 // TestEngineDeterminismOracle pins the equivalence claim for every
 // policy in the planner registry: the engine in sequential mode — and
 // at workers=4 and 8 when driven one request at a time — makes
-// byte-identical admit/reject decisions, trees and costs per request,
-// across both a real (GÉANT) and a random (Waxman) topology. Policies
-// with a pre-engine direct admitter are additionally compared against
-// it decision-for-decision. The metrics registry rides along: every
-// decision counter (admitted, departed, per-reason rejected) must also
-// agree between the worker counts — only mode-dependent machinery
-// counters (snapshot clones, plan invocations) may differ.
+// byte-identical admit/reject decisions, trees and costs per request to
+// a core.Admitter driving a fresh planner of the same policy
+// sequentially, across both a real (GÉANT) and a random (Waxman)
+// topology. The metrics registry rides along: every decision counter
+// (admitted, departed, per-reason rejected) must also agree between the
+// worker counts — only mode-dependent machinery counters (snapshot
+// clones, plan invocations) may differ.
 func TestEngineDeterminismOracle(t *testing.T) {
 	const requests = 60
 	decisionCounterPrefixes := []string{
@@ -192,31 +138,19 @@ func TestEngineDeterminismOracle(t *testing.T) {
 				nwRef := testNetwork(t, topoName, seed)
 				reqs := requestPool(t, nwRef.NumNodes(), requests, seed+13)
 
-				var (
-					want                       []decision
-					wantAdmitted, wantRejected int
-					reference                  string
-				)
-				if directOraclePolicies[alg] {
-					direct := directAdmitterFor(t, alg, nwRef)
-					want = make([]decision, len(reqs))
-					for i, req := range reqs {
-						want[i] = captureDecision(direct.Admit(req))
-					}
-					wantAdmitted, wantRejected = direct.AdmittedCount(), direct.RejectedCount()
-					reference = "direct admitter"
+				ref := core.NewAdmitter(nwRef, plannerFor(t, alg, nwRef))
+				want := make([]decision, len(reqs))
+				for i, req := range reqs {
+					want[i] = captureDecision(ref.Admit(context.Background(), req, nil))
 				}
+				wantAdmitted, wantRejected := ref.AdmittedCount(), ref.RejectedCount()
 
 				workerCounts := []int{1, 4, 8}
 				counters := make(map[int]map[string]uint64)
 				for _, workers := range workerCounts {
 					nw := testNetwork(t, topoName, seed)
 					reg := obs.NewRegistry()
-					planner, perr := core.NewPlanner(alg, core.PlannerOptions{Nodes: nw.NumNodes()})
-					if perr != nil {
-						t.Fatal(perr)
-					}
-					eng := New(nw, planner, Options{
+					eng := New(nw, plannerFor(t, alg, nw), Options{
 						Workers: workers,
 						Obs:     obs.NewAdmissionObs(reg, alg, obs.AdmissionObsOptions{}),
 					})
@@ -224,32 +158,22 @@ func TestEngineDeterminismOracle(t *testing.T) {
 					for i, req := range reqs {
 						got[i] = captureDecision(eng.Admit(req))
 					}
-					if want == nil {
-						// No direct admitter for this policy: the sequential
-						// engine run is the reference the concurrent runs
-						// must reproduce.
-						want = got
-						wantAdmitted, wantRejected = eng.AdmittedCount(), eng.RejectedCount()
-						reference = "workers=1 engine"
-					} else {
-						for i := range reqs {
-							if !sameDecision(want[i], got[i]) {
-								eng.Close()
-								t.Fatalf("workers=%d request %d: engine decision diverged from %s (admitted %v vs %v)",
-									workers, i, reference, got[i].admitted, want[i].admitted)
-							}
+					for i := range reqs {
+						if !sameDecision(want[i], got[i]) {
+							eng.Close()
+							t.Fatalf("workers=%d request %d: engine decision diverged from the admitter (admitted %v vs %v)",
+								workers, i, got[i].admitted, want[i].admitted)
 						}
 					}
 					if eng.AdmittedCount() != wantAdmitted || eng.RejectedCount() != wantRejected {
 						eng.Close()
-						t.Fatalf("workers=%d: counts diverged: engine %d/%d, %s %d/%d",
-							workers, eng.AdmittedCount(), eng.RejectedCount(),
-							reference, wantAdmitted, wantRejected)
+						t.Fatalf("workers=%d: counts diverged: engine %d/%d, admitter %d/%d",
+							workers, eng.AdmittedCount(), eng.RejectedCount(), wantAdmitted, wantRejected)
 					}
 					if got := eng.obs.AdmittedCount(); got != uint64(wantAdmitted) {
 						eng.Close()
-						t.Fatalf("workers=%d: admitted counter %d != %s count %d",
-							workers, got, reference, wantAdmitted)
+						t.Fatalf("workers=%d: admitted counter %d != admitter count %d",
+							workers, got, wantAdmitted)
 					}
 					counters[workers] = reg.CounterValues()
 					eng.Close()

@@ -53,28 +53,61 @@ import (
 // in-memory change stands and the process should stop taking writes.
 var ErrDurability = errors.New("engine: journal write failed")
 
-// Journal receives the engine's state-changing outcomes. The five
-// append methods are called on the engine's writer goroutine, already
-// serialised. Barrier is called from the engine's committer goroutine
-// and may overlap appends: it must make durable at least every record
-// whose append returned before Barrier was called, and implementations
-// lock whatever the two share.
+// OutcomeKind names one kind of state-changing outcome.
+type OutcomeKind uint8
+
+// The outcome vocabulary: what the engine journals, and what Replay
+// applies.
+const (
+	// Admitted is a committed admission: ReqID realised by Solution.
+	Admitted OutcomeKind = iota + 1
+	// Departed is a released session.
+	Departed
+	// Repaired is a live session re-realised by Solution (a recovery
+	// repair, a Reconf_CP migration, or an explicit Replace).
+	Repaired
+	// Shed is a session dropped by the recovery ladder.
+	Shed
+	// MutationsApplied is a validated maintenance batch accepted by
+	// Apply. Replay re-applies it without the FailureInjected event or
+	// the recovery pass: the outcomes that pass decided follow it.
+	MutationsApplied
+	// ResidualsInstalled overwrites the residual vectors verbatim. The
+	// engine never journals it; a WAL snapshot replays it last, because
+	// residuals re-derived by allocating the live sessions can differ
+	// from the recorded ones in the last float bits (allocate/release
+	// history is order-dependent addition).
+	ResidualsInstalled
+)
+
+// Outcome is one state change. Only the fields of its Kind are set.
+type Outcome struct {
+	Kind OutcomeKind
+	// ReqID is the session of an Admitted, Departed, Repaired or Shed
+	// outcome.
+	ReqID int
+	// Solution realises the session after an Admitted or Repaired
+	// outcome; Solution.Request is the request.
+	Solution *core.Solution
+	// Mutations is a MutationsApplied outcome's batch.
+	Mutations []Mutation
+	// Residuals holds a ResidualsInstalled outcome's vectors (see
+	// sdn.RawSnapshot).
+	Residuals *sdn.Snapshot
+}
+
+// Journal receives the engine's state-changing outcomes. Append is
+// called on the engine's writer goroutine, already serialised, in
+// exactly the order the state changed. Barrier is called from the
+// engine's committer goroutine and may overlap appends: it must make
+// durable at least every outcome whose append returned before Barrier
+// was called, and implementations lock whatever the two share.
 type Journal interface {
-	// Admitted records a committed admission (req realised by sol).
-	Admitted(req *multicast.Request, sol *core.Solution) error
-	// Departed records a released session.
-	Departed(reqID int) error
-	// Repaired records a session re-realised by sol (a recovery repair
-	// or an explicit Replace after re-optimisation).
-	Repaired(reqID int, sol *core.Solution) error
-	// Shed records a session dropped by the recovery ladder.
-	Shed(reqID int) error
-	// MutationsApplied records a validated maintenance batch accepted
-	// by Apply.
-	MutationsApplied(muts []Mutation) error
-	// Barrier makes every record appended before the call durable; the
-	// engine releases the acks of the operations those records describe
-	// only after it returns nil.
+	// Append records one outcome.
+	Append(o Outcome) error
+	// Barrier makes every outcome appended before the call durable; the
+	// engine releases the acks of the operations they describe only
+	// after it returns nil.
 	Barrier() error
 }
 
@@ -87,7 +120,7 @@ func (e *Engine) journalCommitted(req *multicast.Request, sol *core.Solution) er
 	if e.journal == nil {
 		return nil
 	}
-	if jerr := e.journal.Admitted(req, sol); jerr != nil {
+	if jerr := e.journal.Append(Outcome{Kind: Admitted, ReqID: req.ID, Solution: sol}); jerr != nil {
 		e.unwind(req.ID)
 		return fmt.Errorf("%w: %v", ErrDurability, jerr)
 	}
@@ -103,123 +136,67 @@ func (e *Engine) unwind(reqID int) {
 	}
 }
 
-// journalAfter appends the record(s) of an operation that cannot be
+// journalOutcomes appends the outcomes of an operation that cannot be
 // unwound (departures, replaces, maintenance, recovery and migration
 // passes) and notes the owed barrier — one per operation, however many
-// records. Runs on the writer goroutine; returns nil without a journal.
-func (e *Engine) journalAfter(append func(Journal) error) error {
+// outcomes. Runs on the writer goroutine; returns nil without a journal.
+func (e *Engine) journalOutcomes(outs ...Outcome) error {
 	if e.journal == nil {
 		return nil
 	}
-	if jerr := append(e.journal); jerr != nil {
-		return fmt.Errorf("%w: %v", ErrDurability, jerr)
+	for _, o := range outs {
+		if jerr := e.journal.Append(o); jerr != nil {
+			return fmt.Errorf("%w: %v", ErrDurability, jerr)
+		}
 	}
 	e.cur.owes = true
 	return nil
 }
 
-// Replay surface. Recovery (internal/wal) rebuilds an engine from
-// logged outcomes instead of re-running planners: Restore installs a
-// logged solution verbatim, RestoreReplace/RestoreDrop replay repairs
-// and departures, and RestoreApply re-applies maintenance batches with
-// the failure-injection side effects (events, automatic recovery,
-// journaling) suppressed — the log already contains what recovery
-// decided the first time, as repaired/shed records that follow. None
-// of the Restore methods touch the journal: replayed records are
-// already in the log.
-
-// Restore re-installs a previously-committed session without planning
-// (see core.Admitter.Restore). Replay only: restoring a request whose
-// ID is already live corrupts the table.
-func (e *Engine) Restore(req *multicast.Request, sol *core.Solution) error {
+// Replay applies logged outcomes in order on the writer goroutine,
+// stopping at the first that fails. It is the recovery surface of
+// internal/wal, which rebuilds an engine from logged outcomes instead of
+// re-running planners: sessions are installed, re-bound and dropped
+// verbatim (see core.Admitter.Replay), and a maintenance batch is
+// validated and applied whole, as Apply would. Replay never journals,
+// emits no events and runs no recovery or migration pass — the log
+// already holds what those decided, as the outcomes that follow.
+func (e *Engine) Replay(outs ...Outcome) error {
 	var err error
 	if xerr := e.exec(func() {
-		err = e.adm.Restore(req, sol)
-		if err == nil {
-			e.mutations++
-		}
-	}); xerr != nil {
-		return xerr
-	}
-	return err
-}
-
-// RestoreReplace replays a repair/re-optimisation outcome: session
-// reqID swaps to sol's realisation.
-func (e *Engine) RestoreReplace(reqID int, sol *core.Solution) error {
-	var err error
-	if xerr := e.exec(func() {
-		err = e.adm.RestoreReplace(reqID, sol)
-		if err == nil {
-			e.mutations++
-		}
-	}); xerr != nil {
-		return xerr
-	}
-	return err
-}
-
-// RestoreDrop replays a departure or shed: session reqID releases its
-// resources and is forgotten.
-func (e *Engine) RestoreDrop(reqID int) error {
-	var err error
-	if xerr := e.exec(func() {
-		err = e.adm.RestoreDrop(reqID)
-		if err == nil {
-			e.mutations++
-		}
-	}); xerr != nil {
-		return xerr
-	}
-	return err
-}
-
-// RestoreApply replays a maintenance batch: the same validate-all-
-// then-apply-all semantics as Apply, but without the FailureInjected
-// event, the automatic recovery pass, or journaling — replay applies
-// the logged recovery outcomes instead of re-deciding them. Resource
-// events drained so the next real Update reports only its own changes.
-func (e *Engine) RestoreApply(muts ...Mutation) error {
-	var err error
-	if xerr := e.exec(func() {
-		nw := e.adm.Network()
-		for i, m := range muts {
-			if reason := validateMutation(nw, m); reason != "" {
-				err = &MalformedMutationError{Index: i, Mutation: m, Reason: reason}
+		for _, o := range outs {
+			if err = e.replay(o); err != nil {
 				return
 			}
+			e.mutations++
 		}
-		for _, m := range muts {
-			if aerr := applyMutation(nw, m); aerr != nil {
-				err = fmt.Errorf("engine: restore-apply %s: %w", m, aerr)
-				return
-			}
+	}); xerr != nil {
+		return xerr
+	}
+	return err
+}
+
+// replay applies one outcome. Runs on the writer goroutine.
+func (e *Engine) replay(o Outcome) error {
+	nw := e.adm.Network()
+	switch o.Kind {
+	case Admitted, Repaired:
+		if o.Solution == nil {
+			return fmt.Errorf("engine: replay of session %d without a solution", o.ReqID)
 		}
+		return e.adm.Replay(o.ReqID, o.Solution)
+	case Departed, Shed:
+		return e.adm.Replay(o.ReqID, nil)
+	case MutationsApplied:
+		err := applyBatch(nw, o.Mutations)
+		// Replay reports no resource events: drain them so the next real
+		// Update reports only its own changes.
 		nw.DrainResourceEvents()
-		e.mutations++
-	}); xerr != nil {
-		return xerr
+		return err
+	case ResidualsInstalled:
+		return nw.Restore(o.Residuals)
 	}
-	return err
-}
-
-// RestoreResiduals overwrites the network's residual vectors with the
-// exact values a snapshot recorded (see sdn.RawSnapshot): after the
-// live sessions have been Restored, the re-derived residuals can differ
-// from the originals in the last float bits (allocate/release history
-// is order-dependent addition), so recovery finishes by installing the
-// recorded vectors verbatim. Replay only.
-func (e *Engine) RestoreResiduals(linkFree []float64, srvFree map[int]float64) error {
-	var err error
-	if xerr := e.exec(func() {
-		err = e.adm.Network().Restore(sdn.RawSnapshot(linkFree, srvFree))
-		if err == nil {
-			e.mutations++
-		}
-	}); xerr != nil {
-		return xerr
-	}
-	return err
+	return fmt.Errorf("engine: replay of unknown outcome kind %d", o.Kind)
 }
 
 // SnapshotState runs f on the writer goroutine with the network and

@@ -35,20 +35,16 @@ func (j *stubJournal) note(line string) error {
 	return nil
 }
 
-func (j *stubJournal) Admitted(req *multicast.Request, sol *core.Solution) error {
-	return j.note(fmt.Sprintf("admitted %d", req.ID))
+// outcomeNames render session outcomes in the stub's log lines.
+var outcomeNames = map[OutcomeKind]string{
+	Admitted: "admitted", Departed: "departed", Repaired: "repaired", Shed: "shed",
 }
-func (j *stubJournal) Departed(reqID int) error {
-	return j.note(fmt.Sprintf("departed %d", reqID))
-}
-func (j *stubJournal) Repaired(reqID int, sol *core.Solution) error {
-	return j.note(fmt.Sprintf("repaired %d", reqID))
-}
-func (j *stubJournal) Shed(reqID int) error {
-	return j.note(fmt.Sprintf("shed %d", reqID))
-}
-func (j *stubJournal) MutationsApplied(muts []Mutation) error {
-	return j.note(fmt.Sprintf("mutations %d", len(muts)))
+
+func (j *stubJournal) Append(o Outcome) error {
+	if o.Kind == MutationsApplied {
+		return j.note(fmt.Sprintf("mutations %d", len(o.Mutations)))
+	}
+	return j.note(fmt.Sprintf("%s %d", outcomeNames[o.Kind], o.ReqID))
 }
 func (j *stubJournal) Barrier() error {
 	j.mu.Lock()

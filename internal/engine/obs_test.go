@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -135,11 +136,13 @@ type frozenViewPlanner struct {
 
 func (p *frozenViewPlanner) Name() string { return "FrozenView" }
 
-func (p *frozenViewPlanner) Plan(_ *sdn.Network, req *multicast.Request) (*core.Solution, error) {
+func (p *frozenViewPlanner) Plan(
+	ctx context.Context, _ *sdn.Network, req *multicast.Request, arena *core.PlanArena,
+) (*core.Solution, error) {
 	if err := p.eng.Update(func(*sdn.Network) error { return nil }); err != nil {
 		return nil, err
 	}
-	return p.inner.Plan(p.frozen, req)
+	return p.inner.Plan(ctx, p.frozen, req, arena)
 }
 
 // TestEngineRejectCommitConflict pins the optimistic-concurrency half

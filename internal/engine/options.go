@@ -21,7 +21,7 @@ import (
 type Option func(*Options)
 
 // WithWorkers bounds how many Admit calls may plan concurrently: 0 or
-// 1 selects sequential mode (byte-identical to the direct admitters),
+// 1 selects sequential mode (byte-identical to a core.Admitter),
 // n > 1 allows n concurrent planners on residual snapshots, negative
 // requests one planner slot per CPU.
 func WithWorkers(n int) Option {

@@ -19,18 +19,13 @@ func (e *Engine) reconfigureLocked() error {
 	// Migrations moved residuals (releases, rebinds); in-flight plans
 	// that straddled them must commit as stale.
 	e.mutations++
-	for _, o := range outcomes {
-		e.obs.Reconfigured(o.ReqID, o.Solution.Servers, o.Solution.OperationalCost)
-	}
 	// Journal each migration as a replacement — replay rebinds the new
 	// tree verbatim instead of re-running the pass, exactly like
-	// recovery's repaired records.
-	return e.journalAfter(func(j Journal) error {
-		for _, o := range outcomes {
-			if jerr := j.Repaired(o.ReqID, o.Solution); jerr != nil {
-				return jerr
-			}
-		}
-		return nil
-	})
+	// recovery's repaired outcomes.
+	outs := make([]Outcome, len(outcomes))
+	for i, o := range outcomes {
+		e.obs.Reconfigured(o.ReqID, o.Solution.Servers, o.Solution.OperationalCost)
+		outs[i] = Outcome{Kind: Repaired, ReqID: o.ReqID, Solution: o.Solution}
+	}
+	return e.journalOutcomes(outs...)
 }

@@ -32,23 +32,17 @@ func (e *Engine) recoverLocked(ctx context.Context) error {
 		// that straddled it must commit as stale.
 		e.mutations++
 		// Journal what the pass decided, in outcome order: replay applies
-		// these records verbatim instead of re-running recovery, so a
+		// these outcomes verbatim instead of re-running recovery, so a
 		// replayed engine lands on the same repairs/sheds even if the
 		// recovery policy or planner later changes.
-		if jerr := e.journalAfter(func(j Journal) error {
-			for _, o := range rep.Outcomes {
-				var aerr error
-				if o.Mode == recov.ModeShed {
-					aerr = j.Shed(o.RequestID)
-				} else {
-					aerr = j.Repaired(o.RequestID, o.Solution)
-				}
-				if aerr != nil {
-					return aerr
-				}
+		outs := make([]Outcome, len(rep.Outcomes))
+		for i, o := range rep.Outcomes {
+			outs[i] = Outcome{Kind: Repaired, ReqID: o.RequestID, Solution: o.Solution}
+			if o.Mode == recov.ModeShed {
+				outs[i] = Outcome{Kind: Shed, ReqID: o.RequestID}
 			}
-			return nil
-		}); jerr != nil && err == nil {
+		}
+		if jerr := e.journalOutcomes(outs...); jerr != nil && err == nil {
 			err = jerr
 		}
 	}

@@ -28,7 +28,7 @@ const (
 )
 
 // AdmissionObs binds the instruments of one admission pipeline (one
-// engine or direct admitter): lifecycle counters, the live/in-flight
+// engine or admitter): lifecycle counters, the live/in-flight
 // gauges, sampled latency histograms, and the event stream. All
 // methods are nil-receiver safe so instrumented code calls them
 // unconditionally; on the hot path each costs one or two atomic adds

@@ -245,7 +245,7 @@ func (r *Recoverer) recoverOne(id int, old *core.Solution, arena *core.PlanArena
 			backoff *= 2
 		}
 		attempts++
-		psol, err := r.adm.PlanOnWith(nw, req, arena)
+		psol, err := r.adm.PlanOn(context.Background(), nw, req, arena)
 		if err != nil {
 			lastErr = err
 			break // the planner's refusal is deterministic here: shed

@@ -33,10 +33,11 @@ func newHarness(t *testing.T, n int, seed int64, sessions int) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := core.NewOnlineCP(nw, core.DefaultCostModel(nw.NumNodes()))
+	planner, err := core.NewCPPlanner(core.DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cp := core.NewAdmitter(nw, planner)
 	gen, err := multicast.NewGenerator(nw.NumNodes(), multicast.OnlineGeneratorConfig(), seed+2)
 	if err != nil {
 		t.Fatal(err)
@@ -46,9 +47,9 @@ func newHarness(t *testing.T, n int, seed int64, sessions int) *harness {
 		if gerr != nil {
 			t.Fatal(gerr)
 		}
-		_, _ = cp.Admit(req)
+		_, _ = cp.Admit(context.Background(), req, nil)
 	}
-	return &harness{nw: nw, adm: cp.Admitter}
+	return &harness{nw: nw, adm: cp}
 }
 
 // failBusyLink marks the most utilised non-bridge link down and

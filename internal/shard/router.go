@@ -147,11 +147,14 @@ type Options struct {
 
 // shardState is one shard: its engine, lifecycle position and
 // transcript hash. The transcript mutex serialises decision recording;
-// engines handle their own concurrency.
+// engines handle their own concurrency. applyMu pairs each maintenance
+// batch with the recovery report it produced (see Router.apply).
 type shardState struct {
 	id  string
 	eng *engine.Engine
 	nw  *sdn.Network
+
+	applyMu sync.Mutex
 
 	mu       sync.Mutex
 	state    State
@@ -370,8 +373,10 @@ func (r *Router) Release(reqID int) (*core.Solution, error) {
 	}
 	sol, err := s.eng.Depart(reqID)
 	if errors.Is(err, core.ErrUnknownRequest) {
-		// Recovery shed the session and released its resources already:
-		// the session is unknown now, and its owner entry goes with it.
+		// A recovery pass the router did not drive (RecoverNow on the
+		// shard's engine) shed the session and released its resources
+		// already: the session is unknown now, and its owner entry goes
+		// with it.
 		err = fmt.Errorf("%w: request %d was shed by %s", ErrUnknownSession, reqID, id)
 	} else if err != nil {
 		return nil, err
@@ -414,7 +419,7 @@ func (r *Router) Apply(tenant string, muts ...engine.Mutation) error {
 	if err != nil {
 		return err
 	}
-	return s.eng.Apply(muts...)
+	return r.apply(s, muts)
 }
 
 // ApplyShard routes a mutation batch to a shard by ID — maintenance
@@ -427,7 +432,7 @@ func (r *Router) ApplyShard(shardID string, muts ...engine.Mutation) error {
 	if s.stateLocked() == Stopped {
 		return fmt.Errorf("%w: %s", ErrShardStopped, shardID)
 	}
-	return s.eng.Apply(muts...)
+	return r.apply(s, muts)
 }
 
 // ApplyAll applies one mutation batch to every non-stopped shard, in
@@ -442,11 +447,33 @@ func (r *Router) ApplyAll(muts ...engine.Mutation) error {
 		if s.stateLocked() == Stopped {
 			continue
 		}
-		if err := s.eng.Apply(muts...); err != nil {
+		if err := r.apply(s, muts); err != nil {
 			return fmt.Errorf("shard %s: %w", id, err)
 		}
 	}
 	return nil
+}
+
+// apply runs a mutation batch on shard s and then drops the owner entry
+// of every session the recovery pass it triggered shed, so a shed
+// session that no client ever releases does not hold its entry forever.
+// applyMu keeps another batch's pass from replacing the report in
+// between.
+func (r *Router) apply(s *shardState, muts []engine.Mutation) error {
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	prev := s.eng.LastRecovery()
+	err := s.eng.Apply(muts...)
+	if rep := s.eng.LastRecovery(); rep != nil && rep != prev {
+		r.mu.Lock()
+		for _, o := range rep.Outcomes {
+			if o.Mode == recov.ModeShed && r.owner[o.RequestID] == s.id {
+				delete(r.owner, o.RequestID)
+			}
+		}
+		r.mu.Unlock()
+	}
+	return err
 }
 
 // shard resolves an ID.

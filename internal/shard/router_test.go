@@ -225,6 +225,47 @@ func TestRouterReleaseOfShedSession(t *testing.T) {
 	}
 }
 
+// TestRouterDropsOwnersOfShedSessions: the sessions a recovery pass
+// sheds lose their owner entries with the Apply that shed them, not on
+// a Release that may never come, so the owner map only ever holds live
+// sessions.
+func TestRouterDropsOwnersOfShedSessions(t *testing.T) {
+	pol := recov.DefaultPolicy()
+	r := testRouter(t, []string{"s0", "s1"}, func(o *shard.Options) { o.Recovery = &pol })
+	reqs := testRequests(t, 40, 17)
+	for i, req := range reqs {
+		if _, err := r.Admit([]string{"alpha", "beta", "gamma"}[i%3], req); err != nil && !core.IsRejection(err) {
+			t.Fatal(err)
+		}
+	}
+	home := r.Owner(reqs[0].ID)
+	var down []engine.Mutation
+	for _, v := range r.Network(home).Servers() {
+		down = append(down, engine.Mutation{Kind: engine.ServerState, ID: v, Up: false})
+	}
+	if err := r.ApplyShard(home, down...); err != nil {
+		t.Fatalf("fail every server: %v", err)
+	}
+	rep := r.Engine(home).LastRecovery()
+	if rep == nil || rep.Shed < 2 {
+		t.Fatalf("recovery report %+v, want several sessions shed", rep)
+	}
+	for _, o := range rep.Outcomes {
+		if owner := r.Owner(o.RequestID); o.Mode == recov.ModeShed && owner != "" {
+			t.Fatalf("shed session %d still owned by %q", o.RequestID, owner)
+		}
+	}
+	owned := 0
+	for _, req := range reqs {
+		if r.Owner(req.ID) != "" {
+			owned++
+		}
+	}
+	if live := r.Report().Live; owned != live || live == 0 {
+		t.Fatalf("%d sessions owned, %d live across shards", owned, live)
+	}
+}
+
 func TestRouterLifecycle(t *testing.T) {
 	r := testRouter(t, []string{"s0", "s1"})
 	req := testRequests(t, 1, 3)[0]

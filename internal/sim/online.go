@@ -27,7 +27,7 @@ func plannerFor(name string, nw *sdn.Network) (core.Planner, error) {
 
 // newEngine builds the admission engine every online driver runs
 // through. cfg.EngineWorkers <= 1 (the harness default) selects
-// sequential mode, which reproduces the direct admitters
+// sequential mode, which reproduces a core.Admitter
 // decision-for-decision; the harness already parallelises across sweep
 // points, so per-engine concurrency is only worth enabling when
 // measuring a single run. When cfg.Metrics is set the engine reports

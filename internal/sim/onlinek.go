@@ -11,7 +11,7 @@ import (
 // ExtOnlineK is an extension experiment beyond the paper: online
 // admission with the service chain replicated on up to K servers (the
 // paper analyses only K = 1). For each K it feeds the identical
-// arrival sequence to OnlineCPK on its own network replica and plots
+// arrival sequence to Online_CPK on its own network replica and plots
 // admitted requests plus the average servers used per admission.
 func ExtOnlineK(cfg Config) ([]Figure, error) {
 	if err := cfg.validate(); err != nil {

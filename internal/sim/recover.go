@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -208,10 +209,11 @@ func runRecoveryTiming(cfg Config) (*recoveryTiming, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp, err := core.NewOnlineCP(nw, core.DefaultCostModel(nw.NumNodes()))
+	planner, err := core.NewCPPlanner(core.DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		return nil, err
 	}
+	cp := core.NewAdmitter(nw, planner)
 	gen, err := multicast.NewGenerator(nw.NumNodes(), multicast.OnlineGeneratorConfig(), cfg.Seed+13)
 	if err != nil {
 		return nil, err
@@ -221,7 +223,7 @@ func runRecoveryTiming(cfg Config) (*recoveryTiming, error) {
 		if gerr != nil {
 			return nil, gerr
 		}
-		_, _ = cp.Admit(req)
+		_, _ = cp.Admit(context.Background(), req, nil)
 	}
 
 	arena := core.NewPlanArena()
@@ -246,7 +248,7 @@ func runRecoveryTiming(cfg Config) (*recoveryTiming, error) {
 			t0 := time.Now()
 			rsol, rerr := core.RepairReroute(nw, sol.Request, sol.Servers[0], arena)
 			t1 := time.Now()
-			psol, perr := cp.PlanOnWith(nw, sol.Request, arena)
+			psol, perr := cp.PlanOn(context.Background(), nw, sol.Request, arena)
 			t2 := time.Now()
 			// A session contributes a paired sample when the local
 			// re-route succeeded (so its timing reflects a full repair,
@@ -332,7 +334,7 @@ func WriteRecoveryBench(dir string, cfg Config) (string, error) {
 		return "", err
 	}
 	doc := &recoveryBench{
-		Benchmark: "RecoveryCampaign + paired RepairReroute/PlanOnWith probe",
+		Benchmark: "RecoveryCampaign + paired RepairReroute/PlanOn probe",
 		Workload: fmt.Sprintf(
 			"GÉANT, Online_CP, %d arrivals (seed %d); %d rounds of failing the most utilised non-bridge link, recovering inside engine.Update, restoring; arms: repair-first γ=1.5 vs forced re-plan γ=0; timing probe pairs one local re-route and one full re-plan per affected session on the identical released state",
 			cfg.Requests, cfg.Seed, recoveryRounds),

@@ -1,9 +1,9 @@
 package wal
 
 import (
-	"nfvmcast/internal/core"
+	"fmt"
+
 	"nfvmcast/internal/engine"
-	"nfvmcast/internal/multicast"
 	"nfvmcast/internal/obs"
 )
 
@@ -19,8 +19,8 @@ import (
 //	stats, _ := log.Recover(eng)
 //
 // Replay is safe with the journal already attached because the
-// engine's Restore surface never journals — replayed records are
-// already in the log.
+// engine's Replay never journals — replayed records are already in the
+// log.
 type Journal struct {
 	l *Log
 }
@@ -30,46 +30,70 @@ var _ engine.Journal = (*Journal)(nil)
 // Journal returns the log's engine.Journal adapter.
 func (l *Log) Journal() *Journal { return &Journal{l: l} }
 
-// Admitted records a committed admission.
-func (j *Journal) Admitted(req *multicast.Request, sol *core.Solution) error {
-	_, err := j.l.Append(&Record{
-		Type:    obs.Admitted,
-		Request: req.ID,
-		Req:     encodeRequest(req),
-		Sol:     encodeSolution(sol),
-	})
-	return err
-}
-
-// Departed records a released session.
-func (j *Journal) Departed(reqID int) error {
-	_, err := j.l.Append(&Record{Type: obs.Departed, Request: reqID})
-	return err
-}
-
-// Repaired records a session re-realised by sol.
-func (j *Journal) Repaired(reqID int, sol *core.Solution) error {
-	_, err := j.l.Append(&Record{
-		Type:    obs.Repaired,
-		Request: reqID,
-		Req:     encodeRequest(sol.Request),
-		Sol:     encodeSolution(sol),
-	})
-	return err
-}
-
-// Shed records a session dropped by the recovery ladder.
-func (j *Journal) Shed(reqID int) error {
-	_, err := j.l.Append(&Record{Type: obs.Shed, Request: reqID})
-	return err
-}
-
-// MutationsApplied records an accepted maintenance batch.
-func (j *Journal) MutationsApplied(muts []engine.Mutation) error {
-	_, err := j.l.Append(&Record{Type: obs.MutationApplied, Muts: encodeMutations(muts)})
+// Append records one outcome as one log record.
+func (j *Journal) Append(o engine.Outcome) error {
+	rec, err := encodeOutcome(o)
+	if err == nil {
+		_, err = j.l.Append(rec)
+	}
 	return err
 }
 
 // Barrier makes everything appended before the call durable (one
 // fsync, outside the log's mutex).
 func (j *Journal) Barrier() error { return j.l.Barrier() }
+
+// encodeOutcome translates an engine outcome into its record. Admitted
+// and repaired records carry the request and solution, departed and
+// shed records the request ID, mutation_applied records the batch.
+func encodeOutcome(o engine.Outcome) (*Record, error) {
+	rec := &Record{Request: o.ReqID}
+	switch o.Kind {
+	case engine.Admitted, engine.Repaired:
+		rec.Type = obs.Admitted
+		if o.Kind == engine.Repaired {
+			rec.Type = obs.Repaired
+		}
+		rec.Req, rec.Sol = encodeRequest(o.Solution.Request), encodeSolution(o.Solution)
+	case engine.Departed:
+		rec.Type = obs.Departed
+	case engine.Shed:
+		rec.Type = obs.Shed
+	case engine.MutationsApplied:
+		rec.Type, rec.Muts = obs.MutationApplied, encodeMutations(o.Mutations)
+	default:
+		return nil, fmt.Errorf("wal: outcome kind %d has no record", o.Kind)
+	}
+	return rec, nil
+}
+
+// decodeOutcome is the inverse of encodeOutcome.
+func decodeOutcome(rec *Record) (engine.Outcome, error) {
+	o := engine.Outcome{ReqID: rec.Request}
+	switch rec.Type {
+	case obs.Admitted, obs.Repaired:
+		req, err := rec.Req.Decode()
+		if err != nil {
+			return o, err
+		}
+		o.Kind, o.Solution = engine.Repaired, rec.Sol.Decode(req)
+		if rec.Type == obs.Admitted {
+			o.Kind, o.ReqID = engine.Admitted, req.ID
+		}
+	case obs.Departed:
+		o.Kind = engine.Departed
+	case obs.Shed:
+		o.Kind = engine.Shed
+	case obs.MutationApplied:
+		muts, err := decodeMutations(rec.Muts)
+		if err != nil {
+			return o, err
+		}
+		o.Kind, o.Mutations = engine.MutationsApplied, muts
+	default:
+		// validate() in the codec rejects unknown types; reaching here
+		// means the vocabulary grew without a replay arm.
+		return o, fmt.Errorf("unhandled record type %q", rec.Type)
+	}
+	return o, nil
+}

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 
 	"nfvmcast/internal/engine"
-	"nfvmcast/internal/obs"
 )
 
 // ReplayStats reports what one recovery pass did.
@@ -153,43 +152,16 @@ func (l *Log) replayRecords(eng *engine.Engine, stats *ReplayStats) error {
 	return nil
 }
 
-// apply replays one record's outcome onto eng via the engine's
-// Restore surface (no planning, no journaling, no recovery passes —
-// the log already holds what those decided).
+// apply replays one record's outcome onto eng through engine.Replay (no
+// planning, no journaling, no recovery passes — the log already holds
+// what those decided).
 func (l *Log) apply(eng *engine.Engine, rec *Record) error {
-	switch rec.Type {
-	case obs.Admitted:
-		req, err := rec.Req.Decode()
-		if err != nil {
-			return fmt.Errorf("%w: lsn %d: %v", ErrLogCorrupt, rec.LSN, err)
-		}
-		if err := eng.Restore(req, rec.Sol.Decode(req)); err != nil {
-			return fmt.Errorf("wal: replay admit lsn=%d req=%d: %w", rec.LSN, req.ID, err)
-		}
-	case obs.Departed, obs.Shed:
-		if err := eng.RestoreDrop(rec.Request); err != nil {
-			return fmt.Errorf("wal: replay %s lsn=%d req=%d: %w", rec.Type, rec.LSN, rec.Request, err)
-		}
-	case obs.Repaired:
-		req, err := rec.Req.Decode()
-		if err != nil {
-			return fmt.Errorf("%w: lsn %d: %v", ErrLogCorrupt, rec.LSN, err)
-		}
-		if err := eng.RestoreReplace(rec.Request, rec.Sol.Decode(req)); err != nil {
-			return fmt.Errorf("wal: replay repair lsn=%d req=%d: %w", rec.LSN, rec.Request, err)
-		}
-	case obs.MutationApplied:
-		muts, err := decodeMutations(rec.Muts)
-		if err != nil {
-			return fmt.Errorf("%w: lsn %d: %v", ErrLogCorrupt, rec.LSN, err)
-		}
-		if err := eng.RestoreApply(muts...); err != nil {
-			return fmt.Errorf("wal: replay mutations lsn=%d: %w", rec.LSN, err)
-		}
-	default:
-		// validate() in the codec rejects unknown types; reaching here
-		// means the vocabulary grew without a replay arm.
-		return fmt.Errorf("%w: lsn %d: unhandled record type %q", ErrLogCorrupt, rec.LSN, rec.Type)
+	o, err := decodeOutcome(rec)
+	if err != nil {
+		return fmt.Errorf("%w: lsn %d: %v", ErrLogCorrupt, rec.LSN, err)
+	}
+	if err := eng.Replay(o); err != nil {
+		return fmt.Errorf("wal: replay %s lsn=%d req=%d: %w", rec.Type, rec.LSN, o.ReqID, err)
 	}
 	return nil
 }

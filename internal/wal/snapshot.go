@@ -200,23 +200,27 @@ func (l *Log) readSnapshot(lsn uint64) (*snapshotFile, error) {
 }
 
 // restoreSnapshot installs snap into a freshly-built engine (base
-// topology, nothing live). Order matters: capacities first (validated
-// against zero allocation), then the live sessions (all links still
-// up, so their logged trees allocate), then the failure state, and
-// finally the recorded residual vectors verbatim.
+// topology, nothing live) as one engine.Replay. Order matters:
+// capacities first (validated against zero allocation), then the live
+// sessions (all links still up, so their logged trees allocate), then
+// the failure state, and finally the recorded residual vectors verbatim.
 func restoreSnapshot(eng *engine.Engine, snap *snapshotFile) error {
-	var muts []engine.Mutation
+	var caps, downs []engine.Mutation
 	for e, cap := range snap.LinkCaps {
-		muts = append(muts, engine.Mutation{Kind: engine.LinkCapacity, ID: e, Capacity: cap})
+		caps = append(caps, engine.Mutation{Kind: engine.LinkCapacity, ID: e, Capacity: cap})
 	}
+	for _, e := range snap.DownLinks {
+		downs = append(downs, engine.Mutation{Kind: engine.LinkState, ID: e, Up: false})
+	}
+	srvFree := make(map[int]float64, len(snap.Servers))
 	for _, s := range snap.Servers {
-		muts = append(muts, engine.Mutation{Kind: engine.ServerCapacity, ID: s.Node, Capacity: s.Cap})
-	}
-	if len(muts) > 0 {
-		if err := eng.RestoreApply(muts...); err != nil {
-			return fmt.Errorf("wal: restore capacities: %w", err)
+		caps = append(caps, engine.Mutation{Kind: engine.ServerCapacity, ID: s.Node, Capacity: s.Cap})
+		if s.Down {
+			downs = append(downs, engine.Mutation{Kind: engine.ServerState, ID: s.Node, Up: false})
 		}
+		srvFree[s.Node] = s.Free
 	}
+	outs := []engine.Outcome{{Kind: engine.MutationsApplied, Mutations: caps}}
 	for _, live := range snap.Lives {
 		req, err := live.Req.Decode()
 		if err != nil {
@@ -225,30 +229,13 @@ func restoreSnapshot(eng *engine.Engine, snap *snapshotFile) error {
 		if live.Sol == nil {
 			return fmt.Errorf("%w: snapshot live session %d without solution", ErrLogCorrupt, req.ID)
 		}
-		if err := eng.Restore(req, live.Sol.Decode(req)); err != nil {
-			return fmt.Errorf("wal: restore session %d: %w", req.ID, err)
-		}
+		outs = append(outs, engine.Outcome{Kind: engine.Admitted, ReqID: req.ID, Solution: live.Sol.Decode(req)})
 	}
-	var downs []engine.Mutation
-	for _, e := range snap.DownLinks {
-		downs = append(downs, engine.Mutation{Kind: engine.LinkState, ID: e, Up: false})
-	}
-	for _, s := range snap.Servers {
-		if s.Down {
-			downs = append(downs, engine.Mutation{Kind: engine.ServerState, ID: s.Node, Up: false})
-		}
-	}
-	if len(downs) > 0 {
-		if err := eng.RestoreApply(downs...); err != nil {
-			return fmt.Errorf("wal: restore failure state: %w", err)
-		}
-	}
-	srvFree := make(map[int]float64, len(snap.Servers))
-	for _, s := range snap.Servers {
-		srvFree[s.Node] = s.Free
-	}
-	if err := eng.RestoreResiduals(snap.LinkFree, srvFree); err != nil {
-		return fmt.Errorf("wal: restore residuals: %w", err)
+	outs = append(outs,
+		engine.Outcome{Kind: engine.MutationsApplied, Mutations: downs},
+		engine.Outcome{Kind: engine.ResidualsInstalled, Residuals: sdn.RawSnapshot(snap.LinkFree, srvFree)})
+	if err := eng.Replay(outs...); err != nil {
+		return fmt.Errorf("wal: restore snapshot %d: %w", snap.LSN, err)
 	}
 	return nil
 }

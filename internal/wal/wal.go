@@ -6,7 +6,7 @@
 //
 // The log records *outcomes*, not inputs: an admitted record carries
 // the full request and the realised solution, so replay re-installs
-// the logged trees verbatim (engine.Restore and friends) instead of
+// the logged trees verbatim (engine.Replay) instead of
 // re-running planners. That makes recovery independent of planner,
 // policy, worker count and any algorithmic change shipped between
 // crash and restart — the log is the state, not a workload to re-run.

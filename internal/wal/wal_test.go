@@ -44,20 +44,31 @@ func testNetwork(tb testing.TB, topoName string, seed int64) *sdn.Network {
 	return nw
 }
 
-// testEngine builds a journaled engine on the seeded base topology,
+// testEngine builds a journaled SP engine on the seeded base topology,
 // with the recovery ladder on so the workload produces repaired/shed
 // records too.
 func testEngine(tb testing.TB, topoName string, seed int64, workers int, j engine.Journal) *engine.Engine {
+	return policyEngine(tb, topoName, seed, "SP", workers, 1, j)
+}
+
+// policyEngine is testEngine for any registered policy and commit
+// batch window.
+func policyEngine(tb testing.TB, topoName string, seed int64, policy string, workers, batch int, j engine.Journal) *engine.Engine {
 	tb.Helper()
 	nw := testNetwork(tb, topoName, seed)
+	planner, err := core.NewPlanner(policy, core.PlannerOptions{Nodes: nw.NumNodes()})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	opts := []engine.Option{
 		engine.WithWorkers(workers),
+		engine.WithBatchWindow(batch),
 		engine.WithRecovery(recov.DefaultPolicy()),
 	}
 	if j != nil {
 		opts = append(opts, engine.WithJournal(j))
 	}
-	return engine.NewWith(nw, core.NewSPPlanner(), opts...)
+	return engine.NewWith(nw, planner, opts...)
 }
 
 // checkpoint is the oracle's ground truth after one acked operation:
@@ -265,87 +276,96 @@ func killAt(tb testing.TB, cpDir, killDir string, segs []uint64, segIdx int, b b
 // exercises the concurrent plan/commit path (still driven serially, so
 // the prefix state at each boundary is well-defined). Small segments
 // force rotation, and a tight snapshot cadence forces snapshot+suffix
-// recoveries among the kill points.
+// recoveries among the kill points. The Reconf_CP arm adds the
+// migration pass that follows every Apply and 16-wide commit epochs.
 func TestKillAtEveryRecordBoundary(t *testing.T) {
-	for _, topoName := range []string{"geant", "waxman"} {
-		for _, workers := range []int{1, 4} {
-			topoName, workers := topoName, workers
-			t.Run(fmt.Sprintf("%s/workers=%d", topoName, workers), func(t *testing.T) {
-				t.Parallel()
-				seed := int64(41)
-				dir := filepath.Join(t.TempDir(), "wal")
-				copies := t.TempDir()
-				l, err := Open(dir, Options{SegmentBytes: 16 << 10, SnapshotEvery: 40, NoSync: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng := testEngine(t, topoName, seed, workers, l.Journal())
-				nOps := 140
-				if topoName == "waxman" {
-					nOps = 90 // second topology rides along at reduced volume
-				}
-				cps := driveOps(t, eng, l, copies, topoName, nOps, seed, 0)
-				eng.Close()
-				if err := l.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if l.LastLSN() == 0 {
-					t.Fatal("workload appended no records")
-				}
-
-				// Ground truth per LSN. Several ops can share an LSN when
-				// one changed no state; their fingerprints must agree.
-				want := map[uint64]string{}
-				for _, cp := range cps {
-					if prev, ok := want[cp.lsn]; ok && prev != cp.fp {
-						t.Fatalf("two checkpoints at lsn %d with different fingerprints", cp.lsn)
-					}
-					want[cp.lsn] = cp.fp
-				}
-
-				tested, matched := 0, 0
-				var prevLSN uint64
-				for i, cp := range cps {
-					scratch := &Log{dir: cp.dir}
-					segs, serr := scratch.segments()
-					if serr != nil {
-						t.Fatal(serr)
-					}
-					for si, first := range segs {
-						for _, b := range boundaries(t, scratch.segmentPath(first)) {
-							if b.lsn <= prevLSN || b.lsn > cp.lsn {
-								continue
-							}
-							killDir := filepath.Join(t.TempDir(), fmt.Sprintf("kill-%d-%d", i, b.lsn))
-							killAt(t, cp.dir, killDir, segs, si, b, 0)
-							reng, rl, stats := recoverDir(t, killDir, topoName, seed, workers)
-							if stats.LastLSN != b.lsn {
-								t.Fatalf("kill at lsn %d: recovered to lsn %d", b.lsn, stats.LastLSN)
-							}
-							if fp, ok := want[b.lsn]; ok {
-								got, ferr := Fingerprint(reng)
-								if ferr != nil {
-									t.Fatal(ferr)
-								}
-								if got != fp {
-									t.Fatalf("kill at lsn %d: recovered fingerprint %s.. want %s..",
-										b.lsn, got[:16], fp[:16])
-								}
-								matched++
-							}
-							reng.Close()
-							rl.Close()
-							tested++
-						}
-					}
-					prevLSN = cp.lsn
-				}
-				if tested == 0 || matched == 0 {
-					t.Fatalf("oracle exercised %d kills, %d with fingerprint ground truth", tested, matched)
-				}
-				t.Logf("%d kill points, %d fingerprint-verified", tested, matched)
-			})
+	type arm struct {
+		topoName, policy string
+		workers, batch   int
+	}
+	arms := []arm{{"geant", "SP", 1, 1}, {"geant", "SP", 4, 1}, {"waxman", "SP", 1, 1}, {"waxman", "SP", 4, 1},
+		{"geant", "Reconf_CP", 4, 16}}
+	for _, a := range arms {
+		name := fmt.Sprintf("%s/workers=%d", a.topoName, a.workers)
+		if a.policy != "SP" {
+			name = fmt.Sprintf("%s/%s/workers=%d/batch=%d", a.topoName, a.policy, a.workers, a.batch)
 		}
+		topoName, workers := a.topoName, a.workers
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			seed := int64(41)
+			dir := filepath.Join(t.TempDir(), "wal")
+			copies := t.TempDir()
+			l, err := Open(dir, Options{SegmentBytes: 16 << 10, SnapshotEvery: 40, NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := policyEngine(t, topoName, seed, a.policy, workers, a.batch, l.Journal())
+			nOps := 140
+			if topoName == "waxman" {
+				nOps = 90 // second topology rides along at reduced volume
+			}
+			cps := driveOps(t, eng, l, copies, topoName, nOps, seed, 0)
+			eng.Close()
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if l.LastLSN() == 0 {
+				t.Fatal("workload appended no records")
+			}
+
+			// Ground truth per LSN. Several ops can share an LSN when
+			// one changed no state; their fingerprints must agree.
+			want := map[uint64]string{}
+			for _, cp := range cps {
+				if prev, ok := want[cp.lsn]; ok && prev != cp.fp {
+					t.Fatalf("two checkpoints at lsn %d with different fingerprints", cp.lsn)
+				}
+				want[cp.lsn] = cp.fp
+			}
+
+			tested, matched := 0, 0
+			var prevLSN uint64
+			for i, cp := range cps {
+				scratch := &Log{dir: cp.dir}
+				segs, serr := scratch.segments()
+				if serr != nil {
+					t.Fatal(serr)
+				}
+				for si, first := range segs {
+					for _, b := range boundaries(t, scratch.segmentPath(first)) {
+						if b.lsn <= prevLSN || b.lsn > cp.lsn {
+							continue
+						}
+						killDir := filepath.Join(t.TempDir(), fmt.Sprintf("kill-%d-%d", i, b.lsn))
+						killAt(t, cp.dir, killDir, segs, si, b, 0)
+						reng, rl, stats := recoverDir(t, killDir, topoName, seed, workers)
+						if stats.LastLSN != b.lsn {
+							t.Fatalf("kill at lsn %d: recovered to lsn %d", b.lsn, stats.LastLSN)
+						}
+						if fp, ok := want[b.lsn]; ok {
+							got, ferr := Fingerprint(reng)
+							if ferr != nil {
+								t.Fatal(ferr)
+							}
+							if got != fp {
+								t.Fatalf("kill at lsn %d: recovered fingerprint %s.. want %s..",
+									b.lsn, got[:16], fp[:16])
+							}
+							matched++
+						}
+						reng.Close()
+						rl.Close()
+						tested++
+					}
+				}
+				prevLSN = cp.lsn
+			}
+			if tested == 0 || matched == 0 {
+				t.Fatalf("oracle exercised %d kills, %d with fingerprint ground truth", tested, matched)
+			}
+			t.Logf("%d kill points, %d fingerprint-verified", tested, matched)
+		})
 	}
 }
 

@@ -7,10 +7,12 @@
 //
 //   - ApproMulti — the paper's 2K-approximation for minimum-cost
 //     NFV-enabled multicast trees (Appro_Multi / Appro_Multi_Cap);
-//   - NewOnlineCP — the O(log |V|)-competitive online admission
-//     algorithm with its exponential resource-cost model (Online_CP);
+//   - NewCPPlanner — the O(log |V|)-competitive online admission
+//     algorithm with its exponential resource-cost model (Online_CP),
+//     admitted through NewEngine or NewAdmitter;
 //   - the evaluation baselines AlgOneServer, AlgOneServerNearest,
-//     NewOnlineSP and NewOnlineSPStatic;
+//     NewSPPlanner and NewSPStaticPlanner, and every other policy of the
+//     planner registry (Planners, NewPlanner);
 //   - the substrates everything runs on: a weighted-graph library,
 //     GT-ITM-style topology generators plus embedded GÉANT and
 //     ISP-scale topologies, an NFV service-chain model, and a
@@ -196,20 +198,12 @@ type (
 	Options = core.Options
 	// CostModel is the online exponential resource-pricing model.
 	CostModel = core.CostModel
-	// OnlineCP is the paper's online admission algorithm.
-	OnlineCP = core.OnlineCP
-	// OnlineSP is the online baseline heuristic.
-	OnlineSP = core.OnlineSP
-	// OnlineSPStatic is the congestion-oblivious SP variant.
-	OnlineSPStatic = core.OnlineSPStatic
-	// OnlineCPK is the K-server online extension.
-	OnlineCPK = core.OnlineCPK
 	// Planner is the pure planning half of an admission algorithm.
 	Planner = core.Planner
 	// Admitter binds a Planner to the shared commit machinery
 	// (single-goroutine use; prefer Engine).
 	Admitter = core.Admitter
-	// CPPlanner is Online_CP's planning half.
+	// CPPlanner is the paper's online admission algorithm (Online_CP).
 	CPPlanner = core.CPPlanner
 	// SPPlanner is the adaptive SP baseline's planning half.
 	SPPlanner = core.SPPlanner
@@ -227,10 +221,6 @@ var (
 	ApproMultiContext   = core.ApproMultiContext
 	AlgOneServer        = core.AlgOneServer
 	AlgOneServerNearest = core.AlgOneServerNearest
-	NewOnlineCP         = core.NewOnlineCP
-	NewOnlineCPK        = core.NewOnlineCPK
-	NewOnlineSP         = core.NewOnlineSP
-	NewOnlineSPStatic   = core.NewOnlineSPStatic
 	DefaultOptions      = core.DefaultOptions
 	DefaultCostModel    = core.DefaultCostModel
 	Reoptimize          = core.Reoptimize
@@ -373,7 +363,7 @@ type (
 // Engine construction options (the v1 API).
 var (
 	// WithWorkers bounds concurrent planning: 0 or 1 is sequential
-	// mode (byte-identical to the direct admitters), n > 1 overlaps n
+	// mode (byte-identical to an Admitter), n > 1 overlaps n
 	// planners on residual snapshots, negative uses one per CPU.
 	WithWorkers = engine.WithWorkers
 	// WithMetrics attaches an AdmissionObs (counters, gauges, sampled
@@ -397,7 +387,7 @@ var (
 
 // NewEngine returns an admission engine owning nw that admits with
 // planner's policy; Close it when done. Without options the engine is
-// sequential — byte-identical to the direct admitters — and unobserved:
+// sequential — byte-identical to an Admitter — and unobserved:
 //
 //	eng := nfvmcast.NewEngine(nw, planner,
 //	    nfvmcast.WithWorkers(8),

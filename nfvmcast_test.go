@@ -4,6 +4,7 @@ package nfvmcast_test
 // the library would use it.
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -73,10 +74,11 @@ func TestPublicOfflineFlow(t *testing.T) {
 
 func TestPublicOnlineFlow(t *testing.T) {
 	nw := buildNetwork(t, 9)
-	cp, err := nfvmcast.NewOnlineCP(nw, nfvmcast.DefaultCostModel(nw.NumNodes()))
+	planner, err := nfvmcast.NewCPPlanner(nfvmcast.DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cp := nfvmcast.NewAdmitter(nw, planner)
 	gen, err := nfvmcast.NewGenerator(nw.NumNodes(), nfvmcast.OnlineGeneratorConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +89,7 @@ func TestPublicOnlineFlow(t *testing.T) {
 		if gerr != nil {
 			t.Fatal(gerr)
 		}
-		sol, aerr := cp.Admit(req)
+		sol, aerr := cp.Admit(context.Background(), req, nil)
 		if aerr != nil {
 			if !nfvmcast.IsRejection(aerr) {
 				t.Fatal(aerr)
@@ -160,15 +162,16 @@ func TestPublicErrorMatching(t *testing.T) {
 	if err := nw.Allocate(nfvmcast.Allocation{Servers: servers}); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := nfvmcast.NewOnlineCP(nw, nfvmcast.DefaultCostModel(nw.NumNodes()))
+	planner, err := nfvmcast.NewCPPlanner(nfvmcast.DefaultCostModel(nw.NumNodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cp := nfvmcast.NewAdmitter(nw, planner)
 	req := &nfvmcast.Request{
 		ID: 1, Source: 0, Destinations: []nfvmcast.NodeID{5},
 		BandwidthMbps: 100, Chain: nfvmcast.MustChain(nfvmcast.Proxy),
 	}
-	_, aerr := cp.Admit(req)
+	_, aerr := cp.Admit(context.Background(), req, nil)
 	if !errors.Is(aerr, nfvmcast.ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", aerr)
 	}
