@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 
 	"nfvmcast"
 )
@@ -138,13 +137,10 @@ func ExampleNewEngine() {
 
 	// Fail the first link the session's tree uses; recovery runs
 	// before Update returns.
-	var used []int
-	for e := range nfvmcast.AllocationFor(req, sol.Tree).Links {
-		used = append(used, int(e))
-	}
-	sort.Ints(used)
+	// Allocation lists links in ascending edge order.
+	first := nfvmcast.AllocationFor(req, sol.Tree).Links[0].Edge
 	if err := eng.Update(func(n *nfvmcast.Network) error {
-		return n.SetLinkUp(nfvmcast.EdgeID(used[0]), false)
+		return n.SetLinkUp(first, false)
 	}); err != nil {
 		fmt.Println("update:", err)
 		return
@@ -400,13 +396,10 @@ func ExampleWithRepairCostFactor() {
 		fmt.Println("admit:", err)
 		return
 	}
-	var used []int
-	for e := range nfvmcast.AllocationFor(req, sol.Tree).Links {
-		used = append(used, int(e))
-	}
-	sort.Ints(used)
+	// Allocation lists links in ascending edge order.
+	first := nfvmcast.AllocationFor(req, sol.Tree).Links[0].Edge
 	if err := eng.Update(func(n *nfvmcast.Network) error {
-		return n.SetLinkUp(nfvmcast.EdgeID(used[0]), false)
+		return n.SetLinkUp(first, false)
 	}); err != nil {
 		fmt.Println("update:", err)
 		return

@@ -9,6 +9,7 @@ package nfvmcast_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nfvmcast"
@@ -119,7 +120,7 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 		if aerr != nil {
 			continue // degraded network may reject
 		}
-		if _, uses := newSol.Tree.LinkLoads()[failed]; uses {
+		if slices.ContainsFunc(newSol.Tree.LinkLoads(), func(l nfvmcast.EdgeLoad) bool { return l.Edge == failed }) {
 			t.Fatalf("re-planned session %d crosses the failed link", fresh.ID)
 		}
 		if err := ctrl.Install(fresh, newSol.Tree); err != nil {

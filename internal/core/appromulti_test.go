@@ -223,9 +223,9 @@ func TestApproMultiCapRejectsWhenSaturated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Saturate every server.
-	servers := make(map[graph.NodeID]float64)
+	var servers []sdn.ServerShare
 	for _, v := range nw.Servers() {
-		servers[v] = nw.ResidualCompute(v)
+		servers = append(servers, sdn.ServerShare{Node: v, MHz: nw.ResidualCompute(v)})
 	}
 	if err := nw.Allocate(sdn.Allocation{Servers: servers}); err != nil {
 		t.Fatal(err)
@@ -268,8 +268,8 @@ func TestOperationalCostCountsBacktracking(t *testing.T) {
 	if !ok {
 		t.Fatal("missing edge (1,2)")
 	}
-	if loads[e12] != 2 {
-		t.Fatalf("link (1,2) load = %d, want 2 (forward + backtrack)", loads[e12])
+	if got := loadOn(loads, e12); got != 2 {
+		t.Fatalf("link (1,2) load = %d, want 2 (forward + backtrack)", got)
 	}
 	wantCost := 1*req.BandwidthMbps*nw.LinkUnitCost(0) + // 0-1 once
 		2*req.BandwidthMbps*nw.LinkUnitCost(e12) + // 1-2 twice

@@ -111,8 +111,8 @@ func TestCommitBatchPartialFailure(t *testing.T) {
 	nw := adm.Network()
 	var held float64
 	for _, sol := range adm.Lives() {
-		for _, amt := range AllocationFor(sol.Request, sol.Tree).Links {
-			held += amt
+		for _, l := range AllocationFor(sol.Request, sol.Tree).Links {
+			held += l.Mbps
 		}
 	}
 	var missing float64

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nfvmcast/internal/graph"
+	"nfvmcast/internal/multicast"
 	"nfvmcast/internal/sdn"
 )
 
@@ -90,7 +91,7 @@ func TestWorkGraphKeyTracksResidualMutations(t *testing.T) {
 	}
 
 	// Allocate invalidates.
-	alloc := sdn.Allocation{Links: map[graph.EdgeID]float64{0: 1}}
+	alloc := sdn.Allocation{Links: []sdn.LinkShare{{Edge: 0, Mbps: 1}}}
 	if err := nw.Allocate(alloc); err != nil {
 		t.Fatal(err)
 	}
@@ -142,29 +143,29 @@ func TestWorkGraphKeyTracksResidualMutations(t *testing.T) {
 func TestWorkGraphCacheHitAfterMutationMiss(t *testing.T) {
 	nw := testNetwork(t, 30, 44)
 	req := testRequest(t, nw, 45)
+	c := workGraphCache{
+		capacitated: true,
+		weight:      func(*sdn.Network, *multicast.Request, graph.EdgeID) float64 { return 1 },
+	}
+	before := nw.Clone() // keeps the first epoch's key
 
-	var c workGraphCache
-	k1 := makeWorkGraphKey(nw, req)
-	w1 := buildWorkGraph(nw, req, true, func(graph.EdgeID) float64 { return 1 })
-	c.put(k1, w1, newSPCache(w1.g))
-	if got, _, ok := c.get(k1); !ok || got != w1 {
-		t.Fatal("fresh entry not returned")
+	w1, _ := c.acquire(nw, req)
+	if got, _ := c.acquire(nw, req); got != w1 || c.hits != 1 {
+		t.Fatalf("fresh entry not returned (hits %d)", c.hits)
 	}
 
-	if err := nw.Allocate(sdn.Allocation{Links: map[graph.EdgeID]float64{0: 1}}); err != nil {
+	if err := nw.Allocate(sdn.Allocation{Links: []sdn.LinkShare{{Edge: 0, Mbps: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	k2 := makeWorkGraphKey(nw, req)
-	if _, _, ok := c.get(k2); ok {
+	w2, _ := c.acquire(nw, req)
+	if c.hits != 1 {
 		t.Fatal("stale entry served for post-mutation key")
 	}
-	w2 := buildWorkGraph(nw, req, true, func(graph.EdgeID) float64 { return 1 })
-	c.put(k2, w2, newSPCache(w2.g))
-	if got, _, ok := c.get(k2); !ok || got != w2 {
-		t.Fatal("post-mutation entry not returned")
+	if got, _ := c.acquire(nw, req); got != w2 || c.hits != 2 {
+		t.Fatalf("post-mutation entry not returned (hits %d)", c.hits)
 	}
 	// The old epoch stays retrievable until evicted.
-	if got, _, ok := c.get(k1); !ok || got != w1 {
-		t.Fatal("previous epoch evicted prematurely")
+	if got, _ := c.acquire(before, req); got != w1 || c.hits != 3 {
+		t.Fatalf("previous epoch evicted prematurely (hits %d)", c.hits)
 	}
 }

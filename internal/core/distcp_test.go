@@ -97,7 +97,7 @@ func TestDistCPSplitBeatsConsolidation(t *testing.T) {
 	// Leave exactly maxSeg+1 MHz on every server.
 	for _, v := range nw.Servers() {
 		if drain := nw.ResidualCompute(v) - (maxSeg + 1); drain > 0 {
-			if err := nw.Allocate(sdn.Allocation{Servers: map[graph.NodeID]float64{v: drain}}); err != nil {
+			if err := nw.Allocate(sdn.Allocation{Servers: []sdn.ServerShare{{Node: v, MHz: drain}}}); err != nil {
 				t.Fatalf("drain server %d: %v", v, err)
 			}
 		}
@@ -209,7 +209,7 @@ func TestDistCPFastRejectMatchesPlan(t *testing.T) {
 	drained := nw.Clone()
 	for _, v := range drained.Servers() {
 		if r := drained.ResidualCompute(v) - 0.5; r > 0 {
-			if err := drained.Allocate(sdn.Allocation{Servers: map[graph.NodeID]float64{v: r}}); err != nil {
+			if err := drained.Allocate(sdn.Allocation{Servers: []sdn.ServerShare{{Node: v, MHz: r}}}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -46,19 +46,18 @@ func (m *residualMutator) step(t *testing.T) {
 	t.Helper()
 	switch m.rng.Intn(9) {
 	case 0, 1: // partial allocation across a few links and a server
-		a := sdn.Allocation{
-			Links:   map[graph.EdgeID]float64{},
-			Servers: map[graph.NodeID]float64{},
-		}
+		links := map[graph.EdgeID]float64{}
+		servers := map[graph.NodeID]float64{}
 		for i := 0; i < 1+m.rng.Intn(3); i++ {
 			e := m.randomLink()
 			if free := m.nw.ResidualBandwidth(e); m.nw.LinkUp(e) && free > 1 {
-				a.Links[e] = free * (0.1 + 0.5*m.rng.Float64())
+				links[e] = free * (0.1 + 0.5*m.rng.Float64())
 			}
 		}
 		if v := m.randomServer(); m.nw.ServerUp(v) && m.nw.ResidualCompute(v) > 1 {
-			a.Servers[v] = m.nw.ResidualCompute(v) * 0.25
+			servers[v] = m.nw.ResidualCompute(v) * 0.25
 		}
+		a := allocationOf(links, servers)
 		if len(a.Links) == 0 && len(a.Servers) == 0 {
 			return
 		}
@@ -84,7 +83,7 @@ func (m *residualMutator) step(t *testing.T) {
 		if !m.nw.LinkUp(e) || free <= 1e-3 {
 			return
 		}
-		a := sdn.Allocation{Links: map[graph.EdgeID]float64{e: free - 1e-3}}
+		a := sdn.Allocation{Links: []sdn.LinkShare{{Edge: e, Mbps: free - 1e-3}}}
 		if err := m.nw.Allocate(a); err != nil {
 			t.Fatalf("drain: %v", err)
 		}
@@ -137,7 +136,7 @@ func (m *residualMutator) step(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			e := m.randomLink()
 			if free := m.nw.ResidualBandwidth(e); m.nw.LinkUp(e) && free > 1 {
-				a := sdn.Allocation{Links: map[graph.EdgeID]float64{e: free * 0.5}}
+				a := sdn.Allocation{Links: []sdn.LinkShare{{Edge: e, Mbps: free * 0.5}}}
 				if err := m.nw.Allocate(a); err != nil {
 					t.Fatalf("batch allocate: %v", err)
 				}

@@ -26,13 +26,13 @@ func TestBuildWorkGraphFiltersResiduals(t *testing.T) {
 	}
 	// Drain edge 0 and a server, then rebuild capacitated.
 	if err := nw.Allocate(sdn.Allocation{
-		Links: map[graph.EdgeID]float64{0: nw.ResidualBandwidth(0)},
+		Links: []sdn.LinkShare{{Edge: 0, Mbps: nw.ResidualBandwidth(0)}},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	v := nw.Servers()[0]
 	if err := nw.Allocate(sdn.Allocation{
-		Servers: map[graph.NodeID]float64{v: nw.ResidualCompute(v)},
+		Servers: []sdn.ServerShare{{Node: v, MHz: nw.ResidualCompute(v)}},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestCostModelWeightsGrowWithUtilisation(t *testing.T) {
 	}
 	// Allocate half the capacity: weight must be sqrt(beta)-1.
 	half := nw.BandwidthCap(e) / 2
-	if err := nw.Allocate(sdn.Allocation{Links: map[graph.EdgeID]float64{e: half}}); err != nil {
+	if err := nw.Allocate(sdn.Allocation{Links: []sdn.LinkShare{{Edge: e, Mbps: half}}}); err != nil {
 		t.Fatal(err)
 	}
 	w1 := m.LinkWeight(nw, e)
@@ -136,9 +136,9 @@ func TestOnlineCPRejectionLeavesNetworkUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Saturate all servers so every request must be rejected.
-	servers := make(map[graph.NodeID]float64)
+	var servers []sdn.ServerShare
 	for _, v := range nw.Servers() {
-		servers[v] = nw.ResidualCompute(v)
+		servers = append(servers, sdn.ServerShare{Node: v, MHz: nw.ResidualCompute(v)})
 	}
 	if err := nw.Allocate(sdn.Allocation{Servers: servers}); err != nil {
 		t.Fatal(err)
@@ -291,14 +291,14 @@ func TestAllocationForBacktracking(t *testing.T) {
 	req := &multicast.Request{ID: 1, Source: 0, Destinations: []graph.NodeID{1},
 		BandwidthMbps: 50, Chain: nfv.MustChain(nfv.IDS, nfv.Firewall)}
 	alloc := AllocationFor(req, tree)
-	if alloc.Links[e01] != 50 {
-		t.Fatalf("link 0-1 allocation = %v, want 50", alloc.Links[e01])
+	if got, _ := linkMbps(alloc, e01); got != 50 {
+		t.Fatalf("link 0-1 allocation = %v, want 50", got)
 	}
-	if alloc.Links[e12] != 100 {
-		t.Fatalf("link 1-2 allocation = %v, want 100 (double traversal)", alloc.Links[e12])
+	if got, _ := linkMbps(alloc, e12); got != 100 {
+		t.Fatalf("link 1-2 allocation = %v, want 100 (double traversal)", got)
 	}
-	if alloc.Servers[2] != req.ComputeDemandMHz() {
-		t.Fatalf("server allocation = %v, want %v", alloc.Servers[2], req.ComputeDemandMHz())
+	if len(alloc.Servers) != 1 || alloc.Servers[0] != (sdn.ServerShare{Node: 2, MHz: req.ComputeDemandMHz()}) {
+		t.Fatalf("server allocation = %v, want [{2 %v}]", alloc.Servers, req.ComputeDemandMHz())
 	}
 }
 

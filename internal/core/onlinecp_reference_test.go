@@ -243,15 +243,15 @@ func TestCPPlanMatchesPerCandidateReference(t *testing.T) {
 					// utilisation: thresholds (a) and (b) fire, links drop
 					// out of the capacitated view, exponential weights span
 					// many orders of magnitude.
-					a := sdn.Allocation{Links: map[graph.EdgeID]float64{}, Servers: map[graph.NodeID]float64{}}
+					var a sdn.Allocation
 					for e := 0; e < nw.NumEdges(); e++ {
 						if rng.Float64() < 0.6 {
-							a.Links[e] = nw.ResidualBandwidth(e) * (0.85 + 0.149*rng.Float64())
+							a.Links = append(a.Links, sdn.LinkShare{Edge: e, Mbps: nw.ResidualBandwidth(e) * (0.85 + 0.149*rng.Float64())})
 						}
 					}
 					for _, v := range nw.Servers() {
 						if rng.Float64() < 0.5 {
-							a.Servers[v] = nw.ResidualCompute(v) * (0.85 + 0.149*rng.Float64())
+							a.Servers = append(a.Servers, sdn.ServerShare{Node: v, MHz: nw.ResidualCompute(v) * (0.85 + 0.149*rng.Float64())})
 						}
 					}
 					if err := nw.Allocate(a); err != nil {

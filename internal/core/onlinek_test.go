@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"testing"
 
 	"nfvmcast/internal/graph"
@@ -163,18 +162,12 @@ func (p *CPKPlanner) planPerCandidateReference(nw *sdn.Network, req *multicast.R
 		if derr != nil {
 			return
 		}
-		loads := tree.LinkLoads()
-		treeEdges := make([]graph.EdgeID, 0, len(loads))
-		for e := range loads {
-			treeEdges = append(treeEdges, e)
-		}
-		sort.Ints(treeEdges)
 		sel := 0.0
-		for _, e := range treeEdges {
-			if p.model.LinkWeight(nw, e) >= p.model.SigmaE {
+		for _, l := range tree.LinkLoads() {
+			if p.model.LinkWeight(nw, l.Edge) >= p.model.SigmaE {
 				return
 			}
-			sel += float64(loads[e]) * hostWeight[e]
+			sel += float64(l.Uses) * hostWeight[l.Edge]
 		}
 		for _, v := range servers {
 			sel += p.model.ServerWeight(nw, v)

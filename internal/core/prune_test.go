@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"nfvmcast/internal/graph"
 	"nfvmcast/internal/multicast"
 	"nfvmcast/internal/sdn"
 	"nfvmcast/internal/topology"
@@ -188,7 +187,7 @@ func TestFastRejectMatchesFullPlan(t *testing.T) {
 		for _, v := range nw.Servers() {
 			if free := nw.ResidualCompute(v); free > 0 {
 				if err := nw.Allocate(sdn.Allocation{
-					Servers: map[graph.NodeID]float64{v: free},
+					Servers: []sdn.ServerShare{{Node: v, MHz: free}},
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -208,7 +207,7 @@ func TestFastRejectMatchesFullPlan(t *testing.T) {
 		// exponential weight strictly positive).
 		for _, v := range nw.Servers() {
 			if err := nw.Release(sdn.Allocation{
-				Servers: map[graph.NodeID]float64{v: nw.ComputeCap(v) / 2},
+				Servers: []sdn.ServerShare{{Node: v, MHz: nw.ComputeCap(v) / 2}},
 			}); err != nil {
 				t.Fatal(err)
 			}

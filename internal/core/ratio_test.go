@@ -213,8 +213,8 @@ func TestPropertyOnlineCPWithinFourTimesOptimal(t *testing.T) {
 			hostWeight[w.hostEdge(le)] = w.g.Weight(le)
 		}
 		var treeWeight float64
-		for e, uses := range sol.Tree.LinkLoads() {
-			treeWeight += float64(uses) * hostWeight[e]
+		for _, l := range sol.Tree.LinkLoads() {
+			treeWeight += float64(l.Uses) * hostWeight[l.Edge]
 		}
 		wv := model.ServerWeight(nw, v)
 		return treeWeight+wv <= 4*(opt+wv)+1e-6

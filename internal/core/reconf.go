@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"nfvmcast/internal/graph"
 	"nfvmcast/internal/multicast"
 	"nfvmcast/internal/sdn"
 )
@@ -90,15 +89,9 @@ func (p *ReconfPlanner) Name() string { return "Reconf_CP" }
 // sorted edge order — float addition is order-dependent and the drift
 // ranking must be deterministic.
 func (p *ReconfPlanner) priceTree(nw *sdn.Network, tree *multicast.PseudoTree) float64 {
-	loads := tree.LinkLoads()
-	edges := make([]graph.EdgeID, 0, len(loads))
-	for e := range loads {
-		edges = append(edges, e)
-	}
-	sort.Ints(edges)
 	var price float64
-	for _, e := range edges {
-		price += float64(loads[e]) * p.model.LinkWeight(nw, e) * nw.BandwidthCap(e)
+	for _, l := range tree.LinkLoads() {
+		price += float64(l.Uses) * p.model.LinkWeight(nw, l.Edge) * nw.BandwidthCap(l.Edge)
 	}
 	for _, v := range tree.Servers {
 		price += p.model.ServerCost(nw, v)

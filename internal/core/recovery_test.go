@@ -9,8 +9,8 @@ import (
 	"context"
 	"testing"
 
-	"nfvmcast/internal/graph"
 	"nfvmcast/internal/multicast"
+	"nfvmcast/internal/sdn"
 )
 
 func TestFailureRecoveryWorkflow(t *testing.T) {
@@ -26,7 +26,7 @@ func TestFailureRecoveryWorkflow(t *testing.T) {
 	// Admit a handful of sessions and remember their allocations.
 	type session struct {
 		req   *multicast.Request
-		alloc map[graph.EdgeID]float64
+		alloc sdn.Allocation
 	}
 	var sessions []session
 	for len(sessions) < 10 {
@@ -40,19 +40,15 @@ func TestFailureRecoveryWorkflow(t *testing.T) {
 		}
 		sessions = append(sessions, session{
 			req:   req,
-			alloc: AllocationFor(req, sol.Tree).Links,
+			alloc: AllocationFor(req, sol.Tree),
 		})
 	}
 
 	// Fail one link used by the first session.
-	var failed graph.EdgeID = -1
-	for e := range sessions[0].alloc {
-		failed = e
-		break
-	}
-	if failed == -1 {
+	if len(sessions[0].alloc.Links) == 0 {
 		t.Fatal("first session uses no links?")
 	}
+	failed := sessions[0].alloc.Links[0].Edge
 	if err := nw.SetLinkUp(failed, false); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +56,7 @@ func TestFailureRecoveryWorkflow(t *testing.T) {
 	// Identify and depart the affected sessions.
 	reAdmit := make([]*multicast.Request, 0, len(sessions))
 	for _, s := range sessions {
-		if _, down := s.alloc[failed]; !down {
+		if _, down := linkMbps(s.alloc, failed); !down {
 			continue
 		}
 		if _, derr := cp.Depart(s.req.ID); derr != nil {
@@ -86,7 +82,7 @@ func TestFailureRecoveryWorkflow(t *testing.T) {
 			t.Fatalf("re-admit %d: %v", fresh.ID, aerr)
 		}
 		recovered++
-		if _, uses := sol.Tree.LinkLoads()[failed]; uses {
+		if loadOn(sol.Tree.LinkLoads(), failed) > 0 {
 			t.Fatalf("re-admitted session %d routed over the failed link", fresh.ID)
 		}
 		if derr := sol.Tree.CheckDelivery(nw.Graph()); derr != nil {

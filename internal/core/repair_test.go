@@ -28,9 +28,9 @@ func TestRepairReroutePinnedServer(t *testing.T) {
 	for _, e := range graph.Bridges(nw.Graph()) {
 		isBridge[e] = true
 	}
-	for e := range AllocationFor(req, sol.Tree).Links {
-		if !isBridge[e] {
-			failed = e
+	for _, l := range AllocationFor(req, sol.Tree).Links {
+		if !isBridge[l.Edge] {
+			failed = l.Edge
 			break
 		}
 	}
@@ -48,7 +48,7 @@ func TestRepairReroutePinnedServer(t *testing.T) {
 	if len(rsol.Servers) != 1 || rsol.Servers[0] != server {
 		t.Fatalf("repair moved the server: %v, want [%d]", rsol.Servers, server)
 	}
-	if _, used := AllocationFor(req, rsol.Tree).Links[failed]; used {
+	if _, used := linkMbps(AllocationFor(req, rsol.Tree), failed); used {
 		t.Fatal("repaired tree still crosses the failed link")
 	}
 	// Packet replay proves the repaired tree still delivers

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nfvmcast/internal/graph"
 	"nfvmcast/internal/multicast"
@@ -97,18 +98,12 @@ type Solution struct {
 // Case 1): every distinct directed traversal of a link is charged
 // b_k*c_e and every serving node is charged C_v(SC_k)*c_v.
 func OperationalCost(nw *sdn.Network, req *multicast.Request, tree *multicast.PseudoTree) float64 {
-	// Sum in sorted edge order: float addition is order-dependent, and
-	// map-ordered sums would make near-tie candidate selection (and
+	// LinkLoads is sorted by edge: float addition is order-dependent,
+	// and an unordered sum would make near-tie candidate selection (and
 	// thus whole experiment runs) non-deterministic.
-	loads := tree.LinkLoads()
-	edges := make([]graph.EdgeID, 0, len(loads))
-	for e := range loads {
-		edges = append(edges, e)
-	}
-	sort.Ints(edges)
 	var cost float64
-	for _, e := range edges {
-		cost += float64(loads[e]) * req.BandwidthMbps * nw.LinkUnitCost(e)
+	for _, l := range tree.LinkLoads() {
+		cost += float64(l.Uses) * req.BandwidthMbps * nw.LinkUnitCost(l.Edge)
 	}
 	demand := req.ComputeDemandMHz()
 	for i, v := range tree.Servers {
@@ -123,20 +118,32 @@ func OperationalCost(nw *sdn.Network, req *multicast.Request, tree *multicast.Ps
 
 // AllocationFor converts a pseudo-multicast tree into the resource
 // bundle it occupies: b_k per distinct directed traversal per link,
-// and C_v(SC_k) at every serving node.
+// and C_v(SC_k) at every serving node. Both lists come out ascending by
+// ID, as sdn.Allocation requires.
 func AllocationFor(req *multicast.Request, tree *multicast.PseudoTree) sdn.Allocation {
-	links := make(map[graph.EdgeID]float64)
-	for e, uses := range tree.LinkLoads() {
-		links[e] = float64(uses) * req.BandwidthMbps
+	loads := tree.LinkLoads()
+	links := make([]sdn.LinkShare, len(loads))
+	for i, l := range loads {
+		links[i] = sdn.LinkShare{Edge: l.Edge, Mbps: float64(l.Uses) * req.BandwidthMbps}
 	}
-	servers := make(map[graph.NodeID]float64, len(tree.Servers))
+	servers := make([]sdn.ServerShare, 0, len(tree.Servers))
 	demand := req.ComputeDemandMHz()
 	for i, v := range tree.Servers {
+		d := demand
 		if tree.ServerDemands != nil {
 			// Distributed placement: each host carries its own segment.
-			servers[v] += tree.ServerDemands[i]
-		} else {
-			servers[v] = demand
+			d = tree.ServerDemands[i]
+		}
+		j, found := slices.BinarySearchFunc(servers, v, func(s sdn.ServerShare, v graph.NodeID) int {
+			return cmp.Compare(s.Node, v)
+		})
+		switch {
+		case !found:
+			servers = slices.Insert(servers, j, sdn.ServerShare{Node: v, MHz: d})
+		case tree.ServerDemands != nil:
+			// A repeated host sums its segments in tree order; the
+			// consolidated model charges the chain once.
+			servers[j].MHz += d
 		}
 	}
 	return sdn.Allocation{Links: links, Servers: servers}

@@ -138,13 +138,12 @@ func degrade(t *testing.T, nw *sdn.Network) {
 	if err := nw.SetServerUp(srv[len(srv)/2], false); err != nil {
 		t.Fatal(err)
 	}
-	a := sdn.Allocation{Links: map[graph.EdgeID]float64{}, Servers: map[graph.NodeID]float64{}}
+	a := sdn.Allocation{Servers: []sdn.ServerShare{{Node: srv[0], MHz: nw.ResidualCompute(srv[0])}}}
 	for e := 0; e < m; e += 7 {
 		if nw.LinkUp(e) {
-			a.Links[e] = nw.ResidualBandwidth(e) - 1
+			a.Links = append(a.Links, sdn.LinkShare{Edge: e, Mbps: nw.ResidualBandwidth(e) - 1})
 		}
 	}
-	a.Servers[srv[0]] = nw.ResidualCompute(srv[0])
 	if err := nw.Allocate(a); err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +227,8 @@ func TestScratchPriceMatchesBuiltTree(t *testing.T) {
 				if i > 0 && fx.w.hostEdge(walked[i-1].edge) >= host {
 					t.Fatalf("%s cand %d: walker order breaks at %d", label, idx, i)
 				}
-				if want[host] != l.load {
-					t.Fatalf("%s cand %d: link %d load %d, tree says %d", label, idx, host, l.load, want[host])
+				if want[i] != (multicast.EdgeLoad{Edge: host, Uses: l.load}) {
+					t.Fatalf("%s cand %d: link %d load %d, tree says %v", label, idx, host, l.load, want[i])
 				}
 				if l.load == 2 {
 					crossed++

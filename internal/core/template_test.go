@@ -164,9 +164,7 @@ func TestTemplateBuildMatchesColdBuild(t *testing.T) {
 	if e < 0 {
 		t.Fatal("no member link with slack")
 	}
-	if err := nw.Allocate(sdn.Allocation{Links: map[graph.EdgeID]float64{
-		e: nw.ResidualBandwidth(e) - 0.999*req.BandwidthMbps,
-	}}); err != nil {
+	if err := nw.Allocate(sdn.Allocation{Links: []sdn.LinkShare{{Edge: e, Mbps: nw.ResidualBandwidth(e) - 0.999*req.BandwidthMbps}}}); err != nil {
 		t.Fatal(err)
 	}
 	if check("link below b_k", tmpl, req) {

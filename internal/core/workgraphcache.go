@@ -41,21 +41,34 @@ func makeWorkGraphKey(nw *sdn.Network, req *multicast.Request) workGraphKey {
 	}
 }
 
-// sameFamily reports whether two keys differ only in their residual
-// epoch — the precondition for patching one key's entry into the
-// other's: equal structVer means identical topology and up/down state,
-// and equal request parameters mean identical filtering and pricing
-// formulas, so any divergence between the two views is confined to
-// residual values the journal (or a value sweep) can enumerate.
-func (k workGraphKey) sameFamily(o workGraphKey) bool {
-	return k.sameStructure(o) && k.bandwidth == o.bandwidth && k.demand == o.demand
+// wgStructure is a key without its residual epoch and request
+// parameters: keys with equal structures were built over the same
+// topology and up/down state — the precondition for building one key's
+// work graph on the other's adjacency (buildWorkGraphFrom).
+type wgStructure struct {
+	structVer uint64
+	nodes     int
+	edges     int
 }
 
-// sameStructure reports whether two keys were built over the same
-// topology and up/down state — the precondition for building one
-// key's work graph on the other's adjacency (buildWorkGraphFrom).
-func (k workGraphKey) sameStructure(o workGraphKey) bool {
-	return k.structVer == o.structVer && k.nodes == o.nodes && k.edges == o.edges
+func (k workGraphKey) structure() wgStructure {
+	return wgStructure{structVer: k.structVer, nodes: k.nodes, edges: k.edges}
+}
+
+// wgFamily is a key without its residual epoch. Keys of one family may
+// be patched into each other: equal structures mean identical topology
+// and up/down state, and equal request parameters mean identical
+// filtering and pricing formulas, so any divergence between the two
+// views is confined to residual values the journal (or a value sweep)
+// can enumerate.
+type wgFamily struct {
+	wgStructure
+	bandwidth float64
+	demand    float64
+}
+
+func (k workGraphKey) family() wgFamily {
+	return wgFamily{wgStructure: k.structure(), bandwidth: k.bandwidth, demand: k.demand}
 }
 
 // residualSnap records the residual values an entry's work graph was
@@ -109,13 +122,18 @@ func (s *residualSnap) serverIndex(v graph.NodeID) int {
 // wgEntry pairs a cached work graph with the shortest-path cache over
 // it; both are immutable/concurrency-safe, so entries may be shared by
 // any number of planner goroutines. snap is the residual state the
-// entry was built against; entries inserted through the legacy put
-// (tests) carry no snapshot and are served for exact hits only.
+// entry was built against.
 type wgEntry struct {
 	key  workGraphKey
 	w    *workGraph
 	sp   *spCache
 	snap *residualSnap
+}
+
+// wgNode is an entry's place in the cache's MRU list.
+type wgNode struct {
+	wgEntry
+	newer, older *wgNode
 }
 
 // wgCall is one in-flight build other goroutines wait on instead of
@@ -147,6 +165,12 @@ type wgCall struct {
 //     (buildWorkGraphFrom); otherwise it inserts every edge afresh.
 //   - Concurrent misses on one key are single-flighted.
 //
+// Every lookup, promotion, insertion and eviction is O(1): entries sit
+// in a doubly linked MRU list behind a key index, and two more maps
+// name the most recently used entry per structure (the template pick)
+// and per family (the patch-base pick) — exactly the entries a
+// front-to-back scan of the list would meet first.
+//
 // Patching preserves bit-identity with a cold build: unchanged edges
 // keep weights computed from bit-identical (free, cap) inputs, changed
 // edges are re-priced with the same formula a cold build would use,
@@ -161,7 +185,10 @@ type workGraphCache struct {
 	weight      func(nw *sdn.Network, req *multicast.Request, e graph.EdgeID) float64
 
 	mu       sync.Mutex
-	entries  []wgEntry // most recently used first
+	index    map[workGraphKey]*wgNode
+	mru, lru *wgNode // list ends; nil when empty
+	byStruct map[wgStructure]*wgNode
+	byFamily map[wgFamily]*wgNode
 	inflight map[workGraphKey]*wgCall
 
 	// Transition counters (under mu) — test and tuning instrumentation.
@@ -206,51 +233,86 @@ const workGraphCacheSize = 512
 // cheaper than patch + repair.
 const wgMaxChangedFrac = 0.25
 
-// get returns the cached entry for key, promoting it to most recently
-// used.
-func (c *workGraphCache) get(key workGraphKey) (*workGraph, *spCache, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.lookup(key); ok {
-		return e.w, e.sp, true
+// lookup finds key and promotes it to most recently used. Caller
+// holds mu.
+func (c *workGraphCache) lookup(key workGraphKey) (*wgNode, bool) {
+	n, ok := c.index[key]
+	if ok && n != c.mru {
+		c.unlink(n)
+		c.pushFront(n)
 	}
-	return nil, nil, false
+	return n, ok
 }
 
-// lookup finds key and promotes it to the MRU front. Caller holds mu.
-func (c *workGraphCache) lookup(key workGraphKey) (wgEntry, bool) {
-	for i := range c.entries {
-		if c.entries[i].key == key {
-			e := c.entries[i]
-			copy(c.entries[1:i+1], c.entries[:i])
-			c.entries[0] = e
-			return e, true
-		}
-	}
-	return wgEntry{}, false
-}
-
-// put inserts an entry at the front, evicting the least recently used
-// beyond the cache size. An entry already present (a racing build) is
-// left in place — both builds are identical.
-func (c *workGraphCache) put(key workGraphKey, w *workGraph, sp *spCache) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insert(wgEntry{key: key, w: w, sp: sp})
-}
-
-// insert is put's locked core, shared with acquire.
+// insert adds e as most recently used, evicting the least recently
+// used entry beyond the cache size. An entry already present is left
+// in place. Caller holds mu.
 func (c *workGraphCache) insert(e wgEntry) {
-	for i := range c.entries {
-		if c.entries[i].key == e.key {
-			return
-		}
+	if _, ok := c.index[e.key]; ok {
+		return
 	}
-	if len(c.entries) < workGraphCacheSize {
-		c.entries = append(c.entries, wgEntry{})
+	if c.index == nil {
+		c.index = make(map[workGraphKey]*wgNode)
+		c.byStruct = make(map[wgStructure]*wgNode)
+		c.byFamily = make(map[wgFamily]*wgNode)
 	}
-	copy(c.entries[1:], c.entries)
-	c.entries[0] = e
+	var n *wgNode
+	if len(c.index) < workGraphCacheSize {
+		n = new(wgNode)
+	} else {
+		n = c.evict()
+	}
+	n.wgEntry = e
+	c.index[e.key] = n
+	c.pushFront(n)
+}
+
+// evict removes the least recently used entry and returns its node for
+// reuse. The family and structure maps lose their pointer only when it
+// aims at the victim: the global LRU entry is its family's (or
+// structure's) MRU entry only when it is that group's last entry, so
+// any other pointer still names a live, more recent entry.
+func (c *workGraphCache) evict() *wgNode {
+	n := c.lru
+	c.unlink(n)
+	delete(c.index, n.key)
+	if f := n.key.family(); c.byFamily[f] == n {
+		delete(c.byFamily, f)
+	}
+	if st := n.key.structure(); c.byStruct[st] == n {
+		delete(c.byStruct, st)
+	}
+	*n = wgNode{}
+	return n
+}
+
+// pushFront makes n the most recently used entry of the cache, its
+// family and its structure.
+func (c *workGraphCache) pushFront(n *wgNode) {
+	n.newer, n.older = nil, c.mru
+	if c.mru != nil {
+		c.mru.newer = n
+	} else {
+		c.lru = n
+	}
+	c.mru = n
+	c.byFamily[n.key.family()] = n
+	c.byStruct[n.key.structure()] = n
+}
+
+// unlink detaches n from the MRU list.
+func (c *workGraphCache) unlink(n *wgNode) {
+	if n.newer != nil {
+		n.newer.older = n.older
+	} else {
+		c.mru = n.older
+	}
+	if n.older != nil {
+		n.older.newer = n.newer
+	} else {
+		c.lru = n.newer
+	}
+	n.newer, n.older = nil, nil
 }
 
 // stats returns the transition counters.
@@ -267,10 +329,11 @@ func (c *workGraphCache) stats() (hits, rekeys, patches, builds uint64) {
 func (c *workGraphCache) acquire(nw *sdn.Network, req *multicast.Request) (*workGraph, *spCache) {
 	key := makeWorkGraphKey(nw, req)
 	c.mu.Lock()
-	if e, ok := c.lookup(key); ok {
+	if n, ok := c.lookup(key); ok {
 		c.hits++
+		w, sp := n.w, n.sp
 		c.mu.Unlock()
-		return e.w, e.sp
+		return w, sp
 	}
 	if call, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
@@ -282,20 +345,17 @@ func (c *workGraphCache) acquire(nw *sdn.Network, req *multicast.Request) (*work
 		c.inflight = make(map[workGraphKey]*wgCall)
 	}
 	c.inflight[key] = call
-	// Pick the most recently used same-family entry as patch base, and
-	// the most recently used same-structure entry as cold-build template.
+	// Patch from the most recently used same-family entry; cold-build
+	// on the most recently used same-structure entry's adjacency.
+	// Both are copied out under mu: an evicted node is reused.
 	var base wgEntry
 	var tmpl *workGraph
 	haveBase := false
-	for i := range c.entries {
-		e := &c.entries[i]
-		if tmpl == nil && e.key.sameStructure(key) {
-			tmpl = e.w
-		}
-		if e.snap != nil && e.key.sameFamily(key) {
-			base, haveBase = *e, true
-			break
-		}
+	if n := c.byFamily[key.family()]; n != nil {
+		base, haveBase = n.wgEntry, true
+	}
+	if n := c.byStruct[key.structure()]; n != nil {
+		tmpl = n.w
 	}
 	c.mu.Unlock()
 

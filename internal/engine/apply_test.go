@@ -150,8 +150,8 @@ func TestApplyValidBatchTriggersRecovery(t *testing.T) {
 	target := eng.Lives()[0]
 	alloc := core.AllocationFor(target.Request, target.Tree)
 	muts := make([]Mutation, 0, len(alloc.Links))
-	for e := range alloc.Links {
-		muts = append(muts, Mutation{Kind: LinkState, ID: e, Up: false})
+	for _, l := range alloc.Links {
+		muts = append(muts, Mutation{Kind: LinkState, ID: l.Edge, Up: false})
 	}
 	if err := eng.Apply(muts...); err != nil {
 		t.Fatalf("valid batch rejected: %v", err)

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -282,7 +283,7 @@ func TestOneBarrierPerOperation(t *testing.T) {
 	for e := 0; e < nw.NumEdges(); e++ {
 		n := 0
 		for _, sol := range eng.Lives() {
-			if sol.Tree.LinkLoads()[e] > 0 {
+			if slices.ContainsFunc(sol.Tree.LinkLoads(), func(l multicast.EdgeLoad) bool { return l.Edge == e }) {
 				n++
 			}
 		}

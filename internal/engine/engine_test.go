@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -59,7 +60,7 @@ func plannerFor(t *testing.T, name string, nw *sdn.Network) core.Planner {
 type decision struct {
 	admitted bool
 	servers  []graph.NodeID
-	loads    map[graph.EdgeID]int
+	loads    []multicast.EdgeLoad
 	opCost   float64
 	selCost  float64
 }
@@ -84,18 +85,8 @@ func sameDecision(a, b decision) bool {
 	if !a.admitted {
 		return true
 	}
-	if len(a.servers) != len(b.servers) || len(a.loads) != len(b.loads) {
+	if !slices.Equal(a.servers, b.servers) || !slices.Equal(a.loads, b.loads) {
 		return false
-	}
-	for i := range a.servers {
-		if a.servers[i] != b.servers[i] {
-			return false
-		}
-	}
-	for e, n := range a.loads {
-		if b.loads[e] != n {
-			return false
-		}
 	}
 	return a.opCost == b.opCost && a.selCost == b.selCost
 }

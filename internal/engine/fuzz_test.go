@@ -129,11 +129,11 @@ func checkEngineConsistency(t *testing.T, eng *Engine, nw *sdn.Network) {
 	wantSrv := make(map[int]float64)
 	for _, sol := range lives {
 		alloc := core.AllocationFor(sol.Request, sol.Tree)
-		for e, bw := range alloc.Links {
-			wantLink[e] += bw
+		for _, l := range alloc.Links {
+			wantLink[l.Edge] += l.Mbps
 		}
-		for v, mhz := range alloc.Servers {
-			wantSrv[v] += mhz
+		for _, s := range alloc.Servers {
+			wantSrv[s.Node] += s.MHz
 		}
 	}
 	// Tolerance scales with the capacity's own representable precision:

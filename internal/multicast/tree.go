@@ -3,6 +3,7 @@ package multicast
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"nfvmcast/internal/graph"
 )
@@ -37,14 +38,7 @@ type PseudoTree struct {
 	// serving node is charged the request's full chain demand.
 	ServerDemands []float64
 
-	hops    []Hop
-	hopSeen map[hopKey]struct{}
-}
-
-type hopKey struct {
-	from, to  graph.NodeID
-	edge      graph.EdgeID
-	processed bool
+	hops []Hop
 }
 
 // NewPseudoTree returns an empty pseudo-multicast tree for the given
@@ -58,17 +52,15 @@ func NewPseudoTree(source graph.NodeID, dests, servers []graph.NodeID) *PseudoTr
 		Source:       source,
 		Destinations: d,
 		Servers:      s,
-		hopSeen:      make(map[hopKey]struct{}),
 	}
 }
 
-// AddHop records a directed traversal; duplicates are ignored.
+// AddHop records a directed traversal; duplicates are ignored. Trees
+// hold tens of hops, so a scan beats hashing.
 func (t *PseudoTree) AddHop(h Hop) {
-	k := hopKey{from: h.From, to: h.To, edge: h.Edge, processed: h.Processed}
-	if _, ok := t.hopSeen[k]; ok {
+	if slices.Contains(t.hops, h) {
 		return
 	}
-	t.hopSeen[k] = struct{}{}
 	t.hops = append(t.hops, h)
 }
 
@@ -95,15 +87,36 @@ func (t *PseudoTree) Hops() []Hop {
 // NumHops reports the number of distinct directed hops.
 func (t *PseudoTree) NumHops() int { return len(t.hops) }
 
-// LinkLoads returns, per host edge, the number of distinct directed
-// traversals the tree makes over it. Each traversal consumes the
-// request's bandwidth b_k, so a link crossed by both the unprocessed
-// and the processed stream is charged twice (the pseudo-multicast
-// back-tracking cost of paper §III.B).
-func (t *PseudoTree) LinkLoads() map[graph.EdgeID]int {
-	loads := make(map[graph.EdgeID]int, len(t.hops))
+// EdgeLoad is one link's entry in a tree's LinkLoads: the number of
+// distinct directed traversals the tree makes over Edge.
+type EdgeLoad struct {
+	Edge graph.EdgeID
+	Uses int
+}
+
+// LinkLoads returns, one entry per host edge the tree uses and sorted
+// by edge, the number of distinct directed traversals the tree makes
+// over it. Each traversal consumes the request's bandwidth b_k, so a
+// link crossed by both the unprocessed and the processed stream is
+// charged twice (the pseudo-multicast back-tracking cost of paper
+// §III.B). The edge order makes sums over the loads deterministic.
+func (t *PseudoTree) LinkLoads() []EdgeLoad {
+	// Sorting bare IDs in a stack buffer beats sorting the loads through
+	// a comparison function; trees have tens of hops, 121 at most on the
+	// benchmark substrates.
+	var buf [128]graph.EdgeID
+	ids := buf[:0]
 	for _, h := range t.hops {
-		loads[h.Edge]++
+		ids = append(ids, h.Edge)
+	}
+	slices.Sort(ids)
+	loads := make([]EdgeLoad, 0, len(ids))
+	for _, e := range ids {
+		if n := len(loads); n > 0 && loads[n-1].Edge == e {
+			loads[n-1].Uses++
+			continue
+		}
+		loads = append(loads, EdgeLoad{Edge: e, Uses: 1})
 	}
 	return loads
 }

@@ -32,8 +32,43 @@ func TestPseudoTreeDedupesHops(t *testing.T) {
 	if tr.NumHops() != 3 {
 		t.Fatalf("NumHops = %d, want 3", tr.NumHops())
 	}
-	if got := tr.LinkLoads()[ids[0]]; got != 3 {
+	if got := loadOn(tr.LinkLoads(), ids[0]); got != 3 {
 		t.Fatalf("load on edge 0 = %d, want 3", got)
+	}
+}
+
+// loadOn returns e's traversal count in loads, or 0.
+func loadOn(loads []EdgeLoad, e graph.EdgeID) int {
+	for _, l := range loads {
+		if l.Edge == e {
+			return l.Uses
+		}
+	}
+	return 0
+}
+
+// TestLinkLoadsSortedOnePerEdge: hops added out of edge order come back
+// as one entry per edge, ascending, with every traversal counted.
+func TestLinkLoadsSortedOnePerEdge(t *testing.T) {
+	_, ids := lineHost()
+	tr := NewPseudoTree(0, []graph.NodeID{1, 4}, []graph.NodeID{2})
+	tr.AddHop(Hop{From: 3, To: 4, Edge: ids[3], Processed: true})
+	tr.AddHop(Hop{From: 0, To: 1, Edge: ids[0], Processed: false})
+	tr.AddHop(Hop{From: 2, To: 1, Edge: ids[1], Processed: true})
+	tr.AddHop(Hop{From: 1, To: 2, Edge: ids[1], Processed: false})
+	tr.AddHop(Hop{From: 2, To: 3, Edge: ids[2], Processed: true})
+	got := tr.LinkLoads()
+	want := []EdgeLoad{{ids[0], 1}, {ids[1], 2}, {ids[2], 1}, {ids[3], 1}}
+	if len(got) != len(want) {
+		t.Fatalf("LinkLoads = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("LinkLoads = %v, want %v", got, want)
+		}
+	}
+	if empty := NewPseudoTree(0, nil, nil).LinkLoads(); len(empty) != 0 {
+		t.Fatalf("empty tree LinkLoads = %v", empty)
 	}
 }
 
@@ -64,7 +99,7 @@ func TestCheckDeliveryHappyPath(t *testing.T) {
 	if err := tr.CheckDelivery(g); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.LinkLoads()[ids[1]]; got != 2 {
+	if got := loadOn(tr.LinkLoads(), ids[1]); got != 2 {
 		t.Fatalf("back-tracked link load = %d, want 2", got)
 	}
 }

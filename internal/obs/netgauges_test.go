@@ -69,7 +69,7 @@ func TestNetworkGaugesSaturation(t *testing.T) {
 	// Consume half of link 0's bandwidth behind the gauges' back, then
 	// collect: utilisation and weight saturation must both move.
 	half := nw.BandwidthCap(0) / 2
-	if err := nw.Allocate(sdn.Allocation{Links: map[int]float64{0: half}}); err != nil {
+	if err := nw.Allocate(sdn.Allocation{Links: []sdn.LinkShare{{Edge: 0, Mbps: half}}}); err != nil {
 		t.Fatal(err)
 	}
 	g.Collect(nw)
@@ -88,7 +88,7 @@ func TestNetworkGaugesSaturation(t *testing.T) {
 
 	// Release and re-collect: gauges return to zero (the invariant the
 	// engine-level departure test leans on).
-	if err := nw.Release(sdn.Allocation{Links: map[int]float64{0: half}}); err != nil {
+	if err := nw.Release(sdn.Allocation{Links: []sdn.LinkShare{{Edge: 0, Mbps: half}}}); err != nil {
 		t.Fatal(err)
 	}
 	g.Collect(nw)

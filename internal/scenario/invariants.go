@@ -88,11 +88,11 @@ func (x *executor) checkConservation(at float64) error {
 				x.violatef("t=%s%s live table holds req %d the target's owner map gives to %q", fmtG(at), shardField(c.id), id, owner)
 			}
 			alloc := core.AllocationFor(sol.Request, sol.Tree)
-			for e, bw := range alloc.Links {
-				want["link"][e] += bw
+			for _, l := range alloc.Links {
+				want["link"][l.Edge] += l.Mbps
 			}
-			for v, mhz := range alloc.Servers {
-				want["server"][v] += mhz
+			for _, s := range alloc.Servers {
+				want["server"][s.Node] += s.MHz
 			}
 		}
 		c.resources(func(kind string, id int, free, cap float64) {

@@ -1,6 +1,7 @@
 package sdn
 
 import (
+	"errors"
 	"fmt"
 
 	"nfvmcast/internal/graph"
@@ -9,10 +10,49 @@ import (
 // Allocation is the resource bundle one admitted request occupies:
 // bandwidth per link (Mbps; already multiplied by the number of
 // traversals for pseudo-tree back-tracking) and computing per server
-// (MHz).
+// (MHz). Both lists are strictly ascending by ID — one entry per
+// resource — so every walk over them is deterministic; CanAllocate,
+// Allocate and Release reject a bundle that breaks the order.
 type Allocation struct {
-	Links   map[graph.EdgeID]float64
-	Servers map[graph.NodeID]float64
+	Links   []LinkShare
+	Servers []ServerShare
+}
+
+// LinkShare is one link's part of an Allocation.
+type LinkShare struct {
+	Edge graph.EdgeID
+	Mbps float64
+}
+
+// ServerShare is one server's part of an Allocation.
+type ServerShare struct {
+	Node graph.NodeID
+	MHz  float64
+}
+
+// ErrMalformedAllocation is returned for an Allocation whose Links or
+// Servers are not strictly ascending by ID, or that names an edge out
+// of range. A repeated entry would be charged twice while each copy
+// passed its own residual check, so such bundles never reach the
+// residuals.
+var ErrMalformedAllocation = errors.New("sdn: malformed allocation")
+
+// checkShape validates a's ordering and edge range against nw.
+func (nw *Network) checkShape(a Allocation) error {
+	for i, l := range a.Links {
+		if l.Edge < 0 || l.Edge >= len(nw.linkFree) {
+			return fmt.Errorf("%w: edge %d out of range (m=%d)", ErrMalformedAllocation, l.Edge, len(nw.linkFree))
+		}
+		if i > 0 && l.Edge <= a.Links[i-1].Edge {
+			return fmt.Errorf("%w: link %d follows link %d", ErrMalformedAllocation, l.Edge, a.Links[i-1].Edge)
+		}
+	}
+	for i, s := range a.Servers {
+		if i > 0 && s.Node <= a.Servers[i-1].Node {
+			return fmt.Errorf("%w: server %d follows server %d", ErrMalformedAllocation, s.Node, a.Servers[i-1].Node)
+		}
+	}
+	return nil
 }
 
 // InsufficientBandwidthError reports a link without enough residual
@@ -53,11 +93,11 @@ func (e *NotServerError) Error() string {
 // capacities, returning the first violation found (deterministically:
 // lowest edge/node ID first).
 func (nw *Network) CanAllocate(a Allocation) error {
-	for _, e := range sortedEdgeKeys(a.Links) {
-		need := a.Links[e]
-		if e < 0 || e >= len(nw.linkFree) {
-			return fmt.Errorf("sdn: edge %d out of range (m=%d)", e, len(nw.linkFree))
-		}
+	if err := nw.checkShape(a); err != nil {
+		return err
+	}
+	for _, l := range a.Links {
+		e, need := l.Edge, l.Mbps
 		if need < 0 {
 			return fmt.Errorf("sdn: negative bandwidth %v on edge %d", need, e)
 		}
@@ -68,8 +108,8 @@ func (nw *Network) CanAllocate(a Allocation) error {
 			return &InsufficientBandwidthError{Edge: e, Need: need, Residual: nw.linkFree[e]}
 		}
 	}
-	for _, v := range sortedNodeKeys(a.Servers) {
-		need := a.Servers[v]
+	for _, s := range a.Servers {
+		v, need := s.Node, s.MHz
 		if !nw.IsServer(v) {
 			return &NotServerError{Node: v}
 		}
@@ -93,13 +133,13 @@ func (nw *Network) Allocate(a Allocation) error {
 	if err := nw.CanAllocate(a); err != nil {
 		return err
 	}
-	for e, need := range a.Links {
-		nw.linkFree[e] -= need
-		nw.markLinkChanged(e)
+	for _, l := range a.Links {
+		nw.linkFree[l.Edge] -= l.Mbps
+		nw.markLinkChanged(l.Edge)
 	}
-	for v, need := range a.Servers {
-		nw.srvFree[v] -= need
-		nw.markServerChanged(v)
+	for _, s := range a.Servers {
+		nw.srvFree[s.Node] -= s.MHz
+		nw.markServerChanged(s.Node)
 	}
 	nw.bumpMutation()
 	return nil
@@ -107,20 +147,21 @@ func (nw *Network) Allocate(a Allocation) error {
 
 // Release returns a previously-allocated bundle to the residual pools.
 // Releasing more than was allocated is a programming error and is
-// rejected (residuals never exceed capacity).
+// rejected (residuals never exceed capacity); like a malformed bundle,
+// it is reported before any residual changes.
 func (nw *Network) Release(a Allocation) error {
-	for _, e := range sortedEdgeKeys(a.Links) {
-		amt := a.Links[e]
-		if e < 0 || e >= len(nw.linkFree) {
-			return fmt.Errorf("sdn: edge %d out of range (m=%d)", e, len(nw.linkFree))
-		}
+	if err := nw.checkShape(a); err != nil {
+		return err
+	}
+	for _, l := range a.Links {
+		e, amt := l.Edge, l.Mbps
 		if amt < 0 || nw.linkFree[e]+amt > nw.linkCap[e]+1e-6 {
 			return fmt.Errorf("sdn: release of %v Mbps overflows link %d (free %v, cap %v)",
 				amt, e, nw.linkFree[e], nw.linkCap[e])
 		}
 	}
-	for _, v := range sortedNodeKeys(a.Servers) {
-		amt := a.Servers[v]
+	for _, s := range a.Servers {
+		v, amt := s.Node, s.MHz
 		if !nw.IsServer(v) {
 			return &NotServerError{Node: v}
 		}
@@ -129,15 +170,17 @@ func (nw *Network) Release(a Allocation) error {
 				amt, v, nw.srvFree[v], nw.srvCap[v])
 		}
 	}
-	for e, amt := range a.Links {
-		nw.linkFree[e] += amt
+	for _, l := range a.Links {
+		e := l.Edge
+		nw.linkFree[e] += l.Mbps
 		if nw.linkFree[e] > nw.linkCap[e] {
 			nw.linkFree[e] = nw.linkCap[e]
 		}
 		nw.markLinkChanged(e)
 	}
-	for v, amt := range a.Servers {
-		nw.srvFree[v] += amt
+	for _, s := range a.Servers {
+		v := s.Node
+		nw.srvFree[v] += s.MHz
 		if nw.srvFree[v] > nw.srvCap[v] {
 			nw.srvFree[v] = nw.srvCap[v]
 		}
@@ -145,31 +188,4 @@ func (nw *Network) Release(a Allocation) error {
 	}
 	nw.bumpMutation()
 	return nil
-}
-
-func sortedEdgeKeys(m map[graph.EdgeID]float64) []graph.EdgeID {
-	out := make([]graph.EdgeID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortInts(out)
-	return out
-}
-
-func sortedNodeKeys(m map[graph.NodeID]float64) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(s []int) {
-	// Insertion sort: the allocation maps are tiny (tree-sized).
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -1,18 +1,14 @@
 package sdn
 
-import (
-	"testing"
-
-	"nfvmcast/internal/graph"
-)
+import "testing"
 
 func TestMutationBatchBumpsOnce(t *testing.T) {
 	nw := testNet(t, 50, 11)
 	srv := nw.Servers()[0]
 	alloc := func(mbps, mhz float64) Allocation {
 		return Allocation{
-			Links:   map[graph.EdgeID]float64{0: mbps},
-			Servers: map[graph.NodeID]float64{srv: mhz},
+			Links:   []LinkShare{{Edge: 0, Mbps: mbps}},
+			Servers: []ServerShare{{Node: srv, MHz: mhz}},
 		}
 	}
 
@@ -65,7 +61,7 @@ func TestMutationBatchEmptyDoesNotBump(t *testing.T) {
 
 func TestMutationBatchNesting(t *testing.T) {
 	nw := testNet(t, 50, 11)
-	a := Allocation{Links: map[graph.EdgeID]float64{0: 1}}
+	a := Allocation{Links: []LinkShare{{Edge: 0, Mbps: 1}}}
 	before := nw.MutationVersion()
 
 	nw.BeginMutationBatch()
@@ -124,7 +120,7 @@ func TestMutationBatchFailureBumpsStructureImmediately(t *testing.T) {
 
 func TestMutationBatchCloneStartsUnbatched(t *testing.T) {
 	nw := testNet(t, 50, 11)
-	a := Allocation{Links: map[graph.EdgeID]float64{0: 1}}
+	a := Allocation{Links: []LinkShare{{Edge: 0, Mbps: 1}}}
 
 	nw.BeginMutationBatch()
 	cp := nw.Clone()

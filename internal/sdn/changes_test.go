@@ -32,8 +32,8 @@ func TestResidualChangesSingleAllocation(t *testing.T) {
 	nw := testNet(t, 40, 7)
 	srv := nw.Servers()[0]
 	a := Allocation{
-		Links:   map[graph.EdgeID]float64{0: 10, 3: 10, 5: 10},
-		Servers: map[graph.NodeID]float64{srv: 100},
+		Links:   []LinkShare{{Edge: 0, Mbps: 10}, {Edge: 3, Mbps: 10}, {Edge: 5, Mbps: 10}},
+		Servers: []ServerShare{{Node: srv, MHz: 100}},
 	}
 	from := nw.MutationVersion()
 	if err := nw.Allocate(a); err != nil {
@@ -85,12 +85,12 @@ func TestResidualChangesBatchIsOneEpoch(t *testing.T) {
 	srv := nw.Servers()[1]
 	from := nw.MutationVersion()
 	nw.BeginMutationBatch()
-	if err := nw.Allocate(Allocation{Links: map[graph.EdgeID]float64{1: 5}}); err != nil {
+	if err := nw.Allocate(Allocation{Links: []LinkShare{{Edge: 1, Mbps: 5}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := nw.Allocate(Allocation{
-		Links:   map[graph.EdgeID]float64{1: 5, 2: 5},
-		Servers: map[graph.NodeID]float64{srv: 50},
+		Links:   []LinkShare{{Edge: 1, Mbps: 5}, {Edge: 2, Mbps: 5}},
+		Servers: []ServerShare{{Node: srv, MHz: 50}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestResidualChangesResizeAndFailure(t *testing.T) {
 func TestResidualChangesRestoreIsFull(t *testing.T) {
 	nw := testNet(t, 30, 17)
 	snap := nw.Snapshot()
-	if err := nw.Allocate(Allocation{Links: map[graph.EdgeID]float64{0: 1}}); err != nil {
+	if err := nw.Allocate(Allocation{Links: []LinkShare{{Edge: 0, Mbps: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	from := nw.MutationVersion()
@@ -153,7 +153,7 @@ func TestResidualChangesRestoreIsFull(t *testing.T) {
 	}
 	// But a window after the restore works again.
 	from = nw.MutationVersion()
-	if err := nw.Allocate(Allocation{Links: map[graph.EdgeID]float64{2: 1}}); err != nil {
+	if err := nw.Allocate(Allocation{Links: []LinkShare{{Edge: 2, Mbps: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	links, _, ok := collectChanges(t, nw, from)
@@ -167,7 +167,7 @@ func TestResidualChangesHistoryEviction(t *testing.T) {
 	base := nw.MutationVersion()
 	for i := 0; i < residualLogEntries+8; i++ {
 		e := i % nw.NumEdges()
-		if err := nw.Allocate(Allocation{Links: map[graph.EdgeID]float64{e: 0.001}}); err != nil {
+		if err := nw.Allocate(Allocation{Links: []LinkShare{{Edge: e, Mbps: 0.001}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,11 +189,18 @@ func TestResidualChangesRingIDOverflow(t *testing.T) {
 	m := nw.NumEdges()
 	// Each epoch touches many links so the ID arena wraps long before
 	// the entry ring does.
-	links := make(map[graph.EdgeID]float64, 128)
+	touched := make([]bool, m)
+	var links []LinkShare
 	for round := 0; round < 80; round++ {
-		clear(links)
+		clear(touched)
 		for j := 0; j < 128; j++ {
-			links[(round*37+j)%m] = 0.0001
+			touched[(round*37+j)%m] = true
+		}
+		links = links[:0]
+		for e, on := range touched {
+			if on {
+				links = append(links, LinkShare{Edge: e, Mbps: 0.0001})
+			}
 		}
 		if err := nw.Allocate(Allocation{Links: links}); err != nil {
 			t.Fatal(err)
@@ -227,7 +234,7 @@ func TestResidualChangesRingIDOverflow(t *testing.T) {
 
 func TestResidualChangesCloneIndependence(t *testing.T) {
 	nw := testNet(t, 30, 29)
-	if err := nw.Allocate(Allocation{Links: map[graph.EdgeID]float64{0: 1}}); err != nil {
+	if err := nw.Allocate(Allocation{Links: []LinkShare{{Edge: 0, Mbps: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	from := nw.MutationVersion() - 1
@@ -239,7 +246,7 @@ func TestResidualChangesCloneIndependence(t *testing.T) {
 		t.Fatalf("clone window: links=%v ok=%v", links, ok)
 	}
 	// ...and diverging the original does not leak into it.
-	if err := nw.Allocate(Allocation{Links: map[graph.EdgeID]float64{5: 1}}); err != nil {
+	if err := nw.Allocate(Allocation{Links: []LinkShare{{Edge: 5, Mbps: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	links, _, ok = cp.ResidualChangesSince(from, nil, nil)
@@ -269,8 +276,8 @@ func TestCloneIntoMatchesClone(t *testing.T) {
 	nw := testNet(t, 40, 31)
 	srv := nw.Servers()[0]
 	if err := nw.Allocate(Allocation{
-		Links:   map[graph.EdgeID]float64{0: 10, 1: 20},
-		Servers: map[graph.NodeID]float64{srv: 100},
+		Links:   []LinkShare{{Edge: 0, Mbps: 10}, {Edge: 1, Mbps: 20}},
+		Servers: []ServerShare{{Node: srv, MHz: 100}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +331,7 @@ func TestCloneIntoMatchesClone(t *testing.T) {
 
 	// Independence: mutating the copy must not touch the source.
 	beforeFree := nw.ResidualBandwidth(0)
-	if err := got.Allocate(Allocation{Links: map[graph.EdgeID]float64{0: 5}}); err != nil {
+	if err := got.Allocate(Allocation{Links: []LinkShare{{Edge: 0, Mbps: 5}}}); err != nil {
 		t.Fatal(err)
 	}
 	if nw.ResidualBandwidth(0) != beforeFree {

@@ -1,6 +1,10 @@
 package sdn
 
-import "nfvmcast/internal/graph"
+import (
+	"sort"
+
+	"nfvmcast/internal/graph"
+)
 
 // Resource-change notifications. Every failure-state transition
 // (SetLinkUp, SetServerUp) appends one ResourceEvent to the network's
@@ -81,6 +85,6 @@ func (nw *Network) DownServers() []graph.NodeID {
 	for v := range nw.srvDown {
 		out = append(out, v)
 	}
-	sortInts(out)
+	sort.Ints(out)
 	return out
 }

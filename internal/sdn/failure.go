@@ -85,13 +85,13 @@ func (nw *Network) DownLinks() []graph.EdgeID {
 // resource — used to find the sessions that must be re-planned after
 // a failure.
 func (nw *Network) AffectedBy(a Allocation) bool {
-	for e := range a.Links {
-		if !nw.LinkUp(e) {
+	for _, l := range a.Links {
+		if !nw.LinkUp(l.Edge) {
 			return true
 		}
 	}
-	for v := range a.Servers {
-		if nw.IsServer(v) && !nw.ServerUp(v) {
+	for _, s := range a.Servers {
+		if v := s.Node; nw.IsServer(v) && !nw.ServerUp(v) {
 			return true
 		}
 	}

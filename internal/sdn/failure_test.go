@@ -18,14 +18,14 @@ func TestLinkFailureBlocksAllocation(t *testing.T) {
 	if nw.LinkUp(0) {
 		t.Fatal("link still up after failure")
 	}
-	err := nw.Allocate(Allocation{Links: map[graph.EdgeID]float64{0: 10}})
+	err := nw.Allocate(Allocation{Links: []LinkShare{{Edge: 0, Mbps: 10}}})
 	if !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("allocate on down link = %v, want ErrLinkDown", err)
 	}
 	if err := nw.SetLinkUp(0, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.Allocate(Allocation{Links: map[graph.EdgeID]float64{0: 10}}); err != nil {
+	if err := nw.Allocate(Allocation{Links: []LinkShare{{Edge: 0, Mbps: 10}}}); err != nil {
 		t.Fatalf("allocate after repair: %v", err)
 	}
 	if err := nw.SetLinkUp(9999, false); err == nil {
@@ -42,14 +42,14 @@ func TestServerFailureBlocksAllocation(t *testing.T) {
 	if err := nw.SetServerUp(v, false); err != nil {
 		t.Fatal(err)
 	}
-	err := nw.Allocate(Allocation{Servers: map[graph.NodeID]float64{v: 10}})
+	err := nw.Allocate(Allocation{Servers: []ServerShare{{Node: v, MHz: 10}}})
 	if !errors.Is(err, ErrServerDown) {
 		t.Fatalf("allocate on down server = %v, want ErrServerDown", err)
 	}
 	if err := nw.SetServerUp(v, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.Allocate(Allocation{Servers: map[graph.NodeID]float64{v: 10}}); err != nil {
+	if err := nw.Allocate(Allocation{Servers: []ServerShare{{Node: v, MHz: 10}}}); err != nil {
 		t.Fatalf("allocate after repair: %v", err)
 	}
 	// Non-server node cannot be failed.
@@ -85,20 +85,20 @@ func TestDownLinksAndAffectedBy(t *testing.T) {
 	}
 	v := nw.Servers()[0]
 	alloc := Allocation{
-		Links:   map[graph.EdgeID]float64{0: 5, 3: 5},
-		Servers: map[graph.NodeID]float64{v: 5},
+		Links:   []LinkShare{{Edge: 0, Mbps: 5}, {Edge: 3, Mbps: 5}},
+		Servers: []ServerShare{{Node: v, MHz: 5}},
 	}
 	if !nw.AffectedBy(alloc) {
 		t.Fatal("allocation over down link not reported as affected")
 	}
-	clean := Allocation{Links: map[graph.EdgeID]float64{0: 5}}
+	clean := Allocation{Links: []LinkShare{{Edge: 0, Mbps: 5}}}
 	if nw.AffectedBy(clean) {
 		t.Fatal("clean allocation reported as affected")
 	}
 	if err := nw.SetServerUp(v, false); err != nil {
 		t.Fatal(err)
 	}
-	if !nw.AffectedBy(Allocation{Servers: map[graph.NodeID]float64{v: 1}}) {
+	if !nw.AffectedBy(Allocation{Servers: []ServerShare{{Node: v, MHz: 1}}}) {
 		t.Fatal("allocation on down server not reported as affected")
 	}
 }

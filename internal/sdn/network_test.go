@@ -102,8 +102,8 @@ func TestAllocateReleaseRoundtrip(t *testing.T) {
 	nw := testNet(t, 30, 5)
 	v := nw.Servers()[0]
 	alloc := Allocation{
-		Links:   map[graph.EdgeID]float64{0: 100, 1: 250},
-		Servers: map[graph.NodeID]float64{v: 500},
+		Links:   []LinkShare{{Edge: 0, Mbps: 100}, {Edge: 1, Mbps: 250}},
+		Servers: []ServerShare{{Node: v, MHz: 500}},
 	}
 	if err := nw.Allocate(alloc); err != nil {
 		t.Fatal(err)
@@ -132,8 +132,8 @@ func TestAllocateAtomicOnFailure(t *testing.T) {
 	nw := testNet(t, 30, 5)
 	v := nw.Servers()[0]
 	alloc := Allocation{
-		Links:   map[graph.EdgeID]float64{0: 10},
-		Servers: map[graph.NodeID]float64{v: nw.ComputeCap(v) + 1},
+		Links:   []LinkShare{{Edge: 0, Mbps: 10}},
+		Servers: []ServerShare{{Node: v, MHz: nw.ComputeCap(v) + 1}},
 	}
 	err := nw.Allocate(alloc)
 	var insuff *InsufficientComputeError
@@ -152,7 +152,7 @@ func TestAllocateAtomicOnFailure(t *testing.T) {
 func TestAllocateErrors(t *testing.T) {
 	nw := testNet(t, 30, 5)
 	over := nw.BandwidthCap(0) + 1
-	err := nw.Allocate(Allocation{Links: map[graph.EdgeID]float64{0: over}})
+	err := nw.Allocate(Allocation{Links: []LinkShare{{Edge: 0, Mbps: over}}})
 	var bw *InsufficientBandwidthError
 	if !errors.As(err, &bw) {
 		t.Fatalf("err = %v, want InsufficientBandwidthError", err)
@@ -168,28 +168,28 @@ func TestAllocateErrors(t *testing.T) {
 			break
 		}
 	}
-	err = nw.Allocate(Allocation{Servers: map[graph.NodeID]float64{nonServer: 1}})
+	err = nw.Allocate(Allocation{Servers: []ServerShare{{Node: nonServer, MHz: 1}}})
 	var ns *NotServerError
 	if !errors.As(err, &ns) {
 		t.Fatalf("err = %v, want NotServerError", err)
 	}
 	// Negative amounts.
-	if err := nw.Allocate(Allocation{Links: map[graph.EdgeID]float64{0: -5}}); err == nil {
+	if err := nw.Allocate(Allocation{Links: []LinkShare{{Edge: 0, Mbps: -5}}}); err == nil {
 		t.Fatal("negative bandwidth accepted")
 	}
 	// Edge out of range.
-	if err := nw.Allocate(Allocation{Links: map[graph.EdgeID]float64{9999: 5}}); err == nil {
+	if err := nw.Allocate(Allocation{Links: []LinkShare{{Edge: 9999, Mbps: 5}}}); err == nil {
 		t.Fatal("out-of-range edge accepted")
 	}
 }
 
 func TestReleaseOverflowRejected(t *testing.T) {
 	nw := testNet(t, 30, 5)
-	if err := nw.Release(Allocation{Links: map[graph.EdgeID]float64{0: 10}}); err == nil {
+	if err := nw.Release(Allocation{Links: []LinkShare{{Edge: 0, Mbps: 10}}}); err == nil {
 		t.Fatal("release beyond capacity accepted")
 	}
 	v := nw.Servers()[0]
-	if err := nw.Release(Allocation{Servers: map[graph.NodeID]float64{v: 1}}); err == nil {
+	if err := nw.Release(Allocation{Servers: []ServerShare{{Node: v, MHz: 1}}}); err == nil {
 		t.Fatal("server release beyond capacity accepted")
 	}
 }
@@ -199,8 +199,8 @@ func TestSnapshotRestore(t *testing.T) {
 	v := nw.Servers()[0]
 	snap := nw.Snapshot()
 	if err := nw.Allocate(Allocation{
-		Links:   map[graph.EdgeID]float64{0: 100},
-		Servers: map[graph.NodeID]float64{v: 100},
+		Links:   []LinkShare{{Edge: 0, Mbps: 100}},
+		Servers: []ServerShare{{Node: v, MHz: 100}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestSnapshotRestore(t *testing.T) {
 func TestCloneIsIndependent(t *testing.T) {
 	nw := testNet(t, 30, 5)
 	cp := nw.Clone()
-	if err := cp.Allocate(Allocation{Links: map[graph.EdgeID]float64{0: 50}}); err != nil {
+	if err := cp.Allocate(Allocation{Links: []LinkShare{{Edge: 0, Mbps: 50}}}); err != nil {
 		t.Fatal(err)
 	}
 	if nw.ResidualBandwidth(0) != nw.BandwidthCap(0) {
@@ -262,18 +262,15 @@ func TestPropertyAllocationRoundtrip(t *testing.T) {
 			return false
 		}
 		// Random feasible allocation.
-		alloc := Allocation{
-			Links:   make(map[graph.EdgeID]float64),
-			Servers: make(map[graph.NodeID]float64),
-		}
+		var alloc Allocation
 		for e := 0; e < nw.NumEdges(); e++ {
 			if rng.Intn(3) == 0 {
-				alloc.Links[e] = rng.Float64() * nw.ResidualBandwidth(e)
+				alloc.Links = append(alloc.Links, LinkShare{Edge: e, Mbps: rng.Float64() * nw.ResidualBandwidth(e)})
 			}
 		}
 		for _, v := range nw.Servers() {
 			if rng.Intn(2) == 0 {
-				alloc.Servers[v] = rng.Float64() * nw.ResidualCompute(v)
+				alloc.Servers = append(alloc.Servers, ServerShare{Node: v, MHz: rng.Float64() * nw.ResidualCompute(v)})
 			}
 		}
 		if err := nw.Allocate(alloc); err != nil {

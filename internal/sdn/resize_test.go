@@ -15,7 +15,7 @@ import (
 func TestSetBandwidthCapShrinkBelowAllocated(t *testing.T) {
 	nw := testNet(t, 50, 7)
 	e := graph.EdgeID(0)
-	a := Allocation{Links: map[graph.EdgeID]float64{e: 100}}
+	a := Allocation{Links: []LinkShare{{Edge: e, Mbps: 100}}}
 	if err := nw.Allocate(a); err != nil {
 		t.Fatalf("Allocate: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestSetBandwidthCapShrinkBelowAllocated(t *testing.T) {
 func TestSetComputeCapShrinkBelowAllocated(t *testing.T) {
 	nw := testNet(t, 50, 7)
 	v := nw.Servers()[0]
-	a := Allocation{Servers: map[graph.NodeID]float64{v: 500}}
+	a := Allocation{Servers: []ServerShare{{Node: v, MHz: 500}}}
 	if err := nw.Allocate(a); err != nil {
 		t.Fatalf("Allocate: %v", err)
 	}

@@ -152,6 +152,8 @@ type (
 	PseudoTree = multicast.PseudoTree
 	// Hop is one directed link traversal of a pseudo tree.
 	Hop = multicast.Hop
+	// EdgeLoad is one link's traversal count in PseudoTree.LinkLoads.
+	EdgeLoad = multicast.EdgeLoad
 	// Generator draws random request workloads.
 	Generator = multicast.Generator
 	// GeneratorConfig parameterises a workload.
@@ -171,8 +173,13 @@ type (
 	Network = sdn.Network
 	// NetworkConfig holds resource capacity and cost ranges.
 	NetworkConfig = sdn.Config
-	// Allocation is a request's resource bundle.
+	// Allocation is a request's resource bundle: its Links and
+	// Servers are strictly ascending by ID.
 	Allocation = sdn.Allocation
+	// LinkShare is one link's bandwidth in an Allocation.
+	LinkShare = sdn.LinkShare
+	// ServerShare is one server's computing in an Allocation.
+	ServerShare = sdn.ServerShare
 	// Controller compiles trees into per-switch flow tables.
 	Controller = sdn.Controller
 	// FlowTable is one switch's rule set.
@@ -603,6 +610,9 @@ var (
 	ErrTableFull        = sdn.ErrTableFull
 	ErrLinkDown         = sdn.ErrLinkDown
 	ErrServerDown       = sdn.ErrServerDown
+	// ErrMalformedAllocation rejects an Allocation whose Links or
+	// Servers are not strictly ascending by ID.
+	ErrMalformedAllocation = sdn.ErrMalformedAllocation
 	// Shard-router sentinels.
 	ErrNoActiveShards   = shard.ErrNoActiveShards
 	ErrUnknownShard     = shard.ErrUnknownShard

@@ -155,9 +155,9 @@ func TestPublicTopologies(t *testing.T) {
 func TestPublicErrorMatching(t *testing.T) {
 	nw := buildNetwork(t, 11)
 	// Saturate servers, then check the rejection matches ErrRejected.
-	servers := make(map[nfvmcast.NodeID]float64)
+	var servers []nfvmcast.ServerShare
 	for _, v := range nw.Servers() {
-		servers[v] = nw.ResidualCompute(v)
+		servers = append(servers, nfvmcast.ServerShare{Node: v, MHz: nw.ResidualCompute(v)})
 	}
 	if err := nw.Allocate(nfvmcast.Allocation{Servers: servers}); err != nil {
 		t.Fatal(err)
