@@ -42,8 +42,8 @@ type ReconfOutcome struct {
 }
 
 // Reconfigurer is implemented by planners that support a post-admission
-// migration pass. The engine invokes Reconfigure on its writer
-// goroutine after every successful Update mutation, with exclusive
+// migration pass. The engine invokes Reconfigure under its writer
+// lock after every successful Update mutation, with exclusive
 // ownership of the admitter; implementations must keep the pass
 // deterministic (stable session order, no map-order dependence) so
 // worker counts cannot change outcomes.
@@ -100,7 +100,7 @@ func (p *ReconfPlanner) priceTree(nw *sdn.Network, tree *multicast.PseudoTree) f
 }
 
 // Reconfigure runs one migration pass over the admitter's live
-// sessions (engine writer goroutine only). Sessions are ranked by
+// sessions (under the engine writer lock only). Sessions are ranked by
 // drift — current exponential price minus admission-time selection
 // cost — worst first (ties broken by ascending request ID), and at most
 // the planner's migration budget are attempted. Each attempt releases

@@ -80,8 +80,8 @@ func RepairReroute(
 	}, nil
 }
 
-// The Admitter hooks of the recovery workflow. Recovery runs on the
-// engine's writer goroutine, which owns the Admitter, so these follow
+// The Admitter hooks of the recovery workflow. Recovery runs under the
+// engine's writer lock, which guards the Admitter, so these follow
 // the same single-caller rule as the rest of the type.
 
 // AffectedLive returns the IDs of live sessions whose allocation

@@ -14,7 +14,7 @@ import (
 // code but the wrong one for declarative failure scripts and fuzzed
 // input: a closure that fails halfway leaves its earlier mutations in
 // place. Apply is the hardened surface — a batch of typed mutations is
-// validated in full on the writer goroutine before the first one is
+// validated in full under the writer lock before the first one is
 // applied, so a malformed event (unknown link or server ID, negative
 // or non-finite capacity, resize below the allocated share) rejects
 // the whole batch with *MalformedMutationError and the network
@@ -102,7 +102,7 @@ func (e *MalformedMutationError) Error() string {
 }
 
 // validateMutation checks m against the network's current state
-// without mutating it. It must be called on the writer goroutine.
+// without mutating it. It must be called under the writer lock.
 func validateMutation(nw *sdn.Network, m Mutation) string {
 	switch m.Kind {
 	case LinkState:
@@ -156,7 +156,7 @@ func applyMutation(nw *sdn.Network, m Mutation) error {
 }
 
 // Apply validates and applies a batch of typed maintenance mutations
-// on the writer goroutine. Validation of the whole batch precedes the
+// under the writer lock. Validation of the whole batch precedes the
 // first application: on a malformed event Apply returns a
 // *MalformedMutationError and the network is untouched — no partial
 // failure script is ever left behind, which is what makes Apply safe
@@ -180,7 +180,7 @@ func (e *Engine) ApplyContext(ctx context.Context, muts ...Mutation) error {
 }
 
 // applyBatch validates the whole batch, then applies it in order. It
-// must be called on the writer goroutine.
+// must be called under the writer lock.
 func applyBatch(nw *sdn.Network, muts []Mutation) error {
 	for i, m := range muts {
 		if reason := validateMutation(nw, m); reason != "" {

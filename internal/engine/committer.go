@@ -5,20 +5,20 @@ import (
 	"sync"
 )
 
-// Pipelined group commit. With a journal attached the writer never
-// waits for the disk: it applies an operation, appends its record(s)
-// and hands the operation's ack to the committer goroutine, then moves
-// on to plan and append the next operations. The committer takes every
-// ack whose barrier is owed, makes their records durable with one
-// Journal.Barrier — the engine's only Barrier call site — and only then
-// releases them. Work therefore overlaps the fsync in flight, and
-// operations that pile up behind it share the next one: group commit
-// across callers with no window, timer or wait. An ack is released only
-// by a barrier that started after its records were appended: "acked
-// implies logged".
+// Pipelined group commit. With a journal attached the lock holder never
+// waits for the disk: it applies an operation, appends its record(s),
+// hands the operation's ack to the committer goroutine and frees the
+// writer lock, then waits for the ack while the next caller commits and
+// appends. The committer takes every ack whose barrier is owed, makes
+// their records durable with one Journal.Barrier — the engine's only
+// Barrier call site — and only then releases them. Work therefore
+// overlaps the fsync in flight, and operations that pile up behind it
+// share the next one: group commit across callers with no window, timer
+// or wait. An ack is released only by a barrier that started after its
+// records were appended: "acked implies logged".
 
-// ack is the part of a writer operation (wop) or commit ticket the
-// writer and the committer share. The writer fills owes/admitted while
+// ack is the part of a journaled operation or commit ticket the lock
+// holder and the committer share. The holder fills owes/admitted while
 // the operation runs, the committer fills jerr, and the send on done —
 // by whichever of the two releases the caller — is the last touch.
 type ack struct {
@@ -34,13 +34,17 @@ type ack struct {
 	jerr error
 }
 
-// committer holds the acks between append and barrier: the queue the
-// writer fills and the committer goroutine (commitLoop) drains.
+// ackPool recycles the acks of journaled operations (see exec) with
+// their buffered done channels.
+var ackPool = sync.Pool{New: func() any { return &ack{done: make(chan struct{}, 1)} }}
+
+// committer holds the acks between append and barrier: the queue lock
+// holders fill and the committer goroutine (commitLoop) drains.
 type committer struct {
 	mu     sync.Mutex
 	wake   *sync.Cond
 	owed   []*ack // appended, barrier owed; in append order
-	closed bool   // the writer has exited: drain and stop
+	closed bool   // the engine is closed: drain and stop
 }
 
 func newCommitter() *committer {
@@ -60,7 +64,7 @@ func (c *committer) put(acks []*ack) {
 
 // take waits for owed acks and returns all of them, leaving buf (the
 // previous batch, emptied) as the queue's storage. It returns an empty
-// batch once the writer has exited and nothing is owed.
+// batch once the engine is closed and nothing is owed.
 func (c *committer) take(buf []*ack) []*ack {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -72,7 +76,7 @@ func (c *committer) take(buf []*ack) []*ack {
 	return batch
 }
 
-// stop tells the committer the writer has exited.
+// stop tells the committer the engine is closed.
 func (c *committer) stop() {
 	c.mu.Lock()
 	c.closed = true
@@ -80,7 +84,7 @@ func (c *committer) stop() {
 	c.wake.Signal()
 }
 
-// settle runs on the writer after an operation's writer-side work: an
+// settle runs under the writer lock after an operation's work: an
 // operation that appended nothing acks at once; one that did is staged
 // for the committer (see handOff).
 func (e *Engine) settle(a *ack) {
@@ -91,9 +95,10 @@ func (e *Engine) settle(a *ack) {
 	e.staged = append(e.staged, a)
 }
 
-// handOff passes the acks staged by one writer iteration — one
-// operation, or a whole commit epoch — to the committer in one step,
-// so they share a barrier. It never blocks on the committer's disk
+// handOff passes the acks staged by one critical section — one
+// operation, or a whole commit epoch — to the committer in one step
+// before the lock is freed, so they share a barrier and reach the
+// committer in append order. It never blocks on the committer's disk
 // wait.
 func (e *Engine) handOff() {
 	if len(e.staged) == 0 {
@@ -104,9 +109,9 @@ func (e *Engine) handOff() {
 	e.staged = e.staged[:0]
 }
 
-// commitLoop is the committer goroutine. It closes e.done once the
-// writer has exited and every owed ack has been released, so Close
-// returns with no caller left waiting.
+// commitLoop is the committer goroutine. It closes e.done once Close has
+// stopped it and every owed ack has been released, so Close returns with
+// no caller left waiting.
 func (e *Engine) commitLoop() {
 	defer close(e.done)
 	var batch []*ack
@@ -127,7 +132,7 @@ func (e *Engine) commitLoop() {
 // failBatch handles a failed barrier: none of the batch's records is
 // known durable, so every operation it covered fails with
 // ErrDurability. Admissions are unwound (departed again, newest first)
-// on the writer, through the ordinary ops channel, before any of the
+// under the writer lock, like any other operation, before any of the
 // acks is released — a caller told ErrDurability finds its request
 // gone. Departures and maintenance cannot be un-applied; their state
 // change stands, as for a failed append. Operations appended after the
@@ -137,7 +142,8 @@ func (e *Engine) failBatch(batch []*ack, err error) {
 	for _, a := range batch {
 		a.jerr = jerr
 	}
-	// ErrClosed here means the writer is gone and so is the state.
+	// ErrClosed here means Close came first: like every admission at
+	// Close, the batch's admissions stay allocated.
 	_ = e.exec(func() {
 		for i := len(batch) - 1; i >= 0; i-- {
 			if a := batch[i]; a.admitted {

@@ -1,22 +1,27 @@
 // Package engine provides a single-writer admission engine over a
 // capacitated SDN. The engine owns the sdn.Network: every mutation —
 // allocation on admit, release on depart, maintenance such as failure
-// injection — executes on one writer goroutine, so mutators never race
-// readers (the constraint DESIGN.md §8 puts on sdn.Network). Planning,
-// the expensive part of admission (Dijkstras + KMB per request), does
-// not run on the writer: concurrent Admit calls plan on their own
-// goroutines against residual snapshots and only re-enter the writer
-// to commit, where the plan is validated against the live residuals
-// (optimistic concurrency: a plan invalidated by a concurrent commit
-// is re-planned once against fresh residuals, then rejected).
+// injection — runs under one writer lock, on its caller's goroutine, so
+// mutators never race readers (the constraint DESIGN.md §8 puts on
+// sdn.Network); "the writer" is whichever caller holds the lock.
+// Planning, the expensive part of admission (Dijkstras + KMB per
+// request), does not run under the lock: concurrent Admit calls plan
+// against residual snapshots and take the lock only to commit, where
+// the plan is validated against the live residuals (optimistic
+// concurrency: a plan invalidated by a concurrent commit is re-planned
+// once against fresh residuals, then rejected).
 //
 // In sequential mode (Options.Workers <= 1) plan and commit execute as
-// one atomic step on the writer, so admit/reject decisions, trees and
-// costs are byte-identical to driving a core.Admitter directly; the
-// determinism oracle in engine_test.go pins this. A sequentially-driven engine (one
+// one critical section, so admit/reject decisions, trees and costs are
+// byte-identical to driving a core.Admitter directly; the determinism
+// oracle in engine_test.go pins this. A sequentially-driven engine (one
 // in-flight Admit at a time) produces the same decisions at any worker
 // count, because a snapshot taken with no in-flight commits equals the
 // live residual state.
+//
+// An in-memory engine starts no goroutine. A journaled one starts one,
+// the committer (committer.go), which makes appended records durable and
+// releases the acks waiting on them.
 package engine
 
 import (
@@ -71,8 +76,8 @@ type Options struct {
 	// fail-release-readmit workflow.
 	Recovery *recov.Policy
 	// BatchWindow bounds how many finished plans one commit epoch may
-	// absorb (see batch.go): the writer drains up to this many waiting
-	// commits per loop iteration, validates them in ascending
+	// absorb (see batch.go): the lock holder drains up to this many
+	// queued commits per critical section, validates them in ascending
 	// request-ID order and bumps the network's MutationVersion once
 	// for the whole epoch. 0 or 1 keeps per-commit epochs (the
 	// pre-batching behaviour); the window is ignored in sequential
@@ -80,18 +85,25 @@ type Options struct {
 	// sequentially-driven engine are byte-identical across windows.
 	BatchWindow int
 	// Journal, when set, makes the engine durable: every
-	// state-changing outcome is appended to the journal on the writer
-	// goroutine and made durable by the committer goroutine's barrier
+	// state-changing outcome is appended to the journal under the writer
+	// lock and made durable by the committer goroutine's barrier
 	// before the operation acks (see journal.go, committer.go and
 	// internal/wal). nil (the default) keeps the engine in-memory.
 	Journal Journal
 }
 
-// Engine is a single-writer admission engine: one goroutine owns the
+// Engine is a single-writer admission engine: one lock guards the
 // network and the admission bookkeeping (the shared core.Admitter
 // commit layer), while planning fans out across callers. All methods
 // are safe for concurrent use.
 type Engine struct {
+	// mu is the writer lock: every operation on the network and the
+	// admission bookkeeping runs under it, on its caller's goroutine (see
+	// exec). closed is set under it by Close, or by a panic inside a
+	// locked operation, and makes every later operation return ErrClosed.
+	mu     sync.Mutex
+	closed bool
+
 	adm        *core.Admitter
 	obs        *obs.AdmissionObs // nil-safe; shared with adm
 	sequential bool
@@ -104,24 +116,21 @@ type Engine struct {
 	// allocating per-request clones.
 	planSlots chan *planSlot
 
-	// opPool recycles writer-op envelopes (see exec) so the hot
-	// plan/commit path does not allocate an ack channel per writer
-	// round-trip.
-	opPool sync.Pool
-
-	// seqArena is the single-writer mode's scratch; only the writer
-	// goroutine plans in that mode, so one arena suffices.
+	// seqArena is the sequential mode's scratch; that mode plans only
+	// under the writer lock, so one arena suffices.
 	seqArena *core.PlanArena
 
 	// Epoch batching (see batch.go). batchWindow > 1 routes concurrent
-	// commits through the ticket channel; batchScratch is the writer's
-	// reusable epoch buffer.
+	// commits through the ticket queue, which queueMu guards (callers
+	// fill it without the writer lock); batchScratch is the lock
+	// holder's reusable epoch buffer.
 	batchWindow  int
-	commits      chan *commitTicket
+	queueMu      sync.Mutex
+	queue        []*commitTicket
 	batchScratch []*commitTicket
 
 	// Recovery state (nil unless Options.Recovery was set). rec and
-	// lastRec are touched only on the writer goroutine; recArena is the
+	// lastRec are touched only under the writer lock; recArena is the
 	// writer-owned planning scratch of recovery passes.
 	rec      *recov.Recoverer
 	recArena *core.PlanArena
@@ -135,29 +144,26 @@ type Engine struct {
 	reconf core.Reconfigurer
 
 	// journal receives state-changing outcomes before they ack (nil =
-	// durability off): appends on the writer goroutine, Barrier on the
-	// committer goroutine (com, see committer.go). cur is the ack of the
-	// operation the writer is running — where the append helpers note
-	// that a barrier is owed — and staged collects one writer
-	// iteration's owing acks for the hand-off; both are touched only on
-	// the writer goroutine and only with a journal attached.
+	// durability off): appends under the writer lock, Barrier on the
+	// committer goroutine (com, see committer.go), which closes done
+	// once Close has drained it. cur is the ack of the operation the
+	// lock holder is running — where the append helpers note that a
+	// barrier is owed — and staged collects one critical section's owing
+	// acks for the hand-off; both are touched only under the lock and
+	// only with a journal attached.
 	journal Journal
 	com     *committer
 	cur     *ack
 	staged  []*ack
+	done    chan struct{}
 
 	// mutations counts state changes (commits, departs, replaces,
-	// updates) and is touched only on the writer goroutine. A commit
+	// updates) and is touched only under the writer lock. A commit
 	// failure is a conflict only if it advanced past the plan's
 	// snapshot epoch — otherwise the planner overcommitted and the
 	// failure is deterministic, so re-planning the unchanged state
 	// would be futile and mislabel the rejection.
 	mutations uint64
-
-	ops       chan *wop
-	quit      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
 }
 
 // planSlot is one concurrent planner's reusable scratch: the planning
@@ -170,39 +176,21 @@ type planSlot struct {
 	view  *sdn.Network
 }
 
-// wop is a pooled writer operation: the closure to run on the writer
-// goroutine and a reusable ack (buffered channel plus, with a journal,
-// the durability bookkeeping of committer.go). Recycling the envelope
-// keeps exec allocation-free apart from the caller's closure.
-type wop struct {
-	f func()
-	ack
-}
-
 // New returns an engine owning nw that admits with planner's policy.
 // The caller must not mutate nw after handing it over; reads (metrics,
 // rendering) remain safe whenever no Admit/Depart/Update is in flight,
 // or from inside Update.
 func New(nw *sdn.Network, planner core.Planner, opts Options) *Engine {
 	workers := parallel.Degree(opts.Workers)
-	window := opts.BatchWindow
-	if window < 1 {
-		window = 1
-	}
 	e := &Engine{
 		adm:         core.NewAdmitter(nw, planner),
 		obs:         opts.Obs,
 		sequential:  workers <= 1,
 		planSlots:   make(chan *planSlot, workers),
 		seqArena:    core.NewPlanArena(),
-		batchWindow: window,
+		batchWindow: max(opts.BatchWindow, 1),
 		journal:     opts.Journal,
-		commits:     make(chan *commitTicket),
-		ops:         make(chan *wop),
-		quit:        make(chan struct{}),
-		done:        make(chan struct{}),
 	}
-	e.opPool.New = func() any { return &wop{ack: ack{done: make(chan struct{}, 1)}} }
 	for i := 0; i < workers; i++ {
 		e.planSlots <- &planSlot{arena: core.NewPlanArena(), view: &sdn.Network{}}
 	}
@@ -217,86 +205,84 @@ func New(nw *sdn.Network, planner core.Planner, opts Options) *Engine {
 			e.recArena = core.NewPlanArena()
 		}
 	}
-	if e.journal == nil {
-		go e.writer()
-	} else {
+	if e.journal != nil {
 		e.com = newCommitter()
-		go e.journaledWriter()
+		e.done = make(chan struct{})
 		go e.commitLoop()
 	}
 	return e
 }
 
-// writer is the single goroutine through which every mutation of the
-// network and the admission bookkeeping flows.
-func (e *Engine) writer() {
-	defer close(e.done)
-	for {
-		select {
-		case op := <-e.ops:
-			op.f()
-			op.done <- struct{}{}
-		case t := <-e.commits:
-			e.commitEpoch(t)
-		case <-e.quit:
-			return
-		}
-	}
-}
-
-// journaledWriter is the writer of an engine with a journal: the same
-// loop, except that an operation which appended to the journal is not
-// acked here but handed to the committer (see committer.go), and the
-// writer goes straight on to the next operation.
-func (e *Engine) journaledWriter() {
-	defer e.com.stop()
-	for {
-		select {
-		case op := <-e.ops:
-			e.cur = &op.ack
-			op.f()
-			e.settle(&op.ack)
-		case t := <-e.commits:
-			e.commitEpoch(t)
-		case <-e.quit:
-			return
-		}
-		e.handOff()
-	}
-}
-
-// Close stops the writer goroutine and waits for it to exit; with a
-// journal it also drains the committer, so every operation the writer
-// had taken is barriered and acked before Close returns (close the
-// journal's log after the engine, never before). Admits already
-// committed stay allocated; operations submitted after (or racing)
-// Close return ErrClosed. Close is idempotent.
+// Close closes the engine: every operation that has not taken the
+// writer lock yet, including one racing Close, returns ErrClosed, and
+// admits already committed stay allocated. With a journal Close also
+// drains the committer, so every operation that ran is barriered and
+// acked before Close returns (close the journal's log after the engine,
+// never before). Close is idempotent.
 func (e *Engine) Close() {
-	e.closeOnce.Do(func() { close(e.quit) })
-	<-e.done
+	e.mu.Lock()
+	e.closed = true
+	e.mu.Unlock()
+	if e.com != nil {
+		e.com.stop()
+		<-e.done
+	}
 }
 
-// exec runs f on the writer goroutine and waits for its ack — with a
-// journal, for the barrier covering whatever f appended. It returns
-// ErrClosed when the op never ran and the ErrDurability verdict of a
-// failed barrier. The op envelope is pooled; the ack on the buffered
-// done channel is the engine's last touch of the envelope, so recycling
-// after the receive never races the writer or the committer.
+// exec runs f under the writer lock on the calling goroutine. With a
+// journal f runs with cur set to a pooled ack; an ack that owes a
+// barrier reaches the committer (with any a commit epoch staged) before
+// the lock is freed, so the committer sees acks in append order, and
+// exec waits for it outside the lock. exec returns ErrClosed when f
+// never ran and the ErrDurability verdict of a failed barrier.
+//
+// Should f panic, the engine is closed before the lock is freed and the
+// panic goes on up the caller's stack: later operations get ErrClosed
+// instead of half-applied state, the members of a commit epoch the
+// panic cut short get it too, and acks already staged still go to the
+// committer, so no caller waits on a holder that will not finish.
 func (e *Engine) exec(f func()) error {
-	op := e.opPool.Get().(*wop)
-	op.f = f
-	select {
-	case e.ops <- op:
-		<-op.done
-		jerr := op.jerr
-		op.f, op.ack = nil, ack{done: op.done}
-		e.opPool.Put(op)
-		return jerr
-	case <-e.quit:
-		op.f = nil
-		e.opPool.Put(op)
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
 		return ErrClosed
 	}
+	held := true
+	defer func() {
+		if held {
+			e.closed = true
+			for _, t := range e.batchScratch { // settled members are nil
+				if t != nil {
+					t.verdict = commitVerdict{err: ErrClosed}
+					t.done <- struct{}{}
+				}
+			}
+			e.handOff()
+			e.mu.Unlock()
+		}
+	}()
+	var a *ack
+	if e.journal != nil {
+		a = ackPool.Get().(*ack)
+		e.cur = a
+	}
+	f()
+	if a != nil {
+		e.settle(a)
+		e.handOff()
+	}
+	held = false
+	e.mu.Unlock()
+	if a == nil {
+		return nil
+	}
+	// The send on the buffered done channel is the engine's last touch of
+	// the ack, so recycling it after the receive never races the committer.
+	<-a.done
+	err := a.jerr
+	*a = ack{done: a.done}
+	ackPool.Put(a)
+	return err
 }
 
 // Admit decides request req under the engine's admission policy: on
@@ -341,50 +327,39 @@ func (e *Engine) AdmitContext(ctx context.Context, req *multicast.Request) (*cor
 	defer func() { e.planSlots <- slot }()
 
 	// Plan against a residual snapshot, commit against the live state.
-	sol, epoch, err := e.planOnSnapshot(ctx, req, slot)
-	if err != nil {
-		if core.IsCanceled(err) {
-			return nil, err
+	for replanned := false; ; replanned = true {
+		sol, epoch, err := e.planOnSnapshot(ctx, req, slot)
+		if err != nil {
+			if core.IsCanceled(err) {
+				return nil, err
+			}
+			return nil, e.reject(req, fmt.Errorf("%w: %w", ErrNoPlan, err))
 		}
-		return nil, e.reject(req, fmt.Errorf("%w: %w", ErrNoPlan, err))
-	}
-	committed, stale, cerr := e.tryCommit(req, sol, epoch)
-	if cerr == nil || errors.Is(cerr, ErrClosed) || errors.Is(cerr, ErrDurability) {
-		return committed, cerr
-	}
-	if !stale {
-		// The plan failed against the very residuals it was computed
-		// from: the planner overcommitted. Sequential mode surfaces
-		// exactly this error, and re-planning unchanged state would
-		// reproduce the same plan — reject as the admitter would.
-		return nil, e.reject(req, fmt.Errorf("%w: %w", core.ErrRejected, cerr))
-	}
-	// Optimistic-concurrency miss: a concurrent commit moved the
-	// residuals under our plan. Re-plan once against fresh residuals,
-	// then give up.
-	e.obs.CommitConflict(req.ID, core.RejectReason(cerr))
-	e.obs.Replanned(req.ID)
-	sol, epoch, err = e.planOnSnapshot(ctx, req, slot)
-	if err != nil {
-		if core.IsCanceled(err) {
-			return nil, err
+		committed, stale, cerr := e.tryCommit(req, sol, epoch)
+		if cerr == nil || errors.Is(cerr, ErrClosed) || errors.Is(cerr, ErrDurability) {
+			return committed, cerr
 		}
-		return nil, e.reject(req, fmt.Errorf("%w: %w", ErrNoPlan, err))
+		if !stale {
+			// The plan failed against the very residuals it was computed
+			// from: the planner overcommitted. Sequential mode surfaces
+			// exactly this error, and re-planning unchanged state would
+			// reproduce the same plan — reject as the admitter would.
+			return nil, e.reject(req, fmt.Errorf("%w: %w", core.ErrRejected, cerr))
+		}
+		// Optimistic-concurrency miss: a concurrent commit moved the
+		// residuals under our plan. Re-plan once against fresh
+		// residuals, then give up.
+		e.obs.CommitConflict(req.ID, core.RejectReason(cerr))
+		if replanned {
+			return nil, e.reject(req, fmt.Errorf("%w: %w: %w", core.ErrRejected, ErrCommitConflict, cerr))
+		}
+		e.obs.Replanned(req.ID)
 	}
-	committed, stale, cerr = e.tryCommit(req, sol, epoch)
-	if cerr == nil || errors.Is(cerr, ErrClosed) || errors.Is(cerr, ErrDurability) {
-		return committed, cerr
-	}
-	if !stale {
-		return nil, e.reject(req, fmt.Errorf("%w: %w", core.ErrRejected, cerr))
-	}
-	e.obs.CommitConflict(req.ID, core.RejectReason(cerr))
-	return nil, e.reject(req, fmt.Errorf("%w: %w: %w", core.ErrRejected, ErrCommitConflict, cerr))
 }
 
 // planOnSnapshot clones the live residual state into the slot's
-// reusable snapshot on the writer and plans against it on the calling
-// goroutine, using the slot's scratch arena. It also returns the
+// reusable snapshot under the writer lock and plans against it outside
+// the lock, using the slot's scratch arena. It also returns the
 // mutation epoch the snapshot was taken at, so the commit can tell a
 // concurrent invalidation from a deterministic planner overcommit.
 func (e *Engine) planOnSnapshot(ctx context.Context, req *multicast.Request, slot *planSlot) (*core.Solution, uint64, error) {
@@ -401,12 +376,12 @@ func (e *Engine) planOnSnapshot(ctx context.Context, req *multicast.Request, slo
 	return sol, epoch, err
 }
 
-// tryCommit validates sol against the live residuals on the writer.
-// The error is nil on success, ErrClosed, ErrDurability, or the
+// tryCommit validates sol against the live residuals under the writer
+// lock. The error is nil on success, ErrClosed, ErrDurability, or the
 // allocation violation;
 // stale reports whether the live state had moved past the plan's
 // snapshot epoch by commit time. With BatchWindow > 1 the commit joins
-// the writer's next epoch batch (see batch.go) — same verdicts, with
+// a lock holder's epoch batch (see batch.go) — same verdicts, with
 // MutationVersion amortized across the epoch.
 func (e *Engine) tryCommit(req *multicast.Request, sol *core.Solution, epoch uint64) (*core.Solution, bool, error) {
 	if e.batchWindow > 1 {
@@ -430,7 +405,7 @@ func (e *Engine) tryCommit(req *multicast.Request, sol *core.Solution, epoch uin
 	return out, stale, cerr
 }
 
-// reject counts the rejection on the writer (classified into a
+// reject counts the rejection under the writer lock (classified into a
 // canonical reason by the admitter) and returns err for chaining.
 // ErrClosed is passed through uncounted.
 func (e *Engine) reject(req *multicast.Request, err error) error {
@@ -477,9 +452,11 @@ func (e *Engine) Replace(reqID int, sol *core.Solution) error {
 	return err
 }
 
-// Update runs f against the engine's network on the writer goroutine —
+// Update runs f against the engine's network under the writer lock —
 // the hatch for maintenance that must not race in-flight commits:
-// failure injection, re-optimisation passes, metric snapshots. When f
+// failure injection, re-optimisation passes, metric snapshots. f runs
+// on the caller's goroutine and must not call back into the engine
+// (the lock is not reentrant); a panic in f closes the engine. When f
 // alters the network's structure (failure injection bumps
 // StructureVersion), a FailureInjected event is emitted and counted,
 // and — when the engine was built with a recovery policy — a recovery
@@ -499,7 +476,7 @@ func (e *Engine) UpdateContext(ctx context.Context, f func(nw *sdn.Network) erro
 	return e.updateContext(ctx, f, nil)
 }
 
-// updateContext is the shared writer-side body of Update and Apply.
+// updateContext is the shared locked body of Update and Apply.
 // jmuts, when non-empty, is the typed description of what f does (Apply
 // passes its validated batch); it is journaled as a mutation_applied
 // record after f succeeds, before the automatic recovery pass — replay
@@ -545,24 +522,21 @@ func (e *Engine) updateContext(ctx context.Context, f func(nw *sdn.Network) erro
 // Planner returns the engine's planning policy.
 func (e *Engine) Planner() core.Planner { return e.adm.Planner() }
 
-// AdmittedCount reports the number of admitted requests.
-func (e *Engine) AdmittedCount() int {
-	var n int
-	_ = e.exec(func() { n = e.adm.AdmittedCount() })
-	return n
-}
+// AdmittedCount reports the number of admitted requests. Like
+// RejectedCount and LiveCount it reads under the writer lock and, after
+// Close, reports the final state.
+func (e *Engine) AdmittedCount() int { return e.count(e.adm.AdmittedCount) }
 
 // RejectedCount reports how many requests were rejected.
-func (e *Engine) RejectedCount() int {
-	var n int
-	_ = e.exec(func() { n = e.adm.RejectedCount() })
-	return n
-}
+func (e *Engine) RejectedCount() int { return e.count(e.adm.RejectedCount) }
 
 // LiveCount reports how many admitted requests currently hold
 // resources.
-func (e *Engine) LiveCount() int {
-	var n int
-	_ = e.exec(func() { n = e.adm.LiveCount() })
-	return n
+func (e *Engine) LiveCount() int { return e.count(e.adm.LiveCount) }
+
+// count reads one counter under the writer lock, closed or not.
+func (e *Engine) count(f func() int) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return f()
 }

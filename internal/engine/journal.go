@@ -12,7 +12,7 @@ import (
 // Durable admission. A Journal is the engine's write-ahead hook: every
 // state-changing outcome — an admission commit, a departure, a repair
 // or shed decided by the recovery ladder, an applied maintenance batch
-// — is appended to the journal on the writer goroutine, in exactly the
+// — is appended to the journal under the writer lock, in exactly the
 // order the state changed, and made durable by a Barrier *before* the
 // operation acks to its caller. That ordering is the whole durability
 // contract: an acked operation is in the log, so replaying the log
@@ -20,7 +20,8 @@ import (
 // failed operations change no state and are not journaled.
 //
 // The path is append → committer barrier → ack (committer.go). The
-// writer appends and moves on; the committer goroutine barriers every
+// lock holder appends, hands its ack to the committer and frees the
+// lock, then waits outside it; the committer goroutine barriers every
 // operation whose records are appended and not yet durable with one
 // Barrier call and then releases their acks. One operation owes one
 // barrier however many records it appended (a recovery pass, a
@@ -28,7 +29,7 @@ import (
 // that arrive while a barrier is in flight share the next one.
 //
 // The visibility window: between its append and its ack an operation's
-// state change is already live on the writer. An admission not yet
+// state change is already live in the engine. An admission not yet
 // acked is counted by LiveCount, listed by Lives (and the daemon's
 // /v1/report), captured by SnapshotState, planned around by later
 // requests — a rejection may be caused by capacity a not-yet-acked
@@ -97,7 +98,7 @@ type Outcome struct {
 }
 
 // Journal receives the engine's state-changing outcomes. Append is
-// called on the engine's writer goroutine, already serialised, in
+// called under the engine's writer lock, already serialised, in
 // exactly the order the state changed. Barrier is called from the
 // engine's committer goroutine and may overlap appends: it must make
 // durable at least every outcome whose append returned before Barrier
@@ -115,7 +116,7 @@ type Journal interface {
 // running operation that a barrier is owed and which admission to
 // unwind should it fail. A failed append unwinds the commit at once
 // (departed again) so the acked state stays equal to the logged state,
-// and the caller gets ErrDurability. Runs on the writer goroutine.
+// and the caller gets ErrDurability. Runs under the writer lock.
 func (e *Engine) journalCommitted(req *multicast.Request, sol *core.Solution) error {
 	if e.journal == nil {
 		return nil
@@ -128,8 +129,8 @@ func (e *Engine) journalCommitted(req *multicast.Request, sol *core.Solution) er
 	return nil
 }
 
-// unwind departs an admission the journal could not take. Runs on the
-// writer goroutine.
+// unwind departs an admission the journal could not take. Runs under
+// the writer lock.
 func (e *Engine) unwind(reqID int) {
 	if _, derr := e.adm.Depart(reqID); derr == nil {
 		e.mutations++
@@ -139,7 +140,7 @@ func (e *Engine) unwind(reqID int) {
 // journalOutcomes appends the outcomes of an operation that cannot be
 // unwound (departures, replaces, maintenance, recovery and migration
 // passes) and notes the owed barrier — one per operation, however many
-// outcomes. Runs on the writer goroutine; returns nil without a journal.
+// outcomes. Runs under the writer lock; returns nil without a journal.
 func (e *Engine) journalOutcomes(outs ...Outcome) error {
 	if e.journal == nil {
 		return nil
@@ -153,8 +154,8 @@ func (e *Engine) journalOutcomes(outs ...Outcome) error {
 	return nil
 }
 
-// Replay applies logged outcomes in order on the writer goroutine,
-// stopping at the first that fails. It is the recovery surface of
+// Replay applies logged outcomes in order under the writer lock, on the
+// calling goroutine, stopping at the first that fails. It is the recovery surface of
 // internal/wal, which rebuilds an engine from logged outcomes instead of
 // re-running planners: sessions are installed, re-bound and dropped
 // verbatim (see core.Admitter.Replay), and a maintenance batch is
@@ -176,7 +177,7 @@ func (e *Engine) Replay(outs ...Outcome) error {
 	return err
 }
 
-// replay applies one outcome. Runs on the writer goroutine.
+// replay applies one outcome. Runs under the writer lock.
 func (e *Engine) replay(o Outcome) error {
 	nw := e.adm.Network()
 	switch o.Kind {
@@ -199,13 +200,14 @@ func (e *Engine) replay(o Outcome) error {
 	return fmt.Errorf("engine: replay of unknown outcome kind %d", o.Kind)
 }
 
-// SnapshotState runs f on the writer goroutine with the network and
-// the live table, between operations — the atomic capture point for
-// WAL snapshots and state fingerprints. What f sees matches the journal
-// up to its last append, which can be ahead of the last barrier (the
-// visibility window above). f must only read;
-// the lives slice is shared with the admitter (treat the solutions as
-// read-only) and must not be retained past f.
+// SnapshotState runs f under the writer lock with the network and the
+// live table, between operations — the atomic capture point for WAL
+// snapshots and state fingerprints. What f sees matches the journal up
+// to its last append, which can be ahead of the last barrier (the
+// visibility window above). f runs on the caller's goroutine, must not
+// call back into the engine and must only read; the lives slice is
+// shared with the admitter (treat the solutions as read-only) and must
+// not be retained past f.
 func (e *Engine) SnapshotState(f func(nw *sdn.Network, lives []*core.Solution)) error {
 	return e.exec(func() { f(e.adm.Network(), e.adm.Lives()) })
 }

@@ -1,0 +1,290 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"nfvmcast/internal/core"
+	"nfvmcast/internal/multicast"
+	"nfvmcast/internal/obs"
+	"nfvmcast/internal/sdn"
+	"nfvmcast/internal/testutil"
+)
+
+// stableGoroutines returns runtime.NumGoroutine once two reads 10 ms
+// apart agree, so goroutines an earlier test left exiting are gone.
+func stableGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
+// waitGoroutines polls until runtime.NumGoroutine is want, and returns
+// the last reading.
+func waitGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for n != want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// waitOrWedged waits for wg, failing the test if it does not finish
+// within the watchdog.
+func waitOrWedged(t *testing.T, wg *sync.WaitGroup, what string) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(testutil.WatchdogFor(t)):
+		t.Fatalf("%s: a caller never returned", what)
+	}
+}
+
+// TestEngineGoroutines: an in-memory engine runs no goroutine of its
+// own, in sequential or batched concurrent mode; a journaled engine
+// runs exactly one, the committer, until Close.
+func TestEngineGoroutines(t *testing.T) {
+	cases := []struct {
+		name  string
+		extra int
+		opts  []Option
+	}{
+		{"sequential", 0, []Option{WithWorkers(1)}},
+		{"batched", 0, []Option{WithWorkers(4), WithBatchWindow(16)}},
+		{"journaled", 1, []Option{WithWorkers(4), WithJournal(&stubJournal{})}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := testNetwork(t, "geant", 3)
+			base := stableGoroutines()
+			eng := NewWith(nw, plannerFor(t, "Online_CP", nw), tc.opts...)
+			for _, req := range requestPool(t, nw.NumNodes(), 10, 3) {
+				if _, err := eng.Admit(req); err != nil && !core.IsRejection(err) {
+					t.Fatal(err)
+				}
+			}
+			if got := runtime.NumGoroutine(); got != base+tc.extra {
+				t.Errorf("%d goroutines with the engine open, want %d (%d before New)", got, base+tc.extra, base)
+			}
+			eng.Close()
+			if got := waitGoroutines(base); got != base {
+				t.Errorf("%d goroutines after Close, want %d", got, base)
+			}
+		})
+	}
+}
+
+// TestCloseRacingCallers: eight callers mix Admit, Depart and Update
+// while Close runs. Every call returns its normal result or ErrClosed,
+// none hangs, and once a caller has seen ErrClosed every later call
+// it makes sees it too.
+func TestCloseRacingCallers(t *testing.T) {
+	const callers, perCaller = 8, 40
+	cases := []struct {
+		name string
+		opts []Option
+	}{
+		{"sequential", []Option{WithWorkers(1)}},
+		{"batched", []Option{WithWorkers(4), WithBatchWindow(16)}},
+		{"journaled", []Option{WithWorkers(4), WithBatchWindow(16), WithJournal(&stubJournal{})}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := testNetwork(t, "geant", 13)
+			eng := NewWith(nw, plannerFor(t, "Online_CP", nw), tc.opts...)
+			reqs := requestPool(t, nw.NumNodes(), callers*perCaller, 3)
+			var calls atomic.Int64
+			var wg sync.WaitGroup
+			for g := 0; g < callers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					closed := false
+					check := func(op string, err error, normal bool) {
+						calls.Add(1)
+						switch {
+						case errors.Is(err, ErrClosed):
+							closed = true
+						case closed:
+							t.Errorf("%s after ErrClosed returned %v", op, err)
+						case !normal:
+							t.Errorf("%s: %v", op, err)
+						}
+					}
+					for i := 0; i < perCaller; i++ {
+						req := reqs[g*perCaller+i]
+						_, err := eng.Admit(req)
+						check("admit", err, err == nil || core.IsRejection(err))
+						if err == nil && i%2 == 0 {
+							_, err := eng.Depart(req.ID)
+							check("depart", err, err == nil)
+						}
+						if i%5 == 0 {
+							err := eng.Update(func(*sdn.Network) error { return nil })
+							check("update", err, err == nil)
+						}
+					}
+				}(g)
+			}
+			for calls.Load() < callers*perCaller/4 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			eng.Close()
+			waitOrWedged(t, &wg, "racing Close")
+			if _, err := eng.Admit(reqs[0]); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Admit after Close = %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
+// TestUpdatePanicClosesEngine: a panic in an Update closure continues
+// on the caller, leaves the writer lock free and closes the engine, so
+// later calls return ErrClosed instead of serving half-applied state.
+func TestUpdatePanicClosesEngine(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		name := "in-memory"
+		opts := []Option{WithWorkers(1)}
+		if journaled {
+			name = "journaled"
+			opts = append(opts, WithJournal(&stubJournal{}))
+		}
+		t.Run(name, func(t *testing.T) {
+			nw := testNetwork(t, "geant", 5)
+			eng := NewWith(nw, core.NewSPPlanner(), opts...)
+			defer eng.Close()
+			reqs := requestPool(t, nw.NumNodes(), 2, 5)
+			if _, err := eng.Admit(reqs[0]); err != nil && !core.IsRejection(err) {
+				t.Fatal(err)
+			}
+			admitted := eng.AdmittedCount()
+
+			func() {
+				defer func() {
+					if r := recover(); r != "boom" {
+						t.Errorf("recovered %v, want the closure's panic", r)
+					}
+				}()
+				_ = eng.Update(func(*sdn.Network) error { panic("boom") })
+				t.Error("Update returned instead of re-panicking")
+			}()
+			if !eng.mu.TryLock() {
+				t.Fatal("the writer lock is still held after the panic")
+			}
+			eng.mu.Unlock()
+
+			if _, err := eng.Admit(reqs[1]); !errors.Is(err, ErrClosed) {
+				t.Errorf("Admit after the panic = %v, want ErrClosed", err)
+			}
+			if _, err := eng.Depart(reqs[0].ID); !errors.Is(err, ErrClosed) {
+				t.Errorf("Depart after the panic = %v, want ErrClosed", err)
+			}
+			if err := eng.Update(func(*sdn.Network) error { return nil }); !errors.Is(err, ErrClosed) {
+				t.Errorf("Update after the panic = %v, want ErrClosed", err)
+			}
+			if got := eng.AdmittedCount(); got != admitted {
+				t.Errorf("AdmittedCount after the panic = %d, want %d", got, admitted)
+			}
+		})
+	}
+}
+
+// TestBatchEpochVerdicts: eight callers commit through the ticket queue
+// at once. Every ticket gets exactly one verdict — the epochs'
+// tickets-per-batch histogram sums to the number of commits, and the
+// admitted count equals the successful verdicts — and no epoch exceeds
+// the window. A window smaller than the callers also covers a ticket
+// queued more than one window deep, which a later lock holder commits.
+func TestBatchEpochVerdicts(t *testing.T) {
+	const callers, perCaller = 8, 24
+	for _, window := range []int{16, 4} {
+		nw := testNetwork(t, "geant", 9)
+		reg := obs.NewRegistry()
+		eng := NewWith(nw, plannerFor(t, "Online_CP", nw), WithWorkers(callers), WithBatchWindow(window),
+			WithMetrics(obs.NewAdmissionObs(reg, "Online_CP", obs.AdmissionObsOptions{})))
+		// Plan every request against the idle network; the commits then
+		// contend for its capacity, so some verdicts are refusals.
+		var reqs []*multicast.Request
+		var sols []*core.Solution
+		for _, req := range requestPool(t, nw.NumNodes(), callers*perCaller, 41) {
+			if sol, err := eng.adm.PlanOn(context.Background(), nw.Clone(), req, nil); err == nil {
+				reqs, sols = append(reqs, req), append(sols, sol)
+			}
+		}
+
+		var ok atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < len(reqs); i += callers {
+					if _, _, err := eng.submitCommit(reqs[i], sols[i], 0); err == nil {
+						ok.Add(1)
+					} else if errors.Is(err, ErrClosed) {
+						t.Errorf("commit %d: %v", reqs[i].ID, err)
+					}
+				}
+			}(g)
+		}
+		waitOrWedged(t, &wg, "batched commits")
+
+		sizes := reg.Histograms()[`nfv_commit_batch_size{policy="Online_CP"}`]
+		if got := int(sizes.Sum); got != len(reqs) {
+			t.Errorf("window %d: epochs committed %d tickets, want %d", window, got, len(reqs))
+		}
+		for i, bound := range sizes.Bounds {
+			if bound >= float64(window) && sizes.Counts[i+1] > 0 {
+				t.Errorf("window %d: %d epochs larger than %g tickets", window, sizes.Counts[i+1], bound)
+			}
+		}
+		if got := eng.AdmittedCount(); got != int(ok.Load()) {
+			t.Errorf("window %d: %d admitted, but %d commits succeeded", window, got, ok.Load())
+		}
+		checkEngineConsistency(t, eng, nw)
+		eng.Close()
+	}
+}
+
+// TestCountersAfterClose: AdmittedCount, RejectedCount and LiveCount
+// keep reporting the final state after Close instead of zero.
+func TestCountersAfterClose(t *testing.T) {
+	for _, opts := range [][]Option{
+		{WithWorkers(1)},
+		{WithWorkers(4), WithBatchWindow(16), WithJournal(&stubJournal{})},
+	} {
+		nw := testNetwork(t, "geant", 7)
+		eng := NewWith(nw, core.NewSPPlanner(), opts...)
+		for i, req := range requestPool(t, nw.NumNodes(), 400, 7) {
+			if _, err := eng.Admit(req); err == nil && i%3 == 0 {
+				if _, err := eng.Depart(req.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		admitted, rejected, live := eng.AdmittedCount(), eng.RejectedCount(), eng.LiveCount()
+		if admitted == 0 || rejected == 0 || live == 0 || live == admitted {
+			t.Fatalf("workload too mild: %d admitted, %d rejected, %d live", admitted, rejected, live)
+		}
+		eng.Close()
+		if a, r, l := eng.AdmittedCount(), eng.RejectedCount(), eng.LiveCount(); a != admitted || r != rejected || l != live {
+			t.Fatalf("after Close: %d/%d/%d admitted/rejected/live, want %d/%d/%d", a, r, l, admitted, rejected, live)
+		}
+	}
+}

@@ -46,8 +46,8 @@ func WithRecovery(pol recov.Policy) Option {
 }
 
 // WithBatchWindow bounds how many finished plans one commit epoch may
-// absorb: the writer drains up to n waiting commits per loop
-// iteration, validates them in ascending request-ID order and bumps
+// absorb: the lock holder drains up to n queued commits per critical
+// section, validates them in ascending request-ID order and bumps
 // the network's MutationVersion once per epoch. n <= 1 keeps
 // per-commit epochs; the window only matters with WithWorkers(> 1),
 // and a sequentially-driven engine decides identically at every
@@ -57,7 +57,7 @@ func WithBatchWindow(n int) Option {
 }
 
 // WithJournal makes the engine durable: every state-changing outcome
-// is appended to j on the writer goroutine and barriered by the
+// is appended to j under the writer lock and barriered by the
 // committer goroutine before the operation acks (see Journal,
 // committer.go and internal/wal). nil keeps the engine in-memory.
 func WithJournal(j Journal) Option {

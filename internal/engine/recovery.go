@@ -11,16 +11,16 @@ import (
 
 // Recovery integration: when the engine is built with a recovery
 // policy (Options.Recovery / WithRecovery), every structural change
-// applied through Update triggers a recovery pass on the writer
-// goroutine, inline with the update — so by the time Update returns,
-// every affected live session is repaired or shed and no concurrent
-// Admit ever plans against a half-recovered state. Recovery runs
-// sessions in ascending request-ID order and plans sequentially on the
-// writer, which makes its outcomes independent of the engine's worker
-// count (pinned by the recovery determinism oracle).
+// applied through Update triggers a recovery pass under the writer
+// lock, inline with the update — so by the time Update returns, every
+// affected live session is repaired or shed and no concurrent Admit
+// ever plans against a half-recovered state. Recovery runs sessions in
+// ascending request-ID order and plans sequentially under the lock,
+// which makes its outcomes independent of the engine's worker count
+// (pinned by the recovery determinism oracle).
 
-// recoverLocked runs one recovery pass. Caller must be on the writer
-// goroutine.
+// recoverLocked runs one recovery pass. Caller must hold the writer
+// lock.
 func (e *Engine) recoverLocked(ctx context.Context) error {
 	if e.rec == nil {
 		return nil

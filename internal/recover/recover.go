@@ -18,7 +18,7 @@
 //
 // A Recoverer only mutates state through the core.Admitter handed to
 // it, and must run wherever that admitter's single-caller rule is
-// honoured — inside the engine that is the writer goroutine.
+// honoured — inside the engine that is under the writer lock.
 package recover
 
 import (
@@ -64,8 +64,8 @@ type Policy struct {
 	// Each attempt plans against the then-current residuals.
 	RetryBudget int
 	// Backoff is the sleep before the first re-plan retry, doubling per
-	// subsequent retry. 0 retries immediately — the right setting on
-	// the engine's writer goroutine for simulated failures, where
+	// subsequent retry. 0 retries immediately — the right setting under
+	// the engine's writer lock for simulated failures, where
 	// residuals can only change through the recovery pass itself.
 	Backoff time.Duration
 }

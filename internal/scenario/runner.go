@@ -268,9 +268,9 @@ func (x *executor) linef(format string, args ...any) {
 }
 
 // guard runs one target call under the liveness watchdog. The engine
-// owns a single writer goroutine; any call that fails to return is a
-// wedged writer — the one failure mode a black-box harness cannot
-// observe from return values alone.
+// serialises every call under one writer lock; any call that fails to
+// return is a wedged writer — the one failure mode a black-box harness
+// cannot observe from return values alone.
 func (x *executor) guard(op string, at float64, f func() error) error {
 	done := make(chan error, 1)
 	go func() { done <- f() }()

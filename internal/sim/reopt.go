@@ -58,7 +58,7 @@ func ExtReoptimize(cfg Config) ([]Figure, error) {
 			return nil, fmt.Errorf("sim: reoptimize fixture admitted nothing for %s", policy)
 		}
 		// The maintenance pass mutates the network wholesale, so it runs
-		// on the engine's writer goroutine; the new placements are then
+		// under the engine's writer lock; the new placements are then
 		// recorded so later departures release the right allocations.
 		var (
 			reopt []*core.Solution

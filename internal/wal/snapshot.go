@@ -57,7 +57,7 @@ type liveSnap struct {
 }
 
 // Snapshot captures the engine's state atomically (between operations,
-// on the writer goroutine), writes it as snap-<lastLSN>.json, and
+// under the writer lock), writes it as snap-<lastLSN>.json, and
 // garbage-collects segments and older snapshots the new snapshot
 // subsumes (the previous snapshot is kept as a fallback). It returns
 // the covered LSN. The engine must be the one this log journals for —

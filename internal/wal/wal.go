@@ -21,12 +21,12 @@
 // error (ErrLogCorrupt / ErrLogTruncated) rather than silently
 // skipping records.
 //
-// Durability contract: the engine appends on its writer goroutine, its
+// Durability contract: the engine appends under its writer lock, its
 // committer goroutine calls Barrier (one fsync for every record
 // appended before the call) and only then releases the acks of the
 // operations those records describe — "acked implies logged". The
 // fsync runs outside the log mutex, so Append, ShouldSnapshot and
-// LastLSN never wait for the disk and the writer keeps appending while
+// LastLSN never wait for the disk and the engine keeps appending while
 // a barrier is in flight. The first append/sync failure is sticky: the
 // log refuses further writes, the engine surfaces ErrDurability, and
 // the process restarts into recovery.
