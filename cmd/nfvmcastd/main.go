@@ -24,9 +24,11 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
+	"nfvmcast/internal/core"
 	"nfvmcast/internal/daemon"
 )
 
@@ -38,19 +40,19 @@ func main() {
 }
 
 // run is the daemon's whole life: parse flags, recover, serve until a
-// signal arrives, drain. Progress lines go to out.
+// signal arrives, drain. Progress lines and the -h usage go to out.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("nfvmcastd", flag.ContinueOnError)
+	fs.SetOutput(out)
 	var (
 		addr          = fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		walDir        = fs.String("wal", "", "WAL root directory (empty = in-memory, no durability)")
 		topoName      = fs.String("topology", "geant", "topology: geant | as1755 | as4755 | waxman | fattree")
 		nodes         = fs.Int("nodes", 100, "network size (waxman only)")
 		seed          = fs.Int64("seed", 42, "substrate seed (capacities, costs, servers)")
-		policy        = fs.String("policy", "Online_CP", "admission planner: Online_CP | SP")
+		policy        = fs.String("policy", "Online_CP", "admission planner: "+policyNames())
 		shards        = fs.Int("shards", 1, "shard count")
 		workers       = fs.Int("workers", 0, "admission workers per shard (0 = engine default)")
-		batchWindow   = fs.Int("batch-window", 0, "epoch batch window per shard (0 = unbatched)")
 		queueDepth    = fs.Int("queue-depth", 64, "bounded admission queue; beyond it submit answers 429")
 		reqTimeout    = fs.Duration("request-timeout", 10*time.Second, "server-side deadline per request")
 		segmentBytes  = fs.Int64("segment-bytes", 0, "WAL segment rotation threshold (0 = default)")
@@ -69,7 +71,6 @@ func run(args []string, out io.Writer) error {
 		Policy:         *policy,
 		Shards:         *shards,
 		Workers:        *workers,
-		BatchWindow:    *batchWindow,
 		WALDir:         *walDir,
 		SegmentBytes:   *segmentBytes,
 		SnapshotEvery:  *snapshotEvery,
@@ -126,4 +127,14 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, "nfvmcastd: drained, state snapshotted, logs closed")
 		return nil
 	}
+}
+
+// policyNames lists every registered planner, as -policy accepts them.
+func policyNames() string {
+	specs := core.Planners()
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		names[i] = s.Name
+	}
+	return strings.Join(names, " | ")
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
+	"flag"
 	"io"
 	"net"
 	"net/http"
@@ -12,6 +14,7 @@ import (
 	"syscall"
 	"testing"
 
+	"nfvmcast/internal/core"
 	"nfvmcast/internal/testutil"
 )
 
@@ -24,6 +27,20 @@ func TestRunRejectsBadConfiguration(t *testing.T) {
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) booted", args)
+		}
+	}
+}
+
+// TestUsageNamesEveryPlanner: the -policy help text lists every name
+// the planner registry accepts.
+func TestUsageNamesEveryPlanner(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
+	}
+	for _, spec := range core.Planners() {
+		if !strings.Contains(out.String(), spec.Name) {
+			t.Errorf("-h output does not name planner %q:\n%s", spec.Name, out.String())
 		}
 	}
 }

@@ -411,25 +411,6 @@ func ExampleWithRepairCostFactor() {
 	// session 1: replan
 }
 
-func ExampleWithBatchWindow() {
-	nw := square()
-	planner, _ := nfvmcast.NewCPPlanner(nfvmcast.DefaultCostModel(nw.NumNodes()))
-	eng := nfvmcast.NewEngine(nw, planner,
-		nfvmcast.WithWorkers(2),
-		nfvmcast.WithBatchWindow(4),
-	)
-	defer eng.Close()
-	for id := 1; id <= 3; id++ {
-		_, _ = eng.Admit(&nfvmcast.Request{
-			ID: id, Source: 0, Destinations: []nfvmcast.NodeID{3},
-			BandwidthMbps: 5, Chain: nfvmcast.MustChain(nfvmcast.Firewall),
-		})
-	}
-	fmt.Println("live:", eng.LiveCount())
-	// Output:
-	// live: 3
-}
-
 // ExampleWithJournal runs an engine's two lives: a durable engine
 // admits a session and "crashes"; a fresh engine over the same log
 // replays the outcome — no planner re-runs — back to the identical

@@ -59,11 +59,10 @@ type Config struct {
 	// Policy is the admission planner, resolved by name from the
 	// planner registry (core.Planners lists the accepted names).
 	Policy string `json:"policy"`
-	// Shards is the shard count (default 1). Workers/BatchWindow tune
-	// each shard's engine.
-	Shards      int `json:"shards,omitempty"`
-	Workers     int `json:"workers,omitempty"`
-	BatchWindow int `json:"batchWindow,omitempty"`
+	// Shards is the shard count (default 1). Workers tunes each
+	// shard's engine.
+	Shards  int `json:"shards,omitempty"`
+	Workers int `json:"workers,omitempty"`
 	// WALDir roots the per-shard log directories. Empty runs the
 	// daemon in-memory (no durability, no recovery).
 	WALDir string `json:"walDir,omitempty"`
@@ -205,12 +204,11 @@ func New(cfg Config) (*Server, error) {
 		build = cfg.testBuild
 	}
 	opts := shard.Options{
-		Shards:      shardIDs(cfg.Shards),
-		Build:       build,
-		Workers:     cfg.Workers,
-		BatchWindow: cfg.BatchWindow,
-		Recovery:    &pol,
-		Registry:    registry,
+		Shards:   shardIDs(cfg.Shards),
+		Build:    build,
+		Workers:  cfg.Workers,
+		Recovery: &pol,
+		Registry: registry,
 	}
 	if cfg.WALDir != "" {
 		opts.Journal = func(id string) (engine.Journal, error) {

@@ -7,7 +7,7 @@ import (
 
 // Pipelined group commit. With a journal attached the lock holder never
 // waits for the disk: it applies an operation, appends its record(s),
-// hands the operation's ack to the committer goroutine and frees the
+// puts the operation's ack to the committer goroutine and frees the
 // writer lock, then waits for the ack while the next caller commits and
 // appends. The committer takes every ack whose barrier is owed, makes
 // their records durable with one Journal.Barrier — the engine's only
@@ -17,10 +17,10 @@ import (
 // or wait. An ack is released only by a barrier that started after its
 // records were appended: "acked implies logged".
 
-// ack is the part of a journaled operation or commit ticket the lock
-// holder and the committer share. The holder fills owes/admitted while
-// the operation runs, the committer fills jerr, and the send on done —
-// by whichever of the two releases the caller — is the last touch.
+// ack is the part of a journaled operation the lock holder and the
+// committer share. The holder fills owes/admitted while the operation
+// runs (see exec); for an ack that owes a barrier the committer fills
+// jerr, and its send on done is the last touch.
 type ack struct {
 	done chan struct{}
 	// owes: a record of this operation was appended, so its ack waits
@@ -53,11 +53,12 @@ func newCommitter() *committer {
 	return c
 }
 
-// put queues acks whose records are appended. It never waits for the
-// committer's barrier.
-func (c *committer) put(acks []*ack) {
+// put queues the ack of an operation whose records are appended. The
+// lock holder calls it before freeing the writer lock, so acks queue in
+// append order. It never waits for the committer's barrier.
+func (c *committer) put(a *ack) {
 	c.mu.Lock()
-	c.owed = append(c.owed, acks...)
+	c.owed = append(c.owed, a)
 	c.mu.Unlock()
 	c.wake.Signal()
 }
@@ -82,31 +83,6 @@ func (c *committer) stop() {
 	c.closed = true
 	c.mu.Unlock()
 	c.wake.Signal()
-}
-
-// settle runs under the writer lock after an operation's work: an
-// operation that appended nothing acks at once; one that did is staged
-// for the committer (see handOff).
-func (e *Engine) settle(a *ack) {
-	if !a.owes {
-		a.done <- struct{}{}
-		return
-	}
-	e.staged = append(e.staged, a)
-}
-
-// handOff passes the acks staged by one critical section — one
-// operation, or a whole commit epoch — to the committer in one step
-// before the lock is freed, so they share a barrier and reach the
-// committer in append order. It never blocks on the committer's disk
-// wait.
-func (e *Engine) handOff() {
-	if len(e.staged) == 0 {
-		return
-	}
-	e.com.put(e.staged)
-	clear(e.staged)
-	e.staged = e.staged[:0]
 }
 
 // commitLoop is the committer goroutine. It closes e.done once Close has

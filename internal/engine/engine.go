@@ -75,15 +75,6 @@ type Options struct {
 	// default) leaves damaged sessions alone, preserving the manual
 	// fail-release-readmit workflow.
 	Recovery *recov.Policy
-	// BatchWindow bounds how many finished plans one commit epoch may
-	// absorb (see batch.go): the lock holder drains up to this many
-	// queued commits per critical section, validates them in ascending
-	// request-ID order and bumps the network's MutationVersion once
-	// for the whole epoch. 0 or 1 keeps per-commit epochs (the
-	// pre-batching behaviour); the window is ignored in sequential
-	// mode, where plan and commit are one atomic step. Decisions of a
-	// sequentially-driven engine are byte-identical across windows.
-	BatchWindow int
 	// Journal, when set, makes the engine durable: every
 	// state-changing outcome is appended to the journal under the writer
 	// lock and made durable by the committer goroutine's barrier
@@ -120,15 +111,6 @@ type Engine struct {
 	// under the writer lock, so one arena suffices.
 	seqArena *core.PlanArena
 
-	// Epoch batching (see batch.go). batchWindow > 1 routes concurrent
-	// commits through the ticket queue, which queueMu guards (callers
-	// fill it without the writer lock); batchScratch is the lock
-	// holder's reusable epoch buffer.
-	batchWindow  int
-	queueMu      sync.Mutex
-	queue        []*commitTicket
-	batchScratch []*commitTicket
-
 	// Recovery state (nil unless Options.Recovery was set). rec and
 	// lastRec are touched only under the writer lock; recArena is the
 	// writer-owned planning scratch of recovery passes.
@@ -147,14 +129,12 @@ type Engine struct {
 	// durability off): appends under the writer lock, Barrier on the
 	// committer goroutine (com, see committer.go), which closes done
 	// once Close has drained it. cur is the ack of the operation the
-	// lock holder is running — where the append helpers note that a
-	// barrier is owed — and staged collects one critical section's owing
-	// acks for the hand-off; both are touched only under the lock and
-	// only with a journal attached.
+	// lock holder is running, where the append helpers note that a
+	// barrier is owed; it is touched only under the lock and only with a
+	// journal attached.
 	journal Journal
 	com     *committer
 	cur     *ack
-	staged  []*ack
 	done    chan struct{}
 
 	// mutations counts state changes (commits, departs, replaces,
@@ -183,13 +163,12 @@ type planSlot struct {
 func New(nw *sdn.Network, planner core.Planner, opts Options) *Engine {
 	workers := parallel.Degree(opts.Workers)
 	e := &Engine{
-		adm:         core.NewAdmitter(nw, planner),
-		obs:         opts.Obs,
-		sequential:  workers <= 1,
-		planSlots:   make(chan *planSlot, workers),
-		seqArena:    core.NewPlanArena(),
-		batchWindow: max(opts.BatchWindow, 1),
-		journal:     opts.Journal,
+		adm:        core.NewAdmitter(nw, planner),
+		obs:        opts.Obs,
+		sequential: workers <= 1,
+		planSlots:  make(chan *planSlot, workers),
+		seqArena:   core.NewPlanArena(),
+		journal:    opts.Journal,
 	}
 	for i := 0; i < workers; i++ {
 		e.planSlots <- &planSlot{arena: core.NewPlanArena(), view: &sdn.Network{}}
@@ -229,18 +208,18 @@ func (e *Engine) Close() {
 	}
 }
 
-// exec runs f under the writer lock on the calling goroutine. With a
-// journal f runs with cur set to a pooled ack; an ack that owes a
-// barrier reaches the committer (with any a commit epoch staged) before
-// the lock is freed, so the committer sees acks in append order, and
-// exec waits for it outside the lock. exec returns ErrClosed when f
-// never ran and the ErrDurability verdict of a failed barrier.
+// exec runs f under the writer lock on the calling goroutine: one
+// critical section, one operation, one ack. With a journal f runs with
+// cur set to a pooled ack. An ack that owes a barrier is put to the
+// committer before the lock is freed, so the committer sees acks in
+// append order, and exec waits for it outside the lock; an ack that owes
+// nothing is released at once. exec returns ErrClosed when f never ran
+// and the ErrDurability verdict of a failed barrier.
 //
 // Should f panic, the engine is closed before the lock is freed and the
 // panic goes on up the caller's stack: later operations get ErrClosed
-// instead of half-applied state, the members of a commit epoch the
-// panic cut short get it too, and acks already staged still go to the
-// committer, so no caller waits on a holder that will not finish.
+// instead of half-applied state, and no caller waits on a holder that
+// will not finish.
 func (e *Engine) exec(f func()) error {
 	e.mu.Lock()
 	if e.closed {
@@ -251,13 +230,6 @@ func (e *Engine) exec(f func()) error {
 	defer func() {
 		if held {
 			e.closed = true
-			for _, t := range e.batchScratch { // settled members are nil
-				if t != nil {
-					t.verdict = commitVerdict{err: ErrClosed}
-					t.done <- struct{}{}
-				}
-			}
-			e.handOff()
 			e.mu.Unlock()
 		}
 	}()
@@ -267,18 +239,20 @@ func (e *Engine) exec(f func()) error {
 		e.cur = a
 	}
 	f()
-	if a != nil {
-		e.settle(a)
-		e.handOff()
+	owes := a != nil && a.owes
+	if owes {
+		e.com.put(a)
 	}
 	held = false
 	e.mu.Unlock()
 	if a == nil {
 		return nil
 	}
-	// The send on the buffered done channel is the engine's last touch of
-	// the ack, so recycling it after the receive never races the committer.
-	<-a.done
+	if owes {
+		// The send on the buffered done channel is the committer's last
+		// touch of the ack, so recycling it after the receive never races.
+		<-a.done
+	}
 	err := a.jerr
 	*a = ack{done: a.done}
 	ackPool.Put(a)
@@ -378,15 +352,9 @@ func (e *Engine) planOnSnapshot(ctx context.Context, req *multicast.Request, slo
 
 // tryCommit validates sol against the live residuals under the writer
 // lock. The error is nil on success, ErrClosed, ErrDurability, or the
-// allocation violation;
-// stale reports whether the live state had moved past the plan's
-// snapshot epoch by commit time. With BatchWindow > 1 the commit joins
-// a lock holder's epoch batch (see batch.go) — same verdicts, with
-// MutationVersion amortized across the epoch.
+// allocation violation; stale reports whether the live state had moved
+// past the plan's snapshot epoch by commit time.
 func (e *Engine) tryCommit(req *multicast.Request, sol *core.Solution, epoch uint64) (*core.Solution, bool, error) {
-	if e.batchWindow > 1 {
-		return e.submitCommit(req, sol, epoch)
-	}
 	var out *core.Solution
 	var stale bool
 	var cerr error

@@ -20,13 +20,13 @@ import (
 // failed operations change no state and are not journaled.
 //
 // The path is append → committer barrier → ack (committer.go). The
-// lock holder appends, hands its ack to the committer and frees the
+// lock holder appends, puts its ack to the committer and frees the
 // lock, then waits outside it; the committer goroutine barriers every
 // operation whose records are appended and not yet durable with one
 // Barrier call and then releases their acks. One operation owes one
 // barrier however many records it appended (a recovery pass, a
-// maintenance batch with its repairs, a commit epoch), and operations
-// that arrive while a barrier is in flight share the next one.
+// maintenance batch with its repairs), and operations that arrive while
+// a barrier is in flight share the next one.
 //
 // The visibility window: between its append and its ack an operation's
 // state change is already live in the engine. An admission not yet

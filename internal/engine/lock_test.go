@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -10,8 +9,6 @@ import (
 	"time"
 
 	"nfvmcast/internal/core"
-	"nfvmcast/internal/multicast"
-	"nfvmcast/internal/obs"
 	"nfvmcast/internal/sdn"
 	"nfvmcast/internal/testutil"
 )
@@ -57,8 +54,7 @@ func waitOrWedged(t *testing.T, wg *sync.WaitGroup, what string) {
 }
 
 // TestEngineGoroutines: an in-memory engine runs no goroutine of its
-// own, in sequential or batched concurrent mode; a journaled engine
-// runs exactly one, the committer, until Close.
+// own; a journaled engine runs exactly one, the committer, until Close.
 func TestEngineGoroutines(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -66,7 +62,6 @@ func TestEngineGoroutines(t *testing.T) {
 		opts  []Option
 	}{
 		{"sequential", 0, []Option{WithWorkers(1)}},
-		{"batched", 0, []Option{WithWorkers(4), WithBatchWindow(16)}},
 		{"journaled", 1, []Option{WithWorkers(4), WithJournal(&stubJournal{})}},
 	}
 	for _, tc := range cases {
@@ -101,8 +96,7 @@ func TestCloseRacingCallers(t *testing.T) {
 		opts []Option
 	}{
 		{"sequential", []Option{WithWorkers(1)}},
-		{"batched", []Option{WithWorkers(4), WithBatchWindow(16)}},
-		{"journaled", []Option{WithWorkers(4), WithBatchWindow(16), WithJournal(&stubJournal{})}},
+		{"journaled", []Option{WithWorkers(4), WithJournal(&stubJournal{})}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -205,69 +199,12 @@ func TestUpdatePanicClosesEngine(t *testing.T) {
 	}
 }
 
-// TestBatchEpochVerdicts: eight callers commit through the ticket queue
-// at once. Every ticket gets exactly one verdict — the epochs'
-// tickets-per-batch histogram sums to the number of commits, and the
-// admitted count equals the successful verdicts — and no epoch exceeds
-// the window. A window smaller than the callers also covers a ticket
-// queued more than one window deep, which a later lock holder commits.
-func TestBatchEpochVerdicts(t *testing.T) {
-	const callers, perCaller = 8, 24
-	for _, window := range []int{16, 4} {
-		nw := testNetwork(t, "geant", 9)
-		reg := obs.NewRegistry()
-		eng := NewWith(nw, plannerFor(t, "Online_CP", nw), WithWorkers(callers), WithBatchWindow(window),
-			WithMetrics(obs.NewAdmissionObs(reg, "Online_CP", obs.AdmissionObsOptions{})))
-		// Plan every request against the idle network; the commits then
-		// contend for its capacity, so some verdicts are refusals.
-		var reqs []*multicast.Request
-		var sols []*core.Solution
-		for _, req := range requestPool(t, nw.NumNodes(), callers*perCaller, 41) {
-			if sol, err := eng.adm.PlanOn(context.Background(), nw.Clone(), req, nil); err == nil {
-				reqs, sols = append(reqs, req), append(sols, sol)
-			}
-		}
-
-		var ok atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < callers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := g; i < len(reqs); i += callers {
-					if _, _, err := eng.submitCommit(reqs[i], sols[i], 0); err == nil {
-						ok.Add(1)
-					} else if errors.Is(err, ErrClosed) {
-						t.Errorf("commit %d: %v", reqs[i].ID, err)
-					}
-				}
-			}(g)
-		}
-		waitOrWedged(t, &wg, "batched commits")
-
-		sizes := reg.Histograms()[`nfv_commit_batch_size{policy="Online_CP"}`]
-		if got := int(sizes.Sum); got != len(reqs) {
-			t.Errorf("window %d: epochs committed %d tickets, want %d", window, got, len(reqs))
-		}
-		for i, bound := range sizes.Bounds {
-			if bound >= float64(window) && sizes.Counts[i+1] > 0 {
-				t.Errorf("window %d: %d epochs larger than %g tickets", window, sizes.Counts[i+1], bound)
-			}
-		}
-		if got := eng.AdmittedCount(); got != int(ok.Load()) {
-			t.Errorf("window %d: %d admitted, but %d commits succeeded", window, got, ok.Load())
-		}
-		checkEngineConsistency(t, eng, nw)
-		eng.Close()
-	}
-}
-
 // TestCountersAfterClose: AdmittedCount, RejectedCount and LiveCount
 // keep reporting the final state after Close instead of zero.
 func TestCountersAfterClose(t *testing.T) {
 	for _, opts := range [][]Option{
 		{WithWorkers(1)},
-		{WithWorkers(4), WithBatchWindow(16), WithJournal(&stubJournal{})},
+		{WithWorkers(4), WithJournal(&stubJournal{})},
 	} {
 		nw := testNetwork(t, "geant", 7)
 		eng := NewWith(nw, core.NewSPPlanner(), opts...)

@@ -45,17 +45,6 @@ func WithRecovery(pol recov.Policy) Option {
 	}
 }
 
-// WithBatchWindow bounds how many finished plans one commit epoch may
-// absorb: the lock holder drains up to n queued commits per critical
-// section, validates them in ascending request-ID order and bumps
-// the network's MutationVersion once per epoch. n <= 1 keeps
-// per-commit epochs; the window only matters with WithWorkers(> 1),
-// and a sequentially-driven engine decides identically at every
-// window.
-func WithBatchWindow(n int) Option {
-	return func(o *Options) { o.BatchWindow = n }
-}
-
 // WithJournal makes the engine durable: every state-changing outcome
 // is appended to j under the writer lock and barriered by the
 // committer goroutine before the operation acks (see Journal,

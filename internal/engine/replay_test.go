@@ -52,11 +52,10 @@ func geant(t *testing.T) *sdn.Network {
 const replayFailLink = 59
 
 // TestReplayOfJournaledOutcomes: what the engine journals replays to
-// the same state. A Reconf_CP engine with four planners and 16-wide
-// commit epochs runs a mixed history — sequential and concurrent
-// admissions, departures, a Replace, an Apply whose recovery pass
-// repairs and sheds, and the migration passes that follow every Apply —
-// into a recording journal. Replaying the recorded outcomes into a
+// the same state. A Reconf_CP engine with four planners runs a mixed
+// history — sequential and concurrent admissions, departures, a
+// Replace, an Apply whose recovery pass repairs and sheds, and the
+// migration passes that follow every Apply — into a recording journal. Replaying the recorded outcomes into a
 // fresh engine on the same substrate must reproduce its fingerprint.
 func TestReplayOfJournaledOutcomes(t *testing.T) {
 	nw := geant(t)
@@ -67,7 +66,7 @@ func TestReplayOfJournaledOutcomes(t *testing.T) {
 	reg := obs.NewRegistry()
 	j := &recordingJournal{}
 	eng := engine.NewWith(nw, planner,
-		engine.WithWorkers(4), engine.WithBatchWindow(16),
+		engine.WithWorkers(4),
 		engine.WithRecovery(recov.DefaultPolicy()), engine.WithJournal(j),
 		engine.WithMetrics(obs.NewAdmissionObs(reg, planner.Name(), obs.AdmissionObsOptions{})))
 	defer eng.Close()
@@ -130,7 +129,7 @@ func TestReplayOfJournaledOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Concurrent suffix: four callers feed the batched commit path.
+	// Concurrent suffix: four callers feed the concurrent commit path.
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -162,7 +161,7 @@ func TestReplayOfJournaledOutcomes(t *testing.T) {
 	if counters[`nfv_reconfigurations_total{policy="Reconf_CP"}`] == 0 {
 		t.Fatalf("history migrated no session (%v)", counters)
 	}
-	t.Logf("%d outcomes %v; %d commit epochs", len(outs), kinds, counters[`nfv_commit_batches_total{policy="Reconf_CP"}`])
+	t.Logf("%d outcomes %v", len(outs), kinds)
 
 	want, err := wal.Fingerprint(eng)
 	if err != nil {

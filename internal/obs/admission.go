@@ -52,7 +52,6 @@ type AdmissionObs struct {
 	replans   *Counter
 	conflicts *Counter
 	clones    *Counter
-	batches   *Counter
 	failures  *Counter
 	repairs   *Counter
 	repaired  map[string]*Counter
@@ -65,7 +64,6 @@ type AdmissionObs struct {
 	commitLat   *Histogram
 	cloneLat    *Histogram
 	recoveryLat *Histogram
-	batchSize   *Histogram
 }
 
 // AdmissionObsOptions configures an AdmissionObs.
@@ -114,8 +112,6 @@ func NewAdmissionObs(reg *Registry, policy string, opts AdmissionObsOptions) *Ad
 			"Commit-time validation failures (plan invalidated by a concurrent commit).", base...),
 		clones: reg.Counter("nfv_snapshot_clones_total",
 			"Residual-network snapshot clones taken for planning.", base...),
-		batches: reg.Counter("nfv_commit_batches_total",
-			"Commit epochs processed by the writer (each batches >= 1 commit tickets).", base...),
 		failures: reg.Counter("nfv_failures_injected_total",
 			"Structural changes (link/server failure injection) applied through the engine.", base...),
 		repairs: reg.Counter("nfv_repairs_attempted_total",
@@ -137,9 +133,6 @@ func NewAdmissionObs(reg *Registry, policy string, opts AdmissionObsOptions) *Ad
 			"Residual-snapshot clone latency on the writer (sampled).", nil, base...),
 		recoveryLat: reg.Histogram("nfv_recovery_seconds",
 			"End-to-end latency of one recovery pass (always sampled; recovery is rare).", nil, base...),
-		batchSize: reg.Histogram("nfv_commit_batch_size",
-			"Commit tickets per epoch batch.",
-			[]float64{1, 2, 4, 8, 16, 32, 64, 128}, base...),
 	}
 	for _, mode := range []string{RepairModeLocal, RepairModeReplan} {
 		o.repaired[mode] = reg.Counter("nfv_repaired_total",
@@ -276,17 +269,6 @@ func (o *AdmissionObs) CloneDone(start time.Time) {
 	}
 	o.clones.Inc()
 	observe(o.cloneLat, start)
-}
-
-// BatchCommitted records one commit epoch processed by the writer:
-// the batch counter and the tickets-per-batch histogram. size counts
-// every ticket in the epoch, committed or failed.
-func (o *AdmissionObs) BatchCommitted(size int) {
-	if o == nil {
-		return
-	}
-	o.batches.Inc()
-	o.batchSize.Observe(float64(size))
 }
 
 // FailureInjected records a structural change applied through the

@@ -36,7 +36,6 @@ func TestReconfiguredHook(t *testing.T) {
 	o.RepairAttempted(7)
 	o.Repaired(7, RepairModeReplan, 3)
 	o.SessionShed(9, "degraded")
-	o.BatchCommitted(3)
 	o.RecoveryPass(0.25)
 	if o.ShedCount() != 1 {
 		t.Fatalf("ShedCount = %d, want 1", o.ShedCount())
@@ -51,7 +50,6 @@ func TestReconfiguredHook(t *testing.T) {
 	nilObs.RepairAttempted(1)
 	nilObs.Repaired(1, RepairModeLocal, 0)
 	nilObs.SessionShed(1, "x")
-	nilObs.BatchCommitted(1)
 	nilObs.RecoveryPass(0)
 	if nilObs.ReconfiguredCount() != 0 || nilObs.ShedCount() != 0 || nilObs.Shard() != "" {
 		t.Fatal("nil accessors must return zero values")

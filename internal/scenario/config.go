@@ -57,11 +57,6 @@ type Config struct {
 	// results). Sharded runs cannot attach a rule-limited controller —
 	// flow tables belong to one network.
 	Shards int `json:"shards,omitempty"`
-	// BatchWindow is each engine's commit-epoch window (see
-	// engine.Options.BatchWindow); 0 commits every decision in its own
-	// epoch. Decisions are window-invariant; the knob exists so
-	// scenario suites can exercise epoch-batched commits.
-	BatchWindow int `json:"batchWindow,omitempty"`
 	// Seed drives every random draw of the scenario (workload
 	// contents, arrival processes, hot destination sets).
 	Seed int64 `json:"seed"`
@@ -265,9 +260,6 @@ func (c *Config) Validate() error {
 	if c.Shards > 1 && c.MaxRulesPerSwitch > 0 {
 		return fmt.Errorf("scenario %q: sharded runs cannot attach a rule-limited controller (shards=%d, maxRulesPerSwitch=%d)",
 			c.Name, c.Shards, c.MaxRulesPerSwitch)
-	}
-	if c.BatchWindow < 0 {
-		return fmt.Errorf("scenario %q: batchWindow %d must be >= 0", c.Name, c.BatchWindow)
 	}
 	for ti := range c.Tenants {
 		if err := c.validateTenant(ti); err != nil {

@@ -51,8 +51,6 @@ func TestConfigValidationGoldens(t *testing.T) {
 			`scenario "t": shards -2 must be >= 0`},
 		{"sharded rule budget", func(c *Config) { c.Shards = 2; c.MaxRulesPerSwitch = 8 },
 			`scenario "t": sharded runs cannot attach a rule-limited controller (shards=2, maxRulesPerSwitch=8)`},
-		{"negative batch window", func(c *Config) { c.BatchWindow = -1 },
-			`scenario "t": batchWindow -1 must be >= 0`},
 		{"tenant without name", func(c *Config) { c.Tenants[0].Name = "" },
 			`scenario "t": tenant 0 needs a name`},
 		{"duplicate tenant", func(c *Config) { c.Tenants = append(c.Tenants, c.Tenants[0]) },
@@ -157,6 +155,18 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	_, err := Parse(strings.NewReader(`{"name": "x", "topo": "geant"}`))
 	if err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Errorf("want unknown-field error, got %v", err)
+	}
+}
+
+// TestLoadRefusesRetiredCommitWindow: engines no longer batch commits,
+// so a scenario file that still sets the commit batch window (the
+// testdata file's only key starting "batch") is refused at load with
+// the strict decoder's unknown-field error rather than run with the
+// setting silently ignored.
+func TestLoadRefusesRetiredCommitWindow(t *testing.T) {
+	_, err := Load("testdata/windowed.json")
+	if err == nil || !strings.Contains(err.Error(), `json: unknown field "batch`) {
+		t.Errorf("want the unknown-field error for the commit window, got %v", err)
 	}
 }
 

@@ -171,7 +171,7 @@ func TestRunDaemonMatchesInProcess(t *testing.T) {
 			}
 			_, base := startDaemon(t, daemon.Config{
 				Topology: cfg.Topology.Name, Nodes: cfg.Topology.Size, Seed: cfg.Seed, Policy: cfg.Policy,
-				Shards: max(cfg.Shards, 1), BatchWindow: cfg.BatchWindow,
+				Shards: max(cfg.Shards, 1),
 				WALDir: filepath.Join(t.TempDir(), "wal"), NoSync: true,
 			})
 			wire, err := RunDaemon(cfg, base)

@@ -163,10 +163,9 @@ func multiTenant() *Config {
 }
 
 // shardedTenants spreads six tenant classes across a four-shard router
-// (each shard an identical GÉANT replica with its own engine, commits
-// epoch-batched), then takes down the links around Frankfurt fleet-wide
-// — every shard applies the outage batch and runs its own recovery
-// pass. The harness's per-shard and cross-shard conservation checks do
+// (each shard an identical GÉANT replica with its own engine), then
+// takes down the links around Frankfurt fleet-wide — every shard
+// applies the outage batch and runs its own recovery pass. The harness's per-shard and cross-shard conservation checks do
 // the heavy lifting; the scenario exists so they run on every suite.
 func shardedTenants() *Config {
 	tenants := make([]Tenant, 6)
@@ -184,7 +183,6 @@ func shardedTenants() *Config {
 		Seed:         17,
 		HorizonHours: 3,
 		Shards:       4,
-		BatchWindow:  16,
 		Recovery:     "default",
 		Tenants:      tenants,
 		Failures: []FailureStep{{

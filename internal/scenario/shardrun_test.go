@@ -5,40 +5,39 @@ import "testing"
 // TestShardedFingerprintDeterminism extends the harness's headline
 // determinism property to the sharded path: the full decision
 // transcript — including each shard's fan-in digest — is byte-identical
-// across engine worker counts and commit batch windows, because the
-// runner drives arrivals sequentially and per-shard transcripts are
-// window- and worker-invariant (the shard package's oracle property).
+// across engine worker counts, because the runner drives arrivals
+// sequentially and per-shard transcripts are worker-invariant (the
+// shard package's oracle property).
 func TestShardedFingerprintDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full sharded runs")
 	}
 	var base *Result
-	for _, mode := range []struct{ workers, window int }{{1, 1}, {4, 16}, {8, 64}} {
+	for _, workers := range []int{1, 4, 8} {
 		cfg, ok := LibraryConfig("sharded-tenants")
 		if !ok {
 			t.Fatal("library scenario sharded-tenants missing")
 		}
-		cfg.Workers = mode.workers
-		cfg.BatchWindow = mode.window
+		cfg.Workers = workers
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, v := range res.Violations {
-			t.Errorf("workers=%d window=%d invariant violation: %s", mode.workers, mode.window, v)
+			t.Errorf("workers=%d invariant violation: %s", workers, v)
 		}
 		if base == nil {
 			base = res
 			continue
 		}
 		if res.Fingerprint != base.Fingerprint {
-			t.Errorf("workers=%d window=%d fingerprint %s != baseline %s\ntranscript diff hint:\n%s",
-				mode.workers, mode.window, res.Fingerprint, base.Fingerprint,
+			t.Errorf("workers=%d fingerprint %s != baseline %s\ntranscript diff hint:\n%s",
+				workers, res.Fingerprint, base.Fingerprint,
 				firstTranscriptDiff(base.Transcript(), res.Transcript()))
 		}
 		for i, sr := range res.ShardReports {
 			if sr.Fingerprint != base.ShardReports[i].Fingerprint {
-				t.Errorf("workers=%d window=%d shard %s fingerprint diverged", mode.workers, mode.window, sr.ID)
+				t.Errorf("workers=%d shard %s fingerprint diverged", workers, sr.ID)
 			}
 		}
 	}

@@ -133,10 +133,9 @@ func newEngineTarget(cfg *Config) (target, func(), error) {
 	}
 	aobs := obs.NewAdmissionObs(obs.NewRegistry(), cfg.Policy, obs.AdmissionObsOptions{})
 	eng := engine.New(nw, planner, engine.Options{
-		Workers:     cfg.Workers,
-		Obs:         aobs,
-		Recovery:    recoveryPolicy(cfg),
-		BatchWindow: cfg.BatchWindow,
+		Workers:  cfg.Workers,
+		Obs:      aobs,
+		Recovery: recoveryPolicy(cfg),
 	})
 	return &engineTarget{newCell("", nw, eng, aobs)}, eng.Close, nil
 }
@@ -189,13 +188,12 @@ func shardIDs(n int) []string {
 
 func newRouterTarget(cfg *Config) (target, func(), error) {
 	router, err := shard.New(shard.Options{
-		Shards:      shardIDs(cfg.Shards),
-		Build:       func(string) (*sdn.Network, core.Planner, error) { return substrate(cfg) },
-		Workers:     cfg.Workers,
-		BatchWindow: cfg.BatchWindow,
-		Recovery:    recoveryPolicy(cfg),
-		Registry:    obs.NewRegistry(),
-		Policy:      cfg.Policy,
+		Shards:   shardIDs(cfg.Shards),
+		Build:    func(string) (*sdn.Network, core.Planner, error) { return substrate(cfg) },
+		Workers:  cfg.Workers,
+		Recovery: recoveryPolicy(cfg),
+		Registry: obs.NewRegistry(),
+		Policy:   cfg.Policy,
 	})
 	if err != nil {
 		return nil, nil, err

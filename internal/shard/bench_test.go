@@ -33,7 +33,7 @@ import (
 // sessions. What changes is the planning bill: the monolith pays per
 // request for the whole fleet — residual work-graph construction over
 // all regions' links and servers, shortest-path roots for every
-// region's candidate servers, and commit epochs that invalidate the
+// region's candidate servers, and commits that invalidate the
 // planner cache fleet-wide — while a shard pays only for its own
 // slice. That per-request cost gap, not an admit-count artifact, is
 // what the admits/sec scaling reports. The metric feeds the CI

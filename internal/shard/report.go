@@ -21,8 +21,8 @@ type ShardReport struct {
 	// Lines is the transcript length behind Fingerprint.
 	Lines int `json:"lines"`
 	// Fingerprint is the SHA-256 hex digest of this shard's decision
-	// transcript. Byte-identical across engine worker counts and batch
-	// windows when the router is driven sequentially.
+	// transcript. Byte-identical across engine worker counts when the
+	// router is driven sequentially.
 	Fingerprint string `json:"fingerprint"`
 }
 

@@ -18,8 +18,8 @@
 // Determinism stays shard-local. Each shard appends its admission
 // decisions to a transcript hashed incrementally (SHA-256); a
 // sequentially-driven router reproduces byte-identical per-shard
-// fingerprints at every engine worker count and batch window (the
-// oracle test pins workers {1,4,8} × windows {1,16,64}), and Report
+// fingerprints at every engine worker count (the oracle test pins
+// workers {1,4,8}), and Report
 // fans the per-shard fingerprints into one merged digest in shard-ID
 // order. There is no cross-shard ordering claim — two shards' engines
 // interleave freely — which is exactly why the fingerprints are kept
@@ -112,9 +112,6 @@ type Options struct {
 	// Workers is each engine's planning concurrency (see
 	// engine.Options.Workers).
 	Workers int
-	// BatchWindow is each engine's commit-epoch window (see
-	// engine.Options.BatchWindow).
-	BatchWindow int
 	// Recovery enables each engine's self-healing ladder.
 	Recovery *recov.Policy
 	// Registry, when set, registers one AdmissionObs per shard with a
@@ -228,11 +225,10 @@ func New(opts Options) (*Router, error) {
 			}
 		}
 		eng := engine.New(nw, planner, engine.Options{
-			Workers:     opts.Workers,
-			Obs:         aobs,
-			Recovery:    opts.Recovery,
-			BatchWindow: opts.BatchWindow,
-			Journal:     journal,
+			Workers:  opts.Workers,
+			Obs:      aobs,
+			Recovery: opts.Recovery,
+			Journal:  journal,
 		})
 		r.shards[id] = &shardState{id: id, eng: eng, nw: nw, digest: sha256.New()}
 		r.order = append(r.order, id)

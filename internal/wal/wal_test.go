@@ -48,12 +48,11 @@ func testNetwork(tb testing.TB, topoName string, seed int64) *sdn.Network {
 // with the recovery ladder on so the workload produces repaired/shed
 // records too.
 func testEngine(tb testing.TB, topoName string, seed int64, workers int, j engine.Journal) *engine.Engine {
-	return policyEngine(tb, topoName, seed, "SP", workers, 1, j)
+	return policyEngine(tb, topoName, seed, "SP", workers, j)
 }
 
-// policyEngine is testEngine for any registered policy and commit
-// batch window.
-func policyEngine(tb testing.TB, topoName string, seed int64, policy string, workers, batch int, j engine.Journal) *engine.Engine {
+// policyEngine is testEngine for any registered policy.
+func policyEngine(tb testing.TB, topoName string, seed int64, policy string, workers int, j engine.Journal) *engine.Engine {
 	tb.Helper()
 	nw := testNetwork(tb, topoName, seed)
 	planner, err := core.NewPlanner(policy, core.PlannerOptions{Nodes: nw.NumNodes()})
@@ -62,7 +61,6 @@ func policyEngine(tb testing.TB, topoName string, seed int64, policy string, wor
 	}
 	opts := []engine.Option{
 		engine.WithWorkers(workers),
-		engine.WithBatchWindow(batch),
 		engine.WithRecovery(recov.DefaultPolicy()),
 	}
 	if j != nil {
@@ -277,18 +275,18 @@ func killAt(tb testing.TB, cpDir, killDir string, segs []uint64, segIdx int, b b
 // the prefix state at each boundary is well-defined). Small segments
 // force rotation, and a tight snapshot cadence forces snapshot+suffix
 // recoveries among the kill points. The Reconf_CP arm adds the
-// migration pass that follows every Apply and 16-wide commit epochs.
+// migration pass that follows every Apply.
 func TestKillAtEveryRecordBoundary(t *testing.T) {
 	type arm struct {
 		topoName, policy string
-		workers, batch   int
+		workers          int
 	}
-	arms := []arm{{"geant", "SP", 1, 1}, {"geant", "SP", 4, 1}, {"waxman", "SP", 1, 1}, {"waxman", "SP", 4, 1},
-		{"geant", "Reconf_CP", 4, 16}}
+	arms := []arm{{"geant", "SP", 1}, {"geant", "SP", 4}, {"waxman", "SP", 1}, {"waxman", "SP", 4},
+		{"geant", "Reconf_CP", 4}}
 	for _, a := range arms {
 		name := fmt.Sprintf("%s/workers=%d", a.topoName, a.workers)
 		if a.policy != "SP" {
-			name = fmt.Sprintf("%s/%s/workers=%d/batch=%d", a.topoName, a.policy, a.workers, a.batch)
+			name = fmt.Sprintf("%s/%s/workers=%d", a.topoName, a.policy, a.workers)
 		}
 		topoName, workers := a.topoName, a.workers
 		t.Run(name, func(t *testing.T) {
@@ -300,7 +298,7 @@ func TestKillAtEveryRecordBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := policyEngine(t, topoName, seed, a.policy, workers, a.batch, l.Journal())
+			eng := policyEngine(t, topoName, seed, a.policy, workers, l.Journal())
 			nOps := 140
 			if topoName == "waxman" {
 				nOps = 90 // second topology rides along at reduced volume

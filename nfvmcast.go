@@ -353,8 +353,8 @@ const (
 
 // Admission engine (single-writer concurrency over a capacitated SDN).
 type (
-	// Engine serializes all network mutations through one writer
-	// goroutine while planning fans out across callers. Its Admit and
+	// Engine serializes all network mutations under one writer lock
+	// while planning fans out across callers. Its Admit and
 	// Update carry context-aware variants (AdmitContext,
 	// UpdateContext): cancellation aborts planning between candidate
 	// evaluations, is never counted as a rejection, and never leaves a
@@ -362,8 +362,8 @@ type (
 	Engine = engine.Engine
 	// EngineOption configures an Engine at construction. It follows
 	// the façade-wide With<Setting> convention (see SolveOption):
-	// WithWorkers, WithMetrics, WithRecovery, WithRepairCostFactor,
-	// WithBatchWindow and WithJournal.
+	// WithWorkers, WithMetrics, WithRecovery, WithRepairCostFactor and
+	// WithJournal.
 	EngineOption = engine.Option
 )
 
@@ -385,11 +385,6 @@ var (
 	// (accept a re-route only at cost <= γ× the damaged tree's);
 	// γ <= 0 forces every repair through the full re-plan path.
 	WithRepairCostFactor = engine.WithRepairCostFactor
-	// WithBatchWindow enables epoch-batched commits: up to n finished
-	// plans commit under one mutation-version bump, amortising planner
-	// cache invalidation. 0 or 1 commits every decision in its own
-	// epoch; decisions are identical at every window.
-	WithBatchWindow = engine.WithBatchWindow
 )
 
 // NewEngine returns an admission engine owning nw that admits with
