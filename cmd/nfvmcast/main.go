@@ -66,8 +66,7 @@ func run(args []string) error {
 	if *shards < 0 {
 		return fmt.Errorf("-shards %d must be >= 0", *shards)
 	}
-	regName, isEngineAlg := registryName(*algorithm)
-	if *shards > 0 && !isEngineAlg {
+	if _, isEngineAlg := registryName(*algorithm); *shards > 0 && !isEngineAlg {
 		return fmt.Errorf("-shards requires an engine planner (e.g. -algorithm onlinecp; admission routing is an online-engine feature)")
 	}
 
@@ -113,76 +112,18 @@ func run(args []string) error {
 		})
 	}
 
-	// Admission via the engine allocates resources as part of Admit;
-	// the other algorithms only plan, so the verification step below
-	// allocates manually for them.
-	allocated := false
-	var sol *nfvmcast.Solution
-	switch {
-	case *algorithm == "appro":
-		sol, err = nfvmcast.ApproMulti(nw, req, nfvmcast.Options{K: *k, Workers: *workers})
-	case *algorithm == "oneserver":
-		sol, err = nfvmcast.AlgOneServer(nw, req, false)
-	case *algorithm == "nearest":
-		sol, err = nfvmcast.AlgOneServerNearest(nw, req, false)
-	case isEngineAlg:
-		if *shards > 0 {
-			// Shard-routed admission: every shard owns an identical
-			// replica of the substrate (same topology, seed-identical
-			// capacities); the tenant key picks the owning shard by
-			// rendezvous hash and the session lands on that shard's
-			// network for the verification below.
-			ids := make([]string, *shards)
-			for i := range ids {
-				ids[i] = fmt.Sprintf("s%d", i)
-			}
-			var router *nfvmcast.ShardRouter
-			router, err = nfvmcast.NewShardRouter(nfvmcast.ShardOptions{
-				Shards: ids,
-				Build: func(string) (*nfvmcast.Network, nfvmcast.Planner, error) {
-					snw, berr := nfvmcast.NewNetwork(topo, nfvmcast.DefaultNetworkConfig(),
-						rand.New(rand.NewSource(*seed+1)))
-					if berr != nil {
-						return nil, nil, berr
-					}
-					planner, berr := nfvmcast.NewPlanner(regName,
-						nfvmcast.PlannerOptions{Nodes: snw.NumNodes()})
-					return snw, planner, berr
-				},
-			})
-			if err != nil {
-				return err
-			}
-			defer router.Close()
-			sol, err = router.Admit(*tenant, req)
-			if err == nil {
-				owner := router.Owner(req.ID)
-				fmt.Printf("tenant %q routed to shard %s of %d\n", *tenant, owner, *shards)
-				nw = router.Network(owner)
-			}
-			allocated = err == nil
-			break
-		}
-		var planner nfvmcast.Planner
-		planner, err = nfvmcast.NewPlanner(regName, nfvmcast.PlannerOptions{Nodes: nw.NumNodes()})
-		if err != nil {
-			return err
-		}
-		var opts []nfvmcast.EngineOption
-		if metrics != nil {
-			opts = append(opts, nfvmcast.WithMetrics(nfvmcast.NewAdmissionObs(
-				metrics, planner.Name(),
-				nfvmcast.AdmissionObsOptions{SampleLatency: true})))
-		}
-		eng := nfvmcast.NewEngine(nw, planner, opts...)
-		defer eng.Close()
-		sol, err = eng.Admit(req)
-		allocated = err == nil
-	default:
-		return fmt.Errorf("unknown algorithm %q (run -algorithm help for the table)", *algorithm)
-	}
+	res, err := solve(solveOptions{
+		algorithm: *algorithm, k: *k, workers: *workers,
+		shards: *shards, tenant: *tenant, metrics: metrics,
+		topo: topo, seed: *seed,
+	}, nw, req)
 	if err != nil {
 		return err
+	}
+	defer res.close()
+	sol, nw := res.sol, res.nw
+	if res.owner != "" {
+		fmt.Printf("tenant %q routed to shard %s of %d\n", *tenant, res.owner, *shards)
 	}
 
 	name := func(v nfvmcast.NodeID) string {
@@ -233,7 +174,7 @@ func run(args []string) error {
 	}
 
 	// Verify end to end on a controller.
-	if !allocated {
+	if !res.allocated {
 		if err := nw.Allocate(nfvmcast.AllocationFor(req, sol.Tree)); err != nil {
 			return fmt.Errorf("allocate: %w", err)
 		}
@@ -260,6 +201,103 @@ func run(args []string) error {
 		<-sig
 	}
 	return nil
+}
+
+// solveOptions configures solve: the -algorithm, -k, -workers, -shards,
+// -tenant and -seed flags, the metrics registry (nil when -metrics-addr
+// is unset) and the topology the shard replicas are built on.
+type solveOptions struct {
+	algorithm  string
+	k, workers int
+	shards     int
+	tenant     string
+	metrics    *nfvmcast.MetricsRegistry
+	topo       *nfvmcast.Topology
+	seed       int64
+}
+
+// solved is solve's answer: the solution, the network the request
+// landed on, whether Admit already holds its resources, the owning
+// shard ("" without -shards), and close, which the caller runs once
+// it is done with the network.
+type solved struct {
+	sol       *nfvmcast.Solution
+	nw        *nfvmcast.Network
+	allocated bool
+	owner     string
+	close     func()
+}
+
+// solve answers req on nw with the configured algorithm. The offline
+// algorithms only plan. Engine planners admit, allocating the
+// request's resources, on a direct engine or, with shards > 0, through
+// a shard router over identical replicas whose tenant key picks the
+// owning shard by rendezvous hash. Either admission path reports its
+// lifecycle into o.metrics when it is set.
+func solve(o solveOptions, nw *nfvmcast.Network, req *nfvmcast.Request) (solved, error) {
+	res := solved{nw: nw, close: func() {}}
+	var err error
+	regName, isEngineAlg := registryName(o.algorithm)
+	switch {
+	case o.algorithm == "appro":
+		res.sol, err = nfvmcast.ApproMulti(nw, req, nfvmcast.Options{K: o.k, Workers: o.workers})
+	case o.algorithm == "oneserver":
+		res.sol, err = nfvmcast.AlgOneServer(nw, req, false)
+	case o.algorithm == "nearest":
+		res.sol, err = nfvmcast.AlgOneServerNearest(nw, req, false)
+	case isEngineAlg && o.shards > 0:
+		ids := make([]string, o.shards)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("s%d", i)
+		}
+		router, rerr := nfvmcast.NewShardRouter(nfvmcast.ShardOptions{
+			Shards:        ids,
+			Registry:      o.metrics,
+			SampleLatency: true,
+			Build: func(string) (*nfvmcast.Network, nfvmcast.Planner, error) {
+				// Seed-identical to run's network: every replica has
+				// the same capacities and server sites.
+				snw, berr := nfvmcast.NewNetwork(o.topo, nfvmcast.DefaultNetworkConfig(),
+					rand.New(rand.NewSource(o.seed+1)))
+				if berr != nil {
+					return nil, nil, berr
+				}
+				planner, berr := nfvmcast.NewPlanner(regName,
+					nfvmcast.PlannerOptions{Nodes: snw.NumNodes()})
+				return snw, planner, berr
+			},
+		})
+		if rerr != nil {
+			return solved{}, rerr
+		}
+		res.close = func() { router.Close() }
+		if res.sol, err = router.Admit(o.tenant, req); err == nil {
+			res.owner = router.Owner(req.ID)
+			res.nw = router.Network(res.owner)
+			res.allocated = true
+		}
+	case isEngineAlg:
+		planner, perr := nfvmcast.NewPlanner(regName, nfvmcast.PlannerOptions{Nodes: nw.NumNodes()})
+		if perr != nil {
+			return solved{}, perr
+		}
+		var opts nfvmcast.EngineOptions
+		if o.metrics != nil {
+			opts.Obs = nfvmcast.NewAdmissionObs(o.metrics, planner.Name(),
+				nfvmcast.AdmissionObsOptions{SampleLatency: true})
+		}
+		eng := nfvmcast.NewEngine(nw, planner, opts)
+		res.close = func() { eng.Close() }
+		res.sol, err = eng.Admit(req)
+		res.allocated = err == nil
+	default:
+		err = fmt.Errorf("unknown algorithm %q (run -algorithm help for the table)", o.algorithm)
+	}
+	if err != nil {
+		res.close()
+		return solved{}, err
+	}
+	return res, nil
 }
 
 // registryName maps the -algorithm flag to a planner-registry name,

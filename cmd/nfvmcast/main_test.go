@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,6 +62,35 @@ func TestRunShardedAdmission(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardedSolveReportsMetrics: with -shards and -metrics-addr, the
+// shard router registers its admission instruments on the served
+// registry, labelled with the shard that owns the session.
+func TestShardedSolveReportsMetrics(t *testing.T) {
+	topo := nfvmcast.GEANT()
+	nw, err := nfvmcast.NewNetwork(topo, nfvmcast.DefaultNetworkConfig(), rand.New(rand.NewSource(43)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := nfvmcast.NewMetricsRegistry()
+	res, err := solve(solveOptions{
+		algorithm: "onlinecp", shards: 2, tenant: "gold", metrics: reg, topo: topo, seed: 42,
+	}, nw, &nfvmcast.Request{
+		ID: 1, Source: 17, Destinations: []nfvmcast.NodeID{1, 5, 30},
+		BandwidthMbps: 100, Chain: nfvmcast.MustChain(nfvmcast.NAT, nfvmcast.Firewall),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.close()
+	if res.owner == "" || !res.allocated || res.nw == nw {
+		t.Fatalf("sharded solve: owner %q, allocated %v, on the unsharded network %v", res.owner, res.allocated, res.nw == nw)
+	}
+	key := fmt.Sprintf(`nfv_admitted_total{policy="Online_CP",shard=%q}`, res.owner)
+	if got := reg.CounterValues()[key]; got != 1 {
+		t.Fatalf("%s = %d, want 1 (counters %v)", key, got, reg.CounterValues())
 	}
 }
 

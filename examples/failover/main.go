@@ -2,7 +2,7 @@
 //
 // An operator runs live multicast sessions admitted by Online_CP. A
 // backbone link fails. The engine's recovery subsystem — enabled with
-// WithRecovery — identifies the affected sessions inside the same
+// EngineOptions.Recovery — identifies the affected sessions inside the same
 // Update that injected the failure, re-routes each around the failure
 // (local repair, with the VM placement pinned, accepted while the new
 // tree costs at most γ× the old one), falls back to a full re-plan
@@ -53,11 +53,11 @@ func run() error {
 	policy := nfvmcast.DefaultRecoveryPolicy()
 	metrics := nfvmcast.NewMetricsRegistry()
 	ring := nfvmcast.NewRingSink(8)
-	cp := nfvmcast.NewEngine(nw, planner,
-		nfvmcast.WithMetrics(nfvmcast.NewAdmissionObs(metrics, planner.Name(),
-			nfvmcast.AdmissionObsOptions{Events: ring})),
-		nfvmcast.WithRecovery(policy),
-	)
+	cp := nfvmcast.NewEngine(nw, planner, nfvmcast.EngineOptions{
+		Obs: nfvmcast.NewAdmissionObs(metrics, planner.Name(),
+			nfvmcast.AdmissionObsOptions{Events: ring}),
+		Recovery: &policy,
+	})
 	defer cp.Close()
 	ctrl := nfvmcast.NewController(nw)
 

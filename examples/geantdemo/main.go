@@ -46,7 +46,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cp := nfvmcast.NewEngine(nw, planner)
+	cp := nfvmcast.NewEngine(nw, planner, nfvmcast.EngineOptions{})
 	defer cp.Close()
 	ctrl := nfvmcast.NewController(nw)
 

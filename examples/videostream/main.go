@@ -73,16 +73,16 @@ func run() error {
 	// Each policy runs behind an admission engine owning its replica.
 	// Sequential mode (zero workers) keeps decisions identical to a
 	// core admitter driving the same planner; a provider ingesting concurrent channel-setup
-	// calls would add nfvmcast.WithWorkers(n) instead.
+	// calls would set EngineOptions.Workers to n instead.
 	cpPlanner, err := nfvmcast.NewCPPlanner(nfvmcast.DefaultCostModel(networkSize))
 	if err != nil {
 		return err
 	}
-	cp := nfvmcast.NewEngine(nwCP, cpPlanner)
+	cp := nfvmcast.NewEngine(nwCP, cpPlanner, nfvmcast.EngineOptions{})
 	defer cp.Close()
-	sp := nfvmcast.NewEngine(nwSP, nfvmcast.NewSPPlanner())
+	sp := nfvmcast.NewEngine(nwSP, nfvmcast.NewSPPlanner(), nfvmcast.EngineOptions{})
 	defer sp.Close()
-	static := nfvmcast.NewEngine(nwStatic, nfvmcast.NewSPStaticPlanner())
+	static := nfvmcast.NewEngine(nwStatic, nfvmcast.NewSPStaticPlanner(), nfvmcast.EngineOptions{})
 	defer static.Close()
 
 	rng := rand.New(rand.NewSource(seed + 2))

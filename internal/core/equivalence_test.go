@@ -131,8 +131,7 @@ func (m *residualMutator) step(t *testing.T) {
 				t.Fatalf("server restore: %v", err)
 			}
 		}
-	case 8: // batch: several mutations under one MutationVersion epoch
-		m.nw.BeginMutationBatch()
+	case 8: // two back-to-back allocations, one epoch each
 		for i := 0; i < 2; i++ {
 			e := m.randomLink()
 			if free := m.nw.ResidualBandwidth(e); m.nw.LinkUp(e) && free > 1 {
@@ -143,7 +142,6 @@ func (m *residualMutator) step(t *testing.T) {
 				m.ledger = append(m.ledger, a)
 			}
 		}
-		m.nw.EndMutationBatch()
 	}
 }
 

@@ -272,7 +272,8 @@ func TestBarrierFailureFailsWholeBatch(t *testing.T) {
 func TestOneBarrierPerOperation(t *testing.T) {
 	j := &stubJournal{}
 	nw := testNetwork(t, "geant", 11)
-	eng := NewWith(nw, core.NewSPPlanner(), WithJournal(j), WithRecovery(recov.DefaultPolicy()))
+	pol := recov.DefaultPolicy()
+	eng := New(nw, core.NewSPPlanner(), Options{Journal: j, Recovery: &pol})
 	defer eng.Close()
 	for _, req := range nextRequests(t, eng, 7, 12) {
 		if _, err := eng.Admit(req); err != nil && !core.IsRejection(err) {

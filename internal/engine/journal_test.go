@@ -85,7 +85,7 @@ func residualSig(eng *Engine) string {
 func journaledEngine(t *testing.T, workers int, j Journal) *Engine {
 	t.Helper()
 	nw := testNetwork(t, "geant", 11)
-	return NewWith(nw, core.NewSPPlanner(), WithWorkers(workers), WithJournal(j))
+	return New(nw, core.NewSPPlanner(), Options{Workers: workers, Journal: j})
 }
 
 func admitOne(t *testing.T, eng *Engine, gen *multicast.Generator) *multicast.Request {

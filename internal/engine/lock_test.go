@@ -59,16 +59,16 @@ func TestEngineGoroutines(t *testing.T) {
 	cases := []struct {
 		name  string
 		extra int
-		opts  []Option
+		opts  Options
 	}{
-		{"sequential", 0, []Option{WithWorkers(1)}},
-		{"journaled", 1, []Option{WithWorkers(4), WithJournal(&stubJournal{})}},
+		{"sequential", 0, Options{Workers: 1}},
+		{"journaled", 1, Options{Workers: 4, Journal: &stubJournal{}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			nw := testNetwork(t, "geant", 3)
 			base := stableGoroutines()
-			eng := NewWith(nw, plannerFor(t, "Online_CP", nw), tc.opts...)
+			eng := New(nw, plannerFor(t, "Online_CP", nw), tc.opts)
 			for _, req := range requestPool(t, nw.NumNodes(), 10, 3) {
 				if _, err := eng.Admit(req); err != nil && !core.IsRejection(err) {
 					t.Fatal(err)
@@ -93,15 +93,15 @@ func TestCloseRacingCallers(t *testing.T) {
 	const callers, perCaller = 8, 40
 	cases := []struct {
 		name string
-		opts []Option
+		opts Options
 	}{
-		{"sequential", []Option{WithWorkers(1)}},
-		{"journaled", []Option{WithWorkers(4), WithJournal(&stubJournal{})}},
+		{"sequential", Options{Workers: 1}},
+		{"journaled", Options{Workers: 4, Journal: &stubJournal{}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			nw := testNetwork(t, "geant", 13)
-			eng := NewWith(nw, plannerFor(t, "Online_CP", nw), tc.opts...)
+			eng := New(nw, plannerFor(t, "Online_CP", nw), tc.opts)
 			reqs := requestPool(t, nw.NumNodes(), callers*perCaller, 3)
 			var calls atomic.Int64
 			var wg sync.WaitGroup
@@ -154,14 +154,14 @@ func TestCloseRacingCallers(t *testing.T) {
 func TestUpdatePanicClosesEngine(t *testing.T) {
 	for _, journaled := range []bool{false, true} {
 		name := "in-memory"
-		opts := []Option{WithWorkers(1)}
+		opts := Options{Workers: 1}
 		if journaled {
 			name = "journaled"
-			opts = append(opts, WithJournal(&stubJournal{}))
+			opts.Journal = &stubJournal{}
 		}
 		t.Run(name, func(t *testing.T) {
 			nw := testNetwork(t, "geant", 5)
-			eng := NewWith(nw, core.NewSPPlanner(), opts...)
+			eng := New(nw, core.NewSPPlanner(), opts)
 			defer eng.Close()
 			reqs := requestPool(t, nw.NumNodes(), 2, 5)
 			if _, err := eng.Admit(reqs[0]); err != nil && !core.IsRejection(err) {
@@ -202,12 +202,12 @@ func TestUpdatePanicClosesEngine(t *testing.T) {
 // TestCountersAfterClose: AdmittedCount, RejectedCount and LiveCount
 // keep reporting the final state after Close instead of zero.
 func TestCountersAfterClose(t *testing.T) {
-	for _, opts := range [][]Option{
-		{WithWorkers(1)},
-		{WithWorkers(4), WithJournal(&stubJournal{})},
+	for _, opts := range []Options{
+		{Workers: 1},
+		{Workers: 4, Journal: &stubJournal{}},
 	} {
 		nw := testNetwork(t, "geant", 7)
-		eng := NewWith(nw, core.NewSPPlanner(), opts...)
+		eng := New(nw, core.NewSPPlanner(), opts)
 		for i, req := range requestPool(t, nw.NumNodes(), 400, 7) {
 			if _, err := eng.Admit(req); err == nil && i%3 == 0 {
 				if _, err := eng.Depart(req.ID); err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // Recovery integration: when the engine is built with a recovery
-// policy (Options.Recovery / WithRecovery), every structural change
+// policy (Options.Recovery), every structural change
 // applied through Update triggers a recovery pass under the writer
 // lock, inline with the update — so by the time Update returns, every
 // affected live session is repaired or shed and no concurrent Admit

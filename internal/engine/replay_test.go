@@ -65,10 +65,13 @@ func TestReplayOfJournaledOutcomes(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	j := &recordingJournal{}
-	eng := engine.NewWith(nw, planner,
-		engine.WithWorkers(4),
-		engine.WithRecovery(recov.DefaultPolicy()), engine.WithJournal(j),
-		engine.WithMetrics(obs.NewAdmissionObs(reg, planner.Name(), obs.AdmissionObsOptions{})))
+	pol := recov.DefaultPolicy()
+	eng := engine.New(nw, planner, engine.Options{
+		Workers:  4,
+		Recovery: &pol,
+		Journal:  j,
+		Obs:      obs.NewAdmissionObs(reg, planner.Name(), obs.AdmissionObsOptions{}),
+	})
 	defer eng.Close()
 	gen, err := multicast.NewGenerator(nw.NumNodes(), multicast.OnlineGeneratorConfig(), 8)
 	if err != nil {
@@ -167,7 +170,7 @@ func TestReplayOfJournaledOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := engine.NewWith(geant(t), core.NewSPPlanner())
+	replayed := engine.New(geant(t), core.NewSPPlanner(), engine.Options{})
 	defer replayed.Close()
 	if err := replayed.Replay(outs...); err != nil {
 		t.Fatal(err)

@@ -7,9 +7,9 @@ import "nfvmcast/internal/graph"
 // rebuilding them, and the patch needs to know which links and servers
 // a mutation epoch actually touched. Every MutationVersion bump records
 // one journal entry listing the link and server IDs whose residual
-// state moved in that epoch (a batch accumulates its members' marks
-// into a single entry, matching the one version bump the batch
-// performs). Consumers ask for the union of changes across a version
+// state moved in that epoch; one Allocate or Release is one epoch, and
+// its entry names each link and server of the bundle exactly once.
+// Consumers ask for the union of changes across a version
 // window with ResidualChangesSince; a window that reaches beyond the
 // journal's bounded history, or that contains a whole-network
 // transition (Restore, an unrecognised mutator), answers ok=false and
@@ -100,34 +100,18 @@ func (l *residualLog) append(ver uint64, full bool, links, servers []int32) {
 	l.count++
 }
 
-// markLinkChanged records link e in the current epoch's change set,
-// deduplicating against earlier marks (mutation batches touch
-// tree-sized sets, so the linear scan is cheap).
+// markLinkChanged records link e in the current epoch's change set.
+// An epoch is one mutator call, and each marks a link at most once:
+// Allocate and Release walk a bundle that checkShape has already
+// proven free of repeated IDs.
 func (nw *Network) markLinkChanged(e graph.EdgeID) {
-	if nw.dirtyFull {
-		return
-	}
-	id := int32(e)
-	for _, d := range nw.dirtyLinks {
-		if d == id {
-			return
-		}
-	}
-	nw.dirtyLinks = append(nw.dirtyLinks, id)
+	nw.dirtyLinks = append(nw.dirtyLinks, int32(e))
 }
 
-// markServerChanged records server v in the current epoch's change set.
+// markServerChanged records server v in the current epoch's change set
+// (at most once per epoch, as for links).
 func (nw *Network) markServerChanged(v graph.NodeID) {
-	if nw.dirtyFull {
-		return
-	}
-	id := int32(v)
-	for _, d := range nw.dirtySrvs {
-		if d == id {
-			return
-		}
-	}
-	nw.dirtySrvs = append(nw.dirtySrvs, id)
+	nw.dirtySrvs = append(nw.dirtySrvs, int32(v))
 }
 
 // markAllChanged records the current epoch as a whole-network
@@ -136,6 +120,14 @@ func (nw *Network) markAllChanged() {
 	nw.dirtyFull = true
 	nw.dirtyLinks = nw.dirtyLinks[:0]
 	nw.dirtySrvs = nw.dirtySrvs[:0]
+}
+
+// bumpMutation advances MutationVersion and journals the epoch's
+// change set. Every residual mutator calls it exactly once per
+// successful state change.
+func (nw *Network) bumpMutation() {
+	nw.mutVer++
+	nw.flushResidualChanges()
 }
 
 // flushResidualChanges appends the accumulated change set as the entry

@@ -1,6 +1,8 @@
 package sdn
 
 import (
+	"errors"
+	"slices"
 	"sort"
 	"testing"
 
@@ -28,6 +30,10 @@ func collectChanges(t *testing.T, nw *Network, from uint64) (links, servers []in
 	return sortDedup(links), sortDedup(servers), true
 }
 
+// TestResidualChangesSingleAllocation: one Allocate, one Release and
+// one resize are one epoch each, and the raw journal window of each
+// names every touched link and server exactly once. A bundle that
+// repeats an ID is refused before it marks or bumps anything.
 func TestResidualChangesSingleAllocation(t *testing.T) {
 	nw := testNet(t, 40, 7)
 	srv := nw.Servers()[0]
@@ -35,37 +41,50 @@ func TestResidualChangesSingleAllocation(t *testing.T) {
 		Links:   []LinkShare{{Edge: 0, Mbps: 10}, {Edge: 3, Mbps: 10}, {Edge: 5, Mbps: 10}},
 		Servers: []ServerShare{{Node: srv, MHz: 100}},
 	}
-	from := nw.MutationVersion()
-	if err := nw.Allocate(a); err != nil {
-		t.Fatal(err)
-	}
-	links, servers, ok := collectChanges(t, nw, from)
-	if !ok {
-		t.Fatal("window within history answered ok=false")
-	}
-	wantLinks := []int32{0, 3, 5}
-	wantSrvs := []int32{int32(srv)}
-	if len(links) != len(wantLinks) || len(servers) != len(wantSrvs) {
-		t.Fatalf("changes = %v/%v, want %v/%v", links, servers, wantLinks, wantSrvs)
-	}
-	for i, e := range wantLinks {
-		if links[i] != e {
-			t.Fatalf("links = %v, want %v", links, wantLinks)
+	// epoch runs one mutator and checks its raw window against the
+	// expected link and server IDs, repeats included.
+	epoch := func(what string, mutate func() error, wantLinks, wantSrvs []int32) {
+		t.Helper()
+		from := nw.MutationVersion()
+		if err := mutate(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := nw.MutationVersion() - from; got != 1 {
+			t.Fatalf("%s bumped %d versions, want 1", what, got)
+		}
+		links, servers, ok := nw.ResidualChangesSince(from, nil, nil)
+		if !ok {
+			t.Fatalf("%s: window within history answered ok=false", what)
+		}
+		if !slices.Equal(links, wantLinks) || !slices.Equal(servers, wantSrvs) {
+			t.Fatalf("%s: window = %v/%v, want %v/%v", what, links, servers, wantLinks, wantSrvs)
 		}
 	}
-	if servers[0] != wantSrvs[0] {
-		t.Fatalf("servers = %v, want %v", servers, wantSrvs)
-	}
+	epoch("allocate", func() error { return nw.Allocate(a) }, []int32{0, 3, 5}, []int32{int32(srv)})
+	epoch("release", func() error { return nw.Release(a) }, []int32{0, 3, 5}, []int32{int32(srv)})
+	epoch("resize", func() error { return nw.SetBandwidthCap(3, nw.BandwidthCap(3)*2) }, []int32{3}, nil)
 
-	// Releasing reports the same set.
-	from = nw.MutationVersion()
-	if err := nw.Release(a); err != nil {
-		t.Fatal(err)
+	from := nw.MutationVersion()
+	for _, dup := range []Allocation{
+		{Links: []LinkShare{{Edge: 3, Mbps: 1}, {Edge: 3, Mbps: 1}}},
+		{Servers: []ServerShare{{Node: srv, MHz: 1}, {Node: srv, MHz: 1}}},
+	} {
+		if err := nw.Allocate(dup); !errors.Is(err, ErrMalformedAllocation) {
+			t.Fatalf("Allocate(%v) = %v, want ErrMalformedAllocation", dup, err)
+		}
+		if err := nw.Release(dup); !errors.Is(err, ErrMalformedAllocation) {
+			t.Fatalf("Release(%v) = %v, want ErrMalformedAllocation", dup, err)
+		}
 	}
-	links, servers, ok = collectChanges(t, nw, from)
-	if !ok || len(links) != 3 || len(servers) != 1 {
-		t.Fatalf("release changes = %v/%v ok=%v", links, servers, ok)
+	if got := nw.MutationVersion(); got != from {
+		t.Fatalf("refused bundles moved MutationVersion %d -> %d", from, got)
 	}
+	links, servers, ok := nw.ResidualChangesSince(from-1, nil, nil)
+	if !ok || !slices.Equal(links, []int32{3}) || len(servers) != 0 {
+		t.Fatalf("newest entry after refusals = %v/%v ok=%v, want the resize's [3]", links, servers, ok)
+	}
+	// Nothing the refusals did leaks into the next epoch's entry.
+	epoch("allocate after refusals", func() error { return nw.Allocate(a) }, []int32{0, 3, 5}, []int32{int32(srv)})
 }
 
 func TestResidualChangesEmptyWindow(t *testing.T) {
@@ -77,36 +96,6 @@ func TestResidualChangesEmptyWindow(t *testing.T) {
 	// A from ahead of the current version is a caller bug; refuse.
 	if _, _, ok := nw.ResidualChangesSince(nw.MutationVersion()+1, nil, nil); ok {
 		t.Fatal("future from answered ok=true")
-	}
-}
-
-func TestResidualChangesBatchIsOneEpoch(t *testing.T) {
-	nw := testNet(t, 40, 11)
-	srv := nw.Servers()[1]
-	from := nw.MutationVersion()
-	nw.BeginMutationBatch()
-	if err := nw.Allocate(Allocation{Links: []LinkShare{{Edge: 1, Mbps: 5}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.Allocate(Allocation{
-		Links:   []LinkShare{{Edge: 1, Mbps: 5}, {Edge: 2, Mbps: 5}},
-		Servers: []ServerShare{{Node: srv, MHz: 50}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	nw.EndMutationBatch()
-	if got := nw.MutationVersion() - from; got != 1 {
-		t.Fatalf("batch bumped %d versions, want 1", got)
-	}
-	links, servers, ok := collectChanges(t, nw, from)
-	if !ok {
-		t.Fatal("batch window answered ok=false")
-	}
-	if len(links) != 2 || links[0] != 1 || links[1] != 2 {
-		t.Fatalf("batch links = %v, want [1 2]", links)
-	}
-	if len(servers) != 1 || servers[0] != int32(srv) {
-		t.Fatalf("batch servers = %v, want [%d]", servers, srv)
 	}
 }
 

@@ -1,11 +1,5 @@
 package sdn
 
-import (
-	"sort"
-
-	"nfvmcast/internal/graph"
-)
-
 // Resource-change notifications. Every failure-state transition
 // (SetLinkUp, SetServerUp) appends one ResourceEvent to the network's
 // pending buffer, stamped with the MutationVersion the transition
@@ -72,19 +66,5 @@ func (nw *Network) recordResourceEvent(kind ResourceKind, id int, up bool) {
 func (nw *Network) DrainResourceEvents() []ResourceEvent {
 	out := nw.pending
 	nw.pending = nil
-	return out
-}
-
-// PendingResourceEvents reports how many transitions await draining.
-func (nw *Network) PendingResourceEvents() int { return len(nw.pending) }
-
-// DownServers returns the failed servers, sorted ascending (the
-// server-side mirror of DownLinks).
-func (nw *Network) DownServers() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(nw.srvDown))
-	for v := range nw.srvDown {
-		out = append(out, v)
-	}
-	sort.Ints(out)
 	return out
 }

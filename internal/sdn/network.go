@@ -87,16 +87,11 @@ type Network struct {
 	structVer uint64 // bumped by failure injection (see StructureVersion)
 	mutVer    uint64 // bumped by every residual mutation (see MutationVersion)
 
-	// Open-mutation-batch state (see batch.go). Not cloned: a clone
-	// starts outside any batch.
-	batchDepth int
-	batchDirty bool
-
 	// Residual-change journal (see changes.go): the per-epoch change
 	// ring plus the accumulator the mutators mark into before the
-	// version bump flushes it. The accumulator is not cloned (cloning
-	// mid-batch is a caller bug, see batch.go); the ring is copied so a
-	// snapshot answers ResidualChangesSince for its own history.
+	// version bump flushes it. The accumulator is empty between mutator
+	// calls, so it is not cloned; the ring is copied so a snapshot
+	// answers ResidualChangesSince for its own history.
 	log        *residualLog
 	dirtyLinks []int32
 	dirtySrvs  []int32
@@ -298,10 +293,9 @@ func (nw *Network) Clone() *Network {
 // CloneInto overwrites dst with a deep copy of nw, reusing dst's
 // storage (graph adjacency, residual vectors, maps, journal ring)
 // where shapes allow. Afterwards dst is equivalent to what Clone
-// returns: fully independent, outside any mutation batch, with no
-// pending events. The admission engine's snapshot loop keeps one
-// destination per planning slot, so steady-state snapshots stop
-// allocating. dst must not alias nw and must not be concurrently read.
+// returns: fully independent, with no pending events. The admission
+// engine's snapshot loop keeps one destination per planning slot, so
+// steady-state snapshots stop allocating. dst must not alias nw and must not be concurrently read.
 func (nw *Network) CloneInto(dst *Network) {
 	dst.name = nw.name
 	if dst.g == nil {
@@ -347,8 +341,6 @@ func (nw *Network) CloneInto(dst *Network) {
 	}
 	dst.structVer = nw.structVer
 	dst.mutVer = nw.mutVer
-	dst.batchDepth = 0
-	dst.batchDirty = false
 	if nw.log != nil {
 		if dst.log == nil {
 			dst.log = &residualLog{}

@@ -15,7 +15,7 @@ import (
 // engine with the journal attached, then Recover:
 //
 //	log, _ := wal.Open(dir, wal.Options{})
-//	eng := engine.NewWith(nw, planner, engine.WithJournal(log.Journal()))
+//	eng := engine.New(nw, planner, engine.Options{Journal: log.Journal()})
 //	stats, _ := log.Recover(eng)
 //
 // Replay is safe with the journal already attached because the

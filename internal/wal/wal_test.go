@@ -59,14 +59,8 @@ func policyEngine(tb testing.TB, topoName string, seed int64, policy string, wor
 	if err != nil {
 		tb.Fatal(err)
 	}
-	opts := []engine.Option{
-		engine.WithWorkers(workers),
-		engine.WithRecovery(recov.DefaultPolicy()),
-	}
-	if j != nil {
-		opts = append(opts, engine.WithJournal(j))
-	}
-	return engine.NewWith(nw, planner, opts...)
+	pol := recov.DefaultPolicy()
+	return engine.New(nw, planner, engine.Options{Workers: workers, Recovery: &pol, Journal: j})
 }
 
 // checkpoint is the oracle's ground truth after one acked operation:

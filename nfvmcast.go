@@ -32,6 +32,12 @@
 //	sol, _ := nfvmcast.ApproMulti(nw, req, nfvmcast.DefaultOptions())
 //	fmt.Println(sol.OperationalCost)
 //
+// Configuration is one struct per constructor: ApproMulti takes an
+// Options (start from DefaultOptions and set fields), NewEngine an
+// EngineOptions, NewShardRouter a ShardOptions, OpenWAL a WALOptions
+// and NewDaemon a DaemonConfig. An optional field left at zero selects
+// its default; Options.K has none, so start from DefaultOptions.
+//
 // See DESIGN.md for the architecture and EXPERIMENTS.md for the
 // reproduced evaluation.
 package nfvmcast
@@ -201,7 +207,8 @@ var (
 type (
 	// Solution is an algorithm's answer for one request.
 	Solution = core.Solution
-	// Options configures ApproMulti.
+	// Options configures ApproMulti; start from DefaultOptions (K = 3)
+	// and set fields.
 	Options = core.Options
 	// CostModel is the online exponential resource-pricing model.
 	CostModel = core.CostModel
@@ -238,56 +245,6 @@ var (
 	// context cancellation rather than an admission decision.
 	IsCanceled = core.IsCanceled
 )
-
-// Functional options across the façade share one convention: every
-// constructor is named With<Setting> (boolean selectors like
-// Capacitated drop the prefix), zero options always means the
-// evaluation defaults, and the option type names its target —
-// a SolveOption configures one solver call, an EngineOption
-// configures an Engine at construction. Each constructor carries a
-// runnable doc example.
-//
-// SolveOption configures ApproMulti functionally; build the Options
-// value with NewOptions. The bare Options struct remains supported,
-// but new call sites should prefer
-//
-//	sol, err := nfvmcast.ApproMulti(nw, req,
-//	    nfvmcast.NewOptions(nfvmcast.WithK(3), nfvmcast.Capacitated()))
-type SolveOption func(*Options)
-
-// NewOptions builds ApproMulti options from the evaluation defaults
-// (K = 3) plus the given settings.
-func NewOptions(opts ...SolveOption) Options {
-	o := core.DefaultOptions()
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return o
-}
-
-// WithK bounds the server subsets ApproMulti enumerates to size K.
-func WithK(k int) SolveOption {
-	return func(o *Options) { o.K = k }
-}
-
-// Capacitated selects the Appro_Multi_Cap variant: plan on the
-// residual network, keeping only links and servers that can host the
-// request.
-func Capacitated() SolveOption {
-	return func(o *Options) { o.Capacitated = true }
-}
-
-// WithMaxDeliveryHops adds an end-to-end delivery-depth bound.
-func WithMaxDeliveryHops(h int) SolveOption {
-	return func(o *Options) { o.MaxDeliveryHops = h }
-}
-
-// WithSolveWorkers bounds concurrent candidate evaluation inside one
-// ApproMulti call (0/1 sequential, negative one per CPU); results are
-// byte-identical at every setting.
-func WithSolveWorkers(n int) SolveOption {
-	return func(o *Options) { o.Workers = n }
-}
 
 // Admission planners (plan/commit split): each proposes solutions
 // against a read-only network view and pairs with NewAdmitter or
@@ -360,42 +317,27 @@ type (
 	// evaluations, is never counted as a rejection, and never leaves a
 	// request half-admitted.
 	Engine = engine.Engine
-	// EngineOption configures an Engine at construction. It follows
-	// the façade-wide With<Setting> convention (see SolveOption):
-	// WithWorkers, WithMetrics, WithRecovery, WithRepairCostFactor and
-	// WithJournal.
-	EngineOption = engine.Option
-)
-
-// Engine construction options (the v1 API).
-var (
-	// WithWorkers bounds concurrent planning: 0 or 1 is sequential
-	// mode (byte-identical to an Admitter), n > 1 overlaps n
-	// planners on residual snapshots, negative uses one per CPU.
-	WithWorkers = engine.WithWorkers
-	// WithMetrics attaches an AdmissionObs (counters, gauges, sampled
-	// latencies, the admission-event stream).
-	WithMetrics = engine.WithMetrics
-	// WithRecovery enables self-healing failure recovery: after
-	// failure injection through Update, affected live sessions are
-	// repaired (local re-route first, full re-plan second) or shed
-	// before Update returns.
-	WithRecovery = engine.WithRecovery
-	// WithRepairCostFactor sets the local-repair acceptance factor γ
-	// (accept a re-route only at cost <= γ× the damaged tree's);
-	// γ <= 0 forces every repair through the full re-plan path.
-	WithRepairCostFactor = engine.WithRepairCostFactor
+	// EngineOptions configures NewEngine. Workers bounds concurrent
+	// planning (0 or 1 sequential, n > 1 overlaps n planners on
+	// residual snapshots, negative one per CPU); Obs attaches an
+	// AdmissionObs; Recovery enables self-healing under a
+	// RecoveryPolicy, whose Gamma <= 0 forces every repair through the
+	// full re-plan path; Journal makes the engine durable (see WAL).
+	EngineOptions = engine.Options
 )
 
 // NewEngine returns an admission engine owning nw that admits with
-// planner's policy; Close it when done. Without options the engine is
-// sequential — byte-identical to an Admitter — and unobserved:
+// planner's policy; Close it when done. The zero EngineOptions gives a
+// sequential engine — byte-identical to an Admitter — that is
+// unobserved, in-memory and without recovery:
 //
-//	eng := nfvmcast.NewEngine(nw, planner,
-//	    nfvmcast.WithWorkers(8),
-//	    nfvmcast.WithRecovery(nfvmcast.DefaultRecoveryPolicy()))
-func NewEngine(nw *Network, planner Planner, opts ...EngineOption) *Engine {
-	return engine.NewWith(nw, planner, opts...)
+//	pol := nfvmcast.DefaultRecoveryPolicy()
+//	eng := nfvmcast.NewEngine(nw, planner, nfvmcast.EngineOptions{
+//	    Workers:  8,
+//	    Recovery: &pol,
+//	})
+func NewEngine(nw *Network, planner Planner, opts EngineOptions) *Engine {
+	return engine.New(nw, planner, opts)
 }
 
 // Sharded multi-tenant admission (internal/shard): a router over N
@@ -438,7 +380,7 @@ const (
 func NewShardRouter(opts ShardOptions) (*ShardRouter, error) { return shard.New(opts) }
 
 // Failure recovery (internal/recover): the self-healing subsystem
-// behind WithRecovery.
+// behind EngineOptions.Recovery.
 type (
 	// RecoveryPolicy tunes repair-vs-replan (γ), the re-plan retry
 	// budget, and its exponential backoff.
@@ -504,8 +446,11 @@ var (
 // Durability (internal/wal): an append-only write-ahead log of
 // admission outcomes. The WAL logs decisions, not inputs — replay
 // restores an engine's state bit-exactly without re-running any
-// planner. Attach a log to an engine with WithJournal(log.Journal());
-// every ack then implies the outcome is on disk ("acked ⇒ logged").
+// planner. Attach a log to an engine with
+// EngineOptions{Journal: log.Journal()}: every state-changing outcome
+// is journalled on the writer and made durable by the engine's
+// committer before the caller's ack ("acked ⇒ logged"). Close the
+// engine before the journal's log.
 type (
 	// WAL is an append-only outcome log over one directory
 	// (CRC-framed records, rotated segments, snapshots).
@@ -543,12 +488,6 @@ var (
 	// confined to the newest segment's torn tail (crash mid-append)
 	// rather than mid-chain corruption.
 	IsRecoverableTailError = wal.IsRecoverableTail
-	// WithJournal makes an engine durable: every state-changing
-	// outcome is journalled on the writer and made durable by the
-	// engine's committer — one barrier for every operation waiting on
-	// one — before the caller's ack. Close the engine before the
-	// journal's log.
-	WithJournal = engine.WithJournal
 )
 
 // Daemon (internal/daemon): nfvmcastd's embeddable core — a WAL-backed
