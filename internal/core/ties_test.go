@@ -227,3 +227,84 @@ func TestClosureDecisionsPinnedUnderTies(t *testing.T) {
 		check("Online_CPK/K=3", onlineTieDigest(t, "Online_CPK", tieNetwork(t, name), reqs))
 	}
 }
+
+// sweepTieDigest admits the requests through a fresh planner of the
+// named policy, departing the oldest live session whenever more than
+// maxLive are held, and hashes every verdict with each rejection's text.
+// It also returns the number of rejections.
+func sweepTieDigest(t *testing.T, policy string, nw *sdn.Network, reqs []*multicast.Request, maxLive int) (string, int) {
+	t.Helper()
+	p, err := NewPlanner(policy, PlannerOptions{Nodes: nw.NumNodes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAdmitter(nw, p)
+	h := sha256.New()
+	var live []int
+	rejected := 0
+	for _, req := range reqs {
+		sol, err := a.Admit(context.Background(), req, nil)
+		switch {
+		case IsRejection(err):
+			sol = nil
+			rejected++
+			h.Write([]byte(err.Error()))
+		case err != nil:
+			t.Fatalf("%s: request %d: %v", policy, req.ID, err)
+		default:
+			live = append(live, req.ID)
+		}
+		putSolution(h, sol)
+		if len(live) > maxLive {
+			if _, err := a.Depart(live[0]); err != nil {
+				t.Fatalf("%s: depart %d: %v", policy, live[0], err)
+			}
+			live = live[1:]
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), rejected
+}
+
+// TestSweepPlannersPinnedUnderTies replays Online_CP and Dist_CP over
+// seeded admit→depart histories on the tie-heavy GÉANT, fat-tree and
+// Waxman-100 and demands the recorded digests of servers, hops, cost
+// bits and rejection texts. Both planners price every candidate server
+// with a Steiner tree over a terminal set that is fixed for the whole
+// plan; here equal-weight closure edges are the rule, so any change to
+// how those trees break ties shows. The digests were recorded before
+// the per-plan Steiner sweep existed and must never be re-recorded to
+// make a kernel change pass.
+func TestSweepPlannersPinnedUnderTies(t *testing.T) {
+	want := map[string]string{ // policy/topology/seed → digest
+		"Online_CP/geant/31":     "e66ab78efe31e1ca8325305650f3202bfc6ac917ff71e4ed4ec0b7a0cf108d08",
+		"Dist_CP/geant/31":       "0d834eecf0f85416df18e2e6d9600f40d3ebc4b7c339a5aa4361e0731805e1c0",
+		"Online_CP/geant/47":     "1d5678abd338f82dc6502112a9dc9a4079b42ea90aa0c314d980b7083744dba7",
+		"Dist_CP/geant/47":       "32550fea7a759f90cdf2e34f1e13b615ae74a30a109facd7d6b30282921c006f",
+		"Online_CP/fattree/31":   "0337b9842747c3f43e837ab48fa66ffe2ec9c741dd94b57467261b711e46db61",
+		"Dist_CP/fattree/31":     "2eb7e4a68ab91a51dcb055e30fc322a127b6ff9c85856c9ef632866a8f9603e3",
+		"Online_CP/fattree/47":   "946702661ad7acdf90de20fbf64997b2a12892fb8ee450043887f5e11056a8a2",
+		"Dist_CP/fattree/47":     "594f8e0183478dcc5ca3974c78f89e24fbf05f4b9a9234665ff2b54fc90b16b9",
+		"Online_CP/waxman100/31": "0b174db47763d8a98ecda49a9cbd4e1a9e73909fcf50cb8d5d2fa29b719f04d1",
+		"Dist_CP/waxman100/31":   "47c02eaaab92f4756f90e95901e96af0645dc79e5f73863b63a15dc4948212c8",
+		"Online_CP/waxman100/47": "f5a7ba3aa844460c1edacf160c4da07f4b47eb103e3ed69750f644799d8a9a7d",
+		"Dist_CP/waxman100/47":   "5764e8d6493ef3bea9007d4342bb534c3a9b8bbb855a265019ca405e642adcf6",
+	}
+	rejected := 0
+	for _, name := range []string{"geant", "fattree", "waxman100"} {
+		for _, seed := range []int64{31, 47} {
+			reqs := tieRequests(t, tieNetwork(t, name), seed, 150)
+			for _, policy := range []string{"Online_CP", "Dist_CP"} {
+				label := fmt.Sprintf("%s/%s/%d", policy, name, seed)
+				got, r := sweepTieDigest(t, policy, tieNetwork(t, name), reqs, 10)
+				rejected += r
+				if exp := want[label]; got != exp {
+					t.Errorf("%s: digest %s, recorded %s", label, got, exp)
+				}
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Error("no history reached a rejection")
+	}
+	t.Logf("%d rejections", rejected)
+}
