@@ -9,9 +9,9 @@ import (
 
 // PlanArena owns the per-plan scratch memory of the online planners:
 // the Dijkstra workspace and Steiner scratch of the per-candidate KMB
-// runs, the hoisted terminal slices, the rooted view and path buffer of
-// pseudo-tree realization, and the closure evaluator's per-candidate
-// buffers. One arena serves one Plan call at a time; the admission
+// sweep with the trees it fills, the hoisted terminal slices, the
+// plan's price memo, the rooted view and path buffer of pseudo-tree
+// realization, and the closure evaluator's per-candidate buffers. One arena serves one Plan call at a time; the admission
 // engine keeps one per planner worker so concurrent planners never
 // share scratch, and Plan calls handed a nil arena draw from arenaPool.
 // The zero value is ready to use.
@@ -26,6 +26,8 @@ type PlanArena struct {
 	terms  []graph.NodeID
 	sps    []*graph.ShortestPaths
 	dstSPs []*graph.ShortestPaths
+	trees  [2]graph.SteinerTree // a candidate's tree and the incumbent's
+	prices priceMemo
 
 	rooted rootedView      // the candidate's Steiner tree rooted at s_k
 	hops   []multicast.Hop // one path of the winner's pseudo tree

@@ -74,3 +74,74 @@ func (m CostModel) ServerWeight(nw *sdn.Network, v graph.NodeID) float64 {
 func (m CostModel) ServerCost(nw *sdn.Network, v graph.NodeID) float64 {
 	return nw.ComputeCap(v) * m.ServerWeight(nw, v)
 }
+
+// priceMemo holds one plan's exponential weights, each computed by the
+// CostModel on its first read: w_e(k) per work-graph edge and w_v(k)
+// per node. A plan reads one residual state throughout, so a memoized
+// weight is the float the model would return again, and a cost built
+// from it as LinkCost and ServerCost build theirs has the same bits.
+// Generation stamps invalidate the whole memo in O(1) per plan.
+type priceMemo struct {
+	model CostModel
+	nw    *sdn.Network
+	w     *workGraph
+
+	gen     uint32
+	edgeGen []uint32 // work-graph edge -> generation edgeW was filled
+	edgeW   []float64
+	nodeGen []uint32 // node -> generation nodeW was filled
+	nodeW   []float64
+}
+
+// begin empties the memo for a plan of w's edges and nw's nodes.
+func (m *priceMemo) begin(model CostModel, nw *sdn.Network, w *workGraph) {
+	m.model, m.nw, m.w = model, nw, w
+	if ne := w.g.NumEdges(); cap(m.edgeGen) < ne {
+		m.edgeGen = make([]uint32, ne)
+		m.edgeW = make([]float64, ne)
+	} else {
+		m.edgeGen = m.edgeGen[:ne]
+		m.edgeW = m.edgeW[:ne]
+	}
+	if nn := nw.NumNodes(); cap(m.nodeGen) < nn {
+		m.nodeGen = make([]uint32, nn)
+		m.nodeW = make([]float64, nn)
+	} else {
+		m.nodeGen = m.nodeGen[:nn]
+		m.nodeW = m.nodeW[:nn]
+	}
+	m.gen++
+	if m.gen == 0 { // wrapped: clear so stale stamps cannot alias
+		clear(m.edgeGen)
+		clear(m.nodeGen)
+		m.gen = 1
+	}
+}
+
+// linkWeight is CostModel.LinkWeight of work-graph edge e's link.
+func (m *priceMemo) linkWeight(e graph.EdgeID) float64 {
+	if m.edgeGen[e] != m.gen {
+		m.edgeGen[e] = m.gen
+		m.edgeW[e] = m.model.LinkWeight(m.nw, m.w.hostEdge(e))
+	}
+	return m.edgeW[e]
+}
+
+// linkCost is CostModel.LinkCost of work-graph edge e's link.
+func (m *priceMemo) linkCost(e graph.EdgeID) float64 {
+	return m.nw.BandwidthCap(m.w.hostEdge(e)) * m.linkWeight(e)
+}
+
+// serverWeight is CostModel.ServerWeight of node v.
+func (m *priceMemo) serverWeight(v graph.NodeID) float64 {
+	if m.nodeGen[v] != m.gen {
+		m.nodeGen[v] = m.gen
+		m.nodeW[v] = m.model.ServerWeight(m.nw, v)
+	}
+	return m.nodeW[v]
+}
+
+// serverCost is CostModel.ServerCost of node v.
+func (m *priceMemo) serverCost(v graph.NodeID) float64 {
+	return m.nw.ComputeCap(v) * m.serverWeight(v)
+}

@@ -185,6 +185,11 @@ func (p *DistCPPlanner) Plan(
 		}
 		arena.dstSPs = append(arena.dstSPs, spD)
 	}
+	// One KMB sweep over D_k prices every terminal server's fan-out.
+	if err := arena.steiner.BeginSweep(w.g, req.Destinations, arena.dstSPs, 0); err != nil {
+		return nil, err
+	}
+	arena.prices.begin(p.model, nw, w)
 
 	funcs := req.Chain.Functions()
 	maxM := p.split
@@ -287,14 +292,14 @@ func (s *distSearch) assign(ctx context.Context, segd []float64, chosen []graph.
 			continue
 		}
 		// Threshold (a) per segment host (Algorithm 2, step 7).
-		if s.p.model.ServerWeight(s.nw, v) >= s.p.model.SigmaV {
+		if s.arena.prices.serverWeight(v) >= s.p.model.SigmaV {
 			continue
 		}
 		hop := s.hopTo(prev, v)
 		if !hop.ok {
 			continue
 		}
-		c := acc + hop.cost + s.p.model.ServerCost(s.nw, v)
+		c := acc + hop.cost + s.arena.prices.serverCost(v)
 		if c >= s.best {
 			continue
 		}
@@ -345,13 +350,13 @@ func (s *distSearch) hopTo(from, to graph.NodeID) distHop {
 	sp, err := s.spc.fromWith(from, &s.arena.ws)
 	if err == nil && sp.Reachable(to) {
 		h.ok = true
+		prices := &s.arena.prices
 		sp.VisitPathEdges(to, func(e graph.EdgeID) bool {
-			he := s.w.hostEdge(e)
-			if s.p.model.LinkWeight(s.nw, he) >= s.p.model.SigmaE {
+			if prices.linkWeight(e) >= s.p.model.SigmaE {
 				h.ok = false
 				return false
 			}
-			h.cost += s.p.model.LinkCost(s.nw, he)
+			h.cost += prices.linkCost(e)
 			return true
 		})
 	}
@@ -367,21 +372,18 @@ func (s *distSearch) finalFor(v graph.NodeID) distFinal {
 		return fin
 	}
 	fin := distFinal{}
-	// No Dijkstra rooted at v: KMB reads v's closure row out of the
-	// destinations' trees (the nil slot; see CPPlanner.Plan).
-	s.arena.terms = append(s.arena.terms[:0], v)
-	s.arena.terms = append(s.arena.terms, s.req.Destinations...)
-	s.arena.sps = append(s.arena.sps[:0], nil)
-	s.arena.sps = append(s.arena.sps, s.arena.dstSPs...)
-	st, serr := graph.SteinerKMBWithSPs(s.w.g, s.arena.terms, s.arena.sps, &s.arena.steiner)
-	if serr == nil {
+	// No Dijkstra rooted at v: the plan's sweep over D_k reads v's
+	// closure row out of the destinations' trees.
+	st := &s.arena.trees[0]
+	if s.arena.steiner.SweepTree(v, st) == nil {
+		prices := &s.arena.prices
 		fin.ok = true
 		for _, e := range st.EdgeIDs {
-			if s.p.model.LinkWeight(s.nw, s.w.hostEdge(e)) >= s.p.model.SigmaE {
+			if prices.linkWeight(e) >= s.p.model.SigmaE {
 				fin.ok = false
 				break
 			}
-			fin.cT += s.p.model.LinkCost(s.nw, s.w.hostEdge(e))
+			fin.cT += prices.linkCost(e)
 		}
 		if fin.ok {
 			fin.edges = append([]graph.EdgeID(nil), st.EdgeIDs...)

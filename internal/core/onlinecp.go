@@ -66,31 +66,41 @@ func (p *CPPlanner) Plan(
 
 	// Every candidate server shares the terminals {s_k} ∪ D_k, so the
 	// source- and destination-rooted Dijkstras run once per request
-	// (through the epoch cache: once per residual state). The candidate
-	// itself gets no Dijkstra: the work graph is undirected, so KMB reads
-	// its closure row out of those trees (nil slot below) — 1+|D_k|
+	// (through the epoch cache: once per residual state), and one KMB
+	// sweep over those fixed terminals prices every candidate. The
+	// candidate itself gets no Dijkstra: the work graph is undirected,
+	// so the sweep reads its closure row out of the fixed trees — 1+|D_k|
 	// Dijkstras per plan however many servers are tried.
 	spSrc, err := spc.fromWith(req.Source, &arena.ws)
 	if err != nil {
 		return nil, err
 	}
-	arena.dstSPs = arena.dstSPs[:0]
+	arena.terms = append(arena.terms[:0], req.Source)
+	arena.sps = append(arena.sps[:0], spSrc)
 	dMax := 0.0 // farthest destination from the source
 	for _, d := range req.Destinations {
 		spD, derr := spc.fromWith(d, &arena.ws)
 		if derr != nil {
 			return nil, derr
 		}
-		arena.dstSPs = append(arena.dstSPs, spD)
+		arena.terms = append(arena.terms, d)
+		arena.sps = append(arena.sps, spD)
 		if dd := spSrc.Dist[d]; dd > dMax {
 			dMax = dd
 		}
 	}
+	if err := arena.steiner.BeginSweep(w.g, arena.terms, arena.sps, 1); err != nil {
+		return nil, err
+	}
+	prices := &arena.prices
+	prices.begin(p.model, nw, w)
 
 	var (
 		bestSelection = graph.Infinity
-		bestSteiner   *graph.SteinerTree
 		bestServer    = graph.NodeID(-1)
+		bestU         graph.NodeID // LCA(v, D_k) in the winner's tree
+		bestRooted    bool         // arena.rooted still holds the winner's tree
+		cand, best    = &arena.trees[0], &arena.trees[1]
 	)
 	for _, v := range w.servers {
 		if cerr := ctx.Err(); cerr != nil {
@@ -98,7 +108,7 @@ func (p *CPPlanner) Plan(
 		}
 		// Threshold (a): overloaded servers are not considered
 		// (Algorithm 2, step 7).
-		if p.model.ServerWeight(nw, v) >= p.model.SigmaV {
+		if prices.serverWeight(v) >= p.model.SigmaV {
 			continue
 		}
 		// Pre-KMB cut: any Steiner tree over {s_k, v} ∪ D_k contains a
@@ -114,18 +124,14 @@ func (p *CPPlanner) Plan(
 		// discards cheaper candidates: 4,000 seed-7 admit→depart requests
 		// on Waxman-250 cost 33,620,663 with it, 28,479,615 without. The
 		// recorded decisions (bench/expected.json, the oracles) include
-		// it, so it stays until a reference planner settles the matter
-		// (ROADMAP item 4(a)). spSrc.Dist[v] = Infinity reproduces the
+		// it, so it stays until the decision-changing PR replaces it with
+		// an admissible cut and a reference planner (ROADMAP item
+		// 2(c)–(d)). spSrc.Dist[v] = Infinity reproduces the
 		// KMB-unreachable `continue`.
-		if lower0 := maxf(spSrc.Dist[v], dMax) + p.model.ServerCost(nw, v); lower0 >= bestSelection {
+		if lower0 := maxf(spSrc.Dist[v], dMax) + prices.serverCost(v); lower0 >= bestSelection {
 			continue
 		}
-		arena.terms = append(arena.terms[:0], req.Source, v)
-		arena.terms = append(arena.terms, req.Destinations...)
-		arena.sps = append(arena.sps[:0], spSrc, nil)
-		arena.sps = append(arena.sps, arena.dstSPs...)
-		st, err := graph.SteinerKMBWithSPs(w.g, arena.terms, arena.sps, &arena.steiner)
-		if err != nil {
+		if err := arena.steiner.SweepTree(v, cand); err != nil {
 			continue // this server is cut off in the residual network
 		}
 		// Threshold (b): reject trees over overloaded links
@@ -137,8 +143,8 @@ func (p *CPPlanner) Plan(
 		// log_β(σ_e/|T|), rejecting most requests long before the
 		// network fills.)
 		overloaded := false
-		for _, e := range st.EdgeIDs {
-			if p.model.LinkWeight(nw, w.hostEdge(e)) >= p.model.SigmaE {
+		for _, e := range cand.EdgeIDs {
+			if prices.linkWeight(e) >= p.model.SigmaE {
 				overloaded = true
 				break
 			}
@@ -157,34 +163,40 @@ func (p *CPPlanner) Plan(
 		// the chosen server and tree are bit-identical with or without
 		// the pruning.
 		var cT float64
-		for _, e := range st.EdgeIDs {
-			cT += p.model.LinkCost(nw, w.hostEdge(e))
+		for _, e := range cand.EdgeIDs {
+			cT += prices.linkCost(e)
 		}
-		lower := cT + p.model.ServerCost(nw, v)
+		lower := cT + prices.serverCost(v)
 		if lower >= bestSelection {
 			continue
 		}
-		u, err := rootAtSource(w, req, v, st, arena)
+		u, err := rootAtSource(w, req, v, cand, arena)
+		bestRooted = false
 		if err != nil {
 			continue
 		}
 		var retCost float64 // c(p_{v,u}), from v upwards
 		for at := v; at != u; at = arena.rooted.parentNode[at] {
-			retCost += p.model.LinkCost(nw, w.hostEdge(arena.rooted.parentEdge[at]))
+			retCost += prices.linkCost(arena.rooted.parentEdge[at])
 		}
 		if sel := lower + retCost; sel < bestSelection {
-			bestSelection, bestSteiner, bestServer = sel, st, v
+			bestSelection, bestServer, bestU, bestRooted = sel, v, u, true
+			cand, best = best, cand
 		}
 	}
-	if bestSteiner == nil {
+	if bestServer < 0 {
 		return nil, fmt.Errorf("%w: %w: no admissible server/tree",
 			ErrRejected, ErrThresholdExceeded)
 	}
-	// Candidates were only priced; the winner alone gets a pseudo tree.
-	bestTree, err := realizeSingleServer(w, req, bestServer, bestSteiner, arena)
-	if err != nil {
-		return nil, err
+	// Candidates were only priced; the winner alone gets a pseudo tree,
+	// from the rooted view its pricing left unless a later candidate
+	// re-rooted it.
+	if !bestRooted {
+		if bestU, err = rootAtSource(w, req, bestServer, best, arena); err != nil {
+			return nil, err
+		}
 	}
+	bestTree := realizeSingleServer(w, req, bestServer, bestU, arena)
 	return &Solution{
 		Request:         req,
 		Tree:            bestTree,
@@ -220,21 +232,18 @@ func rootAtSource(
 	return u, nil
 }
 
-// realizeSingleServer turns a Steiner tree over {s_k, v} ∪ D_k into the
-// pseudo tree of paper §V.B: unprocessed traffic follows the tree path
-// s_k→v; processed traffic serves v's subtree directly and back-tracks
-// from v to u = LCA(v, d_1, ..., d_m) for the remaining destinations.
-// Shared by CPPlanner.Plan — which prices every candidate's
-// back-tracking path but realises the winner only — and RepairReroute,
-// so a repaired tree has exactly the structure a fresh plan would
-// produce.
+// realizeSingleServer turns the Steiner tree over {s_k, v} ∪ D_k that
+// rootAtSource left rooted in the arena, with u its returned LCA, into
+// the pseudo tree of paper §V.B: unprocessed traffic follows the tree
+// path s_k→v; processed traffic serves v's subtree directly and
+// back-tracks from v to u = LCA(v, d_1, ..., d_m) for the remaining
+// destinations. Shared by CPPlanner.Plan — which prices every
+// candidate's back-tracking path but realises the winner only — and
+// RepairReroute, so a repaired tree has exactly the structure a fresh
+// plan would produce.
 func realizeSingleServer(
-	w *workGraph, req *multicast.Request, v graph.NodeID, st *graph.SteinerTree, arena *PlanArena,
-) (*multicast.PseudoTree, error) {
-	u, err := rootAtSource(w, req, v, st, arena)
-	if err != nil {
-		return nil, err
-	}
+	w *workGraph, req *multicast.Request, v, u graph.NodeID, arena *PlanArena,
+) *multicast.PseudoTree {
 	rt := &arena.rooted
 	tree := multicast.NewPseudoTree(req.Source, req.Destinations, []graph.NodeID{v})
 	// Every path below joins a node to one of its ancestors (s_k is the
@@ -271,7 +280,7 @@ func realizeSingleServer(
 		}
 		addPath(start, d, true, true)
 	}
-	return tree, nil
+	return tree
 }
 
 // IsRejection reports whether err represents an admission-policy

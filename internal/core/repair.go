@@ -67,10 +67,11 @@ func RepairReroute(
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
-	tree, err := realizeSingleServer(w, req, server, st, arena)
+	u, err := rootAtSource(w, req, server, st, arena)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
+	tree := realizeSingleServer(w, req, server, u, arena)
 	return &Solution{
 		Request:         req,
 		Tree:            tree,

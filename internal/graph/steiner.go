@@ -35,12 +35,20 @@ func (t *SteinerTree) Nodes(g *Graph) []NodeID {
 	return out
 }
 
+// reset empties t to the edgeless tree over terms, keeping its slices.
+func (t *SteinerTree) reset(terms []NodeID) {
+	t.Terminals = append(t.Terminals[:0], terms...)
+	t.EdgeIDs = t.EdgeIDs[:0]
+	t.Weight = 0
+}
+
 // SteinerScratch owns every transient structure of a KMB run — the
 // Dijkstra workspace and per-terminal trees of step (1), the metric
 // closure and MST arenas of steps (2) and (4), and the slice-backed
 // union/pruning scratch of steps (3)–(5) — so repeated Steiner
 // evaluations (one per candidate server on the planner hot path) reuse
-// one allocation set instead of rebuilding maps per call.
+// one allocation set instead of rebuilding maps per call. It also
+// carries the state of a fixed-terminal sweep (BeginSweep).
 //
 // The zero value is ready to use. A scratch is not safe for concurrent
 // use: give each worker goroutine its own (see core's plan arenas).
@@ -50,10 +58,10 @@ type SteinerScratch struct {
 	ws  DijkstraWorkspace
 	sps []*ShortestPaths // step-1 trees when the caller supplies none
 
-	terms    []NodeID // deduped terminal scratch (copied into the result)
-	dedupSPs []*ShortestPaths
-	nodeGen  []uint32 // node stamp: terminal dedup, then step-4 compact IDs
-	nodeOf   []int32  // host node -> compact subgraph ID, valid when stamped
+	terms    []NodeID         // deduped terminals, in first-occurrence order
+	dedupSPs []*ShortestPaths // their step-1 trees, parallel to terms
+	nodeGen  []uint32         // node stamp: terminal dedup, then step-4 compact IDs
+	nodeOf   []int32          // host node -> compact subgraph ID, valid when stamped
 	gen      uint32
 
 	closure    Graph // step-2 metric closure over the terminals
@@ -73,7 +81,53 @@ type SteinerScratch struct {
 	incident [][]int32 // compact node -> incident sub-edge IDs
 	alive    []bool    // indexed by sub-edge ID
 	queue    []int32   // compact node IDs pending prune
+
+	sweep  steinerSweep
+	census steinerCensus
 }
+
+// steinerSweep is the state of one fixed-terminal sweep: the deduped
+// fixed terminals F with their trees, where the varying terminal v sits
+// among them, the MST M_F of F's closure once built, and the arguments
+// of the full call — KMB over the caller's fixed terminals with v in
+// its slot and no tree for it — that SweepTree must reproduce.
+type steinerSweep struct {
+	g     *Graph
+	fixed []NodeID         // F deduped, in first-occurrence order
+	sps   []*ShortestPaths // parallel to fixed
+	at    int              // v's index among the deduped terminals
+	calls int
+
+	mfState mfState
+	mf      []Edge // M_F over indices into fixed, when mfUnique
+
+	full    []NodeID // the caller's fixed terminals with v at its slot
+	fullSPs []*ShortestPaths
+	slot    int // v's slot in full
+	reduced Graph
+}
+
+// mfState records whether a sweep has built M_F and what it found.
+type mfState uint8
+
+const (
+	mfPending mfState = iota // not built: the sweep has priced one candidate
+	mfUnique                 // F connected, M_F certified unique: reduced closures apply
+	mfTied                   // M_F not certified unique: full calls only
+	mfCut                    // F disconnected: full calls only, which name the pair
+)
+
+// steinerCensus counts the branches KMB runs take: how a sweep priced
+// each candidate, and whether step 3's union was already a tree.
+type steinerCensus struct {
+	first, duplicate, certified, tie int // SweepTree paths
+	treeUnions, cyclicUnions         int // steps 4-5
+}
+
+// disableReducedClosure sends every SweepTree call down the full-closure
+// path. Tests flip it to compare the reduced closure against the full
+// call on the same inputs.
+var disableReducedClosure bool
 
 // ensure sizes the stamp arrays for a host graph with n nodes and m
 // edges. Fresh arrays are zero-stamped, which never matches a live
@@ -129,26 +183,19 @@ func SteinerKMB(g *Graph, terminals []NodeID) (*SteinerTree, error) {
 // SteinerKMBScratch is SteinerKMB with caller-owned scratch, for hot
 // paths that run many KMB instances back to back.
 func SteinerKMBScratch(g *Graph, terminals []NodeID, scratch *SteinerScratch) (*SteinerTree, error) {
-	return steinerKMB(g, terminals, nil, scratch)
+	out := new(SteinerTree)
+	if err := steinerKMB(g, terminals, nil, scratch, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // SteinerKMBWithSPs is SteinerKMB with step (1) supplied by the caller:
 // sps[i] must be the shortest-path tree of g rooted at terminals[i]
 // (sps is parallel to terminals; duplicate terminals are deduplicated
-// in lockstep). Callers that evaluate many terminal sets sharing most
-// roots — the online planner tries every candidate server against the
-// same {source} ∪ destinations — compute each root's Dijkstra once and
-// reuse it across all calls, cutting the per-call Dijkstra count to
-// zero. The result is identical to SteinerKMB on the same terminals.
-//
-// At most one distinct terminal may come with a nil tree. g is
-// undirected, so that terminal's closure row is read from the other
-// terminals' trees (d(v,t) = sps[t].Dist[v]) and its closure-MST edges
-// are expanded by walking sps[t] back from v: a caller's one varying
-// terminal needs no Dijkstra. Such a weight may differ from v's own
-// Dijkstra in the last ulp, and of two equally short paths the other may
-// be taken; the output equals the all-trees call whenever shortest paths
-// and closure-edge weights are tie-free.
+// in lockstep). The result is identical to SteinerKMB on the same
+// terminals. Callers that price many terminal sets differing in one
+// terminal use BeginSweep instead, which needs no tree for that one.
 func SteinerKMBWithSPs(
 	g *Graph, terminals []NodeID, sps []*ShortestPaths, scratch *SteinerScratch,
 ) (*SteinerTree, error) {
@@ -156,20 +203,192 @@ func SteinerKMBWithSPs(
 		return nil, fmt.Errorf("graph: %d terminals with %d shortest-path trees",
 			len(terminals), len(sps))
 	}
+	for i, sp := range sps {
+		if sp == nil {
+			return nil, fmt.Errorf("graph: no shortest-path tree for terminal %d", i)
+		}
+	}
 	if scratch == nil {
 		scratch = new(SteinerScratch)
 	}
-	return steinerKMB(g, terminals, sps, scratch)
+	out := new(SteinerTree)
+	if err := steinerKMB(g, terminals, sps, scratch, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// steinerKMB is the shared KMB pipeline. sps, when non-nil, supplies
-// the per-terminal shortest-path trees (parallel to terminals);
-// otherwise they are computed into the scratch.
-func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerScratch) (*SteinerTree, error) {
+// BeginSweep starts pricing a family of terminal sets that share the
+// fixed terminals and differ in one varying terminal v: each SweepTree
+// call returns the KMB tree over fixed with v inserted at index at. The
+// sweep copies fixed and fixedSPs (fixedSPs[i] must be the tree of g
+// rooted at fixed[i]) and reads g until the next BeginSweep; v needs no
+// tree of its own. The online planners sweep a request's candidate
+// servers this way: Online_CP over {s_k, v} ∪ D_k (at = 1), Dist_CP's
+// fan-out over {v} ∪ D_k (at = 0).
+func (s *SteinerScratch) BeginSweep(g *Graph, fixed []NodeID, fixedSPs []*ShortestPaths, at int) error {
+	if len(fixedSPs) != len(fixed) {
+		return fmt.Errorf("graph: %d terminals with %d shortest-path trees",
+			len(fixed), len(fixedSPs))
+	}
+	if at < 0 || at > len(fixed) {
+		return fmt.Errorf("graph: sweep slot %d outside [0, %d]", at, len(fixed))
+	}
+	sw := &s.sweep
+	*sw = steinerSweep{
+		g: g, slot: at,
+		fixed: sw.fixed[:0], sps: sw.sps[:0], mf: sw.mf[:0], reduced: sw.reduced,
+		full:    append(append(append(sw.full[:0], fixed[:at]...), -1), fixed[at:]...),
+		fullSPs: append(append(append(sw.fullSPs[:0], fixedSPs[:at]...), nil), fixedSPs[at:]...),
+	}
+	n := g.NumNodes()
+	s.ensure(n, g.NumEdges())
+	gen := s.nextGen()
+	for i, t := range fixed {
+		switch sp := fixedSPs[i]; {
+		case t < 0 || t >= n:
+			return fmt.Errorf("%w: terminal %d with n=%d", ErrNodeOutOfRange, t, n)
+		case sp == nil:
+			return fmt.Errorf("graph: no shortest-path tree for terminal %d", i)
+		case sp.Source != t:
+			return fmt.Errorf("graph: shortest-path tree %d is not rooted at terminal %d", i, t)
+		}
+		if s.nodeGen[t] == gen {
+			continue
+		}
+		s.nodeGen[t] = gen
+		if i < at {
+			sw.at++
+		}
+		sw.fixed = append(sw.fixed, t)
+		sw.sps = append(sw.sps, fixedSPs[i])
+	}
+	return nil
+}
+
+// SweepTree computes into out (reusing its slices) the KMB tree over the
+// sweep's fixed terminals with v at its slot. v has no tree: its closure
+// row is read from the fixed terminals' trees (d(v,t) = Dist[v] of t's
+// tree, g being undirected) and its closure-MST edges are expanded by
+// walking those trees back from v. The result — Terminals, EdgeIDs,
+// Weight bits and error — is that of the full call, the KMB pipeline
+// over the whole terminal list with that one tree missing.
+//
+// The first call is the full call. Later calls build M_F, the MST of the
+// fixed terminals' closure, once, and run Prim over M_F plus v's edges
+// only. That tree is kept when both it and M_F are certified unique:
+// every other fixed pair is then the strict maximum of a cycle through
+// M_F, so the reduced tree is the full closure's only MST (DESIGN.md
+// §8). Otherwise, and when v is itself a fixed terminal, the full call
+// runs, so ties break exactly as in it.
+func (s *SteinerScratch) SweepTree(v NodeID, out *SteinerTree) error {
+	sw := &s.sweep
+	sw.calls++
+	switch {
+	case sw.calls == 1:
+		s.census.first++
+		return s.sweepFull(v, out)
+	case disableReducedClosure || v < 0 || v >= sw.g.NumNodes() || len(sw.fixed) == 0:
+		return s.sweepFull(v, out)
+	}
+	for _, t := range sw.fixed {
+		if t == v {
+			s.census.duplicate++
+			return s.sweepFull(v, out)
+		}
+	}
+	if sw.mfState == mfPending {
+		s.buildFixedMST()
+	}
+	switch sw.mfState {
+	case mfTied:
+		s.census.tie++
+		return s.sweepFull(v, out)
+	case mfCut:
+		return s.sweepFull(v, out)
+	}
+
+	// Prim over M_F plus v's edges, numbered as the full call numbers
+	// the deduped terminals (v at sw.at) with every edge oriented U < V.
+	a := sw.at
+	red := &sw.reduced
+	red.Reset(len(sw.fixed) + 1)
+	for _, e := range sw.mf {
+		u, w := e.U, e.V
+		if u >= a {
+			u++
+		}
+		if w >= a {
+			w++
+		}
+		red.MustAddEdge(u, w, e.W)
+	}
+	for j, sp := range sw.sps {
+		d := sp.Dist[v]
+		if d >= Infinity {
+			return s.sweepFull(v, out) // the full call names the pair
+		}
+		if j < a {
+			red.MustAddEdge(j, a, d)
+		} else {
+			red.MustAddEdge(a, j+1, d)
+		}
+	}
+	if err := s.mst.Prim(red, &s.closureMST); err != nil || !s.closureMST.Unique {
+		s.census.tie++
+		return s.sweepFull(v, out)
+	}
+	s.census.certified++
+	s.terms = append(append(append(s.terms[:0], sw.fixed[:a]...), v), sw.fixed[a:]...)
+	s.dedupSPs = append(append(append(s.dedupSPs[:0], sw.sps[:a]...), nil), sw.sps[a:]...)
+	out.reset(s.terms)
+	return s.expandAndPrune(sw.g, red, out)
+}
+
+// sweepFull runs the full call: the KMB pipeline over the caller's
+// fixed terminals with v in its slot and no tree for it.
+func (s *SteinerScratch) sweepFull(v NodeID, out *SteinerTree) error {
+	sw := &s.sweep
+	sw.full[sw.slot] = v
+	return steinerKMB(sw.g, sw.full, sw.fullSPs, s, out)
+}
+
+// buildFixedMST computes M_F, the MST of the fixed terminals' metric
+// closure, and records whether the sweep may use it.
+func (s *SteinerScratch) buildFixedMST() {
+	sw := &s.sweep
+	k := len(sw.fixed)
+	s.closure.Reset(k)
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			d := sw.sps[i].Dist[sw.fixed[j]]
+			if d >= Infinity {
+				sw.mfState = mfCut
+				return
+			}
+			s.closure.MustAddEdge(i, j, d)
+		}
+	}
+	if err := s.mst.Prim(&s.closure, &s.closureMST); err != nil || !s.closureMST.Unique {
+		sw.mfState = mfTied
+		return
+	}
+	for _, id := range s.closureMST.EdgeIDs {
+		sw.mf = append(sw.mf, s.closure.Edge(id))
+	}
+	sw.mfState = mfUnique
+}
+
+// steinerKMB is the shared KMB pipeline, writing into out (whose slices
+// it reuses). sps, when non-nil, supplies the per-terminal shortest-path
+// trees (parallel to terminals); otherwise they are computed into the
+// scratch. A sweep's full call leaves one terminal without a tree: its
+// closure row is read from the other terminals' trees.
+func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerScratch, out *SteinerTree) error {
 	n, m := g.NumNodes(), g.NumEdges()
 	for _, t := range terminals {
 		if t < 0 || t >= n {
-			return nil, fmt.Errorf("%w: terminal %d with n=%d", ErrNodeOutOfRange, t, n)
+			return fmt.Errorf("%w: terminal %d with n=%d", ErrNodeOutOfRange, t, n)
 		}
 	}
 	s.ensure(n, m)
@@ -179,7 +398,6 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 	// supplied shortest-path trees along in lockstep.
 	s.terms = s.terms[:0]
 	s.dedupSPs = s.dedupSPs[:0]
-	rowless := false // a terminal without a tree was seen; a second is refused
 	for i, v := range terminals {
 		if s.nodeGen[v] == gen {
 			continue
@@ -188,34 +406,31 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 		s.terms = append(s.terms, v)
 		if sps != nil {
 			sp := sps[i]
-			if sp == nil && rowless || sp != nil && sp.Source != v {
-				return nil, fmt.Errorf("graph: shortest-path tree %d is not rooted at terminal %d", i, v)
+			if sp != nil && sp.Source != v {
+				return fmt.Errorf("graph: shortest-path tree %d is not rooted at terminal %d", i, v)
 			}
-			rowless = rowless || sp == nil
 			s.dedupSPs = append(s.dedupSPs, sp)
 		}
 	}
 	terms := s.terms
-	out := &SteinerTree{Terminals: append([]NodeID(nil), terms...)}
+	out.reset(terms)
 	if len(terms) <= 1 {
-		return out, nil
+		return nil
 	}
 
 	// (1) Shortest paths from every terminal (unless supplied).
-	var termSPs []*ShortestPaths
-	if sps != nil {
-		termSPs = s.dedupSPs
-	} else {
+	if sps == nil {
 		for len(s.sps) < len(terms) {
 			s.sps = append(s.sps, new(ShortestPaths))
 		}
 		for i, t := range terms {
 			if err := s.ws.DijkstraInto(g, t, s.sps[i]); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		termSPs = s.sps[:len(terms)]
+		s.dedupSPs = append(s.dedupSPs, s.sps[:len(terms)]...)
 	}
+	termSPs := s.dedupSPs
 
 	// (2) MST of the metric closure (complete graph over terminals).
 	s.closure.Reset(len(terms))
@@ -227,20 +442,29 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 			}
 			d := termSPs[from].Dist[terms[to]]
 			if d >= Infinity {
-				return nil, fmt.Errorf("graph: terminals %d and %d: %w", terms[i], terms[j], ErrDisconnected)
+				return fmt.Errorf("graph: terminals %d and %d: %w", terms[i], terms[j], ErrDisconnected)
 			}
 			s.closure.MustAddEdge(i, j, d)
 		}
 	}
 	if err := s.mst.Prim(&s.closure, &s.closureMST); err != nil {
-		return nil, err
+		return err
 	}
+	return s.expandAndPrune(g, &s.closure, out)
+}
+
+// expandAndPrune runs KMB steps (3)–(5) for the closure MST in
+// s.closureMST, whose edges are edges of closure over the indices of
+// s.terms (U < V), and appends the tree's edges to out.
+func (s *SteinerScratch) expandAndPrune(g *Graph, closure *Graph, out *SteinerTree) error {
+	terms, termSPs := s.terms, s.dedupSPs
+	gen := s.nextGen()
 
 	// (3) Expand each closure MST edge into its host shortest path,
 	// collecting the union of host edges (stamp-deduplicated).
 	s.union = s.union[:0]
 	for _, cid := range s.closureMST.EdgeIDs {
-		ce := s.closure.Edge(cid)
+		ce := closure.Edge(cid)
 		from, to := ce.U, ce.V
 		if termSPs[from] == nil {
 			from, to = to, from
@@ -253,18 +477,16 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 			return true
 		})
 		if !ok {
-			return nil, ErrDisconnected
+			return ErrDisconnected
 		}
 	}
 
 	// (4) MST of the expansion subgraph. Build a compact subgraph over
 	// the touched nodes to keep Prim linear in the subgraph size.
 	// Iterate the union in sorted order so equal-weight MST
-	// tie-breaking is deterministic. A fresh generation invalidates the
-	// terminal-dedup node stamps so the array can be reused for the
-	// compact-ID assignment.
+	// tie-breaking is deterministic. The generation is fresh since the
+	// terminal dedup, so the node stamps can carry the compact IDs.
 	sort.Ints(s.union)
-	gen = s.nextGen()
 	s.revNode = s.revNode[:0]
 	s.hostOf = s.hostOf[:0]
 	localID := func(v NodeID) int32 {
@@ -285,6 +507,30 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 		localID(e.U)
 		localID(e.V)
 	}
+	if len(s.union) == len(s.revNode)-1 {
+		// The union is connected (it joins every terminal), so with one
+		// edge fewer than nodes it is a tree. Each of its leaves ends a
+		// path, so is a terminal: step 4's MST and step 5's pruning
+		// keep every edge, in the sorted order emitted below.
+		s.census.treeUnions++
+		out.EdgeIDs = append(out.EdgeIDs, s.union...)
+	} else {
+		s.census.cyclicUnions++
+		if err := s.pruneUnion(g, out); err != nil {
+			return err
+		}
+	}
+	for _, he := range out.EdgeIDs {
+		out.Weight += g.Weight(he)
+	}
+	return nil
+}
+
+// pruneUnion runs KMB steps (4)–(5) on a union with a cycle: Prim over
+// the compact subgraph the node stamps describe, then iterative removal
+// of non-terminal leaves. It appends the surviving host edges to out in
+// ascending order.
+func (s *SteinerScratch) pruneUnion(g *Graph, out *SteinerTree) error {
 	s.sub.Reset(len(s.revNode))
 	for _, he := range s.union {
 		e := g.Edge(he)
@@ -292,7 +538,7 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 		s.hostOf = append(s.hostOf, he)
 	}
 	if err := s.mst.Prim(&s.sub, &s.subMST); err != nil {
-		return nil, err
+		return err
 	}
 
 	// (5) Prune non-terminal leaves iteratively, on the compact IDs.
@@ -307,7 +553,7 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 		isTerm[i] = false
 		deg[i] = 0
 	}
-	for _, t := range terms {
+	for _, t := range s.terms {
 		isTerm[s.nodeOf[t]] = true
 	}
 	if cap(s.incident) < nl {
@@ -367,10 +613,7 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 			out.EdgeIDs = append(out.EdgeIDs, s.hostOf[sid])
 		}
 	}
-	for _, he := range out.EdgeIDs {
-		out.Weight += g.Weight(he)
-	}
-	return out, nil
+	return nil
 }
 
 // dedupNodes returns the input nodes with duplicates removed,
