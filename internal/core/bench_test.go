@@ -11,8 +11,8 @@ import (
 )
 
 // BenchmarkCPPlan measures the pure Online_CP planning cost — the
-// engine's hot path (results/BENCH_engine.json shows planning dominates
-// the writer by >100x) — on the Fig. 8 workload: Waxman n=100, a
+// engine's hot path, where bench/'s traced runs put core.plan_us far
+// above core.commit_us — on the Fig. 8 workload: Waxman n=100, a
 // partially loaded network (64 admitted sessions), and a 64-request
 // pool cycled without committing, so every iteration is one
 // CPPlanner.Plan against fixed residuals. CI's bench regression gate

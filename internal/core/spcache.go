@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"nfvmcast/internal/graph"
 )
@@ -18,13 +19,44 @@ import (
 // instead of duplicating it — Dijkstra over the work graph is the
 // dominant cost of a plan, so a duplicated build wastes exactly the
 // work the cache exists to save.
+//
+// A miss first tries to reuse the root's seed (see spSeeds) through
+// graph.ReuseInto, whose certified result is bit-identical to a fresh
+// Dijkstra; it runs Dijkstra when there is no seed or the reuse does
+// not certify. After one reuse fails, the cache stops trying: its
+// graph prices every link for one request, so a tie or heavy damage at
+// one root predicts the same at the others.
 type spCache struct {
-	g *graph.Graph
+	g       *graph.Graph
+	seeds   spSeeds     // nil: no reuse
+	noReuse atomic.Bool // a reuse failed here: Dijkstra only
 
 	mu       sync.Mutex
 	byRoot   map[graph.NodeID]*graph.ShortestPaths
 	inflight map[graph.NodeID]*spCall
-	builds   uint64 // cold Dijkstra runs (not repairs, not hits)
+	builds   uint64 // trees built by Dijkstra (not reuses, not hits)
+	reuses   uint64 // trees built by a certified ReuseInto
+}
+
+// spSeeds is a work-graph adjacency's seed table: for each root, the
+// shortest-path tree built from it most recently on any work graph
+// sharing that adjacency (the weight clones of buildWorkGraphFrom and
+// of patches). Every such graph has the same structure, which is all
+// graph.ReuseInto asks of an old tree. Slots hold immutable trees and
+// are read and written without locks.
+type spSeeds []atomic.Pointer[graph.ShortestPaths]
+
+func (s spSeeds) load(v graph.NodeID) *graph.ShortestPaths {
+	if v < 0 || v >= len(s) {
+		return nil
+	}
+	return s[v].Load()
+}
+
+func (s spSeeds) store(v graph.NodeID, sp *graph.ShortestPaths) {
+	if v >= 0 && v < len(s) {
+		s[v].Store(sp)
+	}
 }
 
 // spCall is one in-flight Dijkstra build another goroutine may wait on.
@@ -34,8 +66,10 @@ type spCall struct {
 	err  error
 }
 
-func newSPCache(g *graph.Graph) *spCache {
-	return &spCache{g: g, byRoot: make(map[graph.NodeID]*graph.ShortestPaths)}
+// newSPCache returns an empty cache over g whose misses reuse seeds
+// from (and publish to) seeds, which may be nil.
+func newSPCache(g *graph.Graph, seeds spSeeds) *spCache {
+	return &spCache{g: g, seeds: seeds, byRoot: make(map[graph.NodeID]*graph.ShortestPaths)}
 }
 
 // from returns the shortest-path tree rooted at v, computing and
@@ -45,9 +79,9 @@ func (c *spCache) from(v graph.NodeID) (*graph.ShortestPaths, error) {
 }
 
 // fromWith is from with an optional caller-owned Dijkstra workspace
-// (heap arena) for the miss path. The computed tree itself owns its
-// arrays, so cached trees stay immutable and shareable regardless of
-// which workspace produced them.
+// (heap arena and reuse scratch) for the miss path. The computed tree
+// itself owns its arrays, so cached trees stay immutable and shareable
+// regardless of which workspace produced them.
 func (c *spCache) fromWith(v graph.NodeID, ws *graph.DijkstraWorkspace) (*graph.ShortestPaths, error) {
 	c.mu.Lock()
 	if sp, ok := c.byRoot[v]; ok {
@@ -66,19 +100,12 @@ func (c *spCache) fromWith(v graph.NodeID, ws *graph.DijkstraWorkspace) (*graph.
 	c.inflight[v] = call
 	c.mu.Unlock()
 
-	var sp *graph.ShortestPaths
-	var err error
-	if ws != nil {
-		sp = new(graph.ShortestPaths)
-		err = ws.DijkstraInto(c.g, v, sp)
-	} else {
-		sp, err = graph.Dijkstra(c.g, v)
-	}
+	sp, reused, err := c.build(v, c.seeds.load(v), ws)
 
 	c.mu.Lock()
 	if err == nil {
 		c.byRoot[v] = sp
-		c.builds++
+		c.count(reused)
 	}
 	delete(c.inflight, v)
 	c.mu.Unlock()
@@ -90,7 +117,41 @@ func (c *spCache) fromWith(v graph.NodeID, ws *graph.DijkstraWorkspace) (*graph.
 	return sp, nil
 }
 
-// buildCount reports how many cold Dijkstra builds the cache has run —
+// build computes the tree rooted at v: by graph.ReuseInto from seed
+// when there is one and no reuse has failed on this cache, otherwise by
+// Dijkstra. The tree becomes v's seed and is never written again.
+func (c *spCache) build(
+	v graph.NodeID, seed *graph.ShortestPaths, ws *graph.DijkstraWorkspace,
+) (sp *graph.ShortestPaths, reused bool, err error) {
+	if ws == nil {
+		ws = new(graph.DijkstraWorkspace)
+	}
+	sp = new(graph.ShortestPaths)
+	if seed != nil && !c.noReuse.Load() {
+		if reused, err = ws.ReuseInto(c.g, seed, sp); err != nil {
+			return nil, false, err
+		}
+		c.noReuse.Store(!reused)
+	}
+	if !reused {
+		if err = ws.DijkstraInto(c.g, v, sp); err != nil {
+			return nil, false, err
+		}
+	}
+	c.seeds.store(v, sp)
+	return sp, reused, nil
+}
+
+// count records one built tree. Caller holds mu, or owns c alone.
+func (c *spCache) count(reused bool) {
+	if reused {
+		c.reuses++
+	} else {
+		c.builds++
+	}
+}
+
+// buildCount reports how many trees the cache has built by Dijkstra —
 // test instrumentation for the single-flight guarantee.
 func (c *spCache) buildCount() uint64 {
 	c.mu.Lock()
@@ -99,14 +160,12 @@ func (c *spCache) buildCount() uint64 {
 }
 
 // repairedClone derives a new cache over newG — the same graph
-// structure with new weights on exactly the changed local edges — by
-// dynamically repairing every tree cached here instead of recomputing
-// it from scratch (see graph.RepairInto; repairs whose damage region
-// exceeds maxDamage nodes fall back to a full Dijkstra internally).
-// The receiver is left untouched and stays valid for its own graph.
+// structure with new weights on a few edges, sharing seeds — by
+// reusing every tree cached here through the same path as a miss:
+// graph.ReuseInto, and Dijkstra where that does not certify. The
+// receiver is left untouched and stays valid for its own graph.
 func (c *spCache) repairedClone(
-	newG *graph.Graph, changed []graph.EdgeID, maxDamage int,
-	ws *graph.DijkstraWorkspace, scratch *spRootScratch,
+	newG *graph.Graph, seeds spSeeds, ws *graph.DijkstraWorkspace, scratch *spRootScratch,
 ) (*spCache, error) {
 	c.mu.Lock()
 	scratch.roots = scratch.roots[:0]
@@ -117,13 +176,14 @@ func (c *spCache) repairedClone(
 	}
 	c.mu.Unlock()
 
-	nc := newSPCache(newG)
+	nc := newSPCache(newG, seeds)
 	for i, root := range scratch.roots {
-		sp := new(graph.ShortestPaths)
-		if _, err := ws.RepairInto(newG, scratch.sps[i], changed, maxDamage, sp); err != nil {
+		sp, reused, err := nc.build(root, scratch.sps[i], ws)
+		if err != nil {
 			return nil, err
 		}
 		nc.byRoot[root] = sp
+		nc.count(reused)
 	}
 	return nc, nil
 }

@@ -20,6 +20,7 @@ type workGraph struct {
 	toHost   []graph.EdgeID
 	fromHost []int32        // host edge → local edge, -1 when filtered out
 	servers  []graph.NodeID // eligible servers in this view
+	seeds    spSeeds        // g's adjacency's seed table; nil outside the cache
 }
 
 // hostEdge maps a local edge ID back to the network's edge ID.
@@ -58,7 +59,8 @@ func buildWorkGraph(
 // same shape as tmpl's, a work graph built earlier over the same
 // network structure: when req keeps exactly tmpl's links, the result
 // re-prices every edge on a WeightClone of tmpl.g and shares tmpl's
-// adjacency, toHost and fromHost instead of re-inserting every edge.
+// adjacency, toHost, fromHost and seed table instead of re-inserting
+// every edge.
 // It returns nil — build cold instead — when the membership differs.
 //
 // The result is identical to buildWorkGraph's: the same kept links in
@@ -87,7 +89,10 @@ func buildWorkGraphFrom(
 			return nil // a negative price: let the cold build report it
 		}
 	}
-	return &workGraph{g: g, toHost: tmpl.toHost, fromHost: tmpl.fromHost, servers: eligibleServers(nw, req, capacitated)}
+	return &workGraph{
+		g: g, toHost: tmpl.toHost, fromHost: tmpl.fromHost, servers: eligibleServers(nw, req, capacitated),
+		seeds: tmpl.seeds,
+	}
 }
 
 // linkMember reports whether host link e belongs to req's view: up,

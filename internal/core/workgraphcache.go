@@ -155,14 +155,16 @@ type wgCall struct {
 //     Verified-unchanged epochs re-key the base entry as-is (zero new
 //     state — the common case, since residual floats round-trip through
 //     allocate/release cycles bit-exactly). A handful of re-priced
-//     links clone only the weight array and dynamically repair the
-//     cached shortest-path trees (graph.RepairInto). Membership flips
-//     or damage beyond a quarter of the graph rebuild from scratch.
+//     links clone only the weight array and rebuild the cached
+//     shortest-path trees from the base's (spCache.repairedClone).
+//     Membership flips or more than a quarter of the edges re-priced
+//     rebuild from scratch.
 //   - Any other miss is a cold build. When a cached entry shares the
 //     key's structure and the request keeps exactly that entry's links
 //     (on a lightly loaded substrate: all of them), the build re-prices
-//     a weight clone of the entry's graph and shares its adjacency
-//     (buildWorkGraphFrom); otherwise it inserts every edge afresh.
+//     a weight clone of the entry's graph and shares its adjacency and
+//     seed table (buildWorkGraphFrom); otherwise it inserts every edge
+//     afresh under a new, empty seed table.
 //   - Concurrent misses on one key are single-flighted.
 //
 // Every lookup, promotion, insertion and eviction is O(1): entries sit
@@ -174,9 +176,8 @@ type wgCall struct {
 // Patching preserves bit-identity with a cold build: unchanged edges
 // keep weights computed from bit-identical (free, cap) inputs, changed
 // edges are re-priced with the same formula a cold build would use,
-// and repaired trees are bit-identical to fresh Dijkstra runs whenever
-// shortest paths are unique (ties are measure-zero under the planners'
-// continuous weight distributions — see graph.RepairInto).
+// and every tree is either a fresh Dijkstra run or a reuse certified
+// bit-identical to one (graph.ReuseInto), ties included.
 type workGraphCache struct {
 	// capacitated and weight fix the build recipe so patches re-price
 	// edges exactly as buildWorkGraph would. Set once at planner
@@ -230,7 +231,7 @@ const workGraphCacheSize = 512
 
 // wgMaxChangedFrac bounds patching: when more than this fraction of
 // the work graph's edges changed residual class, a cold rebuild is
-// cheaper than patch + repair.
+// cheaper than patch + tree reuse.
 const wgMaxChangedFrac = 0.25
 
 // lookup finds key and promotes it to most recently used. Caller
@@ -378,8 +379,9 @@ func (c *workGraphCache) acquire(nw *sdn.Network, req *multicast.Request) (*work
 		}
 		if w == nil {
 			w = buildWorkGraph(nw, req, c.capacitated, weight)
+			w.seeds = make(spSeeds, w.g.NumNodes())
 		}
-		sp = newSPCache(w.g)
+		sp = newSPCache(w.g, w.seeds)
 		snap = captureResidualSnap(nw)
 	}
 
@@ -438,8 +440,8 @@ func (ps *patchScratch) ensure(m, nsrv int) {
 
 // derive attempts to produce key's entry from base by value-verified
 // patching. It returns w == nil when the delta demands a cold rebuild
-// (membership flips, damage above wgMaxChangedFrac, or a repair
-// failure).
+// (membership flips, damage above wgMaxChangedFrac, or a malformed
+// cached tree).
 func (c *workGraphCache) derive(
 	nw *sdn.Network, req *multicast.Request, key workGraphKey, base wgEntry,
 ) (w *workGraph, sp *spCache, snap *residualSnap, kind int) {
@@ -551,23 +553,22 @@ func (c *workGraphCache) derive(
 	if len(ps.changedLocal) == 0 {
 		// Only server residuals moved: the graph and every cached tree
 		// stay exactly valid — share them, refresh the snapshot.
-		nw2 := &workGraph{g: base.w.g, toHost: base.w.toHost, fromHost: base.w.fromHost, servers: servers}
+		nw2 := &workGraph{g: base.w.g, toHost: base.w.toHost, fromHost: base.w.fromHost, servers: servers, seeds: base.w.seeds}
 		return nw2, base.sp, captureResidualSnap(nw), 1
 	}
 
-	// Re-price the changed edges on a weight-only clone and repair the
-	// cached shortest-path trees through the change set.
+	// Re-price the changed edges on a weight-only clone and reuse the
+	// cached shortest-path trees on it.
 	newG := base.w.g.WeightClone()
 	for i, local := range ps.changedLocal {
 		if err := newG.SetWeight(local, ps.changedW[i]); err != nil {
 			return nil, nil, nil, 0
 		}
 	}
-	maxDamage := key.nodes / 4
-	newSP, err := base.sp.repairedClone(newG, ps.changedLocal, maxDamage, &ps.ws, &ps.roots)
+	newSP, err := base.sp.repairedClone(newG, base.w.seeds, &ps.ws, &ps.roots)
 	if err != nil {
 		return nil, nil, nil, 0
 	}
-	nw2 := &workGraph{g: newG, toHost: base.w.toHost, fromHost: base.w.fromHost, servers: servers}
+	nw2 := &workGraph{g: newG, toHost: base.w.toHost, fromHost: base.w.fromHost, servers: servers, seeds: base.w.seeds}
 	return nw2, newSP, captureResidualSnap(nw), 1
 }

@@ -2,7 +2,7 @@ package graph
 
 // indexedHeap is a binary min-heap keyed by float64 priorities with
 // decrease-key support, specialised for Dijkstra over dense integer
-// node IDs. Every shortest-path tree, repair and Prim MST in the
+// node IDs. Every shortest-path tree, tree reuse and Prim MST in the
 // repository runs on it, so its layout is chosen for the cache rather
 // than for generality:
 //

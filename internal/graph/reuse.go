@@ -1,0 +1,236 @@
+package graph
+
+import "fmt"
+
+// Shortest-path tree reuse. Consecutive requests re-price every link of
+// a work graph, yet on a lightly loaded substrate the tree one request
+// built from a root differs from the next request's in a handful of
+// nodes. ReuseInto takes such an old tree, re-prices it under the
+// graph's current weights, corrects every label that can still be
+// strictly improved, and then certifies the result instead of trusting
+// it.
+//
+// Why a certified result is bit-identical to DijkstraInto. Write
+// fl(a+w) for the rounded float sum; for w >= 0 it is monotone in a and
+// never below a. Dijkstra's labels D therefore satisfy
+// D(v) <= fl(D(u)+w) on every arc, so D(v) is at most the left-to-right
+// float cost of every path from the source to v. The kernel's labels L
+// are the float costs of tree paths (tree arcs are exact:
+// L(v) == fl(L(p)+w)), so L >= D; and L(v) <= fl(L(u)+w) on every arc,
+// so induction along Dijkstra's own tree gives L <= D. Hence L == D bit
+// for bit. Dijkstra's parent arc (u, v) satisfies fl(D(u)+w) == D(v),
+// and certification found every non-tree arc strictly worse, so the
+// tree arc is the only arc with that property: parents and parent
+// edges agree too, whatever order the heap breaks ties in, and depths
+// follow from the parents. A tie anywhere (equal prices, zero weights)
+// fails certification and the caller runs DijkstraInto.
+
+// reuseScratch owns ReuseInto's transient state: the depth-bucketed
+// order of the old tree, per-node state bits, and the relabelled and
+// tied nodes. It lives inside DijkstraWorkspace beside the heap.
+type reuseScratch struct {
+	buckets    []int32 // per depth: start of its run in order
+	order      []int32 // old tree's nodes below the root, by old depth
+	state      []uint8 // per node: reuse* bits, cleared every run
+	relabelled []int32 // nodes the correction lowered
+	ties       []int32 // nodes a non-tree arc tied in the scan
+}
+
+// Node state bits of one ReuseInto run.
+const (
+	reuseRelabelled uint8 = 1 << iota
+	reuseTie
+)
+
+func (s *reuseScratch) ensure(n int) {
+	if cap(s.order) < n {
+		s.buckets = make([]int32, n+1)
+		s.order = make([]int32, n)
+		s.state = make([]uint8, n)
+	}
+	s.buckets = s.buckets[:n+1]
+	s.state = s.state[:n]
+	clear(s.buckets)
+	clear(s.state)
+	s.relabelled = s.relabelled[:0]
+	s.ties = s.ties[:0]
+}
+
+// ReuseInto computes the shortest-path tree from old.Source on g into
+// sp, starting from old: a tree computed earlier on a graph with g's
+// structure (the same nodes and edge IDs), under any weights. sp must
+// not alias old; old is never written.
+//
+// With ok, sp is bit-identical to DijkstraInto(g, old.Source, sp):
+// distances, parents, parent edges and depths. With !ok — a shortest
+// path tie, more than a quarter of the nodes relabelled (where a fresh
+// run is the cheaper way), or an old tree whose depth column does not
+// order it — sp's contents are unspecified and the caller runs
+// DijkstraInto. An old tree that cannot belong to g is refused with an
+// error: wrong size, source out of range, a depth out of range, or a
+// parent edge out of range or not joining its node to its parent.
+func (ws *DijkstraWorkspace) ReuseInto(g *Graph, old, sp *ShortestPaths) (ok bool, err error) {
+	n := g.NumNodes()
+	if old == nil {
+		return false, fmt.Errorf("graph: reuse: nil old tree")
+	}
+	if len(old.Dist) != n || len(old.cols) != 3*n {
+		return false, fmt.Errorf("graph: reuse: old tree has %d nodes, graph %d", len(old.Dist), n)
+	}
+	src := old.Source
+	if src < 0 || src >= n {
+		return false, fmt.Errorf("%w: source %d with n=%d", ErrNodeOutOfRange, src, n)
+	}
+	rs := &ws.reuse
+	rs.ensure(n)
+	edges, adj := g.edges, g.adj
+	m := int32(len(edges))
+	joins := func(v int, p, e int32) bool {
+		ed := edges[e]
+		return ed.U == v && ed.V == int(p) || ed.V == v && ed.U == int(p)
+	}
+
+	// Take the old tree's columns, range-check them, and bucket the
+	// nodes below the root by old depth.
+	sp.Source = src
+	sp.resize(n)
+	copy(sp.cols, old.cols)
+	dist, parentNode, parentEdge, depth := sp.Dist, sp.parentNode, sp.parentEdge, sp.depth
+	for v := 0; v < n; v++ {
+		p, e, d := parentNode[v], parentEdge[v], depth[v]
+		if d < -1 || int(d) >= n {
+			return false, fmt.Errorf("graph: reuse: node %d has depth %d with n=%d", v, d, n)
+		}
+		if (p == -1) != (e == -1) || p < -1 || int(p) >= n || e < -1 || e >= m {
+			return false, fmt.Errorf("graph: reuse: node %d has parent %d over edge %d (n=%d, m=%d)", v, p, e, n, m)
+		}
+		if e >= 0 && v != src && d > 0 {
+			rs.buckets[d]++
+		}
+	}
+	at := int32(0)
+	for d := range rs.buckets {
+		at, rs.buckets[d] = at+rs.buckets[d], at
+	}
+	order := rs.order[:at]
+	for v := 0; v < n; v++ {
+		e, d := parentEdge[v], depth[v]
+		if e >= 0 && v != src && d > 0 {
+			order[rs.buckets[d]] = int32(v)
+			rs.buckets[d]++
+			continue
+		}
+		if e >= 0 && !joins(v, parentNode[v], e) {
+			return false, fmt.Errorf("graph: reuse: parent edge %d of node %d does not join it to %d", e, v, parentNode[v])
+		}
+		dist[v], parentNode[v], parentEdge[v], depth[v] = Infinity, -1, -1, -1
+	}
+	dist[src], depth[src] = 0, 0
+
+	// Re-price the old tree top-down. Each node's parent must sit one
+	// level above it, so its label is final when the child reads it:
+	// every tree arc is exact and every label is the cost of a real
+	// path, an upper bound on Dijkstra's.
+	for _, v := range order {
+		p, e := parentNode[v], parentEdge[v]
+		if !joins(int(v), p, e) {
+			return false, fmt.Errorf("graph: reuse: parent edge %d of node %d does not join it to %d", e, v, p)
+		}
+		if depth[p] != depth[v]-1 {
+			return false, nil // the depth column does not order the tree
+		}
+		if dist[v] = dist[p] + edges[e].W; dist[v] >= Infinity {
+			return false, nil // Dijkstra leaves v unreached
+		}
+	}
+
+	// Correct every label an arc can strictly improve, Dijkstra-style
+	// from the upper bounds: one scan over every arc seeds the heap
+	// with the violated ones, then nodes settle in key order. Popped
+	// keys never decrease, so a node enters the heap at most once and
+	// the relabelled nodes are the damage.
+	h := &ws.heap
+	h.reset(n)
+	state := rs.state
+	maxDamage := n / 4
+	relabel := func(u, to int, id EdgeID, nd float64) bool {
+		if state[to]&reuseRelabelled == 0 {
+			if len(rs.relabelled) == maxDamage {
+				return false
+			}
+			state[to] |= reuseRelabelled
+			rs.relabelled = append(rs.relabelled, int32(to))
+		}
+		dist[to] = nd
+		parentNode[to] = int32(u)
+		parentEdge[to] = int32(id)
+		depth[to] = depth[u] + 1
+		h.PushOrDecrease(to, nd)
+		return true
+	}
+	// The scan also records every node a non-tree arc ties: unless the
+	// correction lowers that node, the tie stands.
+	for u := 0; u < n; u++ {
+		du := dist[u]
+		if du >= Infinity {
+			continue
+		}
+		for _, he := range adj[u] {
+			to := he.to
+			nd, dt := du+edges[he.id].W, dist[to]
+			if nd > dt {
+				continue
+			}
+			if nd < dt {
+				if !relabel(u, to, he.id, nd) {
+					return false, nil
+				}
+			} else if to != u && parentEdge[to] != int32(he.id) && state[to]&reuseTie == 0 {
+				state[to] |= reuseTie
+				rs.ties = append(rs.ties, int32(to))
+			}
+		}
+	}
+	// A popped node is final, so each tree child it does not relabel
+	// must sit one level below it. Such a child keeps its label (exact:
+	// labels only fall, and a strictly lower parent label would have
+	// relabelled it) and its subtree, with depths only this check
+	// vouches for.
+	for h.Len() > 0 {
+		u, du := h.Pop()
+		d1 := depth[u] + 1
+		for _, he := range adj[u] {
+			to := he.to
+			if nd := du + edges[he.id].W; nd < dist[to] {
+				if !relabel(u, to, he.id, nd) {
+					return false, nil
+				}
+			} else if to != u && parentEdge[to] == int32(he.id) && depth[to] != d1 {
+				return false, nil
+			}
+		}
+	}
+
+	// Certify that every non-tree arc is strictly worse. The scan
+	// checked the arcs between nodes the correction left alone; check
+	// the arcs at relabelled nodes here, both ways.
+	for _, x := range rs.ties {
+		if state[x]&reuseRelabelled == 0 {
+			return false, nil
+		}
+	}
+	for _, x := range rs.relabelled {
+		dx := dist[x]
+		for _, he := range adj[x] {
+			y, w := he.to, edges[he.id].W
+			if y == int(x) {
+				continue // self-loops never parent
+			}
+			if parentEdge[y] != int32(he.id) && !(dx+w > dist[y]) ||
+				parentEdge[x] != int32(he.id) && !(dist[y]+w > dx) {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
+}

@@ -51,12 +51,13 @@ func Dijkstra(g *Graph, src NodeID) (*ShortestPaths, error) {
 }
 
 // DijkstraWorkspace owns the transient state of a Dijkstra run (the
-// indexed heap arena) so repeated searches reuse one allocation set.
+// indexed heap arena) and of a ReuseInto run, so repeated searches
+// reuse one allocation set.
 // The zero value is ready to use. A workspace is not safe for
 // concurrent use; give each goroutine its own.
 type DijkstraWorkspace struct {
-	heap   indexedHeap
-	repair repairScratch // RepairInto's child lists and stamp sets
+	heap  indexedHeap
+	reuse reuseScratch // ReuseInto's depth order and node state
 }
 
 // DijkstraInto computes single-source shortest paths from src into sp,
