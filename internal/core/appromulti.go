@@ -232,9 +232,9 @@ func evaluateCandidates(
 	locals := make([]bestCandidate, workers)
 	sawDelay := make([]bool, workers)
 	// Per-worker scratch arenas: candidate evaluation reuses one
-	// allocation set (and one closure skeleton) per goroutine instead of
-	// rebuilding closures, pruning graphs and adjacency maps for each of
-	// the O(|V_S|^K) candidates.
+	// allocation set (and one Steiner sweep over D_k) per goroutine
+	// instead of rebuilding closures and adjacency maps for each of the
+	// O(|V_S|^K) candidates.
 	scratches := make([]evalScratch, workers)
 	for i := range locals {
 		locals[i] = bestCandidate{op: graph.Infinity, idx: -1}
@@ -330,9 +330,12 @@ func evaluateCandidates(
 		*local = bestCandidate{op: op, aux: auxCost, tree: tree, idx: idx}
 	}
 	// eval never fails (infeasible candidates are skipped); the only
-	// error out of the pool is cancellation between candidates.
+	// errors out of the pool are cancellation between candidates and a
+	// sweep refusing D_k.
 	perr := parallel.ForEachIndex(workers, workers, func(wi int) error {
-		ev.prepare(&scratches[wi])
+		if err := ev.prepare(&scratches[wi]); err != nil {
+			return err
+		}
 		for idx := wi; idx < len(cands); idx += workers {
 			if opts.ctx != nil {
 				if cerr := opts.ctx.Err(); cerr != nil {

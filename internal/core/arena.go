@@ -11,10 +11,11 @@ import (
 // the Dijkstra workspace and Steiner scratch of the per-candidate KMB
 // sweep with the trees it fills, the hoisted terminal slices, the
 // plan's price memo, the rooted view and path buffer of pseudo-tree
-// realization, and the closure evaluator's per-candidate buffers. One arena serves one Plan call at a time; the admission
-// engine keeps one per planner worker so concurrent planners never
-// share scratch, and Plan calls handed a nil arena draw from arenaPool.
-// The zero value is ready to use.
+// realization, and the closure evaluator's per-candidate buffers. One
+// arena serves one Plan call at a time; the admission engine keeps one
+// per planner worker so concurrent planners never share scratch, and
+// Plan calls handed a nil arena draw from arenaPool. The zero value is
+// ready to use.
 //
 // Arenas only relocate transient state — every planner result is
 // identical with or without one.
@@ -41,13 +42,6 @@ func NewPlanArena() *PlanArena { return &PlanArena{} }
 // it a nil arena; the planner returns the arena when the plan is done.
 var arenaPool = sync.Pool{New: func() any { return NewPlanArena() }}
 
-// refinePayload maps a pruning-graph edge back to what it represents:
-// a real work-graph edge, or the virtual edge of an auxiliary server.
-type refinePayload struct {
-	real    graph.EdgeID
-	virtual graph.NodeID // -1 when real
-}
-
 // subsetServer is one server of the candidate subset under evaluation:
 // its map lookups resolved once per candidate, plus whether any
 // destination enters the closure through it.
@@ -66,42 +60,21 @@ type edgeLoad struct {
 }
 
 // evalScratch is the per-candidate scratch of the closure evaluator
-// and the tree decomposition: the metric closure (whose skeleton
-// closureEvaluator.prepare builds once per evaluator), MST workspaces,
-// the stamped expansion-union buffers, the pruning graph of KMB steps
-// 4-5, the link multiset of treeLoads and the component-orientation
-// state of decompose. Appro_Multi's candidate evaluation hands each
-// worker goroutine its own instance; the online planners keep one
-// inside their PlanArena. The zero value is ready to use.
+// and the tree decomposition: the Steiner sweep over D_k with the row
+// and tree of the candidate in hand, the link multiset of treeLoads and
+// the component-orientation state of decompose. Appro_Multi hands each
+// worker goroutine its own; the online planners keep one in their
+// PlanArena. The zero value is ready to use.
 type evalScratch struct {
-	closure    graph.Graph  // metric closure over {virtual source} ∪ D_k
-	reduced    graph.Graph  // its virtual edges plus M_D (see prepare)
-	reducedOK  bool         // M_D is certified unique: reduced may stand in
-	spine      []graph.Edge // M_D's edges over destination indices
-	closureMST graph.MST
-	tree       *graph.Graph // the closure closureMST's edge IDs index
-	mst        graph.MSTWorkspace
+	kmb  graph.SteinerScratch // the sweep over D_k (prepare)
+	tree graph.SteinerTree
 
-	sub   []subsetServer // the candidate subset, resolved
-	entry []graph.NodeID // per-destination cheapest entry server
+	sub   []subsetServer         // the candidate subset, resolved
+	via   []*graph.ShortestPaths // per destination, its entry server's tree
+	omega []float64              // per destination, its entry server's ω
 
-	gen     uint32   // stamp generation for the union/visited sets
-	edgeGen []uint32 // work-graph edge -> generation last added to union
-	nodeGen []uint32 // work-graph node -> generation last marked
-	union   []graph.EdgeID
-	virt    []graph.NodeID
-
-	tg        graph.Graph // pruning graph over n+1 nodes (KMB steps 4-5)
-	payloads  []refinePayload
-	dsu       graph.DisjointSet // refine's cycle check over the union
-	forest    graph.MST
-	isTerm    []bool
-	deg       []int32
-	incident  [][]int32
-	alive     []bool
-	queue     []graph.NodeID
-	servers   []graph.NodeID
-	realEdges []graph.EdgeID
+	gen     uint32   // stamp generation for the link and visited sets
+	edgeGen []uint32 // work-graph edge -> generation last crossed
 
 	crossings []graph.EdgeID // treeLoads: one entry per stream crossing a link
 	loads     []edgeLoad     // treeLoads: the (edge, load) sequence
@@ -116,12 +89,10 @@ type evalScratch struct {
 // edges; fresh arrays are zero-stamped and never match a live
 // generation.
 func (s *evalScratch) ensure(n, m int) {
-	if cap(s.nodeGen) < n {
-		s.nodeGen = make([]uint32, n)
+	if cap(s.adjGen) < n {
 		s.adjGen = make([]uint32, n)
 		s.visGen = make([]uint32, n)
 	} else {
-		s.nodeGen = s.nodeGen[:n]
 		s.adjGen = s.adjGen[:n]
 		s.visGen = s.visGen[:n]
 	}
@@ -147,9 +118,6 @@ func (s *evalScratch) nextGen() uint32 {
 	if s.gen == 0 {
 		for i := range s.edgeGen {
 			s.edgeGen[i] = 0
-		}
-		for i := range s.nodeGen {
-			s.nodeGen[i] = 0
 		}
 		for i := range s.adjGen {
 			s.adjGen[i] = 0

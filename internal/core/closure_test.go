@@ -1,10 +1,14 @@
 package core
 
-// Oracles for the closure evaluator's two exact cuts: Prim over the
-// reduced closure (virtual edges plus M_D) instead of the full metric
-// closure, and refine's skip of Kruskal when the expansion union is
-// already a forest. Each is checked against the computation it
-// replaces, run beside it on the same candidate.
+// Oracles for the closure evaluator, whose KMB runs as a virtual-terminal
+// row of the Steiner sweep over D_k. Each candidate's result — servers,
+// real edges and auxiliary cost bits — is checked against a plain
+// reference of the same pipeline built in the test: the full metric
+// closure over {virtual source} ∪ D_k, Prim on it, each closure edge
+// walked out of the entry server's or the lower destination's tree, and
+// Kruskal then leaf pruning over the union with the virtual edges last.
+// The sweep's reduced closure, its tie fallback and its branch census
+// are checked inside package graph (TestSweepRowMatchesFullClosure).
 
 import (
 	"errors"
@@ -20,52 +24,168 @@ import (
 	"nfvmcast/internal/sdn"
 )
 
-// closureEdge is one closure MST edge by endpoints (low first) and
-// weight bits.
-type closureEdge struct {
-	u, v int
-	w    uint64
+// kmbResult is one candidate's KMB outcome as the candidate sweep sees
+// it.
+type kmbResult struct {
+	servers   []graph.NodeID
+	realEdges []graph.EdgeID
+	cost      float64
 }
 
-// closureEdges lists the edges of mst, which indexes g, sorted.
-func closureEdges(g *graph.Graph, mst *graph.MST) []closureEdge {
-	out := make([]closureEdge, 0, len(mst.EdgeIDs))
-	for _, id := range mst.EdgeIDs {
-		e := g.Edge(id)
-		if e.U > e.V {
-			e.U, e.V = e.V, e.U
-		}
-		out = append(out, closureEdge{e.U, e.V, math.Float64bits(e.W)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].u != out[j].u {
-			return out[i].u < out[j].u
-		}
-		return out[i].v < out[j].v
-	})
-	return out
+func (r kmbResult) String() string {
+	return fmt.Sprintf("(%v, %v, %v)", r.servers, r.realEdges, r.cost)
 }
 
-// fullClosurePrim rebuilds the candidate's full metric closure from
-// scratch — the virtual-edge weights the evaluator just set, then every
-// destination pair in the order prepare has always used — and runs Prim
-// on it.
-func fullClosurePrim(ev *closureEvaluator, s *evalScratch) (*graph.Graph, *graph.MST, error) {
+func (r kmbResult) equal(o kmbResult) bool {
+	return fmt.Sprint(r.servers) == fmt.Sprint(o.servers) &&
+		fmt.Sprint(r.realEdges) == fmt.Sprint(o.realEdges) &&
+		math.Float64bits(r.cost) == math.Float64bits(o.cost)
+}
+
+// referenceKMB runs candidate c through the reference pipeline. Each
+// destination enters at its cheapest server (the first on ties; the
+// root for a rooted candidate). The full closure lays out the virtual
+// edges first, then every finite destination pair (i, j), i < j. A
+// virtual edge expands along the entry server's tree, a destination
+// pair along the lower destination's. The rooted form has no virtual
+// source: its root is a terminal of the pruning instead. cyclic
+// reports whether the pruning graph had a cycle.
+func referenceKMB(
+	ev *closureEvaluator, c candidate, omega map[graph.NodeID]float64,
+) (res kmbResult, cyclic bool, err error) {
 	dests := ev.req.Destinations
 	m := len(dests)
-	g := graph.New(m + 1)
-	for j := 0; j < m; j++ {
-		g.MustAddEdge(0, j+1, s.reduced.Weight(j))
+	entry := make([]graph.NodeID, m)
+	closure := graph.New(m + 1)
+	for j, d := range dests {
+		best, bestV := graph.Infinity, graph.NodeID(-1)
+		for _, v := range c.servers {
+			dist := ev.spSrv[v].Dist[d]
+			if dist >= graph.Infinity {
+				continue
+			}
+			if !c.rooted {
+				dist += omega[v]
+			}
+			if dist < best {
+				best, bestV = dist, v
+			}
+		}
+		if bestV == -1 {
+			return res, false, ErrUnreachable
+		}
+		entry[j] = bestV
+		closure.MustAddEdge(0, j+1, best)
 	}
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
 			if d := ev.spDst[i].Dist[dests[j]]; d < graph.Infinity {
-				g.MustAddEdge(i+1, j+1, d)
+				closure.MustAddEdge(i+1, j+1, d)
 			}
 		}
 	}
-	mst, err := graph.PrimMST(g)
-	return g, mst, err
+	mst, err := graph.PrimMST(closure)
+	if err != nil {
+		return res, false, err
+	}
+	inUnion := make(map[graph.EdgeID]bool)
+	var union []graph.EdgeID
+	var virt []graph.NodeID
+	for _, id := range mst.EdgeIDs {
+		e := closure.Edge(id)
+		a, b := min(e.U, e.V), max(e.U, e.V)
+		var sp *graph.ShortestPaths
+		if a == 0 {
+			sp = ev.spSrv[entry[b-1]]
+			if !c.rooted && !containsNode(virt, entry[b-1]) {
+				virt = append(virt, entry[b-1])
+			}
+		} else {
+			sp = ev.spDst[a-1]
+		}
+		_, edges, ok := sp.PathTo(dests[b-1])
+		if !ok {
+			return res, false, ErrUnreachable
+		}
+		for _, he := range edges {
+			if !inUnion[he] {
+				inUnion[he] = true
+				union = append(union, he)
+			}
+		}
+	}
+	if c.rooted {
+		res.servers, res.realEdges, res.cost = kruskalThenPrune(ev, union, nil, nil, c.servers[0])
+		res.servers = c.servers
+	} else {
+		res.servers, res.realEdges, res.cost = kruskalThenPrune(ev, union, virt, omega)
+	}
+	return res, !isForest(ev, union, virt), nil
+}
+
+func containsNode(list []graph.NodeID, v graph.NodeID) bool {
+	for _, u := range list {
+		if u == v {
+			return true
+		}
+	}
+	return false
+}
+
+// sweepKMB runs candidate c through the evaluator (the sweep in s) with
+// the dominated-subset skip off and copies the scratch-backed result.
+func sweepKMB(ev *closureEvaluator, c candidate, omega map[graph.NodeID]float64, s *evalScratch) (kmbResult, error) {
+	disableSubsetPruning = true
+	defer func() { disableSubsetPruning = false }()
+	var res kmbResult
+	var err error
+	if c.rooted {
+		res.servers = c.servers
+		res.realEdges, res.cost, err = ev.steinerRooted(c.servers[0], s)
+	} else {
+		res.servers, res.realEdges, res.cost, err = ev.steiner(c.servers, omega, s)
+	}
+	res.servers = append([]graph.NodeID(nil), res.servers...)
+	res.realEdges = append([]graph.EdgeID(nil), res.realEdges...)
+	return res, err
+}
+
+// unionCensus tallies what the reference saw across an oracle's
+// candidates.
+type unionCensus struct{ candidates, cyclic, rootAtDest int }
+
+// matchReference checks every candidate of cands through the sweep
+// against referenceKMB: the same error class, and for a tree the same
+// servers, edges and cost bits.
+func matchReference(t *testing.T, label string, ev *closureEvaluator, cands []candidate,
+	omega map[graph.NodeID]float64, tally *unionCensus,
+) {
+	t.Helper()
+	var s evalScratch
+	if err := ev.prepare(&s); err != nil {
+		t.Fatalf("%s: prepare: %v", label, err)
+	}
+	for idx, c := range cands {
+		want, cyclic, werr := referenceKMB(ev, c, omega)
+		got, err := sweepKMB(ev, c, omega, &s)
+		candLabel := fmt.Sprintf("%s cand %d %v rooted=%v", label, idx, c.servers, c.rooted)
+		if (err == nil) != (werr == nil) || err != nil && !errors.Is(err, ErrUnreachable) {
+			t.Fatalf("%s: sweep err %v, reference err %v", candLabel, err, werr)
+		}
+		if err != nil {
+			continue
+		}
+		if !got.equal(want) {
+			t.Fatalf("%s: sweep %v, reference %v", candLabel, got, want)
+		}
+		tally.candidates++
+		if cyclic {
+			tally.cyclic++
+		}
+		if c.rooted && containsNode(ev.req.Destinations, c.servers[0]) {
+			tally.rootAtDest++
+		}
+	}
 }
 
 // closureNets is the oracle grid in both pricings: sweepGrid's degraded
@@ -83,18 +203,14 @@ func closureNets(t *testing.T) map[string]*sdn.Network {
 	return nets
 }
 
-// TestReducedClosureMatchesFullClosure is the reduced-closure oracle:
-// for every candidate of the grid (K = 3, dominated subsets included),
-// the closure MST closureMST or rootedMST settles on has the endpoints
-// and weight bits of Prim on a freshly built full closure. It also
-// demands that both branches live: the reduced tree on at least 90% of
-// the continuous-cost subset candidates, the full-closure fallback at
-// least once under ties.
+// TestReducedClosureMatchesFullClosure is the row oracle on the planner
+// grids: for every candidate (K = 3, dominated subsets included) of the
+// continuous-cost and the equal-price substrates, the sweep's result is
+// the reference pipeline's, which runs Prim on a freshly built full
+// closure. The tie grid must reach rooted candidates whose root is a
+// destination.
 func TestReducedClosureMatchesFullClosure(t *testing.T) {
-	disableSubsetPruning = true
-	defer func() { disableSubsetPruning = false }()
-	type tally struct{ subsets, subsetsReduced, rooted, rootedReduced int }
-	counts := map[string]*tally{"continuous": {}, "ties": {}}
+	counts := map[string]*unionCensus{"continuous": {}, "ties": {}}
 	nets := closureNets(t)
 	names := make([]string, 0, len(nets))
 	for name := range nets {
@@ -104,7 +220,6 @@ func TestReducedClosureMatchesFullClosure(t *testing.T) {
 	for _, name := range names {
 		nw := nets[name]
 		pricing, _, _ := strings.Cut(name, "/")
-		c := counts[pricing]
 		for _, capacitated := range []bool{false, true} {
 			for reqSeed := int64(0); reqSeed < 6; reqSeed++ {
 				var req *multicast.Request
@@ -113,70 +228,31 @@ func TestReducedClosureMatchesFullClosure(t *testing.T) {
 				} else {
 					req = testRequest(t, nw, 2000+reqSeed)
 				}
-				fx := newSweepFixture(t, nw, req, capacitated, 3)
-				if fx == nil {
-					continue
-				}
-				var s evalScratch
-				fx.ev.prepare(&s)
-				for idx, cand := range fx.cands {
-					var err error
-					if cand.rooted {
-						err = fx.ev.rootedMST(cand.servers[0], &s)
-					} else {
-						err = fx.ev.closureMST(cand.servers, fx.omega, &s)
-					}
-					if errors.Is(err, ErrUnreachable) {
-						continue // no closure tree: a destination is cut off from the candidate
-					}
-					label := fmt.Sprintf("%s/cap=%v/req=%d cand %d %v rooted=%v", name, capacitated, reqSeed, idx, cand.servers, cand.rooted)
-					full, want, werr := fullClosurePrim(fx.ev, &s)
-					if (err == nil) != (werr == nil) {
-						t.Fatalf("%s: evaluator err %v, full-closure Prim err %v", label, err, werr)
-					}
-					if err != nil {
-						continue
-					}
-					reduced := s.tree == &s.reduced
-					if cand.rooted {
-						c.rooted++
-						if reduced {
-							c.rootedReduced++
-						}
-					} else {
-						c.subsets++
-						if reduced {
-							c.subsetsReduced++
-						}
-					}
-					got := closureEdges(s.tree, &s.closureMST)
-					if exp := closureEdges(full, want); fmt.Sprint(got) != fmt.Sprint(exp) {
-						t.Fatalf("%s (reduced=%v): tree %v, full closure %v", label, reduced, got, exp)
-					}
-					if math.Float64bits(s.closureMST.Weight) != math.Float64bits(want.Weight) {
-						t.Fatalf("%s (reduced=%v): weight %v, full closure %v", label, reduced, s.closureMST.Weight, want.Weight)
-					}
+				if fx := newSweepFixture(t, nw, req, capacitated, 3); fx != nil {
+					label := fmt.Sprintf("%s/cap=%v/req=%d", name, capacitated, reqSeed)
+					matchReference(t, label, fx.ev, fx.cands, fx.omega, counts[pricing])
 				}
 			}
 		}
 	}
 	for _, pricing := range []string{"continuous", "ties"} {
 		c := counts[pricing]
-		t.Logf("%s: reduced tree on %d/%d subset and %d/%d rooted candidates",
-			pricing, c.subsetsReduced, c.subsets, c.rootedReduced, c.rooted)
+		t.Logf("%s: %d candidates, %d cyclic unions, %d rooted at a destination",
+			pricing, c.candidates, c.cyclic, c.rootAtDest)
 	}
-	if c := counts["continuous"]; c.subsets == 0 || float64(c.subsetsReduced) < 0.9*float64(c.subsets) {
-		t.Fatalf("reduced closure used on %d/%d continuous-cost subset candidates, want >= 90%%", c.subsetsReduced, c.subsets)
+	if c := counts["continuous"]; c.candidates == 0 {
+		t.Fatal("no continuous-cost candidate")
 	}
-	if c := counts["ties"]; c.subsetsReduced+c.rootedReduced == c.subsets+c.rooted {
-		t.Fatal("full-closure fallback never fired on the tie grid")
+	if c := counts["ties"]; c.rootAtDest == 0 {
+		t.Fatal("no rooted candidate at a destination on the tie grid")
 	}
 }
 
-// kruskalThenPrune is refine's reference: the pruning graph refine
-// builds (sorted union edges, then sorted virtual edges), its Kruskal
-// forest, and leaf pruning by repeated scans until no non-terminal
-// leaf is left; survivors in ascending pruning-edge order.
+// kruskalThenPrune is the reference's steps 4-5: the pruning graph over
+// the work graph's nodes plus the virtual source (sorted union edges,
+// then sorted virtual edges), its Kruskal forest, and leaf pruning by
+// repeated scans until no non-terminal leaf is left; survivors in
+// ascending pruning-edge order.
 func kruskalThenPrune(
 	ev *closureEvaluator, union []graph.EdgeID, virt []graph.NodeID, omega map[graph.NodeID]float64,
 	extraTerminals ...graph.NodeID,
@@ -242,25 +318,6 @@ func kruskalThenPrune(
 	return servers, realEdges, cost
 }
 
-// refineMatches runs refine on copies of (union, virt) and compares its
-// servers, real edges and cost bits with kruskalThenPrune.
-func refineMatches(t *testing.T, label string, ev *closureEvaluator, s *evalScratch,
-	union []graph.EdgeID, virt []graph.NodeID, omega map[graph.NodeID]float64, extra ...graph.NodeID,
-) {
-	t.Helper()
-	wantSrv, wantEdges, wantCost := kruskalThenPrune(ev, union, virt, omega, extra...)
-	gotSrv, gotEdges, gotCost, err := ev.refine(
-		append([]graph.EdgeID(nil), union...), append([]graph.NodeID(nil), virt...), omega, s, extra...)
-	if err != nil {
-		t.Fatalf("%s: refine: %v", label, err)
-	}
-	if fmt.Sprint(gotSrv) != fmt.Sprint(wantSrv) || fmt.Sprint(gotEdges) != fmt.Sprint(wantEdges) ||
-		math.Float64bits(gotCost) != math.Float64bits(wantCost) {
-		t.Fatalf("%s: refine = (%v, %v, %v), Kruskal then prune = (%v, %v, %v)",
-			label, gotSrv, gotEdges, gotCost, wantSrv, wantEdges, wantCost)
-	}
-}
-
 // isForest reports whether the pruning graph of (union, virt) is
 // acyclic.
 func isForest(ev *closureEvaluator, union []graph.EdgeID, virt []graph.NodeID) bool {
@@ -279,107 +336,105 @@ func isForest(ev *closureEvaluator, union []graph.EdgeID, virt []graph.NodeID) b
 	return true
 }
 
+// handEvaluator is a closure evaluator over g for dests, with a
+// Dijkstra tree per server and destination and the given ω.
+func handEvaluator(t *testing.T, g *graph.Graph, dests, servers []graph.NodeID) *closureEvaluator {
+	t.Helper()
+	ev := &closureEvaluator{
+		w:     &workGraph{g: g, servers: servers},
+		req:   &multicast.Request{Destinations: dests},
+		spSrv: make(map[graph.NodeID]*graph.ShortestPaths),
+	}
+	for _, v := range servers {
+		sp, err := graph.Dijkstra(g, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.spSrv[v] = sp
+	}
+	for _, d := range dests {
+		sp, err := graph.Dijkstra(g, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.spDst = append(ev.spDst, sp)
+	}
+	return ev
+}
+
 // TestRefineCyclicUnionMatchesKruskal covers the branch the benchmark
-// workload never takes: a union with a cycle, here a square with a
-// pendant path, in the virtual-source and the rooted form, with
-// distinct and with tied weights.
+// workload never takes: a union with a cycle. Server 4 reaches
+// destination 3 across a square of equal routes (via 1 or via 2), and
+// destination 3's own tree crosses it the other way towards
+// destination 5, so the expanded paths close the square. Both the
+// virtual-source and the rooted form must match the reference, with
+// distinct and with equal outer weights (4–0, 5–0 and ω), and with
+// distinct weights the answer is known.
 func TestRefineCyclicUnionMatchesKruskal(t *testing.T) {
 	for _, tied := range []bool{false, true} {
-		g := graph.New(6)
 		w := func(x float64) float64 {
 			if tied {
-				return 1
+				return 3
 			}
 			return x
 		}
-		g.MustAddEdge(0, 1, w(1))
-		g.MustAddEdge(1, 2, w(2))
-		g.MustAddEdge(2, 3, w(3))
-		g.MustAddEdge(3, 0, w(4))
-		g.MustAddEdge(2, 4, w(1))
-		g.MustAddEdge(4, 5, w(1))
-		ev := &closureEvaluator{
-			w:   &workGraph{g: g},
-			req: &multicast.Request{Destinations: []graph.NodeID{1, 3}},
+		g := graph.New(6)
+		g.MustAddEdge(0, 1, 1)
+		g.MustAddEdge(0, 2, 1)
+		g.MustAddEdge(2, 3, 1)
+		g.MustAddEdge(1, 3, 1)
+		g.MustAddEdge(4, 0, w(3))
+		g.MustAddEdge(5, 0, w(4))
+		ev := handEvaluator(t, g, []graph.NodeID{3, 5}, []graph.NodeID{4})
+		omega := map[graph.NodeID]float64{4: w(5)}
+		cands := []candidate{{servers: []graph.NodeID{4}}, {servers: []graph.NodeID{4}, rooted: true}}
+		for _, c := range cands {
+			if _, cyclic, err := referenceKMB(ev, c, omega); err != nil || !cyclic {
+				t.Fatalf("tied=%v rooted=%v: fixture union is acyclic (err %v)", tied, c.rooted, err)
+			}
 		}
-		union := []graph.EdgeID{5, 3, 0, 4, 2, 1}
-		omega := map[graph.NodeID]float64{0: 5}
-		if isForest(ev, union, nil) {
-			t.Fatal("fixture union is acyclic")
-		}
-		var s evalScratch
-		refineMatches(t, fmt.Sprintf("virtual source, tied=%v", tied), ev, &s, union, []graph.NodeID{0}, omega)
-		refineMatches(t, fmt.Sprintf("rooted at 0, tied=%v", tied), ev, &s, union, nil, nil, 0)
+		var tally unionCensus
+		matchReference(t, fmt.Sprintf("tied=%v", tied), ev, cands, omega, &tally)
 		if tied {
 			continue
 		}
-		// With distinct weights the answer is known: Kruskal drops 3–0,
-		// the pendant 2–4–5 is pruned, and the server reaches 1 and 3
-		// over 0–1–2–3.
-		servers, edges, cost, err := ev.refine(union, []graph.NodeID{0}, omega, &s)
-		if err != nil || fmt.Sprint(servers) != "[0]" || fmt.Sprint(edges) != "[0 1 2]" || cost != 11 {
-			t.Fatalf("refine = (%v, %v, %v, %v), want ([0], [0 1 2], 11, nil)", servers, edges, cost, err)
+		// With distinct outer weights the answer is known. The server's
+		// tree reaches 3 over 4–0–1–3 and 3's tree reaches 5 over
+		// 3–2–0–5. Kruskal takes the square's edges in ascending order
+		// and drops the last, 1–3 (edge 3); that leaves 1 a non-terminal
+		// leaf, so 0–1 is pruned too. Prim from node 0 would keep 1–3.
+		var s evalScratch
+		if err := ev.prepare(&s); err != nil {
+			t.Fatal(err)
+		}
+		servers, edges, cost, err := ev.steiner([]graph.NodeID{4}, omega, &s)
+		if err != nil || fmt.Sprint(servers) != "[4]" || fmt.Sprint(edges) != "[1 2 4 5]" || cost != 14 {
+			t.Fatalf("steiner = (%v, %v, %v, %v), want ([4], [1 2 4 5], 14, nil)", servers, edges, cost, err)
 		}
 	}
 }
 
-// TestRefineMatchesKruskalOnGrid runs refine against Kruskal-then-prune
-// for every candidate of the TestScratchPriceMatchesBuiltTree grid,
-// dominated subsets included, and reports how many unions were acyclic.
+// TestRefineMatchesKruskalOnGrid runs every candidate of the
+// TestScratchPriceMatchesBuiltTree grid, dominated subsets included,
+// against the reference and reports how many unions were acyclic.
 func TestRefineMatchesKruskalOnGrid(t *testing.T) {
-	disableSubsetPruning = true
-	defer func() { disableSubsetPruning = false }()
-	var acyclic, cyclic int
+	var tally unionCensus
 	forEachFixture(t, func(label string, fx *sweepFixture) {
-		var s evalScratch
-		fx.ev.prepare(&s)
-		for idx, c := range fx.cands {
-			var err error
-			if c.rooted {
-				err = fx.ev.rootedMST(c.servers[0], &s)
-			} else {
-				err = fx.ev.closureMST(c.servers, fx.omega, &s)
-			}
-			if err != nil {
-				continue
-			}
-			union, virt, err := fx.ev.expand(&s)
-			if err != nil {
-				t.Fatalf("%s cand %d: expand: %v", label, idx, err)
-			}
-			union = append([]graph.EdgeID(nil), union...)
-			virt = append([]graph.NodeID(nil), virt...)
-			candLabel := fmt.Sprintf("%s cand %d %v", label, idx, c.servers)
-			if c.rooted {
-				// steinerRooted anchors the tree at the root, not the
-				// virtual source.
-				virt = nil
-				refineMatches(t, candLabel, fx.ev, &s, union, nil, nil, c.servers[0])
-			} else {
-				refineMatches(t, candLabel, fx.ev, &s, union, virt, fx.omega)
-			}
-			if isForest(fx.ev, union, virt) {
-				acyclic++
-			} else {
-				cyclic++
-			}
-		}
+		matchReference(t, label, fx.ev, fx.cands, fx.omega, &tally)
 	})
-	t.Logf("%d acyclic and %d cyclic unions", acyclic, cyclic)
-	if acyclic == 0 {
+	t.Logf("%d candidates, %d cyclic unions", tally.candidates, tally.cyclic)
+	if tally.candidates == tally.cyclic {
 		t.Fatal("no acyclic union on the grid")
 	}
 }
 
 // TestReducedClosureMatchesFullClosureSmallIntegers drives the same
 // oracle through hand-built evaluators on small random graphs with
-// integer weights, where M_D is often unique but candidate closures
-// tie: the case in which only the candidate's own uniqueness check
-// keeps the reduced tree from differing from the full closure's.
+// integer weights, where the destinations' closure MST is often unique
+// but candidate closures tie, and a server (so a rooted candidate's
+// root) is often a destination.
 func TestReducedClosureMatchesFullClosureSmallIntegers(t *testing.T) {
-	disableSubsetPruning = true
-	defer func() { disableSubsetPruning = false }()
-	var reduced, fallback int
+	var tally unionCensus
 	for seed := int64(0); seed < 4000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + rng.Intn(30)
@@ -400,56 +455,16 @@ func TestReducedClosureMatchesFullClosureSmallIntegers(t *testing.T) {
 			servers[0] = dests[0] // a root that is also a destination
 		}
 		sort.Ints(servers)
-		ev := &closureEvaluator{
-			w:     &workGraph{g: g, servers: servers},
-			req:   &multicast.Request{Destinations: dests},
-			spSrv: make(map[graph.NodeID]*graph.ShortestPaths),
-		}
+		ev := handEvaluator(t, g, dests, servers)
 		omega := make(map[graph.NodeID]float64)
 		for _, v := range servers {
-			sp, err := graph.Dijkstra(g, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ev.spSrv[v], omega[v] = sp, float64(rng.Intn(4))
+			omega[v] = float64(rng.Intn(4))
 		}
-		for _, d := range dests {
-			sp, err := graph.Dijkstra(g, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ev.spDst = append(ev.spDst, sp)
-		}
-		var s evalScratch
-		ev.prepare(&s)
-		for _, cand := range collectCandidates(servers, 3) {
-			var err error
-			if cand.rooted {
-				err = ev.rootedMST(cand.servers[0], &s)
-			} else {
-				err = ev.closureMST(cand.servers, omega, &s)
-			}
-			if err != nil {
-				t.Fatalf("seed %d cand %v: %v", seed, cand.servers, err)
-			}
-			full, want, werr := fullClosurePrim(ev, &s)
-			if werr != nil {
-				t.Fatalf("seed %d cand %v: full-closure Prim: %v", seed, cand.servers, werr)
-			}
-			if s.tree == &s.reduced {
-				reduced++
-			} else {
-				fallback++
-			}
-			if got, exp := closureEdges(s.tree, &s.closureMST), closureEdges(full, want); fmt.Sprint(got) != fmt.Sprint(exp) ||
-				math.Float64bits(s.closureMST.Weight) != math.Float64bits(want.Weight) {
-				t.Fatalf("seed %d cand %v rooted=%v (reduced=%v): tree %v weight %v, full closure %v weight %v",
-					seed, cand.servers, cand.rooted, s.tree == &s.reduced, got, s.closureMST.Weight, exp, want.Weight)
-			}
-		}
+		matchReference(t, fmt.Sprintf("seed %d", seed), ev, collectCandidates(servers, 3), omega, &tally)
 	}
-	t.Logf("reduced tree on %d candidates, full-closure fallback on %d", reduced, fallback)
-	if reduced == 0 || fallback == 0 {
-		t.Fatalf("grid too easy: %d reduced, %d fallback", reduced, fallback)
+	t.Logf("%d candidates, %d cyclic unions, %d rooted at a destination",
+		tally.candidates, tally.cyclic, tally.rootAtDest)
+	if tally.rootAtDest == 0 {
+		t.Fatalf("grid too easy: %+v", tally)
 	}
 }

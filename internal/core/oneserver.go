@@ -59,7 +59,9 @@ func AlgOneServer(nw *sdn.Network, req *multicast.Request, capacitated bool) (*S
 		bestTree *multicast.PseudoTree
 		scratch  evalScratch
 	)
-	ev.prepare(&scratch)
+	if err := ev.prepare(&scratch); err != nil {
+		return nil, err
+	}
 	for i, v := range reachSrv {
 		realEdges, treeCost, rerr := ev.steinerRooted(v, &scratch)
 		if rerr != nil {
@@ -124,7 +126,9 @@ func AlgOneServerNearest(nw *sdn.Network, req *multicast.Request, capacitated bo
 		return nil, err
 	}
 	var scratch evalScratch
-	ev.prepare(&scratch)
+	if err := ev.prepare(&scratch); err != nil {
+		return nil, err
+	}
 	realEdges, treeCost, err := ev.steinerRooted(nearest, &scratch)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)

@@ -5,10 +5,10 @@ package core
 // the server's closure row out of the terminals' trees) and without
 // building a losing candidate's pseudo tree (an arena-owned rooted view
 // prices the back-tracking path; the winner alone is realised). The
-// loop it replaced — one Dijkstra and one full graph.NewRootedTree +
-// PseudoTree per candidate — is kept here verbatim and every plan is
-// compared with it: same server, same hops, bit-equal costs, same
-// rejection text.
+// loop it replaced — one KMB and one full graph.NewRootedTree +
+// PseudoTree per candidate — is kept here and every plan is compared
+// with it: same server, same hops, bit-equal costs, same rejection
+// text.
 
 import (
 	"context"
@@ -23,31 +23,27 @@ import (
 )
 
 // planPerCandidateReference is CPPlanner.Plan as it stood before
-// this oracle was written (only the arena's retired lcaArgs slice
-// became a local).
+// this oracle was written, except that its shortest paths and Steiner
+// trees are its own: graph.Dijkstra and graph.SteinerKMB on the work
+// graph, sharing no cached or reused tree with the planner. The arena
+// goes unused.
 func (p *CPPlanner) planPerCandidateReference(
-	ctx context.Context, nw *sdn.Network, req *multicast.Request, arena *PlanArena,
+	ctx context.Context, nw *sdn.Network, req *multicast.Request, _ *PlanArena,
 ) (*Solution, error) {
 	if err := validateInput(nw, req); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	w, spc := p.cache.acquire(nw, req)
+	w, _ := p.cache.acquire(nw, req)
 	if len(w.servers) == 0 {
 		return nil, fmt.Errorf("%w: %w: %0.f MHz demanded",
 			ErrRejected, ErrComputeExhausted, req.ComputeDemandMHz())
 	}
-	spSrc, err := spc.fromWith(req.Source, &arena.ws)
+	spSrc, err := graph.Dijkstra(w.g, req.Source)
 	if err != nil {
 		return nil, err
 	}
-	arena.dstSPs = arena.dstSPs[:0]
 	dMax := 0.0
 	for _, d := range req.Destinations {
-		spD, derr := spc.fromWith(d, &arena.ws)
-		if derr != nil {
-			return nil, derr
-		}
-		arena.dstSPs = append(arena.dstSPs, spD)
 		if dd := spSrc.Dist[d]; dd > dMax {
 			dMax = dd
 		}
@@ -68,15 +64,8 @@ func (p *CPPlanner) planPerCandidateReference(
 		if lower0 := maxf(spSrc.Dist[v], dMax) + p.model.ServerCost(nw, v); lower0 >= bestSelection {
 			continue
 		}
-		spV, verr := spc.fromWith(v, &arena.ws)
-		if verr != nil {
-			continue
-		}
-		arena.terms = append(arena.terms[:0], req.Source, v)
-		arena.terms = append(arena.terms, req.Destinations...)
-		arena.sps = append(arena.sps[:0], spSrc, spV)
-		arena.sps = append(arena.sps, arena.dstSPs...)
-		st, err := graph.SteinerKMBWithSPs(w.g, arena.terms, arena.sps, &arena.steiner)
+		terms := append([]graph.NodeID{req.Source, v}, req.Destinations...)
+		st, err := graph.SteinerKMB(w.g, terms)
 		if err != nil {
 			continue
 		}

@@ -99,8 +99,9 @@ func (p *CPKPlanner) Plan(
 	if err != nil {
 		return nil, err
 	}
-
-	ev.prepare(&arena.eval)
+	if err := ev.prepare(&arena.eval); err != nil {
+		return nil, err
+	}
 
 	var (
 		bestSel  = graph.Infinity

@@ -55,15 +55,7 @@ func RepairReroute(
 
 	arena.terms = append(arena.terms[:0], req.Source, server)
 	arena.terms = append(arena.terms, req.Destinations...)
-	arena.sps = arena.sps[:0]
-	for _, t := range arena.terms {
-		sp := new(graph.ShortestPaths)
-		if err := arena.ws.DijkstraInto(w.g, t, sp); err != nil {
-			return nil, err
-		}
-		arena.sps = append(arena.sps, sp)
-	}
-	st, err := graph.SteinerKMBWithSPs(w.g, arena.terms, arena.sps, &arena.steiner)
+	st, err := graph.SteinerKMBScratch(w.g, arena.terms, &arena.steiner)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}

@@ -278,8 +278,8 @@ func TestDominatedSubsetEqualsEntrySubset(t *testing.T) {
 			fired++
 			var u []graph.NodeID
 			for _, v := range c.servers {
-				for _, e := range s.entry {
-					if e == v {
+				for _, sp := range s.via {
+					if sp.Source == v {
 						u = append(u, v)
 						break
 					}

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -8,14 +10,15 @@ import (
 // FuzzSteinerKMB drives the Steiner pipeline with arbitrary seeds and
 // sizes, asserting the structural invariants on every input, and
 // cross-checks a sweep over the other terminals against the
-// full-closure call for every node as the varying terminal (the seed
-// corpus runs in normal `go test`; `go test -fuzz=FuzzSteinerKMB`
-// explores further).
+// full-closure call for every node as the varying terminal, then for a
+// random virtual row — rooted, or a subset of up to three servers —
+// as the virtual terminal (the seed corpus runs in normal `go test`;
+// `go test -fuzz=FuzzSteinerKMB` explores further).
 func FuzzSteinerKMB(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(3), uint8(15))
-	f.Add(int64(42), uint8(30), uint8(6), uint8(50))
-	f.Add(int64(-7), uint8(4), uint8(2), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, termsRaw, extraRaw uint8) {
+	f.Add(int64(1), uint8(10), uint8(3), uint8(15), uint8(1))
+	f.Add(int64(42), uint8(30), uint8(6), uint8(50), uint8(6))
+	f.Add(int64(-7), uint8(4), uint8(2), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, termsRaw, extraRaw, rowRaw uint8) {
 		n := 2 + int(nRaw)%40
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnectedGraph(rng, n, int(extraRaw)%60)
@@ -60,11 +63,80 @@ func FuzzSteinerKMB(f *testing.F) {
 		for _, v := range rng.Perm(n) {
 			gotErr := sweep.SweepTree(v, &got)
 			terms[at] = v
-			wantErr := steinerKMB(g, terms, sps, &full, &want)
+			wantErr := steinerKMB(g, terms, sps, nil, &full, &want)
 			if !sameTree(&got, gotErr, &want, wantErr) {
 				t.Fatalf("sweep over %v at %d, v %d (seed=%d n=%d):\n got %v (w=%v, err %v)\nwant %v (w=%v, err %v)",
 					fixed, at, v, seed, n, got.EdgeIDs, got.Weight, gotErr, want.EdgeIDs, want.Weight, wantErr)
 			}
+		}
+		if len(fixed) == 0 {
+			return
+		}
+
+		// The same sweep with a virtual terminal in v's slot.
+		trees := make([]*ShortestPaths, n)
+		omega := make([]float64, n)
+		row := steinerRow{rooted: rowRaw%4 == 0}
+		var servers []NodeID
+		if row.rooted {
+			row.root = rng.Intn(n)
+			servers = []NodeID{row.root}
+		} else {
+			servers = rng.Perm(n)[:1+int(rowRaw)%min(3, n)]
+		}
+		for _, v := range servers {
+			if trees[v], err = Dijkstra(g, v); err != nil {
+				t.Fatal(err)
+			}
+			omega[v] = float64(rowRaw) * rng.Float64()
+		}
+		via, w, ok := entryRow(fixed, servers, trees, omega)
+		if !ok {
+			t.Fatalf("connected graph cut a terminal off from servers %v", servers)
+		}
+		if row.rooted {
+			w = nil
+		}
+		gotSrv, gotErr := sweep.SweepRow(via, w, &got)
+		row.via = append(append(append([]*ShortestPaths(nil), via[:at]...), nil), via[at:]...)
+		if !row.rooted {
+			row.omega = append(append(append([]float64(nil), w[:at]...), 0), w[at:]...)
+		}
+		terms[at] = virtualTerm
+		wantErr := steinerKMB(g, terms, sps, &row, &full, &want)
+		want.Terminals = fixed
+		if !sameTree(&got, gotErr, &want, wantErr) || fmt.Sprint(gotSrv) != fmt.Sprint(row.servers) {
+			t.Fatalf("row sweep over %v at %d, servers %v rooted=%v (seed=%d n=%d):\n got %v %v (w=%v, err %v)\nwant %v %v (w=%v, err %v)",
+				fixed, at, servers, row.rooted, seed, n, gotSrv, got.EdgeIDs, got.Weight, gotErr,
+				row.servers, want.EdgeIDs, want.Weight, wantErr)
+		}
+		// Host edges acyclic, every fixed terminal joined to a used
+		// server, and the weight the host edges' then the virtual edges'.
+		dsu = NewDisjointSet(n)
+		weight := 0.0
+		for _, id := range got.EdgeIDs {
+			e := g.Edge(id)
+			if !dsu.Union(e.U, e.V) {
+				t.Fatalf("cycle in row tree (seed=%d n=%d)", seed, n)
+			}
+			weight += e.W
+		}
+		for _, v := range gotSrv {
+			if !row.rooted {
+				weight += omega[v]
+			}
+		}
+		for _, f := range fixed {
+			joined := false
+			for _, v := range gotSrv {
+				joined = joined || dsu.Connected(f, v)
+			}
+			if !joined {
+				t.Fatalf("terminal %d joins no server of %v (seed=%d n=%d)", f, gotSrv, seed, n)
+			}
+		}
+		if math.Float64bits(weight) != math.Float64bits(got.Weight) {
+			t.Fatalf("row tree weight %v, edges and servers sum to %v (seed=%d n=%d)", got.Weight, weight, seed, n)
 		}
 	})
 }

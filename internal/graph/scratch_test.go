@@ -83,106 +83,30 @@ func TestVisitPathEdgesMatchesPathTo(t *testing.T) {
 	}
 }
 
-// TestSteinerKMBWithSPsMatchesSteinerKMB feeds precomputed per-terminal
-// shortest paths (the planner's sharing pattern) through one reused
-// scratch and checks every tree is byte-identical to the scratch-free
-// SteinerKMB — including with duplicated terminals, whose trees must
-// dedup in lockstep.
-func TestSteinerKMBWithSPsMatchesSteinerKMB(t *testing.T) {
-	scratch := new(SteinerScratch)
-	var ws DijkstraWorkspace
-	for seed := int64(0); seed < 15; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(40)
-		g := randomConnectedGraph(rng, n, rng.Intn(70))
-		// Precompute one tree per node, as the planner shares them.
-		sps := make([]*ShortestPaths, n)
-		for v := 0; v < n; v++ {
-			sps[v] = new(ShortestPaths)
-			if err := ws.DijkstraInto(g, v, sps[v]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for trial := 0; trial < 10; trial++ {
-			k := 1 + rng.Intn(6)
-			terms := make([]NodeID, k)
-			termSPs := make([]*ShortestPaths, k)
-			for i := range terms {
-				terms[i] = rng.Intn(n)
-				termSPs[i] = sps[terms[i]]
-			}
-			if trial%3 == 0 && k > 1 { // force a duplicate
-				terms[k-1] = terms[0]
-				termSPs[k-1] = termSPs[0]
-			}
-			got, err := SteinerKMBWithSPs(g, terms, termSPs, scratch)
-			if err != nil {
-				t.Fatalf("seed %d trial %d: WithSPs: %v", seed, trial, err)
-			}
-			want, err := SteinerKMB(g, terms)
-			if err != nil {
-				t.Fatalf("seed %d trial %d: SteinerKMB: %v", seed, trial, err)
-			}
-			if !reflect.DeepEqual(got.Terminals, want.Terminals) {
-				t.Fatalf("seed %d trial %d: terminals %v != %v", seed, trial, got.Terminals, want.Terminals)
-			}
-			if len(got.EdgeIDs) != len(want.EdgeIDs) || got.Weight != want.Weight {
-				t.Fatalf("seed %d trial %d: tree mismatch: %v (w=%v) != %v (w=%v)",
-					seed, trial, got.EdgeIDs, got.Weight, want.EdgeIDs, want.Weight)
-			}
-			for i := range got.EdgeIDs {
-				if got.EdgeIDs[i] != want.EdgeIDs[i] {
-					t.Fatalf("seed %d trial %d: edge %d: %d != %d",
-						seed, trial, i, got.EdgeIDs[i], want.EdgeIDs[i])
-				}
-			}
-		}
-	}
-}
-
-// TestSteinerKMBWithSPsValidation covers the argument contract: length
-// mismatch, wrong-root and missing trees must be rejected.
-func TestSteinerKMBWithSPsValidation(t *testing.T) {
-	g := New(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
-	sp0, _ := Dijkstra(g, 0)
-	if _, err := SteinerKMBWithSPs(g, []NodeID{0, 2}, []*ShortestPaths{sp0}, nil); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := SteinerKMBWithSPs(g, []NodeID{0, 2}, []*ShortestPaths{sp0, sp0}, nil); err == nil {
-		t.Fatal("wrong-root tree accepted")
-	}
-	if _, err := SteinerKMBWithSPs(g, []NodeID{0, 2}, []*ShortestPaths{sp0, nil}, nil); err == nil {
-		t.Fatal("missing tree accepted")
-	}
-	sp2, _ := Dijkstra(g, 2)
-	tree, err := SteinerKMBWithSPs(g, []NodeID{0, 2}, []*ShortestPaths{sp0, sp2}, nil)
-	if err != nil || len(tree.EdgeIDs) != 2 {
-		t.Fatalf("valid call failed: %v %v", tree, err)
-	}
-}
-
 // TestSteinerScratchReuseAcrossGraphs runs one scratch across graphs of
 // different sizes to shake out stale-capacity bugs (a larger graph
-// followed by a smaller one and vice versa).
+// followed by a smaller one and vice versa), with and without a
+// duplicated terminal, and checks every tree — terminals included — is
+// the scratch-free SteinerKMB's.
 func TestSteinerScratchReuseAcrossGraphs(t *testing.T) {
 	scratch := new(SteinerScratch)
 	sizes := []int{40, 8, 60, 5, 25}
 	for i, n := range sizes {
 		rng := rand.New(rand.NewSource(int64(100 + i)))
 		g := randomConnectedGraph(rng, n, n)
-		terms := []NodeID{0, n / 2, n - 1}
-		got, err := SteinerKMBScratch(g, terms, scratch)
-		if err != nil {
-			t.Fatalf("size %d: %v", n, err)
-		}
-		want, err := SteinerKMB(g, terms)
-		if err != nil {
-			t.Fatalf("size %d: %v", n, err)
-		}
-		if !reflect.DeepEqual(got.EdgeIDs, want.EdgeIDs) || got.Weight != want.Weight {
-			t.Fatalf("size %d: %v != %v", n, got.EdgeIDs, want.EdgeIDs)
+		for _, terms := range [][]NodeID{{0, n / 2, n - 1}, {n - 1, 0, n / 2, n - 1, 0}} {
+			got, err := SteinerKMBScratch(g, terms, scratch)
+			if err != nil {
+				t.Fatalf("size %d %v: %v", n, terms, err)
+			}
+			want, err := SteinerKMB(g, terms)
+			if err != nil {
+				t.Fatalf("size %d %v: %v", n, terms, err)
+			}
+			if !sameTree(got, nil, want, nil) {
+				t.Fatalf("size %d %v: %v %v (w=%v) != %v %v (w=%v)", n, terms,
+					got.Terminals, got.EdgeIDs, got.Weight, want.Terminals, want.EdgeIDs, want.Weight)
+			}
 		}
 	}
 }
@@ -222,9 +146,9 @@ func without(terms []NodeID, sps []*ShortestPaths, i int) ([]NodeID, []*Shortest
 // terminal of a sweep: with any one terminal swept instead of given a
 // tree, the closure row read from the other terminals' trees must give
 // the byte-identical tree (EdgeIDs and Weight) — or the same
-// ErrDisconnected — as the all-trees call, on the sweep's first call
-// (full closure) and its second (reduced closure, or the duplicate
-// path). Random float weights keep shortest paths and closure weights
+// ErrDisconnected — as SteinerKMBScratch, which runs a Dijkstra from
+// every terminal, on the sweep's first call (full closure) and its
+// second (reduced closure, or the duplicate path). Random float weights keep shortest paths and closure weights
 // tie-free, the condition under which the tree-less row equals v's own
 // Dijkstra. Every third graph gets a second component so some terminal
 // sets straddle it.
@@ -271,7 +195,7 @@ func TestSweepTreeNilRowMatchesAllTrees(t *testing.T) {
 			for i, v := range terms {
 				full[i] = sps[v]
 			}
-			want, wantErr := SteinerKMBWithSPs(g, terms, full, scratch)
+			want, wantErr := SteinerKMBScratch(g, terms, scratch)
 			if wantErr != nil {
 				if !errors.Is(wantErr, ErrDisconnected) {
 					t.Fatalf("seed %d trial %d: all-trees call: %v", seed, trial, wantErr)
@@ -475,5 +399,173 @@ func TestSweepTreeMatchesFullClosure(t *testing.T) {
 	c := fast.census
 	if c.certified == 0 || c.tie == 0 || c.duplicate == 0 || c.treeUnions == 0 || c.cyclicUnions == 0 {
 		t.Fatalf("a branch never ran: %+v", c)
+	}
+}
+
+// entryRow is the row Appro_Multi hands SweepRow for a server subset:
+// each fixed terminal enters at its cheapest server, omega[v] +
+// Dist[t] of v's tree, the first of servers on ties. ok is false when
+// some terminal is cut off from every server.
+func entryRow(fixed, servers []NodeID, sps []*ShortestPaths, omega []float64) (via []*ShortestPaths, w []float64, ok bool) {
+	for _, t := range fixed {
+		best, bestV := Infinity, -1
+		for _, v := range servers {
+			if d := sps[v].Dist[t]; d < Infinity && omega[v]+d < best {
+				best, bestV = omega[v]+d, v
+			}
+		}
+		if bestV == -1 {
+			return nil, nil, false
+		}
+		via = append(via, sps[bestV])
+		w = append(w, omega[bestV])
+	}
+	return via, w, true
+}
+
+// rootedRow is the row of the rooted candidate at r.
+func rootedRow(fixed []NodeID, sp *ShortestPaths) []*ShortestPaths {
+	via := make([]*ShortestPaths, len(fixed))
+	for i := range via {
+		via[i] = sp
+	}
+	return via
+}
+
+// TestSweepRowMatchesFullClosure is the row sweep's oracle: on
+// small-integer graphs, and on the gadget whose union has a cycle,
+// subset rows with small-integer virtual weights and the rooted row of
+// every node are priced against a twin sweep held on the full-closure
+// path, and trees, servers and errors must agree bit for bit. Every
+// branch must have run: the certified reduced closure, the tie
+// fallback, a rooted row whose root is a fixed terminal, and tree and
+// cyclic unions.
+func TestSweepRowMatchesFullClosure(t *testing.T) {
+	var fast, ref SteinerScratch
+	var got, want SteinerTree
+	check := func(label string, g *Graph, fixed []NodeID, at int, rng *rand.Rand) {
+		t.Helper()
+		sps := make([]*ShortestPaths, g.NumNodes())
+		for v := range sps {
+			sp, err := Dijkstra(g, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sps[v] = sp
+		}
+		fixedSPs := make([]*ShortestPaths, len(fixed))
+		for i, f := range fixed {
+			fixedSPs[i] = sps[f]
+		}
+		for _, s := range []*SteinerScratch{&fast, &ref} {
+			if err := s.BeginSweep(g, fixed, fixedSPs, at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		price := func(row string, via []*ShortestPaths, omega []float64) {
+			t.Helper()
+			gotSrv, gotErr := fast.SweepRow(via, omega, &got)
+			gotSrv = append([]NodeID(nil), gotSrv...)
+			disableReducedClosure = true
+			wantSrv, wantErr := ref.SweepRow(via, omega, &want)
+			disableReducedClosure = false
+			if !sameTree(&got, gotErr, &want, wantErr) || fmt.Sprint(gotSrv) != fmt.Sprint(wantSrv) {
+				t.Fatalf("%s: fixed %v at %d, %s:\n got %v %v (w=%v, err %v)\nwant %v %v (w=%v, err %v)",
+					label, fixed, at, row, gotSrv, got.EdgeIDs, got.Weight, gotErr, wantSrv, want.EdgeIDs, want.Weight, wantErr)
+			}
+		}
+		omega := make([]float64, g.NumNodes())
+		for v := range omega {
+			omega[v] = float64(rng.Intn(4))
+		}
+		for _, r := range rng.Perm(g.NumNodes()) {
+			if sps[r].Reachable(fixed[0]) {
+				price(fmt.Sprintf("rooted at %d", r), rootedRow(fixed, sps[r]), nil)
+			}
+			servers := rng.Perm(g.NumNodes())[:1+rng.Intn(3)]
+			if via, w, ok := entryRow(fixed, servers, sps, omega); ok {
+				price(fmt.Sprintf("servers %v", servers), via, w)
+			}
+		}
+	}
+	gadget := cyclicUnionGadget()
+	for _, fixed := range [][]NodeID{{3, 5}, {5, 3}, {4, 3, 5}} {
+		for at := 0; at <= len(fixed); at++ {
+			check("gadget", gadget, fixed, at, rand.New(rand.NewSource(int64(at))))
+		}
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(30)
+		g := smallIntGraph(rng, n, rng.Intn(2*n))
+		for trial := 0; trial < 3; trial++ {
+			fixed := rng.Perm(n)[:1+rng.Intn(min(7, n))]
+			check(fmt.Sprintf("seed %d trial %d", seed, trial), g, fixed, rng.Intn(len(fixed)+1), rng)
+		}
+	}
+	c := fast.census
+	if c.certified == 0 || c.tie == 0 || c.rootAtFixed == 0 || c.treeUnions == 0 || c.cyclicUnions == 0 {
+		t.Fatalf("a branch never ran: %+v", c)
+	}
+}
+
+// TestSweepRowContract: the row sweep returns the fixed terminals, the
+// used servers and the virtual edges' weights on top of the host
+// edges'; a lone virtual terminal is the empty tree; and malformed rows
+// — repeated fixed terminals, a row of the wrong length, a missing
+// entry tree, a rooted row with two roots — are refused.
+func TestSweepRowContract(t *testing.T) {
+	g := New(4) // 0-1-2-3
+	g.MustAddEdge(0, 1, 1)
+	g.MustAddEdge(1, 2, 2)
+	g.MustAddEdge(2, 3, 4)
+	sps := make([]*ShortestPaths, 4)
+	for v := range sps {
+		sps[v], _ = Dijkstra(g, v)
+	}
+	var s SteinerScratch
+	var tree SteinerTree
+	if err := s.BeginSweep(g, []NodeID{0, 3}, []*ShortestPaths{sps[0], sps[3]}, 0); err != nil {
+		t.Fatal(err)
+	}
+	for call := 0; call < 2; call++ {
+		// 0 enters at server 1 (ω 1), 3 at server 2 (ω 2): closure
+		// weights 2 and 6 undercut the 0–3 distance 7.
+		srv, err := s.SweepRow([]*ShortestPaths{sps[1], sps[2]}, []float64{1, 2}, &tree)
+		if err != nil || fmt.Sprint(srv) != "[1 2]" || fmt.Sprint(tree.Terminals) != "[0 3]" ||
+			fmt.Sprint(tree.EdgeIDs) != "[0 2]" || tree.Weight != 1+4+1+2 {
+			t.Fatalf("call %d: servers %v, tree %+v, err %v", call, srv, tree, err)
+		}
+		srv, err = s.SweepRow([]*ShortestPaths{sps[1], sps[1]}, nil, &tree)
+		if err != nil || fmt.Sprint(srv) != "[1]" || fmt.Sprint(tree.EdgeIDs) != "[0 1 2]" || tree.Weight != 7 {
+			t.Fatalf("call %d rooted: servers %v, tree %+v, err %v", call, srv, tree, err)
+		}
+	}
+	if err := s.BeginSweep(g, nil, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if srv, err := s.SweepRow(nil, nil, &tree); err != nil || len(srv) != 0 || len(tree.EdgeIDs) != 0 || tree.Weight != 0 {
+		t.Fatalf("lone virtual terminal: servers %v, tree %+v, err %v", srv, tree, err)
+	}
+	if err := s.BeginSweep(g, []NodeID{0, 3, 0}, []*ShortestPaths{sps[0], sps[3], sps[0]}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SweepRow([]*ShortestPaths{sps[1], sps[1], sps[1]}, nil, &tree); err == nil {
+		t.Fatal("repeated fixed terminals accepted")
+	}
+	if err := s.BeginSweep(g, []NodeID{0, 3}, []*ShortestPaths{sps[0], sps[3]}, 0); err != nil {
+		t.Fatal(err)
+	}
+	for name, row := range map[string][]*ShortestPaths{
+		"short row":     {sps[1]},
+		"missing entry": {sps[1], nil},
+		"two roots":     {sps[1], sps[2]},
+	} {
+		if _, err := s.SweepRow(row, nil, &tree); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+	}
+	if _, err := s.SweepRow([]*ShortestPaths{sps[1], sps[2]}, []float64{1}, &tree); err == nil {
+		t.Fatal("weights of the wrong length accepted")
 	}
 }

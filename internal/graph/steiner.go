@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -46,9 +48,9 @@ func (t *SteinerTree) reset(terms []NodeID) {
 // Dijkstra workspace and per-terminal trees of step (1), the metric
 // closure and MST arenas of steps (2) and (4), and the slice-backed
 // union/pruning scratch of steps (3)–(5) — so repeated Steiner
-// evaluations (one per candidate server on the planner hot path) reuse
-// one allocation set instead of rebuilding maps per call. It also
-// carries the state of a fixed-terminal sweep (BeginSweep).
+// evaluations (one per candidate on the planner hot path) reuse one
+// allocation set instead of rebuilding maps per call. It also carries
+// the state of a fixed-terminal sweep (BeginSweep).
 //
 // The zero value is ready to use. A scratch is not safe for concurrent
 // use: give each worker goroutine its own (see core's plan arenas).
@@ -70,10 +72,10 @@ type SteinerScratch struct {
 
 	edgeGen []uint32 // step-3 union dedup stamp, indexed by host edge
 	union   []EdgeID
+	virt    []virtualEdge // a row's step-3 virtual edges, then its survivors
 
 	revNode []NodeID // step-4 compact subgraph over the union
 	sub     Graph
-	hostOf  []EdgeID
 	subMST  MST
 
 	isTerm   []bool    // step-5 pruning, indexed by compact node ID
@@ -83,7 +85,38 @@ type SteinerScratch struct {
 	queue    []int32   // compact node IDs pending prune
 
 	sweep  steinerSweep
+	row    steinerRow
 	census steinerCensus
+}
+
+// virtualTerm stands for a row's virtual terminal in a terminal list.
+const virtualTerm NodeID = -1
+
+// steinerRow is the closure row of a sweep's virtual terminal
+// (SweepRow), by closure index, the terminal's own index left empty:
+// terminal k is reached over the virtual edge to via[k]'s root, weighted
+// omega[k], then along via[k]'s path. A rooted row has no virtual edge.
+type steinerRow struct {
+	via     []*ShortestPaths
+	omega   []float64
+	rooted  bool
+	root    NodeID   // via's common root, when rooted
+	anchor  int32    // step 4: the compact node step 5 keeps for the row
+	servers []NodeID // the entry servers the tree uses
+}
+
+// weight is the row's closure weight to terminal t at closure index k.
+func (r *steinerRow) weight(k int, t NodeID) float64 {
+	if r.rooted {
+		return r.via[k].Dist[t]
+	}
+	return r.omega[k] + r.via[k].Dist[t]
+}
+
+// virtualEdge is a row's edge to entry server node, weighted w.
+type virtualEdge struct {
+	node NodeID
+	w    float64
 }
 
 // steinerSweep is the state of one fixed-terminal sweep: the deduped
@@ -118,15 +151,17 @@ const (
 )
 
 // steinerCensus counts the branches KMB runs take: how a sweep priced
-// each candidate, and whether step 3's union was already a tree.
+// each candidate, whether a rooted row's root was a fixed terminal, and
+// whether step 3's union was already a tree.
 type steinerCensus struct {
-	first, duplicate, certified, tie int // SweepTree paths
+	first, duplicate, certified, tie int // sweep paths
+	rootAtFixed                      int // rooted rows whose root is in F
 	treeUnions, cyclicUnions         int // steps 4-5
 }
 
-// disableReducedClosure sends every SweepTree call down the full-closure
-// path. Tests flip it to compare the reduced closure against the full
-// call on the same inputs.
+// disableReducedClosure sends every SweepTree and SweepRow call down the
+// full-closure path. Tests flip it to compare the reduced closure
+// against the full call on the same inputs.
 var disableReducedClosure bool
 
 // ensure sizes the stamp arrays for a host graph with n nodes and m
@@ -184,35 +219,7 @@ func SteinerKMB(g *Graph, terminals []NodeID) (*SteinerTree, error) {
 // paths that run many KMB instances back to back.
 func SteinerKMBScratch(g *Graph, terminals []NodeID, scratch *SteinerScratch) (*SteinerTree, error) {
 	out := new(SteinerTree)
-	if err := steinerKMB(g, terminals, nil, scratch, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SteinerKMBWithSPs is SteinerKMB with step (1) supplied by the caller:
-// sps[i] must be the shortest-path tree of g rooted at terminals[i]
-// (sps is parallel to terminals; duplicate terminals are deduplicated
-// in lockstep). The result is identical to SteinerKMB on the same
-// terminals. Callers that price many terminal sets differing in one
-// terminal use BeginSweep instead, which needs no tree for that one.
-func SteinerKMBWithSPs(
-	g *Graph, terminals []NodeID, sps []*ShortestPaths, scratch *SteinerScratch,
-) (*SteinerTree, error) {
-	if len(sps) != len(terminals) {
-		return nil, fmt.Errorf("graph: %d terminals with %d shortest-path trees",
-			len(terminals), len(sps))
-	}
-	for i, sp := range sps {
-		if sp == nil {
-			return nil, fmt.Errorf("graph: no shortest-path tree for terminal %d", i)
-		}
-	}
-	if scratch == nil {
-		scratch = new(SteinerScratch)
-	}
-	out := new(SteinerTree)
-	if err := steinerKMB(g, terminals, sps, scratch, out); err != nil {
+	if err := steinerKMB(g, terminals, nil, nil, scratch, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -282,20 +289,72 @@ func (s *SteinerScratch) BeginSweep(g *Graph, fixed []NodeID, fixedSPs []*Shorte
 // §8). Otherwise, and when v is itself a fixed terminal, the full call
 // runs, so ties break exactly as in it.
 func (s *SteinerScratch) SweepTree(v NodeID, out *SteinerTree) error {
+	return s.sweepCall(v, nil, out)
+}
+
+// SweepRow is SweepTree for a virtual terminal, a node outside g that
+// reaches fixed[j] over a virtual edge to via[j]'s root, weighted
+// omega[j], and on along via[j]'s path: Appro_Multi's server subset
+// (the paper's virtual source s'_k) with the caller's choice of entry
+// server per destination. Its closure weight to fixed[j] is omega[j] +
+// via[j].Dist[fixed[j]], and step 3 walks via[j], never fixed[j]'s tree.
+// Steps 4–5 run Kruskal on the union's host edges in ascending order,
+// then the used virtual edges in ascending server order; omega must
+// weigh each server alike wherever it enters. A nil omega makes a
+// rooted row: every via[j] has one root r, which stands in for the
+// virtual terminal without a virtual edge. The virtual terminal keeps
+// its own closure node even where r is a fixed terminal.
+//
+// out receives the fixed terminals, which must be distinct, the
+// surviving host edges in ascending order, and as Weight their weights
+// in that order followed by the surviving virtual edges'. SweepRow
+// returns the entry servers the tree uses, ascending ({r} for a rooted
+// row), in scratch the next call reuses.
+func (s *SteinerScratch) SweepRow(via []*ShortestPaths, omega []float64, out *SteinerTree) ([]NodeID, error) {
+	sw := &s.sweep
+	if len(sw.full) != len(sw.fixed)+1 || len(via) != len(sw.fixed) || omega != nil && len(omega) != len(via) {
+		return nil, fmt.Errorf("graph: row of %d trees and %d weights for the sweep over %v",
+			len(via), len(omega), sw.full)
+	}
+	for j, sp := range via {
+		if sp == nil || omega == nil && sp.Source != via[0].Source {
+			return nil, fmt.Errorf("graph: row entry %d has no tree or a second root", j)
+		}
+	}
+	r, a := &s.row, sw.at
+	r.via = append(append(append(r.via[:0], via[:a]...), nil), via[a:]...)
+	if r.rooted = omega == nil; !r.rooted {
+		r.omega = append(append(append(r.omega[:0], omega[:a]...), 0), omega[a:]...)
+	}
+	r.root, r.servers = virtualTerm, r.servers[:0]
+	if len(via) > 0 {
+		r.root = via[0].Source
+	}
+	if r.rooted && slices.Contains(sw.fixed, r.root) {
+		s.census.rootAtFixed++
+	}
+	if err := s.sweepCall(virtualTerm, r, out); err != nil {
+		return nil, err
+	}
+	out.Terminals = append(out.Terminals[:0], sw.fixed...)
+	return r.servers, nil
+}
+
+// sweepCall prices the varying terminal v, or row's virtual terminal:
+// Prim over M_F plus its closure edges where that tree is certified to
+// be the full closure's only MST, the full call otherwise.
+func (s *SteinerScratch) sweepCall(v NodeID, row *steinerRow, out *SteinerTree) error {
 	sw := &s.sweep
 	sw.calls++
 	switch {
 	case sw.calls == 1:
 		s.census.first++
-		return s.sweepFull(v, out)
-	case disableReducedClosure || v < 0 || v >= sw.g.NumNodes() || len(sw.fixed) == 0:
-		return s.sweepFull(v, out)
-	}
-	for _, t := range sw.fixed {
-		if t == v {
-			s.census.duplicate++
-			return s.sweepFull(v, out)
-		}
+		return s.sweepFull(v, row, out)
+	case disableReducedClosure || len(sw.fixed) == 0 || row == nil && (v < 0 || v >= sw.g.NumNodes()):
+		return s.sweepFull(v, row, out)
+	case row == nil && slices.Contains(sw.fixed, v):
+		s.census.duplicate++
+		return s.sweepFull(v, row, out)
 	}
 	if sw.mfState == mfPending {
 		s.buildFixedMST()
@@ -303,9 +362,9 @@ func (s *SteinerScratch) SweepTree(v NodeID, out *SteinerTree) error {
 	switch sw.mfState {
 	case mfTied:
 		s.census.tie++
-		return s.sweepFull(v, out)
+		return s.sweepFull(v, row, out)
 	case mfCut:
-		return s.sweepFull(v, out)
+		return s.sweepFull(v, row, out)
 	}
 
 	// Prim over M_F plus v's edges, numbered as the full call numbers
@@ -324,33 +383,38 @@ func (s *SteinerScratch) SweepTree(v NodeID, out *SteinerTree) error {
 		red.MustAddEdge(u, w, e.W)
 	}
 	for j, sp := range sw.sps {
-		d := sp.Dist[v]
-		if d >= Infinity {
-			return s.sweepFull(v, out) // the full call names the pair
+		k := j
+		if j >= a {
+			k++
 		}
-		if j < a {
-			red.MustAddEdge(j, a, d)
+		var d float64
+		if row != nil {
+			d = row.weight(k, sw.fixed[j])
 		} else {
-			red.MustAddEdge(a, j+1, d)
+			d = sp.Dist[v]
 		}
+		if d >= Infinity {
+			return s.sweepFull(v, row, out) // the full call names the pair
+		}
+		red.MustAddEdge(min(a, k), max(a, k), d)
 	}
 	if err := s.mst.Prim(red, &s.closureMST); err != nil || !s.closureMST.Unique {
 		s.census.tie++
-		return s.sweepFull(v, out)
+		return s.sweepFull(v, row, out)
 	}
 	s.census.certified++
 	s.terms = append(append(append(s.terms[:0], sw.fixed[:a]...), v), sw.fixed[a:]...)
 	s.dedupSPs = append(append(append(s.dedupSPs[:0], sw.sps[:a]...), nil), sw.sps[a:]...)
 	out.reset(s.terms)
-	return s.expandAndPrune(sw.g, red, out)
+	return s.expandAndPrune(sw.g, red, row, out)
 }
 
 // sweepFull runs the full call: the KMB pipeline over the caller's
 // fixed terminals with v in its slot and no tree for it.
-func (s *SteinerScratch) sweepFull(v NodeID, out *SteinerTree) error {
+func (s *SteinerScratch) sweepFull(v NodeID, row *steinerRow, out *SteinerTree) error {
 	sw := &s.sweep
 	sw.full[sw.slot] = v
-	return steinerKMB(sw.g, sw.full, sw.fullSPs, s, out)
+	return steinerKMB(sw.g, sw.full, sw.fullSPs, row, s, out)
 }
 
 // buildFixedMST computes M_F, the MST of the fixed terminals' metric
@@ -383,11 +447,15 @@ func (s *SteinerScratch) buildFixedMST() {
 // it reuses). sps, when non-nil, supplies the per-terminal shortest-path
 // trees (parallel to terminals); otherwise they are computed into the
 // scratch. A sweep's full call leaves one terminal without a tree: its
-// closure row is read from the other terminals' trees.
-func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerScratch, out *SteinerTree) error {
+// closure row is read from the other terminals' trees, or from row when
+// that terminal is the virtual one (virtualTerm), which is never
+// deduplicated.
+func steinerKMB(
+	g *Graph, terminals []NodeID, sps []*ShortestPaths, row *steinerRow, s *SteinerScratch, out *SteinerTree,
+) error {
 	n, m := g.NumNodes(), g.NumEdges()
 	for _, t := range terminals {
-		if t < 0 || t >= n {
+		if (t < 0 || t >= n) && (t != virtualTerm || row == nil) {
 			return fmt.Errorf("%w: terminal %d with n=%d", ErrNodeOutOfRange, t, n)
 		}
 	}
@@ -399,10 +467,12 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 	s.terms = s.terms[:0]
 	s.dedupSPs = s.dedupSPs[:0]
 	for i, v := range terminals {
-		if s.nodeGen[v] == gen {
-			continue
+		if v != virtualTerm {
+			if s.nodeGen[v] == gen {
+				continue
+			}
+			s.nodeGen[v] = gen
 		}
-		s.nodeGen[v] = gen
 		s.terms = append(s.terms, v)
 		if sps != nil {
 			sp := sps[i]
@@ -430,17 +500,12 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 		}
 		s.dedupSPs = append(s.dedupSPs, s.sps[:len(terms)]...)
 	}
-	termSPs := s.dedupSPs
 
 	// (2) MST of the metric closure (complete graph over terminals).
 	s.closure.Reset(len(terms))
 	for i := 0; i < len(terms); i++ {
 		for j := i + 1; j < len(terms); j++ {
-			from, to := i, j
-			if termSPs[from] == nil {
-				from, to = j, i
-			}
-			d := termSPs[from].Dist[terms[to]]
+			d := s.closureWeight(i, j, row)
 			if d >= Infinity {
 				return fmt.Errorf("graph: terminals %d and %d: %w", terms[i], terms[j], ErrDisconnected)
 			}
@@ -450,26 +515,50 @@ func steinerKMB(g *Graph, terminals []NodeID, sps []*ShortestPaths, s *SteinerSc
 	if err := s.mst.Prim(&s.closure, &s.closureMST); err != nil {
 		return err
 	}
-	return s.expandAndPrune(g, &s.closure, out)
+	return s.expandAndPrune(g, &s.closure, row, out)
+}
+
+// closureWeight is the step-2 distance between terminals i and j of
+// s.terms: read from the tree of whichever has one, or from row when the
+// other is the virtual terminal.
+func (s *SteinerScratch) closureWeight(i, j int, row *steinerRow) float64 {
+	if s.dedupSPs[i] == nil {
+		i, j = j, i
+	}
+	if row != nil && s.dedupSPs[j] == nil {
+		return row.weight(i, s.terms[i])
+	}
+	return s.dedupSPs[i].Dist[s.terms[j]]
 }
 
 // expandAndPrune runs KMB steps (3)–(5) for the closure MST in
 // s.closureMST, whose edges are edges of closure over the indices of
-// s.terms (U < V), and appends the tree's edges to out.
-func (s *SteinerScratch) expandAndPrune(g *Graph, closure *Graph, out *SteinerTree) error {
+// s.terms (U < V), and appends the tree's edges to out. With a row it
+// also records the tree's entry servers in row.servers.
+func (s *SteinerScratch) expandAndPrune(g *Graph, closure *Graph, row *steinerRow, out *SteinerTree) error {
 	terms, termSPs := s.terms, s.dedupSPs
 	gen := s.nextGen()
 
 	// (3) Expand each closure MST edge into its host shortest path,
-	// collecting the union of host edges (stamp-deduplicated).
+	// collecting the union of host edges (stamp-deduplicated). A row's
+	// virtual edge into terms[i] walks the entry tree via[i] instead and
+	// notes the entry server's virtual edge.
 	s.union = s.union[:0]
+	s.virt = s.virt[:0]
 	for _, cid := range s.closureMST.EdgeIDs {
 		ce := closure.Edge(cid)
 		from, to := ce.U, ce.V
 		if termSPs[from] == nil {
 			from, to = to, from
 		}
-		ok := termSPs[from].VisitPathEdges(terms[to], func(he EdgeID) bool {
+		sp, target := termSPs[from], terms[to]
+		if row != nil && termSPs[to] == nil {
+			sp, target = row.via[from], terms[from]
+			if !row.rooted {
+				s.virt = append(s.virt, virtualEdge{node: sp.Source, w: row.omega[from]})
+			}
+		}
+		ok := sp.VisitPathEdges(target, func(he EdgeID) bool {
 			if s.edgeGen[he] != gen {
 				s.edgeGen[he] = gen
 				s.union = append(s.union, he)
@@ -482,13 +571,12 @@ func (s *SteinerScratch) expandAndPrune(g *Graph, closure *Graph, out *SteinerTr
 	}
 
 	// (4) MST of the expansion subgraph. Build a compact subgraph over
-	// the touched nodes to keep Prim linear in the subgraph size.
+	// the touched nodes to keep the MST linear in the subgraph size.
 	// Iterate the union in sorted order so equal-weight MST
 	// tie-breaking is deterministic. The generation is fresh since the
 	// terminal dedup, so the node stamps can carry the compact IDs.
 	sort.Ints(s.union)
 	s.revNode = s.revNode[:0]
-	s.hostOf = s.hostOf[:0]
 	localID := func(v NodeID) int32 {
 		if s.nodeGen[v] == gen {
 			return s.nodeOf[v]
@@ -501,48 +589,77 @@ func (s *SteinerScratch) expandAndPrune(g *Graph, closure *Graph, out *SteinerTr
 	}
 	// First pass assigns compact IDs in edge order (matching the lazy
 	// AddNode order of the map-based construction), then the subgraph
-	// is built in one shot over the final node count.
+	// is built in one shot over the final node count. A row's virtual
+	// terminal is the last compact node.
 	for _, he := range s.union {
 		e := g.Edge(he)
 		localID(e.U)
 		localID(e.V)
 	}
-	if len(s.union) == len(s.revNode)-1 {
+	edges := len(s.union)
+	if row != nil && row.rooted {
+		row.anchor = localID(row.root)
+	} else if row != nil {
+		slices.SortFunc(s.virt, func(x, y virtualEdge) int { return cmp.Compare(x.node, y.node) })
+		s.virt = slices.CompactFunc(s.virt, func(x, y virtualEdge) bool { return x.node == y.node })
+		for _, ve := range s.virt {
+			localID(ve.node)
+		}
+		row.anchor = int32(len(s.revNode))
+		s.revNode = append(s.revNode, virtualTerm)
+		edges += len(s.virt)
+	}
+	if edges == len(s.revNode)-1 {
 		// The union is connected (it joins every terminal), so with one
 		// edge fewer than nodes it is a tree. Each of its leaves ends a
-		// path, so is a terminal: step 4's MST and step 5's pruning
-		// keep every edge, in the sorted order emitted below.
+		// path, so is a terminal (a row's entry server also has its
+		// virtual edge): step 4's MST and step 5's pruning keep every
+		// edge, in the sorted order emitted below.
 		s.census.treeUnions++
 		out.EdgeIDs = append(out.EdgeIDs, s.union...)
 	} else {
 		s.census.cyclicUnions++
-		if err := s.pruneUnion(g, out); err != nil {
+		if err := s.pruneUnion(g, row, out); err != nil {
 			return err
 		}
 	}
 	for _, he := range out.EdgeIDs {
 		out.Weight += g.Weight(he)
 	}
+	if row != nil && row.rooted {
+		row.servers = append(row.servers, row.root)
+	}
+	for _, ve := range s.virt { // a subset row's surviving virtual edges
+		out.Weight += ve.w
+		row.servers = append(row.servers, ve.node)
+	}
 	return nil
 }
 
-// pruneUnion runs KMB steps (4)–(5) on a union with a cycle: Prim over
-// the compact subgraph the node stamps describe, then iterative removal
-// of non-terminal leaves. It appends the surviving host edges to out in
-// ascending order.
-func (s *SteinerScratch) pruneUnion(g *Graph, out *SteinerTree) error {
-	s.sub.Reset(len(s.revNode))
+// pruneUnion runs KMB steps (4)–(5) on a union with a cycle: Kruskal
+// over the compact subgraph the node stamps describe, host edges in
+// ascending order and then a row's virtual edges, followed by iterative
+// removal of non-terminal leaves. It appends the surviving host edges to
+// out in ascending order and keeps the surviving virtual edges in
+// s.virt. Kruskal, not Prim: its choice among tied edges depends on the
+// sequence of edge weights alone, not on node numbering or a start
+// node, so the compact subgraph breaks ties as the same edge sequence
+// over host node IDs would.
+func (s *SteinerScratch) pruneUnion(g *Graph, row *steinerRow, out *SteinerTree) error {
+	nl := len(s.revNode)
+	s.sub.Reset(nl)
 	for _, he := range s.union {
 		e := g.Edge(he)
 		s.sub.MustAddEdge(int(s.nodeOf[e.U]), int(s.nodeOf[e.V]), e.W)
-		s.hostOf = append(s.hostOf, he)
 	}
-	if err := s.mst.Prim(&s.sub, &s.subMST); err != nil {
+	for _, ve := range s.virt {
+		s.sub.MustAddEdge(int(row.anchor), int(s.nodeOf[ve.node]), ve.w)
+	}
+	if err := s.mst.Kruskal(&s.sub, &s.subMST); err != nil {
 		return err
 	}
 
 	// (5) Prune non-terminal leaves iteratively, on the compact IDs.
-	nl := len(s.revNode)
 	if cap(s.isTerm) < nl {
 		s.isTerm = make([]bool, nl)
 		s.deg = make([]int32, nl)
@@ -554,7 +671,12 @@ func (s *SteinerScratch) pruneUnion(g *Graph, out *SteinerTree) error {
 		deg[i] = 0
 	}
 	for _, t := range s.terms {
-		isTerm[s.nodeOf[t]] = true
+		if t != virtualTerm {
+			isTerm[s.nodeOf[t]] = true
+		}
+	}
+	if row != nil {
+		isTerm[row.anchor] = true
 	}
 	if cap(s.incident) < nl {
 		s.incident = append(s.incident[:cap(s.incident)], make([][]int32, nl-cap(s.incident))...)
@@ -563,10 +685,11 @@ func (s *SteinerScratch) pruneUnion(g *Graph, out *SteinerTree) error {
 	for i := 0; i < nl; i++ {
 		incident[i] = incident[i][:0]
 	}
-	if cap(s.alive) < len(s.hostOf) {
-		s.alive = make([]bool, len(s.hostOf))
+	ne := s.sub.NumEdges()
+	if cap(s.alive) < ne {
+		s.alive = make([]bool, ne)
 	}
-	alive := s.alive[:len(s.hostOf)]
+	alive := s.alive[:ne]
 	for i := range alive {
 		alive[i] = false
 	}
@@ -604,15 +727,22 @@ func (s *SteinerScratch) pruneUnion(g *Graph, out *SteinerTree) error {
 			}
 		}
 	}
-	// Emit edges in sorted host-ID order so downstream float
+	// Emit host edges in sorted host-ID order so downstream float
 	// accumulations (tree weights, costs) are bit-deterministic across
-	// runs. hostOf is already host-sorted (built from the sorted union),
-	// so ascending sub-edge order is ascending host order.
+	// runs: sub-edge i < len(union) is union[i], and the union is
+	// sorted. The virtual edges follow, in server order.
+	nu := len(s.union)
+	kept := s.virt[:0]
 	for sid, ok := range alive {
-		if ok {
-			out.EdgeIDs = append(out.EdgeIDs, s.hostOf[sid])
+		switch {
+		case !ok:
+		case sid < nu:
+			out.EdgeIDs = append(out.EdgeIDs, s.union[sid])
+		default:
+			kept = append(kept, s.virt[sid-nu])
 		}
 	}
+	s.virt = kept
 	return nil
 }
 
