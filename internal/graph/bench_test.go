@@ -9,10 +9,11 @@ import (
 	"nfvmcast/internal/topology"
 )
 
-// waxman250 is the engine-large-parallel substrate: Waxman-250 with
-// average degree 4.
-func waxman250(b *testing.B) *graph.Graph {
-	topo, err := topology.WaxmanDegree(250, topology.DefaultAvgDegree, 0.14, 42)
+// waxman is the benchmark workloads' n-node substrate with average
+// degree 4: Waxman-250 is engine-large-parallel's, Waxman-150
+// offline-appromulti's.
+func waxman(b *testing.B, n int) *graph.Graph {
+	topo, err := topology.WaxmanDegree(n, topology.DefaultAvgDegree, 0.14, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func waxman250(b *testing.B) *graph.Graph {
 //
 //	go test ./internal/graph/ -run '^$' -bench DijkstraWaxman250 -benchmem
 func BenchmarkDijkstraWaxman250(b *testing.B) {
-	g := waxman250(b)
+	g := waxman(b, 250)
 	rng := rand.New(rand.NewSource(42))
 	for e := 0; e < g.NumEdges(); e++ {
 		if err := g.SetWeight(e, rng.ExpFloat64()); err != nil {
@@ -55,7 +56,7 @@ func BenchmarkDijkstraWaxman250(b *testing.B) {
 //
 //	go test ./internal/graph/ -run '^$' -bench 'Waxman250' -benchmem
 func BenchmarkReuseWaxman250(b *testing.B) {
-	g := waxman250(b)
+	g := waxman(b, 250)
 	prev := g.WeightClone()
 	rng := rand.New(rand.NewSource(42))
 	beta := 2 * float64(g.NumNodes())
@@ -90,4 +91,86 @@ func BenchmarkReuseWaxman250(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(reused)/float64(b.N), "reused/op")
+}
+
+// BenchmarkSweepRowWaxman150 is the standing microbenchmark of the
+// Steiner sweep's row kernel in Appro_Multi's shape on the
+// offline-appromulti substrate: one BeginSweep over a request's 30
+// destinations (DestRatio 0.2 of 150 nodes), then each iteration
+// prices the next subset row of up to three of 15 servers, every
+// destination entering at its cheapest server under ω, a stand-in for
+// the source distance plus the server's processing price. The first
+// (full) call and M_F's build run before the timer, so the loop is the
+// reduced path plus its tie fallbacks; 0 allocs/op is expected. Not
+// CI-gated; run with
+//
+//	go test ./internal/graph/ -run '^$' -bench SweepRowWaxman150 -benchmem
+func BenchmarkSweepRowWaxman150(b *testing.B) {
+	g := waxman(b, 150)
+	rng := rand.New(rand.NewSource(7))
+	perm := rng.Perm(g.NumNodes())
+	src, dests, servers := perm[0], perm[1:31], perm[31:46]
+	tree := func(v graph.NodeID) *graph.ShortestPaths {
+		sp, err := graph.Dijkstra(g, v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sp
+	}
+	spSrc := tree(src)
+	destSPs := make([]*graph.ShortestPaths, len(dests))
+	for j, d := range dests {
+		destSPs[j] = tree(d)
+	}
+	srvSPs := make([]*graph.ShortestPaths, len(servers))
+	omega := make([]float64, len(servers))
+	for i, v := range servers {
+		srvSPs[i] = tree(v)
+		omega[i] = spSrc.Dist[v] + 50*rng.Float64()
+	}
+	var subsets [][]int // indices into servers, every subset of size 1–3
+	for a := range servers {
+		subsets = append(subsets, []int{a})
+		for c := a + 1; c < len(servers); c++ {
+			subsets = append(subsets, []int{a, c})
+			for e := c + 1; e < len(servers); e++ {
+				subsets = append(subsets, []int{a, c, e})
+			}
+		}
+	}
+	type row struct {
+		via   []*graph.ShortestPaths
+		omega []float64
+	}
+	rows := make([]row, len(subsets))
+	for k, sub := range subsets {
+		for _, d := range dests {
+			best := sub[0]
+			for _, i := range sub[1:] {
+				if omega[i]+srvSPs[i].Dist[d] < omega[best]+srvSPs[best].Dist[d] {
+					best = i
+				}
+			}
+			rows[k].via = append(rows[k].via, srvSPs[best])
+			rows[k].omega = append(rows[k].omega, omega[best])
+		}
+	}
+	var s graph.SteinerScratch
+	var out graph.SteinerTree
+	if err := s.BeginSweep(g, dests, destSPs, 0); err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range rows[:2] {
+		if _, err := s.SweepRow(r.via, r.omega, &out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := rows[i%len(rows)]
+		if _, err := s.SweepRow(r.via, r.omega, &out); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

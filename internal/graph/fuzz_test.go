@@ -13,15 +13,28 @@ import (
 // full-closure call for every node as the varying terminal, then for a
 // random virtual row — rooted, or a subset of up to three servers —
 // as the virtual terminal (the seed corpus runs in normal `go test`;
-// `go test -fuzz=FuzzSteinerKMB` explores further).
+// `go test -fuzz=FuzzSteinerKMB` explores further). A quarter of the
+// seeds (seed&3 == 3) draw weights 1..3 and ω 0..3 instead of
+// continuous ones, so closure edges tie and the sweep's tie fallback
+// runs.
 func FuzzSteinerKMB(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(3), uint8(15), uint8(1))
 	f.Add(int64(42), uint8(30), uint8(6), uint8(50), uint8(6))
 	f.Add(int64(-7), uint8(4), uint8(2), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(20), uint8(7), uint8(30), uint8(2))
+	f.Add(int64(7), uint8(35), uint8(5), uint8(45), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, termsRaw, extraRaw, rowRaw uint8) {
 		n := 2 + int(nRaw)%40
 		rng := rand.New(rand.NewSource(seed))
+		ints := seed&3 == 3
 		g := randomConnectedGraph(rng, n, int(extraRaw)%60)
+		if ints {
+			for e := 0; e < g.NumEdges(); e++ {
+				if err := g.SetWeight(e, float64(1+rng.Intn(3))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		nt := 1 + int(termsRaw)%min(8, n)
 		terminals := rng.Perm(n)[:nt]
 		st, err := SteinerKMB(g, terminals)
@@ -88,7 +101,11 @@ func FuzzSteinerKMB(f *testing.F) {
 			if trees[v], err = Dijkstra(g, v); err != nil {
 				t.Fatal(err)
 			}
-			omega[v] = float64(rowRaw) * rng.Float64()
+			if ints {
+				omega[v] = float64(rng.Intn(4))
+			} else {
+				omega[v] = float64(rowRaw) * rng.Float64()
+			}
 		}
 		via, w, ok := entryRow(fixed, servers, trees, omega)
 		if !ok {

@@ -1,11 +1,13 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -399,6 +401,80 @@ func TestSweepTreeMatchesFullClosure(t *testing.T) {
 	c := fast.census
 	if c.certified == 0 || c.tie == 0 || c.duplicate == 0 || c.treeUnions == 0 || c.cyclicUnions == 0 {
 		t.Fatalf("a branch never ran: %+v", c)
+	}
+}
+
+// TestInsertVaryingMatchesPrim is the insertion's oracle: on random
+// rooted trees over 1–40 fixed terminals, with continuous or
+// small-integer weights on the tree and on the varying terminal's row
+// and the varying terminal at a random slot, a certified insertion must
+// return the edge set of Prim over the rebuilt reduced closure, the
+// tree's edges plus the row in the full call's numbering. Both outcomes
+// must occur.
+func TestInsertVaryingMatchesPrim(t *testing.T) {
+	var s SteinerScratch
+	var ws MSTWorkspace
+	var mst MST
+	certified, tied := 0, 0
+	for trial := 0; trial < 4000; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		weight := func() float64 {
+			if trial%2 == 0 {
+				return 10 * rng.Float64()
+			}
+			return float64(1 + rng.Intn(3))
+		}
+		k := 1 + rng.Intn(40)
+		sw := &s.sweep
+		sw.at = rng.Intn(k + 1)
+		idx := func(j int32) int {
+			if int(j) >= sw.at {
+				return int(j) + 1
+			}
+			return int(j)
+		}
+		red := New(k + 1)
+		sw.mf = append(sw.mf[:0], make([]mfLink, k)...)
+		sw.mf[0].parent = -1
+		sw.mfOrder = append(sw.mfOrder[:0], 0)
+		for _, y := range rng.Perm(k - 1) {
+			child := int32(y + 1)
+			sw.mf[child] = mfLink{parent: sw.mfOrder[rng.Intn(len(sw.mfOrder))], w: weight()}
+			sw.mfOrder = append(sw.mfOrder, child)
+			u, v := idx(sw.mf[child].parent), idx(child)
+			red.MustAddEdge(min(u, v), max(u, v), sw.mf[child].w)
+		}
+		s.pm = s.pm[:0]
+		for j := int32(0); j < int32(k); j++ {
+			d := weight()
+			s.pm = append(s.pm, pathMax{w: d, edge: int32(k) + j})
+			red.MustAddEdge(min(sw.at, idx(j)), max(sw.at, idx(j)), d)
+		}
+		if !s.insertVarying() {
+			tied++
+			continue
+		}
+		certified++
+		if err := ws.Prim(red, &mst); err != nil {
+			t.Fatal(err)
+		}
+		var want, got []closurePair
+		for _, id := range mst.EdgeIDs {
+			e := red.Edge(id)
+			want = append(want, closurePair{int32(e.U), int32(e.V)})
+		}
+		got = append(got, s.pairs...)
+		for _, ps := range [][]closurePair{want, got} {
+			slices.SortFunc(ps, func(x, y closurePair) int {
+				return cmp.Or(cmp.Compare(x.u, y.u), cmp.Compare(x.v, y.v))
+			})
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (|F| = %d, v at %d): insertion kept %v, Prim %v", trial, k, sw.at, got, want)
+		}
+	}
+	if certified == 0 || tied == 0 {
+		t.Fatalf("one outcome never occurred: %d certified, %d tied", certified, tied)
 	}
 }
 

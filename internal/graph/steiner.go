@@ -18,23 +18,14 @@ type SteinerTree struct {
 // Nodes returns the sorted-unique node set touched by the tree.
 // A single-terminal tree returns just that terminal.
 func (t *SteinerTree) Nodes(g *Graph) []NodeID {
-	seen := make(map[NodeID]struct{}, 2*len(t.EdgeIDs)+len(t.Terminals))
-	var out []NodeID
-	add := func(v NodeID) {
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
-			out = append(out, v)
-		}
-	}
-	for _, term := range t.Terminals {
-		add(term)
-	}
+	out := make([]NodeID, 0, len(t.Terminals)+2*len(t.EdgeIDs))
+	out = append(out, t.Terminals...)
 	for _, id := range t.EdgeIDs {
 		e := g.Edge(id)
-		add(e.U)
-		add(e.V)
+		out = append(out, e.U, e.V)
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // reset empties t to the edgeless tree over terms, keeping its slices.
@@ -69,6 +60,9 @@ type SteinerScratch struct {
 	closure    Graph // step-2 metric closure over the terminals
 	mst        MSTWorkspace
 	closureMST MST
+	pairs      []closurePair // the closure MST steps 3-5 expand
+	pm         []pathMax     // a sweep's insertion, by fixed index
+	dropped    []bool        // likewise, by pathMax.edge
 
 	edgeGen []uint32 // step-3 union dedup stamp, indexed by host edge
 	union   []EdgeID
@@ -119,11 +113,21 @@ type virtualEdge struct {
 	w    float64
 }
 
+// closurePair is a closure MST edge by the indices of its ends in
+// s.terms, u < v.
+type closurePair struct{ u, v int32 }
+
+// pair orients a closure edge between indices i and j.
+func pair(i, j int32) closurePair {
+	return closurePair{min(i, j), max(i, j)}
+}
+
 // steinerSweep is the state of one fixed-terminal sweep: the deduped
 // fixed terminals F with their trees, where the varying terminal v sits
-// among them, the MST M_F of F's closure once built, and the arguments
-// of the full call — KMB over the caller's fixed terminals with v in
-// its slot and no tree for it — that SweepTree must reproduce.
+// among them, the MST M_F of F's closure once built, rooted at F's
+// first terminal for the insertion of v, and the arguments of the full
+// call — KMB over the caller's fixed terminals with v in its slot and
+// no tree for it — that SweepTree must reproduce.
 type steinerSweep struct {
 	g     *Graph
 	fixed []NodeID         // F deduped, in first-occurrence order
@@ -132,12 +136,29 @@ type steinerSweep struct {
 	calls int
 
 	mfState mfState
-	mf      []Edge // M_F over indices into fixed, when mfUnique
+	mf      []mfLink // M_F rooted at fixed[0], by fixed index, when mfUnique
+	mfOrder []int32  // fixed indices in Prim's pop order: parents first
 
 	full    []NodeID // the caller's fixed terminals with v at its slot
 	fullSPs []*ShortestPaths
 	slot    int // v's slot in full
-	reduced Graph
+}
+
+// mfLink is a fixed terminal's edge to its parent in the rooted M_F.
+type mfLink struct {
+	parent int32 // -1 at the root
+	w      float64
+}
+
+// pathMax is the heaviest edge on the path from a fixed terminal to the
+// varying one in the insertion's tree: for edge < |F|, M_F's edge from
+// fixed index edge to its parent, otherwise the varying terminal's
+// closure edge to fixed index edge − |F|. tied marks a second edge of
+// that weight on the path.
+type pathMax struct {
+	w    float64
+	edge int32
+	tied bool
 }
 
 // mfState records whether a sweep has built M_F and what it found.
@@ -244,7 +265,7 @@ func (s *SteinerScratch) BeginSweep(g *Graph, fixed []NodeID, fixedSPs []*Shorte
 	sw := &s.sweep
 	*sw = steinerSweep{
 		g: g, slot: at,
-		fixed: sw.fixed[:0], sps: sw.sps[:0], mf: sw.mf[:0], reduced: sw.reduced,
+		fixed: sw.fixed[:0], sps: sw.sps[:0], mf: sw.mf[:0], mfOrder: sw.mfOrder[:0],
 		full:    append(append(append(sw.full[:0], fixed[:at]...), -1), fixed[at:]...),
 		fullSPs: append(append(append(sw.fullSPs[:0], fixedSPs[:at]...), nil), fixedSPs[at:]...),
 	}
@@ -282,12 +303,13 @@ func (s *SteinerScratch) BeginSweep(g *Graph, fixed []NodeID, fixedSPs []*Shorte
 // over the whole terminal list with that one tree missing.
 //
 // The first call is the full call. Later calls build M_F, the MST of the
-// fixed terminals' closure, once, and run Prim over M_F plus v's edges
-// only. That tree is kept when both it and M_F are certified unique:
-// every other fixed pair is then the strict maximum of a cycle through
-// M_F, so the reduced tree is the full closure's only MST (DESIGN.md
-// §8). Otherwise, and when v is itself a fixed terminal, the full call
-// runs, so ties break exactly as in it.
+// fixed terminals' closure, once, and insert v into it in one pass over
+// the tree, dropping the strict maximum of each cycle v's edges close.
+// The result is kept when M_F is certified unique and no cycle's
+// maximum tied: every other fixed pair is then the strict maximum of a
+// cycle through M_F, so the result is the full closure's only MST
+// (DESIGN.md §8). Otherwise, and when v is itself a fixed terminal, the
+// full call runs, so ties break exactly as in it.
 func (s *SteinerScratch) SweepTree(v NodeID, out *SteinerTree) error {
 	return s.sweepCall(v, nil, out)
 }
@@ -341,8 +363,8 @@ func (s *SteinerScratch) SweepRow(via []*ShortestPaths, omega []float64, out *St
 }
 
 // sweepCall prices the varying terminal v, or row's virtual terminal:
-// Prim over M_F plus its closure edges where that tree is certified to
-// be the full closure's only MST, the full call otherwise.
+// its insertion into M_F where that tree is certified to be the full
+// closure's only MST, the full call otherwise.
 func (s *SteinerScratch) sweepCall(v NodeID, row *steinerRow, out *SteinerTree) error {
 	sw := &s.sweep
 	sw.calls++
@@ -367,28 +389,16 @@ func (s *SteinerScratch) sweepCall(v NodeID, row *steinerRow, out *SteinerTree) 
 		return s.sweepFull(v, row, out)
 	}
 
-	// Prim over M_F plus v's edges, numbered as the full call numbers
-	// the deduped terminals (v at sw.at) with every edge oriented U < V.
+	// v's closure edge to each fixed terminal, by fixed index.
 	a := sw.at
-	red := &sw.reduced
-	red.Reset(len(sw.fixed) + 1)
-	for _, e := range sw.mf {
-		u, w := e.U, e.V
-		if u >= a {
-			u++
-		}
-		if w >= a {
-			w++
-		}
-		red.MustAddEdge(u, w, e.W)
-	}
+	s.pm = s.pm[:0]
 	for j, sp := range sw.sps {
-		k := j
-		if j >= a {
-			k++
-		}
 		var d float64
 		if row != nil {
+			k := j
+			if j >= a {
+				k++
+			}
 			d = row.weight(k, sw.fixed[j])
 		} else {
 			d = sp.Dist[v]
@@ -396,9 +406,9 @@ func (s *SteinerScratch) sweepCall(v NodeID, row *steinerRow, out *SteinerTree) 
 		if d >= Infinity {
 			return s.sweepFull(v, row, out) // the full call names the pair
 		}
-		red.MustAddEdge(min(a, k), max(a, k), d)
+		s.pm = append(s.pm, pathMax{w: d, edge: int32(len(sw.sps) + j)})
 	}
-	if err := s.mst.Prim(red, &s.closureMST); err != nil || !s.closureMST.Unique {
+	if !s.insertVarying() {
 		s.census.tie++
 		return s.sweepFull(v, row, out)
 	}
@@ -406,7 +416,65 @@ func (s *SteinerScratch) sweepCall(v NodeID, row *steinerRow, out *SteinerTree) 
 	s.terms = append(append(append(s.terms[:0], sw.fixed[:a]...), v), sw.fixed[a:]...)
 	s.dedupSPs = append(append(append(s.dedupSPs[:0], sw.sps[:a]...), nil), sw.sps[a:]...)
 	out.reset(s.terms)
-	return s.expandAndPrune(sw.g, red, row, out)
+	return s.expandAndPrune(sw.g, row, out)
+}
+
+// insertVarying inserts the varying terminal into M_F (Chin and Houck,
+// JCSS 1978), given its closure edges in s.pm, and writes the surviving
+// |F| edges to s.pairs, numbered as the full call numbers the deduped
+// terminals (v at sw.at). It walks M_F children first, keeping in pm[x]
+// the heaviest edge on x's path to v in the tree built so far; a child
+// y's edge to x closes a cycle through pm[x] and y's path, and the
+// heavier of the two maxima leaves. Each edge dropped is then the strict
+// maximum of a cycle of M_F plus v's edges and lies in no MST of it, so
+// the |F| survivors are its only MST. A tie anywhere in that argument —
+// two equal maxima, or a maximum the path attains twice — returns false.
+func (s *SteinerScratch) insertVarying() bool {
+	sw := &s.sweep
+	pm := s.pm
+	dropped := append(s.dropped[:0], make([]bool, 2*len(pm))...)
+	s.dropped = dropped
+	for i := len(sw.mfOrder) - 1; i > 0; i-- {
+		y := sw.mfOrder[i]
+		x := sw.mf[y].parent
+		b := pathMax{w: sw.mf[y].w, edge: y}
+		switch p := pm[y]; {
+		case p.w > b.w:
+			b = p
+		case p.w == b.w:
+			b.tied = true
+		}
+		a := pm[x]
+		if a.w == b.w {
+			return false
+		}
+		if a.w > b.w {
+			a, b = b, a
+		}
+		if b.tied {
+			return false
+		}
+		dropped[b.edge] = true
+		pm[x] = a
+	}
+	at := int32(sw.at)
+	idx := func(j int32) int32 {
+		if j >= at {
+			return j + 1
+		}
+		return j
+	}
+	s.pairs = s.pairs[:0]
+	for j := range pm {
+		k := idx(int32(j))
+		if !dropped[len(pm)+j] {
+			s.pairs = append(s.pairs, pair(at, k))
+		}
+		if p := sw.mf[j].parent; p >= 0 && !dropped[j] {
+			s.pairs = append(s.pairs, pair(idx(p), k))
+		}
+	}
+	return true
 }
 
 // sweepFull runs the full call: the KMB pipeline over the caller's
@@ -437,8 +505,22 @@ func (s *SteinerScratch) buildFixedMST() {
 		sw.mfState = mfTied
 		return
 	}
+	// Root M_F at fixed[0], Prim's start: each edge in pop order joins
+	// the tree at the end it has not reached yet.
+	const unseen = -2
+	for range k {
+		sw.mf = append(sw.mf, mfLink{parent: unseen})
+	}
+	sw.mf[0].parent = -1
+	sw.mfOrder = append(sw.mfOrder, 0)
 	for _, id := range s.closureMST.EdgeIDs {
-		sw.mf = append(sw.mf, s.closure.Edge(id))
+		e := s.closure.Edge(id)
+		child, parent := e.V, e.U
+		if sw.mf[e.U].parent == unseen {
+			child, parent = e.U, e.V
+		}
+		sw.mf[child] = mfLink{parent: int32(parent), w: e.W}
+		sw.mfOrder = append(sw.mfOrder, int32(child))
 	}
 	sw.mfState = mfUnique
 }
@@ -515,7 +597,12 @@ func steinerKMB(
 	if err := s.mst.Prim(&s.closure, &s.closureMST); err != nil {
 		return err
 	}
-	return s.expandAndPrune(g, &s.closure, row, out)
+	s.pairs = s.pairs[:0]
+	for _, id := range s.closureMST.EdgeIDs {
+		e := s.closure.Edge(id)
+		s.pairs = append(s.pairs, closurePair{int32(e.U), int32(e.V)})
+	}
+	return s.expandAndPrune(g, row, out)
 }
 
 // closureWeight is the step-2 distance between terminals i and j of
@@ -531,11 +618,10 @@ func (s *SteinerScratch) closureWeight(i, j int, row *steinerRow) float64 {
 	return s.dedupSPs[i].Dist[s.terms[j]]
 }
 
-// expandAndPrune runs KMB steps (3)–(5) for the closure MST in
-// s.closureMST, whose edges are edges of closure over the indices of
-// s.terms (U < V), and appends the tree's edges to out. With a row it
-// also records the tree's entry servers in row.servers.
-func (s *SteinerScratch) expandAndPrune(g *Graph, closure *Graph, row *steinerRow, out *SteinerTree) error {
+// expandAndPrune runs KMB steps (3)–(5) for the closure MST in s.pairs,
+// in any order, and appends the tree's edges to out. With a row it also
+// records the tree's entry servers in row.servers.
+func (s *SteinerScratch) expandAndPrune(g *Graph, row *steinerRow, out *SteinerTree) error {
 	terms, termSPs := s.terms, s.dedupSPs
 	gen := s.nextGen()
 
@@ -545,9 +631,8 @@ func (s *SteinerScratch) expandAndPrune(g *Graph, closure *Graph, row *steinerRo
 	// notes the entry server's virtual edge.
 	s.union = s.union[:0]
 	s.virt = s.virt[:0]
-	for _, cid := range s.closureMST.EdgeIDs {
-		ce := closure.Edge(cid)
-		from, to := ce.U, ce.V
+	for _, cp := range s.pairs {
+		from, to := cp.u, cp.v
 		if termSPs[from] == nil {
 			from, to = to, from
 		}

@@ -209,13 +209,9 @@ func TestPropertySteinerApproximationBound(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
+// TestSteinerNodesIncludesSteinerPoints: Nodes lists the terminals and
+// the Steiner point, ascending and each once, whatever the terminal
+// order.
 func TestSteinerNodesIncludesSteinerPoints(t *testing.T) {
 	g := New(4)
 	g.MustAddEdge(3, 0, 1)
@@ -224,15 +220,18 @@ func TestSteinerNodesIncludesSteinerPoints(t *testing.T) {
 	g.MustAddEdge(0, 1, 2.5)
 	g.MustAddEdge(1, 2, 2.5)
 	g.MustAddEdge(0, 2, 2.5)
-	st, err := SteinerKMB(g, []NodeID{0, 1, 2})
+	st, err := SteinerKMB(g, []NodeID{2, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nodes := st.Nodes(g)
 	found := false
-	for _, v := range nodes {
+	for i, v := range nodes {
 		if v == 3 {
 			found = true
+		}
+		if i > 0 && nodes[i-1] >= v {
+			t.Fatalf("Nodes() = %v, want ascending and unique", nodes)
 		}
 	}
 	if !found {
