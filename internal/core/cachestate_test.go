@@ -125,6 +125,44 @@ func TestSeedTableConcurrentReuse(t *testing.T) {
 	}
 }
 
+// TestNoReuseSurvivesLaterCertifiedReuse pins the order in which two
+// planners sharing one cache can record their reuses: one refuses and
+// sets noReuse, then the other, which read the flag before it was set,
+// certifies. The refusal must stand, and the next miss goes straight
+// to Dijkstra.
+func TestNoReuseSurvivesLaterCertifiedReuse(t *testing.T) {
+	// A unit-weight 4-cycle, where every root ties at the opposite node,
+	// and a separate edge, whose trees are unique.
+	g := graph.New(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}} {
+		g.MustAddEdge(e[0], e[1], 1)
+	}
+	seeds := make(spSeeds, g.NumNodes())
+	for _, v := range []graph.NodeID{0, 4, 5} {
+		sp, err := graph.Dijkstra(g, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds.store(v, sp)
+	}
+	c := newSPCache(g, seeds)
+	var ws graph.DijkstraWorkspace
+	if _, reused, err := c.build(0, seeds.load(0), &ws); err != nil || reused {
+		t.Fatalf("build from a tied seed = reused %v, %v; want a refusal", reused, err)
+	}
+	ok, err := ws.ReuseInto(g, seeds.load(4), new(graph.ShortestPaths))
+	if err != nil || !ok {
+		t.Fatalf("ReuseInto on a unique tree = %v, %v; want certified", ok, err)
+	}
+	c.noteReuse(ok)
+	if !c.noReuse.Load() {
+		t.Fatal("a certified reuse recorded after a refusal cleared noReuse")
+	}
+	if _, reused, err := c.build(5, seeds.load(5), &ws); err != nil || reused {
+		t.Fatalf("build after a refusal = reused %v, %v; want Dijkstra", reused, err)
+	}
+}
+
 // plannerCache is the work-graph cache of the exponential-cost planners.
 func plannerCache(t *testing.T, p Planner) *workGraphCache {
 	t.Helper()

@@ -131,7 +131,7 @@ func (c *spCache) build(
 		if reused, err = ws.ReuseInto(c.g, seed, sp); err != nil {
 			return nil, false, err
 		}
-		c.noReuse.Store(!reused)
+		c.noteReuse(reused)
 	}
 	if !reused {
 		if err = ws.DijkstraInto(c.g, v, sp); err != nil {
@@ -140,6 +140,16 @@ func (c *spCache) build(
 	}
 	c.seeds.store(v, sp)
 	return sp, reused, nil
+}
+
+// noteReuse records the outcome of one reuse attempt. It only ever
+// sets noReuse: planners sharing the cache record in any order, and a
+// certified reuse that read the flag before another's refusal set it
+// must not clear it.
+func (c *spCache) noteReuse(reused bool) {
+	if !reused {
+		c.noReuse.Store(true)
+	}
 }
 
 // count records one built tree. Caller holds mu, or owns c alone.

@@ -52,7 +52,10 @@ func BenchmarkDijkstraWaxman250(b *testing.B) {
 // b) − 1 with β = 2|V|, for two request bandwidths: each iteration
 // reuses the next root's tree built at 40 Mbps to build the tree at
 // 60 Mbps with ReuseInto, falling back to DijkstraInto when the reuse
-// does not certify, as the planners do. Not CI-gated; compare with
+// does not certify, as the planners do. Every tree certifies here
+// (reused/op reads 1), so the loop times the certified path: the
+// re-pricing passes over the nodes, the one pass over the edge array
+// and the settle of a few relabelled nodes. Not CI-gated; compare with
 //
 //	go test ./internal/graph/ -run '^$' -bench 'Waxman250' -benchmem
 func BenchmarkReuseWaxman250(b *testing.B) {
@@ -91,6 +94,58 @@ func BenchmarkReuseWaxman250(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(reused)/float64(b.N), "reused/op")
+}
+
+// BenchmarkReuseAbandonWaxman100 is the reuse kernel's abandonment in
+// engine-loaded's shape: Waxman-100 priced β^(utilisation after b) − 1
+// as in BenchmarkReuseWaxman250, with the old trees built before live
+// sessions moved the load on a random 15% of the links. More than a
+// quarter of the nodes relabel from every root, so each iteration is
+// one abandoned ReuseInto plus the DijkstraInto fallback. The prices
+// are continuous, so every refusal is an abandonment; abandoned/op
+// should read 1. Not CI-gated; run with
+//
+//	go test ./internal/graph/ -run '^$' -bench 'ReuseAbandon' -benchmem
+func BenchmarkReuseAbandonWaxman100(b *testing.B) {
+	g := waxman(b, 100)
+	prev := g.WeightClone()
+	rng := rand.New(rand.NewSource(42))
+	beta := 2 * float64(g.NumNodes())
+	price := func(free float64) float64 { return math.Pow(beta, 1-(free-60)/1000) - 1 }
+	for e := 0; e < g.NumEdges(); e++ {
+		was := 1000 * (0.2 + 0.8*rng.Float64())
+		now := was
+		if rng.Float64() < 0.15 {
+			now = 1000 * (0.2 + 0.8*rng.Float64())
+		}
+		if prev.SetWeight(e, price(was)) != nil || g.SetWeight(e, price(now)) != nil {
+			b.Fatal("negative price")
+		}
+	}
+	var ws graph.DijkstraWorkspace
+	olds := make([]graph.ShortestPaths, g.NumNodes())
+	for v := range olds {
+		if err := ws.DijkstraInto(prev, v, &olds[v]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var sp graph.ShortestPaths
+	abandoned := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ok, err := ws.ReuseInto(g, &olds[i%len(olds)], &sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !ok {
+			abandoned++
+			if err := ws.DijkstraInto(g, i%len(olds), &sp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(abandoned)/float64(b.N), "abandoned/op")
 }
 
 // BenchmarkSweepRowWaxman150 is the standing microbenchmark of the

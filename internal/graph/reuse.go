@@ -85,10 +85,6 @@ func (ws *DijkstraWorkspace) ReuseInto(g *Graph, old, sp *ShortestPaths) (ok boo
 	rs.ensure(n)
 	edges, adj := g.edges, g.adj
 	m := int32(len(edges))
-	joins := func(v int, p, e int32) bool {
-		ed := edges[e]
-		return ed.U == v && ed.V == int(p) || ed.V == v && ed.U == int(p)
-	}
 
 	// Take the old tree's columns, range-check them, and bucket the
 	// nodes below the root by old depth.
@@ -120,7 +116,7 @@ func (ws *DijkstraWorkspace) ReuseInto(g *Graph, old, sp *ShortestPaths) (ok boo
 			rs.buckets[d]++
 			continue
 		}
-		if e >= 0 && !joins(v, parentNode[v], e) {
+		if e >= 0 && !joins(edges[e], v, int(parentNode[v])) {
 			return false, fmt.Errorf("graph: reuse: parent edge %d of node %d does not join it to %d", e, v, parentNode[v])
 		}
 		dist[v], parentNode[v], parentEdge[v], depth[v] = Infinity, -1, -1, -1
@@ -133,7 +129,7 @@ func (ws *DijkstraWorkspace) ReuseInto(g *Graph, old, sp *ShortestPaths) (ok boo
 	// path, an upper bound on Dijkstra's.
 	for _, v := range order {
 		p, e := parentNode[v], parentEdge[v]
-		if !joins(int(v), p, e) {
+		if !joins(edges[e], int(v), int(p)) {
 			return false, fmt.Errorf("graph: reuse: parent edge %d of node %d does not join it to %d", e, v, p)
 		}
 		if depth[p] != depth[v]-1 {
@@ -145,8 +141,8 @@ func (ws *DijkstraWorkspace) ReuseInto(g *Graph, old, sp *ShortestPaths) (ok boo
 	}
 
 	// Correct every label an arc can strictly improve, Dijkstra-style
-	// from the upper bounds: one scan over every arc seeds the heap
-	// with the violated ones, then nodes settle in key order. Popped
+	// from the upper bounds: one pass over the edge array seeds the heap
+	// with the violated arcs, then nodes settle in key order. Popped
 	// keys never decrease, so a node enters the heap at most once and
 	// the relabelled nodes are the damage.
 	h := &ws.heap
@@ -168,27 +164,51 @@ func (ws *DijkstraWorkspace) ReuseInto(g *Graph, old, sp *ShortestPaths) (ok boo
 		h.PushOrDecrease(to, nd)
 		return true
 	}
-	// The scan also records every node a non-tree arc ties: unless the
-	// correction lowers that node, the tie stands.
-	for u := 0; u < n; u++ {
+	// arc relaxes u->to over edge id of weight w and records a tie a
+	// non-tree arc makes: unless the correction lowers to, the tie
+	// stands.
+	arc := func(u, to int, id EdgeID, w float64) bool {
 		du := dist[u]
 		if du >= Infinity {
+			return true
+		}
+		nd, dt := du+w, dist[to]
+		if nd > dt {
+			return true
+		}
+		if nd < dt {
+			return relabel(u, to, id, nd)
+		}
+		if parentEdge[to] != int32(id) && state[to]&reuseTie == 0 {
+			state[to] |= reuseTie
+			rs.ties = append(rs.ties, int32(to))
+		}
+		return true
+	}
+	// The scan walks the edge array once and tests both arcs of an edge
+	// together, off any data-dependent branch: nearly every arc is
+	// strictly worse than the label it points at, or is its head's tree
+	// arc, and only the others go through arc. The edge order cannot
+	// move the verdict. A node relabels if and only if its final label
+	// is below its re-priced one, which no order changes, and an edge
+	// between two nodes the correction leaves alone is tested on their
+	// final labels whenever the scan reaches it. A tree arc needs no
+	// test in its own direction: re-pricing made it exact, and its tail
+	// can only fall by relabel, whose heap entry relaxes all of the
+	// tail's arcs in the settle below. Its reverse arc is tested, which
+	// is what rejects zero-weight and absorbed tree edges.
+	for i, ed := range edges {
+		u, v, w := ed.U, ed.V, ed.W
+		if u == v {
+			continue // self-loops never parent
+		}
+		du, dv, id := dist[u], dist[v], int32(i)
+		pu, pv := parentEdge[u], parentEdge[v]
+		if (b2u(du+w > dv)|b2u(pv == id))&(b2u(dv+w > du)|b2u(pu == id)) != 0 {
 			continue
 		}
-		for _, he := range adj[u] {
-			to := he.to
-			nd, dt := du+edges[he.id].W, dist[to]
-			if nd > dt {
-				continue
-			}
-			if nd < dt {
-				if !relabel(u, to, he.id, nd) {
-					return false, nil
-				}
-			} else if to != u && parentEdge[to] != int32(he.id) && state[to]&reuseTie == 0 {
-				state[to] |= reuseTie
-				rs.ties = append(rs.ties, int32(to))
-			}
+		if !arc(u, v, i, w) || !arc(v, u, i, w) {
+			return false, nil
 		}
 	}
 	// A popped node is final, so each tree child it does not relabel
@@ -233,4 +253,21 @@ func (ws *DijkstraWorkspace) ReuseInto(g *Graph, old, sp *ShortestPaths) (ok boo
 		}
 	}
 	return true, nil
+}
+
+// b2u is 1 for true and 0 for false. The compiler sets it from the
+// flags, and a bitwise mix of b2u terms costs no branch.
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// joins reports whether ed joins v to p. The parent may be either
+// endpoint; testing both at once keeps the answer off a data-dependent
+// branch. Node IDs are below the graph's size, so the product cannot
+// overflow.
+func joins(ed Edge, v, p int) bool {
+	return ed.U^ed.V == v^p && (ed.U-v)*(ed.U-p) == 0
 }

@@ -222,6 +222,107 @@ func TestReuseIntoParentMovesBelowRounding(t *testing.T) {
 	checkReuse(t, &ws, g, &old, &got)
 }
 
+// TestReuseIntoVerdictIndependentOfEdgeOrder builds each random
+// structure twice, the second time with its edges inserted in a random
+// permutation, and reuses the same old tree on both (its parent edges
+// mapped through the permutation). The scan's edge order and the
+// adjacency order must not move the verdict, and when both certify the
+// trees must agree bit for bit, edges mapped. Both outcomes must occur.
+func TestReuseIntoVerdictIndependentOfEdgeOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	var ws DijkstraWorkspace
+	var sp, spp ShortestPaths
+	reused, refused := 0, 0
+	for trial := 0; trial < 3000; trial++ {
+		n := 2 + rng.Intn(60)
+		g := reuseStructure(rng, n, rng.Intn(2*n))
+		reweight(rng, g, trial%3)
+		prev := g.WeightClone()
+		if rng.Intn(4) == 0 {
+			reweight(rng, prev, rng.Intn(3))
+		} else {
+			nudge(rng, prev, 1+rng.Intn(4))
+		}
+		var old ShortestPaths
+		if err := ws.DijkstraInto(prev, rng.Intn(n), &old); err != nil {
+			t.Fatal(err)
+		}
+
+		// gp's edge j is g's edge perm[j]; g's edge i is gp's edge at[i].
+		m := g.NumEdges()
+		perm, at := rng.Perm(m), make([]int32, m)
+		gp := New(n)
+		for j, i := range perm {
+			e := g.Edge(i)
+			gp.MustAddEdge(e.U, e.V, e.W)
+			at[i] = int32(j)
+		}
+		oldp := &ShortestPaths{Source: old.Source}
+		oldp.resize(n)
+		copy(oldp.Dist, old.Dist)
+		copy(oldp.cols, old.cols)
+		for v := range oldp.parentEdge {
+			if e := oldp.parentEdge[v]; e >= 0 {
+				oldp.parentEdge[v] = at[e]
+			}
+		}
+
+		ok := checkReuse(t, &ws, g, &old, &sp)
+		if okp := checkReuse(t, &ws, gp, oldp, &spp); okp != ok {
+			t.Fatalf("trial %d: verdict %v in insertion order, %v permuted", trial, ok, okp)
+		}
+		if !ok {
+			refused++
+			continue
+		}
+		reused++
+		for v := 0; v < n; v++ {
+			e, ep := sp.parentEdge[v], spp.parentEdge[v]
+			if math.Float64bits(sp.Dist[v]) != math.Float64bits(spp.Dist[v]) ||
+				sp.parentNode[v] != spp.parentNode[v] || sp.depth[v] != spp.depth[v] ||
+				(e < 0) != (ep < 0) || e >= 0 && at[e] != ep {
+				t.Fatalf("trial %d, node %d: trees differ under the permutation", trial, v)
+			}
+		}
+	}
+	if reused == 0 || refused == 0 {
+		t.Fatalf("reused %d, refused %d: the oracle needs both outcomes", reused, refused)
+	}
+	t.Logf("reused %d, refused %d", reused, refused)
+}
+
+// TestReuseIntoTreeArcTailRelabelledLater reuses a tree whose arc 1->2,
+// edge 0, is node 2's tree arc and is scanned first, before edge 5
+// lowers node 1. The scan skips the tree arc's own direction, so only
+// the settle of node 1 can relabel node 2, and it must.
+func TestReuseIntoTreeArcTailRelabelledLater(t *testing.T) {
+	g := New(8)
+	g.MustAddEdge(1, 2, 1)
+	up := g.MustAddEdge(0, 1, 1)
+	g.MustAddEdge(0, 3, 1)
+	for v := 4; v < 8; v++ {
+		g.MustAddEdge(0, v, float64(v))
+	}
+	across := g.MustAddEdge(3, 1, 10)
+	var ws DijkstraWorkspace
+	var old, got ShortestPaths
+	if err := ws.DijkstraInto(g, 0, &old); err != nil {
+		t.Fatal(err)
+	}
+	if old.parentEdge[2] != 0 || old.Parent(1) != 0 {
+		t.Fatal("the old tree no longer hangs node 2 off node 1 over edge 0")
+	}
+	if g.SetWeight(up, 10) != nil || g.SetWeight(across, 1) != nil {
+		t.Fatal("SetWeight")
+	}
+	if !checkReuse(t, &ws, g, &old, &got) {
+		t.Fatal("two relabelled nodes of eight were not reused")
+	}
+	if got.Parent(1) != 3 || got.Parent(2) != 1 || got.Dist[2] != 3 {
+		t.Fatalf("node 2 at %v via %d; want 3 via 1", got.Dist[2], got.Parent(2))
+	}
+}
+
 // TestReuseIntoSameWeights reuses a tree on the weights it was built
 // under: nothing relabels, and the result certifies as the old tree.
 func TestReuseIntoSameWeights(t *testing.T) {
@@ -237,6 +338,30 @@ func TestReuseIntoSameWeights(t *testing.T) {
 		t.Fatalf("ReuseInto on unchanged weights = %v, %v; want ok", ok, err)
 	}
 	sameShortestPaths(t, &got, &old, 30)
+}
+
+// TestReuseIntoRefusesZeroWeightTreeEdge pins the verdict on a tree
+// edge of weight zero, or of a weight its parent's label absorbs: its
+// reverse arc ties the parent, and a tie refuses the reuse even on the
+// weights the tree was built under.
+func TestReuseIntoRefusesZeroWeightTreeEdge(t *testing.T) {
+	for _, w := range []float64{0, 1e-17} {
+		g := New(4)
+		g.MustAddEdge(0, 1, 1)
+		g.MustAddEdge(1, 2, 1)
+		g.MustAddEdge(1, 3, w)
+		var ws DijkstraWorkspace
+		var old, got ShortestPaths
+		if err := ws.DijkstraInto(g, 0, &old); err != nil {
+			t.Fatal(err)
+		}
+		if old.Parent(3) != 1 || old.Dist[3] != old.Dist[1] {
+			t.Fatalf("w=%v: node 3 no longer hangs off node 1 at its label", w)
+		}
+		if ok, err := ws.ReuseInto(g, &old, &got); ok || err != nil {
+			t.Errorf("w=%v: ReuseInto = %v, %v; want a refusal", w, ok, err)
+		}
+	}
 }
 
 // TestReuseIntoAbandonsHeavyDamage makes the edge above a large subtree
