@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"nfvmcast/internal/core"
@@ -92,12 +94,30 @@ const (
 	CodeInternal       = "internal"
 )
 
+// maxBodyBytes bounds a request body; the largest legitimate one, an
+// /v1/apply batch, is far below it.
+const maxBodyBytes = 8 << 20
+
+// writeJSON is every answer's one write path: v is encoded into a pooled
+// buffer first, so a value that cannot be encoded (a NaN or an Inf) is
+// answered 500 with the internal envelope, never as an empty success,
+// and the answer goes out in one Write framed by Content-Length.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	bp := answerPool.Get().(*[]byte)
+	b, err := appendAnswer((*bp)[:0], v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = appendAnswer(b[:0], ErrorResponse{Error: "encode response: " + err.Error(), Code: CodeInternal})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(b) // a failed write means the client has gone
+	if cap(b) <= maxPooledAnswer {
+		*bp = b
+		answerPool.Put(bp)
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
@@ -127,15 +147,28 @@ func writeAdmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// decodeBody strictly decodes the request body into v.
+// decodeBody strictly decodes the request body into v: one JSON value
+// with no unknown fields, followed by nothing but whitespace, in at
+// most maxBodyBytes.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, CodeMalformed, "body: "+err.Error())
-		return false
+	err := dec.Decode(v)
+	if err == nil {
+		switch _, err = dec.Token(); err {
+		case io.EOF:
+			return true
+		case nil:
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	return true
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, CodeMalformed, "body: "+err.Error())
+	return false
 }
 
 // Handler returns the daemon's HTTP surface:

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -413,5 +414,85 @@ func TestShutdownRacingServe(t *testing.T) {
 			conn.Close()
 			t.Fatalf("round %d: listener still accepting after Serve returned", round)
 		}
+	}
+}
+
+// serveDirect runs one request through the handler without a listener.
+func serveDirect(h http.Handler, method, path, body string) *recorder {
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
+	rec := newRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// inMemoryHandler boots a daemon without a WAL and returns its handler;
+// cleanup drains it.
+func inMemoryHandler(t *testing.T) http.Handler {
+	t.Helper()
+	srv, err := New(Config{Topology: "geant", Seed: 42, Policy: "SP"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	return srv.Handler()
+}
+
+func wantError(t *testing.T, rec *recorder, status int, code string) {
+	t.Helper()
+	if rec.status != status {
+		t.Fatalf("status = %d, want %d (body %s)", rec.status, status, rec.body.Bytes())
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal(rec.body.Bytes(), &e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Code != code {
+		t.Fatalf("code = %q, want %q", e.Code, code)
+	}
+}
+
+// TestBodyTrailingData: a body is one JSON value. A second value after
+// it is refused whole — releasing session 1 and dropping the second
+// value would act on half a request — while trailing whitespace passes.
+func TestBodyTrailingData(t *testing.T) {
+	h := inMemoryHandler(t)
+	if rec := serveDirect(h, "POST", "/v1/submit", submitBody("acme", 1)+" \n\t"); rec.status != http.StatusOK {
+		t.Fatalf("submit with trailing whitespace: %d %s", rec.status, rec.body.Bytes())
+	}
+	for _, body := range []string{`{"id":1}{"id":2}`, `{"id":1} 5`, `{"id":1}]`, `{"id":1}x`} {
+		wantError(t, serveDirect(h, "POST", "/v1/release", body), http.StatusBadRequest, CodeMalformed)
+	}
+	if rec := serveDirect(h, "POST", "/v1/release", `{"id":1}`); rec.status != http.StatusOK {
+		t.Fatalf("session 1 did not survive the refused bodies: %d %s", rec.status, rec.body.Bytes())
+	}
+}
+
+// TestBodyTooLarge: a body over maxBodyBytes is answered 413 without
+// being decoded.
+func TestBodyTooLarge(t *testing.T) {
+	h := inMemoryHandler(t)
+	mut := `{"kind":"link-state","id":0,"up":true},`
+	body := `{"shard":"s0","mutations":[` + strings.Repeat(mut, maxBodyBytes/len(mut)+1) + mut[:len(mut)-1] + `]}`
+	wantError(t, serveDirect(h, "POST", "/v1/apply", body), http.StatusRequestEntityTooLarge, CodeMalformed)
+}
+
+// TestLargeAnswerHasContentLength: an answer over net/http's 2 KiB
+// chunking threshold still goes out framed by Content-Length.
+func TestLargeAnswerHasContentLength(t *testing.T) {
+	_, base := startServer(t, Config{Topology: "geant", Seed: 42, Policy: "SP"})
+	body := `{"tenant":"acme","request":{"id":1,"source":3,"dests":[0,1,2,4,5,7,9,12,14,16,19,21,24,27,30,33,36,39],"bw":10,"chain":["NAT"]}}`
+	resp, data := doJSON(t, "POST", base+"/v1/submit", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: %d %s", resp.StatusCode, data)
+	}
+	if len(data) <= 2048 {
+		t.Fatalf("answer is %d bytes; the test needs one over 2 KiB", len(data))
+	}
+	if resp.ContentLength != int64(len(data)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte answer", resp.ContentLength, resp.TransferEncoding, len(data))
 	}
 }
