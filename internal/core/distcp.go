@@ -54,8 +54,8 @@ func NewDistCPPlanner(model CostModel, splitLimit int) (*DistCPPlanner, error) {
 	}
 	p := &DistCPPlanner{model: model, split: splitLimit}
 	// Identical residual-view recipe to CPPlanner, so the work-graph
-	// cache is shared across residual epochs exactly as Online_CP's is
-	// (hits, re-keys, patches).
+	// cache is carried across residual epochs exactly as Online_CP's is
+	// (hits, re-keys, templated builds).
 	p.cache.priceMarginal(model)
 	return p, nil
 }

@@ -1,10 +1,11 @@
 package core
 
 // Incremental-maintenance equivalence oracle. The work-graph cache
-// answers a warm planner's view() by patching cached graphs and
-// repairing cached shortest-path trees in place (workgraphcache.go);
-// the oracle here drives a warm planner through long randomized
-// mutate-then-plan histories — allocations, releases, resizes,
+// answers a warm planner's view() by re-keying cached graphs whose
+// residuals round-tripped, and by building on cached adjacencies whose
+// trees are reused from seeds (workgraphcache.go); the oracle here
+// drives a warm planner through long randomized mutate-then-plan
+// histories — allocations, releases, resizes,
 // failures, restores, and deliberate threshold-crossing residual
 // updates — and demands every answer stay byte-identical to a cold
 // planner whose caches are rebuilt from scratch at the same state.
@@ -20,13 +21,15 @@ import (
 	"nfvmcast/internal/sdn"
 )
 
-// residualMutator applies journal-marked residual mutations to a
-// network, keeping a ledger of its own allocations so releases stay
-// legal (never exceeding capacity).
+// residualMutator applies residual mutations to a network, keeping a
+// ledger of its own allocations so releases stay legal (never
+// exceeding capacity).
 type residualMutator struct {
-	rng    *rand.Rand
-	nw     *sdn.Network
-	ledger []sdn.Allocation
+	rng     *rand.Rand
+	nw      *sdn.Network
+	ledger  []sdn.Allocation
+	fresh   int  // bundles the previous step appended to the ledger
+	rewound bool // this step released exactly the previous step's bundles
 }
 
 func (m *residualMutator) randomLink() graph.EdgeID {
@@ -41,10 +44,13 @@ func (m *residualMutator) randomServer() graph.NodeID {
 // step applies one random mutation. Mutations that turn out to be
 // no-ops at the current state (releasing with an empty ledger, draining
 // an already-dry link) silently pass — the oracle only needs the
-// distribution to visit every journal path often enough.
+// distribution to visit every cache path often enough.
 func (m *residualMutator) step(t *testing.T) {
 	t.Helper()
-	switch m.rng.Intn(9) {
+	start, fresh := len(m.ledger), m.fresh
+	m.rewound = false
+	defer func() { m.fresh = max(len(m.ledger)-start, 0) }()
+	switch m.rng.Intn(10) {
 	case 0, 1: // partial allocation across a few links and a server
 		links := map[graph.EdgeID]float64{}
 		servers := map[graph.NodeID]float64{}
@@ -142,6 +148,18 @@ func (m *residualMutator) step(t *testing.T) {
 				m.ledger = append(m.ledger, a)
 			}
 		}
+	case 9: // round trip: release exactly what the previous step
+		// allocated, newest first, so the residuals usually return to
+		// the values the plan before that step saw
+		m.rewound = fresh > 0
+		for fresh > 0 {
+			fresh--
+			a := m.ledger[len(m.ledger)-1]
+			m.ledger = m.ledger[:len(m.ledger)-1]
+			if err := m.nw.Release(a); err != nil {
+				t.Fatalf("round-trip release: %v", err)
+			}
+		}
 	}
 }
 
@@ -186,9 +204,10 @@ func TestMutateThenPlanEquivalence(t *testing.T) {
 				}
 				// A small cycling request pool: the cache families are
 				// keyed on (structure, bandwidth, demand), so the same
-				// request must recur while its earlier entry is still
-				// within the residual journal's history window for a
-				// patch or rekey to be attempted at all.
+				// request must recur for a rekey to be attempted at
+				// all. After a round trip the residuals are back where
+				// the plan two steps earlier saw them, so that plan's
+				// request is the one planned again.
 				reqs, err := gen.Batch(6)
 				if err != nil {
 					t.Fatal(err)
@@ -196,6 +215,9 @@ func TestMutateThenPlanEquivalence(t *testing.T) {
 				for step := 0; step < 150; step++ {
 					mut.step(t)
 					req := reqs[step%len(reqs)]
+					if mut.rewound {
+						req = reqs[(step+len(reqs)-2)%len(reqs)]
+					}
 					cold, _ := newPlanner()
 					coldSol, coldErr := cold.Plan(context.Background(), nw, req, nil)
 					warmSol, warmErr := warm.Plan(context.Background(), nw, req, nil)
@@ -210,15 +232,51 @@ func TestMutateThenPlanEquivalence(t *testing.T) {
 					}
 					sameSolution(t, warmSol, coldSol, "warm vs cold")
 				}
-				hits, rekeys, patches, builds := warmCache.stats()
-				t.Logf("warm cache: %d hits, %d rekeys, %d patches, %d builds",
-					hits, rekeys, patches, builds)
-				if rekeys+patches == 0 {
+				hits, rekeys, builds := warmCache.stats()
+				t.Logf("warm cache: %d hits, %d rekeys, %d builds", hits, rekeys, builds)
+				if rekeys == 0 {
 					t.Fatalf("oracle never exercised the incremental path: %d hits, %d builds",
 						hits, builds)
 				}
 			})
 		}
+	}
+}
+
+// TestRekeyNeedsEveryResidualUnchanged: the oracle above re-keys only
+// views whose residuals all round-tripped, so it cannot tell a sweep
+// that skips some links or servers from a full one. Here every link and
+// every server in turn moves alone, and the acquire that follows must
+// build, not re-key the previous entry.
+func TestRekeyNeedsEveryResidualUnchanged(t *testing.T) {
+	nw := testNetwork(t, 30, 9)
+	p, err := NewCPPlanner(DefaultCostModel(nw.NumNodes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := testRequest(t, nw, 5)
+	var moves []sdn.Allocation
+	for e := 0; e < nw.NumEdges(); e++ {
+		moves = append(moves, sdn.Allocation{Links: []sdn.LinkShare{{Edge: e, Mbps: 1}}})
+	}
+	nw.VisitServers(func(v graph.NodeID) bool {
+		moves = append(moves, sdn.Allocation{Servers: []sdn.ServerShare{{Node: v, MHz: 1}}})
+		return true
+	})
+	p.cache.acquire(nw, req)
+	for _, a := range moves {
+		_, rekeys, builds := p.cache.stats()
+		if err := nw.Allocate(a); err != nil {
+			t.Fatal(err)
+		}
+		p.cache.acquire(nw, req)
+		if _, r, b := p.cache.stats(); r != rekeys || b != builds+1 {
+			t.Fatalf("after %+v moved alone: %d rekeys, %d builds; want %d, %d", a, r, b, rekeys, builds+1)
+		}
+		if err := nw.Release(a); err != nil {
+			t.Fatal(err)
+		}
+		p.cache.acquire(nw, req)
 	}
 }
 
@@ -254,7 +312,7 @@ func TestCacheSingleflightBuildCounts(t *testing.T) {
 	}
 	close(gate)
 	wg.Wait()
-	if _, _, _, builds := p.cache.stats(); builds != 1 {
+	if _, _, builds := p.cache.stats(); builds != 1 {
 		t.Fatalf("work-graph cache built %d times for one key under %d concurrent misses", builds, callers)
 	}
 

@@ -40,8 +40,8 @@ type spCache struct {
 
 // spSeeds is a work-graph adjacency's seed table: for each root, the
 // shortest-path tree built from it most recently on any work graph
-// sharing that adjacency (the weight clones of buildWorkGraphFrom and
-// of patches). Every such graph has the same structure, which is all
+// sharing that adjacency (the weight clones of buildWorkGraphFrom).
+// Every such graph has the same structure, which is all
 // graph.ReuseInto asks of an old tree. Slots hold immutable trees and
 // are read and written without locks.
 type spSeeds []atomic.Pointer[graph.ShortestPaths]
@@ -105,7 +105,11 @@ func (c *spCache) fromWith(v graph.NodeID, ws *graph.DijkstraWorkspace) (*graph.
 	c.mu.Lock()
 	if err == nil {
 		c.byRoot[v] = sp
-		c.count(reused)
+		if reused {
+			c.reuses++
+		} else {
+			c.builds++
+		}
 	}
 	delete(c.inflight, v)
 	c.mu.Unlock()
@@ -152,55 +156,10 @@ func (c *spCache) noteReuse(reused bool) {
 	}
 }
 
-// count records one built tree. Caller holds mu, or owns c alone.
-func (c *spCache) count(reused bool) {
-	if reused {
-		c.reuses++
-	} else {
-		c.builds++
-	}
-}
-
 // buildCount reports how many trees the cache has built by Dijkstra —
 // test instrumentation for the single-flight guarantee.
 func (c *spCache) buildCount() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.builds
-}
-
-// repairedClone derives a new cache over newG — the same graph
-// structure with new weights on a few edges, sharing seeds — by
-// reusing every tree cached here through the same path as a miss:
-// graph.ReuseInto, and Dijkstra where that does not certify. The
-// receiver is left untouched and stays valid for its own graph.
-func (c *spCache) repairedClone(
-	newG *graph.Graph, seeds spSeeds, ws *graph.DijkstraWorkspace, scratch *spRootScratch,
-) (*spCache, error) {
-	c.mu.Lock()
-	scratch.roots = scratch.roots[:0]
-	scratch.sps = scratch.sps[:0]
-	for root, sp := range c.byRoot {
-		scratch.roots = append(scratch.roots, root)
-		scratch.sps = append(scratch.sps, sp)
-	}
-	c.mu.Unlock()
-
-	nc := newSPCache(newG, seeds)
-	for i, root := range scratch.roots {
-		sp, reused, err := nc.build(root, scratch.sps[i], ws)
-		if err != nil {
-			return nil, err
-		}
-		nc.byRoot[root] = sp
-		nc.count(reused)
-	}
-	return nc, nil
-}
-
-// spRootScratch carries repairedClone's root snapshot between pooled
-// uses so the patch path does not allocate it per call.
-type spRootScratch struct {
-	roots []graph.NodeID
-	sps   []*graph.ShortestPaths
 }

@@ -31,7 +31,7 @@ func (m *linearMRU) lookup(key workGraphKey) bool {
 }
 
 // picks scans front to back: the first same-structure key is the
-// cold-build template, the first same-family key the patch base.
+// cold-build template, the first same-family key the rekey base.
 func (m *linearMRU) picks(key workGraphKey) (base, tmpl *workGraphKey) {
 	for i := range m.keys {
 		k := &m.keys[i]
@@ -114,7 +114,7 @@ func checkIndex(t *testing.T, step int, c *workGraphCache, m *linearMRU) {
 // changing, so keys spread over many epochs, 12 request families and
 // several structures — well past the cache size, so the LRU evicts
 // throughout. Before each acquire the oracle asks the reference for the
-// verdict (hit or miss) and, on a miss, the patch base and template the
+// verdict (hit or miss) and, on a miss, the rekey base and template the
 // front-to-back scan picks; after it, the list ends and the evicted key
 // must match, and every 16 calls the whole list and every group pointer.
 func TestWorkGraphCacheIndexMatchesLinearMRU(t *testing.T) {
@@ -172,7 +172,7 @@ func TestWorkGraphCacheIndexMatchesLinearMRU(t *testing.T) {
 			}
 			views = append(views, nw.Clone())
 		}
-		// Favour recent views, so hits, patches and evictions all occur.
+		// Favour recent views, so hits, rekeys and evictions all occur.
 		vi := len(views) - 1 - int(float64(len(views))*rng.Float64()*rng.Float64())
 		view, req := views[vi], reqs[rng.Intn(len(reqs))]
 		key := makeWorkGraphKey(view, req)
@@ -182,7 +182,7 @@ func TestWorkGraphCacheIndexMatchesLinearMRU(t *testing.T) {
 		if !wantHit {
 			wantBase, wantTmpl := ref.picks(key)
 			if got := c.byFamily[key.family()]; nodeKey(got) != refKey(wantBase) {
-				t.Fatalf("step %d: patch base for %v is %s, reference %s", step, key, nodeKey(got), refKey(wantBase))
+				t.Fatalf("step %d: rekey base for %v is %s, reference %s", step, key, nodeKey(got), refKey(wantBase))
 			}
 			if got := c.byStruct[key.structure()]; nodeKey(got) != refKey(wantTmpl) {
 				t.Fatalf("step %d: template for %v is %s, reference %s", step, key, nodeKey(got), refKey(wantTmpl))
@@ -207,8 +207,8 @@ func TestWorkGraphCacheIndexMatchesLinearMRU(t *testing.T) {
 			checkIndex(t, step, &c, &ref)
 		}
 	}
-	t.Logf("%d acquires: %d hits, %d rekeys, %d patches, %d builds; %d evictions over %d views",
-		steps, c.hits, c.rekeys, c.patches, c.builds, evictions, len(views))
+	t.Logf("%d acquires: %d hits, %d rekeys, %d builds; %d evictions over %d views",
+		steps, c.hits, c.rekeys, c.builds, evictions, len(views))
 	if evictions < 200 || c.hits < 500 || len(views) < 100 {
 		t.Fatalf("sequence too tame: %d evictions, %d hits, %d views", evictions, c.hits, len(views))
 	}

@@ -55,12 +55,11 @@ func (k workGraphKey) structure() wgStructure {
 	return wgStructure{structVer: k.structVer, nodes: k.nodes, edges: k.edges}
 }
 
-// wgFamily is a key without its residual epoch. Keys of one family may
-// be patched into each other: equal structures mean identical topology
-// and up/down state, and equal request parameters mean identical
-// filtering and pricing formulas, so any divergence between the two
-// views is confined to residual values the journal (or a value sweep)
-// can enumerate.
+// wgFamily is a key without its residual epoch. One family's keys
+// differ only in residual values: equal structures mean identical
+// topology and up/down state, and equal request parameters mean
+// identical filtering and pricing formulas, so equal residuals give an
+// identical work graph (residualSnap.matches).
 type wgFamily struct {
 	wgStructure
 	bandwidth float64
@@ -72,11 +71,11 @@ func (k workGraphKey) family() wgFamily {
 }
 
 // residualSnap records the residual values an entry's work graph was
-// built from, so a later epoch can be verified value-by-value: a link
-// whose (free, cap) pair round-tripped back to these exact bits prices
-// to the exact same weight and needs no patch at all. Float residuals
-// round-trip bit-exactly through most allocate/release cycles, which
-// turns the bulk of epoch transitions into pure re-keys.
+// built from, so a later epoch of the same family can be verified
+// value by value: when every residual round-tripped back to these exact
+// values, the work graph is unchanged and the entry is re-keyed as it
+// is. Float residuals round-trip exactly through many allocate/release
+// cycles.
 type residualSnap struct {
 	linkFree []float64
 	linkCap  []float64
@@ -102,21 +101,23 @@ func captureResidualSnap(nw *sdn.Network) *residualSnap {
 	return s
 }
 
-// serverIndex locates v's position in the sorted srvIDs, or -1.
-func (s *residualSnap) serverIndex(v graph.NodeID) int {
-	lo, hi := 0, len(s.srvIDs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.srvIDs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
+// matches reports whether nw's residual view equals the one s
+// captured: every link's (free, cap) and every server's free compute.
+// nw must belong to the family s was captured on, so the link counts
+// agree.
+func (s *residualSnap) matches(nw *sdn.Network) bool {
+	for e := range s.linkFree {
+		if nw.ResidualBandwidth(e) != s.linkFree[e] || nw.BandwidthCap(e) != s.linkCap[e] {
+			return false
 		}
 	}
-	if lo < len(s.srvIDs) && s.srvIDs[lo] == v {
-		return lo
-	}
-	return -1
+	i, same := 0, true
+	nw.VisitServers(func(v graph.NodeID) bool {
+		same = i < len(s.srvIDs) && s.srvIDs[i] == v && nw.ResidualCompute(v) == s.srvFree[i]
+		i++
+		return same
+	})
+	return same && i == len(s.srvIDs)
 }
 
 // wgEntry pairs a cached work graph with the shortest-path cache over
@@ -145,42 +146,36 @@ type wgCall struct {
 }
 
 // workGraphCache memoizes residual work graphs (and their
-// shortest-path caches) across Plan calls, maintained incrementally:
+// shortest-path caches) across Plan calls. acquire has three outcomes:
 //
-//   - An exact (structVer, mutVer, params) hit returns the shared entry.
-//   - A miss whose key differs from a cached entry's only by mutation
-//     epoch is built by *patching* that base entry. The residual-change
-//     journal (sdn.ResidualChangesSince) narrows the candidate set; each
-//     candidate is value-verified against the base's residual snapshot.
-//     Verified-unchanged epochs re-key the base entry as-is (zero new
-//     state — the common case, since residual floats round-trip through
-//     allocate/release cycles bit-exactly). A handful of re-priced
-//     links clone only the weight array and rebuild the cached
-//     shortest-path trees from the base's (spCache.repairedClone).
-//     Membership flips or more than a quarter of the edges re-priced
-//     rebuild from scratch.
-//   - Any other miss is a cold build. When a cached entry shares the
-//     key's structure and the request keeps exactly that entry's links
-//     (on a lightly loaded substrate: all of them), the build re-prices
-//     a weight clone of the entry's graph and shares its adjacency and
-//     seed table (buildWorkGraphFrom); otherwise it inserts every edge
-//     afresh under a new, empty seed table.
-//   - Concurrent misses on one key are single-flighted.
+//   - Hit: an exact (structVer, mutVer, params) key returns the shared
+//     entry.
+//   - Rekey: a miss whose key differs from a cached entry's only by
+//     mutation epoch sweeps every residual against that base entry's
+//     snapshot. When all of them round-tripped back to the same values,
+//     the base entry is aliased under the new key (graph, trees and
+//     snapshot shared; no new state).
+//   - Build: any other miss. When a cached entry shares the key's
+//     structure and the request keeps exactly that entry's links (on a
+//     lightly loaded substrate: all of them), the build re-prices a
+//     weight clone of the entry's graph and shares its adjacency and
+//     seed table (buildWorkGraphFrom), so its trees come lazily from
+//     the seeds; otherwise it inserts every edge afresh under a new,
+//     empty seed table.
 //
-// Every lookup, promotion, insertion and eviction is O(1): entries sit
-// in a doubly linked MRU list behind a key index, and two more maps
-// name the most recently used entry per structure (the template pick)
-// and per family (the patch-base pick) — exactly the entries a
-// front-to-back scan of the list would meet first.
+// Concurrent misses on one key are single-flighted. Every lookup,
+// promotion, insertion and eviction is O(1): entries sit in a doubly
+// linked MRU list behind a key index, and two more maps name the most
+// recently used entry per structure (the template pick) and per family
+// (the rekey base) — exactly the entries a front-to-back scan of the
+// list would meet first.
 //
-// Patching preserves bit-identity with a cold build: unchanged edges
-// keep weights computed from bit-identical (free, cap) inputs, changed
-// edges are re-priced with the same formula a cold build would use,
-// and every tree is either a fresh Dijkstra run or a reuse certified
-// bit-identical to one (graph.ReuseInto), ties included.
+// No outcome moves a decision: a rekey aliases only an identical
+// residual view, and every tree is either a fresh Dijkstra run or a
+// reuse certified bit-identical to one (graph.ReuseInto), ties
+// included.
 type workGraphCache struct {
-	// capacitated and weight fix the build recipe so patches re-price
-	// edges exactly as buildWorkGraph would. Set once at planner
+	// capacitated and weight fix the build recipe. Set once at planner
 	// construction, before any concurrent use.
 	capacitated bool
 	weight      func(nw *sdn.Network, req *multicast.Request, e graph.EdgeID) float64
@@ -193,10 +188,9 @@ type workGraphCache struct {
 	inflight map[workGraphKey]*wgCall
 
 	// Transition counters (under mu) — test and tuning instrumentation.
-	hits    uint64 // exact key hits
-	rekeys  uint64 // verified-unchanged aliases of a base entry
-	patches uint64 // weight-patched / server-patched derivations
-	builds  uint64 // cold builds, templated ones included
+	hits   uint64 // exact key hits
+	rekeys uint64 // verified-unchanged aliases of a base entry
+	builds uint64 // builds, templated ones included
 	// templated counts the cold builds that shared a cached entry's
 	// adjacency (buildWorkGraphFrom).
 	templated uint64
@@ -211,9 +205,7 @@ type workGraphCache struct {
 // indifferent between short and long trees; the marginal form
 // ≈ (b_k/B_e)·ln β at low load steers requests onto short,
 // high-capacity trees and converges to w_e(k) as links fill. Admission
-// thresholds still use the paper's pre-allocation weights. The recipe
-// lives on the cache so incremental patches re-price edges exactly as a
-// cold build would.
+// thresholds still use the paper's pre-allocation weights.
 func (c *workGraphCache) priceMarginal(model CostModel) {
 	c.capacitated = true
 	c.weight = func(nw *sdn.Network, req *multicast.Request, e graph.EdgeID) float64 {
@@ -228,11 +220,6 @@ func (c *workGraphCache) priceMarginal(model CostModel) {
 // pairs, each its own key family — size the cache to keep a full
 // request pool resident.
 const workGraphCacheSize = 512
-
-// wgMaxChangedFrac bounds patching: when more than this fraction of
-// the work graph's edges changed residual class, a cold rebuild is
-// cheaper than patch + tree reuse.
-const wgMaxChangedFrac = 0.25
 
 // lookup finds key and promotes it to most recently used. Caller
 // holds mu.
@@ -317,16 +304,15 @@ func (c *workGraphCache) unlink(n *wgNode) {
 }
 
 // stats returns the transition counters.
-func (c *workGraphCache) stats() (hits, rekeys, patches, builds uint64) {
+func (c *workGraphCache) stats() (hits, rekeys, builds uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.rekeys, c.patches, c.builds
+	return c.hits, c.rekeys, c.builds
 }
 
-// acquire returns the work graph and shortest-path cache for (nw, req),
-// from cache, by incremental patch of a same-family entry, or by cold
-// build — whichever the residual delta admits. Concurrent misses on
-// one key share a single construction.
+// acquire returns the work graph and shortest-path cache for (nw, req):
+// a hit, a rekey of a same-family entry, or a build. Concurrent misses
+// on one key share a single construction.
 func (c *workGraphCache) acquire(nw *sdn.Network, req *multicast.Request) (*workGraph, *spCache) {
 	key := makeWorkGraphKey(nw, req)
 	c.mu.Lock()
@@ -346,14 +332,13 @@ func (c *workGraphCache) acquire(nw *sdn.Network, req *multicast.Request) (*work
 		c.inflight = make(map[workGraphKey]*wgCall)
 	}
 	c.inflight[key] = call
-	// Patch from the most recently used same-family entry; cold-build
-	// on the most recently used same-structure entry's adjacency.
-	// Both are copied out under mu: an evicted node is reused.
+	// Rekey the most recently used same-family entry; build on the
+	// most recently used same-structure entry's adjacency. Both are
+	// copied out under mu: an evicted node is reused.
 	var base wgEntry
 	var tmpl *workGraph
-	haveBase := false
 	if n := c.byFamily[key.family()]; n != nil {
-		base, haveBase = n.wgEntry, true
+		base = n.wgEntry
 	}
 	if n := c.byStruct[key.structure()]; n != nil {
 		tmpl = n.w
@@ -361,21 +346,19 @@ func (c *workGraphCache) acquire(nw *sdn.Network, req *multicast.Request) (*work
 	c.mu.Unlock()
 
 	var (
-		w    *workGraph
-		sp   *spCache
-		snap *residualSnap
-		kind int // 0 rekey, 1 patch, 2 build, 3 templated build
+		w         *workGraph
+		sp        *spCache
+		snap      *residualSnap
+		rekeyed   = base.snap != nil && base.snap.matches(nw)
+		templated bool
 	)
-	if haveBase {
-		w, sp, snap, kind = c.derive(nw, req, key, base)
-	}
-	if w == nil {
+	if rekeyed {
+		w, sp, snap = base.w, base.sp, base.snap
+	} else {
 		weight := func(e graph.EdgeID) float64 { return c.weight(nw, req, e) }
-		kind = 2
 		if tmpl != nil {
-			if w = buildWorkGraphFrom(tmpl, nw, req, c.capacitated, weight); w != nil {
-				kind = 3
-			}
+			w = buildWorkGraphFrom(tmpl, nw, req, c.capacitated, weight)
+			templated = w != nil
 		}
 		if w == nil {
 			w = buildWorkGraph(nw, req, c.capacitated, weight)
@@ -387,12 +370,10 @@ func (c *workGraphCache) acquire(nw *sdn.Network, req *multicast.Request) (*work
 
 	c.mu.Lock()
 	c.insert(wgEntry{key: key, w: w, sp: sp, snap: snap})
-	switch kind {
-	case 0:
+	switch {
+	case rekeyed:
 		c.rekeys++
-	case 1:
-		c.patches++
-	case 3:
+	case templated:
 		c.templated++
 		c.builds++
 	default:
@@ -403,172 +384,4 @@ func (c *workGraphCache) acquire(nw *sdn.Network, req *multicast.Request) (*work
 	call.w, call.sp = w, sp
 	close(call.done)
 	return w, sp
-}
-
-// patchScratch pools the transient state of one derive call.
-type patchScratch struct {
-	links, srvs  []int32
-	gen          uint32
-	edgeStamp    []uint32
-	srvStamp     []uint32
-	changedLocal []graph.EdgeID
-	changedW     []float64
-	ws           graph.DijkstraWorkspace
-	roots        spRootScratch
-}
-
-var patchPool = sync.Pool{New: func() any { return new(patchScratch) }}
-
-func (ps *patchScratch) ensure(m, nsrv int) {
-	if cap(ps.edgeStamp) < m {
-		ps.edgeStamp = make([]uint32, m)
-	} else {
-		ps.edgeStamp = ps.edgeStamp[:m]
-	}
-	if cap(ps.srvStamp) < nsrv {
-		ps.srvStamp = make([]uint32, nsrv)
-	} else {
-		ps.srvStamp = ps.srvStamp[:nsrv]
-	}
-	ps.gen++
-	if ps.gen == 0 {
-		clear(ps.edgeStamp)
-		clear(ps.srvStamp)
-		ps.gen = 1
-	}
-}
-
-// derive attempts to produce key's entry from base by value-verified
-// patching. It returns w == nil when the delta demands a cold rebuild
-// (membership flips, damage above wgMaxChangedFrac, or a malformed
-// cached tree).
-func (c *workGraphCache) derive(
-	nw *sdn.Network, req *multicast.Request, key workGraphKey, base wgEntry,
-) (w *workGraph, sp *spCache, snap *residualSnap, kind int) {
-	ps := patchPool.Get().(*patchScratch)
-	defer patchPool.Put(ps)
-	m := key.edges
-	ps.ensure(m, len(base.snap.srvIDs))
-	ps.changedLocal = ps.changedLocal[:0]
-	ps.changedW = ps.changedW[:0]
-
-	// Candidate changed IDs: the residual journal when the window is
-	// retained, otherwise every link and server (a full value sweep is
-	// still O(m) float compares — far below a rebuild's pricing cost).
-	links, srvs, tracked := nw.ResidualChangesSince(base.key.mutVer, ps.links[:0], ps.srvs[:0])
-	ps.links, ps.srvs = links[:0], srvs[:0]
-
-	// Verify candidate links against the base snapshot.
-	verifyEdge := func(e graph.EdgeID) bool {
-		if ps.edgeStamp[e] == ps.gen {
-			return true
-		}
-		ps.edgeStamp[e] = ps.gen
-		free, capMbps := nw.ResidualBandwidth(e), nw.BandwidthCap(e)
-		if free == base.snap.linkFree[e] && capMbps == base.snap.linkCap[e] {
-			return true // bit-exact round-trip: same membership, same price
-		}
-		member := !c.capacitated || free >= key.bandwidth
-		local := base.w.fromHost[e]
-		if (local >= 0) != member {
-			return false // residual class flipped: graph shape changes
-		}
-		if member {
-			ps.changedLocal = append(ps.changedLocal, graph.EdgeID(local))
-			ps.changedW = append(ps.changedW, c.weight(nw, req, e))
-		}
-		return true
-	}
-	if tracked {
-		for _, e := range links {
-			if e < 0 || int(e) >= m {
-				return nil, nil, nil, 0
-			}
-			if !verifyEdge(graph.EdgeID(e)) {
-				return nil, nil, nil, 0
-			}
-		}
-	} else {
-		for e := 0; e < m; e++ {
-			if !verifyEdge(e) {
-				return nil, nil, nil, 0
-			}
-		}
-	}
-	if len(ps.changedLocal) > int(wgMaxChangedFrac*float64(base.w.g.NumEdges())) {
-		return nil, nil, nil, 0 // damage too broad: rebuild
-	}
-
-	// Verify candidate servers. Membership flips rebuild only the
-	// eligible-server list — server state never enters the graph.
-	srvChanged, srvFlip := false, false
-	verifySrv := func(v graph.NodeID) bool {
-		i := base.snap.serverIndex(v)
-		if i < 0 {
-			return false // unknown server: snapshot is stale, rebuild
-		}
-		if ps.srvStamp[i] == ps.gen {
-			return true
-		}
-		ps.srvStamp[i] = ps.gen
-		free := nw.ResidualCompute(v)
-		baseFree := base.snap.srvFree[i]
-		if free == baseFree {
-			return true
-		}
-		srvChanged = true
-		if c.capacitated && (free >= key.demand) != (baseFree >= key.demand) {
-			srvFlip = true
-		}
-		return true
-	}
-	if tracked {
-		for _, v := range srvs {
-			if !verifySrv(graph.NodeID(v)) {
-				return nil, nil, nil, 0
-			}
-		}
-	} else {
-		ok := true
-		nw.VisitServers(func(v graph.NodeID) bool {
-			ok = verifySrv(v)
-			return ok
-		})
-		if !ok {
-			return nil, nil, nil, 0
-		}
-	}
-
-	if len(ps.changedLocal) == 0 && !srvChanged {
-		// Verified bit-identical residual view: alias the base entry
-		// under the new key, sharing graph, trees and snapshot.
-		return base.w, base.sp, base.snap, 0
-	}
-
-	servers := base.w.servers
-	if srvFlip {
-		servers = eligibleServers(nw, req, c.capacitated)
-	}
-
-	if len(ps.changedLocal) == 0 {
-		// Only server residuals moved: the graph and every cached tree
-		// stay exactly valid — share them, refresh the snapshot.
-		nw2 := &workGraph{g: base.w.g, toHost: base.w.toHost, fromHost: base.w.fromHost, servers: servers, seeds: base.w.seeds}
-		return nw2, base.sp, captureResidualSnap(nw), 1
-	}
-
-	// Re-price the changed edges on a weight-only clone and reuse the
-	// cached shortest-path trees on it.
-	newG := base.w.g.WeightClone()
-	for i, local := range ps.changedLocal {
-		if err := newG.SetWeight(local, ps.changedW[i]); err != nil {
-			return nil, nil, nil, 0
-		}
-	}
-	newSP, err := base.sp.repairedClone(newG, base.w.seeds, &ps.ws, &ps.roots)
-	if err != nil {
-		return nil, nil, nil, 0
-	}
-	nw2 := &workGraph{g: newG, toHost: base.w.toHost, fromHost: base.w.fromHost, servers: servers, seeds: base.w.seeds}
-	return nw2, newSP, captureResidualSnap(nw), 1
 }

@@ -116,9 +116,9 @@ func (g *Graph) CopyInto(dst *Graph) {
 // SetWeight on the clone is invisible to g) but shares g's adjacency
 // structure. Both graphs must stay structurally frozen afterwards:
 // adding nodes or edges to either would write into the shared
-// adjacency backing. The planner caches use it to patch a handful of
-// re-priced weights onto a cached work graph without copying the
-// adjacency lists — the dominant share of a graph clone.
+// adjacency backing. The planner caches use it to re-price a cached
+// work graph's edges without copying the adjacency lists — the
+// dominant share of a graph clone.
 func (g *Graph) WeightClone() *Graph {
 	return &Graph{
 		n:     g.n,

@@ -135,13 +135,11 @@ func (nw *Network) Allocate(a Allocation) error {
 	}
 	for _, l := range a.Links {
 		nw.linkFree[l.Edge] -= l.Mbps
-		nw.markLinkChanged(l.Edge)
 	}
 	for _, s := range a.Servers {
 		nw.srvFree[s.Node] -= s.MHz
-		nw.markServerChanged(s.Node)
 	}
-	nw.bumpMutation()
+	nw.mutVer++
 	return nil
 }
 
@@ -176,7 +174,6 @@ func (nw *Network) Release(a Allocation) error {
 		if nw.linkFree[e] > nw.linkCap[e] {
 			nw.linkFree[e] = nw.linkCap[e]
 		}
-		nw.markLinkChanged(e)
 	}
 	for _, s := range a.Servers {
 		v := s.Node
@@ -184,8 +181,7 @@ func (nw *Network) Release(a Allocation) error {
 		if nw.srvFree[v] > nw.srvCap[v] {
 			nw.srvFree[v] = nw.srvCap[v]
 		}
-		nw.markServerChanged(v)
 	}
-	nw.bumpMutation()
+	nw.mutVer++
 	return nil
 }

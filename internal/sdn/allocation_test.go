@@ -7,10 +7,10 @@ import (
 )
 
 // residualBits captures every residual as raw float bits plus the
-// mutation epoch and the pending change set, so a rejected call can be
-// shown to have left the network bit-identical.
+// mutation epoch, so a rejected call can be shown to have left the
+// network bit-identical.
 func residualBits(nw *Network) []uint64 {
-	out := []uint64{nw.MutationVersion(), uint64(len(nw.dirtyLinks)), uint64(len(nw.dirtySrvs))}
+	out := []uint64{nw.MutationVersion()}
 	for _, f := range nw.linkFree {
 		out = append(out, math.Float64bits(f))
 	}

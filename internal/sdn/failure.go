@@ -34,8 +34,7 @@ func (nw *Network) SetLinkUp(e graph.EdgeID, up bool) error {
 		nw.linkDown[e] = true
 	}
 	nw.structVer++
-	nw.markLinkChanged(e)
-	nw.bumpMutation()
+	nw.mutVer++
 	nw.recordResourceEvent(LinkResource, e, up)
 	return nil
 }
@@ -59,8 +58,7 @@ func (nw *Network) SetServerUp(v graph.NodeID, up bool) error {
 		nw.srvDown[v] = true
 	}
 	nw.structVer++
-	nw.markServerChanged(v)
-	nw.bumpMutation()
+	nw.mutVer++
 	nw.recordResourceEvent(ServerResource, v, up)
 	return nil
 }

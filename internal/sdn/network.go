@@ -87,16 +87,6 @@ type Network struct {
 	structVer uint64 // bumped by failure injection (see StructureVersion)
 	mutVer    uint64 // bumped by every residual mutation (see MutationVersion)
 
-	// Residual-change journal (see changes.go): the per-epoch change
-	// ring plus the accumulator the mutators mark into before the
-	// version bump flushes it. The accumulator is empty between mutator
-	// calls, so it is not cloned; the ring is copied so a snapshot
-	// answers ResidualChangesSince for its own history.
-	log        *residualLog
-	dirtyLinks []int32
-	dirtySrvs  []int32
-	dirtyFull  bool
-
 	// pending buffers failure/restore notifications until the owning
 	// goroutine drains them (see events.go). Clones start empty.
 	pending []ResourceEvent
@@ -187,6 +177,17 @@ func (nw *Network) Servers() []graph.NodeID {
 	return out
 }
 
+// VisitServers calls fn for every server-attached switch in ascending
+// order, without allocating (Servers copies). If fn returns false,
+// iteration stops early.
+func (nw *Network) VisitServers(fn func(v graph.NodeID) bool) {
+	for _, v := range nw.servers {
+		if !fn(v) {
+			return
+		}
+	}
+}
+
 // IsServer reports whether switch v has an attached server.
 func (nw *Network) IsServer(v graph.NodeID) bool {
 	return v >= 0 && v < len(nw.isSrv) && nw.isSrv[v]
@@ -262,10 +263,6 @@ func (nw *Network) Clone() *Network {
 		structVer: nw.structVer,
 		mutVer:    nw.mutVer,
 	}
-	if nw.log != nil {
-		cp.log = &residualLog{}
-		*cp.log = *nw.log
-	}
 	for k, v := range nw.srvCap {
 		cp.srvCap[k] = v
 	}
@@ -291,7 +288,7 @@ func (nw *Network) Clone() *Network {
 }
 
 // CloneInto overwrites dst with a deep copy of nw, reusing dst's
-// storage (graph adjacency, residual vectors, maps, journal ring)
+// storage (graph adjacency, residual vectors, maps)
 // where shapes allow. Afterwards dst is equivalent to what Clone
 // returns: fully independent, with no pending events. The admission
 // engine's snapshot loop keeps one destination per planning slot, so
@@ -341,17 +338,6 @@ func (nw *Network) CloneInto(dst *Network) {
 	}
 	dst.structVer = nw.structVer
 	dst.mutVer = nw.mutVer
-	if nw.log != nil {
-		if dst.log == nil {
-			dst.log = &residualLog{}
-		}
-		*dst.log = *nw.log
-	} else {
-		dst.log = nil
-	}
-	dst.dirtyLinks = dst.dirtyLinks[:0]
-	dst.dirtySrvs = dst.dirtySrvs[:0]
-	dst.dirtyFull = false
 	dst.pending = dst.pending[:0]
 }
 
@@ -406,7 +392,6 @@ func (nw *Network) Restore(s *Snapshot) error {
 		}
 		nw.srvFree[k] = v
 	}
-	nw.markAllChanged()
-	nw.bumpMutation()
+	nw.mutVer++
 	return nil
 }

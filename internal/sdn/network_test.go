@@ -297,3 +297,93 @@ func TestPropertyAllocationRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCloneIntoMatchesClone(t *testing.T) {
+	nw := testNet(t, 40, 31)
+	srv := nw.Servers()[0]
+	if err := nw.Allocate(Allocation{
+		Links:   []LinkShare{{Edge: 0, Mbps: 10}, {Edge: 1, Mbps: 20}},
+		Servers: []ServerShare{{Node: srv, MHz: 100}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.SetLinkUp(3, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.SetServerUp(nw.Servers()[1], false); err != nil {
+		t.Fatal(err)
+	}
+
+	want := nw.Clone()
+	var got Network
+	nw.CloneInto(&got)
+	// Run it twice: the second pass exercises the storage-reuse paths.
+	nw.CloneInto(&got)
+
+	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("shape: got %d/%d, want %d/%d",
+			got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+	if got.MutationVersion() != want.MutationVersion() ||
+		got.StructureVersion() != want.StructureVersion() {
+		t.Fatal("version mismatch")
+	}
+	for e := 0; e < want.NumEdges(); e++ {
+		if got.ResidualBandwidth(e) != want.ResidualBandwidth(e) ||
+			got.BandwidthCap(e) != want.BandwidthCap(e) ||
+			got.LinkUnitCost(e) != want.LinkUnitCost(e) ||
+			got.LinkUp(e) != want.LinkUp(e) {
+			t.Fatalf("link %d state mismatch", e)
+		}
+		if got.Graph().Edge(e) != want.Graph().Edge(e) {
+			t.Fatalf("edge %d mismatch", e)
+		}
+	}
+	ws, gs := want.Servers(), got.Servers()
+	if len(ws) != len(gs) {
+		t.Fatalf("servers: got %d, want %d", len(gs), len(ws))
+	}
+	for i, v := range ws {
+		if gs[i] != v {
+			t.Fatalf("server list mismatch at %d", i)
+		}
+		if got.ResidualCompute(v) != want.ResidualCompute(v) ||
+			got.ComputeCap(v) != want.ComputeCap(v) ||
+			got.ServerUnitCost(v) != want.ServerUnitCost(v) ||
+			got.ServerUp(v) != want.ServerUp(v) {
+			t.Fatalf("server %d state mismatch", v)
+		}
+	}
+
+	// Independence: mutating the copy must not touch the source.
+	beforeFree := nw.ResidualBandwidth(0)
+	if err := got.Allocate(Allocation{Links: []LinkShare{{Edge: 0, Mbps: 5}}}); err != nil {
+		t.Fatal(err)
+	}
+	if nw.ResidualBandwidth(0) != beforeFree {
+		t.Fatal("CloneInto destination shares residual storage with source")
+	}
+}
+
+func TestVisitServers(t *testing.T) {
+	nw := testNet(t, 50, 37)
+	var got []graph.NodeID
+	nw.VisitServers(func(v graph.NodeID) bool {
+		got = append(got, v)
+		return true
+	})
+	want := nw.Servers()
+	if len(got) != len(want) {
+		t.Fatalf("visited %d servers, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order mismatch at %d: %d != %d", i, got[i], want[i])
+		}
+	}
+	n := 0
+	nw.VisitServers(func(graph.NodeID) bool { n++; return false })
+	if n != 1 {
+		t.Fatalf("early stop visited %d, want 1", n)
+	}
+}

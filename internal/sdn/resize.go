@@ -41,8 +41,7 @@ func (nw *Network) SetBandwidthCap(e graph.EdgeID, capMbps float64) error {
 	}
 	nw.linkCap[e] = capMbps
 	nw.linkFree[e] = math.Max(capMbps-allocated, 0)
-	nw.markLinkChanged(e)
-	nw.bumpMutation()
+	nw.mutVer++
 	return nil
 }
 
@@ -63,7 +62,6 @@ func (nw *Network) SetComputeCap(v graph.NodeID, capMHz float64) error {
 	}
 	nw.srvCap[v] = capMHz
 	nw.srvFree[v] = math.Max(capMHz-allocated, 0)
-	nw.markServerChanged(v)
-	nw.bumpMutation()
+	nw.mutVer++
 	return nil
 }
