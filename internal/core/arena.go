@@ -10,12 +10,12 @@ import (
 // PlanArena owns the per-plan scratch memory of the online planners:
 // the Dijkstra workspace and Steiner scratch of the per-candidate KMB
 // sweep with the trees it fills, the hoisted terminal slices, the
-// plan's price memo, the rooted view and path buffer of pseudo-tree
-// realization, and the closure evaluator's per-candidate buffers. One
-// arena serves one Plan call at a time; the admission engine keeps one
-// per planner worker so concurrent planners never share scratch, and
-// Plan calls handed a nil arena draw from arenaPool. The zero value is
-// ready to use.
+// plan's price memo, the rooted view, hop buffer and fan-out stamps of
+// pseudo-tree realization, and the closure evaluator's per-candidate
+// buffers. One arena serves one Plan call at a time; the admission
+// engine keeps one per planner worker so concurrent planners never
+// share scratch, and Plan calls handed a nil arena draw from arenaPool.
+// The zero value is ready to use.
 //
 // Arenas only relocate transient state — every planner result is
 // identical with or without one.
@@ -31,7 +31,20 @@ type PlanArena struct {
 	prices priceMemo
 
 	rooted rootedView      // the candidate's Steiner tree rooted at s_k
-	hops   []multicast.Hop // one path of the winner's pseudo tree
+	hops   []multicast.Hop // the winner's pseudo-tree hops, before handover
+
+	fanGen     uint64   // realization count; never wraps
+	fanReached []uint64 // node -> realization whose fan-outs last reached it
+}
+
+// fanOutStamps returns realizeSingleServer's reached-node stamps, sized
+// for n nodes, and a fresh generation no node carries yet.
+func (a *PlanArena) fanOutStamps(n int) ([]uint64, uint64) {
+	if len(a.fanReached) < n {
+		a.fanReached = make([]uint64, n)
+	}
+	a.fanGen++
+	return a.fanReached, a.fanGen
 }
 
 // NewPlanArena returns an empty arena. Arenas grow to workload size on

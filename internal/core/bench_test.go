@@ -20,39 +20,7 @@ import (
 //
 //	go test ./internal/core/ -run '^$' -bench 'BenchmarkCPPlan$' -benchtime 1s -count 3 -cpu 1 -benchmem
 func BenchmarkCPPlan(b *testing.B) {
-	topo, err := topology.WaxmanDegree(100, topology.DefaultAvgDegree, 0.14, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nw, err := sdn.NewNetwork(topo, sdn.DefaultConfig(), rand.New(rand.NewSource(42)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen, err := multicast.NewGenerator(nw.NumNodes(), multicast.OnlineGeneratorConfig(), 55)
-	if err != nil {
-		b.Fatal(err)
-	}
-	warm, err := gen.Batch(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	adm, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range warm {
-		if _, aerr := adm.Admit(context.Background(), r, nil); aerr != nil && !IsRejection(aerr) {
-			b.Fatal(aerr)
-		}
-	}
-	pool, err := gen.Batch(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	planner, err := NewCPPlanner(DefaultCostModel(nw.NumNodes()))
-	if err != nil {
-		b.Fatal(err)
-	}
+	nw, pool, planner := cpPlanFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -60,6 +28,46 @@ func BenchmarkCPPlan(b *testing.B) {
 			b.Fatal(perr)
 		}
 	}
+}
+
+// cpPlanFixture is BenchmarkCPPlan's set-up: Waxman n=100 with 64
+// admitted sessions, the next 64 requests as the plan pool, and a fresh
+// Online_CP planner.
+func cpPlanFixture(tb testing.TB) (*sdn.Network, []*multicast.Request, *CPPlanner) {
+	topo, err := topology.WaxmanDegree(100, topology.DefaultAvgDegree, 0.14, 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nw, err := sdn.NewNetwork(topo, sdn.DefaultConfig(), rand.New(rand.NewSource(42)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gen, err := multicast.NewGenerator(nw.NumNodes(), multicast.OnlineGeneratorConfig(), 55)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	warm, err := gen.Batch(64)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	adm, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range warm {
+		if _, aerr := adm.Admit(context.Background(), r, nil); aerr != nil && !IsRejection(aerr) {
+			tb.Fatal(aerr)
+		}
+	}
+	pool, err := gen.Batch(64)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	planner, err := NewCPPlanner(DefaultCostModel(nw.NumNodes()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return nw, pool, planner
 }
 
 // BenchmarkWorkGraphRekey measures the sweep that carries a cached work

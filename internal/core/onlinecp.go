@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"nfvmcast/internal/graph"
 	"nfvmcast/internal/multicast"
@@ -241,46 +242,57 @@ func rootAtSource(
 // candidate's back-tracking path but realises the winner only — and
 // RepairReroute, so a repaired tree has exactly the structure a fresh
 // plan would produce.
+//
+// Every path joins a node to one of its ancestors (s_k is the root; u
+// is an ancestor of v and of every destination), so it is the parent
+// walk from the lower end, its hops turned round when traffic flows
+// down, away from the root. The hops come out distinct, in the order
+// of the paths, with no duplicate scan: the unprocessed and processed
+// streams never share a hop, nor does the back-track (child to parent)
+// with a fan-out (parent to child), and a fan-out walk stops at the
+// first node an earlier fan-out reached (DESIGN.md §8.1, "Realize in
+// linear time"). The finished list is handed to the tree in one copy.
 func realizeSingleServer(
 	w *workGraph, req *multicast.Request, v, u graph.NodeID, arena *PlanArena,
 ) *multicast.PseudoTree {
 	rt := &arena.rooted
-	tree := multicast.NewPseudoTree(req.Source, req.Destinations, []graph.NodeID{v})
-	// Every path below joins a node to one of its ancestors (s_k is the
-	// root; u is an ancestor of v and of every destination), so it is the
-	// parent walk from desc, its hops turned round and replayed from the
-	// ancestor's end when traffic flows down, away from the root.
-	addPath := func(anc, desc graph.NodeID, down, processed bool) {
-		hops := arena.hops[:0]
-		for at := desc; at != anc; at = rt.parentNode[at] {
-			h := multicast.Hop{From: at, To: rt.parentNode[at], Edge: w.hostEdge(rt.parentEdge[at]), Processed: processed}
-			if down {
-				h.From, h.To = h.To, h.From
-			}
-			hops = append(hops, h)
+	reached, gen := arena.fanOutStamps(len(rt.seen))
+	hop := func(at graph.NodeID, processed bool) multicast.Hop {
+		return multicast.Hop{From: at, To: rt.parentNode[at], Edge: w.hostEdge(rt.parentEdge[at]), Processed: processed}
+	}
+	// down turns hops[from:], collected bottom-up, into top-down order.
+	down := func(hops []multicast.Hop, from int) {
+		seg := hops[from:]
+		for i := range seg {
+			seg[i].From, seg[i].To = seg[i].To, seg[i].From
 		}
-		arena.hops = hops
-		for i := range hops {
-			if down {
-				tree.AddHop(hops[len(hops)-1-i])
-			} else {
-				tree.AddHop(hops[i])
-			}
-		}
+		slices.Reverse(seg)
 	}
 
+	hops := arena.hops[:0]
 	// Unprocessed: source down the tree to the server.
-	addPath(req.Source, v, true, false)
-	// Processed: back-track v → u, then fan out u → d and v → d.
-	addPath(u, v, false, true)
-	for _, d := range req.Destinations {
-		start := u
-		if a, _ := rt.lca(v, d); a == v {
-			start = v // d lies in v's subtree: serve it directly
-		}
-		addPath(start, d, true, true)
+	for at := v; at != req.Source; at = rt.parentNode[at] {
+		hops = append(hops, hop(at, false))
 	}
-	return tree
+	down(hops, 0)
+	// Processed: back-track v → u.
+	for at := v; at != u; at = rt.parentNode[at] {
+		hops = append(hops, hop(at, true))
+	}
+	// Processed: fan out to every destination, from v when it lies in
+	// v's subtree (the walk up from it meets v before u), else from u.
+	// The walk also stops at a node an earlier fan-out reached: the
+	// hops above it are in the list already.
+	for _, d := range req.Destinations {
+		from := len(hops)
+		for at := d; at != v && at != u && reached[at] != gen; at = rt.parentNode[at] {
+			reached[at] = gen
+			hops = append(hops, hop(at, true))
+		}
+		down(hops, from)
+	}
+	arena.hops = hops
+	return multicast.NewRealizedTree(req.Source, req.Destinations, []graph.NodeID{v}, hops)
 }
 
 // IsRejection reports whether err represents an admission-policy

@@ -98,13 +98,13 @@ type Solution struct {
 // Case 1): every distinct directed traversal of a link is charged
 // b_k*c_e and every serving node is charged C_v(SC_k)*c_v.
 func OperationalCost(nw *sdn.Network, req *multicast.Request, tree *multicast.PseudoTree) float64 {
-	// LinkLoads is sorted by edge: float addition is order-dependent,
+	// The loads come sorted by edge: float addition is order-dependent,
 	// and an unordered sum would make near-tie candidate selection (and
 	// thus whole experiment runs) non-deterministic.
 	var cost float64
-	for _, l := range tree.LinkLoads() {
+	tree.VisitLinkLoads(func(l multicast.EdgeLoad) {
 		cost += float64(l.Uses) * req.BandwidthMbps * nw.LinkUnitCost(l.Edge)
-	}
+	})
 	demand := req.ComputeDemandMHz()
 	for i, v := range tree.Servers {
 		d := demand
@@ -121,11 +121,11 @@ func OperationalCost(nw *sdn.Network, req *multicast.Request, tree *multicast.Ps
 // and C_v(SC_k) at every serving node. Both lists come out ascending by
 // ID, as sdn.Allocation requires.
 func AllocationFor(req *multicast.Request, tree *multicast.PseudoTree) sdn.Allocation {
-	loads := tree.LinkLoads()
-	links := make([]sdn.LinkShare, len(loads))
-	for i, l := range loads {
-		links[i] = sdn.LinkShare{Edge: l.Edge, Mbps: float64(l.Uses) * req.BandwidthMbps}
-	}
+	// A tree uses at most one link per hop.
+	links := make([]sdn.LinkShare, 0, tree.NumHops())
+	tree.VisitLinkLoads(func(l multicast.EdgeLoad) {
+		links = append(links, sdn.LinkShare{Edge: l.Edge, Mbps: float64(l.Uses) * req.BandwidthMbps})
+	})
 	servers := make([]sdn.ServerShare, 0, len(tree.Servers))
 	demand := req.ComputeDemandMHz()
 	for i, v := range tree.Servers {
@@ -154,7 +154,7 @@ func validateInput(nw *sdn.Network, req *multicast.Request) error {
 	if err := req.Validate(nw.NumNodes()); err != nil {
 		return err
 	}
-	if len(nw.Servers()) == 0 {
+	if nw.NumServers() == 0 {
 		return fmt.Errorf("%w: network has no servers", ErrNoFeasibleServer)
 	}
 	return nil

@@ -42,7 +42,14 @@ func (r *Request) Validate(n int) error {
 	if len(r.Destinations) == 0 {
 		return fmt.Errorf("multicast: request %d has no destinations", r.ID)
 	}
-	seen := make(map[graph.NodeID]struct{}, len(r.Destinations))
+	// Repeats are found in a bitset of n bits, on the stack for networks
+	// of up to 4,096 nodes: destinations arrive from outside, so the
+	// check must stay linear in their number.
+	var buf [64]uint64
+	seen := buf[:]
+	if words := (n + 63) / 64; words > len(buf) {
+		seen = make([]uint64, words)
+	}
 	for _, d := range r.Destinations {
 		if d < 0 || d >= n {
 			return fmt.Errorf("multicast: request %d: %w (destination %d, n=%d)",
@@ -51,10 +58,11 @@ func (r *Request) Validate(n int) error {
 		if d == r.Source {
 			return fmt.Errorf("multicast: request %d: destination equals source %d", r.ID, d)
 		}
-		if _, dup := seen[d]; dup {
+		w, bit := d/64, uint64(1)<<(d%64)
+		if seen[w]&bit != 0 {
 			return fmt.Errorf("multicast: request %d: duplicate destination %d", r.ID, d)
 		}
-		seen[d] = struct{}{}
+		seen[w] |= bit
 	}
 	// NaN fails every ordered comparison, so a plain <= 0 check would
 	// wave it through and let it poison residual arithmetic downstream.

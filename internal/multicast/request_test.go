@@ -1,9 +1,14 @@
 package multicast
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"nfvmcast/internal/graph"
 	"nfvmcast/internal/nfv"
@@ -180,5 +185,149 @@ func TestPropertyGeneratedRequestsValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// validateDestsReference is Request.Validate's destination check as it
+// stood with a per-call map: the first destination out of range, equal
+// to the source, or seen before is reported.
+func validateDestsReference(r *Request, n int) error {
+	seen := make(map[graph.NodeID]struct{}, len(r.Destinations))
+	for _, d := range r.Destinations {
+		if d < 0 || d >= n {
+			return fmt.Errorf("multicast: request %d: %w (destination %d, n=%d)",
+				r.ID, graph.ErrNodeOutOfRange, d, n)
+		}
+		if d == r.Source {
+			return fmt.Errorf("multicast: request %d: destination equals source %d", r.ID, d)
+		}
+		if _, dup := seen[d]; dup {
+			return fmt.Errorf("multicast: request %d: duplicate destination %d", r.ID, d)
+		}
+		seen[d] = struct{}{}
+	}
+	return nil
+}
+
+// TestValidateMatchesMapReference compares Validate with the map-based
+// reference on 20,000 random destination lists over networks of 2 to
+// 9,000 nodes (past the 4,096 the stack bitset covers): ascending or
+// shuffled, with repeats, the source and out-of-range IDs mixed in.
+// Accept or reject and the exact error text must agree.
+func TestValidateMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	outcomes := map[string]int{}
+	for trial := 0; trial < 20000; trial++ {
+		n := 2 + rng.Intn(60)
+		if trial%10 == 0 {
+			n = 2 + rng.Intn(9000)
+		}
+		r := validRequest()
+		r.ID, r.Source = trial, rng.Intn(n)
+		k := 1 + rng.Intn(2*min(n, 60))
+		dests := make([]graph.NodeID, 0, k)
+		for len(dests) < k {
+			d := rng.Intn(n)
+			switch rng.Intn(40) {
+			case 0:
+				d = n + rng.Intn(3)
+			case 1:
+				d = -1 - rng.Intn(3)
+			case 2:
+				d = r.Source
+			}
+			if d == r.Source && rng.Intn(4) != 0 {
+				continue
+			}
+			dests = append(dests, d)
+		}
+		if rng.Intn(2) == 0 {
+			slices.Sort(dests)
+			dests = slices.Compact(dests)
+		}
+		r.Destinations = dests
+		got, want := r.Validate(n), validateDestsReference(r, n)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("trial %d (n=%d, source %d, dests %v): Validate = %v, reference %v",
+				trial, n, r.Source, dests, got, want)
+		}
+		switch {
+		case want == nil:
+			outcomes["valid"]++
+		case errors.Is(want, graph.ErrNodeOutOfRange):
+			outcomes["range"]++
+		case strings.Contains(want.Error(), "duplicate"):
+			outcomes["duplicate"]++
+		default:
+			outcomes["source"]++
+		}
+	}
+	t.Logf("outcomes %v", outcomes)
+	for _, k := range []string{"valid", "range", "duplicate", "source"} {
+		if outcomes[k] < 100 {
+			t.Fatalf("only %d %s outcomes", outcomes[k], k)
+		}
+	}
+}
+
+// TestValidateLinearInDestinations: 20,000 distinct destinations and
+// then a repeat of one of them, ascending or shuffled, over networks of
+// 20,001 and 2^20 nodes. A quadratic check would take about 10^8 steps
+// (tenths of a second); the test allows a tenth of a second for all
+// four.
+func TestValidateLinearInDestinations(t *testing.T) {
+	const k = 20000
+	start := time.Now()
+	for _, n := range []int{k + 1, 1 << 20} {
+		for _, shuffled := range []bool{false, true} {
+			r := validRequest()
+			r.Source = 0
+			r.Destinations = make([]graph.NodeID, k, k+1)
+			for i := range r.Destinations {
+				r.Destinations[i] = 1 + i*((n-1)/k)
+			}
+			if shuffled {
+				rand.New(rand.NewSource(1)).Shuffle(k, func(i, j int) {
+					r.Destinations[i], r.Destinations[j] = r.Destinations[j], r.Destinations[i]
+				})
+			}
+			dup := r.Destinations[k/2]
+			r.Destinations = append(r.Destinations, dup)
+			want := fmt.Sprintf("multicast: request %d: duplicate destination %d", r.ID, dup)
+			if err := r.Validate(n); err == nil || err.Error() != want {
+				t.Fatalf("n=%d shuffled=%v: Validate = %v, want %q", n, shuffled, err, want)
+			}
+		}
+	}
+	if el := time.Since(start); el > 100*time.Millisecond {
+		t.Fatalf("four validations of %d destinations took %v", k+1, el)
+	}
+}
+
+// TestValidateAllocatesNothing: validating a Waxman-100 request, as
+// generated (ascending) or shuffled, allocates nothing.
+func TestValidateAllocatesNothing(t *testing.T) {
+	gen, err := NewGenerator(100, OnlineGeneratorConfig(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 20; i++ {
+		r, err := gen.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			rng.Shuffle(len(r.Destinations), func(a, b int) {
+				r.Destinations[a], r.Destinations[b] = r.Destinations[b], r.Destinations[a]
+			})
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if r.Validate(100) != nil {
+				t.Fatal("generated request rejected")
+			}
+		}); allocs != 0 {
+			t.Fatalf("request %d (%d destinations): %v allocs per Validate", r.ID, len(r.Destinations), allocs)
+		}
 	}
 }

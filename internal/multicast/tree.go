@@ -39,6 +39,10 @@ type PseudoTree struct {
 	ServerDemands []float64
 
 	hops []Hop
+	// loads holds LinkLoads computed once by NewRealizedTree, before the
+	// tree is shared; nil for a tree built hop by hop, whose readers
+	// sort on every call. Readers never write it.
+	loads []EdgeLoad
 }
 
 // NewPseudoTree returns an empty pseudo-multicast tree for the given
@@ -55,13 +59,29 @@ func NewPseudoTree(source graph.NodeID, dests, servers []graph.NodeID) *PseudoTr
 	}
 }
 
-// AddHop records a directed traversal; duplicates are ignored. Trees
-// hold tens of hops, so a scan beats hashing.
+// NewRealizedTree returns a finished pseudo-multicast tree over hops,
+// which must be distinct: it copies them into an exactly sized slice
+// without AddHop's duplicate scan and computes the link loads once, so
+// VisitLinkLoads reads them without sorting. Online_CP's realization
+// hands its trees over this way.
+func NewRealizedTree(source graph.NodeID, dests, servers []graph.NodeID, hops []Hop) *PseudoTree {
+	t := NewPseudoTree(source, dests, servers)
+	t.hops = slices.Clone(hops)
+	t.loads = t.sortedLoads()
+	return t
+}
+
+// AddHop records a directed traversal; duplicates are ignored. Every
+// builder but Online_CP's realization adds hop by hop and relies on
+// this check to drop the hops its paths share: AddPath, SP, Appro_Multi's
+// and Dist_CP's decompositions, and WAL replay. Trees hold tens of
+// hops, so a scan beats hashing.
 func (t *PseudoTree) AddHop(h Hop) {
 	if slices.Contains(t.hops, h) {
 		return
 	}
 	t.hops = append(t.hops, h)
+	t.loads = nil
 }
 
 // AddPath records a directed walk along nodes/edges (as produced by
@@ -101,24 +121,50 @@ type EdgeLoad struct {
 // charged twice (the pseudo-multicast back-tracking cost of paper
 // §III.B). The edge order makes sums over the loads deterministic.
 func (t *PseudoTree) LinkLoads() []EdgeLoad {
-	// Sorting bare IDs in a stack buffer beats sorting the loads through
-	// a comparison function; trees have tens of hops, 121 at most on the
-	// benchmark substrates.
+	if t.loads != nil {
+		return slices.Clone(t.loads)
+	}
+	return t.sortedLoads()
+}
+
+// VisitLinkLoads calls fn for each entry of LinkLoads, in the same
+// order, without allocating.
+func (t *PseudoTree) VisitLinkLoads(fn func(EdgeLoad)) {
+	if t.loads == nil {
+		t.visitSortedLoads(fn)
+		return
+	}
+	for _, l := range t.loads {
+		fn(l)
+	}
+}
+
+// sortedLoads computes LinkLoads from the hops.
+func (t *PseudoTree) sortedLoads() []EdgeLoad {
+	loads := make([]EdgeLoad, 0, len(t.hops))
+	t.visitSortedLoads(func(l EdgeLoad) { loads = append(loads, l) })
+	return loads
+}
+
+// visitSortedLoads derives the link loads from the hops: their edge IDs
+// sorted, then run-length counted. Sorting bare IDs in a stack buffer
+// beats sorting the loads through a comparison function; trees have
+// tens of hops, 121 at most on the benchmark substrates.
+func (t *PseudoTree) visitSortedLoads(fn func(EdgeLoad)) {
 	var buf [128]graph.EdgeID
 	ids := buf[:0]
 	for _, h := range t.hops {
 		ids = append(ids, h.Edge)
 	}
 	slices.Sort(ids)
-	loads := make([]EdgeLoad, 0, len(ids))
-	for _, e := range ids {
-		if n := len(loads); n > 0 && loads[n-1].Edge == e {
-			loads[n-1].Uses++
-			continue
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[i] {
+			j++
 		}
-		loads = append(loads, EdgeLoad{Edge: e, Uses: 1})
+		fn(EdgeLoad{Edge: ids[i], Uses: j - i})
+		i = j
 	}
-	return loads
 }
 
 // Errors reported by CheckDelivery.

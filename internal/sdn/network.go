@@ -177,6 +177,10 @@ func (nw *Network) Servers() []graph.NodeID {
 	return out
 }
 
+// NumServers reports the number of server-attached switches, without
+// copying the list as Servers does.
+func (nw *Network) NumServers() int { return len(nw.servers) }
+
 // VisitServers calls fn for every server-attached switch in ascending
 // order, without allocating (Servers copies). If fn returns false,
 // iteration stops early.
