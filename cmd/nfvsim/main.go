@@ -124,25 +124,17 @@ func run(args []string) error {
 	if *requests > 0 {
 		cfg.Requests = *requests
 	}
-	// The online figures are cheap per request; use the paper's 300
-	// arrivals unless the user overrode the count.
-	onlineCfg := cfg
-	if *requests == 0 && !*quick {
-		onlineCfg.Requests = 300
-	}
-
-	names := []string{*experiment}
-	if *experiment == "all" {
-		names = names[:0]
-		for _, e := range sim.Experiments {
-			names = append(names, e.Name)
+	ran := 0
+	for _, e := range sim.Experiments {
+		if *experiment != "all" && e.Name != *experiment {
+			continue
 		}
-	}
-	for _, name := range names {
-		c := cfg
-		switch name {
-		case "fig8", "fig9", "ablation-costmodel", "ext-churn", "ext-erlang", "ext-onlinek", "ext-reoptimize", "ext-recover", "ext-distchain":
-			c = onlineCfg
+		ran++
+		name, c := e.Name, cfg
+		// The online figures are cheap per request; use the paper's 300
+		// arrivals unless the user overrode the count.
+		if e.Online && *requests == 0 && !*quick {
+			c.Requests = 300
 		}
 		if *metricsAddr != "" || *metricsDir != "" {
 			// Fresh registry per experiment so counters are attributable;
@@ -194,6 +186,9 @@ func run(args []string) error {
 		}
 		fmt.Printf("# %s completed in %v (requests=%d, seed=%d, K=%d, reps=%d)\n\n",
 			name, time.Since(start).Round(time.Millisecond), c.Requests, c.Seed, c.K, *reps)
+	}
+	if ran == 0 {
+		return fmt.Errorf("unknown experiment %q", *experiment)
 	}
 	return nil
 }

@@ -10,8 +10,9 @@ import (
 	"nfvmcast/internal/sdn"
 )
 
-// Distributed chain placement (ROADMAP item 5). The paper consolidates
-// each request's whole service chain into one VM on one server;
+// Distributed chain placement (§VII's open problem). The paper
+// consolidates each request's whole service chain into one VM on one
+// server;
 // DistCPPlanner relaxes that: the chain's VNF sequence may be split
 // into up to SplitLimit contiguous segments, each hosted on its own
 // server, with the unprocessed stream steered through the segment hosts

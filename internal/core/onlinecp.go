@@ -125,10 +125,10 @@ func (p *CPPlanner) Plan(
 		// discards cheaper candidates: 4,000 seed-7 admit→depart requests
 		// on Waxman-250 cost 33,620,663 with it, 28,479,615 without. The
 		// recorded decisions (bench/expected.json, the oracles) include
-		// it, so it stays until the decision-changing PR replaces it with
-		// an admissible cut and a reference planner (ROADMAP item
-		// 2(c)–(d)). spSrc.Dist[v] = Infinity reproduces the
-		// KMB-unreachable `continue`.
+		// it, so it stays until the decision-changing change (the ROADMAP
+		// item on canonical ties and an admissible cut) replaces it with
+		// an admissible cut and a reference planner. spSrc.Dist[v] =
+		// Infinity reproduces the KMB-unreachable `continue`.
 		if lower0 := maxf(spSrc.Dist[v], dMax) + prices.serverCost(v); lower0 >= bestSelection {
 			continue
 		}

@@ -127,11 +127,12 @@ func nextRequests(t *testing.T, eng *Engine, seed int64, n int) []*multicast.Req
 	return reqs
 }
 
-// TestBarrierSharedByQueuedOps is ROADMAP 3(a)'s fsyncs_per_req < 0.5 at
-// eight callers, as a unit test: while one barrier is parked in the
-// journal the writer keeps applying and appending, the eight admissions
-// are made durable by at most two barriers, and none of them acks before
-// a barrier covering its record has returned.
+// TestBarrierSharedByQueuedOps is the ROADMAP durable-submit item's
+// group-commit target, fsyncs_per_req < 0.5 at eight callers, as a unit
+// test: while one barrier is parked in the journal the writer keeps
+// applying and appending, the eight admissions are made durable by at
+// most two barriers, and none of them acks before a barrier covering
+// its record has returned.
 func TestBarrierSharedByQueuedOps(t *testing.T) {
 	const callers = 8
 	j := newGatedJournal()

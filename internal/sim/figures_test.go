@@ -30,15 +30,8 @@ var figuresDir = flag.String("figures-dir", "",
 
 const goldenPath = "testdata/figures.golden.json"
 
-// onlineExperiments are the experiments that run at the online
-// arrival count (300 here, as in nfvsim's full runs).
-var onlineExperiments = map[string]bool{
-	"fig8": true, "fig9": true, "ablation-costmodel": true, "ext-churn": true,
-	"ext-erlang": true, "ext-onlinek": true, "ext-reoptimize": true,
-	"ext-recover": true, "ext-distchain": true,
-}
-
-// goldenConfig is the configuration the golden pins an experiment at.
+// goldenConfig is the configuration the golden pins an experiment at;
+// online experiments run 300 arrivals, as in nfvsim's full runs.
 func goldenConfig(online bool) Config {
 	cfg := DefaultConfig()
 	cfg.Requests = 20
@@ -173,7 +166,7 @@ func TestFigureGolden(t *testing.T) {
 	got := make([]experimentFigures, len(Experiments))
 	err := forEachIndex(len(Experiments), func(i int) error {
 		e := Experiments[i]
-		figs, err := e.Run(goldenConfig(onlineExperiments[e.Name]))
+		figs, err := e.Run(goldenConfig(e.Online))
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}

@@ -1,88 +1,30 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"nfvmcast/internal/core"
-	"nfvmcast/internal/engine"
 	"nfvmcast/internal/multicast"
 	"nfvmcast/internal/sdn"
 )
 
-// offlineAlgorithms are the series of Figs. 5-6, in display order.
-var offlineAlgorithms = []string{"Appro_Multi", "Alg_One_Server", "One_Server_Nearest"}
+// offlinePoint returns offlineAlgorithms' mean costs and running times
+// at one sweep point of Figs. 5-6: requests drawn with the given
+// destination ratio, solved independently on the uncapacitated network
+// nw (paper §VI.B).
+func offlinePoint(cfg Config, nw *sdn.Network, ratio float64, seed int64) ([]float64, error) {
+	gcfg := multicast.DefaultGeneratorConfig()
+	gcfg.DestRatio = ratio
+	return solveMeans(nw, gcfg, seed, cfg.Requests, offlineAlgorithms,
+		core.Options{K: cfg.K, Workers: cfg.Workers}, unsolvable)
+}
 
-// offlinePoint measures the average operational cost and per-request
-// running time (milliseconds) of the offline algorithms at one sweep
-// point: requests drawn with the given destination ratio, solved
-// independently on an uncapacitated network (paper §VI.B).
-func offlinePoint(
-	nw *sdn.Network, ratio float64, requests, k, workers int, seed int64,
-) (cost, timeMS map[string]float64, err error) {
-	cfg := multicast.DefaultGeneratorConfig()
-	cfg.DestRatio = ratio
-	gen, err := multicast.NewGenerator(nw.NumNodes(), cfg, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	cost = make(map[string]float64, len(offlineAlgorithms))
-	timeMS = make(map[string]float64, len(offlineAlgorithms))
-	solved := 0
-	for i := 0; i < requests; i++ {
-		req, gerr := gen.Next()
-		if gerr != nil {
-			return nil, nil, gerr
-		}
-		type outcome struct {
-			sol *core.Solution
-			dur time.Duration
-		}
-		results := make(map[string]outcome, len(offlineAlgorithms))
-		failed := false
-		for _, alg := range offlineAlgorithms {
-			start := time.Now()
-			var sol *core.Solution
-			var aerr error
-			switch alg {
-			case "Appro_Multi":
-				sol, aerr = core.ApproMulti(nw, req, core.Options{K: k, Workers: workers})
-			case "Alg_One_Server":
-				sol, aerr = core.AlgOneServer(nw, req, false)
-			case "One_Server_Nearest":
-				sol, aerr = core.AlgOneServerNearest(nw, req, false)
-			}
-			if aerr != nil {
-				// Skip this request for all algorithms so averages
-				// stay comparable; only reachability failures are
-				// expected here.
-				if errors.Is(aerr, core.ErrUnreachable) ||
-					errors.Is(aerr, core.ErrNoFeasibleServer) {
-					failed = true
-					break
-				}
-				return nil, nil, fmt.Errorf("%s: %w", alg, aerr)
-			}
-			results[alg] = outcome{sol: sol, dur: time.Since(start)}
-		}
-		if failed {
-			continue
-		}
-		solved++
-		for alg, r := range results {
-			cost[alg] += r.sol.OperationalCost
-			timeMS[alg] += float64(r.dur.Microseconds()) / 1000.0
-		}
-	}
-	if solved == 0 {
-		return nil, nil, fmt.Errorf("sim: no request solvable at this point")
-	}
-	for _, alg := range offlineAlgorithms {
-		cost[alg] /= float64(solved)
-		timeMS[alg] /= float64(solved)
-	}
-	return cost, timeMS, nil
+// offlinePanels returns the cost and running-time panels of an offline
+// sweep over x; points[i] is offlinePoint's result at x[i].
+func offlinePanels(ids [2]string, about, xlabel string, x []float64, points [][]float64) []Figure {
+	na := len(offlineAlgorithms)
+	s := columns(append(offlineAlgorithms[:na:na], offlineAlgorithms...), points)
+	return costTimePanels(ids, about, xlabel, x, s[:na], s[na:])
 }
 
 // Fig5 reproduces Figure 5: operational cost (panels a-c) and running
@@ -93,234 +35,235 @@ func Fig5(cfg Config) ([]Figure, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ratios := cfg.DestRatios
-	if len(ratios) > 3 {
-		ratios = ratios[:3]
-	}
-	// All (ratio, size) points are independent; run them in parallel.
-	type point struct {
-		cost, timeMS map[string]float64
-	}
+	ratios := cfg.DestRatios[:min(len(cfg.DestRatios), 3)]
 	sizes := cfg.NetworkSizes
-	points := make([]point, len(ratios)*len(sizes))
-	err := forEachIndex(len(points), func(i int) error {
-		ri, ni := i/len(sizes), i%len(sizes)
+	points, err := grid(len(sizes), len(ratios), allCores, func(ni, ri int) ([]float64, error) {
 		n := sizes[ni]
-		nw, nerr := networkFor("waxman", n, cfg.Seed+int64(n))
-		if nerr != nil {
-			return nerr
+		nw, err := networkFor("waxman", n, cfg.Seed+int64(n))
+		if err != nil {
+			return nil, err
 		}
-		cost, timeMS, perr := offlinePoint(nw, ratios[ri], cfg.Requests, cfg.K, cfg.Workers,
-			cfg.Seed+int64(1000*ri+n))
-		if perr != nil {
-			return perr
-		}
-		points[i] = point{cost: cost, timeMS: timeMS}
-		return nil
+		return offlinePoint(cfg, nw, ratios[ri], cfg.Seed+int64(1000*ri+n))
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	var figs []Figure
-	costFigs := make([]Figure, len(ratios))
-	timeFigs := make([]Figure, len(ratios))
+	var cost, ms []Figure
 	for ri, ratio := range ratios {
-		costFigs[ri] = Figure{
-			ID:     fmt.Sprintf("Fig5(%c)", 'a'+ri),
-			Title:  fmt.Sprintf("operational cost vs network size (Dmax/|V| = %.2f)", ratio),
-			XLabel: "n",
-			YLabel: "avg operational cost",
-		}
-		timeFigs[ri] = Figure{
-			ID:     fmt.Sprintf("Fig5(%c)", 'd'+ri),
-			Title:  fmt.Sprintf("running time vs network size (Dmax/|V| = %.2f)", ratio),
-			XLabel: "n",
-			YLabel: "avg running time (ms)",
-		}
-		costSeries := make(map[string]*Series, len(offlineAlgorithms))
-		timeSeries := make(map[string]*Series, len(offlineAlgorithms))
-		for _, alg := range offlineAlgorithms {
-			costSeries[alg] = &Series{Label: alg}
-			timeSeries[alg] = &Series{Label: alg}
-		}
-		for ni, n := range sizes {
-			p := points[ri*len(sizes)+ni]
-			costFigs[ri].X = append(costFigs[ri].X, float64(n))
-			timeFigs[ri].X = append(timeFigs[ri].X, float64(n))
-			for _, alg := range offlineAlgorithms {
-				costSeries[alg].Y = append(costSeries[alg].Y, p.cost[alg])
-				timeSeries[alg].Y = append(timeSeries[alg].Y, p.timeMS[alg])
-			}
-		}
-		for _, alg := range offlineAlgorithms {
-			costFigs[ri].Series = append(costFigs[ri].Series, *costSeries[alg])
-			timeFigs[ri].Series = append(timeFigs[ri].Series, *timeSeries[alg])
-		}
+		p := offlinePanels([2]string{fmt.Sprintf("Fig5(%c)", 'a'+ri), fmt.Sprintf("Fig5(%c)", 'd'+ri)},
+			fmt.Sprintf("vs network size (Dmax/|V| = %.2f)", ratio), "n", floats(sizes), points[ri])
+		cost, ms = append(cost, p[0]), append(ms, p[1])
 	}
-	figs = append(figs, costFigs...)
-	figs = append(figs, timeFigs...)
-	return figs, nil
+	return append(cost, ms...), nil
 }
 
 // Fig6 reproduces Figure 6: operational cost and running time of the
-// same algorithms on the real topologies GÉANT and AS1755, sweeping
-// the destination ratio.
+// same algorithms on the real topologies GÉANT, AS1755 and AS4755,
+// sweeping the destination ratio.
 func Fig6(cfg Config) ([]Figure, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	topos := []struct{ id, name string }{
-		{"geant", "GEANT"},
-		{"as1755", "AS1755"},
-		{"as4755", "AS4755"},
-	}
-	var costFigs, timeFigs []Figure
-	for ti, tp := range topos {
-		nw, err := networkFor(tp.id, 0, cfg.Seed)
+	ratios := cfg.DestRatios
+	points, err := grid(len(ratios), len(realTopologies), oneCore, func(ri, ti int) ([]float64, error) {
+		nw, err := networkFor(realTopologies[ti].id, 0, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		costFig := Figure{
-			ID:     fmt.Sprintf("Fig6(%c)", 'a'+ti),
-			Title:  fmt.Sprintf("operational cost vs Dmax/|V| in %s", tp.name),
-			XLabel: "Dmax/|V|",
-			YLabel: "avg operational cost",
-		}
-		timeFig := Figure{
-			ID:     fmt.Sprintf("Fig6(%c)", 'a'+len(topos)+ti),
-			Title:  fmt.Sprintf("running time vs Dmax/|V| in %s", tp.name),
-			XLabel: "Dmax/|V|",
-			YLabel: "avg running time (ms)",
-		}
-		costSeries := make(map[string]*Series, len(offlineAlgorithms))
-		timeSeries := make(map[string]*Series, len(offlineAlgorithms))
-		for _, alg := range offlineAlgorithms {
-			costSeries[alg] = &Series{Label: alg}
-			timeSeries[alg] = &Series{Label: alg}
-		}
-		for ri, ratio := range cfg.DestRatios {
-			cost, timeMS, err := offlinePoint(nw, ratio, cfg.Requests, cfg.K, cfg.Workers,
-				cfg.Seed+int64(100*ti+ri))
-			if err != nil {
-				return nil, err
-			}
-			costFig.X = append(costFig.X, ratio)
-			timeFig.X = append(timeFig.X, ratio)
-			for _, alg := range offlineAlgorithms {
-				costSeries[alg].Y = append(costSeries[alg].Y, cost[alg])
-				timeSeries[alg].Y = append(timeSeries[alg].Y, timeMS[alg])
-			}
-		}
-		for _, alg := range offlineAlgorithms {
-			costFig.Series = append(costFig.Series, *costSeries[alg])
-			timeFig.Series = append(timeFig.Series, *timeSeries[alg])
-		}
-		costFigs = append(costFigs, costFig)
-		timeFigs = append(timeFigs, timeFig)
+		return offlinePoint(cfg, nw, ratios[ri], cfg.Seed+int64(100*ti+ri))
+	})
+	if err != nil {
+		return nil, err
+	}
+	var cost, ms []Figure
+	for ti, tp := range realTopologies {
+		ids := [2]string{fmt.Sprintf("Fig6(%c)", 'a'+ti), fmt.Sprintf("Fig6(%c)", 'a'+len(realTopologies)+ti)}
+		p := offlinePanels(ids, "vs Dmax/|V| in "+tp.name, "Dmax/|V|", append([]float64(nil), ratios...), points[ti])
+		cost, ms = append(cost, p[0]), append(ms, p[1])
 	}
 	// The paper's layout: cost panels first, then running times.
-	return append(costFigs, timeFigs...), nil
+	return append(cost, ms...), nil
 }
 
 // Fig7 reproduces Figure 7: the operational cost and running time of
 // Appro_Multi_Cap under computing and bandwidth capacity constraints,
 // with Dmax/|V| = 0.2, admitting a stream of requests per network
-// size. The uncapacitated Appro_Multi average over the same workload
-// is included for the Fig.7-vs-Fig.5(c) comparison the paper makes.
+// size — sequential admission, solving on the residual network and
+// then allocating, which is the engine's plan/commit lifecycle with
+// Appro_Multi_Cap as the planner. The uncapacitated Appro_Multi average
+// over the same workload is included for the Fig.7-vs-Fig.5(c)
+// comparison the paper makes.
 func Fig7(cfg Config) ([]Figure, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	const ratio = 0.2
-	costFig := Figure{
-		ID:     "Fig7(a)",
-		Title:  "operational cost of Appro_Multi_Cap vs network size (Dmax/|V| = 0.20)",
-		XLabel: "n",
-		YLabel: "avg operational cost",
-	}
-	timeFig := Figure{
-		ID:     "Fig7(b)",
-		Title:  "running time of Appro_Multi_Cap vs network size (Dmax/|V| = 0.20)",
-		XLabel: "n",
-		YLabel: "avg running time (ms)",
-	}
-	capSeries := Series{Label: "Appro_Multi_Cap"}
-	uncapSeries := Series{Label: "Appro_Multi (uncap)"}
-	capTime := Series{Label: "Appro_Multi_Cap"}
-	admitted := Series{Label: "admitted (of requests)"}
-	type point struct {
-		capCost, uncapCost, capMS float64
-		capCount                  int
-	}
-	points := make([]point, len(cfg.NetworkSizes))
-	err := forEachIndex(len(points), func(pi int) error {
-		n := cfg.NetworkSizes[pi]
-		nw, err := networkFor("waxman", n, cfg.Seed+int64(n))
+	points, err := grid(len(cfg.NetworkSizes), 1, allCores, func(ni, _ int) ([]float64, error) {
+		n := cfg.NetworkSizes[ni]
+		eng, nw, err := newEngine(cfg, "Appro_Multi_Cap", "waxman", n, cfg.Seed+int64(n))
 		if err != nil {
-			return err
+			return nil, err
 		}
+		defer eng.Close()
 		gcfg := multicast.DefaultGeneratorConfig()
-		gcfg.DestRatio = ratio
+		gcfg.DestRatio = 0.2
 		gen, err := multicast.NewGenerator(nw.NumNodes(), gcfg, cfg.Seed+int64(n)+7)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		// The capacitated stream is sequential admission — solve on the
-		// residual network, then allocate — which is exactly the engine's
-		// plan/commit lifecycle with Appro_Multi_Cap as the planner.
-		eng := engine.New(nw,
-			core.NewApproCapPlanner(core.Options{K: cfg.K, Workers: cfg.Workers}),
-			engineOptions(cfg, "Appro_Multi_Cap"))
-		defer eng.Close()
 		var (
 			capCost, uncapCost, capMS float64
 			capCount, uncapCount      int
 		)
-		for i := 0; i < cfg.Requests; i++ {
-			req, gerr := gen.Next()
-			if gerr != nil {
-				return gerr
+		next := func() (arrival, error) {
+			req, err := gen.Next()
+			if err != nil {
+				return arrival{}, err
 			}
 			// Uncapacitated reference solve: a read-only pass over the
 			// same network, safe while no engine operation is in flight.
-			if sol, aerr := core.ApproMulti(nw, req, core.Options{K: cfg.K, Workers: cfg.Workers}); aerr == nil {
+			opts := core.Options{K: cfg.K, Workers: cfg.Workers}
+			if sol, err := solveOffline("Appro_Multi", nw, req, opts); err == nil {
 				uncapCost += sol.OperationalCost
 				uncapCount++
 			}
-			start := time.Now()
-			sol, aerr := eng.Admit(req)
-			dur := time.Since(start)
-			if aerr != nil {
-				continue // infeasible under residual capacities: skip
+			return arrival{req: req}, nil
+		}
+		err = admitAll(eng, cfg.Requests, 0, next, func(o outcome) error {
+			if o.sol != nil { // a request infeasible under residual capacities is skipped
+				capCost += o.sol.OperationalCost
+				capMS += millis(o.took)
+				capCount++
 			}
-			capCost += sol.OperationalCost
-			capMS += float64(dur.Microseconds()) / 1000.0
-			capCount++
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		if capCount == 0 || uncapCount == 0 {
-			return fmt.Errorf("sim: fig7 point n=%d admitted nothing", n)
+			return nil, fmt.Errorf("sim: fig7 point n=%d admitted nothing", n)
 		}
-		points[pi] = point{
-			capCost:   capCost / float64(capCount),
-			uncapCost: uncapCost / float64(uncapCount),
-			capMS:     capMS / float64(capCount),
-			capCount:  capCount,
-		}
-		return nil
+		cc := float64(capCount)
+		return []float64{capCost / cc, uncapCost / float64(uncapCount), capMS / cc, cc}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for pi, n := range cfg.NetworkSizes {
-		costFig.X = append(costFig.X, float64(n))
-		timeFig.X = append(timeFig.X, float64(n))
-		capSeries.Y = append(capSeries.Y, points[pi].capCost)
-		uncapSeries.Y = append(uncapSeries.Y, points[pi].uncapCost)
-		capTime.Y = append(capTime.Y, points[pi].capMS)
-		admitted.Y = append(admitted.Y, float64(points[pi].capCount))
+	s := columns([]string{"Appro_Multi_Cap", "Appro_Multi (uncap)", "Appro_Multi_Cap", "admitted (of requests)"}, points[0])
+	return costTimePanels([2]string{"Fig7(a)", "Fig7(b)"},
+		"of Appro_Multi_Cap vs network size (Dmax/|V| = 0.20)", "n", floats(cfg.NetworkSizes), s[:2], s[2:]), nil
+}
+
+// AblationK sweeps the server budget K of Appro_Multi on one network
+// size, quantifying the cost/time trade-off behind the paper's choice
+// of K = 3 (DESIGN.md §4).
+func AblationK(cfg Config) ([]Figure, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	costFig.Series = []Series{capSeries, uncapSeries}
-	timeFig.Series = []Series{capTime, admitted}
-	return []Figure{costFig, timeFig}, nil
+	n := cfg.NetworkSizes[len(cfg.NetworkSizes)/2]
+	nw, err := networkFor("waxman", n, cfg.Seed+int64(n))
+	if err != nil {
+		return nil, err
+	}
+	points, err := grid(cfg.K, 1, oneCore, func(ki, _ int) ([]float64, error) {
+		return solveMeans(nw, multicast.DefaultGeneratorConfig(), cfg.Seed+99, cfg.Requests,
+			[]string{"Appro_Multi"}, core.Options{K: ki + 1, Workers: cfg.Workers}, anyError)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return []Figure{{
+		ID:     "AblationK",
+		Title:  fmt.Sprintf("Appro_Multi cost and time vs server budget K (n = %d)", n),
+		XLabel: "K",
+		X:      numbered(1, cfg.K),
+		YLabel: "avg cost / avg ms",
+		Series: columns([]string{"operational cost", "running time (ms)", "avg servers used"}, points[0]),
+	}}, nil
+}
+
+// AblationEvaluator compares the default closure-based subset
+// evaluator against the paper-literal explicit auxiliary-graph
+// construction: equal-quality trees, very different running time
+// (DESIGN.md §4).
+func AblationEvaluator(cfg Config) ([]Figure, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	n := cfg.NetworkSizes[0]
+	nw, err := networkFor("waxman", n, cfg.Seed+int64(n))
+	if err != nil {
+		return nil, err
+	}
+	points, err := grid(2, 1, oneCore, func(vi, _ int) ([]float64, error) {
+		return solveMeans(nw, multicast.DefaultGeneratorConfig(), cfg.Seed+7, cfg.Requests,
+			[]string{"Appro_Multi"}, core.Options{K: 2, ExplicitAuxiliary: vi == 1, Workers: cfg.Workers}, anyError)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return []Figure{{
+		ID:     "AblationEvaluator",
+		Title:  fmt.Sprintf("closure evaluator vs explicit auxiliary graphs (n = %d, K = 2)", n),
+		XLabel: "variant(0=closure,1=explicit)",
+		X:      numbered(0, 2),
+		YLabel: "avg cost / avg ms",
+		Series: columns([]string{"operational cost", "running time (ms)"}, points[0]),
+	}}, nil
+}
+
+// ExtStretch is an extension experiment beyond the paper: the latency
+// price of NFV steering. For each algorithm it reports the average
+// *stretch* — worst-destination delivery hops (including the service
+// chain detour and pseudo-multicast back-tracking) divided by the
+// plain shortest-path distance — across network sizes, over the
+// requests that algorithm solves.
+func ExtStretch(cfg Config) ([]Figure, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	ys, err := grid(len(cfg.NetworkSizes), len(offlineAlgorithms), allCores, func(ni, ai int) (float64, error) {
+		n, alg := cfg.NetworkSizes[ni], offlineAlgorithms[ai]
+		nw, err := networkFor("waxman", n, cfg.Seed+int64(n))
+		if err != nil {
+			return 0, err
+		}
+		gen, err := multicast.NewGenerator(nw.NumNodes(), multicast.DefaultGeneratorConfig(), cfg.Seed+int64(n)+3)
+		if err != nil {
+			return 0, err
+		}
+		var sum float64
+		count := 0
+		for i := 0; i < cfg.Requests; i++ {
+			req, err := gen.Next()
+			if err != nil {
+				return 0, err
+			}
+			sol, err := solveOffline(alg, nw, req, core.Options{K: cfg.K, Workers: cfg.Workers})
+			if err != nil {
+				continue
+			}
+			stretch, err := sol.Tree.Stretch(nw.Graph())
+			if err != nil {
+				return 0, err
+			}
+			sum += stretch
+			count++
+		}
+		if count == 0 {
+			return 0, fmt.Errorf("sim: stretch point n=%d solved nothing for %s", n, alg)
+		}
+		return sum / float64(count), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return []Figure{{
+		ID:     "ExtStretch",
+		Title:  "latency stretch of NFV steering vs network size",
+		XLabel: "n",
+		X:      floats(cfg.NetworkSizes),
+		YLabel: "avg worst-destination stretch",
+		Series: labelled(offlineAlgorithms, ys),
+	}}, nil
 }

@@ -29,19 +29,8 @@ func ExtOptGap(cfg Config) ([]Figure, error) {
 		k       = 2
 	)
 	destCounts := []int{2, 3, 4, 5}
-	fig := Figure{
-		ID: "ExtOptGap",
-		Title: fmt.Sprintf(
-			"measured optimality gaps on exact-solvable instances (n = %d, %d per point)",
-			netSize, cfg.Requests),
-		XLabel: "destinations",
-		YLabel: "ratio to exact optimum",
-	}
-	kmbAvg := Series{Label: "KMB avg"}
-	kmbMax := Series{Label: "KMB worst"}
-	amAvg := Series{Label: "Appro_Multi avg"}
-	amMax := Series{Label: "Appro_Multi worst"}
-	for _, nd := range destCounts {
+	points, err := grid(len(destCounts), 1, allCores, func(di, _ int) ([]float64, error) {
+		nd := destCounts[di]
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(nd)))
 		var (
 			kmbSum, kmbWorst float64
@@ -89,37 +78,40 @@ func ExtOptGap(cfg Config) ([]Figure, error) {
 			}
 			r := kmb.Weight / exact.Weight
 			kmbSum += r
-			if r > kmbWorst {
-				kmbWorst = r
-			}
+			kmbWorst = max(kmbWorst, r)
 
 			// Appro_Multi vs the exact auxiliary optimum.
 			optAux, ok := exactAuxOptimum(nw, req, k)
 			if !ok || optAux <= 0 {
 				continue
 			}
-			sol, err := core.ApproMulti(nw, req, core.Options{K: k, Workers: cfg.Workers})
+			sol, err := solveOffline("Appro_Multi", nw, req, core.Options{K: k, Workers: cfg.Workers})
 			if err != nil {
 				continue
 			}
 			ra := sol.OperationalCost / optAux
 			amSum += ra
-			if ra > amWorst {
-				amWorst = ra
-			}
+			amWorst = max(amWorst, ra)
 			samples++
 		}
 		if samples == 0 {
 			return nil, fmt.Errorf("sim: optgap point nd=%d collected no samples", nd)
 		}
-		fig.X = append(fig.X, float64(nd))
-		kmbAvg.Y = append(kmbAvg.Y, kmbSum/float64(samples))
-		kmbMax.Y = append(kmbMax.Y, kmbWorst)
-		amAvg.Y = append(amAvg.Y, amSum/float64(samples))
-		amMax.Y = append(amMax.Y, amWorst)
+		return []float64{kmbSum / float64(samples), kmbWorst, amSum / float64(samples), amWorst}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	fig.Series = []Series{kmbAvg, kmbMax, amAvg, amMax}
-	return []Figure{fig}, nil
+	return []Figure{{
+		ID: "ExtOptGap",
+		Title: fmt.Sprintf(
+			"measured optimality gaps on exact-solvable instances (n = %d, %d per point)",
+			netSize, cfg.Requests),
+		XLabel: "destinations",
+		X:      floats(destCounts),
+		YLabel: "ratio to exact optimum",
+		Series: columns([]string{"KMB avg", "KMB worst", "Appro_Multi avg", "Appro_Multi worst"}, points[0]),
+	}}, nil
 }
 
 // exactAuxOptimum computes the minimum exact auxiliary tree weight

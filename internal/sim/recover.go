@@ -83,7 +83,7 @@ func runRecoveryArm(cfg Config, label string, pol recov.Policy) (*recoveryArm, e
 	if err != nil {
 		return nil, err
 	}
-	p, err := plannerFor("Online_CP", nw)
+	p, err := core.NewPlanner("Online_CP", core.PlannerOptions{Nodes: nw.NumNodes()})
 	if err != nil {
 		return nil, err
 	}
@@ -96,12 +96,8 @@ func runRecoveryArm(cfg Config, label string, pol recov.Policy) (*recoveryArm, e
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.Requests; i++ {
-		req, gerr := gen.Next()
-		if gerr != nil {
-			return nil, gerr
-		}
-		_, _ = eng.Admit(req)
+	if err := admitAll(eng, cfg.Requests, 0, fromGenerator(gen), nil); err != nil {
+		return nil, err
 	}
 
 	arm := &recoveryArm{Label: label, Gamma: pol.Gamma, AdmittedStart: eng.LiveCount()}
@@ -172,10 +168,8 @@ func ExtRecover(cfg Config) ([]Figure, error) {
 	}); err != nil {
 		return nil, err
 	}
-	for r := 0; r < len(arms[0].Rounds); r++ {
-		survived.X = append(survived.X, float64(r+1))
-		latency.X = append(latency.X, float64(r+1))
-	}
+	survived.X = numbered(1, len(arms[0].Rounds))
+	latency.X = numbered(1, len(arms[0].Rounds))
 	for _, arm := range arms {
 		s := Series{Label: arm.Label}
 		l := Series{Label: arm.Label}

@@ -16,10 +16,15 @@
 //	AblationK, AblationEvaluator, AblationCostModel — design-choice
 //	       sweeps from DESIGN.md §4
 //	ExtChurn, ExtErlang, ExtOnlineK, ExtReoptimize, ExtStretch,
-//	ExtOptGap — extension experiments beyond the paper (DESIGN.md §3)
+//	ExtOptGap, ExtRecover, ExtDistChain — extension experiments
+//	       beyond the paper (DESIGN.md §3)
 //
-// Replicate runs any experiment across several seeds and aggregates
-// mean ± 95% CI per point.
+// Every driver is a few lines over the primitives in sweep.go: a grid
+// of independent sweep cells, one offline solve and its timed
+// averages, one arrival/admit loop over an admission engine, one
+// checkpoint axis and one cost/time panel pair. Experiments is the
+// table of drivers the CLI runs. Replicate runs any experiment across
+// several seeds and aggregates mean ± 95% CI per point.
 package sim
 
 import (
@@ -31,19 +36,9 @@ import (
 
 	"nfvmcast/internal/engine"
 	"nfvmcast/internal/obs"
-	"nfvmcast/internal/parallel"
 	"nfvmcast/internal/sdn"
 	"nfvmcast/internal/topology"
 )
-
-// forEachIndex runs fn(0..n-1) concurrently, bounded by GOMAXPROCS
-// workers (the shared internal/parallel pool), and returns the first
-// error (by index order). Sweep points are independent — each builds
-// its own seeded network and workload — so parallel execution leaves
-// results bit-identical to sequential runs.
-func forEachIndex(n int, fn func(i int) error) error {
-	return parallel.ForEachIndex(parallel.Degree(-1), n, fn)
-}
 
 // Config controls an experiment run.
 type Config struct {
@@ -194,6 +189,13 @@ func WriteMetricsSummary(dir, experiment string, reg *obs.Registry) (string, err
 	return path, nil
 }
 
+// realTopologies are the measured substrates of Figs. 6 and 9.
+var realTopologies = []struct{ id, name string }{
+	{"geant", "GEANT"},
+	{"as1755", "AS1755"},
+	{"as4755", "AS4755"},
+}
+
 // networkFor builds the evaluation network for a named topology:
 // "waxman" (with the given size), "geant", "as1755" or "as4755".
 // Random networks use the GT-ITM-style degree-targeted Waxman model.
@@ -222,4 +224,42 @@ func networkFor(name string, n int, seed int64) (*sdn.Network, error) {
 	}
 	rng := rand.New(rand.NewSource(seed + 1))
 	return sdn.NewNetwork(topo, sdn.DefaultConfig(), rng)
+}
+
+// Experiments is the table of experiment drivers, in the order the CLI
+// lists them. Online marks the experiments whose request count is a
+// number of online arrivals: the CLI runs them at the paper's 300
+// unless the count is set explicitly.
+var Experiments = []struct {
+	Name   string
+	Desc   string
+	Run    func(Config) ([]Figure, error)
+	Online bool
+}{
+	{"fig5", "Appro_Multi vs one-server baselines on random networks (cost & time)", Fig5, false},
+	{"fig6", "the same algorithms on GEANT and AS1755", Fig6, false},
+	{"fig7", "Appro_Multi_Cap under capacity constraints", Fig7, false},
+	{"fig8", "Online_CP vs SP admissions vs network size", Fig8, true},
+	{"fig9", "Online_CP vs SP admissions vs arrivals (GEANT, AS1755)", Fig9, true},
+	{"ablation-k", "Appro_Multi cost/time vs server budget K", AblationK, false},
+	{"ablation-evaluator", "closure evaluator vs explicit auxiliary graphs", AblationEvaluator, false},
+	{"ablation-costmodel", "exponential vs load-oblivious admission under load", AblationCostModel, true},
+	{"ext-churn", "extension: steady-state sessions under arrival/departure churn", ExtChurn, true},
+	{"ext-stretch", "extension: latency stretch of NFV steering per algorithm", ExtStretch, false},
+	{"ext-erlang", "extension: acceptance ratio vs offered load (Poisson/loss system)", ExtErlang, true},
+	{"ext-onlinek", "extension: online admission with K-server chains (open problem)", ExtOnlineK, true},
+	{"ext-reoptimize", "extension: batch re-placement of admitted sessions", ExtReoptimize, true},
+	{"ext-optgap", "extension: measured optimality gaps vs exact solutions", ExtOptGap, false},
+	{"ext-recover", "extension: self-healing recovery after link failures (repair vs replan)", ExtRecover, true},
+	{"ext-distchain", "extension: distributed chain placement & live reconfiguration (open problem)", ExtDistChain, true},
+}
+
+// RunExperiment runs one named experiment.
+func RunExperiment(name string, cfg Config) ([]Figure, error) {
+	for _, e := range Experiments {
+		if e.Name == name {
+			return e.Run(cfg)
+		}
+	}
+	return nil, fmt.Errorf("sim: unknown experiment %q", name)
 }
