@@ -237,7 +237,7 @@ var Experiments = []struct {
 	Online bool
 }{
 	{"fig5", "Appro_Multi vs one-server baselines on random networks (cost & time)", Fig5, false},
-	{"fig6", "the same algorithms on GEANT and AS1755", Fig6, false},
+	{"fig6", "the same algorithms on GEANT, AS1755 and AS4755", Fig6, false},
 	{"fig7", "Appro_Multi_Cap under capacity constraints", Fig7, false},
 	{"fig8", "Online_CP vs SP admissions vs network size", Fig8, true},
 	{"fig9", "Online_CP vs SP admissions vs arrivals (GEANT, AS1755)", Fig9, true},
