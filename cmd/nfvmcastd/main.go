@@ -52,7 +52,7 @@ func run(args []string, out io.Writer) error {
 		seed          = fs.Int64("seed", 42, "substrate seed (capacities, costs, servers)")
 		policy        = fs.String("policy", "Online_CP", "admission planner: "+policyNames())
 		shards        = fs.Int("shards", 1, "shard count")
-		workers       = fs.Int("workers", 0, "admission workers per shard (0 = engine default)")
+		workers       = fs.Int("workers", 0, "admission workers per shard (0 = sequential; a shard with more than one concurrent client should run 2, see README \"Parallelism\")")
 		queueDepth    = fs.Int("queue-depth", 64, "bounded admission queue; beyond it submit answers 429")
 		reqTimeout    = fs.Duration("request-timeout", 10*time.Second, "server-side deadline per request")
 		segmentBytes  = fs.Int64("segment-bytes", 0, "WAL segment rotation threshold (0 = default)")

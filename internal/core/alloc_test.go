@@ -35,7 +35,7 @@ func TestCPPlanAllocationBudget(t *testing.T) {
 	for range pool {
 		plan()
 	}
-	builds := func() uint64 { _, _, b := planner.cache.stats(); return b }
+	builds := func() uint64 { _, b := planner.cache.stats(); return b }
 	before := builds()
 	admitted = 0
 	allocs := testing.AllocsPerRun(2*len(pool), plan)

@@ -69,57 +69,3 @@ func cpPlanFixture(tb testing.TB) (*sdn.Network, []*multicast.Request, *CPPlanne
 	}
 	return nw, pool, planner
 }
-
-// BenchmarkWorkGraphRekey measures the sweep that carries a cached work
-// graph across a residual epoch: Online_CP's cache on Waxman n=100,
-// where each iteration allocates and releases one small bundle (two
-// links and one server, in amounts the residuals absorb exactly) and
-// then acquires the same request again. The key misses on the new
-// epoch, every residual compares equal to the cached entry's snapshot,
-// and the entry is re-keyed; the round trip is a small share of each
-// iteration. Not CI-gated; run with
-//
-//	go test ./internal/core/ -run '^$' -bench 'WorkGraphRekey' -benchmem
-func BenchmarkWorkGraphRekey(b *testing.B) {
-	topo, err := topology.WaxmanDegree(100, topology.DefaultAvgDegree, 0.14, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nw, err := sdn.NewNetwork(topo, sdn.DefaultConfig(), rand.New(rand.NewSource(42)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen, err := multicast.NewGenerator(nw.NumNodes(), multicast.OnlineGeneratorConfig(), 55)
-	if err != nil {
-		b.Fatal(err)
-	}
-	req, err := gen.Next()
-	if err != nil {
-		b.Fatal(err)
-	}
-	planner, err := NewCPPlanner(DefaultCostModel(nw.NumNodes()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	bundle := sdn.Allocation{
-		Links:   []sdn.LinkShare{{Edge: 0, Mbps: 8}, {Edge: 1, Mbps: 8}},
-		Servers: []sdn.ServerShare{{Node: nw.Servers()[0], MHz: 64}},
-	}
-	c := &planner.cache
-	c.acquire(nw, req)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := nw.Allocate(bundle); err != nil {
-			b.Fatal(err)
-		}
-		if err := nw.Release(bundle); err != nil {
-			b.Fatal(err)
-		}
-		c.acquire(nw, req)
-	}
-	b.StopTimer()
-	if _, rekeys, _ := c.stats(); rekeys != uint64(b.N) {
-		b.Fatalf("%d rekeys in %d acquires: the round trip did not restore the residuals", rekeys, b.N)
-	}
-}

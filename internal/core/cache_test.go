@@ -100,14 +100,39 @@ func TestWorkGraphKeyTracksResidualMutations(t *testing.T) {
 		t.Fatal("key unchanged after Allocate")
 	}
 
-	// Release invalidates (does not revert to the pre-allocation key).
+	// A Release that undoes the Allocate just before it returns the
+	// residuals, bit for bit, and the key with them.
+	if err := nw.Release(alloc); err != nil {
+		t.Fatal(err)
+	}
+	if got := makeWorkGraphKey(nw, req); got != base {
+		t.Fatal("key not restored after Release undid the Allocate")
+	}
+
+	// An intervening mutation prevents the return: releasing alloc
+	// after another allocation leaves a state that was never keyed,
+	// and releasing the other one afterwards takes a fresh key too.
+	other := sdn.Allocation{Links: []sdn.LinkShare{{Edge: 1, Mbps: 1}}}
+	if err := nw.Allocate(alloc); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Allocate(other); err != nil {
+		t.Fatal(err)
+	}
 	if err := nw.Release(alloc); err != nil {
 		t.Fatal(err)
 	}
 	afterRelease := makeWorkGraphKey(nw, req)
 	if afterRelease == base || afterRelease == afterAlloc {
-		t.Fatal("key unchanged after Release")
+		t.Fatal("key returned after a Release that did not undo the last Allocate")
 	}
+	if err := nw.Release(other); err != nil {
+		t.Fatal(err)
+	}
+	if got := makeWorkGraphKey(nw, req); got == base || got == afterRelease {
+		t.Fatal("key returned after the undo record had moved on")
+	}
+	afterRelease = makeWorkGraphKey(nw, req)
 
 	// Restore invalidates even when the restored residuals equal the
 	// current ones.

@@ -56,7 +56,7 @@ func NewDistCPPlanner(model CostModel, splitLimit int) (*DistCPPlanner, error) {
 	p := &DistCPPlanner{model: model, split: splitLimit}
 	// Identical residual-view recipe to CPPlanner, so the work-graph
 	// cache is carried across residual epochs exactly as Online_CP's is
-	// (hits, re-keys, templated builds).
+	// (hits, templated builds).
 	p.cache.priceMarginal(model)
 	return p, nil
 }

@@ -57,8 +57,7 @@ func (p *CPPlanner) Plan(
 		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
 	// The residual work graph and shortest-path cache for (nw, req):
-	// cached, re-keyed from an identical residual epoch, or built (see
-	// workGraphCache).
+	// cached for this residual state, or built (see workGraphCache).
 	w, spc := p.cache.acquire(nw, req)
 	if len(w.servers) == 0 {
 		return nil, fmt.Errorf("%w: %w: %0.f MHz demanded",

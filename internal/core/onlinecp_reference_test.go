@@ -291,7 +291,7 @@ func TestCPPlanMatchesPerCandidateReference(t *testing.T) {
 					if state == "idle" {
 						continue
 					}
-					// Move the residual state on so caches patch, rekey and
+					// Move the residual state on so caches miss and
 					// rebuild: commit the plan; live200 also departs the oldest.
 					commit(got)
 					if len(live) > 200 {

@@ -36,6 +36,10 @@ type spCache struct {
 	inflight map[graph.NodeID]*spCall
 	builds   uint64 // trees built by Dijkstra (not reuses, not hits)
 	reuses   uint64 // trees built by a certified ReuseInto
+
+	// Reuse census (test instrumentation): reuse attempts that did not
+	// certify, and seeded roots sent straight to Dijkstra by noReuse.
+	abandoned, skipped atomic.Uint64
 }
 
 // spSeeds is a work-graph adjacency's seed table: for each root, the
@@ -131,7 +135,9 @@ func (c *spCache) build(
 		ws = new(graph.DijkstraWorkspace)
 	}
 	sp = new(graph.ShortestPaths)
-	if seed != nil && !c.noReuse.Load() {
+	if seed != nil && c.noReuse.Load() {
+		c.skipped.Add(1)
+	} else if seed != nil {
 		if reused, err = ws.ReuseInto(c.g, seed, sp); err != nil {
 			return nil, false, err
 		}
@@ -152,6 +158,7 @@ func (c *spCache) build(
 // must not clear it.
 func (c *spCache) noteReuse(reused bool) {
 	if !reused {
+		c.abandoned.Add(1)
 		c.noReuse.Store(true)
 	}
 }

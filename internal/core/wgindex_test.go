@@ -30,19 +30,15 @@ func (m *linearMRU) lookup(key workGraphKey) bool {
 	return false
 }
 
-// picks scans front to back: the first same-structure key is the
-// cold-build template, the first same-family key the rekey base.
-func (m *linearMRU) picks(key workGraphKey) (base, tmpl *workGraphKey) {
+// template scans front to back: the first same-structure key is the
+// cold-build template.
+func (m *linearMRU) template(key workGraphKey) *workGraphKey {
 	for i := range m.keys {
-		k := &m.keys[i]
-		if tmpl == nil && k.structure() == key.structure() {
-			tmpl = k
-		}
-		if k.family() == key.family() {
-			return k, tmpl
+		if k := &m.keys[i]; k.structure() == key.structure() {
+			return k
 		}
 	}
-	return nil, tmpl
+	return nil
 }
 
 // insert puts key at the front, dropping the last key beyond the cache
@@ -73,8 +69,8 @@ func refKey(k *workGraphKey) string {
 	return fmt.Sprint(*k)
 }
 
-// checkIndex compares the cache's list order and its per-family and
-// per-structure pointers with the reference. Caller owns c.
+// checkIndex compares the cache's list order and its per-structure
+// pointers with the reference. Caller owns c.
 func checkIndex(t *testing.T, step int, c *workGraphCache, m *linearMRU) {
 	t.Helper()
 	i := 0
@@ -87,15 +83,8 @@ func checkIndex(t *testing.T, step int, c *workGraphCache, m *linearMRU) {
 	if i != len(m.keys) || len(c.index) != len(m.keys) {
 		t.Fatalf("step %d: list %d / index %d entries, reference %d", step, i, len(c.index), len(m.keys))
 	}
-	families := map[wgFamily]bool{}
 	structures := map[wgStructure]bool{}
 	for _, k := range m.keys {
-		if !families[k.family()] {
-			families[k.family()] = true
-			if got := c.byFamily[k.family()]; got == nil || got.key != k {
-				t.Fatalf("step %d: family MRU of %v is %s, reference %v", step, k, nodeKey(got), k)
-			}
-		}
 		if !structures[k.structure()] {
 			structures[k.structure()] = true
 			if got := c.byStruct[k.structure()]; got == nil || got.key != k {
@@ -103,9 +92,8 @@ func checkIndex(t *testing.T, step int, c *workGraphCache, m *linearMRU) {
 			}
 		}
 	}
-	if len(c.byFamily) != len(families) || len(c.byStruct) != len(structures) {
-		t.Fatalf("step %d: %d family / %d structure pointers, reference %d / %d",
-			step, len(c.byFamily), len(c.byStruct), len(families), len(structures))
+	if len(c.byStruct) != len(structures) {
+		t.Fatalf("step %d: %d structure pointers, reference %d", step, len(c.byStruct), len(structures))
 	}
 }
 
@@ -114,9 +102,9 @@ func checkIndex(t *testing.T, step int, c *workGraphCache, m *linearMRU) {
 // changing, so keys spread over many epochs, 12 request families and
 // several structures — well past the cache size, so the LRU evicts
 // throughout. Before each acquire the oracle asks the reference for the
-// verdict (hit or miss) and, on a miss, the rekey base and template the
-// front-to-back scan picks; after it, the list ends and the evicted key
-// must match, and every 16 calls the whole list and every group pointer.
+// verdict (hit or miss) and, on a miss, the template the front-to-back
+// scan picks; after it, the list ends and the evicted key must match,
+// and every 16 calls the whole list and every structure pointer.
 func TestWorkGraphCacheIndexMatchesLinearMRU(t *testing.T) {
 	nw := testNetwork(t, 12, 61)
 	base := testRequest(t, nw, 62)
@@ -172,7 +160,7 @@ func TestWorkGraphCacheIndexMatchesLinearMRU(t *testing.T) {
 			}
 			views = append(views, nw.Clone())
 		}
-		// Favour recent views, so hits, rekeys and evictions all occur.
+		// Favour recent views, so hits and evictions both occur.
 		vi := len(views) - 1 - int(float64(len(views))*rng.Float64()*rng.Float64())
 		view, req := views[vi], reqs[rng.Intn(len(reqs))]
 		key := makeWorkGraphKey(view, req)
@@ -180,10 +168,7 @@ func TestWorkGraphCacheIndexMatchesLinearMRU(t *testing.T) {
 		wantHit := ref.lookup(key)
 		var evicted *workGraphKey
 		if !wantHit {
-			wantBase, wantTmpl := ref.picks(key)
-			if got := c.byFamily[key.family()]; nodeKey(got) != refKey(wantBase) {
-				t.Fatalf("step %d: rekey base for %v is %s, reference %s", step, key, nodeKey(got), refKey(wantBase))
-			}
+			wantTmpl := ref.template(key)
 			if got := c.byStruct[key.structure()]; nodeKey(got) != refKey(wantTmpl) {
 				t.Fatalf("step %d: template for %v is %s, reference %s", step, key, nodeKey(got), refKey(wantTmpl))
 			}
@@ -207,8 +192,8 @@ func TestWorkGraphCacheIndexMatchesLinearMRU(t *testing.T) {
 			checkIndex(t, step, &c, &ref)
 		}
 	}
-	t.Logf("%d acquires: %d hits, %d rekeys, %d builds; %d evictions over %d views",
-		steps, c.hits, c.rekeys, c.builds, evictions, len(views))
+	t.Logf("%d acquires: %d hits, %d builds; %d evictions over %d views",
+		steps, c.hits, c.builds, evictions, len(views))
 	if evictions < 200 || c.hits < 500 || len(views) < 100 {
 		t.Fatalf("sequence too tame: %d evictions, %d hits, %d views", evictions, c.hits, len(views))
 	}

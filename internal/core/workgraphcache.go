@@ -17,10 +17,11 @@ import (
 //
 // Like SPStaticPlanner's memoisation, the key assumes a planner serves
 // one logical network plus read-only clones of it: clones inherit both
-// versions, and sdn.Network bumps MutationVersion on every residual
-// mutation, so equal keys imply identical residual state on that
-// network family. The node/edge counts guard against gross mismatches
-// when a planner is (incorrectly) pointed at an unrelated network.
+// versions, and sdn.Network's versions name residual states, so equal
+// keys imply identical residual state on that network family, also
+// when a departure returns the residuals to a state planned before.
+// The node/edge counts guard against gross mismatches when a planner
+// is (incorrectly) pointed at an unrelated network.
 type workGraphKey struct {
 	structVer uint64
 	mutVer    uint64
@@ -55,80 +56,13 @@ func (k workGraphKey) structure() wgStructure {
 	return wgStructure{structVer: k.structVer, nodes: k.nodes, edges: k.edges}
 }
 
-// wgFamily is a key without its residual epoch. One family's keys
-// differ only in residual values: equal structures mean identical
-// topology and up/down state, and equal request parameters mean
-// identical filtering and pricing formulas, so equal residuals give an
-// identical work graph (residualSnap.matches).
-type wgFamily struct {
-	wgStructure
-	bandwidth float64
-	demand    float64
-}
-
-func (k workGraphKey) family() wgFamily {
-	return wgFamily{wgStructure: k.structure(), bandwidth: k.bandwidth, demand: k.demand}
-}
-
-// residualSnap records the residual values an entry's work graph was
-// built from, so a later epoch of the same family can be verified
-// value by value: when every residual round-tripped back to these exact
-// values, the work graph is unchanged and the entry is re-keyed as it
-// is. Float residuals round-trip exactly through many allocate/release
-// cycles.
-type residualSnap struct {
-	linkFree []float64
-	linkCap  []float64
-	srvIDs   []graph.NodeID // sorted; position-aligned with srvFree
-	srvFree  []float64
-}
-
-func captureResidualSnap(nw *sdn.Network) *residualSnap {
-	m := nw.NumEdges()
-	s := &residualSnap{
-		linkFree: make([]float64, m),
-		linkCap:  make([]float64, m),
-	}
-	for e := 0; e < m; e++ {
-		s.linkFree[e] = nw.ResidualBandwidth(e)
-		s.linkCap[e] = nw.BandwidthCap(e)
-	}
-	nw.VisitServers(func(v graph.NodeID) bool {
-		s.srvIDs = append(s.srvIDs, v)
-		s.srvFree = append(s.srvFree, nw.ResidualCompute(v))
-		return true
-	})
-	return s
-}
-
-// matches reports whether nw's residual view equals the one s
-// captured: every link's (free, cap) and every server's free compute.
-// nw must belong to the family s was captured on, so the link counts
-// agree.
-func (s *residualSnap) matches(nw *sdn.Network) bool {
-	for e := range s.linkFree {
-		if nw.ResidualBandwidth(e) != s.linkFree[e] || nw.BandwidthCap(e) != s.linkCap[e] {
-			return false
-		}
-	}
-	i, same := 0, true
-	nw.VisitServers(func(v graph.NodeID) bool {
-		same = i < len(s.srvIDs) && s.srvIDs[i] == v && nw.ResidualCompute(v) == s.srvFree[i]
-		i++
-		return same
-	})
-	return same && i == len(s.srvIDs)
-}
-
 // wgEntry pairs a cached work graph with the shortest-path cache over
 // it; both are immutable/concurrency-safe, so entries may be shared by
-// any number of planner goroutines. snap is the residual state the
-// entry was built against.
+// any number of planner goroutines.
 type wgEntry struct {
-	key  workGraphKey
-	w    *workGraph
-	sp   *spCache
-	snap *residualSnap
+	key workGraphKey
+	w   *workGraph
+	sp  *spCache
 }
 
 // wgNode is an entry's place in the cache's MRU list.
@@ -146,33 +80,28 @@ type wgCall struct {
 }
 
 // workGraphCache memoizes residual work graphs (and their
-// shortest-path caches) across Plan calls. acquire has three outcomes:
+// shortest-path caches) across Plan calls. acquire has two outcomes:
 //
 //   - Hit: an exact (structVer, mutVer, params) key returns the shared
-//     entry.
-//   - Rekey: a miss whose key differs from a cached entry's only by
-//     mutation epoch sweeps every residual against that base entry's
-//     snapshot. When all of them round-tripped back to the same values,
-//     the base entry is aliased under the new key (graph, trees and
-//     snapshot shared; no new state).
-//   - Build: any other miss. When a cached entry shares the key's
-//     structure and the request keeps exactly that entry's links (on a
-//     lightly loaded substrate: all of them), the build re-prices a
-//     weight clone of the entry's graph and shares its adjacency and
-//     seed table (buildWorkGraphFrom), so its trees come lazily from
-//     the seeds; otherwise it inserts every edge afresh under a new,
-//     empty seed table.
+//     entry. A departure that undoes the admission before it restores
+//     the network's version, so the next plan at that state hits.
+//   - Build: any miss. When a cached entry shares the key's structure
+//     and the request keeps exactly that entry's links (on a lightly
+//     loaded substrate: all of them), the build re-prices a weight
+//     clone of the entry's graph and shares its adjacency and seed
+//     table (buildWorkGraphFrom), so its trees come lazily from the
+//     seeds; otherwise it inserts every edge afresh under a new, empty
+//     seed table.
 //
 // Concurrent misses on one key are single-flighted. Every lookup,
 // promotion, insertion and eviction is O(1): entries sit in a doubly
-// linked MRU list behind a key index, and two more maps name the most
-// recently used entry per structure (the template pick) and per family
-// (the rekey base) — exactly the entries a front-to-back scan of the
-// list would meet first.
+// linked MRU list behind a key index, and a second map names the most
+// recently used entry per structure (the template pick) — exactly the
+// entry a front-to-back scan of the list would meet first.
 //
-// No outcome moves a decision: a rekey aliases only an identical
-// residual view, and every tree is either a fresh Dijkstra run or a
-// reuse certified bit-identical to one (graph.ReuseInto), ties
+// No outcome moves a decision: a hit returns the work graph of an
+// identical residual view, and every tree is either a fresh Dijkstra
+// run or a reuse certified bit-identical to one (graph.ReuseInto), ties
 // included.
 type workGraphCache struct {
 	// capacitated and weight fix the build recipe. Set once at planner
@@ -184,12 +113,10 @@ type workGraphCache struct {
 	index    map[workGraphKey]*wgNode
 	mru, lru *wgNode // list ends; nil when empty
 	byStruct map[wgStructure]*wgNode
-	byFamily map[wgFamily]*wgNode
 	inflight map[workGraphKey]*wgCall
 
 	// Transition counters (under mu) — test and tuning instrumentation.
 	hits   uint64 // exact key hits
-	rekeys uint64 // verified-unchanged aliases of a base entry
 	builds uint64 // builds, templated ones included
 	// templated counts the cold builds that shared a cached entry's
 	// adjacency (buildWorkGraphFrom).
@@ -214,11 +141,10 @@ func (c *workGraphCache) priceMarginal(model CostModel) {
 	}
 }
 
-// workGraphCacheSize bounds the LRU. Entries are cheap to retain
-// (re-keyed epochs alias their base's graph and trees), and the engine
-// benchmarks cycle through hundreds of distinct request parameter
-// pairs, each its own key family — size the cache to keep a full
-// request pool resident.
+// workGraphCacheSize bounds the LRU. The engine benchmarks cycle
+// through hundreds of distinct request parameter pairs, each its own
+// key at the idle state — size the cache to keep a full request pool
+// resident.
 const workGraphCacheSize = 512
 
 // lookup finds key and promotes it to most recently used. Caller
@@ -242,7 +168,6 @@ func (c *workGraphCache) insert(e wgEntry) {
 	if c.index == nil {
 		c.index = make(map[workGraphKey]*wgNode)
 		c.byStruct = make(map[wgStructure]*wgNode)
-		c.byFamily = make(map[wgFamily]*wgNode)
 	}
 	var n *wgNode
 	if len(c.index) < workGraphCacheSize {
@@ -256,17 +181,14 @@ func (c *workGraphCache) insert(e wgEntry) {
 }
 
 // evict removes the least recently used entry and returns its node for
-// reuse. The family and structure maps lose their pointer only when it
-// aims at the victim: the global LRU entry is its family's (or
-// structure's) MRU entry only when it is that group's last entry, so
-// any other pointer still names a live, more recent entry.
+// reuse. The structure map loses its pointer only when it aims at the
+// victim: the global LRU entry is its structure's MRU entry only when
+// it is that structure's last entry, so any other pointer still names a
+// live, more recent entry.
 func (c *workGraphCache) evict() *wgNode {
 	n := c.lru
 	c.unlink(n)
 	delete(c.index, n.key)
-	if f := n.key.family(); c.byFamily[f] == n {
-		delete(c.byFamily, f)
-	}
 	if st := n.key.structure(); c.byStruct[st] == n {
 		delete(c.byStruct, st)
 	}
@@ -274,8 +196,8 @@ func (c *workGraphCache) evict() *wgNode {
 	return n
 }
 
-// pushFront makes n the most recently used entry of the cache, its
-// family and its structure.
+// pushFront makes n the most recently used entry of the cache and of
+// its structure.
 func (c *workGraphCache) pushFront(n *wgNode) {
 	n.newer, n.older = nil, c.mru
 	if c.mru != nil {
@@ -284,7 +206,6 @@ func (c *workGraphCache) pushFront(n *wgNode) {
 		c.lru = n
 	}
 	c.mru = n
-	c.byFamily[n.key.family()] = n
 	c.byStruct[n.key.structure()] = n
 }
 
@@ -304,15 +225,15 @@ func (c *workGraphCache) unlink(n *wgNode) {
 }
 
 // stats returns the transition counters.
-func (c *workGraphCache) stats() (hits, rekeys, builds uint64) {
+func (c *workGraphCache) stats() (hits, builds uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.rekeys, c.builds
+	return c.hits, c.builds
 }
 
 // acquire returns the work graph and shortest-path cache for (nw, req):
-// a hit, a rekey of a same-family entry, or a build. Concurrent misses
-// on one key share a single construction.
+// a hit or a build. Concurrent misses on one key share a single
+// construction.
 func (c *workGraphCache) acquire(nw *sdn.Network, req *multicast.Request) (*workGraph, *spCache) {
 	key := makeWorkGraphKey(nw, req)
 	c.mu.Lock()
@@ -332,52 +253,31 @@ func (c *workGraphCache) acquire(nw *sdn.Network, req *multicast.Request) (*work
 		c.inflight = make(map[workGraphKey]*wgCall)
 	}
 	c.inflight[key] = call
-	// Rekey the most recently used same-family entry; build on the
-	// most recently used same-structure entry's adjacency. Both are
+	// Build on the most recently used same-structure entry's adjacency,
 	// copied out under mu: an evicted node is reused.
-	var base wgEntry
 	var tmpl *workGraph
-	if n := c.byFamily[key.family()]; n != nil {
-		base = n.wgEntry
-	}
 	if n := c.byStruct[key.structure()]; n != nil {
 		tmpl = n.w
 	}
 	c.mu.Unlock()
 
-	var (
-		w         *workGraph
-		sp        *spCache
-		snap      *residualSnap
-		rekeyed   = base.snap != nil && base.snap.matches(nw)
-		templated bool
-	)
-	if rekeyed {
-		w, sp, snap = base.w, base.sp, base.snap
-	} else {
-		weight := func(e graph.EdgeID) float64 { return c.weight(nw, req, e) }
-		if tmpl != nil {
-			w = buildWorkGraphFrom(tmpl, nw, req, c.capacitated, weight)
-			templated = w != nil
-		}
-		if w == nil {
-			w = buildWorkGraph(nw, req, c.capacitated, weight)
-			w.seeds = make(spSeeds, w.g.NumNodes())
-		}
-		sp = newSPCache(w.g, w.seeds)
-		snap = captureResidualSnap(nw)
+	weight := func(e graph.EdgeID) float64 { return c.weight(nw, req, e) }
+	var w *workGraph
+	if tmpl != nil {
+		w = buildWorkGraphFrom(tmpl, nw, req, c.capacitated, weight)
 	}
+	templated := w != nil
+	if w == nil {
+		w = buildWorkGraph(nw, req, c.capacitated, weight)
+		w.seeds = make(spSeeds, w.g.NumNodes())
+	}
+	sp := newSPCache(w.g, w.seeds)
 
 	c.mu.Lock()
-	c.insert(wgEntry{key: key, w: w, sp: sp, snap: snap})
-	switch {
-	case rekeyed:
-		c.rekeys++
-	case templated:
+	c.insert(wgEntry{key: key, w: w, sp: sp})
+	c.builds++
+	if templated {
 		c.templated++
-		c.builds++
-	default:
-		c.builds++
 	}
 	delete(c.inflight, key)
 	c.mu.Unlock()

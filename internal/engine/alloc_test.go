@@ -16,7 +16,7 @@ import (
 // by its Depart may allocate (DESIGN.md §8.1, "The allocation budget of
 // a cache-hit admit"). CI's benchstat step checks the same path only
 // against results/bench_baseline.txt, with a 10% allowance.
-const admitDepartAllocBudget = 11
+const admitDepartAllocBudget = 9
 
 // TestAdmitDepartAllocationBudget pins the allocations of the
 // engine-hot-pool shape in plain go test: a sequential engine on the

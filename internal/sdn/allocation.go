@@ -3,6 +3,7 @@ package sdn
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"nfvmcast/internal/graph"
 )
@@ -128,18 +129,27 @@ func (nw *Network) CanAllocate(a Allocation) error {
 
 // Allocate atomically reserves a: either every link and server in the
 // allocation is charged, or (on any violation) nothing is and the
-// violation is returned.
+// violation is returned. A successful Allocate takes a fresh
+// MutationVersion and records the version before it and the residual of
+// every resource it charges, so a Release that undoes it can name the
+// restored state by its old version.
 func (nw *Network) Allocate(a Allocation) error {
 	if err := nw.CanAllocate(a); err != nil {
 		return err
 	}
+	u := &nw.undo
+	u.links, u.servers = u.links[:0], u.servers[:0]
 	for _, l := range a.Links {
+		u.links = append(u.links, LinkShare{Edge: l.Edge, Mbps: nw.linkFree[l.Edge]})
 		nw.linkFree[l.Edge] -= l.Mbps
 	}
 	for _, s := range a.Servers {
+		u.servers = append(u.servers, ServerShare{Node: s.Node, MHz: nw.srvFree[s.Node]})
 		nw.srvFree[s.Node] -= s.MHz
 	}
-	nw.mutVer++
+	u.before = nw.mutVer
+	nw.bumpVersion()
+	u.after = nw.mutVer
 	return nil
 }
 
@@ -147,6 +157,12 @@ func (nw *Network) Allocate(a Allocation) error {
 // Releasing more than was allocated is a programming error and is
 // rejected (residuals never exceed capacity); like a malformed bundle,
 // it is reported before any residual changes.
+//
+// When the network's last mutation was the Allocate of exactly the
+// links and servers a names, and each of them is back at the residual
+// it had before that Allocate, bit for bit, the residual state is the
+// one that Allocate started from, and Release restores its
+// MutationVersion. Any other successful Release takes a fresh version.
 func (nw *Network) Release(a Allocation) error {
 	if err := nw.checkShape(a); err != nil {
 		return err
@@ -182,6 +198,45 @@ func (nw *Network) Release(a Allocation) error {
 			nw.srvFree[v] = nw.srvCap[v]
 		}
 	}
-	nw.mutVer++
+	if nw.undoes(a) {
+		nw.mutVer = nw.undo.before
+	} else {
+		nw.bumpVersion()
+	}
 	return nil
+}
+
+// undoRecord is what the last Allocate charged: the version before it,
+// the fresh version it took (0: no record), and each charged resource's
+// residual before the charge (in the share's amount field). The slices
+// are reused, so recording allocates nothing in steady state.
+type undoRecord struct {
+	before, after uint64
+	links         []LinkShare
+	servers       []ServerShare
+}
+
+// undoes reports whether the just-applied release of a returned the
+// network to the state before the recorded Allocate: nothing else has
+// mutated the network since (the current version is still the fresh
+// one that Allocate took, and no later mutation can name it again),
+// and a names exactly the recorded links and servers, each back at its
+// recorded residual bit for bit.
+func (nw *Network) undoes(a Allocation) bool {
+	u := &nw.undo
+	if u.after == 0 || u.after != nw.mutVer ||
+		len(a.Links) != len(u.links) || len(a.Servers) != len(u.servers) {
+		return false
+	}
+	for i, l := range a.Links {
+		if l.Edge != u.links[i].Edge || math.Float64bits(nw.linkFree[l.Edge]) != math.Float64bits(u.links[i].Mbps) {
+			return false
+		}
+	}
+	for i, s := range a.Servers {
+		if s.Node != u.servers[i].Node || math.Float64bits(nw.srvFree[s.Node]) != math.Float64bits(u.servers[i].MHz) {
+			return false
+		}
+	}
+	return true
 }

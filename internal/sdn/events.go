@@ -31,12 +31,15 @@ func (k ResourceKind) String() string {
 
 // ResourceEvent records one failure-state transition: resource ID
 // (an edge ID for links, a node ID for servers), the new state, and
-// the MutationVersion stamped when the transition was applied — the
-// key that orders events against allocations and lets a consumer tell
-// which residual state a notification belongs to.
+// the MutationVersion stamped when the transition was applied, which
+// lets a consumer tell which residual state a notification belongs to.
+// A transition always takes a fresh version, higher than any the
+// network named before, so the stamps order the events among
+// themselves; they do not order events against allocations, since a
+// Release that undoes an Allocate goes back to an older version.
 type ResourceEvent struct {
-	// MutationVersion is the network's mutation counter immediately
-	// after this transition was applied.
+	// MutationVersion names the network's state immediately after
+	// this transition was applied.
 	MutationVersion uint64
 	// Kind says whether ID is an edge or a node.
 	Kind ResourceKind
@@ -48,8 +51,8 @@ type ResourceEvent struct {
 }
 
 // recordResourceEvent appends a transition to the pending buffer.
-// Callers bump mutVer first so the stamp names the post-transition
-// state.
+// Callers take the fresh version first so the stamp names the
+// post-transition state.
 func (nw *Network) recordResourceEvent(kind ResourceKind, id int, up bool) {
 	nw.pending = append(nw.pending, ResourceEvent{
 		MutationVersion: nw.mutVer,

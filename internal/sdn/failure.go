@@ -34,7 +34,7 @@ func (nw *Network) SetLinkUp(e graph.EdgeID, up bool) error {
 		nw.linkDown[e] = true
 	}
 	nw.structVer++
-	nw.mutVer++
+	nw.bumpVersion()
 	nw.recordResourceEvent(LinkResource, e, up)
 	return nil
 }
@@ -58,7 +58,7 @@ func (nw *Network) SetServerUp(v graph.NodeID, up bool) error {
 		nw.srvDown[v] = true
 	}
 	nw.structVer++
-	nw.mutVer++
+	nw.bumpVersion()
 	nw.recordResourceEvent(ServerResource, v, up)
 	return nil
 }

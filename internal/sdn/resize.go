@@ -13,10 +13,10 @@ import (
 // must preserve the allocation bookkeeping: the currently allocated
 // share (capacity minus residual) is a floor no resize may cut into —
 // shrinking below it would make live sessions release more than the
-// link could ever have held. Both setters bump MutationVersion (the
-// residual state changed) but not StructureVersion: which links and
-// servers exist is unchanged, so structure-keyed caches stay valid
-// while residual-keyed ones are invalidated, exactly matching what a
+// link could ever have held. Both setters give MutationVersion a fresh
+// number (the residual state changed) but leave StructureVersion alone:
+// which links and servers exist is unchanged, so structure-keyed caches
+// stay valid while residual-keyed ones miss, exactly matching what a
 // resize perturbs.
 
 // ErrCapacityBelowAllocation is returned when a resize would shrink a
@@ -41,7 +41,7 @@ func (nw *Network) SetBandwidthCap(e graph.EdgeID, capMbps float64) error {
 	}
 	nw.linkCap[e] = capMbps
 	nw.linkFree[e] = math.Max(capMbps-allocated, 0)
-	nw.mutVer++
+	nw.bumpVersion()
 	return nil
 }
 
@@ -62,6 +62,6 @@ func (nw *Network) SetComputeCap(v graph.NodeID, capMHz float64) error {
 	}
 	nw.srvCap[v] = capMHz
 	nw.srvFree[v] = math.Max(capMHz-allocated, 0)
-	nw.mutVer++
+	nw.bumpVersion()
 	return nil
 }

@@ -323,7 +323,10 @@ func TestRouterLifecycle(t *testing.T) {
 }
 
 // networkSignature summarises a shard network's observable state:
-// versions plus residual sums — enough that any mutation moves it.
+// versions plus residual sums. Equal versions name equal states, so a
+// signature that did not move means the state did not move either: a
+// mutation changes the versions, unless a release undid the allocation
+// before it and returned both versions and residuals.
 func networkSignature(nw *sdn.Network) [4]float64 {
 	var linkSum, srvSum float64
 	for e := 0; e < nw.NumEdges(); e++ {
