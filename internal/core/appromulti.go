@@ -50,6 +50,9 @@ type Options struct {
 	// evaluations (set through ApproMultiContext; a nil ctx disables
 	// the per-candidate check entirely).
 	ctx context.Context
+	// onTrees, when non-nil, sees the solve's shortest-path cache once
+	// every tree is built (test instrumentation).
+	onTrees func(*spCache)
 }
 
 // DefaultOptions returns the evaluation defaults (K = 3).
@@ -72,18 +75,27 @@ func ApproMulti(nw *sdn.Network, req *multicast.Request, opts Options) (*Solutio
 	if err := validateInput(nw, req); err != nil {
 		return nil, err
 	}
-	w := buildWorkGraph(nw, req, opts.Capacitated, func(e graph.EdgeID) float64 {
-		return nw.LinkUnitCost(e) * req.BandwidthMbps
-	})
+	weight := func(e graph.EdgeID) float64 { return nw.LinkUnitCost(e) * req.BandwidthMbps }
+	// A view that keeps every link re-prices the network's own graph
+	// and builds its trees from the seeds the last solve on nw left
+	// there; a filtered view builds its own adjacency and every tree by
+	// Dijkstra.
+	w := hostWorkGraph(nw, req, opts.Capacitated, weight)
+	if w == nil {
+		w = buildWorkGraph(nw, req, opts.Capacitated, weight)
+	}
 	if len(w.servers) == 0 {
 		return nil, ErrNoFeasibleServer
 	}
 
-	// One Dijkstra workspace (heap arena) serves every per-request
-	// shortest-path tree; the trees themselves own their arrays.
+	// One Dijkstra workspace (heap arena and reuse scratch) serves
+	// every per-request shortest-path tree; the trees themselves own
+	// their arrays, and the cache builds a root shared by the source,
+	// the servers and the destinations once.
 	var ws graph.DijkstraWorkspace
-	spSrc := new(graph.ShortestPaths)
-	if err := ws.DijkstraInto(w.g, req.Source, spSrc); err != nil {
+	spc := newSPCache(w.g)
+	spSrc, err := spc.fromWith(req.Source, &ws)
+	if err != nil {
 		return nil, err
 	}
 	var reachSrv []graph.NodeID
@@ -106,11 +118,9 @@ func ApproMulti(nw *sdn.Network, req *multicast.Request, opts Options) (*Solutio
 	spSrv := make(map[graph.NodeID]*graph.ShortestPaths, len(reachSrv))
 	for _, v := range reachSrv {
 		omega[v] = spSrc.Dist[v] + nw.ServerUnitCost(v)*demand
-		sp := new(graph.ShortestPaths)
-		if derr := ws.DijkstraInto(w.g, v, sp); derr != nil {
-			return nil, derr
+		if spSrv[v], err = spc.fromWith(v, &ws); err != nil {
+			return nil, err
 		}
-		spSrv[v] = sp
 	}
 
 	// Evaluate every candidate by the implementation cost of its
@@ -122,9 +132,12 @@ func ApproMulti(nw *sdn.Network, req *multicast.Request, opts Options) (*Solutio
 	// (§III.C: minimise the implementation cost). SelectionCost keeps
 	// the winning subset's auxiliary value for the theory-facing
 	// bound.
-	ev, err := newClosureEvaluator(w, req, spSrv, nil, &ws)
+	ev, err := newClosureEvaluator(w, req, spSrv, spc, &ws)
 	if err != nil {
 		return nil, err
+	}
+	if opts.onTrees != nil {
+		opts.onTrees(spc)
 	}
 	best, sawDelayViolation, err := evaluateCandidates(
 		nw, w, req, spSrc, omega, ev, opts, collectCandidates(reachSrv, opts.K))

@@ -16,7 +16,7 @@ import (
 func TestSPCacheConcurrentMixedHitMiss(t *testing.T) {
 	nw := testNetwork(t, 60, 41)
 	g := nw.Graph()
-	spc := newSPCache(g, nil)
+	spc := newSPCache(g)
 
 	// Reference trees computed fresh, single-threaded.
 	want := make([]*graph.ShortestPaths, g.NumNodes())

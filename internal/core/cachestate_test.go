@@ -65,13 +65,12 @@ func (c *workGraphCache) treeTotals() (builds, reuses uint64) {
 }
 
 // TestSeedTableConcurrentReuse builds trees on four weight clones of
-// one adjacency at once, two goroutines per clone, all sharing one seed
-// table: reuses read seeds the other goroutines publish. Every tree
-// must be the one a fresh Dijkstra builds.
+// one adjacency at once, two goroutines per clone, all sharing the
+// adjacency's seed table: reuses read seeds the other goroutines
+// publish. Every tree must be the one a fresh Dijkstra builds.
 func TestSeedTableConcurrentReuse(t *testing.T) {
 	base := testNetwork(t, 60, 41).Graph()
 	n := base.NumNodes()
-	seeds := make(spSeeds, n)
 	rng := rand.New(rand.NewSource(3))
 	caches := make([]*spCache, 4)
 	for i := range caches {
@@ -81,7 +80,7 @@ func TestSeedTableConcurrentReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		caches[i] = newSPCache(g, seeds)
+		caches[i] = newSPCache(g)
 	}
 	var wg sync.WaitGroup
 	for _, c := range caches {
@@ -137,20 +136,20 @@ func TestNoReuseSurvivesLaterCertifiedReuse(t *testing.T) {
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}} {
 		g.MustAddEdge(e[0], e[1], 1)
 	}
-	seeds := make(spSeeds, g.NumNodes())
+	var ws graph.DijkstraWorkspace
+	seeds := make(map[graph.NodeID]*graph.ShortestPaths)
 	for _, v := range []graph.NodeID{0, 4, 5} {
-		sp, err := graph.Dijkstra(g, v)
+		sp, _, _, err := ws.SeededTree(g, v, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seeds.store(v, sp)
+		seeds[v] = sp
 	}
-	c := newSPCache(g, seeds)
-	var ws graph.DijkstraWorkspace
-	if _, reused, err := c.build(0, seeds.load(0), &ws); err != nil || reused {
+	c := newSPCache(g)
+	if _, reused, err := c.build(0, &ws); err != nil || reused {
 		t.Fatalf("build from a tied seed = reused %v, %v; want a refusal", reused, err)
 	}
-	ok, err := ws.ReuseInto(g, seeds.load(4), new(graph.ShortestPaths))
+	ok, err := ws.ReuseInto(g, seeds[4], new(graph.ShortestPaths))
 	if err != nil || !ok {
 		t.Fatalf("ReuseInto on a unique tree = %v, %v; want certified", ok, err)
 	}
@@ -158,8 +157,11 @@ func TestNoReuseSurvivesLaterCertifiedReuse(t *testing.T) {
 	if !c.noReuse.Load() {
 		t.Fatal("a certified reuse recorded after a refusal cleared noReuse")
 	}
-	if _, reused, err := c.build(5, seeds.load(5), &ws); err != nil || reused {
+	if _, reused, err := c.build(5, &ws); err != nil || reused {
 		t.Fatalf("build after a refusal = reused %v, %v; want Dijkstra", reused, err)
+	}
+	if c.skipped.Load() != 1 {
+		t.Fatalf("%d seeded roots skipped after a refusal, want 1", c.skipped.Load())
 	}
 }
 
@@ -283,4 +285,212 @@ func TestDecisionsIndependentOfCacheState(t *testing.T) {
 			})
 		}
 	}
+}
+
+// treeTally sums the tree outcomes of Appro_Multi solves through
+// Options.onTrees.
+type treeTally struct {
+	builds, reuses, abandoned uint64
+}
+
+func (tt *treeTally) observe(c *spCache) {
+	b, r := c.treeCounts()
+	tt.builds += b
+	tt.reuses += r
+	tt.abandoned += c.abandoned.Load()
+}
+
+// approMultiStream is one Appro_Multi seed-state case: the network the
+// warm run solves on, the stream, and the options.
+type approMultiStream struct {
+	nw   *sdn.Network
+	reqs []*multicast.Request
+	opts Options
+}
+
+// TestApproMultiIndependentOfSeedState solves one seeded request stream
+// with Appro_Multi twice: every request on one network, whose graph
+// keeps each solve's trees as the next solve's seeds, and every request
+// on a fresh Clone of that network, which starts without seeds. Servers,
+// hops, cost bits and error texts must match. The cases: continuous
+// prices on Waxman-150, where the warm run must certify reuses; the
+// equal prices of GÉANT, where every reuse meets a tie and refuses;
+// Appro_Multi_Cap on a loaded Waxman-150, where the requests whose view
+// drops links build their own adjacency; and a warmed network that
+// CloneInto then overwrites with a different topology of the same size,
+// whose stale seeds must never reach ReuseInto. No cold solve may
+// certify a reuse; where no view drops a link and no reuse meets a
+// tie, the warm run builds each root's first tree by Dijkstra and
+// every later one by reuse.
+func TestApproMultiIndependentOfSeedState(t *testing.T) {
+	stream := func(nw *sdn.Network, seed int64, n int) []*multicast.Request {
+		gen, err := multicast.NewGenerator(nw.NumNodes(), multicast.DefaultGeneratorConfig(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs, err := gen.Batch(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reqs
+	}
+	for _, tc := range []struct {
+		name   string
+		setup  func(t *testing.T) approMultiStream
+		reused bool // the warm run must certify reuses; false: it must certify none
+		once   bool // the warm run builds no root twice by Dijkstra
+	}{
+		{
+			name: "waxman150",
+			setup: func(t *testing.T) approMultiStream {
+				nw := testNetwork(t, 150, 7)
+				return approMultiStream{nw, stream(nw, 7, 40), DefaultOptions()}
+			},
+			reused: true,
+			once:   true,
+		},
+		{
+			name: "geant-ties",
+			setup: func(t *testing.T) approMultiStream {
+				nw := tieNetwork(t, "geant")
+				return approMultiStream{nw, tieRequests(t, nw, 31, 40), DefaultOptions()}
+			},
+		},
+		{
+			name: "cap-filtered",
+			setup: func(t *testing.T) approMultiStream {
+				nw := testNetwork(t, 150, 7)
+				// Leave every fourth link 120 Mbps: a request asking for
+				// more drops those links from its view.
+				for e := 0; e < nw.NumEdges(); e += 4 {
+					a := sdn.Allocation{Links: []sdn.LinkShare{{Edge: e, Mbps: nw.ResidualBandwidth(e) - 120}}}
+					if err := nw.Allocate(a); err != nil {
+						t.Fatal(err)
+					}
+				}
+				opts := DefaultOptions()
+				opts.Capacitated = true
+				s := approMultiStream{nw, stream(nw, 7, 40), opts}
+				filtered := 0
+				for _, req := range s.reqs {
+					if hostWorkGraph(nw, req, true, func(graph.EdgeID) float64 { return 1 }) == nil {
+						filtered++
+					}
+				}
+				if filtered == 0 || filtered == len(s.reqs) {
+					t.Fatalf("%d of %d requests drop links: the stream must mix both views", filtered, len(s.reqs))
+				}
+				return s
+			},
+			reused: true,
+		},
+		{
+			name: "copyinto-other-topology",
+			setup: func(t *testing.T) approMultiStream {
+				nw := testNetwork(t, 150, 7)
+				for _, req := range stream(nw, 7, 10) {
+					if _, err := ApproMulti(nw, req, DefaultOptions()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				other := testNetwork(t, 150, 8)
+				if other.NumEdges() == nw.NumEdges() {
+					t.Fatal("the other topology must differ in structure")
+				}
+				other.CloneInto(nw)
+				return approMultiStream{nw, stream(nw, 11, 20), DefaultOptions()}
+			},
+			reused: true,
+			once:   true,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.setup(t)
+			var warm, cold treeTally
+			warmOpts, coldOpts := s.opts, s.opts
+			warmOpts.onTrees, coldOpts.onTrees = warm.observe, cold.observe
+			solved := 0
+			for _, req := range s.reqs {
+				solWarm, errWarm := ApproMulti(s.nw, req, warmOpts)
+				solCold, errCold := ApproMulti(s.nw.Clone(), req, coldOpts)
+				if (errWarm == nil) != (errCold == nil) ||
+					errWarm != nil && errWarm.Error() != errCold.Error() {
+					t.Fatalf("request %d: warm network: %v; fresh clone: %v", req.ID, errWarm, errCold)
+				}
+				if errWarm != nil {
+					continue
+				}
+				hWarm, hCold := sha256.New(), sha256.New()
+				putSolution(hWarm, solWarm)
+				putSolution(hCold, solCold)
+				if string(hWarm.Sum(nil)) != string(hCold.Sum(nil)) {
+					t.Fatalf("request %d: warm network chose servers %v cost %v, fresh clone %v cost %v",
+						req.ID, solWarm.Servers, solWarm.OperationalCost, solCold.Servers, solCold.OperationalCost)
+				}
+				solved++
+			}
+			t.Logf("warm: %d trees by Dijkstra, %d by reuse, %d abandoned; cold: %d by Dijkstra",
+				warm.builds, warm.reuses, warm.abandoned, cold.builds)
+			if solved < len(s.reqs)/2 {
+				t.Fatalf("%d of %d solved: the stream compares too few decisions", solved, len(s.reqs))
+			}
+			if cold.reuses != 0 {
+				t.Errorf("fresh clones certified %d reuses: a clone must start without seeds", cold.reuses)
+			}
+			if tc.reused && warm.reuses == 0 {
+				t.Errorf("continuous prices: no tree reused, %d built by Dijkstra", warm.builds)
+			}
+			if tc.once && (warm.builds > uint64(s.nw.NumNodes()) || warm.abandoned != 0) {
+				t.Errorf("%d trees built by Dijkstra on %d nodes, %d reuses abandoned; want only each root's first",
+					warm.builds, s.nw.NumNodes(), warm.abandoned)
+			}
+			if !tc.reused && (warm.reuses != 0 || warm.abandoned == 0) {
+				t.Errorf("equal prices: %d trees reused, %d attempts abandoned; want every tie to refuse", warm.reuses, warm.abandoned)
+			}
+		})
+	}
+}
+
+// TestApproMultiConcurrentSolvesShareSeeds runs Appro_Multi from four
+// goroutines at once on one network, each through the stream in its
+// own order, so solves read and publish the seeds of one table
+// concurrently. Every solution must match the one a fresh clone gives.
+func TestApproMultiConcurrentSolvesShareSeeds(t *testing.T) {
+	nw := testNetwork(t, 60, 5)
+	gen, err := multicast.NewGenerator(nw.NumNodes(), multicast.DefaultGeneratorConfig(), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := gen.Batch(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := func(sol *Solution, err error) string {
+		if err != nil {
+			return err.Error()
+		}
+		h := sha256.New()
+		putSolution(h, sol)
+		return string(h.Sum(nil))
+	}
+	want := make([]string, len(reqs))
+	for i, req := range reqs {
+		want[i] = digest(ApproMulti(nw.Clone(), req, DefaultOptions()))
+	}
+	const solvers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < solvers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range reqs {
+				i := (k + 5*w) % len(reqs)
+				if got := digest(ApproMulti(nw, reqs[i], DefaultOptions())); got != want[i] {
+					t.Errorf("solver %d, request %d: the solution differs from a fresh clone's", w, reqs[i].ID)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -42,7 +42,7 @@ func (p *SPPlanner) Plan(
 	if len(w.servers) == 0 {
 		return nil, fmt.Errorf("%w: %w", ErrRejected, ErrComputeExhausted)
 	}
-	return planSP(ctx, nw, req, w, newSPCache(w.g, nil), nil)
+	return planSP(ctx, nw, req, w, newSPCache(w.g), nil)
 }
 
 // planSP is the shortest-path server selection shared by the adaptive
@@ -179,7 +179,7 @@ func (p *SPStaticPlanner) view(nw *sdn.Network, req *multicast.Request) (*workGr
 		// filtering, so the view is identical for every request at
 		// this structure version.
 		p.w = buildWorkGraph(nw, req, false, func(graph.EdgeID) float64 { return 1 })
-		p.sp = newSPCache(p.w.g, nil)
+		p.sp = newSPCache(p.w.g)
 		p.nodes, p.edges, p.version = nw.NumNodes(), nw.NumEdges(), nw.StructureVersion()
 	}
 	return p.w, p.sp

@@ -20,15 +20,17 @@ import (
 // dominant cost of a plan, so a duplicated build wastes exactly the
 // work the cache exists to save.
 //
-// A miss first tries to reuse the root's seed (see spSeeds) through
+// A miss goes through the seed table of the graph's adjacency
+// (graph.SeededTree): it reuses the root's last tree through
 // graph.ReuseInto, whose certified result is bit-identical to a fresh
-// Dijkstra; it runs Dijkstra when there is no seed or the reuse does
+// Dijkstra, and runs Dijkstra when there is no seed or the reuse does
 // not certify. After one reuse fails, the cache stops trying: its
 // graph prices every link for one request, so a tie or heavy damage at
-// one root predicts the same at the others.
+// one root predicts the same at the others. A cache over a graph built
+// for it alone (SP's plans, a filtered Appro_Multi view) builds each
+// root once, so it never finds a seed.
 type spCache struct {
 	g       *graph.Graph
-	seeds   spSeeds     // nil: no reuse
 	noReuse atomic.Bool // a reuse failed here: Dijkstra only
 
 	mu       sync.Mutex
@@ -42,27 +44,6 @@ type spCache struct {
 	abandoned, skipped atomic.Uint64
 }
 
-// spSeeds is a work-graph adjacency's seed table: for each root, the
-// shortest-path tree built from it most recently on any work graph
-// sharing that adjacency (the weight clones of buildWorkGraphFrom).
-// Every such graph has the same structure, which is all
-// graph.ReuseInto asks of an old tree. Slots hold immutable trees and
-// are read and written without locks.
-type spSeeds []atomic.Pointer[graph.ShortestPaths]
-
-func (s spSeeds) load(v graph.NodeID) *graph.ShortestPaths {
-	if v < 0 || v >= len(s) {
-		return nil
-	}
-	return s[v].Load()
-}
-
-func (s spSeeds) store(v graph.NodeID, sp *graph.ShortestPaths) {
-	if v >= 0 && v < len(s) {
-		s[v].Store(sp)
-	}
-}
-
 // spCall is one in-flight Dijkstra build another goroutine may wait on.
 type spCall struct {
 	done chan struct{}
@@ -70,10 +51,10 @@ type spCall struct {
 	err  error
 }
 
-// newSPCache returns an empty cache over g whose misses reuse seeds
-// from (and publish to) seeds, which may be nil.
-func newSPCache(g *graph.Graph, seeds spSeeds) *spCache {
-	return &spCache{g: g, seeds: seeds, byRoot: make(map[graph.NodeID]*graph.ShortestPaths)}
+// newSPCache returns an empty cache over g whose misses reuse and
+// publish the seeds of g's adjacency.
+func newSPCache(g *graph.Graph) *spCache {
+	return &spCache{g: g, byRoot: make(map[graph.NodeID]*graph.ShortestPaths)}
 }
 
 // from returns the shortest-path tree rooted at v, computing and
@@ -104,7 +85,7 @@ func (c *spCache) fromWith(v graph.NodeID, ws *graph.DijkstraWorkspace) (*graph.
 	c.inflight[v] = call
 	c.mu.Unlock()
 
-	sp, reused, err := c.build(v, c.seeds.load(v), ws)
+	sp, reused, err := c.build(v, ws)
 
 	c.mu.Lock()
 	if err == nil {
@@ -125,30 +106,23 @@ func (c *spCache) fromWith(v graph.NodeID, ws *graph.DijkstraWorkspace) (*graph.
 	return sp, nil
 }
 
-// build computes the tree rooted at v: by graph.ReuseInto from seed
-// when there is one and no reuse has failed on this cache, otherwise by
-// Dijkstra. The tree becomes v's seed and is never written again.
-func (c *spCache) build(
-	v graph.NodeID, seed *graph.ShortestPaths, ws *graph.DijkstraWorkspace,
-) (sp *graph.ShortestPaths, reused bool, err error) {
+// build computes the tree rooted at v through g's seed table, reusing
+// the seed unless a reuse has failed on this cache. The tree is never
+// written again.
+func (c *spCache) build(v graph.NodeID, ws *graph.DijkstraWorkspace) (sp *graph.ShortestPaths, reused bool, err error) {
 	if ws == nil {
 		ws = new(graph.DijkstraWorkspace)
 	}
-	sp = new(graph.ShortestPaths)
-	if seed != nil && c.noReuse.Load() {
+	reuse := !c.noReuse.Load()
+	sp, seeded, reused, err := ws.SeededTree(c.g, v, reuse)
+	if err != nil {
+		return nil, false, err
+	}
+	if seeded && !reuse {
 		c.skipped.Add(1)
-	} else if seed != nil {
-		if reused, err = ws.ReuseInto(c.g, seed, sp); err != nil {
-			return nil, false, err
-		}
+	} else if seeded {
 		c.noteReuse(reused)
 	}
-	if !reused {
-		if err = ws.DijkstraInto(c.g, v, sp); err != nil {
-			return nil, false, err
-		}
-	}
-	c.seeds.store(v, sp)
 	return sp, reused, nil
 }
 

@@ -20,7 +20,6 @@ type workGraph struct {
 	toHost   []graph.EdgeID
 	fromHost []int32        // host edge → local edge, -1 when filtered out
 	servers  []graph.NodeID // eligible servers in this view
-	seeds    spSeeds        // g's adjacency's seed table; nil outside the cache
 }
 
 // hostEdge maps a local edge ID back to the network's edge ID.
@@ -59,8 +58,8 @@ func buildWorkGraph(
 // same shape as tmpl's, a work graph built earlier over the same
 // network structure: when req keeps exactly tmpl's links, the result
 // re-prices every edge on a WeightClone of tmpl.g and shares tmpl's
-// adjacency, toHost, fromHost and seed table instead of re-inserting
-// every edge.
+// adjacency, toHost, fromHost and the adjacency's seed table
+// (graph.SeededTree) instead of re-inserting every edge.
 // It returns nil — build cold instead — when the membership differs.
 //
 // The result is identical to buildWorkGraph's: the same kept links in
@@ -89,10 +88,27 @@ func buildWorkGraphFrom(
 			return nil // a negative price: let the cold build report it
 		}
 	}
-	return &workGraph{
-		g: g, toHost: tmpl.toHost, fromHost: tmpl.fromHost, servers: eligibleServers(nw, req, capacitated),
-		seeds: tmpl.seeds,
+	return &workGraph{g: g, toHost: tmpl.toHost, fromHost: tmpl.fromHost, servers: eligibleServers(nw, req, capacitated)}
+}
+
+// hostWorkGraph is buildWorkGraph for a view that keeps every link of
+// nw, and nil for any other: it is buildWorkGraphFrom on the network's
+// own graph, whose local IDs are the host IDs. The work graph shares
+// nw.Graph()'s adjacency and seed table, so its trees seed the next
+// solve on nw, and they die with that graph.
+func hostWorkGraph(
+	nw *sdn.Network,
+	req *multicast.Request,
+	capacitated bool,
+	weight func(host graph.EdgeID) float64,
+) *workGraph {
+	m := nw.NumEdges()
+	toHost, fromHost := make([]graph.EdgeID, m), make([]int32, m)
+	for e := range toHost {
+		toHost[e], fromHost[e] = e, int32(e)
 	}
+	host := &workGraph{g: nw.Graph(), toHost: toHost, fromHost: fromHost}
+	return buildWorkGraphFrom(host, nw, req, capacitated, weight)
 }
 
 // linkMember reports whether host link e belongs to req's view: up,

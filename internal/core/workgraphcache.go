@@ -88,10 +88,10 @@ type wgCall struct {
 //   - Build: any miss. When a cached entry shares the key's structure
 //     and the request keeps exactly that entry's links (on a lightly
 //     loaded substrate: all of them), the build re-prices a weight
-//     clone of the entry's graph and shares its adjacency and seed
-//     table (buildWorkGraphFrom), so its trees come lazily from the
-//     seeds; otherwise it inserts every edge afresh under a new, empty
-//     seed table.
+//     clone of the entry's graph and shares its adjacency and the
+//     adjacency's seed table (buildWorkGraphFrom), so its trees come
+//     lazily from the seeds; otherwise it inserts every edge afresh, and
+//     the new adjacency starts without seeds.
 //
 // Concurrent misses on one key are single-flighted. Every lookup,
 // promotion, insertion and eviction is O(1): entries sit in a doubly
@@ -269,9 +269,8 @@ func (c *workGraphCache) acquire(nw *sdn.Network, req *multicast.Request) (*work
 	templated := w != nil
 	if w == nil {
 		w = buildWorkGraph(nw, req, c.capacitated, weight)
-		w.seeds = make(spSeeds, w.g.NumNodes())
 	}
-	sp := newSPCache(w.g, w.seeds)
+	sp := newSPCache(w.g)
 
 	c.mu.Lock()
 	c.insert(wgEntry{key: key, w: w, sp: sp})

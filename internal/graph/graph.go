@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // NodeID identifies a node in a Graph. Valid IDs are 0 <= id < NumNodes.
@@ -53,6 +54,10 @@ type Graph struct {
 	n     int
 	edges []Edge
 	adj   [][]halfEdge
+	// seeds is the adjacency's seed table (see SeededTree): shared
+	// with weight clones, created on first use, and dropped by every
+	// call that rebuilds or extends the adjacency.
+	seeds atomic.Pointer[seedTable]
 }
 
 // New returns an empty graph over n nodes (0..n-1).
@@ -67,7 +72,8 @@ func New(n int) *Graph {
 }
 
 // Clone returns a deep copy of g. Mutating the clone (including edge
-// weights) does not affect g.
+// weights) does not affect g. The clone starts without seeds: it owns
+// a new adjacency, which a later AddEdge may change.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		n:     g.n,
@@ -88,7 +94,9 @@ func (g *Graph) Clone() *Graph {
 // identical to what Clone would return. It exists for snapshot loops
 // (the admission engine re-clones the network per planning slot) that
 // would otherwise reallocate the whole adjacency structure per copy.
+// dst loses its seeds, which may describe another structure.
 func (g *Graph) CopyInto(dst *Graph) {
+	dst.dropSeeds()
 	dst.n = g.n
 	if cap(dst.edges) < len(g.edges) {
 		dst.edges = make([]Edge, len(g.edges))
@@ -119,23 +127,30 @@ func (g *Graph) CopyInto(dst *Graph) {
 // adjacency backing. The planner caches use it to re-price a cached
 // work graph's edges without copying the adjacency lists — the
 // dominant share of a graph clone.
+//
+// The clone shares g's seed table too, creating it when g has none, so
+// a tree built on one graph of the family seeds the next build from
+// the same root on any other (SeededTree).
 func (g *Graph) WeightClone() *Graph {
-	return &Graph{
+	c := &Graph{
 		n:     g.n,
 		edges: append([]Edge(nil), g.edges...),
 		adj:   g.adj,
 	}
+	c.seeds.Store(g.seedTable())
+	return c
 }
 
 // Reset empties g and re-sizes it to n nodes with no edges, reusing
 // the adjacency arenas of previous construction rounds. It exists for
 // scratch graphs that are rebuilt per evaluation round (Steiner
 // closures, pruning subgraphs) so the rebuild is allocation-free once
-// the arenas have grown to workload size.
+// the arenas have grown to workload size. g loses its seeds.
 func (g *Graph) Reset(n int) {
 	if n < 0 {
 		n = 0
 	}
+	g.dropSeeds()
 	g.edges = g.edges[:0]
 	if cap(g.adj) < n {
 		g.adj = make([][]halfEdge, n)
@@ -154,8 +169,9 @@ func (g *Graph) NumNodes() int { return g.n }
 // NumEdges reports the number of undirected edges in g.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// AddNode appends a fresh node and returns its ID.
+// AddNode appends a fresh node and returns its ID. g loses its seeds.
 func (g *Graph) AddNode() NodeID {
+	g.dropSeeds()
 	g.adj = append(g.adj, nil)
 	g.n++
 	return g.n - 1
@@ -163,7 +179,8 @@ func (g *Graph) AddNode() NodeID {
 
 // AddEdge inserts an undirected edge {u, v} with weight w and returns
 // its edge ID. Parallel edges and self-loops are permitted (self-loops
-// are never useful to the algorithms here but are not an error).
+// are never useful to the algorithms here but are not an error). g
+// loses its seeds.
 func (g *Graph) AddEdge(u, v NodeID, w float64) (EdgeID, error) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return 0, fmt.Errorf("%w: {%d,%d} with n=%d", ErrNodeOutOfRange, u, v, g.n)
@@ -171,6 +188,7 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) (EdgeID, error) {
 	if w < 0 {
 		return 0, fmt.Errorf("%w: {%d,%d} w=%v", ErrNegativeWeight, u, v, w)
 	}
+	g.dropSeeds()
 	id := len(g.edges)
 	g.edges = append(g.edges, Edge{U: u, V: v, W: w})
 	g.adj[u] = append(g.adj[u], halfEdge{to: v, id: id})

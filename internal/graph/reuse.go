@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Shortest-path tree reuse. Consecutive requests re-price every link of
 // a work graph, yet on a lightly loaded substrate the tree one request
@@ -24,6 +27,72 @@ import "fmt"
 // edges agree too, whatever order the heap breaks ties in, and depths
 // follow from the parents. A tie anywhere (equal prices, zero weights)
 // fails certification and the caller runs DijkstraInto.
+
+// Seed tables. The tree last built from a root is the natural old tree
+// for the next one, so a graph keeps, per root, the tree most recently
+// built from it on any graph sharing its adjacency: weight clones
+// re-price the same structure, which is all ReuseInto asks of an old
+// tree. The table belongs to that adjacency. WeightClone shares it;
+// Clone, CopyInto, Reset, AddNode and AddEdge leave the graph with
+// none, so a seed never reaches ReuseInto on a structure it was not
+// built on (where ReuseInto answers with an error, not a refusal).
+// Slots hold immutable trees and are read and written without locks.
+type seedTable struct {
+	roots []atomic.Pointer[ShortestPaths]
+}
+
+// seedTable returns g's seed table, creating it when g has none.
+// Concurrent callers get the same table.
+func (g *Graph) seedTable() *seedTable {
+	if t := g.seeds.Load(); t != nil {
+		return t
+	}
+	t := &seedTable{roots: make([]atomic.Pointer[ShortestPaths], g.n)}
+	if g.seeds.CompareAndSwap(nil, t) {
+		return t
+	}
+	return g.seeds.Load()
+}
+
+// dropSeeds detaches g from its seed table.
+func (g *Graph) dropSeeds() {
+	if g.seeds.Load() != nil {
+		g.seeds.Store(nil)
+	}
+}
+
+// SeededTree builds the shortest-path tree rooted at src on g in a new
+// ShortestPaths and publishes it as src's seed in g's seed table,
+// creating the table when g has none. With reuse and a seed for src, it
+// first tries ReuseInto from the seed; otherwise, or when the reuse
+// does not certify, it runs DijkstraInto. Either way the tree is
+// bit-identical to DijkstraInto's. seeded reports that the table held a
+// seed for src, and reused that the tree was built from it. The
+// published tree must never be written.
+//
+// SeededTree may run concurrently on any graphs sharing a table, each
+// call with its own workspace; the last tree published for a root
+// wins.
+func (ws *DijkstraWorkspace) SeededTree(g *Graph, src NodeID, reuse bool) (sp *ShortestPaths, seeded, reused bool, err error) {
+	if src < 0 || src >= g.n {
+		return nil, false, false, fmt.Errorf("%w: source %d with n=%d", ErrNodeOutOfRange, src, g.n)
+	}
+	slot := &g.seedTable().roots[src]
+	seed := slot.Load()
+	sp = new(ShortestPaths)
+	if seed != nil && reuse {
+		if reused, err = ws.ReuseInto(g, seed, sp); err != nil {
+			return nil, true, false, err
+		}
+	}
+	if !reused {
+		if err = ws.DijkstraInto(g, src, sp); err != nil {
+			return nil, seed != nil, false, err
+		}
+	}
+	slot.Store(sp)
+	return sp, seed != nil, reused, nil
+}
 
 // reuseScratch owns ReuseInto's transient state: the depth-bucketed
 // order of the old tree, per-node state bits, and the relabelled and

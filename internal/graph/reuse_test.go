@@ -499,3 +499,91 @@ func FuzzReuseInto(f *testing.F) {
 		checkReuse(t, &ws, g, &old, &sp)
 	})
 }
+
+// TestSeedTableOwnership pins which graphs share a seed table. A tree
+// built on g seeds the next build from its root on every weight clone
+// of g, and a clone's trees seed g in turn. Clone, CopyInto, Reset,
+// AddNode and AddEdge leave a graph without seeds. A seed that
+// survived CopyInto from another structure of the same size would meet
+// a ReuseInto that answers with an error, so the build after the copy
+// must succeed and must not see a seed.
+func TestSeedTableOwnership(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 40
+	structure := func() *Graph {
+		g := reuseStructure(rng, n, 80)
+		reweight(rng, g, 0)
+		return g
+	}
+	var ws DijkstraWorkspace
+	// seeded builds g's tree at root, checks it against Dijkstra and
+	// reports whether g's seed table held a seed for root.
+	seeded := func(g *Graph, root NodeID) bool {
+		t.Helper()
+		sp, seeded, _, err := ws.SeededTree(g, root, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Dijkstra(g, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameShortestPaths(t, sp, want, g.NumNodes())
+		return seeded
+	}
+
+	g := structure()
+	if seeded(g, 0) || !seeded(g, 0) {
+		t.Fatal("a new graph must start without seeds and keep the trees it builds")
+	}
+	w := g.WeightClone()
+	nudge(rng, w, 10)
+	if !seeded(w, 0) {
+		t.Fatal("a weight clone must share its origin's seeds")
+	}
+	if seeded(w, 1) || !seeded(g, 1) {
+		t.Fatal("a weight clone's trees must seed its origin")
+	}
+	if w2 := w.WeightClone(); !seeded(w2, 1) {
+		t.Fatal("a weight clone of a weight clone must share the table")
+	}
+
+	c := g.Clone()
+	if seeded(c, 0) {
+		t.Fatal("Clone must start without seeds")
+	}
+	if seeded(c, 2) || seeded(g, 2) {
+		t.Fatal("a clone's trees must not seed its origin")
+	}
+
+	// CopyInto from a different structure of the same size: g's old
+	// seed for root 0 cannot belong to the copy.
+	stale := g.seeds.Load().roots[0].Load()
+	other := structure()
+	if _, err := ws.ReuseInto(other, stale, new(ShortestPaths)); err == nil {
+		t.Fatal("the fixture must show a stale seed failing ReuseInto with an error")
+	}
+	other.CopyInto(g)
+	if seeded(g, 0) {
+		t.Fatal("CopyInto must leave the destination without seeds")
+	}
+
+	seeded(g, 3)
+	g.Reset(n)
+	if g.seeds.Load() != nil {
+		t.Fatal("Reset must leave the graph without seeds")
+	}
+	for _, e := range other.edges {
+		g.MustAddEdge(e.U, e.V, e.W)
+	}
+	seeded(g, 4)
+	g.MustAddEdge(0, 1, 1)
+	if seeded(g, 4) {
+		t.Fatal("AddEdge must leave the graph without seeds")
+	}
+	seeded(g, 5)
+	g.AddNode()
+	if seeded(g, 5) {
+		t.Fatal("AddNode must leave the graph without seeds")
+	}
+}

@@ -396,15 +396,28 @@ func (nw *Network) Snapshot() *Snapshot {
 
 // Restore rewinds residual state to a snapshot taken from this
 // network. A snapshot that does not fit is rejected before any residual
-// changes.
+// changes: it must cover every link and server, and no residual in it
+// may exceed the current capacity, which a resize since the snapshot
+// may have shrunk.
 func (nw *Network) Restore(s *Snapshot) error {
 	if len(s.linkFree) != len(nw.linkFree) {
 		return fmt.Errorf("sdn: snapshot of %d links applied to %d links",
 			len(s.linkFree), len(nw.linkFree))
 	}
+	for e, free := range s.linkFree {
+		if !(free <= nw.linkCap[e]) {
+			return fmt.Errorf("sdn: snapshot leaves link %d %v Mbps free, above its capacity %v Mbps",
+				e, free, nw.linkCap[e])
+		}
+	}
 	for k := range nw.srvFree {
-		if _, ok := s.srvFree[k]; !ok {
+		free, ok := s.srvFree[k]
+		if !ok {
 			return fmt.Errorf("sdn: snapshot missing server %d", k)
+		}
+		if !(free <= nw.srvCap[k]) {
+			return fmt.Errorf("sdn: snapshot leaves server %d %v MHz free, above its capacity %v MHz",
+				k, free, nw.srvCap[k])
 		}
 	}
 	copy(nw.linkFree, s.linkFree)

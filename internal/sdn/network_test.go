@@ -220,6 +220,49 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesResidualAboveCapacity replays the sequence that
+// used to leave a resource's allocated share negative: snapshot the
+// idle network, shrink a capacity, then restore the snapshot, whose
+// residual is now above that capacity. Restore must refuse and leave
+// the residuals, the versions and the undo record alone, so the
+// allocation made before the refused call still undoes to its version.
+func TestRestoreRefusesResidualAboveCapacity(t *testing.T) {
+	nw := testNet(t, 30, 5)
+	v := nw.Servers()[0]
+	snap := nw.Snapshot()
+	for _, tc := range []struct {
+		name   string
+		shrink func() error
+	}{
+		{"server", func() error { return nw.SetComputeCap(v, nw.ComputeCap(v)/2) }},
+		{"link", func() error { return nw.SetBandwidthCap(0, nw.BandwidthCap(0)/2) }},
+	} {
+		if err := tc.shrink(); err != nil {
+			t.Fatal(err)
+		}
+		a := Allocation{Links: []LinkShare{{Edge: 1, Mbps: 10}}, Servers: []ServerShare{{Node: v, MHz: 10}}}
+		before := nw.MutationVersion()
+		if err := nw.Allocate(a); err != nil {
+			t.Fatal(err)
+		}
+		state, sv, mv := stateBits(nw), nw.StructureVersion(), nw.MutationVersion()
+		if err := nw.Restore(snap); err == nil {
+			t.Fatalf("%s: restore above the shrunk capacity accepted: %v MHz free of %v",
+				tc.name, nw.ResidualCompute(v), nw.ComputeCap(v))
+		}
+		if stateBits(nw) != state || nw.StructureVersion() != sv || nw.MutationVersion() != mv {
+			t.Fatalf("%s: the refused restore moved the network", tc.name)
+		}
+		if err := nw.Release(a); err != nil {
+			t.Fatal(err)
+		}
+		if nw.MutationVersion() != before {
+			t.Fatalf("%s: the refused restore dropped the undo record: version %d, want %d",
+				tc.name, nw.MutationVersion(), before)
+		}
+	}
+}
+
 func TestCloneIsIndependent(t *testing.T) {
 	nw := testNet(t, 30, 5)
 	cp := nw.Clone()

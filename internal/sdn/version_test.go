@@ -101,6 +101,22 @@ func (l *lineage) rejected(t *testing.T, op string, call func() error) {
 	}
 }
 
+// fits reports whether every residual in s is within nw's current
+// capacity: a resize since the snapshot may have shrunk one below it.
+func fits(nw *Network, s *Snapshot) bool {
+	for e, free := range s.linkFree {
+		if free > nw.linkCap[e] {
+			return false
+		}
+	}
+	for v, free := range s.srvFree {
+		if free > nw.srvCap[v] {
+			return false
+		}
+	}
+	return true
+}
+
 // sameResources reports whether a and b name the same links and
 // servers, whatever the amounts.
 func sameResources(a, b Allocation) bool {
@@ -162,6 +178,7 @@ func FuzzMutationVersionNamesState(f *testing.F) {
 		opAllocate, 1, 2, 0, opReleaseClamped, 0,
 		opAllocate, 1, 2, 0, opResizeLink, 2, 1, opRelease, 0,
 		opSnapshot, opAllocate, 4, 6, 0, 1, 0, opRestore,
+		opResizeServer, 0, 0, opRestore, // the snapshot is above the shrunk capacity
 		opAllocate, 1, 9, 0,
 		opCloneInto, 0x80 | opRelease, 0, 0x80 | opAllocate, 1, 9, 0, opRelease, 0,
 		opToggleLink, 2, opToggleServer, 0, opResizeServer, 1, 0,
@@ -276,9 +293,7 @@ func FuzzMutationVersionNamesState(f *testing.F) {
 					l.rejected(t, name, func() error { return resize(held / 2) })
 					break
 				}
-				// A Restore across a resize can leave the residual above the
-				// capacity, and the allocated share negative.
-				if err := resize(max(held, 0) + 1 + free*fractions[mode%len(fractions)]); err != nil {
+				if err := resize(held + 1 + free*fractions[mode%len(fractions)]); err != nil {
 					t.Fatal(err)
 				}
 				l.fresh(t, name)
@@ -298,6 +313,10 @@ func FuzzMutationVersionNamesState(f *testing.F) {
 				l.snap = nw.Snapshot()
 			case opRestore:
 				if l.snap == nil {
+					break
+				}
+				if !fits(nw, l.snap) {
+					l.rejected(t, name+" snapshot above a shrunk capacity", func() error { return nw.Restore(l.snap) })
 					break
 				}
 				if err := nw.Restore(l.snap); err != nil {
