@@ -76,14 +76,9 @@ func ApproMulti(nw *sdn.Network, req *multicast.Request, opts Options) (*Solutio
 		return nil, err
 	}
 	weight := func(e graph.EdgeID) float64 { return nw.LinkUnitCost(e) * req.BandwidthMbps }
-	// A view that keeps every link re-prices the network's own graph
-	// and builds its trees from the seeds the last solve on nw left
-	// there; a filtered view builds its own adjacency and every tree by
-	// Dijkstra.
-	w := hostWorkGraph(nw, req, opts.Capacitated, weight)
-	if w == nil {
-		w = buildWorkGraph(nw, req, opts.Capacitated, weight)
-	}
+	// The view re-prices the network's own graph and builds its trees
+	// from the seeds the last solve on nw left there.
+	w := buildWorkGraph(nw.Graph(), nw, req, opts.Capacitated, weight)
 	if len(w.servers) == 0 {
 		return nil, ErrNoFeasibleServer
 	}
@@ -377,10 +372,9 @@ func evaluateCandidates(
 }
 
 // treeLoads lists the links of the pseudo-multicast tree decompose
-// would build from (servers, realEdges), without building it: work-graph
-// edges in ascending order — which is ascending host order, work graphs
-// keep the host's edge order — each with its number of directed
-// traversals. The unprocessed stream is the union of the source's
+// would build from (servers, realEdges), without building it: links in
+// ascending edge-ID order, each with its number of directed traversals.
+// The unprocessed stream is the union of the source's
 // shortest paths to the servers, one traversal per edge (the paths lie
 // in one shortest-path tree, so a walk towards the source stops at the
 // first edge an earlier walk took); the processed stream crosses every
@@ -427,11 +421,11 @@ func treeLoads(
 // same order — links ascending, then servers — so the two agree to the
 // last bit.
 func operationalPrice(
-	nw *sdn.Network, w *workGraph, req *multicast.Request, loads []edgeLoad, servers []graph.NodeID,
+	nw *sdn.Network, req *multicast.Request, loads []edgeLoad, servers []graph.NodeID,
 ) float64 {
 	var cost float64
 	for _, l := range loads {
-		cost += float64(l.load) * req.BandwidthMbps * nw.LinkUnitCost(w.hostEdge(l.edge))
+		cost += float64(l.load) * req.BandwidthMbps * nw.LinkUnitCost(l.edge)
 	}
 	demand := req.ComputeDemandMHz()
 	for _, v := range servers {
@@ -456,7 +450,7 @@ func realiseBelow(
 	limit float64,
 ) (*multicast.PseudoTree, float64) {
 	loads, ok := treeLoads(w, spSrc, servers, realEdges, s)
-	if !ok || operationalPrice(nw, w, req, loads, servers) >= limit {
+	if !ok || operationalPrice(nw, req, loads, servers) >= limit {
 		return nil, 0
 	}
 	tree, err := decompose(w, req, spSrc, servers, realEdges, s)
@@ -471,7 +465,7 @@ func realiseBelow(
 }
 
 // decompose converts an auxiliary Steiner tree — given as the used
-// virtual servers plus the surviving real (work-local) edges — into a
+// virtual servers plus the surviving real edges — into a
 // pseudo-multicast tree: one unprocessed shortest path from the source
 // to each used server, and the processed distribution component rooted
 // at each server (paper §III.B's G_T construction). s supplies the
@@ -492,7 +486,7 @@ func decompose(
 		if !ok {
 			return nil, fmt.Errorf("%w: server %d", ErrUnreachable, v)
 		}
-		if err := w.addHostPath(tree, nodes, edges, false); err != nil {
+		if err := tree.AddPath(nodes, edges, false); err != nil {
 			return nil, err
 		}
 	}
@@ -537,7 +531,7 @@ func decompose(
 				}
 				visit(nb.Node)
 				tree.AddHop(multicast.Hop{
-					From: u, To: nb.Node, Edge: w.hostEdge(nb.EdgeID), Processed: true,
+					From: u, To: nb.Node, Edge: nb.EdgeID, Processed: true,
 				})
 				s.stack = append(s.stack, nb.Node)
 			}

@@ -76,27 +76,26 @@ func (m CostModel) ServerCost(nw *sdn.Network, v graph.NodeID) float64 {
 }
 
 // priceMemo holds one plan's exponential weights, each computed by the
-// CostModel on its first read: w_e(k) per work-graph edge and w_v(k)
-// per node. A plan reads one residual state throughout, so a memoized
+// CostModel on its first read: w_e(k) per link and w_v(k) per node. A
+// plan reads one residual state throughout, so a memoized
 // weight is the float the model would return again, and a cost built
 // from it as LinkCost and ServerCost build theirs has the same bits.
 // Generation stamps invalidate the whole memo in O(1) per plan.
 type priceMemo struct {
 	model CostModel
 	nw    *sdn.Network
-	w     *workGraph
 
 	gen     uint32
-	edgeGen []uint32 // work-graph edge -> generation edgeW was filled
+	edgeGen []uint32 // link -> generation edgeW was filled
 	edgeW   []float64
 	nodeGen []uint32 // node -> generation nodeW was filled
 	nodeW   []float64
 }
 
-// begin empties the memo for a plan of w's edges and nw's nodes.
-func (m *priceMemo) begin(model CostModel, nw *sdn.Network, w *workGraph) {
-	m.model, m.nw, m.w = model, nw, w
-	if ne := w.g.NumEdges(); cap(m.edgeGen) < ne {
+// begin empties the memo for a plan of nw's links and nodes.
+func (m *priceMemo) begin(model CostModel, nw *sdn.Network) {
+	m.model, m.nw = model, nw
+	if ne := nw.NumEdges(); cap(m.edgeGen) < ne {
 		m.edgeGen = make([]uint32, ne)
 		m.edgeW = make([]float64, ne)
 	} else {
@@ -118,18 +117,18 @@ func (m *priceMemo) begin(model CostModel, nw *sdn.Network, w *workGraph) {
 	}
 }
 
-// linkWeight is CostModel.LinkWeight of work-graph edge e's link.
+// linkWeight is CostModel.LinkWeight of link e.
 func (m *priceMemo) linkWeight(e graph.EdgeID) float64 {
 	if m.edgeGen[e] != m.gen {
 		m.edgeGen[e] = m.gen
-		m.edgeW[e] = m.model.LinkWeight(m.nw, m.w.hostEdge(e))
+		m.edgeW[e] = m.model.LinkWeight(m.nw, e)
 	}
 	return m.edgeW[e]
 }
 
-// linkCost is CostModel.LinkCost of work-graph edge e's link.
+// linkCost is CostModel.LinkCost of link e.
 func (m *priceMemo) linkCost(e graph.EdgeID) float64 {
-	return m.nw.BandwidthCap(m.w.hostEdge(e)) * m.linkWeight(e)
+	return m.nw.BandwidthCap(e) * m.linkWeight(e)
 }
 
 // serverWeight is CostModel.ServerWeight of node v.

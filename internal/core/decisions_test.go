@@ -6,7 +6,7 @@ package core
 // a planner builds then rests on the exact pop order of graph's indexed
 // heap and on the order a work graph lists its edges, neither of which
 // a distance oracle can see. The digests below were recorded at the
-// commit before the inline-key heap and the templated work-graph build
+// commit before the inline-key heap and the work-graph template builds
 // (d626443), so a kernel change that keeps every distance but breaks
 // ties differently fails here, by planner and topology, instead of as a
 // drifted record count in some other package's test.

@@ -55,8 +55,7 @@ func NewDistCPPlanner(model CostModel, splitLimit int) (*DistCPPlanner, error) {
 	}
 	p := &DistCPPlanner{model: model, split: splitLimit}
 	// Identical residual-view recipe to CPPlanner, so the work-graph
-	// cache is carried across residual epochs exactly as Online_CP's is
-	// (hits, templated builds).
+	// cache is carried across residual epochs exactly as Online_CP's is.
 	p.cache.priceMarginal(model)
 	return p, nil
 }
@@ -127,7 +126,7 @@ func (p *DistCPPlanner) FastReject(view *sdn.Network, req *multicast.Request) er
 // tuple ending at v, so the tree is computed once per plan.
 type distFinal struct {
 	ok    bool
-	edges []graph.EdgeID // work-graph-local edge IDs
+	edges []graph.EdgeID // link IDs
 	cT    float64
 }
 
@@ -190,7 +189,7 @@ func (p *DistCPPlanner) Plan(
 	if err := arena.steiner.BeginSweep(w.g, req.Destinations, arena.dstSPs, 0); err != nil {
 		return nil, err
 	}
-	arena.prices.begin(p.model, nw, w)
+	arena.prices.begin(p.model, nw)
 
 	funcs := req.Chain.Functions()
 	maxM := p.split
@@ -416,7 +415,7 @@ func (s *distSearch) realize(tuple []graph.NodeID, segd []float64, fin distFinal
 		if !ok {
 			return nil, fmt.Errorf("%w: segment host %d", ErrUnreachable, v)
 		}
-		if err := s.w.addHostPath(tree, nodes, edges, false); err != nil {
+		if err := tree.AddPath(nodes, edges, false); err != nil {
 			return nil, err
 		}
 		prev = v
@@ -431,7 +430,7 @@ func (s *distSearch) realize(tuple []graph.NodeID, segd []float64, fin distFinal
 		if perr != nil {
 			return nil, perr
 		}
-		if err := s.w.addHostPath(tree, nodes, edges, true); err != nil {
+		if err := tree.AddPath(nodes, edges, true); err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"nfvmcast/internal/graph"
 	"nfvmcast/internal/multicast"
 )
@@ -15,7 +17,8 @@ import (
 
 // buildAuxiliary constructs G_k^i for one subset and returns it with
 // the virtual source's node ID. Edge IDs [0, m) of the auxiliary graph
-// coincide with the work graph's local edge IDs; IDs >= m are virtual.
+// coincide with the work graph's (the network's link IDs); IDs >= m are
+// virtual.
 func buildAuxiliary(
 	w *workGraph, req *multicast.Request, subset []graph.NodeID, omega map[graph.NodeID]float64,
 ) (aux *graph.Graph, virtualNode graph.NodeID) {
@@ -24,8 +27,9 @@ func buildAuxiliary(
 	for _, v := range subset {
 		aux.MustAddEdge(virtualNode, v, omega[v])
 		// Zero-cost rule: a direct source-server link is free in G_k^i
-		// because the virtual edge already prices reaching v.
-		if id, ok := aux.EdgeBetween(req.Source, v); ok {
+		// because the virtual edge already prices reaching v. A link
+		// outside the view (+Inf) stays out.
+		if id, ok := aux.EdgeBetween(req.Source, v); ok && !math.IsInf(aux.Weight(id), 1) {
 			// SetWeight cannot fail: id is valid and the weight is 0.
 			_ = aux.SetWeight(id, 0)
 		}
@@ -34,7 +38,7 @@ func buildAuxiliary(
 }
 
 // splitAuxiliaryTree separates a Steiner tree in G_k^i into the used
-// virtual servers and the surviving real (work-local) edges.
+// virtual servers and the surviving real edges.
 func splitAuxiliaryTree(
 	w *workGraph, aux *graph.Graph, virtualNode graph.NodeID, tree *graph.SteinerTree,
 ) (servers []graph.NodeID, realEdges []graph.EdgeID) {

@@ -5,6 +5,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"nfvmcast/internal/graph"
@@ -16,9 +17,9 @@ import (
 func TestBuildWorkGraphFiltersResiduals(t *testing.T) {
 	nw := testNetwork(t, 30, 4)
 	req := testRequest(t, nw, 5)
-	full := buildWorkGraph(nw, req, false, func(graph.EdgeID) float64 { return 1 })
-	if full.g.NumEdges() != nw.NumEdges() {
-		t.Fatalf("uncapacitated view has %d edges, want %d", full.g.NumEdges(), nw.NumEdges())
+	full := buildWorkGraph(nw.Graph(), nw, req, false, func(graph.EdgeID) float64 { return 1 })
+	if out := outsideLinks(full); len(out) != 0 {
+		t.Fatalf("uncapacitated view prices links %v outside", out)
 	}
 	if len(full.servers) != len(nw.Servers()) {
 		t.Fatalf("uncapacitated view has %d servers, want %d",
@@ -36,54 +37,65 @@ func TestBuildWorkGraphFiltersResiduals(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	capped := buildWorkGraph(nw, req, true, func(graph.EdgeID) float64 { return 1 })
-	if capped.g.NumEdges() != nw.NumEdges()-1 {
-		t.Fatalf("capacitated view has %d edges, want %d", capped.g.NumEdges(), nw.NumEdges()-1)
+	capped := buildWorkGraph(nw.Graph(), nw, req, true, func(graph.EdgeID) float64 { return 1 })
+	if out := outsideLinks(capped); len(out) != 1 || out[0] != 0 {
+		t.Fatalf("capacitated view prices links %v outside, want [0]", out)
 	}
 	for _, s := range capped.servers {
 		if s == v {
 			t.Fatal("drained server still eligible")
 		}
 	}
-	// hostEdge mapping must skip the drained edge consistently.
-	for le := 0; le < capped.g.NumEdges(); le++ {
-		he := capped.hostEdge(le)
-		if he == 0 {
-			t.Fatal("drained edge appears in mapping")
-		}
-		a := capped.g.Edge(le)
-		b := nw.Graph().Edge(he)
+	// Every link keeps its network edge ID and endpoints.
+	if capped.g.NumEdges() != nw.NumEdges() {
+		t.Fatalf("capacitated view has %d edges, want %d", capped.g.NumEdges(), nw.NumEdges())
+	}
+	for e := 0; e < nw.NumEdges(); e++ {
+		a, b := capped.g.Edge(e), nw.Graph().Edge(e)
 		if a.U != b.U || a.V != b.V {
-			t.Fatalf("edge mapping mismatch: local %d {%d,%d} vs host %d {%d,%d}",
-				le, a.U, a.V, he, b.U, b.V)
+			t.Fatalf("edge %d joins {%d,%d} in the view, {%d,%d} in the network", e, a.U, a.V, b.U, b.V)
 		}
 	}
 }
 
-func TestWorkGraphAddHostPathTranslates(t *testing.T) {
-	nw := testNetwork(t, 20, 6)
-	req := testRequest(t, nw, 7)
-	w := buildWorkGraph(nw, req, false, func(graph.EdgeID) float64 { return 1 })
-	sp, err := graph.Dijkstra(w.g, req.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := req.Destinations[0]
-	nodes, edges, ok := sp.PathTo(d)
-	if !ok {
-		t.Fatal("destination unreachable in connected network")
-	}
-	tree := multicast.NewPseudoTree(req.Source, req.Destinations, []graph.NodeID{d})
-	if err := w.addHostPath(tree, nodes, edges, false); err != nil {
-		t.Fatal(err)
-	}
-	// Every stored hop must reference a genuine host edge joining its
-	// endpoints.
-	for _, h := range tree.Hops() {
-		he := nw.Graph().Edge(h.Edge)
-		if !((he.U == h.From && he.V == h.To) || (he.V == h.From && he.U == h.To)) {
-			t.Fatalf("hop %+v does not match host edge {%d,%d}", h, he.U, he.V)
+// TestAuxiliaryZeroCostRuleSkipsExcludedLinks: the paper's zero-cost
+// rule frees a direct source–server link in G_k^i, but not one the
+// capacitated view prices at +Inf: that link stays out.
+func TestAuxiliaryZeroCostRuleSkipsExcludedLinks(t *testing.T) {
+	nw := testNetwork(t, 100, 7)
+	req := testRequest(t, nw, 3).Clone()
+	hg := nw.Graph()
+	// A source with two server neighbours, outside the destinations.
+	var subset []graph.NodeID
+	var links []graph.EdgeID
+	for u := 0; u < nw.NumNodes() && len(subset) < 2; u++ {
+		subset, links = subset[:0], links[:0]
+		if slices.Contains(req.Destinations, u) {
+			continue
 		}
+		for _, v := range nw.Servers() {
+			if id, ok := hg.EdgeBetween(u, v); ok && v != u && len(subset) < 2 {
+				subset, links = append(subset, v), append(links, id)
+			}
+		}
+		req.Source = u
+	}
+	if len(subset) < 2 {
+		t.Fatal("no node with two server neighbours")
+	}
+	// The first link drops below b_k; the second stays in the view.
+	if err := nw.Allocate(sdn.Allocation{Links: []sdn.LinkShare{
+		{Edge: links[0], Mbps: nw.ResidualBandwidth(links[0]) - req.BandwidthMbps/2},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	w := buildWorkGraph(hg, nw, req, true, func(graph.EdgeID) float64 { return 1 })
+	aux, _ := buildAuxiliary(w, req, subset, map[graph.NodeID]float64{subset[0]: 1, subset[1]: 1})
+	if got := aux.Weight(links[0]); !math.IsInf(got, 1) {
+		t.Fatalf("excluded link %d priced %v in G_k^i, want +Inf", links[0], got)
+	}
+	if got := aux.Weight(links[1]); got != 0 {
+		t.Fatalf("member link %d priced %v in G_k^i, want 0", links[1], got)
 	}
 }
 
@@ -93,7 +105,7 @@ func TestClosureSteinerMatchesGenericKMBOnSingleton(t *testing.T) {
 	// graph without the zero-cost rule.
 	nw := testNetwork(t, 25, 8)
 	req := testRequest(t, nw, 9)
-	w := buildWorkGraph(nw, req, false, func(e graph.EdgeID) float64 {
+	w := buildWorkGraph(nw.Graph(), nw, req, false, func(e graph.EdgeID) float64 {
 		return nw.LinkUnitCost(e) * req.BandwidthMbps
 	})
 	spSrc, err := graph.Dijkstra(w.g, req.Source)
@@ -149,7 +161,7 @@ func TestDecomposeRejectsForeignDestination(t *testing.T) {
 		BandwidthMbps: 50,
 		Chain:         nfv.MustChain(nfv.NAT),
 	}
-	w := buildWorkGraph(nw, req, false, func(graph.EdgeID) float64 { return 1 })
+	w := buildWorkGraph(nw.Graph(), nw, req, false, func(graph.EdgeID) float64 { return 1 })
 	spSrc, err := graph.Dijkstra(w.g, req.Source)
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func AlgOneServer(nw *sdn.Network, req *multicast.Request, capacitated bool) (*S
 	if err := validateInput(nw, req); err != nil {
 		return nil, err
 	}
-	w := buildWorkGraph(nw, req, capacitated, func(e graph.EdgeID) float64 {
+	w := buildWorkGraph(nw.Graph(), nw, req, capacitated, func(e graph.EdgeID) float64 {
 		return nw.LinkUnitCost(e) * req.BandwidthMbps
 	})
 	if len(w.servers) == 0 {
@@ -98,7 +98,7 @@ func AlgOneServerNearest(nw *sdn.Network, req *multicast.Request, capacitated bo
 	if err := validateInput(nw, req); err != nil {
 		return nil, err
 	}
-	w := buildWorkGraph(nw, req, capacitated, func(e graph.EdgeID) float64 {
+	w := buildWorkGraph(nw.Graph(), nw, req, capacitated, func(e graph.EdgeID) float64 {
 		return nw.LinkUnitCost(e) * req.BandwidthMbps
 	})
 	if len(w.servers) == 0 {

@@ -93,7 +93,7 @@ func (p *CPPlanner) Plan(
 		return nil, err
 	}
 	prices := &arena.prices
-	prices.begin(p.model, nw, w)
+	prices.begin(p.model, nw)
 
 	var (
 		bestSelection = graph.Infinity
@@ -196,7 +196,7 @@ func (p *CPPlanner) Plan(
 			return nil, err
 		}
 	}
-	bestTree := realizeSingleServer(w, req, bestServer, bestU, arena)
+	bestTree := realizeSingleServer(req, bestServer, bestU, arena)
 	return &Solution{
 		Request:         req,
 		Tree:            bestTree,
@@ -252,12 +252,12 @@ func rootAtSource(
 // first node an earlier fan-out reached (DESIGN.md §8.1, "Realize in
 // linear time"). The finished list is handed to the tree in one copy.
 func realizeSingleServer(
-	w *workGraph, req *multicast.Request, v, u graph.NodeID, arena *PlanArena,
+	req *multicast.Request, v, u graph.NodeID, arena *PlanArena,
 ) *multicast.PseudoTree {
 	rt := &arena.rooted
 	reached, gen := arena.fanOutStamps(len(rt.seen))
 	hop := func(at graph.NodeID, processed bool) multicast.Hop {
-		return multicast.Hop{From: at, To: rt.parentNode[at], Edge: w.hostEdge(rt.parentEdge[at]), Processed: processed}
+		return multicast.Hop{From: at, To: rt.parentNode[at], Edge: rt.parentEdge[at], Processed: processed}
 	}
 	// down turns hops[from:], collected bottom-up, into top-down order.
 	down := func(hops []multicast.Hop, from int) {

@@ -71,7 +71,7 @@ func (p *CPPlanner) planPerCandidateReference(
 		}
 		overloaded := false
 		for _, e := range st.EdgeIDs {
-			if p.model.LinkWeight(nw, w.hostEdge(e)) >= p.model.SigmaE {
+			if p.model.LinkWeight(nw, e) >= p.model.SigmaE {
 				overloaded = true
 				break
 			}
@@ -81,7 +81,7 @@ func (p *CPPlanner) planPerCandidateReference(
 		}
 		var cT float64
 		for _, e := range st.EdgeIDs {
-			cT += p.model.LinkCost(nw, w.hostEdge(e))
+			cT += p.model.LinkCost(nw, e)
 		}
 		lower := cT + p.model.ServerCost(nw, v)
 		if lower >= bestSelection {
@@ -134,7 +134,7 @@ func realizeSingleServerReference(
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := w.addHostPath(tree, nodes, edges, false); err != nil {
+	if err := tree.AddPath(nodes, edges, false); err != nil {
 		return nil, 0, err
 	}
 
@@ -143,11 +143,11 @@ func realizeSingleServerReference(
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := w.addHostPath(tree, nodes, edges, true); err != nil {
+	if err := tree.AddPath(nodes, edges, true); err != nil {
 		return nil, 0, err
 	}
 	for _, e := range edges {
-		retCost += linkCost(w.hostEdge(e))
+		retCost += linkCost(e)
 	}
 	for _, d := range req.Destinations {
 		start := u
@@ -158,7 +158,7 @@ func realizeSingleServerReference(
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := w.addHostPath(tree, nodes, edges, true); err != nil {
+		if err := tree.AddPath(nodes, edges, true); err != nil {
 			return nil, 0, err
 		}
 	}

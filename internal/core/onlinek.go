@@ -120,7 +120,7 @@ func (p *CPKPlanner) Plan(
 		// near-tie subset selection differ run to run.
 		sel := 0.0
 		for _, l := range loads {
-			if p.model.LinkWeight(nw, w.hostEdge(l.edge)) >= p.model.SigmaE {
+			if p.model.LinkWeight(nw, l.edge) >= p.model.SigmaE {
 				return
 			}
 			sel += float64(l.load) * w.g.Weight(l.edge)

@@ -153,7 +153,7 @@ func (p *CPKPlanner) planPerCandidateReference(nw *sdn.Network, req *multicast.R
 	ev.prepare(&arena.eval)
 	hostWeight := make(map[graph.EdgeID]float64, w.g.NumEdges())
 	for le := 0; le < w.g.NumEdges(); le++ {
-		hostWeight[w.hostEdge(le)] = w.g.Weight(le)
+		hostWeight[le] = w.g.Weight(le)
 	}
 	bestSel := graph.Infinity
 	var bestTree *multicast.PseudoTree

@@ -56,7 +56,7 @@ func smallInstance(seed int64) (*sdn.Network, *multicast.Request, error) {
 // auxiliary tree cost min_i c(T_k^{OPT,i}) over all server subsets of
 // size <= k.
 func exactAuxOptimum(nw *sdn.Network, req *multicast.Request, k int) (float64, bool) {
-	w := buildWorkGraph(nw, req, false, func(e graph.EdgeID) float64 {
+	w := buildWorkGraph(nw.Graph(), nw, req, false, func(e graph.EdgeID) float64 {
 		return nw.LinkUnitCost(e) * req.BandwidthMbps
 	})
 	spSrc, err := graph.Dijkstra(w.g, req.Source)
@@ -197,7 +197,7 @@ func TestPropertyOnlineCPWithinFourTimesOptimal(t *testing.T) {
 		}
 		v := sol.Servers[0]
 		// Rebuild the marginal-weight graph plan() used.
-		w := buildWorkGraph(nw, req, true, func(e graph.EdgeID) float64 {
+		w := buildWorkGraph(nw.Graph(), nw, req, true, func(e graph.EdgeID) float64 {
 			utilAfter := 1 - (nw.ResidualBandwidth(e)-req.BandwidthMbps)/nw.BandwidthCap(e)
 			return math.Pow(model.Beta, utilAfter) - 1
 		})
@@ -210,7 +210,7 @@ func TestPropertyOnlineCPWithinFourTimesOptimal(t *testing.T) {
 		// each directed traversal (back-tracked links count twice).
 		hostWeight := make(map[graph.EdgeID]float64, w.g.NumEdges())
 		for le := 0; le < w.g.NumEdges(); le++ {
-			hostWeight[w.hostEdge(le)] = w.g.Weight(le)
+			hostWeight[le] = w.g.Weight(le)
 		}
 		var treeWeight float64
 		for _, l := range sol.Tree.LinkLoads() {

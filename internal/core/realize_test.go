@@ -34,7 +34,7 @@ func realizeByAddHop(
 	addPath := func(anc, desc graph.NodeID, down, processed bool) {
 		var hops []multicast.Hop
 		for at := desc; at != anc; at = rt.parentNode[at] {
-			h := multicast.Hop{From: at, To: rt.parentNode[at], Edge: w.hostEdge(rt.parentEdge[at]), Processed: processed}
+			h := multicast.Hop{From: at, To: rt.parentNode[at], Edge: rt.parentEdge[at], Processed: processed}
 			if down {
 				h.From, h.To = h.To, h.From
 			}
@@ -135,9 +135,7 @@ func TestRealizeMatchesAddHopOnRandomTrees(t *testing.T) {
 			}
 			ids[i] = g.MustAddEdge(l.a, l.b, 1)
 		}
-		// Host edge IDs differ from the local ones, as in a filtered view.
-		host := rng.Perm(3 * n)[:len(links)]
-		w := &workGraph{g: g, toHost: host}
+		w := &workGraph{g: g}
 
 		isAncestor := func(a, x graph.NodeID) bool { // a == x or a above x
 			for ; x >= 0; x = parent[x] {
@@ -184,7 +182,7 @@ func TestRealizeMatchesAddHopOnRandomTrees(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		ref, dropped := realizeByAddHop(w, req, v, u, arena)
-		got := realizeSingleServer(w, req, v, u, arena)
+		got := realizeSingleServer(req, v, u, arena)
 		sameRealization(t, fmt.Sprintf("trial %d (n=%d s=%d v=%d u=%d D=%v)", trial, n, root, v, u, dests), nil, req, got, ref)
 
 		if dropped > 0 {
@@ -302,7 +300,7 @@ func TestRealizeMatchesAddHopOnStreams(t *testing.T) {
 					if rerr == nil {
 						// Local edge IDs depend on link membership only,
 						// so any pricing rebuilds the repair's view.
-						rw := buildWorkGraph(nw, reqs[id], true, func(graph.EdgeID) float64 { return 1 })
+						rw := buildWorkGraph(nw.Graph(), nw, reqs[id], true, func(graph.EdgeID) float64 { return 1 })
 						lastRealized(fmt.Sprintf("repair of %d", id), rw, reqs[id], rep)
 						repairs++
 						rerr = adm.Rebind(id, rep)

@@ -49,7 +49,7 @@ func RepairReroute(
 	// Residual view priced by the operational cost the repair should
 	// keep low: b_k·c_e per link, the same objective Appro_Multi
 	// minimises per candidate.
-	w := buildWorkGraph(nw, req, true, func(e graph.EdgeID) float64 {
+	w := buildWorkGraph(nw.Graph(), nw, req, true, func(e graph.EdgeID) float64 {
 		return nw.LinkUnitCost(e) * req.BandwidthMbps
 	})
 
@@ -63,7 +63,7 @@ func RepairReroute(
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
-	tree := realizeSingleServer(w, req, server, u, arena)
+	tree := realizeSingleServer(req, server, u, arena)
 	return &Solution{
 		Request:         req,
 		Tree:            tree,

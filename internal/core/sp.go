@@ -38,7 +38,7 @@ func (p *SPPlanner) Plan(
 	// request-specific (residual pruning), so the SP-tree cache lives
 	// for this plan only — it still dedupes the source tree when the
 	// source doubles as a candidate server.
-	w := buildWorkGraph(nw, req, true, func(graph.EdgeID) float64 { return 1 })
+	w := buildWorkGraph(nw.Graph(), nw, req, true, func(graph.EdgeID) float64 { return 1 })
 	if len(w.servers) == 0 {
 		return nil, fmt.Errorf("%w: %w", ErrRejected, ErrComputeExhausted)
 	}
@@ -113,7 +113,7 @@ func planSP(
 	if !ok {
 		return nil, fmt.Errorf("%w: server %d", ErrUnreachable, bestServer)
 	}
-	if err := w.addHostPath(tree, nodes, edges, false); err != nil {
+	if err := tree.AddPath(nodes, edges, false); err != nil {
 		return nil, err
 	}
 	for _, d := range req.Destinations {
@@ -121,7 +121,7 @@ func planSP(
 		if !ok {
 			return nil, fmt.Errorf("%w: destination %d", ErrUnreachable, d)
 		}
-		if err := w.addHostPath(tree, nodes, edges, true); err != nil {
+		if err := tree.AddPath(nodes, edges, true); err != nil {
 			return nil, err
 		}
 	}
@@ -177,8 +177,10 @@ func (p *SPStaticPlanner) view(nw *sdn.Network, req *multicast.Request) (*workGr
 		p.version != nw.StructureVersion() {
 		// Pristine topology with uniform weights: no residual
 		// filtering, so the view is identical for every request at
-		// this structure version.
-		p.w = buildWorkGraph(nw, req, false, func(graph.EdgeID) float64 { return 1 })
+		// this structure version. The view outlives nw's graph, which
+		// an engine snapshot refill overwrites in place, so it is
+		// built on a copy.
+		p.w = buildWorkGraph(nw.Graph().Clone(), nw, req, false, func(graph.EdgeID) float64 { return 1 })
 		p.sp = newSPCache(p.w.g)
 		p.nodes, p.edges, p.version = nw.NumNodes(), nw.NumEdges(), nw.StructureVersion()
 	}

@@ -26,9 +26,7 @@ import (
 // Dijkstra, and runs Dijkstra when there is no seed or the reuse does
 // not certify. After one reuse fails, the cache stops trying: its
 // graph prices every link for one request, so a tie or heavy damage at
-// one root predicts the same at the others. A cache over a graph built
-// for it alone (SP's plans, a filtered Appro_Multi view) builds each
-// root once, so it never finds a seed.
+// one root predicts the same at the others.
 type spCache struct {
 	g       *graph.Graph
 	noReuse atomic.Bool // a reuse failed here: Dijkstra only

@@ -36,7 +36,7 @@ type sweepFixture struct {
 // returns nil when the request is infeasible before any candidate runs.
 func newSweepFixture(t *testing.T, nw *sdn.Network, req *multicast.Request, capacitated bool, k int) *sweepFixture {
 	t.Helper()
-	w := buildWorkGraph(nw, req, capacitated, func(e graph.EdgeID) float64 {
+	w := buildWorkGraph(nw.Graph(), nw, req, capacitated, func(e graph.EdgeID) float64 {
 		return nw.LinkUnitCost(e) * req.BandwidthMbps
 	})
 	spSrc, err := graph.Dijkstra(w.g, req.Source)
@@ -209,7 +209,7 @@ func TestScratchPriceMatchesBuiltTree(t *testing.T) {
 				t.Fatalf("%s cand %d: walker found server cut off", label, idx)
 			}
 			walked := append([]edgeLoad(nil), loads...)
-			price := operationalPrice(fx.nw, fx.w, fx.req, walked, servers)
+			price := operationalPrice(fx.nw, fx.req, walked, servers)
 			tree, err := decompose(fx.w, fx.req, fx.spSrc, servers, realEdges, &s)
 			if err != nil {
 				t.Fatalf("%s cand %d: decompose: %v", label, idx, err)
@@ -223,8 +223,8 @@ func TestScratchPriceMatchesBuiltTree(t *testing.T) {
 				t.Fatalf("%s cand %d: walker saw %d links, tree has %d", label, idx, len(walked), len(want))
 			}
 			for i, l := range walked {
-				host := fx.w.hostEdge(l.edge)
-				if i > 0 && fx.w.hostEdge(walked[i-1].edge) >= host {
+				host := l.edge
+				if i > 0 && walked[i-1].edge >= host {
 					t.Fatalf("%s cand %d: walker order breaks at %d", label, idx, i)
 				}
 				if want[i] != (multicast.EdgeLoad{Edge: host, Uses: l.load}) {

@@ -42,20 +42,6 @@ func makeWorkGraphKey(nw *sdn.Network, req *multicast.Request) workGraphKey {
 	}
 }
 
-// wgStructure is a key without its residual epoch and request
-// parameters: keys with equal structures were built over the same
-// topology and up/down state — the precondition for building one key's
-// work graph on the other's adjacency (buildWorkGraphFrom).
-type wgStructure struct {
-	structVer uint64
-	nodes     int
-	edges     int
-}
-
-func (k workGraphKey) structure() wgStructure {
-	return wgStructure{structVer: k.structVer, nodes: k.nodes, edges: k.edges}
-}
-
 // wgEntry pairs a cached work graph with the shortest-path cache over
 // it; both are immutable/concurrency-safe, so entries may be shared by
 // any number of planner goroutines.
@@ -85,19 +71,20 @@ type wgCall struct {
 //   - Hit: an exact (structVer, mutVer, params) key returns the shared
 //     entry. A departure that undoes the admission before it restores
 //     the network's version, so the next plan at that state hits.
-//   - Build: any miss. When a cached entry shares the key's structure
-//     and the request keeps exactly that entry's links (on a lightly
-//     loaded substrate: all of them), the build re-prices a weight
-//     clone of the entry's graph and shares its adjacency and the
-//     adjacency's seed table (buildWorkGraphFrom), so its trees come
-//     lazily from the seeds; otherwise it inserts every edge afresh, and
-//     the new adjacency starts without seeds.
+//   - Build: any miss re-prices a weight clone of base, the cache's own
+//     copy of the network graph (buildWorkGraph). Every work graph
+//     shares base's adjacency and its seed table, so each tree comes
+//     from the tree the last view built from the same root
+//     (graph.SeededTree), whatever links the two views exclude.
+//
+// base is taken on the first build and replaced only when the node or
+// edge count differs: sdn.Network never adds a link after
+// construction, and a failure or a residual change moves prices, not
+// adjacency.
 //
 // Concurrent misses on one key are single-flighted. Every lookup,
 // promotion, insertion and eviction is O(1): entries sit in a doubly
-// linked MRU list behind a key index, and a second map names the most
-// recently used entry per structure (the template pick) — exactly the
-// entry a front-to-back scan of the list would meet first.
+// linked MRU list behind a key index.
 //
 // No outcome moves a decision: a hit returns the work graph of an
 // identical residual view, and every tree is either a fresh Dijkstra
@@ -110,17 +97,14 @@ type workGraphCache struct {
 	weight      func(nw *sdn.Network, req *multicast.Request, e graph.EdgeID) float64
 
 	mu       sync.Mutex
+	base     *graph.Graph // every build's adjacency; nil before the first
 	index    map[workGraphKey]*wgNode
 	mru, lru *wgNode // list ends; nil when empty
-	byStruct map[wgStructure]*wgNode
 	inflight map[workGraphKey]*wgCall
 
 	// Transition counters (under mu) — test and tuning instrumentation.
 	hits   uint64 // exact key hits
-	builds uint64 // builds, templated ones included
-	// templated counts the cold builds that shared a cached entry's
-	// adjacency (buildWorkGraphFrom).
-	templated uint64
+	builds uint64 // misses built
 }
 
 // priceMarginal sets the residual-view recipe of the exponential-cost
@@ -167,7 +151,6 @@ func (c *workGraphCache) insert(e wgEntry) {
 	}
 	if c.index == nil {
 		c.index = make(map[workGraphKey]*wgNode)
-		c.byStruct = make(map[wgStructure]*wgNode)
 	}
 	var n *wgNode
 	if len(c.index) < workGraphCacheSize {
@@ -181,23 +164,16 @@ func (c *workGraphCache) insert(e wgEntry) {
 }
 
 // evict removes the least recently used entry and returns its node for
-// reuse. The structure map loses its pointer only when it aims at the
-// victim: the global LRU entry is its structure's MRU entry only when
-// it is that structure's last entry, so any other pointer still names a
-// live, more recent entry.
+// reuse.
 func (c *workGraphCache) evict() *wgNode {
 	n := c.lru
 	c.unlink(n)
 	delete(c.index, n.key)
-	if st := n.key.structure(); c.byStruct[st] == n {
-		delete(c.byStruct, st)
-	}
 	*n = wgNode{}
 	return n
 }
 
-// pushFront makes n the most recently used entry of the cache and of
-// its structure.
+// pushFront makes n the most recently used entry.
 func (c *workGraphCache) pushFront(n *wgNode) {
 	n.newer, n.older = nil, c.mru
 	if c.mru != nil {
@@ -206,7 +182,6 @@ func (c *workGraphCache) pushFront(n *wgNode) {
 		c.lru = n
 	}
 	c.mru = n
-	c.byStruct[n.key.structure()] = n
 }
 
 // unlink detaches n from the MRU list.
@@ -253,31 +228,18 @@ func (c *workGraphCache) acquire(nw *sdn.Network, req *multicast.Request) (*work
 		c.inflight = make(map[workGraphKey]*wgCall)
 	}
 	c.inflight[key] = call
-	// Build on the most recently used same-structure entry's adjacency,
-	// copied out under mu: an evicted node is reused.
-	var tmpl *workGraph
-	if n := c.byStruct[key.structure()]; n != nil {
-		tmpl = n.w
+	if c.base == nil || c.base.NumNodes() != nw.NumNodes() || c.base.NumEdges() != nw.NumEdges() {
+		c.base = nw.Graph().Clone()
 	}
+	base := c.base
 	c.mu.Unlock()
 
-	weight := func(e graph.EdgeID) float64 { return c.weight(nw, req, e) }
-	var w *workGraph
-	if tmpl != nil {
-		w = buildWorkGraphFrom(tmpl, nw, req, c.capacitated, weight)
-	}
-	templated := w != nil
-	if w == nil {
-		w = buildWorkGraph(nw, req, c.capacitated, weight)
-	}
+	w := buildWorkGraph(base, nw, req, c.capacitated, func(e graph.EdgeID) float64 { return c.weight(nw, req, e) })
 	sp := newSPCache(w.g)
 
 	c.mu.Lock()
 	c.insert(wgEntry{key: key, w: w, sp: sp})
 	c.builds++
-	if templated {
-		c.templated++
-	}
 	delete(c.inflight, key)
 	c.mu.Unlock()
 	call.w, call.sp = w, sp

@@ -1,151 +1,18 @@
-// Package trace persists workloads and experiment results as JSON so
-// runs can be archived, diffed and replayed: a request trace saved
-// from one machine reproduces bit-identical admission decisions on
-// another.
+// Package trace persists experiment results as JSON (cmd/nfvsim's -json
+// output) so runs can be archived and diffed. Requests have one codec,
+// wal.RequestRecord.
 package trace
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
-	"nfvmcast/internal/multicast"
-	"nfvmcast/internal/nfv"
 	"nfvmcast/internal/sim"
 )
 
 // FormatVersion identifies the trace schema; bump on breaking change.
 const FormatVersion = 1
-
-// requestJSON is the serialised form of one request. Chains serialise
-// as ordered function names so traces stay readable and stable across
-// internal renumbering.
-type requestJSON struct {
-	ID            int      `json:"id"`
-	Source        int      `json:"source"`
-	Destinations  []int    `json:"destinations"`
-	BandwidthMbps float64  `json:"bandwidthMbps"`
-	Chain         []string `json:"chain"`
-}
-
-// Workload is a serialisable request sequence plus provenance.
-type Workload struct {
-	Version  int           `json:"version"`
-	Topology string        `json:"topology,omitempty"`
-	Nodes    int           `json:"nodes"`
-	Seed     int64         `json:"seed,omitempty"`
-	Requests []requestJSON `json:"requests"`
-}
-
-// functionByName maps serialised names back to function values.
-var functionByName = func() map[string]nfv.Function {
-	m := make(map[string]nfv.Function)
-	for _, f := range nfv.AllFunctions() {
-		m[f.String()] = f
-	}
-	return m
-}()
-
-// NewWorkload wraps a request sequence for serialisation.
-func NewWorkload(topology string, nodes int, seed int64, reqs []*multicast.Request) *Workload {
-	w := &Workload{
-		Version:  FormatVersion,
-		Topology: topology,
-		Nodes:    nodes,
-		Seed:     seed,
-		Requests: make([]requestJSON, 0, len(reqs)),
-	}
-	for _, r := range reqs {
-		chain := make([]string, 0, r.Chain.Len())
-		for _, f := range r.Chain.Functions() {
-			chain = append(chain, f.String())
-		}
-		w.Requests = append(w.Requests, requestJSON{
-			ID:            r.ID,
-			Source:        r.Source,
-			Destinations:  append([]int(nil), r.Destinations...),
-			BandwidthMbps: r.BandwidthMbps,
-			Chain:         chain,
-		})
-	}
-	return w
-}
-
-// Decode reconstructs the request sequence, validating every entry
-// against the recorded node count.
-func (w *Workload) Decode() ([]*multicast.Request, error) {
-	if w.Version != FormatVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d (want %d)", w.Version, FormatVersion)
-	}
-	out := make([]*multicast.Request, 0, len(w.Requests))
-	for i, rj := range w.Requests {
-		funcs := make([]nfv.Function, 0, len(rj.Chain))
-		for _, name := range rj.Chain {
-			f, ok := functionByName[name]
-			if !ok {
-				return nil, fmt.Errorf("trace: request %d: unknown function %q", i, name)
-			}
-			funcs = append(funcs, f)
-		}
-		chain, err := nfv.NewChain(funcs...)
-		if err != nil {
-			return nil, fmt.Errorf("trace: request %d: %w", i, err)
-		}
-		req := &multicast.Request{
-			ID:            rj.ID,
-			Source:        rj.Source,
-			Destinations:  append([]int(nil), rj.Destinations...),
-			BandwidthMbps: rj.BandwidthMbps,
-			Chain:         chain,
-		}
-		if err := req.Validate(w.Nodes); err != nil {
-			return nil, fmt.Errorf("trace: request %d: %w", i, err)
-		}
-		out = append(out, req)
-	}
-	return out, nil
-}
-
-// Write serialises the workload as indented JSON.
-func (w *Workload) Write(out io.Writer) error {
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(w)
-}
-
-// WriteFile serialises the workload to a file.
-func (w *Workload) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := w.Write(f); err != nil {
-		return fmt.Errorf("trace: write %s: %w", path, err)
-	}
-	return f.Close()
-}
-
-// ReadWorkload parses a workload from JSON.
-func ReadWorkload(in io.Reader) (*Workload, error) {
-	var w Workload
-	dec := json.NewDecoder(in)
-	if err := dec.Decode(&w); err != nil {
-		return nil, fmt.Errorf("trace: decode workload: %w", err)
-	}
-	return &w, nil
-}
-
-// ReadWorkloadFile parses a workload from a file.
-func ReadWorkloadFile(path string) (*Workload, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadWorkload(f)
-}
 
 // Results is a serialisable set of experiment figures.
 type Results struct {

@@ -2,104 +2,11 @@ package trace
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"nfvmcast/internal/multicast"
 	"nfvmcast/internal/sim"
 )
-
-func sampleRequests(t *testing.T, n, count int) []*multicast.Request {
-	t.Helper()
-	gen, err := multicast.NewGenerator(n, multicast.DefaultGeneratorConfig(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs, err := gen.Batch(count)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return reqs
-}
-
-func TestWorkloadRoundtrip(t *testing.T) {
-	reqs := sampleRequests(t, 40, 25)
-	w := NewWorkload("waxman-40", 40, 5, reqs)
-	var buf bytes.Buffer
-	if err := w.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadWorkload(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := back.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(reqs) {
-		t.Fatalf("decoded %d requests, want %d", len(got), len(reqs))
-	}
-	for i := range reqs {
-		a, b := reqs[i], got[i]
-		if a.ID != b.ID || a.Source != b.Source || a.BandwidthMbps != b.BandwidthMbps {
-			t.Fatalf("request %d scalar mismatch: %+v vs %+v", i, a, b)
-		}
-		if len(a.Destinations) != len(b.Destinations) {
-			t.Fatalf("request %d destinations differ", i)
-		}
-		for j := range a.Destinations {
-			if a.Destinations[j] != b.Destinations[j] {
-				t.Fatalf("request %d destination %d differs", i, j)
-			}
-		}
-		if !a.Chain.Equal(b.Chain) {
-			t.Fatalf("request %d chain %v != %v", i, a.Chain, b.Chain)
-		}
-	}
-}
-
-func TestWorkloadFileRoundtrip(t *testing.T) {
-	reqs := sampleRequests(t, 30, 10)
-	w := NewWorkload("geant", 30, 1, reqs)
-	path := filepath.Join(t.TempDir(), "workload.json")
-	if err := w.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadWorkloadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Topology != "geant" || back.Nodes != 30 || back.Seed != 1 {
-		t.Fatalf("provenance lost: %+v", back)
-	}
-	if _, err := back.Decode(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWorkloadDecodeErrors(t *testing.T) {
-	reqs := sampleRequests(t, 40, 2)
-	w := NewWorkload("x", 40, 0, reqs)
-	w.Version = 99
-	if _, err := w.Decode(); err == nil {
-		t.Fatal("wrong version accepted")
-	}
-	w = NewWorkload("x", 40, 0, reqs)
-	w.Requests[0].Chain = []string{"Quantumizer"}
-	if _, err := w.Decode(); err == nil {
-		t.Fatal("unknown function accepted")
-	}
-	w = NewWorkload("x", 40, 0, reqs)
-	w.Nodes = 2 // now destinations are out of range
-	if _, err := w.Decode(); err == nil {
-		t.Fatal("out-of-range request accepted")
-	}
-	if _, err := ReadWorkload(strings.NewReader("{broken")); err == nil {
-		t.Fatal("broken JSON accepted")
-	}
-}
 
 func TestResultsRoundtrip(t *testing.T) {
 	figs := []sim.Figure{{
@@ -131,15 +38,5 @@ func TestResultsRoundtrip(t *testing.T) {
 	}
 	if _, err := ReadResults(strings.NewReader("nope")); err == nil {
 		t.Fatal("broken JSON accepted")
-	}
-}
-
-func TestWriteFileErrors(t *testing.T) {
-	w := NewWorkload("x", 10, 0, nil)
-	if err := w.WriteFile("/nonexistent-dir/sub/file.json"); err == nil {
-		t.Fatal("write into missing directory accepted")
-	}
-	if _, err := ReadWorkloadFile("/nonexistent-dir/file.json"); err == nil {
-		t.Fatal("read of missing file accepted")
 	}
 }
