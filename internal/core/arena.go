@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"nfvmcast/internal/graph"
@@ -30,8 +31,10 @@ type PlanArena struct {
 	trees  [2]graph.SteinerTree // a candidate's tree and the incumbent's
 	prices priceMemo
 
-	rooted rootedView      // the candidate's Steiner tree rooted at s_k
-	hops   []multicast.Hop // the winner's pseudo-tree hops, before handover
+	rooted   rootedView           // the candidate's Steiner tree rooted at s_k
+	hops     []multicast.Hop      // the winner's pseudo-tree hops, before handover
+	linkUses []int32              // edge -> hops over it; zero between realizations
+	loads    []multicast.EdgeLoad // the hops' link loads, before handover
 
 	fanGen     uint64   // realization count; never wraps
 	fanReached []uint64 // node -> realization whose fan-outs last reached it
@@ -45,6 +48,36 @@ func (a *PlanArena) fanOutStamps(n int) ([]uint64, uint64) {
 	}
 	a.fanGen++
 	return a.fanReached, a.fanGen
+}
+
+// linkLoads returns the link loads of hops, a realization over the tree
+// of edges (ascending): each hop's edge counted, then read back in
+// edges' order, skipping an edge no hop uses. Every hop edge must be in
+// edges; the counts are zero again on return.
+func (a *PlanArena) linkLoads(hops []multicast.Hop, edges []graph.EdgeID) []multicast.EdgeLoad {
+	loads := a.loads[:0]
+	if len(edges) > 0 {
+		if n := edges[len(edges)-1] + 1; len(a.linkUses) < n {
+			a.linkUses = append(a.linkUses, make([]int32, n-len(a.linkUses))...)
+		}
+	}
+	uses := a.linkUses
+	for _, h := range hops {
+		uses[h.Edge]++
+	}
+	counted := 0
+	for _, e := range edges {
+		if n := uses[e]; n > 0 {
+			loads = append(loads, multicast.EdgeLoad{Edge: e, Uses: int(n)})
+			counted += int(n)
+			uses[e] = 0
+		}
+	}
+	if counted != len(hops) {
+		panic(fmt.Sprintf("core: %d of %d hops ride the realized tree's edges", counted, len(hops)))
+	}
+	a.loads = loads
+	return loads
 }
 
 // NewPlanArena returns an empty arena. Arenas grow to workload size on

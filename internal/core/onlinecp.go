@@ -196,7 +196,7 @@ func (p *CPPlanner) Plan(
 			return nil, err
 		}
 	}
-	bestTree := realizeSingleServer(req, bestServer, bestU, arena)
+	bestTree := realizeSingleServer(req, bestServer, bestU, best.EdgeIDs, arena)
 	return &Solution{
 		Request:         req,
 		Tree:            bestTree,
@@ -233,9 +233,10 @@ func rootAtSource(
 }
 
 // realizeSingleServer turns the Steiner tree over {s_k, v} ∪ D_k that
-// rootAtSource left rooted in the arena, with u its returned LCA, into
-// the pseudo tree of paper §V.B: unprocessed traffic follows the tree
-// path s_k→v; processed traffic serves v's subtree directly and
+// rootAtSource left rooted in the arena, edges its ascending EdgeIDs and
+// u its returned LCA, into the pseudo tree of paper §V.B: unprocessed
+// traffic follows the tree path s_k→v; processed traffic serves v's
+// subtree directly and
 // back-tracks from v to u = LCA(v, d_1, ..., d_m) for the remaining
 // destinations. Shared by CPPlanner.Plan — which prices every
 // candidate's back-tracking path but realises the winner only — and
@@ -251,8 +252,13 @@ func rootAtSource(
 // with a fan-out (parent to child), and a fan-out walk stops at the
 // first node an earlier fan-out reached (DESIGN.md §8.1, "Realize in
 // linear time"). The finished list is handed to the tree in one copy.
+//
+// The link loads need no sort: each hop's edge is counted by ID, and the
+// counts are read back in the order of edges. The hops cover exactly the
+// tree's edges when every leaf is a terminal, as in KMB's pruned trees
+// (DESIGN.md §8.1, "Loads from the tree"); an edge no hop uses is skipped.
 func realizeSingleServer(
-	req *multicast.Request, v, u graph.NodeID, arena *PlanArena,
+	req *multicast.Request, v, u graph.NodeID, edges []graph.EdgeID, arena *PlanArena,
 ) *multicast.PseudoTree {
 	rt := &arena.rooted
 	reached, gen := arena.fanOutStamps(len(rt.seen))
@@ -291,7 +297,7 @@ func realizeSingleServer(
 		down(hops, from)
 	}
 	arena.hops = hops
-	return multicast.NewRealizedTree(req.Source, req.Destinations, []graph.NodeID{v}, hops)
+	return multicast.NewRealizedTree(req.Source, req.Destinations, []graph.NodeID{v}, hops, arena.linkLoads(hops, edges))
 }
 
 // IsRejection reports whether err represents an admission-policy

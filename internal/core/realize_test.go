@@ -2,11 +2,12 @@ package core
 
 // Realize oracle. realizeSingleServer collects a pseudo tree's hops in
 // one pass, stopping each fan-out walk at the first node an earlier
-// fan-out reached, and hands the distinct list over in one copy. The
-// realization it replaced sent every hop through PseudoTree.AddHop,
-// whose duplicate scan drops the hops two fan-outs share; it is kept
-// here, and both must give the same hop sequence, order included, and
-// the same link loads.
+// fan-out reached, and hands the distinct list over in one copy with
+// the link loads read off the Steiner tree's edges. The realization it
+// replaced sent every hop through PseudoTree.AddHop, whose duplicate
+// scan drops the hops two fan-outs share, and sorted the hops' edges
+// for the loads; it is kept here, and both must give the same hop
+// sequence, order included, and the same link loads.
 
 import (
 	"context"
@@ -182,7 +183,7 @@ func TestRealizeMatchesAddHopOnRandomTrees(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		ref, dropped := realizeByAddHop(w, req, v, u, arena)
-		got := realizeSingleServer(req, v, u, arena)
+		got := realizeSingleServer(req, v, u, ids, arena)
 		sameRealization(t, fmt.Sprintf("trial %d (n=%d s=%d v=%d u=%d D=%v)", trial, n, root, v, u, dests), nil, req, got, ref)
 
 		if dropped > 0 {
@@ -240,7 +241,9 @@ func TestRealizeMatchesAddHopOnStreams(t *testing.T) {
 			arena := NewPlanArena()
 			rng := rand.New(rand.NewSource(nc.seed))
 			// lastRealized re-realizes the arena's rooted tree the old
-			// way and compares it with sol's.
+			// way and compares it with sol's, whose loads must also name
+			// every edge of the Steiner tree: no pruned tree has an edge
+			// the hops leave unused.
 			lastRealized := func(label string, w *workGraph, req *multicast.Request, sol *Solution) {
 				v := sol.Servers[0]
 				u, ok := v, true
@@ -252,6 +255,17 @@ func TestRealizeMatchesAddHopOnStreams(t *testing.T) {
 				}
 				ref, _ := realizeByAddHop(w, req, v, u, arena)
 				sameRealization(t, label, nw, req, sol.Tree, ref)
+				var treeEdges, loaded []graph.EdgeID
+				for x := range arena.rooted.seen {
+					if arena.rooted.inTree(x) && x != req.Source {
+						treeEdges = append(treeEdges, arena.rooted.parentEdge[x])
+					}
+				}
+				slices.Sort(treeEdges)
+				sol.Tree.VisitLinkLoads(func(l multicast.EdgeLoad) { loaded = append(loaded, l.Edge) })
+				if !slices.Equal(loaded, treeEdges) {
+					t.Fatalf("%s: loads on %v, tree edges %v", label, loaded, treeEdges)
+				}
 			}
 			var live []int
 			reqs := map[int]*multicast.Request{}
@@ -321,5 +335,51 @@ func TestRealizeMatchesAddHopOnStreams(t *testing.T) {
 				t.Fatalf("only %d winners and %d repairs checked", winners, repairs)
 			}
 		})
+	}
+}
+
+// TestRealizeLoadsFromTree pins the loads of a realization in which the
+// fan-out from u retraces the back-track: on the path s=0 – 1 – 2 – v=3
+// with destinations 2 and 4 (4 hanging off 1), u = LCA(3, 2, 4) = 1, so
+// link 1–2 carries the unprocessed stream down, the back-track up and
+// the fan-out to 2 down again. The loads must be the run-length count
+// of the sorted hop edges, listed in the tree's edge order.
+func TestRealizeLoadsFromTree(t *testing.T) {
+	g := graph.New(5)
+	e12 := g.MustAddEdge(2, 1, 1) // IDs out of path order
+	e01 := g.MustAddEdge(0, 1, 1)
+	e14 := g.MustAddEdge(4, 1, 1)
+	e23 := g.MustAddEdge(2, 3, 1)
+	edges := []graph.EdgeID{e12, e01, e14, e23}
+	slices.Sort(edges)
+	w := &workGraph{g: g}
+	req := &multicast.Request{ID: 1, Source: 0, Destinations: []graph.NodeID{2, 4}}
+	arena := NewPlanArena()
+	u, err := rootAtSource(w, req, 3, &graph.SteinerTree{EdgeIDs: edges}, arena)
+	if err != nil || u != 1 {
+		t.Fatalf("u = %d, err %v; want 1", u, err)
+	}
+	tree := realizeSingleServer(req, 3, u, edges, arena)
+	var ids []graph.EdgeID
+	for _, h := range tree.Hops() {
+		ids = append(ids, h.Edge)
+	}
+	slices.Sort(ids)
+	var runs []multicast.EdgeLoad
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[i] {
+			j++
+		}
+		runs = append(runs, multicast.EdgeLoad{Edge: ids[i], Uses: j - i})
+		i = j
+	}
+	want := []multicast.EdgeLoad{{Edge: e12, Uses: 3}, {Edge: e01, Uses: 1}, {Edge: e14, Uses: 1}, {Edge: e23, Uses: 2}}
+	slices.SortFunc(want, func(a, b multicast.EdgeLoad) int { return a.Edge - b.Edge })
+	if got := tree.LinkLoads(); !slices.Equal(got, want) || !slices.Equal(runs, want) {
+		t.Fatalf("loads %v, hop runs %v; want %v", got, runs, want)
+	}
+	if err := tree.CheckDelivery(g); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -63,7 +63,7 @@ func RepairReroute(
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
-	tree := realizeSingleServer(req, server, u, arena)
+	tree := realizeSingleServer(req, server, u, st.EdgeIDs, arena)
 	return &Solution{
 		Request:         req,
 		Tree:            tree,

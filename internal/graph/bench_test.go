@@ -229,3 +229,55 @@ func BenchmarkSweepRowWaxman150(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSweepFirstCallWaxman100 is the standing microbenchmark of
+// Online_CP's first sweep call on the engine-hot-pool substrate:
+// Waxman-100 priced as an idle network for a 50 Mbps request, β^(b/cap)
+// − 1 with capacities of 1,000–10,000 Mbps. Each iteration prices the
+// next of 64 requests, a source and 5–20 destinations whose trees are
+// built before the timer: BeginSweep over them, then SweepTree for one
+// server, which is the full call — the closure MST, the expansion and
+// the pruning. Not CI-gated; run with
+//
+//	go test ./internal/graph/ -run '^$' -bench SweepFirstCallWaxman100 -benchmem
+func BenchmarkSweepFirstCallWaxman100(b *testing.B) {
+	g := waxman(b, 100)
+	rng := rand.New(rand.NewSource(42))
+	beta := 2 * float64(g.NumNodes())
+	for e := 0; e < g.NumEdges(); e++ {
+		if err := g.SetWeight(e, math.Pow(beta, 50/(1000+9000*rng.Float64()))-1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	type request struct {
+		terms  []graph.NodeID // s_k, then D_k
+		sps    []*graph.ShortestPaths
+		server graph.NodeID
+	}
+	reqs := make([]request, 64)
+	for i := range reqs {
+		perm := rng.Perm(g.NumNodes())
+		r := request{terms: perm[:6+rng.Intn(16)], server: perm[30]}
+		for _, v := range r.terms {
+			sp, err := graph.Dijkstra(g, v)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r.sps = append(r.sps, sp)
+		}
+		reqs[i] = r
+	}
+	var s graph.SteinerScratch
+	var out graph.SteinerTree
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := &reqs[i%len(reqs)]
+		if err := s.BeginSweep(g, r.terms, r.sps, 1); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.SweepTree(r.server, &out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,6 +7,37 @@ import (
 	"testing"
 )
 
+// FuzzClosureMST runs TestDenseClosureMSTMatchesPrim's oracle on
+// fuzzed closures: 2–14 terminals whose distances are data's bytes in
+// sixteenths, so equal distances are common, and the tree of terminal
+// missing absent when it is in range (the seed corpus runs in normal
+// `go test`; `go test -fuzz=FuzzClosureMST` explores further).
+func FuzzClosureMST(f *testing.F) {
+	f.Add(uint8(3), uint8(255), []byte{16, 32, 48})
+	f.Add(uint8(9), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
+	f.Add(uint8(12), uint8(0), []byte{7})
+	f.Fuzz(func(t *testing.T, kRaw, missing uint8, data []byte) {
+		k := 2 + int(kRaw)%13
+		w := make([][]float64, k)
+		next := 0
+		for i := range w {
+			w[i] = make([]float64, k)
+			for j := range w[i] {
+				if i != j && len(data) > 0 {
+					w[i][j] = float64(data[next%len(data)]) / 16
+					next++
+				}
+			}
+		}
+		miss := int(missing)
+		if miss >= k {
+			miss = -1
+		}
+		terms, sps := closureCase(w, miss)
+		checkDenseClosureMST(t, terms, sps)
+	})
+}
+
 // FuzzSteinerKMB drives the Steiner pipeline with arbitrary seeds and
 // sizes, asserting the structural invariants on every input, and
 // cross-checks a sweep over the other terminals against the

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"cmp"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -475,6 +477,228 @@ func TestInsertVaryingMatchesPrim(t *testing.T) {
 	}
 	if certified == 0 || tied == 0 {
 		t.Fatalf("one outcome never occurred: %d certified, %d tied", certified, tied)
+	}
+}
+
+// closureCase is a complete closure over terminals 0..k-1 for the
+// dense Prim's oracle: tree i's Dist is w[i], so w[i][j] is its distance
+// to terminal j, and tree missing (-1 for none) is absent, as a
+// sweep's varying terminal is in its full call. w need not be
+// symmetric: the kernel must read what the closure Graph reads.
+func closureCase(w [][]float64, missing int) ([]NodeID, []*ShortestPaths) {
+	terms := make([]NodeID, len(w))
+	sps := make([]*ShortestPaths, len(w))
+	for i := range w {
+		terms[i] = i
+		if i != missing {
+			sps[i] = &ShortestPaths{Source: i, Dist: w[i]}
+		}
+	}
+	return terms, sps
+}
+
+// checkDenseClosureMST runs the dense Prim on a closure case and heap
+// Prim on the closure Graph steinerKMB builds for it, and fails t
+// unless the dense run certifies exactly when heap Prim reports Unique
+// and, when it does, pops the indices in heap Prim's order, each with
+// heap Prim's parent and edge weight. It reports whether it certified.
+func checkDenseClosureMST(t *testing.T, terms []NodeID, sps []*ShortestPaths) bool {
+	t.Helper()
+	k := len(terms)
+	closure := New(k)
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			closure.MustAddEdge(i, j, closureDist(terms, sps, nil, i, j))
+		}
+	}
+	var ws MSTWorkspace
+	var mst MST
+	if err := ws.Prim(closure, &mst); err != nil {
+		t.Fatal(err)
+	}
+	var d denseMST
+	got := d.run(terms, sps, nil)
+	if got == mfCut || (got == mfUnique) != mst.Unique {
+		t.Fatalf("k = %d: dense verdict %d, heap Prim Unique = %v", k, got, mst.Unique)
+	}
+	if got != mfUnique {
+		return false
+	}
+	inTree := make([]bool, k)
+	inTree[0] = true
+	order := []int32{0}
+	for _, id := range mst.EdgeIDs {
+		e := closure.Edge(id)
+		child, parent := e.V, e.U
+		if inTree[e.V] {
+			child, parent = e.U, e.V
+		}
+		inTree[child] = true
+		order = append(order, int32(child))
+		if d.parent[child] != int32(parent) || math.Float64bits(d.key[child]) != math.Float64bits(e.W) {
+			t.Fatalf("k = %d: index %d joins at %d (w=%v), heap Prim at %d (w=%v)",
+				k, child, d.parent[child], d.key[child], parent, e.W)
+		}
+	}
+	if !slices.Equal(d.order, order) {
+		t.Fatalf("k = %d: pop order %v, heap Prim %v", k, d.order, order)
+	}
+	return true
+}
+
+// TestDenseClosureMSTMatchesPrim is the dense closure MST's oracle: on
+// 20,000 random complete closures of 2–14 terminals, half with
+// small-integer distances so ties are common, and a third with one
+// terminal's tree missing, the dense Prim must certify exactly when heap
+// Prim on the closure Graph reports Unique and then agree with it pop
+// for pop. Both outcomes must occur.
+func TestDenseClosureMSTMatchesPrim(t *testing.T) {
+	certified, tied := 0, 0
+	for trial := 0; trial < 20000; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		k := 2 + rng.Intn(13)
+		w := make([][]float64, k)
+		for i := range w {
+			w[i] = make([]float64, k)
+			for j := range w[i] {
+				switch {
+				case i == j:
+				case trial%2 == 0:
+					w[i][j] = 10 * rng.Float64()
+				default:
+					w[i][j] = float64(1 + rng.Intn(4))
+				}
+			}
+		}
+		missing := -1
+		if trial%3 == 0 {
+			missing = rng.Intn(k)
+		}
+		terms, sps := closureCase(w, missing)
+		if checkDenseClosureMST(t, terms, sps) {
+			certified++
+		} else {
+			tied++
+		}
+	}
+	t.Logf("%d certified, %d tied", certified, tied)
+	if certified == 0 || tied == 0 {
+		t.Fatalf("one outcome never occurred: %d certified, %d tied", certified, tied)
+	}
+}
+
+// waxmanSubstrate is a Waxman graph over n nodes of the unit square, the
+// model of the benchmark substrates: each pair (u, v) is a link with
+// probability min(1, c·exp(−d(u, v)/(0.14·√2))), c scaled for an
+// average degree of 4, weighted by its length; each node but the first
+// also links to its nearest predecessor, which keeps the graph
+// connected.
+func waxmanSubstrate(rng *rand.Rand, n int) *Graph {
+	xs, ys := make([]float64, n), make([]float64, n)
+	for i := range xs {
+		xs[i], ys[i] = rng.Float64(), rng.Float64()
+	}
+	dist := func(u, v int) float64 { return math.Hypot(xs[u]-xs[v], ys[u]-ys[v]) }
+	accept := func(u, v int) float64 { return math.Exp(-dist(u, v) / (0.14 * math.Sqrt2)) }
+	var raw float64
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			raw += accept(u, v)
+		}
+	}
+	c := 2 * float64(n) / raw
+	g := New(n)
+	for v := 1; v < n; v++ {
+		near := 0
+		for u := 1; u < v; u++ {
+			if dist(u, v) < dist(near, v) {
+				near = u
+			}
+		}
+		g.MustAddEdge(near, v, dist(near, v))
+		for u := 0; u < v; u++ {
+			if u != near && rng.Float64() < min(1, c*accept(u, v)) {
+				g.MustAddEdge(u, v, dist(u, v))
+			}
+		}
+	}
+	return g
+}
+
+// TestDenseClosureCensus replays Online_CP's sweeps — one over {s_k} ∪
+// D_k, 5–20 destinations, with each of ten candidate servers inserted at
+// slot 1 — for 200 requests on a Waxman-100 substrate, and counts how
+// each closure MST, a full call's step 2 or M_F, was computed. Priced as
+// Online_CP prices it, β^(utilisation after b_k) − 1 with capacities of
+// 1,000–10,000 Mbps, every other request on an idle network and the rest
+// under random loads, every closure MST must certify. With every link at
+// weight 1, the shape of SP's hop counts, closure MSTs tie and fall back
+// to the closure Graph. On both, the digest of every tree and error the
+// sweeps return is pinned to the value recorded before the dense closure
+// MST existed.
+func TestDenseClosureCensus(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		unit   bool
+		digest string
+	}{
+		{"priced", false, "3e0a8dae77b052e541533d580b790964d8f8110251d3e9185a29edac4c55d637"},
+		{"unit", true, "149f607db666ba877485a86e942a9df013b2314d3c176b47855a360b08075a0f"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			g := waxmanSubstrate(rng, 100)
+			beta := 2 * float64(g.NumNodes())
+			caps := make([]float64, g.NumEdges())
+			for e := range caps {
+				caps[e] = 1000 + 9000*rng.Float64()
+			}
+			var s SteinerScratch
+			var tree SteinerTree
+			h := sha256.New()
+			for req := 0; req < 200; req++ {
+				b := float64(10 + rng.Intn(91))
+				for e, c := range caps {
+					w := 1.0
+					if !tc.unit {
+						free := c * (1 - 0.5*rng.Float64()*float64(req%2))
+						w = math.Pow(beta, 1-(free-b)/c) - 1
+					}
+					if err := g.SetWeight(e, w); err != nil {
+						t.Fatal(err)
+					}
+				}
+				perm := rng.Perm(g.NumNodes())
+				terms, servers := perm[:6+rng.Intn(16)], perm[21:31] // s_k and 5–20 destinations
+				sps := make([]*ShortestPaths, len(terms))
+				for i, v := range terms {
+					sp, err := Dijkstra(g, v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sps[i] = sp
+				}
+				if err := s.BeginSweep(g, terms, sps, 1); err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range servers {
+					err := s.SweepTree(v, &tree)
+					fmt.Fprintln(h, tree.EdgeIDs, math.Float64bits(tree.Weight), err)
+				}
+			}
+			c := s.census
+			t.Logf("census %+v", c)
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+				t.Errorf("digest %s, recorded %s", got, tc.digest)
+			}
+			if !tc.unit && (c.denseTied != 0 || c.denseCertified < 200) {
+				t.Fatalf("priced stream: %d closure MSTs certified, %d tied; want all of at least 200 certified",
+					c.denseCertified, c.denseTied)
+			}
+			if tc.unit && c.denseTied == 0 {
+				t.Fatalf("unit weights: no closure MST tied (%d certified)", c.denseCertified)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -57,7 +58,8 @@ type SteinerScratch struct {
 	nodeOf   []int32          // host node -> compact subgraph ID, valid when stamped
 	gen      uint32
 
-	closure    Graph // step-2 metric closure over the terminals
+	dense      denseMST // step 2: Prim over the closure, read in place
+	closure    Graph    // step 2 when dense does not certify: the closure built
 	mst        MSTWorkspace
 	closureMST MST
 	pairs      []closurePair // the closure MST steps 3-5 expand
@@ -161,7 +163,8 @@ type pathMax struct {
 	tied bool
 }
 
-// mfState records whether a sweep has built M_F and what it found.
+// mfState records whether a sweep has built M_F and what it found; the
+// last three are also denseMST.run's verdict on any closure MST.
 type mfState uint8
 
 const (
@@ -172,11 +175,13 @@ const (
 )
 
 // steinerCensus counts the branches KMB runs take: how a sweep priced
-// each candidate, whether a rooted row's root was a fixed terminal, and
-// whether step 3's union was already a tree.
+// each candidate, whether a rooted row's root was a fixed terminal,
+// whether the dense closure MST certified (a full call's step 2 or M_F)
+// or tied, and whether step 3's union was already a tree.
 type steinerCensus struct {
 	first, duplicate, certified, tie int // sweep paths
 	rootAtFixed                      int // rooted rows whose root is in F
+	denseCertified, denseTied        int // closure MSTs
 	treeUnions, cyclicUnions         int // steps 4-5
 }
 
@@ -489,40 +494,93 @@ func (s *SteinerScratch) sweepFull(v NodeID, row *steinerRow, out *SteinerTree) 
 // closure, and records whether the sweep may use it.
 func (s *SteinerScratch) buildFixedMST() {
 	sw := &s.sweep
-	k := len(sw.fixed)
-	s.closure.Reset(k)
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			d := sw.sps[i].Dist[sw.fixed[j]]
-			if d >= Infinity {
-				sw.mfState = mfCut
-				return
-			}
-			s.closure.MustAddEdge(i, j, d)
-		}
-	}
-	if err := s.mst.Prim(&s.closure, &s.closureMST); err != nil || !s.closureMST.Unique {
-		sw.mfState = mfTied
+	d := &s.dense
+	sw.mfState = d.run(sw.fixed, sw.sps, nil)
+	switch sw.mfState {
+	case mfTied:
+		s.census.denseTied++
+		return
+	case mfCut:
 		return
 	}
-	// Root M_F at fixed[0], Prim's start: each edge in pop order joins
-	// the tree at the end it has not reached yet.
-	const unseen = -2
-	for range k {
-		sw.mf = append(sw.mf, mfLink{parent: unseen})
-	}
+	s.census.denseCertified++
+	// Root M_F at fixed[0], Prim's start: each index joins the tree in
+	// pop order, below the end its edge leaves from.
+	sw.mf = append(sw.mf, make([]mfLink, len(sw.fixed))...)
 	sw.mf[0].parent = -1
-	sw.mfOrder = append(sw.mfOrder, 0)
-	for _, id := range s.closureMST.EdgeIDs {
-		e := s.closure.Edge(id)
-		child, parent := e.V, e.U
-		if sw.mf[e.U].parent == unseen {
-			child, parent = e.U, e.V
-		}
-		sw.mf[child] = mfLink{parent: int32(parent), w: e.W}
-		sw.mfOrder = append(sw.mfOrder, int32(child))
+	for _, c := range d.order[1:] {
+		sw.mf[c] = mfLink{parent: d.parent[c], w: d.key[c]}
 	}
-	sw.mfState = mfUnique
+	sw.mfOrder = append(sw.mfOrder, d.order...)
+}
+
+// denseMST is Prim's state over a metric closure of k terminals read in
+// place (run), by closure index.
+type denseMST struct {
+	key    []float64 // the lightest edge from the tree to each index
+	parent []int32   // that edge's end in the tree
+	order  []int32   // indices in pop order, 0 first; each later one's edge is (parent, key)
+	rest   []int32   // indices not yet popped
+}
+
+// run computes the MST of the metric closure over terms (k ≥ 1) by Prim
+// from index 0, O(k²) with no closure graph: for i < j it reads d(i, j) as
+// the closure Graph of steinerKMB weighs edge (i, j) (closureDist). It
+// applies MSTWorkspace.Prim's Unique rule and stops at its first tie —
+// a popped key another reached index shares, or a relaxation equal to a
+// reached key — returning mfTied, and at the first d(i, j) ≥ Infinity,
+// returning mfCut. Otherwise every pop was the cut's strict minimum, so
+// the MST is the closure's only one and the pop order and edges are
+// those of heap Prim on the closure Graph: it returns mfUnique.
+//
+// Every index is reached by the first pop's relaxations. On a closure
+// of shortest-path distances any unreachable pair leaves index 0's row
+// with one, so a cut shows there, before any tie can.
+func (d *denseMST) run(terms []NodeID, sps []*ShortestPaths, row *steinerRow) mfState {
+	k := len(terms)
+	d.order = d.order[:0]
+	d.key = append(d.key[:0], make([]float64, k)...)
+	d.parent = append(d.parent[:0], make([]int32, k)...)
+	d.rest = d.rest[:0]
+	for j := 1; j < k; j++ {
+		d.key[j] = math.Inf(1)
+		d.rest = append(d.rest, int32(j))
+	}
+	key, parent := d.key, d.parent
+	for v := int32(0); ; {
+		d.order = append(d.order, v)
+		rest := d.rest
+		if len(rest) == 0 {
+			return mfUnique
+		}
+		// Relax v's edges and find the next pop in the same pass.
+		best, at, tied := math.Inf(1), 0, false
+		for i, w := range rest {
+			dw := closureDist(terms, sps, row, int(min(v, w)), int(max(v, w)))
+			if dw >= Infinity {
+				return mfCut
+			}
+			kw := key[w]
+			switch {
+			case dw < kw:
+				key[w], parent[w], kw = dw, v, dw
+			case dw == kw:
+				return mfTied
+			}
+			switch {
+			case kw < best:
+				best, at, tied = kw, i, false
+			case kw == best:
+				tied = true
+			}
+		}
+		if tied {
+			return mfTied
+		}
+		v = rest[at]
+		rest[at] = rest[len(rest)-1]
+		d.rest = rest[:len(rest)-1]
+	}
 }
 
 // steinerKMB is the shared KMB pipeline, writing into out (whose slices
@@ -583,11 +641,24 @@ func steinerKMB(
 		s.dedupSPs = append(s.dedupSPs, s.sps[:len(terms)]...)
 	}
 
-	// (2) MST of the metric closure (complete graph over terminals).
+	// (2) MST of the metric closure (complete graph over terminals):
+	// the dense Prim where it certifies the MST unique, else Prim on the
+	// closure built, so ties break and cuts are named as there.
+	s.pairs = s.pairs[:0]
+	switch s.dense.run(terms, s.dedupSPs, row) {
+	case mfUnique:
+		s.census.denseCertified++
+		for _, c := range s.dense.order[1:] {
+			s.pairs = append(s.pairs, pair(s.dense.parent[c], c))
+		}
+		return s.expandAndPrune(g, row, out)
+	case mfTied:
+		s.census.denseTied++
+	}
 	s.closure.Reset(len(terms))
 	for i := 0; i < len(terms); i++ {
 		for j := i + 1; j < len(terms); j++ {
-			d := s.closureWeight(i, j, row)
+			d := closureDist(terms, s.dedupSPs, row, i, j)
 			if d >= Infinity {
 				return fmt.Errorf("graph: terminals %d and %d: %w", terms[i], terms[j], ErrDisconnected)
 			}
@@ -597,7 +668,6 @@ func steinerKMB(
 	if err := s.mst.Prim(&s.closure, &s.closureMST); err != nil {
 		return err
 	}
-	s.pairs = s.pairs[:0]
 	for _, id := range s.closureMST.EdgeIDs {
 		e := s.closure.Edge(id)
 		s.pairs = append(s.pairs, closurePair{int32(e.U), int32(e.V)})
@@ -605,17 +675,17 @@ func steinerKMB(
 	return s.expandAndPrune(g, row, out)
 }
 
-// closureWeight is the step-2 distance between terminals i and j of
-// s.terms: read from the tree of whichever has one, or from row when the
-// other is the virtual terminal.
-func (s *SteinerScratch) closureWeight(i, j int, row *steinerRow) float64 {
-	if s.dedupSPs[i] == nil {
+// closureDist is the step-2 distance between terminals i and j of terms
+// (sps parallel to it): read from the tree of whichever has one, i's
+// when both do, or from row when the other is the virtual terminal.
+func closureDist(terms []NodeID, sps []*ShortestPaths, row *steinerRow, i, j int) float64 {
+	if sps[i] == nil {
 		i, j = j, i
 	}
-	if row != nil && s.dedupSPs[j] == nil {
-		return row.weight(i, s.terms[i])
+	if row != nil && sps[j] == nil {
+		return row.weight(i, terms[i])
 	}
-	return s.dedupSPs[i].Dist[s.terms[j]]
+	return sps[i].Dist[terms[j]]
 }
 
 // expandAndPrune runs KMB steps (3)–(5) for the closure MST in s.pairs,

@@ -39,7 +39,7 @@ type PseudoTree struct {
 	ServerDemands []float64
 
 	hops []Hop
-	// loads holds LinkLoads computed once by NewRealizedTree, before the
+	// loads holds the LinkLoads handed to NewRealizedTree, before the
 	// tree is shared; nil for a tree built hop by hop, whose readers
 	// sort on every call. Readers never write it.
 	loads []EdgeLoad
@@ -60,14 +60,16 @@ func NewPseudoTree(source graph.NodeID, dests, servers []graph.NodeID) *PseudoTr
 }
 
 // NewRealizedTree returns a finished pseudo-multicast tree over hops,
-// which must be distinct: it copies them into an exactly sized slice
-// without AddHop's duplicate scan and computes the link loads once, so
-// VisitLinkLoads reads them without sorting. Online_CP's realization
-// hands its trees over this way.
-func NewRealizedTree(source graph.NodeID, dests, servers []graph.NodeID, hops []Hop) *PseudoTree {
+// which must be distinct, with loads its LinkLoads: one entry per edge
+// the hops use, ascending by edge, Uses the number of hops over it. It
+// copies both into exactly sized slices without AddHop's duplicate scan
+// or a sort, so VisitLinkLoads reads the loads as given. Online_CP's
+// realization hands its trees over this way, reading the loads off the
+// Steiner tree the hops cover.
+func NewRealizedTree(source graph.NodeID, dests, servers []graph.NodeID, hops []Hop, loads []EdgeLoad) *PseudoTree {
 	t := NewPseudoTree(source, dests, servers)
 	t.hops = slices.Clone(hops)
-	t.loads = t.sortedLoads()
+	t.loads = slices.Clone(loads)
 	return t
 }
 
