@@ -173,16 +173,6 @@ func run(args []string) error {
 			if werr != nil {
 				return fmt.Errorf("write %s: %w", path, werr)
 			}
-			// The recovery experiment also captures its benchmark
-			// artifact: campaign stats plus the paired local-repair vs
-			// full-re-plan timing probe.
-			if name == "ext-recover" {
-				bpath, berr := sim.WriteRecoveryBench(*jsonDir, c)
-				if berr != nil {
-					return berr
-				}
-				fmt.Printf("# recovery benchmark written to %s\n", bpath)
-			}
 		}
 		fmt.Printf("# %s completed in %v (requests=%d, seed=%d, K=%d, reps=%d)\n\n",
 			name, time.Since(start).Round(time.Millisecond), c.Requests, c.Seed, c.K, *reps)

@@ -49,6 +49,26 @@ func TestRunQuickExperimentWithJSON(t *testing.T) {
 	}
 }
 
+// TestRecoverWritesOnlyItsFigures checks that the recovery experiment's
+// -json output is its figure file and nothing else.
+func TestRecoverWritesOnlyItsFigures(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"-experiment", "ext-recover", "-quick", "-json", dir}); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != "ext-recover.json" {
+		t.Fatalf("-json wrote %v, want exactly [ext-recover.json]", names)
+	}
+}
+
 func TestRunReplicated(t *testing.T) {
 	err := run([]string{
 		"-experiment", "ablation-evaluator",

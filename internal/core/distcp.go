@@ -63,9 +63,6 @@ func NewDistCPPlanner(model CostModel, splitLimit int) (*DistCPPlanner, error) {
 // Name identifies the algorithm.
 func (p *DistCPPlanner) Name() string { return "Dist_CP" }
 
-// SplitLimit reports the planner's segment budget.
-func (p *DistCPPlanner) SplitLimit() int { return p.split }
-
 // minSegmentDemand is the smallest compute demand any single segment of
 // any admissible split can impose: the full chain when no split is
 // possible, otherwise the cheapest single function (a composition may
@@ -95,19 +92,7 @@ func (p *DistCPPlanner) FastReject(view *sdn.Network, req *multicast.Request) er
 	if err := validateInput(view, req); err != nil {
 		return fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	minSeg := p.minSegmentDemand(req)
-	anyEligible, anyUnderThreshold := false, false
-	view.VisitServers(func(v graph.NodeID) bool {
-		if !view.ServerUp(v) || view.ResidualCompute(v) < minSeg {
-			return true
-		}
-		anyEligible = true
-		if p.model.ServerWeight(view, v) < p.model.SigmaV {
-			anyUnderThreshold = true
-			return false // a full plan is required to decide
-		}
-		return true
-	})
+	anyEligible, anyUnderThreshold := p.model.scanServers(view, p.minSegmentDemand(req))
 	if !anyEligible {
 		return fmt.Errorf("%w: %w: no split fits %0.f MHz",
 			ErrRejected, ErrComputeExhausted, req.ComputeDemandMHz())

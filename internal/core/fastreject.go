@@ -37,6 +37,26 @@ func (a *Admitter) fastReject(view *sdn.Network, req *multicast.Request) error {
 	return fr.FastReject(view, req)
 }
 
+// scanServers is the server scan behind every FastReject: whether some
+// up server holds floor MHz of residual compute (anyEligible), and
+// whether some such server prices under σ_v (anyUnderThreshold). It
+// stops at the first server that is both, where a full plan is
+// required to decide.
+func (m CostModel) scanServers(view *sdn.Network, floor float64) (anyEligible, anyUnderThreshold bool) {
+	view.VisitServers(func(v graph.NodeID) bool {
+		if !view.ServerUp(v) || view.ResidualCompute(v) < floor {
+			return true
+		}
+		anyEligible = true
+		if m.ServerWeight(view, v) < m.SigmaV {
+			anyUnderThreshold = true
+			return false
+		}
+		return true
+	})
+	return anyEligible, anyUnderThreshold
+}
+
 // FastReject reports the cheap provable rejections of Online_CP: input
 // validation, compute exhaustion (no up server holds the demand — the
 // capacitated work graph would have no servers), and the whole server
@@ -49,18 +69,7 @@ func (p *CPPlanner) FastReject(view *sdn.Network, req *multicast.Request) error 
 		return fmt.Errorf("%w: %v", ErrRejected, err)
 	}
 	demand := req.ComputeDemandMHz()
-	anyEligible, anyUnderThreshold := false, false
-	view.VisitServers(func(v graph.NodeID) bool {
-		if !view.ServerUp(v) || view.ResidualCompute(v) < demand {
-			return true
-		}
-		anyEligible = true
-		if p.model.ServerWeight(view, v) < p.model.SigmaV {
-			anyUnderThreshold = true
-			return false // a full plan is required to decide
-		}
-		return true
-	})
+	anyEligible, anyUnderThreshold := p.model.scanServers(view, demand)
 	if !anyEligible {
 		return fmt.Errorf("%w: %w: %0.f MHz demanded",
 			ErrRejected, ErrComputeExhausted, demand)
@@ -79,19 +88,7 @@ func (p *CPKPlanner) FastReject(view *sdn.Network, req *multicast.Request) error
 	if err := validateInput(view, req); err != nil {
 		return fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	demand := req.ComputeDemandMHz()
-	anyEligible, anyUnderThreshold := false, false
-	view.VisitServers(func(v graph.NodeID) bool {
-		if !view.ServerUp(v) || view.ResidualCompute(v) < demand {
-			return true
-		}
-		anyEligible = true
-		if p.model.ServerWeight(view, v) < p.model.SigmaV {
-			anyUnderThreshold = true
-			return false
-		}
-		return true
-	})
+	anyEligible, anyUnderThreshold := p.model.scanServers(view, req.ComputeDemandMHz())
 	if !anyEligible {
 		return fmt.Errorf("%w: %w", ErrRejected, ErrComputeExhausted)
 	}

@@ -107,7 +107,7 @@ func FuzzSteinerKMB(f *testing.F) {
 		for _, v := range rng.Perm(n) {
 			gotErr := sweep.SweepTree(v, &got)
 			terms[at] = v
-			wantErr := steinerKMB(g, terms, sps, nil, &full, &want)
+			wantErr := steinerKMB(g, terms, sps, nil, &full, &want, true)
 			if !sameTree(&got, gotErr, &want, wantErr) {
 				t.Fatalf("sweep over %v at %d, v %d (seed=%d n=%d):\n got %v (w=%v, err %v)\nwant %v (w=%v, err %v)",
 					fixed, at, v, seed, n, got.EdgeIDs, got.Weight, gotErr, want.EdgeIDs, want.Weight, wantErr)
@@ -151,7 +151,7 @@ func FuzzSteinerKMB(f *testing.F) {
 			row.omega = append(append(append([]float64(nil), w[:at]...), 0), w[at:]...)
 		}
 		terms[at] = virtualTerm
-		wantErr := steinerKMB(g, terms, sps, &row, &full, &want)
+		wantErr := steinerKMB(g, terms, sps, &row, &full, &want, true)
 		want.Terminals = fixed
 		if !sameTree(&got, gotErr, &want, wantErr) || fmt.Sprint(gotSrv) != fmt.Sprint(row.servers) {
 			t.Fatalf("row sweep over %v at %d, servers %v rooted=%v (seed=%d n=%d):\n got %v %v (w=%v, err %v)\nwant %v %v (w=%v, err %v)",

@@ -245,7 +245,7 @@ func SteinerKMB(g *Graph, terminals []NodeID) (*SteinerTree, error) {
 // paths that run many KMB instances back to back.
 func SteinerKMBScratch(g *Graph, terminals []NodeID, scratch *SteinerScratch) (*SteinerTree, error) {
 	out := new(SteinerTree)
-	if err := steinerKMB(g, terminals, nil, nil, scratch, out); err != nil {
+	if err := steinerKMB(g, terminals, nil, nil, scratch, out, true); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -414,8 +414,11 @@ func (s *SteinerScratch) sweepCall(v NodeID, row *steinerRow, out *SteinerTree) 
 		s.pm = append(s.pm, pathMax{w: d, edge: int32(len(sw.sps) + j)})
 	}
 	if !s.insertVarying() {
+		// A tie here usually leaves the full closure's MST tied too, so
+		// the full call goes straight to heap Prim on the closure.
 		s.census.tie++
-		return s.sweepFull(v, row, out)
+		sw.full[sw.slot] = v
+		return steinerKMB(sw.g, sw.full, sw.fullSPs, row, s, out, false)
 	}
 	s.census.certified++
 	s.terms = append(append(append(s.terms[:0], sw.fixed[:a]...), v), sw.fixed[a:]...)
@@ -487,7 +490,7 @@ func (s *SteinerScratch) insertVarying() bool {
 func (s *SteinerScratch) sweepFull(v NodeID, row *steinerRow, out *SteinerTree) error {
 	sw := &s.sweep
 	sw.full[sw.slot] = v
-	return steinerKMB(sw.g, sw.full, sw.fullSPs, row, s, out)
+	return steinerKMB(sw.g, sw.full, sw.fullSPs, row, s, out, true)
 }
 
 // buildFixedMST computes M_F, the MST of the fixed terminals' metric
@@ -589,9 +592,12 @@ func (d *denseMST) run(terms []NodeID, sps []*ShortestPaths, row *steinerRow) mf
 // scratch. A sweep's full call leaves one terminal without a tree: its
 // closure row is read from the other terminals' trees, or from row when
 // that terminal is the virtual one (virtualTerm), which is never
-// deduplicated.
+// deduplicated. dense false skips step 2's dense Prim for heap Prim on
+// the closure Graph, which returns the same MST whenever the dense Prim
+// would certify one.
 func steinerKMB(
 	g *Graph, terminals []NodeID, sps []*ShortestPaths, row *steinerRow, s *SteinerScratch, out *SteinerTree,
+	dense bool,
 ) error {
 	n, m := g.NumNodes(), g.NumEdges()
 	for _, t := range terminals {
@@ -645,15 +651,17 @@ func steinerKMB(
 	// the dense Prim where it certifies the MST unique, else Prim on the
 	// closure built, so ties break and cuts are named as there.
 	s.pairs = s.pairs[:0]
-	switch s.dense.run(terms, s.dedupSPs, row) {
-	case mfUnique:
-		s.census.denseCertified++
-		for _, c := range s.dense.order[1:] {
-			s.pairs = append(s.pairs, pair(s.dense.parent[c], c))
+	if dense {
+		switch s.dense.run(terms, s.dedupSPs, row) {
+		case mfUnique:
+			s.census.denseCertified++
+			for _, c := range s.dense.order[1:] {
+				s.pairs = append(s.pairs, pair(s.dense.parent[c], c))
+			}
+			return s.expandAndPrune(g, row, out)
+		case mfTied:
+			s.census.denseTied++
 		}
-		return s.expandAndPrune(g, row, out)
-	case mfTied:
-		s.census.denseTied++
 	}
 	s.closure.Reset(len(terms))
 	for i := 0; i < len(terms); i++ {

@@ -99,7 +99,7 @@ func Fig7(cfg Config) ([]Figure, error) {
 	}
 	points, err := grid(len(cfg.NetworkSizes), 1, allCores, func(ni, _ int) ([]float64, error) {
 		n := cfg.NetworkSizes[ni]
-		eng, nw, err := newEngine(cfg, "Appro_Multi_Cap", "waxman", n, cfg.Seed+int64(n))
+		eng, nw, err := newEngine(cfg, "Appro_Multi_Cap", "waxman", n, cfg.Seed+int64(n), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -26,7 +26,7 @@ var distChainSeries = []string{"Online_CP", "Dist_CP", "Reconf_CP"}
 // count after every arrival. Identical arguments give every policy the
 // identical request sequence.
 func onlineRun(cfg Config, policy, topo string, n int, seed int64, requests, tick int) ([]float64, error) {
-	eng, nw, err := newEngine(cfg, policy, topo, n, seed)
+	eng, nw, err := newEngine(cfg, policy, topo, n, seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +202,7 @@ func ExtChurn(cfg Config) ([]Figure, error) {
 	lifetime := max(cfg.Requests/2, 10)
 	xs := checkpoints(arrivals, arrivals/8)
 	ys, err := grid(len(onlineSeries), 1, allCores, func(si, _ int) ([]float64, error) {
-		eng, _, err := newEngine(cfg, onlineSeries[si], "waxman", n, cfg.Seed+int64(n))
+		eng, _, err := newEngine(cfg, onlineSeries[si], "waxman", n, cfg.Seed+int64(n), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -258,7 +258,7 @@ func ExtErlang(cfg Config) ([]Figure, error) {
 	loads := []float64{10, 20, 40, 80, 160}
 	ys, err := grid(len(loads), len(onlineSeries), allCores, func(li, si int) (float64, error) {
 		seed := cfg.Seed + int64(li)
-		eng, _, err := newEngine(cfg, onlineSeries[si], "waxman", n, seed)
+		eng, _, err := newEngine(cfg, onlineSeries[si], "waxman", n, seed, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -311,7 +311,7 @@ func ExtOnlineK(cfg Config) ([]Figure, error) {
 	points, err := grid(maxK, 1, allCores, func(ki, _ int) ([]float64, error) {
 		c := cfg
 		c.K = ki + 1
-		eng, _, err := newEngine(c, "Online_CPK", "waxman", n, cfg.Seed+int64(n))
+		eng, _, err := newEngine(c, "Online_CPK", "waxman", n, cfg.Seed+int64(n), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -363,7 +363,7 @@ func ExtReoptimize(cfg Config) ([]Figure, error) {
 	n := cfg.NetworkSizes[len(cfg.NetworkSizes)/2]
 	points, err := grid(len(onlineSeries), 1, allCores, func(pi, _ int) ([]float64, error) {
 		policy := onlineSeries[pi]
-		eng, _, err := newEngine(cfg, policy, "waxman", n, cfg.Seed+int64(n))
+		eng, _, err := newEngine(cfg, policy, "waxman", n, cfg.Seed+int64(n), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ import (
 	"nfvmcast/internal/engine"
 	"nfvmcast/internal/multicast"
 	"nfvmcast/internal/parallel"
+	recov "nfvmcast/internal/recover"
 	"nfvmcast/internal/sdn"
 )
 
@@ -230,8 +231,9 @@ next:
 // bound) and, when cfg.Metrics is set, reports into it under its
 // policy label. cfg.EngineWorkers <= 1 (the harness default) selects
 // sequential mode, which reproduces a core.Admitter
-// decision-for-decision. The caller must Close the engine.
-func newEngine(cfg Config, policy, topo string, n int, seed int64) (*engine.Engine, *sdn.Network, error) {
+// decision-for-decision. A non-nil rec enables the engine's recovery
+// subsystem under that policy. The caller must Close the engine.
+func newEngine(cfg Config, policy, topo string, n int, seed int64, rec *recov.Policy) (*engine.Engine, *sdn.Network, error) {
 	nw, err := networkFor(topo, n, seed)
 	if err != nil {
 		return nil, nil, err
@@ -244,7 +246,9 @@ func newEngine(cfg Config, policy, topo string, n int, seed int64) (*engine.Engi
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: %w", err)
 	}
-	return engine.New(nw, p, engineOptions(cfg, p.Name())), nw, nil
+	o := engineOptions(cfg, p.Name())
+	o.Recovery = rec
+	return engine.New(nw, p, o), nw, nil
 }
 
 // arrival is one request offered to an engine. An admitted session
