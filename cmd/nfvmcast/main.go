@@ -45,10 +45,7 @@ func run(args []string) error {
 		bw          = fs.Float64("bw", 100, "bandwidth demand in Mbps")
 		chainFlag   = fs.String("chain", "NAT,Firewall", "comma-separated service chain")
 		k           = fs.Int("k", 3, "server budget K")
-		workers     = fs.Int("workers", -1, "concurrent subset evaluations for appro (-1 = all CPUs, 0/1 = sequential)")
 		algorithm   = fs.String("algorithm", "appro", "appro | oneserver | nearest | any registry planner (\"help\" lists them; onlinecp = Online_CP)")
-		shards      = fs.Int("shards", 0, "route admission through a shard router over this many identical substrate replicas (engine planners only; 0 = direct engine)")
-		tenant      = fs.String("tenant", "default", "tenant key for shard routing (rendezvous-hashed to a shard; only with -shards)")
 		dotPath     = fs.String("dot", "", "write the routing graph as Graphviz DOT to this file")
 		metricsAddr = fs.String("metrics-addr", "", "after solving, serve metrics over HTTP at this address until interrupted (/metrics Prometheus text, /metrics.json, /debug/pprof/)")
 	)
@@ -62,12 +59,6 @@ func run(args []string) error {
 	if *destsFlag == "" {
 		fs.Usage()
 		return fmt.Errorf("missing -dest")
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d must be >= 0", *shards)
-	}
-	if _, isEngineAlg := registryName(*algorithm); *shards > 0 && !isEngineAlg {
-		return fmt.Errorf("-shards requires an engine planner (e.g. -algorithm onlinecp; admission routing is an online-engine feature)")
 	}
 
 	topo, err := buildTopology(*topoName, *nodes, *seed)
@@ -112,19 +103,12 @@ func run(args []string) error {
 		})
 	}
 
-	res, err := solve(solveOptions{
-		algorithm: *algorithm, k: *k, workers: *workers,
-		shards: *shards, tenant: *tenant, metrics: metrics,
-		topo: topo, seed: *seed,
-	}, nw, req)
+	res, err := solve(*algorithm, *k, metrics, nw, req)
 	if err != nil {
 		return err
 	}
 	defer res.close()
-	sol, nw := res.sol, res.nw
-	if res.owner != "" {
-		fmt.Printf("tenant %q routed to shard %s of %d\n", *tenant, res.owner, *shards)
-	}
+	sol := res.sol
 
 	name := func(v nfvmcast.NodeID) string {
 		if len(topo.NodeNames) > 0 {
@@ -203,87 +187,38 @@ func run(args []string) error {
 	return nil
 }
 
-// solveOptions configures solve: the -algorithm, -k, -workers, -shards,
-// -tenant and -seed flags, the metrics registry (nil when -metrics-addr
-// is unset) and the topology the shard replicas are built on.
-type solveOptions struct {
-	algorithm  string
-	k, workers int
-	shards     int
-	tenant     string
-	metrics    *nfvmcast.MetricsRegistry
-	topo       *nfvmcast.Topology
-	seed       int64
-}
-
-// solved is solve's answer: the solution, the network the request
-// landed on, whether Admit already holds its resources, the owning
-// shard ("" without -shards), and close, which the caller runs once
-// it is done with the network.
+// solved is solve's answer: the solution, whether Admit already holds
+// its resources, and close, which the caller runs once it is done with
+// the network.
 type solved struct {
 	sol       *nfvmcast.Solution
-	nw        *nfvmcast.Network
 	allocated bool
-	owner     string
 	close     func()
 }
 
-// solve answers req on nw with the configured algorithm. The offline
-// algorithms only plan. Engine planners admit, allocating the
-// request's resources, on a direct engine or, with shards > 0, through
-// a shard router over identical replicas whose tenant key picks the
-// owning shard by rendezvous hash. Either admission path reports its
-// lifecycle into o.metrics when it is set.
-func solve(o solveOptions, nw *nfvmcast.Network, req *nfvmcast.Request) (solved, error) {
-	res := solved{nw: nw, close: func() {}}
+// solve answers req on nw with algorithm. The offline algorithms only
+// plan; Appro_Multi evaluates its server subsets on every CPU. Engine
+// planners admit, allocating the request's resources, and report their
+// lifecycle into metrics when it is set.
+func solve(algorithm string, k int, metrics *nfvmcast.MetricsRegistry, nw *nfvmcast.Network, req *nfvmcast.Request) (solved, error) {
+	res := solved{close: func() {}}
 	var err error
-	regName, isEngineAlg := registryName(o.algorithm)
+	regName, isEngineAlg := registryName(algorithm)
 	switch {
-	case o.algorithm == "appro":
-		res.sol, err = nfvmcast.ApproMulti(nw, req, nfvmcast.Options{K: o.k, Workers: o.workers})
-	case o.algorithm == "oneserver":
+	case algorithm == "appro":
+		res.sol, err = nfvmcast.ApproMulti(nw, req, nfvmcast.Options{K: k, Workers: -1})
+	case algorithm == "oneserver":
 		res.sol, err = nfvmcast.AlgOneServer(nw, req, false)
-	case o.algorithm == "nearest":
+	case algorithm == "nearest":
 		res.sol, err = nfvmcast.AlgOneServerNearest(nw, req, false)
-	case isEngineAlg && o.shards > 0:
-		ids := make([]string, o.shards)
-		for i := range ids {
-			ids[i] = fmt.Sprintf("s%d", i)
-		}
-		router, rerr := nfvmcast.NewShardRouter(nfvmcast.ShardOptions{
-			Shards:        ids,
-			Registry:      o.metrics,
-			SampleLatency: true,
-			Build: func(string) (*nfvmcast.Network, nfvmcast.Planner, error) {
-				// Seed-identical to run's network: every replica has
-				// the same capacities and server sites.
-				snw, berr := nfvmcast.NewNetwork(o.topo, nfvmcast.DefaultNetworkConfig(),
-					rand.New(rand.NewSource(o.seed+1)))
-				if berr != nil {
-					return nil, nil, berr
-				}
-				planner, berr := nfvmcast.NewPlanner(regName,
-					nfvmcast.PlannerOptions{Nodes: snw.NumNodes()})
-				return snw, planner, berr
-			},
-		})
-		if rerr != nil {
-			return solved{}, rerr
-		}
-		res.close = func() { router.Close() }
-		if res.sol, err = router.Admit(o.tenant, req); err == nil {
-			res.owner = router.Owner(req.ID)
-			res.nw = router.Network(res.owner)
-			res.allocated = true
-		}
 	case isEngineAlg:
 		planner, perr := nfvmcast.NewPlanner(regName, nfvmcast.PlannerOptions{Nodes: nw.NumNodes()})
 		if perr != nil {
 			return solved{}, perr
 		}
 		var opts nfvmcast.EngineOptions
-		if o.metrics != nil {
-			opts.Obs = nfvmcast.NewAdmissionObs(o.metrics, planner.Name(),
+		if metrics != nil {
+			opts.Obs = nfvmcast.NewAdmissionObs(metrics, planner.Name(),
 				nfvmcast.AdmissionObsOptions{SampleLatency: true})
 		}
 		eng := nfvmcast.NewEngine(nw, planner, opts)
@@ -291,7 +226,7 @@ func solve(o solveOptions, nw *nfvmcast.Network, req *nfvmcast.Request) (solved,
 		res.sol, err = eng.Admit(req)
 		res.allocated = err == nil
 	default:
-		err = fmt.Errorf("unknown algorithm %q (run -algorithm help for the table)", o.algorithm)
+		err = fmt.Errorf("unknown algorithm %q (run -algorithm help for the table)", algorithm)
 	}
 	if err != nil {
 		res.close()

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -42,8 +41,6 @@ func TestRunErrors(t *testing.T) {
 		{"-dest", "1", "-algorithm", "magic"},
 		{"-dest", "999"}, // destination out of range on GEANT
 		{"-nonsense-flag"},
-		{"-dest", "1", "-shards", "-1"}, // negative shard count
-		{"-dest", "1", "-shards", "2", "-algorithm", "appro"}, // sharding is engine-only
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {
@@ -52,32 +49,15 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunShardedAdmission drives the shard-routed onlinecp path:
-// admission lands on one of the replica networks and the controller
-// verification replays packets on the owning shard's substrate.
-func TestRunShardedAdmission(t *testing.T) {
-	err := run([]string{
-		"-topology", "geant", "-source", "17", "-dest", "1,5,30",
-		"-algorithm", "onlinecp", "-shards", "2", "-tenant", "gold",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShardedSolveReportsMetrics: with -shards and -metrics-addr, the
-// shard router registers its admission instruments on the served
-// registry, labelled with the shard that owns the session.
-func TestShardedSolveReportsMetrics(t *testing.T) {
-	topo := nfvmcast.GEANT()
-	nw, err := nfvmcast.NewNetwork(topo, nfvmcast.DefaultNetworkConfig(), rand.New(rand.NewSource(43)))
+// TestSolveReportsMetrics: with -metrics-addr, the engine path
+// registers its admission instruments on the served registry.
+func TestSolveReportsMetrics(t *testing.T) {
+	nw, err := nfvmcast.NewNetwork(nfvmcast.GEANT(), nfvmcast.DefaultNetworkConfig(), rand.New(rand.NewSource(43)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := nfvmcast.NewMetricsRegistry()
-	res, err := solve(solveOptions{
-		algorithm: "onlinecp", shards: 2, tenant: "gold", metrics: reg, topo: topo, seed: 42,
-	}, nw, &nfvmcast.Request{
+	res, err := solve("onlinecp", 3, reg, nw, &nfvmcast.Request{
 		ID: 1, Source: 17, Destinations: []nfvmcast.NodeID{1, 5, 30},
 		BandwidthMbps: 100, Chain: nfvmcast.MustChain(nfvmcast.NAT, nfvmcast.Firewall),
 	})
@@ -85,10 +65,10 @@ func TestShardedSolveReportsMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res.close()
-	if res.owner == "" || !res.allocated || res.nw == nw {
-		t.Fatalf("sharded solve: owner %q, allocated %v, on the unsharded network %v", res.owner, res.allocated, res.nw == nw)
+	if !res.allocated {
+		t.Fatal("engine solve did not allocate")
 	}
-	key := fmt.Sprintf(`nfv_admitted_total{policy="Online_CP",shard=%q}`, res.owner)
+	key := `nfv_admitted_total{policy="Online_CP"}`
 	if got := reg.CounterValues()[key]; got != 1 {
 		t.Fatalf("%s = %d, want 1 (counters %v)", key, got, reg.CounterValues())
 	}

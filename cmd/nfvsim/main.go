@@ -54,8 +54,6 @@ func run(args []string) error {
 		requests    = fs.Int("requests", 0, "requests per measurement point (default per-experiment)")
 		seed        = fs.Int64("seed", 42, "random seed")
 		k           = fs.Int("k", 3, "server budget K for Appro_Multi")
-		workers     = fs.Int("workers", 0, "subset-evaluation goroutines per Appro_Multi solve (0 = sequential; the harness already parallelises across sweep points)")
-		engWorkers  = fs.Int("engine-workers", 0, "planning goroutines per admission engine in the online drivers (0/1 = sequential, byte-identical to a sequential core.Admitter; -1 = all CPUs)")
 		quick       = fs.Bool("quick", false, "smaller sweeps for a fast smoke run")
 		jsonDir     = fs.String("json", "", "also write results as JSON into this directory")
 		reps        = fs.Int("reps", 1, "repetitions per experiment (mean ± 95% CI when > 1)")
@@ -63,7 +61,6 @@ func run(args []string) error {
 		metricsDir  = fs.String("metrics-dir", "", "write one metrics-<experiment>.json summary per experiment into this directory")
 		scenarioRun = fs.String("scenario", "", "run a scenario: a shipped name (see -scenario-list), 'all', or a JSON config path")
 		scenarioLs  = fs.Bool("scenario-list", false, "list the shipped scenario library (tenants, shards, failure steps per scenario)")
-		scenarioWk  = fs.Int("scenario-workers", -1, "override the scenario's engine worker count (-1 = keep the config's; 0/1 = sequential; applies per shard engine when the scenario is sharded — decisions are identical at any value)")
 		shards      = fs.Int("shards", -1, "override the scenario's shard count (-1 = keep the config's; 0/1 = single engine; >1 routes through the shard router, one engine per identical substrate replica)")
 		tenantOnly  = fs.String("tenant", "", "restrict the scenario to one tenant class by name (default: run every class)")
 		daemonURL   = fs.String("daemon", "", "drive the scenario against a live nfvmcastd at this base URL (e.g. http://127.0.0.1:8080) instead of in-process; the daemon must be serving the scenario's topology and seed")
@@ -77,10 +74,9 @@ func run(args []string) error {
 	}
 	if *scenarioRun != "" {
 		return runScenarios(*scenarioRun, scenarioOverrides{
-			workers: *scenarioWk,
-			shards:  *shards,
-			tenant:  *tenantOnly,
-			daemon:  *daemonURL,
+			shards: *shards,
+			tenant: *tenantOnly,
+			daemon: *daemonURL,
 		}, *jsonDir)
 	}
 	if *list || (*experiment == "" && *metricsAddr == "") {
@@ -115,8 +111,6 @@ func run(args []string) error {
 	cfg := sim.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.K = *k
-	cfg.Workers = *workers
-	cfg.EngineWorkers = *engWorkers
 	if *quick {
 		cfg.Requests = 20
 		cfg.NetworkSizes = []int{50, 100, 150}

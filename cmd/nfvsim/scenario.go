@@ -73,18 +73,14 @@ func scenarioConfigs(spec string) ([]*scenario.Config, error) {
 // scenario config before it runs. Negative ints and the empty tenant
 // string mean "keep the config's own value".
 type scenarioOverrides struct {
-	workers int
-	shards  int
-	tenant  string
-	daemon  string // non-empty: drive a live nfvmcastd at this base URL
+	shards int
+	tenant string
+	daemon string // non-empty: drive a live nfvmcastd at this base URL
 }
 
 // apply rewrites cfg in place; it errors when -tenant names a class the
 // scenario does not define.
 func (o scenarioOverrides) apply(cfg *scenario.Config) error {
-	if o.workers >= 0 {
-		cfg.Workers = o.workers
-	}
 	if o.shards >= 0 {
 		cfg.Shards = o.shards
 	}

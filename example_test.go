@@ -158,10 +158,9 @@ func ExampleDefaultOptions() {
 	opts := nfvmcast.DefaultOptions()
 	opts.K = 2
 	opts.Capacitated = true
-	opts.MaxDeliveryHops = 6
-	fmt.Printf("K=%d capacitated=%v maxHops=%d\n", opts.K, opts.Capacitated, opts.MaxDeliveryHops)
+	fmt.Printf("K=%d capacitated=%v\n", opts.K, opts.Capacitated)
 	// Output:
-	// K=2 capacitated=true maxHops=6
+	// K=2 capacitated=true
 }
 
 func ExampleNewController() {

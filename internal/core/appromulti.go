@@ -28,14 +28,6 @@ type Options struct {
 	// the generic KMB routine on it. Slower by a factor of ~|D_k|;
 	// used for cross-checking the default closure-based evaluation.
 	ExplicitAuxiliary bool
-	// MaxDeliveryHops, when positive, adds an end-to-end delay
-	// constraint (an extension beyond the paper, cf. its reference
-	// [13]): candidate trees whose worst-destination delivery depth —
-	// hops from the source through the service chain, including
-	// back-tracking — exceeds the bound are discarded. When no
-	// candidate satisfies the bound, ApproMulti returns
-	// ErrDelayBound.
-	MaxDeliveryHops int
 	// Workers bounds the number of goroutines evaluating candidate
 	// server subsets concurrently. 0 and 1 evaluate on the calling
 	// goroutine (the safe default inside callers that already fan out
@@ -134,15 +126,12 @@ func ApproMulti(nw *sdn.Network, req *multicast.Request, opts Options) (*Solutio
 	if opts.onTrees != nil {
 		opts.onTrees(spc)
 	}
-	best, sawDelayViolation, err := evaluateCandidates(
+	best, err := evaluateCandidates(
 		nw, w, req, spSrc, omega, ev, opts, collectCandidates(reachSrv, opts.K))
 	if err != nil {
 		return nil, err
 	}
 	if best.tree == nil {
-		if sawDelayViolation {
-			return nil, fmt.Errorf("%w: no tree within %d hops", ErrDelayBound, opts.MaxDeliveryHops)
-		}
 		return nil, ErrUnreachable
 	}
 	return &Solution{
@@ -218,8 +207,7 @@ type bestCandidate struct {
 // (implementation cost, enumeration index) pair; because a sequential
 // scan keeps the first strict improvement, that rule reproduces the
 // Workers=1 result exactly, making parallel runs byte-identical to
-// sequential ones. The delay-violation flags fold into the same
-// race-free per-worker slots.
+// sequential ones.
 func evaluateCandidates(
 	nw *sdn.Network,
 	w *workGraph,
@@ -229,7 +217,7 @@ func evaluateCandidates(
 	ev *closureEvaluator,
 	opts Options,
 	cands []candidate,
-) (best bestCandidate, sawDelayViolation bool, err error) {
+) (best bestCandidate, err error) {
 	workers := parallel.Degree(opts.Workers)
 	if workers > len(cands) {
 		workers = len(cands)
@@ -238,7 +226,6 @@ func evaluateCandidates(
 		workers = 1
 	}
 	locals := make([]bestCandidate, workers)
-	sawDelay := make([]bool, workers)
 	// Per-worker scratch arenas: candidate evaluation reuses one
 	// allocation set (and one Steiner sweep over D_k) per goroutine
 	// instead of rebuilding closures and adjacency maps for each of the
@@ -248,7 +235,7 @@ func evaluateCandidates(
 		locals[i] = bestCandidate{op: graph.Infinity, idx: -1}
 	}
 	demand := req.ComputeDemandMHz()
-	eval := func(idx int, local *bestCandidate, delayed *bool, s *evalScratch) {
+	eval := func(idx int, local *bestCandidate, s *evalScratch) {
 		c := cands[idx]
 		// Branch-and-bound: an admissible lower bound on any tree this
 		// candidate can realise, priced directly in operational terms
@@ -260,10 +247,7 @@ func evaluateCandidates(
 		// connection). A pruned candidate therefore satisfies
 		// op >= lb >= local.op and would lose the strict `op < local.op`
 		// comparison below — the surviving tree, cost and enumeration
-		// index are byte-identical with pruning on or off. Pruning only
-		// engages once the worker holds an incumbent tree, so the
-		// delay-violation flag (which is only consulted when no tree
-		// exists at all) is unaffected.
+		// index are byte-identical with pruning on or off.
 		if local.tree != nil && !disableSubsetPruning {
 			minSrc, minUnit := graph.Infinity, graph.Infinity
 			for _, v := range c.servers {
@@ -310,28 +294,15 @@ func evaluateCandidates(
 		if cerr != nil {
 			// Infeasible (e.g. a destination unreachable through it) or
 			// dominated: the latter's tree is that of an earlier
-			// candidate, which also raises the same delay flag unless it
-			// was bound-pruned or out-priced — and then a tree exists.
+			// candidate.
 			return
 		}
 		// Price on scratch; realise only what beats the incumbent. A
 		// candidate priced at or above it loses the strict < below just
-		// as its built tree would, and while the worker holds no tree
-		// (the only time the delay flag matters) the limit is infinite
-		// and every candidate is still built and checked.
+		// as its built tree would.
 		tree, op := realiseBelow(nw, w, req, spSrc, servers, realEdges, s, local.op)
 		if tree == nil {
 			return
-		}
-		if opts.MaxDeliveryHops > 0 {
-			depth, merr := tree.MaxDeliveryDepth(nw.Graph())
-			if merr != nil {
-				return
-			}
-			if depth > opts.MaxDeliveryHops {
-				*delayed = true
-				return
-			}
 		}
 		// op < local.op: strict < plus increasing idx per worker keeps
 		// the lowest-index minimum in each slot.
@@ -350,16 +321,15 @@ func evaluateCandidates(
 					return canceled(cerr)
 				}
 			}
-			eval(idx, &locals[wi], &sawDelay[wi], &scratches[wi])
+			eval(idx, &locals[wi], &scratches[wi])
 		}
 		return nil
 	})
 	if perr != nil {
-		return bestCandidate{}, false, perr
+		return bestCandidate{}, perr
 	}
 	best = bestCandidate{op: graph.Infinity, idx: -1}
 	for i := range locals {
-		sawDelayViolation = sawDelayViolation || sawDelay[i]
 		lb := locals[i]
 		if lb.tree == nil {
 			continue
@@ -368,7 +338,7 @@ func evaluateCandidates(
 			best = lb
 		}
 	}
-	return best, sawDelayViolation, nil
+	return best, nil
 }
 
 // treeLoads lists the links of the pseudo-multicast tree decompose

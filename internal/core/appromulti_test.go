@@ -415,36 +415,3 @@ func TestApproMultiDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestApproMultiDelayBound(t *testing.T) {
-	nw := testNetwork(t, 50, 13)
-	req := testRequest(t, nw, 3)
-	free, err := ApproMulti(nw, req, Options{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	depth, err := free.Tree.MaxDeliveryDepth(nw.Graph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A bound equal to the unconstrained depth must keep a solution...
-	sol, err := ApproMulti(nw, req, Options{K: 2, MaxDeliveryHops: depth})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sol.Tree.MaxDeliveryDepth(nw.Graph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got > depth {
-		t.Fatalf("bounded solve depth %d > bound %d", got, depth)
-	}
-	// ...and an impossible bound must be reported as such.
-	if _, err := ApproMulti(nw, req, Options{K: 2, MaxDeliveryHops: 1}); !errors.Is(err, ErrDelayBound) {
-		t.Fatalf("impossible bound = %v, want ErrDelayBound", err)
-	}
-	// The cost under a binding constraint is never lower.
-	if sol.OperationalCost < free.OperationalCost-1e-9 {
-		t.Fatal("constrained solve cheaper than unconstrained")
-	}
-}

@@ -7,7 +7,6 @@ package core
 // contract of Network and workGraph).
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -132,37 +131,6 @@ func TestApproMultiParallelMatchesSequentialExplicit(t *testing.T) {
 			t.Fatalf("req %d: %v", reqSeed, err)
 		}
 		assertSolutionsIdentical(t, fmt.Sprintf("explicit/req=%d", reqSeed), ref, got)
-	}
-}
-
-// TestApproMultiParallelDelayBound checks that the delay-violation flag
-// folds correctly into the parallel reduction: a feasible bound returns
-// the sequential solution, an impossible bound returns ErrDelayBound
-// from every worker count.
-func TestApproMultiParallelDelayBound(t *testing.T) {
-	nw := oracleNetwork(t, "waxman", 13)
-	req := testRequest(t, nw, 31)
-	free, err := ApproMulti(nw, req, Options{K: 2, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	depth, err := free.Tree.MaxDeliveryDepth(nw.Graph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := ApproMulti(nw, req, Options{K: 2, MaxDeliveryHops: depth, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got, err := ApproMulti(nw, req, Options{K: 2, MaxDeliveryHops: depth, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		assertSolutionsIdentical(t, fmt.Sprintf("bounded/workers=%d", workers), ref, got)
-		if _, err := ApproMulti(nw, req, Options{K: 2, MaxDeliveryHops: 1, Workers: workers}); !errors.Is(err, ErrDelayBound) {
-			t.Fatalf("workers=%d: impossible bound err = %v, want ErrDelayBound", workers, err)
-		}
 	}
 }
 

@@ -106,26 +106,6 @@ func TestApproMultiPruningByteIdentical(t *testing.T) {
 	}
 }
 
-// TestApproMultiPruningDelayBound checks the pruning does not disturb
-// the delay-violation classification: with a hop bound tight enough to
-// reject everything, pruned and unpruned sweeps must both report
-// ErrDelayBound with identical text.
-func TestApproMultiPruningDelayBound(t *testing.T) {
-	nw := testNetwork(t, 40, 5)
-	req := testRequest(t, nw, 11)
-	opts := Options{K: 2, MaxDeliveryHops: 1}
-	_, perr := ApproMulti(nw, req, opts)
-	disableSubsetPruning = true
-	_, serr := ApproMulti(nw, req, opts)
-	disableSubsetPruning = false
-	if (perr == nil) != (serr == nil) {
-		t.Fatalf("err mismatch: %v vs %v", perr, serr)
-	}
-	if perr != nil && perr.Error() != serr.Error() {
-		t.Fatalf("error text %q != %q", perr, serr)
-	}
-}
-
 func geantNetwork(t testing.TB, seed int64) *sdn.Network {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

@@ -22,6 +22,9 @@ var ErrUnknownPlanner = errors.New("core: unknown planner")
 // Constructors read only the fields they understand and fall back to
 // the evaluation defaults for zero values, so a caller that only knows
 // the network size can build any policy with PlannerOptions{Nodes: n}.
+// Dist_CP and Reconf_CP always take the defaults (DefaultSplitLimit,
+// DefaultReconfHysteresis, DefaultReconfMigrations); their constructors
+// take the parameters directly.
 type PlannerOptions struct {
 	// Nodes sizes the default exponential cost model (α = β = 2n,
 	// σ_v = σ_e = n − 1) when Model is nil. Required by the online
@@ -32,17 +35,6 @@ type PlannerOptions struct {
 	// K is Online_CPK's server budget (default 2) and, through Solve,
 	// Appro_Multi_Cap's subset bound.
 	K int
-	// SplitLimit bounds how many servers Dist_CP may split one
-	// request's chain across (default DefaultSplitLimit).
-	SplitLimit int
-	// Hysteresis is Reconf_CP's migration threshold β: a live session
-	// migrates only when its current exponential price is at least β
-	// times the re-planned tree's selection cost (default
-	// DefaultReconfHysteresis).
-	Hysteresis float64
-	// MaxMigrations bounds how many sessions one Reconf_CP pass may
-	// migrate (default DefaultReconfMigrations).
-	MaxMigrations int
 	// Solve configures Appro_Multi_Cap (zero value: DefaultOptions).
 	Solve Options
 }
@@ -171,28 +163,16 @@ func init() {
 	})
 	RegisterPlanner(PlannerSpec{
 		Name:        "Dist_CP",
-		Description: "distributed chain placement: split the chain across up to SplitLimit servers",
+		Description: "distributed chain placement: split the chain across up to two servers",
 		New: func(o PlannerOptions) (Planner, error) {
-			limit := o.SplitLimit
-			if limit < 1 {
-				limit = DefaultSplitLimit
-			}
-			return NewDistCPPlanner(o.model(), limit)
+			return NewDistCPPlanner(o.model(), DefaultSplitLimit)
 		},
 	})
 	RegisterPlanner(PlannerSpec{
 		Name:        "Reconf_CP",
 		Description: "Online_CP plus drift-triggered migration of admitted trees on Update",
 		New: func(o PlannerOptions) (Planner, error) {
-			beta := o.Hysteresis
-			if beta <= 0 {
-				beta = DefaultReconfHysteresis
-			}
-			limit := o.MaxMigrations
-			if limit < 1 {
-				limit = DefaultReconfMigrations
-			}
-			return NewReconfPlanner(o.model(), beta, limit)
+			return NewReconfPlanner(o.model(), DefaultReconfHysteresis, DefaultReconfMigrations)
 		},
 	})
 }

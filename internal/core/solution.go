@@ -23,9 +23,6 @@ var (
 	// ErrRejected is returned by online algorithms when the admission
 	// policy rejects a request.
 	ErrRejected = errors.New("core: request rejected")
-	// ErrDelayBound is returned when Options.MaxDeliveryHops excludes
-	// every candidate tree.
-	ErrDelayBound = errors.New("core: delay bound excludes every tree")
 	// ErrComputeExhausted means no server has enough residual
 	// computing capacity for the request's chain.
 	ErrComputeExhausted = errors.New("core: no server with enough free computing")
@@ -58,8 +55,6 @@ func RejectReason(err error) string {
 		return obs.ReasonCompute
 	case errors.Is(err, ErrThresholdExceeded):
 		return obs.ReasonThreshold
-	case errors.Is(err, ErrDelayBound):
-		return obs.ReasonDelayBound
 	case errors.Is(err, ErrUnreachable), errors.Is(err, ErrNoFeasibleServer):
 		return obs.ReasonUnreachable
 	case errors.Is(err, sdn.ErrLinkDown), errors.Is(err, sdn.ErrServerDown):

@@ -209,6 +209,9 @@ func New(cfg Config) (*Server, error) {
 		Workers:  cfg.Workers,
 		Recovery: &pol,
 		Registry: registry,
+		// A few clock reads per submit fill the plan, commit and clone
+		// histograms /metrics serves.
+		SampleLatency: true,
 	}
 	if cfg.WALDir != "" {
 		opts.Journal = func(id string) (engine.Journal, error) {

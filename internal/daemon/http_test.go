@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -366,6 +367,30 @@ func TestMetricsSurface(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: %d %s", path, resp.StatusCode, data)
 		}
+	}
+}
+
+// TestMetricsSampleLatency: one submit puts one sample into the plan
+// latency histogram /metrics serves.
+func TestMetricsSampleLatency(t *testing.T) {
+	_, base := startServer(t, Config{Topology: "geant", Seed: 42, Policy: "SP"})
+	if resp, data := doJSON(t, "POST", base+"/v1/submit", submitBody("acme", 1)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: %d %s", resp.StatusCode, data)
+	}
+	_, data := doJSON(t, "GET", base+"/metrics", "")
+	count := 0.0
+	for _, line := range strings.Split(string(data), "\n") {
+		if !strings.HasPrefix(line, "nfv_plan_seconds_count") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		count += v
+	}
+	if count < 1 {
+		t.Fatalf("nfv_plan_seconds_count = %v after one submit, want >= 1", count)
 	}
 }
 

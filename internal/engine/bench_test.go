@@ -77,9 +77,10 @@ func BenchmarkEngineThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineThroughputObs is the same workload with the metrics
-// layer attached (counters and gauges live, latency sampling off — the
-// production default), pinning the instrumentation overhead the
-// observability layer promises to keep under 3%.
+// layer attached (counters and gauges live, latency sampling off, as in
+// the scenario harness and the figure runs), pinning the
+// instrumentation overhead the observability layer promises to keep
+// under 3%.
 func BenchmarkEngineThroughputObs(b *testing.B) {
 	benchEngineThroughput(b, func() *obs.AdmissionObs {
 		return obs.NewAdmissionObs(obs.NewRegistry(), "Online_CP", obs.AdmissionObsOptions{})
@@ -87,8 +88,8 @@ func BenchmarkEngineThroughputObs(b *testing.B) {
 }
 
 // BenchmarkEngineThroughputObsSampled additionally samples plan/commit/
-// clone latencies into histograms — the opt-in mode that reads the
-// clock on hot paths.
+// clone latencies into histograms — the mode the daemon and
+// `nfvmcast -metrics-addr` run, which reads the clock on hot paths.
 func BenchmarkEngineThroughputObsSampled(b *testing.B) {
 	benchEngineThroughput(b, func() *obs.AdmissionObs {
 		return obs.NewAdmissionObs(obs.NewRegistry(), "Online_CP", obs.AdmissionObsOptions{SampleLatency: true})

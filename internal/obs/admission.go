@@ -13,7 +13,6 @@ const (
 	ReasonCompute        = "compute"
 	ReasonThreshold      = "threshold"
 	ReasonUnreachable    = "unreachable"
-	ReasonDelayBound     = "delay_bound"
 	ReasonResourceDown   = "resource_down"
 	ReasonCommitConflict = "commit_conflict"
 	ReasonOther          = "other"
@@ -140,7 +139,7 @@ func NewAdmissionObs(reg *Registry, policy string, opts AdmissionObsOptions) *Ad
 	}
 	for _, reason := range []string{
 		ReasonBandwidth, ReasonCompute, ReasonThreshold, ReasonUnreachable,
-		ReasonDelayBound, ReasonResourceDown, ReasonCommitConflict, ReasonOther,
+		ReasonResourceDown, ReasonCommitConflict, ReasonOther,
 	} {
 		o.rejected[reason] = reg.Counter("nfv_rejected_total",
 			"Requests rejected, by canonical reason.", with(L("reason", reason))...)

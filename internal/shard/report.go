@@ -9,11 +9,8 @@ import (
 type ShardReport struct {
 	// ID is the shard's stable identifier.
 	ID string `json:"id"`
-	// State is the lifecycle position ("active", "draining",
-	// "stopped").
-	State string `json:"state"`
 	// Admitted/Rejected/Departed count this shard's decisions;
-	// Live is its current session count (0 once stopped).
+	// Live is its current session count.
 	Admitted int `json:"admitted"`
 	Rejected int `json:"rejected"`
 	Departed int `json:"departed"`
@@ -47,26 +44,19 @@ type Report struct {
 func (r *Router) Report() Report {
 	var rep Report
 	merged := sha256.New()
-	for _, id := range r.ShardIDs() {
-		s, err := r.shard(id)
-		if err != nil {
-			continue
-		}
+	for _, id := range r.order {
+		s := r.shards[id]
 		s.mu.Lock()
 		sr := ShardReport{
 			ID:          s.id,
-			State:       s.state.String(),
 			Admitted:    s.admitted,
 			Rejected:    s.rejected,
 			Departed:    s.departed,
 			Lines:       s.lines,
 			Fingerprint: fmt.Sprintf("%x", s.digest.Sum(nil)),
 		}
-		stopped := s.state == Stopped
 		s.mu.Unlock()
-		if !stopped {
-			sr.Live = s.eng.LiveCount()
-		}
+		sr.Live = s.eng.LiveCount()
 		fmt.Fprintf(merged, "shard=%s fp=%s\n", sr.ID, sr.Fingerprint)
 		rep.Shards = append(rep.Shards, sr)
 		rep.Admitted += sr.Admitted

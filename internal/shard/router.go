@@ -5,15 +5,16 @@
 // the tenant's slice of substrate, so every engine keeps the
 // single-writer determinism and recovery machinery of
 // internal/engine unchanged, and shards never contend on each other's
-// networks. Tenants are mapped to shards with rendezvous (highest-
-// random-weight) hashing over the currently active shards, which makes
-// shard sets rebalance-safe: draining a shard re-homes only that
-// shard's tenants, every other tenant keeps its engine.
+// networks. Tenants are mapped to shards by an Options.Assign pin when
+// one answers, and otherwise by rendezvous (highest-random-weight)
+// hashing over every shard: a pure function of the tenant and the
+// shard IDs, so any process with the same shard set routes a tenant
+// to the same shard without shared state.
 //
-// Sessions, however, are pinned: a Release must free resources on the
-// shard that admitted the session even if its tenant has been re-homed
-// since, so the router keeps a request → owning-shard map and drains
-// departures through it rather than through the tenant hash.
+// Sessions are pinned: a Release frees resources on the shard that
+// admitted the session, so the router keeps a request → owning-shard
+// map and routes departures through it rather than through the tenant
+// hash.
 //
 // Determinism stays shard-local. Each shard appends its admission
 // decisions to a transcript hashed incrementally (SHA-256); a
@@ -47,55 +48,15 @@ import (
 )
 
 // Sentinel errors of the routing layer. Admission rejections from the
-// engines pass through unchanged (they satisfy core.IsRejection).
+// engines pass through unchanged (they satisfy core.IsRejection), and
+// so does engine.ErrClosed once the router is closed.
 var (
-	// ErrNoActiveShards is returned when every shard is draining or
-	// stopped and a new admission has nowhere to route.
-	ErrNoActiveShards = errors.New("shard: no active shards")
 	// ErrUnknownShard is returned for shard IDs the router does not own.
 	ErrUnknownShard = errors.New("shard: unknown shard")
 	// ErrUnknownSession is returned by Release for request IDs no shard
 	// admitted (or that already departed, or recovery shed).
 	ErrUnknownSession = errors.New("shard: unknown session")
-	// ErrShardStopped is returned when an operation targets a stopped
-	// shard.
-	ErrShardStopped = errors.New("shard: shard is stopped")
-	// ErrShardUnavailable is returned when an Assign placement pins a
-	// tenant to a shard that is draining or stopped. Pinned tenants
-	// cannot re-home (their substrate lives on exactly one shard), so
-	// the router refuses rather than silently routing elsewhere.
-	ErrShardUnavailable = errors.New("shard: pinned shard unavailable")
-	// ErrNotDrained is returned by Stop while the shard still holds
-	// live sessions.
-	ErrNotDrained = errors.New("shard: shard still holds live sessions")
 )
-
-// State is a shard's lifecycle position.
-type State int
-
-const (
-	// Active shards receive newly-routed tenants.
-	Active State = iota
-	// Draining shards accept no new admissions — their tenants re-home
-	// to the remaining active shards — but still serve departures and
-	// maintenance for the sessions they hold.
-	Draining
-	// Stopped shards have closed their engine.
-	Stopped
-)
-
-// String names the state for reports and listings.
-func (s State) String() string {
-	switch s {
-	case Active:
-		return "active"
-	case Draining:
-		return "draining"
-	case Stopped:
-		return "stopped"
-	}
-	return fmt.Sprintf("state(%d)", int(s))
-}
 
 // Builder constructs one shard's substrate: its network and planner.
 // Called once per shard ID at router construction; each shard must get
@@ -135,17 +96,16 @@ type Options struct {
 	// tenant to the shard ID that must own it (data-locality pinning —
 	// the tenant's substrate exists only on that shard). Returning ""
 	// falls back to rendezvous hashing for that tenant. Assigned IDs
-	// must name a configured shard (ErrUnknownShard otherwise), and the
-	// shard must be Active (ErrShardUnavailable otherwise): pinned
-	// tenants never re-home on drain. The function must be pure and
-	// stable — the router may call it on any routing decision.
+	// must name a configured shard (ErrUnknownShard otherwise). The
+	// function must be pure and stable — the router may call it on any
+	// routing decision.
 	Assign func(tenant string) string
 }
 
-// shardState is one shard: its engine, lifecycle position and
-// transcript hash. The transcript mutex serialises decision recording;
-// engines handle their own concurrency. applyMu pairs each maintenance
-// batch with the recovery report it produced (see Router.apply).
+// shardState is one shard: its engine and transcript hash. The
+// transcript mutex serialises decision recording; engines handle their
+// own concurrency. applyMu pairs each maintenance batch with the
+// recovery report it produced (see Router.apply).
 type shardState struct {
 	id  string
 	eng *engine.Engine
@@ -154,7 +114,6 @@ type shardState struct {
 	applyMu sync.Mutex
 
 	mu       sync.Mutex
-	state    State
 	digest   hash.Hash
 	lines    int
 	admitted int
@@ -172,11 +131,12 @@ func (s *shardState) record(line string) {
 // Router fans Admit/Release/Apply across the shards by tenant key.
 // All methods are safe for concurrent use.
 type Router struct {
-	mu     sync.RWMutex
-	shards map[string]*shardState
-	order  []string       // ascending shard IDs
-	owner  map[int]string // request ID -> admitting shard
+	shards map[string]*shardState // fixed at New
+	order  []string               // ascending shard IDs
 	assign func(tenant string) string
+
+	mu    sync.RWMutex   // guards owner
+	owner map[int]string // request ID -> admitting shard
 }
 
 // New builds a router with one engine per shard ID.
@@ -237,8 +197,8 @@ func New(opts Options) (*Router, error) {
 	return r, nil
 }
 
-// rendezvous scores (tenant, shard) pairs; the active shard with the
-// highest score owns the tenant. FNV-1a over "tenant\x00shard" is
+// rendezvous scores (tenant, shard) pairs; the shard with the highest
+// score owns the tenant. FNV-1a over "tenant\x00shard" is
 // stable across runs and processes.
 func rendezvous(tenant, shardID string) uint64 {
 	h := fnv.New64a()
@@ -249,8 +209,8 @@ func rendezvous(tenant, shardID string) uint64 {
 }
 
 // route picks the owning shard for tenant: the Assign pin when one is
-// configured and answers, rendezvous over the active shards otherwise.
-// Caller holds at least the read lock.
+// configured and answers, rendezvous over every shard otherwise. The
+// shard set is fixed at New, so routing takes no lock.
 func (r *Router) route(tenant string) (*shardState, error) {
 	if r.assign != nil {
 		if id := r.assign(tenant); id != "" {
@@ -259,38 +219,24 @@ func (r *Router) route(tenant string) (*shardState, error) {
 				return nil, fmt.Errorf("%w: %q (assigned to tenant %q)",
 					ErrUnknownShard, id, tenant)
 			}
-			if s.state != Active {
-				return nil, fmt.Errorf("%w: %s is %s (tenant %q)",
-					ErrShardUnavailable, id, s.state, tenant)
-			}
 			return s, nil
 		}
 	}
 	var best *shardState
 	var bestScore uint64
 	for _, id := range r.order {
-		s := r.shards[id]
-		if s.state != Active {
-			continue
-		}
 		score := rendezvous(tenant, id)
 		// Ties (astronomically unlikely) break to the smaller ID via
 		// the sorted iteration order.
 		if best == nil || score > bestScore {
-			best, bestScore = s, score
+			best, bestScore = r.shards[id], score
 		}
-	}
-	if best == nil {
-		return nil, ErrNoActiveShards
 	}
 	return best, nil
 }
 
-// ShardFor reports which shard tenant's new admissions currently route
-// to.
+// ShardFor reports which shard tenant's admissions route to.
 func (r *Router) ShardFor(tenant string) (string, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	s, err := r.route(tenant)
 	if err != nil {
 		return "", err
@@ -300,24 +246,23 @@ func (r *Router) ShardFor(tenant string) (string, error) {
 
 // Admit routes req to tenant's shard and admits it there. On success
 // the session is pinned to that shard for its lifetime (Release finds
-// it even after a rebalance). Request IDs must be unique across
+// it through the owner map). Request IDs must be unique across
 // tenants — they key the session-owner map.
 func (r *Router) Admit(tenant string, req *multicast.Request) (*core.Solution, error) {
 	return r.AdmitContext(context.Background(), tenant, req)
 }
 
 // AdmitContext is Admit with cancellation (see engine.AdmitContext).
-// Canceled admissions record no transcript line and no ownership.
+// Canceled admissions, and admissions after Close (engine.ErrClosed),
+// record no transcript line and no ownership.
 func (r *Router) AdmitContext(ctx context.Context, tenant string, req *multicast.Request) (*core.Solution, error) {
-	r.mu.RLock()
 	s, err := r.route(tenant)
-	r.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
 
 	sol, aerr := s.eng.AdmitContext(ctx, req)
-	if core.IsCanceled(aerr) {
+	if aerr != nil && (core.IsCanceled(aerr) || errors.Is(aerr, engine.ErrClosed)) {
 		return nil, aerr
 	}
 	if aerr == nil {
@@ -353,20 +298,16 @@ func admitLine(tenant string, reqID int, sol *core.Solution) string {
 }
 
 // Release departs the session with reqID on the shard that admitted
-// it, regardless of where its tenant routes today.
+// it, regardless of where its tenant routes today. After Close it
+// answers engine.ErrClosed and keeps the session's owner entry.
 func (r *Router) Release(reqID int) (*core.Solution, error) {
 	r.mu.RLock()
 	id, ok := r.owner[reqID]
-	s := r.shards[id]
 	r.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: request %d", ErrUnknownSession, reqID)
 	}
-	if s.stateLocked() == Stopped {
-		// Ownership is kept: the session's resources are gone with the
-		// engine, but the caller can still see who owned it.
-		return nil, fmt.Errorf("%w: %s (request %d)", ErrShardStopped, id, reqID)
-	}
+	s := r.shards[id]
 	sol, err := s.eng.Depart(reqID)
 	if errors.Is(err, core.ErrUnknownRequest) {
 		// A recovery pass the router did not drive (RecoverNow on the
@@ -399,19 +340,11 @@ func (r *Router) Owner(reqID int) string {
 	return r.owner[reqID]
 }
 
-func (s *shardState) stateLocked() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
-
 // Apply routes a typed mutation batch to tenant's shard (see
 // engine.Apply): all-or-nothing against that one shard's network,
 // every other shard untouched.
 func (r *Router) Apply(tenant string, muts ...engine.Mutation) error {
-	r.mu.RLock()
 	s, err := r.route(tenant)
-	r.mu.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -425,25 +358,15 @@ func (r *Router) ApplyShard(shardID string, muts ...engine.Mutation) error {
 	if err != nil {
 		return err
 	}
-	if s.stateLocked() == Stopped {
-		return fmt.Errorf("%w: %s", ErrShardStopped, shardID)
-	}
 	return r.apply(s, muts)
 }
 
-// ApplyAll applies one mutation batch to every non-stopped shard, in
-// shard-ID order (fleet-wide maintenance: a region failing in every
-// tenant's view). The first error aborts the sweep.
+// ApplyAll applies one mutation batch to every shard, in shard-ID
+// order (fleet-wide maintenance: a region failing in every tenant's
+// view). The first error aborts the sweep.
 func (r *Router) ApplyAll(muts ...engine.Mutation) error {
-	for _, id := range r.ShardIDs() {
-		s, err := r.shard(id)
-		if err != nil {
-			return err
-		}
-		if s.stateLocked() == Stopped {
-			continue
-		}
-		if err := r.apply(s, muts); err != nil {
+	for _, id := range r.order {
+		if err := r.apply(r.shards[id], muts); err != nil {
 			return fmt.Errorf("shard %s: %w", id, err)
 		}
 	}
@@ -474,9 +397,7 @@ func (r *Router) apply(s *shardState, muts []engine.Mutation) error {
 
 // shard resolves an ID.
 func (r *Router) shard(id string) (*shardState, error) {
-	r.mu.RLock()
 	s, ok := r.shards[id]
-	r.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownShard, id)
 	}
@@ -531,93 +452,15 @@ func (r *Router) AdoptSessions(id string) (int, error) {
 	return len(lives), nil
 }
 
-// ShardIDs returns every shard ID ascending, whatever its state.
+// ShardIDs returns every shard ID ascending.
 func (r *Router) ShardIDs() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return append([]string(nil), r.order...)
 }
 
-// ShardState reports a shard's lifecycle position.
-func (r *Router) ShardState(id string) (State, error) {
-	s, err := r.shard(id)
-	if err != nil {
-		return Stopped, err
-	}
-	return s.stateLocked(), nil
-}
-
-// Drain moves a shard out of the admission rotation: its tenants
-// re-home to the remaining active shards on their next admission,
-// while its live sessions stay put and still depart through Release.
-func (r *Router) Drain(id string) error {
-	return r.transition(id, Draining, func(cur State) error {
-		if cur == Stopped {
-			return fmt.Errorf("%w: %s", ErrShardStopped, id)
-		}
-		return nil
-	})
-}
-
-// Activate returns a draining shard to the admission rotation, undoing
-// Drain (tenants re-home back on their next admission).
-func (r *Router) Activate(id string) error {
-	return r.transition(id, Active, func(cur State) error {
-		if cur == Stopped {
-			return fmt.Errorf("%w: %s", ErrShardStopped, id)
-		}
-		return nil
-	})
-}
-
-// Stop closes a drained shard's engine. It refuses while live sessions
-// remain (drain first, wait for departures or shed via recovery);
-// Close force-stops everything instead.
-func (r *Router) Stop(id string) error {
-	s, err := r.shard(id)
-	if err != nil {
-		return err
-	}
-	if s.stateLocked() == Stopped {
-		return nil
-	}
-	if lives := s.eng.LiveCount(); lives > 0 {
-		return fmt.Errorf("%w: %s holds %d", ErrNotDrained, id, lives)
-	}
-	if err := r.transition(id, Stopped, func(State) error { return nil }); err != nil {
-		return err
-	}
-	s.eng.Close()
-	return nil
-}
-
-// transition applies a guarded state change.
-func (r *Router) transition(id string, to State, guard func(cur State) error) error {
-	s, err := r.shard(id)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := guard(s.state); err != nil {
-		return err
-	}
-	s.state = to
-	return nil
-}
-
-// Close stops every shard's engine, live sessions or not. Idempotent.
+// Close closes every shard's engine, live sessions or not; later
+// operations answer engine.ErrClosed. Idempotent.
 func (r *Router) Close() {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	for _, id := range r.order {
-		s := r.shards[id]
-		s.mu.Lock()
-		stopped := s.state == Stopped
-		s.state = Stopped
-		s.mu.Unlock()
-		if !stopped {
-			s.eng.Close()
-		}
+		r.shards[id].eng.Close()
 	}
 }

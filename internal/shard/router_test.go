@@ -122,46 +122,9 @@ func TestRouterRoutesByTenantConsistently(t *testing.T) {
 	}
 }
 
-func TestRouterDrainRehomesOnlyDrainedTenants(t *testing.T) {
-	r := testRouter(t, []string{"s0", "s1", "s2", "s3"})
-	tenants := []string{"alpha", "bravo", "charlie", "delta", "echo",
-		"foxtrot", "golf", "hotel", "india", "juliet"}
-	before := make(map[string]string)
-	for _, tn := range tenants {
-		before[tn], _ = r.ShardFor(tn)
-	}
-
-	// Pick a shard that homes at least one tenant and drain it.
-	drained := before[tenants[0]]
-	if err := r.Drain(drained); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	for _, tn := range tenants {
-		after, err := r.ShardFor(tn)
-		if err != nil {
-			t.Fatalf("ShardFor(%s): %v", tn, err)
-		}
-		if before[tn] == drained {
-			if after == drained {
-				t.Fatalf("tenant %s still routes to drained shard %s", tn, drained)
-			}
-		} else if after != before[tn] {
-			t.Fatalf("tenant %s re-homed %s -> %s though its shard was not drained (rendezvous must move only the drained shard's tenants)",
-				tn, before[tn], after)
-		}
-	}
-
-	// Reactivation restores the original homes exactly.
-	if err := r.Activate(drained); err != nil {
-		t.Fatalf("Activate: %v", err)
-	}
-	for _, tn := range tenants {
-		if after, _ := r.ShardFor(tn); after != before[tn] {
-			t.Fatalf("tenant %s home %s != original %s after reactivation", tn, after, before[tn])
-		}
-	}
-}
-
+// TestRouterReleaseFindsSessionAfterRebalance: Release finds the
+// session through the owner map, departs it on the admitting shard and
+// forgets it.
 func TestRouterReleaseFindsSessionAfterRebalance(t *testing.T) {
 	r := testRouter(t, []string{"s0", "s1"})
 	req := testRequests(t, 1, 9)[0]
@@ -171,18 +134,9 @@ func TestRouterReleaseFindsSessionAfterRebalance(t *testing.T) {
 	if _, err := r.Admit(tenant, req); err != nil {
 		t.Fatalf("admit: %v", err)
 	}
-	// Re-home the tenant, then release: the depart must land on the
-	// admitting shard, not the tenant's new home.
-	if err := r.Drain(home); err != nil {
-		t.Fatal(err)
-	}
-	newHome, _ := r.ShardFor(tenant)
-	if newHome == home {
-		t.Fatalf("tenant still homes on drained shard")
-	}
 	sol, err := r.Release(req.ID)
 	if err != nil {
-		t.Fatalf("Release after rebalance: %v", err)
+		t.Fatalf("Release: %v", err)
 	}
 	if sol == nil {
 		t.Fatal("Release returned no solution")
@@ -266,62 +220,6 @@ func TestRouterDropsOwnersOfShedSessions(t *testing.T) {
 	}
 }
 
-func TestRouterLifecycle(t *testing.T) {
-	r := testRouter(t, []string{"s0", "s1"})
-	req := testRequests(t, 1, 3)[0]
-	const tenant = "alpha"
-	home, _ := r.ShardFor(tenant)
-	if _, err := r.Admit(tenant, req); err != nil {
-		t.Fatal(err)
-	}
-
-	// Stop refuses while sessions are live.
-	if err := r.Stop(home); !errors.Is(err, shard.ErrNotDrained) {
-		t.Fatalf("Stop with live sessions: %v, want ErrNotDrained", err)
-	}
-	if _, err := r.Release(req.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Stop(home); err != nil {
-		t.Fatalf("Stop after drain: %v", err)
-	}
-	if st, _ := r.ShardState(home); st != shard.Stopped {
-		t.Fatalf("state = %v, want stopped", st)
-	}
-	// Idempotent; transitions out of stopped are refused.
-	if err := r.Stop(home); err != nil {
-		t.Fatalf("second Stop: %v", err)
-	}
-	if err := r.Activate(home); !errors.Is(err, shard.ErrShardStopped) {
-		t.Fatalf("Activate stopped shard: %v, want ErrShardStopped", err)
-	}
-
-	// Admissions route around the stopped shard.
-	req2 := testRequests(t, 2, 4)[1]
-	if _, err := r.Admit(tenant, req2); err != nil {
-		t.Fatalf("admit after stop: %v", err)
-	}
-	if owner := r.Owner(req2.ID); owner == home {
-		t.Fatalf("admission routed to stopped shard %s", home)
-	}
-
-	// Draining everything leaves nowhere to admit.
-	for _, id := range r.ShardIDs() {
-		if st, _ := r.ShardState(id); st == shard.Active {
-			if err := r.Drain(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	req3 := testRequests(t, 3, 4)[2]
-	if _, err := r.Admit(tenant, req3); !errors.Is(err, shard.ErrNoActiveShards) {
-		t.Fatalf("admit with all shards drained: %v, want ErrNoActiveShards", err)
-	}
-	if _, err := r.ShardFor(tenant); !errors.Is(err, shard.ErrNoActiveShards) {
-		t.Fatalf("ShardFor with all shards drained: %v, want ErrNoActiveShards", err)
-	}
-}
-
 // networkSignature summarises a shard network's observable state:
 // versions plus residual sums. Equal versions name equal states, so a
 // signature that did not move means the state did not move either: a
@@ -396,17 +294,14 @@ func TestRouterCrossShardIsolation(t *testing.T) {
 
 func TestRouterApplyAll(t *testing.T) {
 	r := testRouter(t, []string{"s0", "s1", "s2"})
-	if err := r.Stop("s2"); err != nil {
-		t.Fatal(err)
-	}
 	before := map[string]uint64{}
-	for _, id := range []string{"s0", "s1"} {
+	for _, id := range []string{"s0", "s1", "s2"} {
 		before[id] = r.Network(id).StructureVersion()
 	}
 	if err := r.ApplyAll(engine.Mutation{Kind: engine.LinkState, ID: 3, Up: false}); err != nil {
 		t.Fatalf("ApplyAll: %v", err)
 	}
-	for _, id := range []string{"s0", "s1"} {
+	for _, id := range []string{"s0", "s1", "s2"} {
 		if got := r.Network(id).StructureVersion(); got != before[id]+1 {
 			t.Fatalf("shard %s structure version %d, want %d", id, got, before[id]+1)
 		}
@@ -421,9 +316,6 @@ func TestRouterUnknownTargets(t *testing.T) {
 	if _, err := r.Release(404); !errors.Is(err, shard.ErrUnknownSession) {
 		t.Fatalf("Release(404): %v", err)
 	}
-	if err := r.Drain("nope"); !errors.Is(err, shard.ErrUnknownShard) {
-		t.Fatalf("Drain(nope): %v", err)
-	}
 	if err := r.ApplyShard("nope"); !errors.Is(err, shard.ErrUnknownShard) {
 		t.Fatalf("ApplyShard(nope): %v", err)
 	}
@@ -435,8 +327,8 @@ func TestRouterUnknownTargets(t *testing.T) {
 // TestRouterAssignOverride pins the Assign placement hook: assigned
 // tenants route to their pinned shard regardless of the rendezvous
 // hash, unassigned tenants ("" from the hook) fall back to rendezvous,
-// and pins to unknown or non-active shards fail loudly instead of
-// silently re-homing.
+// and pins to unknown shards fail loudly instead of silently falling
+// back.
 func TestRouterAssignOverride(t *testing.T) {
 	shards := []string{"s0", "s1", "s2"}
 	pins := map[string]string{
@@ -479,24 +371,51 @@ func TestRouterAssignOverride(t *testing.T) {
 		t.Fatalf("pin to unknown shard: err = %v, want ErrUnknownShard", err)
 	}
 
-	// Draining the pinned shard refuses the tenant instead of re-homing.
-	if err := r.Drain("s2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ShardFor("pinned-a"); !errors.Is(err, shard.ErrShardUnavailable) {
-		t.Fatalf("pin to draining shard: err = %v, want ErrShardUnavailable", err)
-	}
 	reqs := testRequests(t, 1, 909)
-	if _, err := r.Admit("pinned-a", reqs[0]); !errors.Is(err, shard.ErrShardUnavailable) {
-		t.Fatalf("Admit to draining pinned shard: err = %v, want ErrShardUnavailable", err)
-	}
-	if err := r.Activate("s2"); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := r.Admit("pinned-a", reqs[0]); err != nil {
-		t.Fatalf("Admit after reactivating pinned shard: %v", err)
+		t.Fatalf("Admit to pinned shard: %v", err)
 	}
 	if got := r.Owner(reqs[0].ID); got != "s2" {
 		t.Fatalf("pinned admission owned by %s, want s2", got)
+	}
+}
+
+// TestRouterAfterClose: Close is idempotent, every operation after it
+// answers the engines' typed engine.ErrClosed without touching the
+// books, and Report still lists every shard.
+func TestRouterAfterClose(t *testing.T) {
+	r := testRouter(t, []string{"s0", "s1"})
+	reqs := testRequests(t, 2, 31)
+	if _, err := r.Admit("alpha", reqs[0]); err != nil {
+		t.Fatal(err)
+	}
+	home := r.Owner(reqs[0].ID)
+	before := r.Report()
+	r.Close()
+	r.Close()
+
+	if _, err := r.Admit("alpha", reqs[1]); !errors.Is(err, engine.ErrClosed) {
+		t.Fatalf("Admit after Close: %v, want engine.ErrClosed", err)
+	}
+	if _, err := r.Release(reqs[0].ID); !errors.Is(err, engine.ErrClosed) {
+		t.Fatalf("Release after Close: %v, want engine.ErrClosed", err)
+	}
+	if owner := r.Owner(reqs[0].ID); owner != home {
+		t.Fatalf("owner after refused Release = %q, want %q", owner, home)
+	}
+	mut := engine.Mutation{Kind: engine.LinkState, ID: 0, Up: false}
+	if err := r.ApplyShard(home, mut); !errors.Is(err, engine.ErrClosed) {
+		t.Fatalf("ApplyShard after Close: %v, want engine.ErrClosed", err)
+	}
+	if err := r.ApplyAll(mut); !errors.Is(err, engine.ErrClosed) {
+		t.Fatalf("ApplyAll after Close: %v, want engine.ErrClosed", err)
+	}
+
+	after := r.Report()
+	if len(after.Shards) != 2 || after.Shards[0].ID != "s0" || after.Shards[1].ID != "s1" {
+		t.Fatalf("report after Close lists %+v, want s0 and s1", after.Shards)
+	}
+	if after.Merged != before.Merged || after.Admitted != 1 || after.Rejected != 0 || after.Live != 1 {
+		t.Fatalf("report after Close %+v, want the pre-Close books %+v", after, before)
 	}
 }

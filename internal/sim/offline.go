@@ -16,7 +16,7 @@ func offlinePoint(cfg Config, nw *sdn.Network, ratio float64, seed int64) ([]flo
 	gcfg := multicast.DefaultGeneratorConfig()
 	gcfg.DestRatio = ratio
 	return solveMeans(nw, gcfg, seed, cfg.Requests, offlineAlgorithms,
-		core.Options{K: cfg.K, Workers: cfg.Workers}, unsolvable)
+		core.Options{K: cfg.K}, unsolvable)
 }
 
 // offlinePanels returns the cost and running-time panels of an offline
@@ -121,7 +121,7 @@ func Fig7(cfg Config) ([]Figure, error) {
 			}
 			// Uncapacitated reference solve: a read-only pass over the
 			// same network, safe while no engine operation is in flight.
-			opts := core.Options{K: cfg.K, Workers: cfg.Workers}
+			opts := core.Options{K: cfg.K}
 			if sol, err := solveOffline("Appro_Multi", nw, req, opts); err == nil {
 				uncapCost += sol.OperationalCost
 				uncapCount++
@@ -167,7 +167,7 @@ func AblationK(cfg Config) ([]Figure, error) {
 	}
 	points, err := grid(cfg.K, 1, oneCore, func(ki, _ int) ([]float64, error) {
 		return solveMeans(nw, multicast.DefaultGeneratorConfig(), cfg.Seed+99, cfg.Requests,
-			[]string{"Appro_Multi"}, core.Options{K: ki + 1, Workers: cfg.Workers}, anyError)
+			[]string{"Appro_Multi"}, core.Options{K: ki + 1}, anyError)
 	})
 	if err != nil {
 		return nil, err
@@ -197,7 +197,7 @@ func AblationEvaluator(cfg Config) ([]Figure, error) {
 	}
 	points, err := grid(2, 1, oneCore, func(vi, _ int) ([]float64, error) {
 		return solveMeans(nw, multicast.DefaultGeneratorConfig(), cfg.Seed+7, cfg.Requests,
-			[]string{"Appro_Multi"}, core.Options{K: 2, ExplicitAuxiliary: vi == 1, Workers: cfg.Workers}, anyError)
+			[]string{"Appro_Multi"}, core.Options{K: 2, ExplicitAuxiliary: vi == 1}, anyError)
 	})
 	if err != nil {
 		return nil, err
@@ -239,7 +239,7 @@ func ExtStretch(cfg Config) ([]Figure, error) {
 			if err != nil {
 				return 0, err
 			}
-			sol, err := solveOffline(alg, nw, req, core.Options{K: cfg.K, Workers: cfg.Workers})
+			sol, err := solveOffline(alg, nw, req, core.Options{K: cfg.K})
 			if err != nil {
 				continue
 			}

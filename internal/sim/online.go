@@ -16,7 +16,7 @@ var onlineSeries = []string{"Online_CP", "SP", "SP_Static"}
 
 // distChainSeries are the series of the distributed-chain extension
 // figure: the paper's consolidated Online_CP against the registry's
-// Dist_CP (chain split across up to SplitLimit servers) and Reconf_CP
+// Dist_CP (chain split across up to two servers) and Reconf_CP
 // (Online_CP plus drift-triggered migration of admitted trees).
 var distChainSeries = []string{"Online_CP", "Dist_CP", "Reconf_CP"}
 

@@ -85,7 +85,7 @@ func ExtOptGap(cfg Config) ([]Figure, error) {
 			if !ok || optAux <= 0 {
 				continue
 			}
-			sol, err := solveOffline("Appro_Multi", nw, req, core.Options{K: k, Workers: cfg.Workers})
+			sol, err := solveOffline("Appro_Multi", nw, req, core.Options{K: k})
 			if err != nil {
 				continue
 			}

@@ -56,22 +56,6 @@ type Config struct {
 	// DestRatios are the D_max/|V| panels of Fig. 5 and the x-axis of
 	// Fig. 6.
 	DestRatios []float64
-	// Workers is passed through to core.Options.Workers for every
-	// Appro_Multi solve. The default 0 keeps the per-solve evaluation
-	// sequential, which is right for the harness: forEachIndex already
-	// saturates the CPUs across sweep points, and nesting a per-CPU
-	// pool inside each solve would only oversubscribe. Set it > 1 (or
-	// negative for per-CPU) when measuring single solves.
-	Workers int
-	// EngineWorkers is the planning concurrency of the admission
-	// engine the online drivers (Figs. 8-9, churn, Erlang, online-K,
-	// Fig. 7's sequential admission) run through. The default 0 keeps
-	// every engine in sequential mode, whose decisions are
-	// byte-identical to the pre-engine admitters (the determinism
-	// oracle in internal/engine pins this) — so published figures do
-	// not change. Like Workers, raise it only when measuring a single
-	// run: the harness already saturates the CPUs across sweep points.
-	EngineWorkers int
 	// Metrics, when non-nil, is the observability registry every
 	// admission engine of the run attaches to: per-policy lifecycle
 	// counters and reason-labelled rejection counts accumulate across
@@ -154,13 +138,14 @@ func (f *Figure) Render() string {
 }
 
 // engineOptions returns the admission-engine options a driver should
-// run a policy with under cfg: the configured planning concurrency
-// plus, when cfg.Metrics is set, a policy-labelled observability
-// binding. Engines of the same policy across sweep points share the
+// run a policy with under cfg: a sequential engine (the harness
+// already saturates the CPUs across sweep points, and a sequential
+// engine's decisions are byte-identical to a core.Admitter's) with,
+// when cfg.Metrics is set, a policy-labelled observability binding. Engines of the same policy across sweep points share the
 // registry's instruments, so counters aggregate per policy over the
 // whole run.
 func engineOptions(cfg Config, policy string) engine.Options {
-	o := engine.Options{Workers: cfg.EngineWorkers}
+	var o engine.Options
 	if cfg.Metrics != nil {
 		o.Obs = obs.NewAdmissionObs(cfg.Metrics, policy, obs.AdmissionObsOptions{})
 	}

@@ -229,9 +229,8 @@ next:
 // networkFor(topo, n, seed). The planner comes from the registry with
 // cfg.K as its server budget (Online_CPK's K, Appro_Multi_Cap's subset
 // bound) and, when cfg.Metrics is set, reports into it under its
-// policy label. cfg.EngineWorkers <= 1 (the harness default) selects
-// sequential mode, which reproduces a core.Admitter
-// decision-for-decision. A non-nil rec enables the engine's recovery
+// policy label. The engine is sequential, which reproduces a
+// core.Admitter decision-for-decision. A non-nil rec enables the engine's recovery
 // subsystem under that policy. The caller must Close the engine.
 func newEngine(cfg Config, policy, topo string, n int, seed int64, rec *recov.Policy) (*engine.Engine, *sdn.Network, error) {
 	nw, err := networkFor(topo, n, seed)
@@ -241,7 +240,7 @@ func newEngine(cfg Config, policy, topo string, n int, seed int64, rec *recov.Po
 	p, err := core.NewPlanner(policy, core.PlannerOptions{
 		Nodes: nw.NumNodes(),
 		K:     cfg.K,
-		Solve: core.Options{K: cfg.K, Workers: cfg.Workers},
+		Solve: core.Options{K: cfg.K},
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: %w", err)

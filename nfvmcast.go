@@ -271,12 +271,12 @@ type (
 	// one-line description, and the constructor.
 	PlannerSpec = core.PlannerSpec
 	// PlannerOptions parameterises NewPlanner: the substrate size (for
-	// the exponential cost-model defaults) plus per-policy knobs
-	// (K, SplitLimit, Hysteresis, ...) that each constructor reads as
+	// the exponential cost-model defaults), a cost model, K, and
+	// Appro_Multi_Cap's solve options, which each constructor reads as
 	// it needs.
 	PlannerOptions = core.PlannerOptions
-	// DistCPPlanner splits a request's service chain across up to
-	// SplitLimit servers (distributed chain placement) under the same
+	// DistCPPlanner splits a request's service chain across up to a
+	// fixed number of servers (distributed chain placement) under the same
 	// exponential cost model as Online_CP.
 	DistCPPlanner = core.DistCPPlanner
 	// ReconfPlanner wraps Online_CP and additionally migrates the
@@ -296,7 +296,8 @@ var (
 	NewPlanner      = core.NewPlanner
 )
 
-// Registry-policy defaults (overridable through PlannerOptions).
+// Registry-policy defaults (overridable through NewDistCPPlanner and
+// NewReconfPlanner).
 const (
 	// DefaultSplitLimit is Dist_CP's chain-split budget.
 	DefaultSplitLimit = core.DefaultSplitLimit
@@ -340,12 +341,13 @@ func NewEngine(nw *Network, planner Planner, opts EngineOptions) *Engine {
 	return engine.New(nw, planner, opts)
 }
 
-// Sharded multi-tenant admission (internal/shard): a router over N
-// independent engines, one per tenant partition. Tenants map to shards
-// by rendezvous hashing (or a ShardOptions.Assign pin for
-// data-locality placement), sessions stay pinned to their admitting
-// shard for release, and Report fans per-shard decision-transcript
-// fingerprints into one deterministic merged digest.
+// Sharded multi-tenant admission (internal/shard): a router over a
+// fixed set of N independent engines, one per tenant partition.
+// Tenants map to shards by a ShardOptions.Assign pin for data-locality
+// placement or by rendezvous hashing over every shard, sessions stay
+// pinned to their admitting shard for release, and Report fans
+// per-shard decision-transcript fingerprints into one deterministic
+// merged digest. After Close every operation answers ErrEngineClosed.
 type (
 	// ShardRouter fans Admit/Release/Apply across shards by tenant key.
 	ShardRouter = shard.Router
@@ -354,20 +356,10 @@ type (
 	ShardOptions = shard.Options
 	// ShardBuilder constructs one shard's network and planner.
 	ShardBuilder = shard.Builder
-	// ShardState is a shard's lifecycle position (active, draining,
-	// stopped).
-	ShardState = shard.State
 	// ShardRouterReport is the deterministic fan-in over every shard.
 	ShardRouterReport = shard.Report
 	// ShardReport is one shard's view at Report time.
 	ShardReport = shard.ShardReport
-)
-
-// Shard lifecycle states.
-const (
-	ShardActive   = shard.Active
-	ShardDraining = shard.Draining
-	ShardStopped  = shard.Stopped
 )
 
 // NewShardRouter builds a router with one engine per shard ID:
@@ -532,7 +524,6 @@ var (
 	ErrRejected         = core.ErrRejected
 	ErrNoFeasibleServer = core.ErrNoFeasibleServer
 	ErrUnreachable      = core.ErrUnreachable
-	ErrDelayBound       = core.ErrDelayBound
 	ErrUnknownRequest   = core.ErrUnknownRequest
 	ErrUnknownPlanner   = core.ErrUnknownPlanner
 	ErrEngineClosed     = engine.ErrClosed
@@ -548,12 +539,8 @@ var (
 	// Servers are not strictly ascending by ID.
 	ErrMalformedAllocation = sdn.ErrMalformedAllocation
 	// Shard-router sentinels.
-	ErrNoActiveShards   = shard.ErrNoActiveShards
-	ErrUnknownShard     = shard.ErrUnknownShard
-	ErrUnknownSession   = shard.ErrUnknownSession
-	ErrShardStopped     = shard.ErrShardStopped
-	ErrShardUnavailable = shard.ErrShardUnavailable
-	ErrShardNotDrained  = shard.ErrNotDrained
+	ErrUnknownShard   = shard.ErrUnknownShard
+	ErrUnknownSession = shard.ErrUnknownSession
 	// Durability sentinels.
 	ErrDurability   = engine.ErrDurability
 	ErrLogCorrupt   = wal.ErrLogCorrupt
