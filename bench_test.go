@@ -392,14 +392,11 @@ func BenchmarkExtReoptimize(b *testing.B) {
 		b.StopTimer()
 		nw := base.Clone()
 		sp := core.NewAdmitter(nw, core.NewSPPlanner())
-		var sessions []*core.Solution
 		for _, r := range reqs {
-			if sol, err := sp.Admit(context.Background(), r, nil); err == nil {
-				sessions = append(sessions, sol)
-			}
+			_, _ = sp.Admit(context.Background(), r, nil)
 		}
 		b.StartTimer()
-		if _, _, _, err := core.Reoptimize(nw, sessions, core.Options{K: 2}); err != nil {
+		if _, _, err := sp.Reoptimize(core.Options{K: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

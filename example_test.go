@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"nfvmcast"
+	"nfvmcast/internal/engine"
 )
 
 // ExampleApproMulti solves one NFV-enabled multicast request on a
@@ -110,7 +111,7 @@ func square() *nfvmcast.Network {
 
 // ExampleNewEngine builds an admission engine with the self-healing
 // recovery subsystem on, admits a session, fails a link it uses, and
-// reads the recovery report the engine produced inside Update.
+// reads the recovery report the engine produced inside Apply.
 func ExampleNewEngine() {
 	nw := square()
 	planner, err := nfvmcast.NewCPPlanner(nfvmcast.DefaultCostModel(nw.NumNodes()))
@@ -133,13 +134,11 @@ func ExampleNewEngine() {
 	}
 
 	// Fail the first link the session's tree uses; recovery runs
-	// before Update returns.
+	// before Apply returns.
 	// Allocation lists links in ascending edge order.
 	first := nfvmcast.AllocationFor(req, sol.Tree).Links[0].Edge
-	if err := eng.Update(func(n *nfvmcast.Network) error {
-		return n.SetLinkUp(first, false)
-	}); err != nil {
-		fmt.Println("update:", err)
+	if err := eng.Apply(engine.Mutation{Kind: engine.LinkState, ID: first, Up: false}); err != nil {
+		fmt.Println("apply:", err)
 		return
 	}
 	rep := eng.LastRecovery()
@@ -348,10 +347,8 @@ func ExampleEngineOptions() {
 	}
 	// Allocation lists links in ascending edge order.
 	first := nfvmcast.AllocationFor(req, sol.Tree).Links[0].Edge
-	if err := eng.Update(func(n *nfvmcast.Network) error {
-		return n.SetLinkUp(first, false)
-	}); err != nil {
-		fmt.Println("update:", err)
+	if err := eng.Apply(engine.Mutation{Kind: engine.LinkState, ID: first, Up: false}); err != nil {
+		fmt.Println("apply:", err)
 		return
 	}
 	for _, out := range eng.LastRecovery().Outcomes {

@@ -3,7 +3,7 @@
 // An operator runs live multicast sessions admitted by Online_CP. A
 // backbone link fails. The engine's recovery subsystem — enabled with
 // EngineOptions.Recovery — identifies the affected sessions inside the same
-// Update that injected the failure, re-routes each around the failure
+// Apply that injected the failure, re-routes each around the failure
 // (local repair, with the VM placement pinned, accepted while the new
 // tree costs at most γ× the old one), falls back to a full re-plan
 // where re-routing is too expensive or infeasible, and sheds what the
@@ -19,6 +19,7 @@ import (
 	"math/rand"
 
 	"nfvmcast"
+	"nfvmcast/internal/engine"
 )
 
 const (
@@ -44,8 +45,8 @@ func run() error {
 		return err
 	}
 	// Admission runs through the engine; failure injection goes through
-	// its Update hatch so it never races a commit, and the recovery
-	// policy makes Update repair affected sessions before returning.
+	// its typed Apply so it never races a commit, and the recovery
+	// policy makes Apply repair affected sessions before returning.
 	planner, err := nfvmcast.NewCPPlanner(nfvmcast.DefaultCostModel(networkSize))
 	if err != nil {
 		return err
@@ -88,7 +89,7 @@ func run() error {
 
 	// Phase 2: fail the busiest link that is not a cut edge (losing a
 	// bridge partitions the network and nothing can be re-routed).
-	// Recovery runs inside this Update: when it returns, every
+	// Recovery runs inside this Apply: when it returns, every
 	// affected session has been repaired or shed.
 	isBridge := make(map[nfvmcast.EdgeID]bool)
 	for _, e := range nfvmcast.Bridges(nw.Graph()) {
@@ -105,9 +106,7 @@ func run() error {
 		return fmt.Errorf("every link is a bridge; nothing sensible to fail")
 	}
 	he := nw.Graph().Edge(hot)
-	if err := cp.Update(func(nw *nfvmcast.Network) error {
-		return nw.SetLinkUp(hot, false)
-	}); err != nil {
+	if err := cp.Apply(engine.Mutation{Kind: engine.LinkState, ID: hot, Up: false}); err != nil {
 		return err
 	}
 	fmt.Printf("\n*** link %d (%d—%d, %.0f%% utilised) FAILED ***\n\n", hot, he.U, he.V, 100*hotUtil)
@@ -155,9 +154,7 @@ func run() error {
 	// Phase 4: repair the link. The restore bumps the structure version
 	// too; with no session touching a failed resource the recovery pass
 	// is an empty no-op.
-	if err := cp.Update(func(nw *nfvmcast.Network) error {
-		return nw.SetLinkUp(hot, true)
-	}); err != nil {
+	if err := cp.Apply(engine.Mutation{Kind: engine.LinkState, ID: hot, Up: true}); err != nil {
 		return err
 	}
 	fmt.Printf("\nlink repaired; %d links down\n", len(nw.DownLinks()))

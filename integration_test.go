@@ -139,42 +139,35 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 	_ = recovered
 
 	// Stage 3: re-optimise the surviving sessions; install the
-	// replacements and confirm total cost never rises.
-	sessions := make([]*nfvmcast.Solution, 0, len(live))
-	for _, sol := range live {
-		sessions = append(sessions, sol)
-	}
-	reopt, improved, saved, err := nfvmcast.Reoptimize(nw, sessions, nfvmcast.Options{K: 2})
+	// replacements and confirm no session's cost rises. The admitter
+	// records each move, so its eventual departure releases the new
+	// bundle.
+	moved, saved, err := cp.Reoptimize(nfvmcast.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if saved < 0 {
 		t.Fatalf("reoptimize saved %v < 0", saved)
 	}
-	for i := range sessions {
-		if reopt[i] == sessions[i] {
-			continue // unchanged
-		}
-		id := sessions[i].Request.ID
-		// Tell the admitter the session is now realised by the new
-		// tree, so its eventual departure releases the right bundle.
-		if err := cp.Replace(id, reopt[i]); err != nil {
-			t.Fatalf("replace %d: %v", id, err)
+	for _, sol := range moved {
+		id := sol.Request.ID
+		if sol.OperationalCost > live[id].OperationalCost {
+			t.Fatalf("reoptimize raised session %d's cost: %v -> %v", id, live[id].OperationalCost, sol.OperationalCost)
 		}
 		if err := ctrl.Uninstall(id); err != nil {
 			t.Fatalf("uninstall for reoptimize %d: %v", id, err)
 		}
-		if err := ctrl.Install(reopt[i].Request, reopt[i].Tree); err != nil {
+		if err := ctrl.Install(sol.Request, sol.Tree); err != nil {
 			t.Fatalf("reinstall %d: %v", id, err)
 		}
 		if err := ctrl.VerifyDelivery(id); err != nil {
 			t.Fatalf("verify reoptimized %d: %v", id, err)
 		}
-		live[id] = reopt[i]
+		live[id] = sol
 	}
 	checkInvariants("after reoptimize")
 	t.Logf("lifecycle: %d live sessions, %d recovered, %d reoptimized (%.1f saved)",
-		len(live), recovered, improved, saved)
+		len(live), recovered, len(moved), saved)
 
 	// Stage 4: drain everything; the network must return to pristine
 	// residuals.

@@ -192,14 +192,6 @@ func (a *Admitter) Replay(reqID int, sol *Solution) error {
 	return nil
 }
 
-// Replace records that an admitted request is now realised by sol
-// (its ID must match a live session) — used after Reoptimize, which
-// re-places sessions directly on the network. A later Depart then
-// releases the new allocation.
-func (a *Admitter) Replace(reqID int, sol *Solution) error {
-	return a.lives.replace(reqID, sol)
-}
-
 // LiveCount reports how many admitted requests currently hold
 // resources.
 func (a *Admitter) LiveCount() int { return a.lives.live() }

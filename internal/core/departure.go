@@ -90,19 +90,3 @@ func (l *liveTable) solutions(byAdmission bool) []*Solution {
 	}
 	return out
 }
-
-// replace swaps the recorded solution and allocation of an admitted
-// request after an external re-placement (Reoptimize) has already
-// adjusted the network's residuals, so a later departure releases the
-// correct bundle.
-func (l *liveTable) replace(reqID int, sol *Solution) error {
-	if _, ok := l.byID[reqID]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownRequest, reqID)
-	}
-	if sol == nil || sol.Request == nil || sol.Tree == nil {
-		return fmt.Errorf("core: replace %d with incomplete solution", reqID)
-	}
-	l.byID[reqID] = AllocationFor(sol.Request, sol.Tree)
-	l.solBy[reqID] = sol
-	return nil
-}

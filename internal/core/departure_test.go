@@ -129,44 +129,41 @@ func TestChurnSteadyState(t *testing.T) {
 	}
 }
 
+// TestReplaceSwapsRecordedAllocation: a re-optimisation move replaces
+// the session's recorded allocation, so departing the moved sessions
+// releases their new bundles and the network returns to pristine
+// residuals.
 func TestReplaceSwapsRecordedAllocation(t *testing.T) {
 	nw := testNetwork(t, 50, 33)
-	cp, err := newCPAdmitter(nw, DefaultCostModel(nw.NumNodes()))
+	sp := NewAdmitter(nw, NewSPPlanner())
+	gen, err := multicast.NewGenerator(nw.NumNodes(), multicast.OnlineGeneratorConfig(), 34)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := testRequest(t, nw, 34)
-	if _, err := cp.Admit(context.Background(), req, nil); err != nil {
-		t.Fatal(err)
-	}
-	sessions := cp.Admitted()
-	reopt, _, _, err := Reoptimize(nw, sessions, Options{K: 2})
+	reqs, err := gen.Batch(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Replace(req.ID, reopt[0]); err != nil {
+	for _, req := range reqs {
+		_, _ = sp.Admit(context.Background(), req, nil)
+	}
+	moved, _, err := sp.Reoptimize(Options{K: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Departure after replacement must restore pristine residuals.
-	if _, err := cp.Depart(req.ID); err != nil {
-		t.Fatal(err)
+	if len(moved) == 0 {
+		t.Fatal("re-optimisation moved no session")
+	}
+	for _, sol := range sp.Lives() {
+		if _, err := sp.Depart(sol.Request.ID); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const tol = 1e-4
 	for e := 0; e < nw.NumEdges(); e++ {
 		if d := nw.ResidualBandwidth(e) - nw.BandwidthCap(e); d < -tol || d > tol {
-			t.Fatalf("link %d not pristine after replace+depart", e)
+			t.Fatalf("link %d not pristine after reoptimize+depart", e)
 		}
-	}
-	// Error paths.
-	if err := cp.Replace(999, reopt[0]); err == nil {
-		t.Fatal("replace of unknown session accepted")
-	}
-	if _, err := cp.Admit(context.Background(), testRequest(t, nw, 35), nil); err != nil {
-		t.Fatal(err)
-	}
-	id := cp.Admitted()[0].Request.ID // the departed session is no longer retained
-	if err := cp.Replace(id, nil); err == nil {
-		t.Fatal("nil replacement accepted")
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // links and servers drift up the exponential cost curve while cheaper
 // placements may have opened elsewhere (departures, recoveries).
 // ReconfPlanner is Online_CP plus a bounded migration pass: each engine
-// Update re-prices every live session under the current exponential
+// maintenance operation (Apply, Reoptimize) re-prices every live session under the current exponential
 // weights, ranks sessions by drift (current price minus admission-time
 // selection cost), and migrates the worst-drifted trees — but only when
 // the projected saving clears a hysteresis factor β, so near-ties never
@@ -23,7 +23,7 @@ import (
 
 // Reconfiguration defaults: β close enough to 1 that genuine drift
 // migrates, far enough that re-plan noise does not; a small per-pass
-// budget keeps Update latency bounded.
+// budget keeps maintenance latency bounded.
 const (
 	DefaultReconfHysteresis = 1.2
 	DefaultReconfMigrations = 4
@@ -43,7 +43,8 @@ type ReconfOutcome struct {
 
 // Reconfigurer is implemented by planners that support a post-admission
 // migration pass. The engine invokes Reconfigure under its writer
-// lock after every successful Update mutation, with exclusive
+// lock after every successful maintenance operation (Apply,
+// Reoptimize), with exclusive
 // ownership of the admitter; implementations must keep the pass
 // deterministic (stable session order, no map-order dependence) so
 // worker counts cannot change outcomes.

@@ -170,7 +170,7 @@ func init() {
 	})
 	RegisterPlanner(PlannerSpec{
 		Name:        "Reconf_CP",
-		Description: "Online_CP plus drift-triggered migration of admitted trees on Update",
+		Description: "Online_CP plus drift-triggered migration of admitted trees after each maintenance operation",
 		New: func(o PlannerOptions) (Planner, error) {
 			return NewReconfPlanner(o.model(), DefaultReconfHysteresis, DefaultReconfMigrations)
 		},

@@ -1,68 +1,44 @@
 package core
 
-import (
-	"fmt"
+import "fmt"
 
-	"nfvmcast/internal/sdn"
-)
-
-// Reoptimize is a maintenance pass over admitted sessions (an
-// extension beyond the paper): online admission decisions degrade as
-// the network fills, so operators periodically re-place long-lived
-// sessions. For each session in turn the pass releases its resources,
-// re-solves it with Appro_Multi_Cap on the residual network, and
-// keeps the new plan only when it is strictly cheaper; otherwise the
-// original allocation is restored (always possible — releasing first
-// only frees capacity). The network is left consistent after every
-// step, so the pass can run concurrently with admission stops between
-// requests.
+// Reoptimize is a maintenance pass over the admitter's live sessions
+// (an extension beyond the paper): online admission decisions degrade
+// as the network fills, so operators periodically re-place long-lived
+// sessions. For each live session in ascending request-ID order the
+// pass releases its resources, re-solves it with Appro_Multi_Cap on the
+// residual network, and rebinds the new plan only when it is strictly
+// cheaper and fits. A session that stays put gets the residuals back bit
+// for bit from a snapshot taken before its release: re-allocating the
+// bundle just released is float addition, which need not round-trip,
+// and a journal that records only the moved sessions could not
+// reproduce that drift.
 //
-// It returns the (possibly replaced) sessions in the same order, the
-// number improved, and the total operational cost saved.
-//
-// When the sessions are managed by an Admitter or an engine, inform it
-// of each replacement via its Replace method so a later Depart releases
-// the new allocation, not the stale one.
-func Reoptimize(
-	nw *sdn.Network, sessions []*Solution, opts Options,
-) (out []*Solution, improved int, saved float64, err error) {
+// It returns the moved sessions' new solutions in ascending request-ID
+// order and the total operational cost saved. The live table records
+// each move, so a later Depart releases the new allocation. An error (a
+// recorded allocation the network cannot release, or a snapshot it
+// cannot restore) stops the pass; the sessions moved before it stay
+// moved and are returned.
+func (a *Admitter) Reoptimize(opts Options) (moved []*Solution, saved float64, err error) {
 	opts.Capacitated = true
-	out = make([]*Solution, len(sessions))
-	copy(out, sessions)
-	for i, sol := range out {
-		if sol == nil || sol.Request == nil || sol.Tree == nil {
-			return nil, 0, 0, fmt.Errorf("core: reoptimize: session %d is incomplete", i)
+	for _, sol := range a.Lives() {
+		id := sol.Request.ID
+		before := a.nw.Snapshot()
+		if err := a.ReleaseLive(id); err != nil {
+			return moved, saved, fmt.Errorf("core: reoptimize session %d: release: %w", id, err)
 		}
-		oldAlloc := AllocationFor(sol.Request, sol.Tree)
-		if err := nw.Release(oldAlloc); err != nil {
-			return nil, 0, 0, fmt.Errorf("core: reoptimize session %d: release: %w",
-				sol.Request.ID, err)
-		}
-		restore := func() error {
-			if aerr := nw.Allocate(oldAlloc); aerr != nil {
-				return fmt.Errorf("core: reoptimize session %d: restore: %w",
-					sol.Request.ID, aerr)
-			}
-			return nil
-		}
-		fresh, serr := ApproMulti(nw, sol.Request, opts)
-		if serr != nil || fresh.OperationalCost >= sol.OperationalCost-1e-9 {
-			if rerr := restore(); rerr != nil {
-				return nil, 0, 0, rerr
-			}
-			continue
-		}
-		if aerr := nw.Allocate(AllocationFor(sol.Request, fresh.Tree)); aerr != nil {
-			// The aggregated per-link demand of the new tree did not
-			// fit (back-tracking doubling); keep the old plan.
-			if rerr := restore(); rerr != nil {
-				return nil, 0, 0, rerr
+		fresh, serr := ApproMulti(a.nw, sol.Request, opts)
+		if serr != nil || fresh.OperationalCost >= sol.OperationalCost-1e-9 || a.Rebind(id, fresh) != nil {
+			// No cheaper plan, or its aggregated per-link demand did not
+			// fit (back-tracking doubling): keep the old plan.
+			if rerr := a.nw.Restore(before); rerr != nil {
+				return moved, saved, fmt.Errorf("core: reoptimize session %d: restore: %w", id, rerr)
 			}
 			continue
 		}
 		saved += sol.OperationalCost - fresh.OperationalCost
-		improved++
-		out[i] = fresh
+		moved = append(moved, fresh)
 	}
-	return out, improved, saved, nil
+	return moved, saved, nil
 }

@@ -8,14 +8,9 @@ import (
 )
 
 // admitWithSP loads a network through the SP heuristic (deliberately
-// suboptimal placements) and returns the admitted sessions.
-func admitWithSP(t *testing.T, nwSeed, wlSeed int64, count int) (
-	sessions []*Solution, nw interface {
-		NumEdges() int
-		ResidualBandwidth(int) float64
-		BandwidthCap(int) float64
-	},
-) {
+// suboptimal placements), re-optimises the admitted sessions and checks
+// the pass.
+func admitWithSP(t *testing.T, nwSeed, wlSeed int64, count int) {
 	t.Helper()
 	network := testNetwork(t, 60, nwSeed)
 	sp := NewAdmitter(network, NewSPPlanner())
@@ -23,44 +18,54 @@ func admitWithSP(t *testing.T, nwSeed, wlSeed int64, count int) (
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := make(map[int]*Solution)
 	for i := 0; i < count; i++ {
 		req, gerr := gen.Next()
 		if gerr != nil {
 			t.Fatal(gerr)
 		}
 		if sol, aerr := sp.Admit(context.Background(), req, nil); aerr == nil {
-			sessions = append(sessions, sol)
+			before[req.ID] = sol
 		}
 	}
-	if len(sessions) < 10 {
-		t.Fatalf("fixture admitted only %d sessions", len(sessions))
+	if len(before) < 10 {
+		t.Fatalf("fixture admitted only %d sessions", len(before))
 	}
-	reopt, improved, saved, err := Reoptimize(network, sessions, Options{K: 2})
+	moved, saved, err := sp.Reoptimize(Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// SP trees (hop-count shortest paths, no Steiner optimisation)
 	// leave room; the pass must find at least one improvement.
-	if improved == 0 || saved <= 0 {
-		t.Fatalf("reoptimize improved %d sessions, saved %v", improved, saved)
+	if len(moved) == 0 || saved <= 0 {
+		t.Fatalf("reoptimize improved %d sessions, saved %v", len(moved), saved)
 	}
-	var before, after float64
-	for i := range sessions {
-		before += sessions[i].OperationalCost
-		after += reopt[i].OperationalCost
-		if reopt[i].OperationalCost > sessions[i].OperationalCost+1e-9 {
+	for i, sol := range moved {
+		if i > 0 && sol.Request.ID <= moved[i-1].Request.ID {
+			t.Fatal("moved sessions not in ascending request-ID order")
+		}
+		if live, _ := sp.LiveSolution(sol.Request.ID); live != sol {
+			t.Fatalf("session %d: the live table does not record its move", sol.Request.ID)
+		}
+	}
+	var pre, post float64
+	for _, sol := range sp.Lives() {
+		old := before[sol.Request.ID]
+		pre += old.OperationalCost
+		post += sol.OperationalCost
+		if sol.OperationalCost > old.OperationalCost+1e-9 {
 			t.Fatalf("session %d got worse: %v -> %v",
-				sessions[i].Request.ID, sessions[i].OperationalCost, reopt[i].OperationalCost)
+				sol.Request.ID, old.OperationalCost, sol.OperationalCost)
 		}
-		if derr := reopt[i].Tree.CheckDelivery(network.Graph()); derr != nil {
-			t.Fatalf("session %d invalid after reoptimize: %v", sessions[i].Request.ID, derr)
+		if derr := sol.Tree.CheckDelivery(network.Graph()); derr != nil {
+			t.Fatalf("session %d invalid after reoptimize: %v", sol.Request.ID, derr)
 		}
 	}
-	if after > before {
-		t.Fatalf("total cost rose: %v -> %v", before, after)
+	if post > pre {
+		t.Fatalf("total cost rose: %v -> %v", pre, post)
 	}
 	t.Logf("reoptimize: %d/%d improved, %.1f saved (%.1f%%)",
-		improved, len(sessions), saved, 100*saved/before)
+		len(moved), len(before), saved, 100*saved/pre)
 
 	// Capacity invariants after the pass.
 	for e := 0; e < network.NumEdges(); e++ {
@@ -68,7 +73,6 @@ func admitWithSP(t *testing.T, nwSeed, wlSeed int64, count int) (
 			t.Fatalf("link %d residual %v out of bounds after reoptimize", e, r)
 		}
 	}
-	return sessions, network
 }
 
 func TestReoptimizeImprovesSPPlacements(t *testing.T) {
@@ -77,7 +81,7 @@ func TestReoptimizeImprovesSPPlacements(t *testing.T) {
 
 func TestReoptimizeIdempotentOnOptimal(t *testing.T) {
 	nw := testNetwork(t, 40, 21)
-	var sessions []*Solution
+	adm := NewAdmitter(nw, NewApproCapPlanner(Options{K: 2}))
 	gen, err := multicast.NewGenerator(nw.NumNodes(), multicast.OnlineGeneratorConfig(), 22)
 	if err != nil {
 		t.Fatal(err)
@@ -87,42 +91,54 @@ func TestReoptimizeIdempotentOnOptimal(t *testing.T) {
 		if gerr != nil {
 			t.Fatal(gerr)
 		}
-		sol, aerr := ApproMulti(nw, req, Options{K: 2, Capacitated: true})
-		if aerr != nil {
-			continue
-		}
-		if err := nw.Allocate(AllocationFor(req, sol.Tree)); err != nil {
-			continue
-		}
-		sessions = append(sessions, sol)
+		_, _ = adm.Admit(context.Background(), req, nil)
 	}
-	// Sessions planned by ApproMulti on an emptier network may still
-	// improve slightly after others depart, but a second pass over
+	if adm.LiveCount() == 0 {
+		t.Fatal("fixture admitted nothing")
+	}
+	// Sessions planned by Appro_Multi on an emptier network may still
+	// improve slightly after others arrive, but a second pass over
 	// the SAME state must be a no-op.
-	first, _, _, err := Reoptimize(nw, sessions, Options{K: 2})
+	if _, _, err := adm.Reoptimize(Options{K: 2}); err != nil {
+		t.Fatal(err)
+	}
+	first := adm.Lives()
+	moved, saved, err := adm.Reoptimize(Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, improved, saved, err := Reoptimize(nw, first, Options{K: 2})
-	if err != nil {
-		t.Fatal(err)
+	if len(moved) != 0 || saved != 0 {
+		t.Fatalf("second pass improved %d (saved %v); want converged", len(moved), saved)
 	}
-	if improved != 0 || saved != 0 {
-		t.Fatalf("second pass improved %d (saved %v); want converged", improved, saved)
-	}
-	for i := range first {
-		if second[i] != first[i] {
-			t.Fatalf("second pass replaced session %d", i)
+	for i, sol := range adm.Lives() {
+		if sol != first[i] {
+			t.Fatalf("second pass replaced session %d", sol.Request.ID)
 		}
 	}
 }
 
+// TestReoptimizeRejectsBrokenInput: a live table out of step with its
+// network — here a session whose bundle was already released behind the
+// admitter's back — stops the pass with an error before any residual
+// changes.
 func TestReoptimizeRejectsBrokenInput(t *testing.T) {
 	nw := testNetwork(t, 30, 2)
-	if _, _, _, err := Reoptimize(nw, []*Solution{nil}, Options{K: 1}); err == nil {
-		t.Fatal("nil session accepted")
+	adm := NewAdmitter(nw, NewSPPlanner())
+	req := testRequest(t, nw, 3)
+	sol, err := adm.Admit(context.Background(), req, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, _, err := Reoptimize(nw, []*Solution{{}}, Options{K: 1}); err == nil {
-		t.Fatal("empty session accepted")
+	if err := nw.Release(AllocationFor(req, sol.Tree)); err != nil {
+		t.Fatal(err)
+	}
+	moved, _, err := adm.Reoptimize(Options{K: 1})
+	if err == nil || len(moved) != 0 {
+		t.Fatalf("pass over a released session moved %d sessions, err %v", len(moved), err)
+	}
+	for e := 0; e < nw.NumEdges(); e++ {
+		if nw.ResidualBandwidth(e) != nw.BandwidthCap(e) {
+			t.Fatalf("link %d: the failed pass moved residuals", e)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"nfvmcast/internal/core"
@@ -177,17 +178,39 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 //	POST /v1/release  session departure
 //	POST /v1/apply    maintenance batch (tenant / shard / fleet scope)
 //	GET  /v1/report   fleet report + WAL positions
+//	GET  /healthz     200 ok, or 503 naming each shard whose WAL failed
 //
 // plus the observability surface of internal/obs (/metrics,
-// /metrics.json, /healthz, /debug/pprof/).
+// /metrics.json, /debug/pprof/).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/submit", s.handleSubmit)
 	mux.HandleFunc("/v1/release", s.handleRelease)
 	mux.HandleFunc("/v1/apply", s.handleApply)
 	mux.HandleFunc("/v1/report", s.handleReport)
+	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.Handle("/", obs.Handler(func() *obs.Registry { return s.registry }, nil))
 	return mux
+}
+
+// handleHealth answers 200 "ok" while every shard's write-ahead log
+// takes appends, and 503 naming each shard whose log holds a sticky
+// append or sync failure (wal.Log.Err): that shard's durable operations
+// fail with engine.ErrDurability until the daemon restarts.
+func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
+	var failed []string
+	for _, id := range shardIDs(s.cfg.Shards) {
+		if l, ok := s.logs[id]; ok {
+			if err := l.Err(); err != nil {
+				failed = append(failed, "shard "+id+": "+err.Error())
+			}
+		}
+	}
+	if len(failed) > 0 {
+		http.Error(w, strings.Join(failed, "\n"), http.StatusServiceUnavailable)
+		return
+	}
+	_, _ = w.Write([]byte("ok\n"))
 }
 
 // acquire takes an admission slot without blocking. A full queue is

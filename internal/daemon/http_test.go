@@ -370,6 +370,37 @@ func TestMetricsSurface(t *testing.T) {
 	}
 }
 
+// TestHealthzReportsFailedWAL: /healthz answers 200 while the shard's
+// log takes appends and 503 naming the shard once the log holds a
+// sticky failure, the state in which its durable acks fail with
+// engine.ErrDurability.
+func TestHealthzReportsFailedWAL(t *testing.T) {
+	srv, err := New(Config{
+		Topology: "geant", Seed: 42, Policy: "SP",
+		WALDir: filepath.Join(t.TempDir(), "wal"), NoSync: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The failed log also fails the final snapshot, so Shutdown's error
+	// is expected.
+	t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	h := srv.Handler()
+	if rec := serveDirect(h, "GET", "/healthz", ""); rec.status != http.StatusOK {
+		t.Fatalf("healthy daemon: /healthz %d %s", rec.status, rec.body.Bytes())
+	}
+	if err := srv.logs["s0"].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := serveDirect(h, "POST", "/v1/submit", submitBody("acme", 1)); rec.status == http.StatusOK {
+		t.Fatalf("submit acked on a closed log: %s", rec.body.Bytes())
+	}
+	rec := serveDirect(h, "GET", "/healthz", "")
+	if rec.status != http.StatusServiceUnavailable || !strings.Contains(rec.body.String(), "shard s0") {
+		t.Fatalf("failed WAL: /healthz %d %q, want 503 naming shard s0", rec.status, rec.body.Bytes())
+	}
+}
+
 // TestMetricsSampleLatency: one submit puts one sample into the plan
 // latency histogram /metrics serves.
 func TestMetricsSampleLatency(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"nfvmcast/internal/core"
 	"nfvmcast/internal/sdn"
 	"nfvmcast/internal/testutil"
 )
@@ -63,10 +64,9 @@ func TestSnapshotUpkeepOffTheAckPath(t *testing.T) {
 	inside, gate := make(chan struct{}), make(chan struct{})
 	held := make(chan error, 1)
 	go func() {
-		held <- srv.Router().Engine("s0").Update(func(*sdn.Network) error {
+		held <- srv.Router().Engine("s0").SnapshotState(func(*sdn.Network, []*core.Solution) {
 			close(inside)
 			<-gate
-			return nil
 		})
 	}()
 	<-inside

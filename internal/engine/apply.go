@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -9,19 +8,17 @@ import (
 	"nfvmcast/internal/sdn"
 )
 
-// Typed maintenance mutations. Update hands callers raw mutable access
-// to the network, which is the right hatch for trusted maintenance
-// code but the wrong one for declarative failure scripts and fuzzed
-// input: a closure that fails halfway leaves its earlier mutations in
-// place. Apply is the hardened surface — a batch of typed mutations is
-// validated in full under the writer lock before the first one is
-// applied, so a malformed event (unknown link or server ID, negative
-// or non-finite capacity, resize below the allocated share) rejects
-// the whole batch with *MalformedMutationError and the network
-// provably untouched. A batch that validates is applied atomically
-// with respect to concurrent Admits, and any structural change then
-// runs the usual failure-injection path (FailureInjected event,
-// automatic recovery pass) before Apply returns.
+// Typed maintenance mutations. Apply is the engine's one way to change
+// the network's failure state and capacities: a batch of typed
+// mutations is validated in full under the writer lock before the first
+// one is applied, so a malformed event (unknown link or server ID,
+// negative or non-finite capacity, resize below the allocated share)
+// rejects the whole batch with *MalformedMutationError and the network
+// provably untouched. A batch that validates is applied atomically with
+// respect to concurrent Admits and journaled as one typed record, so
+// replay re-applies it exactly; any structural change then runs the
+// failure-injection path (FailureInjected event, automatic recovery
+// pass) before Apply returns.
 
 // MutationKind names the typed maintenance operations Apply accepts.
 type MutationKind uint8
@@ -161,22 +158,44 @@ func applyMutation(nw *sdn.Network, m Mutation) error {
 // *MalformedMutationError and the network is untouched — no partial
 // failure script is ever left behind, which is what makes Apply safe
 // to drive from declarative scenario configs and fuzzers. A batch that
-// validates is applied in order as one atomic update; failure-state
-// changes then trigger the same FailureInjected accounting and
-// automatic recovery pass as a manual Update would.
+// validates is applied in order as one atomic update and journaled as a
+// mutation_applied record. When the batch changes the network's
+// structure (a failure-state change bumps StructureVersion), a
+// FailureInjected event is emitted and counted and, under a recovery
+// policy, a recovery pass repairs or sheds every affected live session
+// before Apply returns (inspect it with LastRecovery); its outcomes are
+// journaled after the batch. A successful Apply then runs the planner's
+// migration pass when the planner is a core.Reconfigurer — an empty
+// batch changes nothing else and is the heartbeat that drives it.
 func (e *Engine) Apply(muts ...Mutation) error {
-	return e.ApplyContext(context.Background(), muts...)
-}
-
-// ApplyContext is Apply with cancellation (the same contract as
-// UpdateContext: ctx bounds the automatic recovery pass once the batch
-// has applied). With a journal attached, Apply is the only maintenance
-// surface whose effects replay exactly — the validated batch is logged
-// as a typed mutation_applied record, where a raw Update closure is
-// opaque to the log. Durable deployments must therefore mutate through
-// Apply.
-func (e *Engine) ApplyContext(ctx context.Context, muts ...Mutation) error {
-	return e.updateContext(ctx, func(nw *sdn.Network) error { return applyBatch(nw, muts) }, muts)
+	var err error
+	if xerr := e.exec(func() {
+		nw := e.adm.Network()
+		before := nw.StructureVersion()
+		err = applyBatch(nw, muts)
+		// Count the epoch conservatively so an in-flight plan straddling
+		// the batch commits as stale.
+		e.mutations++
+		if err == nil && len(muts) > 0 {
+			err = e.journalOutcomes(Outcome{Kind: MutationsApplied, Mutations: muts})
+		}
+		if after := nw.StructureVersion(); after != before {
+			detail := fmt.Sprintf("structure version %d -> %d", before, after)
+			if s := describeEvents(nw.DrainResourceEvents()); s != "" {
+				detail += ": " + s
+			}
+			e.obs.FailureInjected(detail)
+			if rerr := e.recoverLocked(); rerr != nil && err == nil {
+				err = rerr
+			}
+		}
+		if err == nil && e.reconf != nil {
+			err = e.reconfigureLocked()
+		}
+	}); xerr != nil {
+		return xerr
+	}
+	return err
 }
 
 // applyBatch validates the whole batch, then applies it in order. It

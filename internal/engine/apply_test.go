@@ -43,12 +43,11 @@ func applyFixture(t *testing.T, withRecovery bool) (*Engine, *sdn.Network) {
 // networkState captures the residual state Apply must leave untouched
 // on rejection.
 func networkState(eng *Engine) (mutVer, structVer uint64, freeSum float64) {
-	_ = eng.Update(func(nw *sdn.Network) error {
+	_ = eng.SnapshotState(func(nw *sdn.Network, _ []*core.Solution) {
 		mutVer, structVer = nw.MutationVersion(), nw.StructureVersion()
 		for e := 0; e < nw.NumEdges(); e++ {
 			freeSum += nw.ResidualBandwidth(e)
 		}
-		return nil
 	})
 	return
 }
@@ -105,13 +104,12 @@ func TestApplyRejectsCapacityBelowAllocation(t *testing.T) {
 	eng, _ := applyFixture(t, false)
 	// Find a link a live session holds bandwidth on.
 	var loaded, allocated = -1, 0.0
-	_ = eng.Update(func(nw *sdn.Network) error {
+	_ = eng.SnapshotState(func(nw *sdn.Network, _ []*core.Solution) {
 		for e := 0; e < nw.NumEdges(); e++ {
 			if a := nw.BandwidthCap(e) - nw.ResidualBandwidth(e); a > allocated {
 				loaded, allocated = e, a
 			}
 		}
-		return nil
 	})
 	if loaded == -1 {
 		t.Fatal("no loaded link in fixture")
@@ -138,7 +136,7 @@ func TestApplyBatchIsAtomic(t *testing.T) {
 		t.Errorf("index = %d, want 1", merr.Index)
 	}
 	var up bool
-	_ = eng.Update(func(n *sdn.Network) error { up = n.LinkUp(0); return nil })
+	_ = eng.SnapshotState(func(n *sdn.Network, _ []*core.Solution) { up = n.LinkUp(0) })
 	if !up {
 		t.Error("valid prefix of a rejected batch was applied: link 0 went down")
 	}
@@ -159,6 +157,20 @@ func TestApplyValidBatchTriggersRecovery(t *testing.T) {
 	rep := eng.LastRecovery()
 	if rep == nil || len(rep.Outcomes) == 0 {
 		t.Fatal("failure batch did not trigger a recovery pass")
+	}
+	// Without a recovery policy the same batch runs no pass and leaves
+	// the damaged session live.
+	plain, _ := applyFixture(t, false)
+	if plain.RecoveryEnabled() {
+		t.Fatal("RecoveryEnabled without a policy")
+	}
+	live := len(plain.Lives())
+	if err := plain.Apply(muts...); err != nil {
+		t.Fatal(err)
+	}
+	if plain.LastRecovery() != nil || len(plain.Lives()) != live {
+		t.Fatalf("engine without a policy recovered: report %v, %d -> %d live",
+			plain.LastRecovery(), live, len(plain.Lives()))
 	}
 	// Restore; capacity resizes are residual-only and must not trigger
 	// another pass.

@@ -3,8 +3,11 @@
 // allocation on admit, release on depart, maintenance such as failure
 // injection — runs under one writer lock, on its caller's goroutine, so
 // mutators never race readers (the constraint DESIGN.md §8 puts on
-// sdn.Network); "the writer" is whichever caller holds the lock.
-// Planning, the expensive part of admission (Dijkstras + KMB per
+// sdn.Network); "the writer" is whichever caller holds the lock. The
+// network changes only through the engine's typed operations — Admit,
+// Depart, Apply and Reoptimize — each of which a durable engine
+// journals, so replaying the journal reproduces the residuals bit for
+// bit. Planning, the expensive part of admission (Dijkstras + KMB per
 // request), does not run under the lock: concurrent Admit calls plan
 // against residual snapshots and take the lock only to commit, where
 // the plan is validated against the live residuals (optimistic
@@ -69,7 +72,7 @@ type Options struct {
 	// instrumentation; with sampling off no hot path reads the clock.
 	Obs *obs.AdmissionObs
 	// Recovery enables the self-healing subsystem: after failure
-	// injection through Update moves the network's StructureVersion,
+	// injection through Apply moves the network's StructureVersion,
 	// the engine automatically repairs or sheds every affected live
 	// session under this policy (see internal/recover). nil (the
 	// default) leaves damaged sessions alone, preserving the manual
@@ -120,7 +123,7 @@ type Engine struct {
 
 	// reconf is non-nil when the planner supports drift-triggered
 	// migration of admitted sessions (core.Reconfigurer, e.g.
-	// Reconf_CP): after every successful Update mutation the writer
+	// Reconf_CP): after every successful Apply or Reoptimize the writer
 	// runs one migration pass. It shares recArena as writer-owned
 	// planning scratch — recovery and reconfiguration never overlap.
 	reconf core.Reconfigurer
@@ -137,8 +140,8 @@ type Engine struct {
 	cur     *ack
 	done    chan struct{}
 
-	// mutations counts state changes (commits, departs, replaces,
-	// updates) and is touched only under the writer lock. A commit
+	// mutations counts state changes (commits, departs, maintenance
+	// operations) and is touched only under the writer lock. A commit
 	// failure is a conflict only if it advanced past the plan's
 	// snapshot epoch — otherwise the planner overcommitted and the
 	// failure is deterministic, so re-planning the unchanged state
@@ -158,8 +161,8 @@ type planSlot struct {
 
 // New returns an engine owning nw that admits with planner's policy.
 // The caller must not mutate nw after handing it over; reads (metrics,
-// rendering) remain safe whenever no Admit/Depart/Update is in flight,
-// or from inside Update.
+// rendering) remain safe whenever no operation is in flight, or from
+// inside SnapshotState.
 func New(nw *sdn.Network, planner core.Planner, opts Options) *Engine {
 	workers := parallel.Degree(opts.Workers)
 	e := &Engine{
@@ -404,87 +407,35 @@ func (e *Engine) Depart(reqID int) (*core.Solution, error) {
 	return sol, err
 }
 
-// Replace records that an admitted request is now realised by sol (see
-// core.Admitter.Replace); run the re-placement itself inside Update.
-func (e *Engine) Replace(reqID int, sol *core.Solution) error {
-	var err error
+// Reoptimize re-places the live sessions under the writer lock (see
+// core.Admitter.Reoptimize) and returns the moved sessions' new
+// solutions, in ascending request-ID order, with the operational cost
+// saved. Each move is journaled as a Repaired outcome in that order, so
+// replay rebinds the new trees verbatim instead of re-running the pass.
+// Like Apply, a successful pass is followed by the planner's migration
+// pass when the planner is a core.Reconfigurer.
+func (e *Engine) Reoptimize(opts core.Options) (moved []*core.Solution, saved float64, err error) {
 	if xerr := e.exec(func() {
-		err = e.adm.Replace(reqID, sol)
-		if err == nil {
+		moved, saved, err = e.adm.Reoptimize(opts)
+		if len(moved) > 0 {
+			// The moves shifted residuals; in-flight plans that straddled
+			// them must commit as stale.
 			e.mutations++
-			err = e.journalOutcomes(Outcome{Kind: Repaired, ReqID: reqID, Solution: sol})
-		}
-	}); xerr != nil {
-		return xerr
-	}
-	return err
-}
-
-// Update runs f against the engine's network under the writer lock —
-// the hatch for maintenance that must not race in-flight commits:
-// failure injection, re-optimisation passes, metric snapshots. f runs
-// on the caller's goroutine and must not call back into the engine
-// (the lock is not reentrant); a panic in f closes the engine. When f
-// alters the network's structure (failure injection bumps
-// StructureVersion), a FailureInjected event is emitted and counted,
-// and — when the engine was built with a recovery policy — a recovery
-// pass repairs or sheds every affected live session before Update
-// returns (inspect it with LastRecovery).
-func (e *Engine) Update(f func(nw *sdn.Network) error) error {
-	return e.UpdateContext(context.Background(), f)
-}
-
-// UpdateContext is Update with cancellation. A ctx already done on
-// entry aborts before f runs; once f has run, ctx only bounds the
-// automatic recovery pass (checked between sessions — see
-// recov.Recoverer.Recover), whose cancellation error is returned after
-// f's nil. Sessions the canceled pass did not reach stay damaged but
-// live; RecoverNow resumes them.
-func (e *Engine) UpdateContext(ctx context.Context, f func(nw *sdn.Network) error) error {
-	return e.updateContext(ctx, f, nil)
-}
-
-// updateContext is the shared locked body of Update and Apply.
-// jmuts, when non-empty, is the typed description of what f does (Apply
-// passes its validated batch); it is journaled as a mutation_applied
-// record after f succeeds, before the automatic recovery pass — replay
-// re-applies the batch (Replay) and then recovery's own repaired/shed
-// outcomes in log order. A raw Update closure has no
-// typed description, so with a journal attached its effects would be
-// invisible to replay; such updates are not journaled (documented on
-// Apply) and durable deployments must mutate through Apply.
-func (e *Engine) updateContext(ctx context.Context, f func(nw *sdn.Network) error, jmuts []Mutation) error {
-	if cerr := ctx.Err(); cerr != nil {
-		return fmt.Errorf("engine: update canceled: %w", cerr)
-	}
-	var err error
-	if xerr := e.exec(func() {
-		nw := e.adm.Network()
-		before := nw.StructureVersion()
-		err = f(nw)
-		// f had mutable access; count the epoch conservatively so an
-		// in-flight plan straddling this update commits as stale.
-		e.mutations++
-		if err == nil && len(jmuts) > 0 {
-			err = e.journalOutcomes(Outcome{Kind: MutationsApplied, Mutations: jmuts})
-		}
-		if after := nw.StructureVersion(); after != before {
-			detail := fmt.Sprintf("structure version %d -> %d", before, after)
-			if s := describeEvents(nw.DrainResourceEvents()); s != "" {
-				detail += ": " + s
+			outs := make([]Outcome, len(moved))
+			for i, sol := range moved {
+				outs[i] = Outcome{Kind: Repaired, ReqID: sol.Request.ID, Solution: sol}
 			}
-			e.obs.FailureInjected(detail)
-			if rerr := e.recoverLocked(ctx); rerr != nil && err == nil {
-				err = rerr
+			if jerr := e.journalOutcomes(outs...); jerr != nil && err == nil {
+				err = jerr
 			}
 		}
 		if err == nil && e.reconf != nil {
 			err = e.reconfigureLocked()
 		}
 	}); xerr != nil {
-		return xerr
+		return nil, 0, xerr
 	}
-	return err
+	return moved, saved, err
 }
 
 // Planner returns the engine's planning policy.

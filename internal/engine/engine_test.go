@@ -229,8 +229,8 @@ func TestEngineClosed(t *testing.T) {
 	if _, err := eng.Depart(1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Depart after Close: err = %v, want ErrClosed", err)
 	}
-	if err := eng.Update(func(*sdn.Network) error { return nil }); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Update after Close: err = %v, want ErrClosed", err)
+	if err := eng.Apply(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Apply after Close: err = %v, want ErrClosed", err)
 	}
 }
 
@@ -240,7 +240,7 @@ func TestEngineClosed(t *testing.T) {
 func checkResiduals(t *testing.T, eng *Engine, full bool) {
 	t.Helper()
 	const tol = 1e-6
-	err := eng.Update(func(nw *sdn.Network) error {
+	err := eng.SnapshotState(func(nw *sdn.Network, _ []*core.Solution) {
 		for e := 0; e < nw.NumEdges(); e++ {
 			eid := graph.EdgeID(e)
 			res, cap := nw.ResidualBandwidth(eid), nw.BandwidthCap(eid)
@@ -260,7 +260,6 @@ func checkResiduals(t *testing.T, eng *Engine, full bool) {
 				t.Errorf("server %d: residual %v != capacity %v after full departure", v, res, cap)
 			}
 		}
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

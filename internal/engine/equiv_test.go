@@ -3,47 +3,49 @@ package engine
 // Determinism oracle for incremental cache maintenance under live
 // maintenance traffic: a sequentially-driven engine must make
 // byte-identical decisions at every worker count even when admissions
-// interleave with Updates that resize capacities, fail and restore
+// interleave with Apply batches that resize capacities, fail and restore
 // links and servers — the mutations that drive the work-graph cache
 // through its patch, repair and cold-rebuild paths.
 
 import (
 	"testing"
 
+	"nfvmcast/internal/core"
 	"nfvmcast/internal/graph"
 	"nfvmcast/internal/sdn"
 )
 
-// interleavedUpdate applies one deterministic maintenance mutation
-// derived from the step index. Every branch computes its target and
-// magnitude from the current network state, which is identical across
-// worker counts when the preceding decision sequence is, so the
-// mutation sequence is too.
+// interleavedUpdate applies one deterministic maintenance batch derived
+// from the step index. Every branch computes its target and magnitude
+// from the current network state, read first under the writer lock,
+// which is identical across worker counts when the preceding decision
+// sequence is, so the batch sequence is too.
 func interleavedUpdate(t *testing.T, eng *Engine, step int) {
 	t.Helper()
-	err := eng.Update(func(nw *sdn.Network) error {
+	var muts []Mutation
+	err := eng.SnapshotState(func(nw *sdn.Network, _ []*core.Solution) {
 		e := graph.EdgeID((step*13 + 5) % nw.NumEdges())
 		switch step % 4 {
 		case 0: // shrink the link towards its allocated share —
 			// residual-class threshold crossings for in-pool demands
 			allocated := nw.BandwidthCap(e) - nw.ResidualBandwidth(e)
-			return nw.SetBandwidthCap(e, allocated+0.4*nw.ResidualBandwidth(e)+1)
+			muts = []Mutation{{Kind: LinkCapacity, ID: e, Capacity: allocated + 0.4*nw.ResidualBandwidth(e) + 1}}
 		case 1: // fail then restore a link: StructureVersion moves,
 			// retiring the cache family (cold rebuild path)
-			if err := nw.SetLinkUp(e, false); err != nil {
-				return err
-			}
-			return nw.SetLinkUp(e, true)
+			muts = []Mutation{{Kind: LinkState, ID: e, Up: false}, {Kind: LinkState, ID: e, Up: true}}
 		case 2: // resize a server's compute
 			servers := nw.Servers()
 			v := servers[step%len(servers)]
 			allocated := nw.ComputeCap(v) - nw.ResidualCompute(v)
-			return nw.SetComputeCap(v, allocated+0.75*nw.ResidualCompute(v)+1)
+			muts = []Mutation{{Kind: ServerCapacity, ID: v, Capacity: allocated + 0.75*nw.ResidualCompute(v) + 1}}
 		default: // grow the link back
 			allocated := nw.BandwidthCap(e) - nw.ResidualBandwidth(e)
-			return nw.SetBandwidthCap(e, allocated+2*nw.ResidualBandwidth(e)+1)
+			muts = []Mutation{{Kind: LinkCapacity, ID: e, Capacity: allocated + 2*nw.ResidualBandwidth(e) + 1}}
 		}
 	})
+	if err == nil {
+		err = eng.Apply(muts...)
+	}
 	if err != nil {
 		t.Fatalf("update at step %d: %v", step, err)
 	}

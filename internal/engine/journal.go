@@ -65,7 +65,7 @@ const (
 	// Departed is a released session.
 	Departed
 	// Repaired is a live session re-realised by Solution (a recovery
-	// repair, a Reconf_CP migration, or an explicit Replace).
+	// repair, a Reconf_CP migration, or a Reoptimize move).
 	Repaired
 	// Shed is a session dropped by the recovery ladder.
 	Shed
@@ -191,7 +191,7 @@ func (e *Engine) replay(o Outcome) error {
 	case MutationsApplied:
 		err := applyBatch(nw, o.Mutations)
 		// Replay reports no resource events: drain them so the next real
-		// Update reports only its own changes.
+		// Apply reports only its own changes.
 		nw.DrainResourceEvents()
 		return err
 	case ResidualsInstalled:

@@ -85,7 +85,7 @@ func TestEngineGoroutines(t *testing.T) {
 	}
 }
 
-// TestCloseRacingCallers: eight callers mix Admit, Depart and Update
+// TestCloseRacingCallers: eight callers mix Admit, Depart and Apply
 // while Close runs. Every call returns its normal result or ErrClosed,
 // none hangs, and once a caller has seen ErrClosed every later call
 // it makes sees it too.
@@ -130,8 +130,8 @@ func TestCloseRacingCallers(t *testing.T) {
 							check("depart", err, err == nil)
 						}
 						if i%5 == 0 {
-							err := eng.Update(func(*sdn.Network) error { return nil })
-							check("update", err, err == nil)
+							err := eng.Apply()
+							check("apply", err, err == nil)
 						}
 					}
 				}(g)
@@ -148,10 +148,11 @@ func TestCloseRacingCallers(t *testing.T) {
 	}
 }
 
-// TestUpdatePanicClosesEngine: a panic in an Update closure continues
-// on the caller, leaves the writer lock free and closes the engine, so
-// later calls return ErrClosed instead of serving half-applied state.
-func TestUpdatePanicClosesEngine(t *testing.T) {
+// TestSnapshotStatePanicClosesEngine: a panic in a SnapshotState
+// closure — code run under the writer lock — continues on the caller,
+// leaves the lock free and closes the engine, so later calls return
+// ErrClosed instead of serving half-applied state.
+func TestSnapshotStatePanicClosesEngine(t *testing.T) {
 	for _, journaled := range []bool{false, true} {
 		name := "in-memory"
 		opts := Options{Workers: 1}
@@ -175,8 +176,8 @@ func TestUpdatePanicClosesEngine(t *testing.T) {
 						t.Errorf("recovered %v, want the closure's panic", r)
 					}
 				}()
-				_ = eng.Update(func(*sdn.Network) error { panic("boom") })
-				t.Error("Update returned instead of re-panicking")
+				_ = eng.SnapshotState(func(*sdn.Network, []*core.Solution) { panic("boom") })
+				t.Error("SnapshotState returned instead of re-panicking")
 			}()
 			if !eng.mu.TryLock() {
 				t.Fatal("the writer lock is still held after the panic")
@@ -189,8 +190,8 @@ func TestUpdatePanicClosesEngine(t *testing.T) {
 			if _, err := eng.Depart(reqs[0].ID); !errors.Is(err, ErrClosed) {
 				t.Errorf("Depart after the panic = %v, want ErrClosed", err)
 			}
-			if err := eng.Update(func(*sdn.Network) error { return nil }); !errors.Is(err, ErrClosed) {
-				t.Errorf("Update after the panic = %v, want ErrClosed", err)
+			if err := eng.Apply(); !errors.Is(err, ErrClosed) {
+				t.Errorf("Apply after the panic = %v, want ErrClosed", err)
 			}
 			if got := eng.AdmittedCount(); got != admitted {
 				t.Errorf("AdmittedCount after the panic = %d, want %d", got, admitted)

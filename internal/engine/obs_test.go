@@ -41,7 +41,7 @@ func TestEngineMetricsInvariantsAfterDeparture(t *testing.T) {
 	if o.LiveSessions() != float64(len(admitted)) {
 		t.Fatalf("live gauge = %v with %d live sessions", o.LiveSessions(), len(admitted))
 	}
-	if err := eng.Update(func(nw *sdn.Network) error { gauges.Collect(nw); return nil }); err != nil {
+	if err := eng.SnapshotState(func(nw *sdn.Network, _ []*core.Solution) { gauges.Collect(nw) }); err != nil {
 		t.Fatal(err)
 	}
 	if reg.GaugeValues()["nfv_link_utilization_max"] == 0 {
@@ -64,7 +64,7 @@ func TestEngineMetricsInvariantsAfterDeparture(t *testing.T) {
 	if o.LiveSessions() != 0 {
 		t.Fatalf("live gauge = %v after full departure", o.LiveSessions())
 	}
-	if err := eng.Update(func(nw *sdn.Network) error { gauges.Collect(nw); return nil }); err != nil {
+	if err := eng.SnapshotState(func(nw *sdn.Network, _ []*core.Solution) { gauges.Collect(nw) }); err != nil {
 		t.Fatal(err)
 	}
 	// Residuals are restored by floating-point subtraction, so allow
@@ -124,7 +124,7 @@ func TestEngineRejectNoPlan(t *testing.T) {
 // concurrency loss with a single in-flight Admit. It plans against a
 // pristine snapshot taken at construction instead of the view it is
 // handed, so once the live residuals drain its plans fail commit
-// validation; and it slips a writer-side mutation (a no-op Update)
+// validation; and it slips a writer-side operation (an empty Apply)
 // between plan and commit — exactly the interleaving a concurrent
 // commit produces — so the failure is classified as a conflict rather
 // than a planner overcommit.
@@ -139,7 +139,7 @@ func (p *frozenViewPlanner) Name() string { return "FrozenView" }
 func (p *frozenViewPlanner) Plan(
 	ctx context.Context, _ *sdn.Network, req *multicast.Request, arena *core.PlanArena,
 ) (*core.Solution, error) {
-	if err := p.eng.Update(func(*sdn.Network) error { return nil }); err != nil {
+	if err := p.eng.Apply(); err != nil {
 		return nil, err
 	}
 	return p.inner.Plan(ctx, p.frozen, req, arena)

@@ -1,13 +1,13 @@
 package engine
 
 // Reconfiguration integration: when the engine's planner implements
-// core.Reconfigurer (Reconf_CP), every successful Update mutation is
-// followed by one drift-triggered migration pass under the writer lock,
-// inline with the update — so by the time Update returns, every
-// accepted migration is live, observed and journaled, and no concurrent
-// Admit ever plans against a half-migrated state. The pass itself ranks
-// sessions deterministically and plans sequentially under the lock,
-// which makes its outcomes independent of the worker count.
+// core.Reconfigurer (Reconf_CP), every successful maintenance operation
+// (Apply, Reoptimize) is followed by one drift-triggered migration pass
+// under the writer lock, inline with the operation — so by the time it
+// returns, every accepted migration is live, observed and journaled, and
+// no concurrent Admit ever plans against a half-migrated state. The pass
+// itself ranks sessions deterministically and plans sequentially under
+// the lock, which makes its outcomes independent of the worker count.
 
 // reconfigureLocked runs one migration pass. Caller must hold the writer
 // lock, with e.reconf non-nil.

@@ -5,7 +5,6 @@ import (
 
 	"nfvmcast/internal/core"
 	"nfvmcast/internal/obs"
-	"nfvmcast/internal/sdn"
 )
 
 // reconfEngine loads a GÉANT engine with enough sessions that early
@@ -34,7 +33,7 @@ func reconfEngine(t *testing.T, beta float64, limit, requests int) (*Engine, *ob
 }
 
 // TestEngineReconfiguresDriftedSessions drives the Reconf_CP migration
-// pass through a no-op Update on a congested network and checks a
+// pass through an empty Apply on a congested network and checks a
 // migration happens, is observed (counter + event stream), and leaves
 // the engine's books balanced: live count unchanged, residuals within
 // bounds, and further admissions still served.
@@ -43,8 +42,8 @@ func TestEngineReconfiguresDriftedSessions(t *testing.T) {
 	defer eng.Close()
 
 	liveBefore := eng.LiveCount()
-	if err := eng.Update(func(*sdn.Network) error { return nil }); err != nil {
-		t.Fatalf("update: %v", err)
+	if err := eng.Apply(); err != nil {
+		t.Fatalf("apply: %v", err)
 	}
 	migrated := eng.obs.ReconfiguredCount()
 	if migrated == 0 {
@@ -92,8 +91,8 @@ func TestEngineReconfiguresDriftedSessions(t *testing.T) {
 func TestEngineReconfHysteresisBlocksMigration(t *testing.T) {
 	eng, _, _ := reconfEngine(t, 1e9, 8, 120)
 	defer eng.Close()
-	if err := eng.Update(func(*sdn.Network) error { return nil }); err != nil {
-		t.Fatalf("update: %v", err)
+	if err := eng.Apply(); err != nil {
+		t.Fatalf("apply: %v", err)
 	}
 	if n := eng.obs.ReconfiguredCount(); n != 0 {
 		t.Fatalf("β=1e9 still migrated %d sessions", n)
@@ -101,20 +100,20 @@ func TestEngineReconfHysteresisBlocksMigration(t *testing.T) {
 }
 
 // TestEngineReconfMigrationBudget pins the per-pass limit: a budget of
-// one migrates at most one session per Update no matter how much drift
+// one migrates at most one session per Apply no matter how much drift
 // accumulated.
 func TestEngineReconfMigrationBudget(t *testing.T) {
 	eng, _, _ := reconfEngine(t, 1.01, 1, 120)
 	defer eng.Close()
-	if err := eng.Update(func(*sdn.Network) error { return nil }); err != nil {
-		t.Fatalf("update: %v", err)
+	if err := eng.Apply(); err != nil {
+		t.Fatalf("apply: %v", err)
 	}
 	if n := eng.obs.ReconfiguredCount(); n > 1 {
 		t.Fatalf("budget 1 migrated %d sessions in one pass", n)
 	}
 }
 
-// TestEngineReconfDeterministicAcrossWorkers reruns the admit+update
+// TestEngineReconfDeterministicAcrossWorkers reruns the admit+apply
 // workload at several worker counts; migrated sessions and the
 // post-pass total operational cost must be byte-identical (the pass
 // runs wholly on the writer, so concurrency cannot reorder it).
@@ -138,8 +137,8 @@ func TestEngineReconfDeterministicAcrossWorkers(t *testing.T) {
 		for _, req := range requestPool(t, nw.NumNodes(), 120, 29) {
 			_, _ = eng.Admit(req)
 		}
-		if err := eng.Update(func(*sdn.Network) error { return nil }); err != nil {
-			t.Fatalf("workers=%d update: %v", workers, err)
+		if err := eng.Apply(); err != nil {
+			t.Fatalf("workers=%d apply: %v", workers, err)
 		}
 		got := outcome{migrated: eng.obs.ReconfiguredCount(), lives: eng.LiveCount()}
 		eng.Close()

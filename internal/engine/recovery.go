@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -10,60 +9,41 @@ import (
 )
 
 // Recovery integration: when the engine is built with a recovery
-// policy (Options.Recovery), every structural change
-// applied through Update triggers a recovery pass under the writer
-// lock, inline with the update — so by the time Update returns, every
-// affected live session is repaired or shed and no concurrent Admit
-// ever plans against a half-recovered state. Recovery runs sessions in
-// ascending request-ID order and plans sequentially under the lock,
-// which makes its outcomes independent of the engine's worker count
-// (pinned by the recovery determinism oracle).
+// policy (Options.Recovery), every structural change applied through
+// Apply triggers a recovery pass under the writer lock, inline with the
+// batch — so by the time Apply returns, every affected live session is
+// repaired or shed and no concurrent Admit ever plans against a
+// half-recovered state. Recovery runs sessions in ascending request-ID
+// order and plans sequentially under the lock, which makes its outcomes
+// independent of the engine's worker count (pinned by the recovery
+// determinism oracle).
 
-// recoverLocked runs one recovery pass. Caller must hold the writer
-// lock.
-func (e *Engine) recoverLocked(ctx context.Context) error {
+// recoverLocked runs one recovery pass and journals its outcomes; the
+// error is the journal's. Caller must hold the writer lock.
+func (e *Engine) recoverLocked() error {
 	if e.rec == nil {
 		return nil
 	}
-	rep, err := e.rec.Recover(ctx, e.recArena)
+	rep := e.rec.Recover(e.recArena)
 	e.lastRec = rep
-	if len(rep.Outcomes) > 0 {
-		// Recovery moved residuals (releases, rebinds); in-flight plans
-		// that straddled it must commit as stale.
-		e.mutations++
-		// Journal what the pass decided, in outcome order: replay applies
-		// these outcomes verbatim instead of re-running recovery, so a
-		// replayed engine lands on the same repairs/sheds even if the
-		// recovery policy or planner later changes.
-		outs := make([]Outcome, len(rep.Outcomes))
-		for i, o := range rep.Outcomes {
-			outs[i] = Outcome{Kind: Repaired, ReqID: o.RequestID, Solution: o.Solution}
-			if o.Mode == recov.ModeShed {
-				outs[i] = Outcome{Kind: Shed, ReqID: o.RequestID}
-			}
-		}
-		if jerr := e.journalOutcomes(outs...); jerr != nil && err == nil {
-			err = jerr
+	if len(rep.Outcomes) == 0 {
+		return nil
+	}
+	// Recovery moved residuals (releases, rebinds); in-flight plans
+	// that straddled it must commit as stale.
+	e.mutations++
+	// Journal what the pass decided, in outcome order: replay applies
+	// these outcomes verbatim instead of re-running recovery, so a
+	// replayed engine lands on the same repairs/sheds even if the
+	// recovery policy or planner later changes.
+	outs := make([]Outcome, len(rep.Outcomes))
+	for i, o := range rep.Outcomes {
+		outs[i] = Outcome{Kind: Repaired, ReqID: o.RequestID, Solution: o.Solution}
+		if o.Mode == recov.ModeShed {
+			outs[i] = Outcome{Kind: Shed, ReqID: o.RequestID}
 		}
 	}
-	return err
-}
-
-// RecoverNow runs a recovery pass on demand — the hook for failures
-// injected while recovery was disabled, or for resuming a pass that a
-// canceled UpdateContext cut short. It returns the pass's report; ctx
-// is checked between sessions. Without a recovery policy it returns
-// nil, nil.
-func (e *Engine) RecoverNow(ctx context.Context) (*recov.Report, error) {
-	var rep *recov.Report
-	var err error
-	if xerr := e.exec(func() {
-		err = e.recoverLocked(ctx)
-		rep = e.lastRec
-	}); xerr != nil {
-		return nil, xerr
-	}
-	return rep, err
+	return e.journalOutcomes(outs...)
 }
 
 // LastRecovery returns the report of the most recent recovery pass

@@ -86,13 +86,13 @@ func TestRecoveryDeterminismOracle(t *testing.T) {
 		srv := busiestServer(t, nw)
 
 		var res runResult
-		for _, step := range []func(n *sdn.Network) error{
-			func(n *sdn.Network) error { return n.SetLinkUp(hot, false) },
-			func(n *sdn.Network) error { return n.SetServerUp(srv, false) },
-			func(n *sdn.Network) error { return n.SetLinkUp(hot, true) },
+		for _, step := range []Mutation{
+			{Kind: LinkState, ID: hot, Up: false},
+			{Kind: ServerState, ID: srv, Up: false},
+			{Kind: LinkState, ID: hot, Up: true},
 		} {
-			if err := eng.Update(step); err != nil {
-				t.Fatalf("workers=%d: update: %v", workers, err)
+			if err := eng.Apply(step); err != nil {
+				t.Fatalf("workers=%d: apply: %v", workers, err)
 			}
 			rep := eng.LastRecovery()
 			if rep == nil {
@@ -143,7 +143,7 @@ func TestRecoveryRepairCostBound(t *testing.T) {
 		}
 	}
 	hot := hottestNonBridgeLink(t, nw)
-	if err := eng.Update(func(n *sdn.Network) error { return n.SetLinkUp(hot, false) }); err != nil {
+	if err := eng.Apply(Mutation{Kind: LinkState, ID: hot, Up: false}); err != nil {
 		t.Fatal(err)
 	}
 	rep := eng.LastRecovery()
@@ -211,14 +211,11 @@ func TestRecoveryShedsWithErrDegraded(t *testing.T) {
 	if before == 0 {
 		t.Fatal("no session admitted")
 	}
-	if err := eng.Update(func(n *sdn.Network) error {
-		for _, v := range n.Servers() {
-			if err := n.SetServerUp(v, false); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	var wipe []Mutation
+	for _, v := range nw.Servers() {
+		wipe = append(wipe, Mutation{Kind: ServerState, ID: v, Up: false})
+	}
+	if err := eng.Apply(wipe...); err != nil {
 		t.Fatal(err)
 	}
 	rep := eng.LastRecovery()
@@ -272,44 +269,5 @@ func TestAdmitContextCancellation(t *testing.T) {
 			t.Fatalf("workers=%d: live-context admit failed: %v", workers, err)
 		}
 		eng.Close()
-	}
-}
-
-// TestUpdateContextCancellation checks that an already-canceled context
-// aborts Update before the mutation runs.
-func TestUpdateContextCancellation(t *testing.T) {
-	nw := testNetwork(t, "geant", 13)
-	eng := New(nw, plannerFor(t, "SP", nw), Options{Workers: 1})
-	defer eng.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	err := eng.UpdateContext(ctx, func(n *sdn.Network) error { ran = true; return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("UpdateContext with canceled ctx: %v", err)
-	}
-	if ran {
-		t.Fatal("canceled UpdateContext still ran the mutation")
-	}
-}
-
-// TestRecoverNowWithoutPolicy pins the no-recovery contract: engines
-// built without a policy report nothing and leave damaged sessions
-// alone.
-func TestRecoverNowWithoutPolicy(t *testing.T) {
-	nw := testNetwork(t, "geant", 13)
-	eng := New(nw, plannerFor(t, "SP", nw), Options{Workers: 1})
-	defer eng.Close()
-
-	if eng.RecoveryEnabled() {
-		t.Fatal("RecoveryEnabled without a policy")
-	}
-	rep, err := eng.RecoverNow(context.Background())
-	if err != nil || rep != nil {
-		t.Fatalf("RecoverNow without policy = (%v, %v), want (nil, nil)", rep, err)
-	}
-	if eng.LastRecovery() != nil {
-		t.Fatal("LastRecovery set without a policy")
 	}
 }

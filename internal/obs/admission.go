@@ -271,7 +271,7 @@ func (o *AdmissionObs) CloneDone(start time.Time) {
 }
 
 // FailureInjected records a structural change applied through the
-// engine's Update hatch (the network's StructureVersion moved).
+// engine's Apply (the network's StructureVersion moved).
 func (o *AdmissionObs) FailureInjected(detail string) {
 	if o == nil {
 		return

@@ -13,7 +13,7 @@ type EventType string
 // request, AdmitPlanned followed by Admitted or Rejected; the engine's
 // concurrent mode can interleave CommitConflict and Replanned between
 // them. Departed closes a session; FailureInjected marks a structural
-// change of the network (failure injection through Engine.Update).
+// change of the network (failure injection through Engine.Apply).
 // The recovery subsystem (internal/recover) extends the vocabulary:
 // after a FailureInjected, each affected session emits RepairAttempted
 // followed by Repaired (Reason carries the mode, "local" or "replan")
@@ -30,8 +30,8 @@ const (
 	RepairAttempted EventType = "repair_attempted"
 	Repaired        EventType = "repaired"
 	// Reconfigured records a live session migrated to a cheaper tree by
-	// a drift-triggered reconfiguration pass (Reconf_CP) during
-	// Engine.Update.
+	// a drift-triggered reconfiguration pass (Reconf_CP) after
+	// Engine.Apply or Engine.Reoptimize.
 	Reconfigured EventType = "reconfigured"
 	Shed         EventType = "shed"
 	// MutationApplied records a typed maintenance batch accepted by

@@ -32,7 +32,7 @@ func (m SaturationModel) enabled() bool {
 // is set, and aggregate max/mean gauges.
 //
 // Collect READS the network, so run it where network reads are safe —
-// inside Engine.Update, from the engine's exposition refresh, or on a
+// inside Engine.SnapshotState, from the engine's exposition refresh, or on a
 // quiesced network. Instruments are resolved once at construction;
 // Collect itself is allocation-free apart from first-use registration.
 type NetworkGauges struct {

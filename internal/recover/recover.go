@@ -166,19 +166,11 @@ func (r *Recoverer) Policy() Policy { return r.pol }
 
 // Recover runs one pass: it repairs or sheds every live session whose
 // allocation touches a failed resource and returns the per-session
-// outcomes. ctx is checked between sessions — once a session's
-// resources are released its repair runs to completion, so
-// cancellation never leaves a session half-recovered; sessions not yet
-// reached stay damaged but live, and a later pass picks them up. arena
-// supplies planning scratch (nil allocates fresh).
-func (r *Recoverer) Recover(ctx context.Context, arena *core.PlanArena) (*Report, error) {
+// outcomes. arena supplies planning scratch (nil allocates fresh).
+func (r *Recoverer) Recover(arena *core.PlanArena) *Report {
 	start := time.Now()
 	rep := &Report{}
 	for _, id := range r.adm.AffectedLive() {
-		if err := ctx.Err(); err != nil {
-			rep.Duration = time.Since(start)
-			return rep, fmt.Errorf("recover: pass canceled: %w", err)
-		}
 		sol, ok := r.adm.LiveSolution(id)
 		if !ok {
 			continue
@@ -205,7 +197,7 @@ func (r *Recoverer) Recover(ctx context.Context, arena *core.PlanArena) (*Report
 	}
 	rep.Duration = time.Since(start)
 	r.obs.RecoveryPass(rep.Duration.Seconds())
-	return rep, nil
+	return rep
 }
 
 // recoverOne re-hosts one session whose allocation has already been

@@ -310,10 +310,10 @@ func (r *Router) Release(reqID int) (*core.Solution, error) {
 	s := r.shards[id]
 	sol, err := s.eng.Depart(reqID)
 	if errors.Is(err, core.ErrUnknownRequest) {
-		// A recovery pass the router did not drive (RecoverNow on the
-		// shard's engine) shed the session and released its resources
-		// already: the session is unknown now, and its owner entry goes
-		// with it.
+		// A recovery pass the router did not drive (an Apply on the
+		// shard's engine itself, reached through Engine) shed the
+		// session and released its resources already: the session is
+		// unknown now, and its owner entry goes with it.
 		err = fmt.Errorf("%w: request %d was shed by %s", ErrUnknownSession, reqID, id)
 	} else if err != nil {
 		return nil, err

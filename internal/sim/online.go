@@ -5,7 +5,6 @@ import (
 
 	"nfvmcast/internal/core"
 	"nfvmcast/internal/multicast"
-	"nfvmcast/internal/sdn"
 )
 
 // onlineSeries are the figure series in display order: the paper's
@@ -385,30 +384,18 @@ func ExtReoptimize(cfg Config) ([]Figure, error) {
 		if len(sessions) == 0 {
 			return nil, fmt.Errorf("sim: reoptimize fixture admitted nothing for %s", policy)
 		}
-		// The maintenance pass mutates the network wholesale, so it runs
-		// under the engine's writer lock; the new placements are then
-		// recorded so later departures release the right allocations.
-		var (
-			reopt []*core.Solution
-			saved float64
-		)
-		err = eng.Update(func(nw *sdn.Network) error {
-			var uerr error
-			reopt, _, saved, uerr = core.Reoptimize(nw, sessions, core.Options{K: cfg.K})
-			return uerr
-		})
+		// The engine runs the pass under its writer lock and records
+		// every move, so later departures release the right allocations.
+		_, saved, err := eng.Reoptimize(core.Options{K: cfg.K})
 		if err != nil {
 			return nil, err
 		}
-		for _, sol := range reopt {
-			if err := eng.Replace(sol.Request.ID, sol); err != nil {
-				return nil, err
-			}
-		}
 		var pre, post float64
-		for i := range sessions {
-			pre += sessions[i].OperationalCost
-			post += reopt[i].OperationalCost
+		for _, sol := range sessions {
+			pre += sol.OperationalCost
+		}
+		for _, sol := range eng.Lives() {
+			post += sol.OperationalCost
 		}
 		return []float64{pre, post, 100 * saved / pre}, nil
 	})

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"nfvmcast/internal/engine"
 	"nfvmcast/internal/graph"
 	"nfvmcast/internal/multicast"
 	recov "nfvmcast/internal/recover"
@@ -12,7 +13,7 @@ import (
 // The failure campaign behind ExtRecover: on GÉANT, admit an Online_CP
 // workload, then repeatedly fail the most utilised non-bridge link, let
 // the engine's recovery subsystem repair or shed the affected sessions
-// inside Update, and restore the link. Two policies run the identical
+// inside Apply, and restore the link. Two policies run the identical
 // schedule: the default repair-first policy (γ = 1.5) and the γ = 0
 // baseline that forces every session through the full planner — the
 // ablation isolating what local repair buys.
@@ -75,7 +76,7 @@ func runRecoveryArm(cfg Config, pol recov.Policy) ([]recoveryRound, error) {
 		if hot == -1 {
 			break
 		}
-		if err := eng.Update(func(n *sdn.Network) error { return n.SetLinkUp(hot, false) }); err != nil {
+		if err := eng.Apply(engine.Mutation{Kind: engine.LinkState, ID: hot, Up: false}); err != nil {
 			return nil, err
 		}
 		rep := eng.LastRecovery()
@@ -87,7 +88,7 @@ func runRecoveryArm(cfg Config, pol recov.Policy) ([]recoveryRound, error) {
 			round.PerSessionMicros = float64(rep.Duration.Microseconds()) / float64(n)
 		}
 		rounds = append(rounds, round)
-		if err := eng.Update(func(n *sdn.Network) error { return n.SetLinkUp(hot, true) }); err != nil {
+		if err := eng.Apply(engine.Mutation{Kind: engine.LinkState, ID: hot, Up: true}); err != nil {
 			return nil, err
 		}
 	}

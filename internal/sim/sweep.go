@@ -285,7 +285,7 @@ func (o outcome) fatal() error {
 // admitAll offers n arrivals from next to eng, one at a time. Before
 // each arrival it departs the admitted sessions due by the arrival's
 // time, in departure order. Every tick arrivals (never when tick is 0)
-// it drives a no-op Update: the maintenance heartbeat that gives
+// it drives an empty Apply: the maintenance heartbeat that gives
 // reconfiguring planners (Reconf_CP) their migration pass. Then it
 // hands the arrival's outcome to after (nil ignores it), whose error
 // stops the run.
@@ -310,7 +310,7 @@ func admitAll(eng *engine.Engine, n, tick int, next func() (arrival, error), aft
 			pending = slices.Insert(pending, at, departure{at: a.depart, reqID: a.req.ID})
 		}
 		if tick > 0 && (i+1)%tick == 0 {
-			if err := eng.Update(func(*sdn.Network) error { return nil }); err != nil {
+			if err := eng.Apply(); err != nil {
 				return err
 			}
 		}

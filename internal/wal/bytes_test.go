@@ -12,7 +12,6 @@ import (
 	"nfvmcast/internal/multicast"
 	"nfvmcast/internal/obs"
 	recov "nfvmcast/internal/recover"
-	"nfvmcast/internal/sdn"
 )
 
 // segmentDigests are the sha256 digests of the segment files the fixed
@@ -27,9 +26,9 @@ var segmentDigests = map[string]string{
 }
 
 // TestSegmentBytesPinned drives a fixed GÉANT history through a journaled
-// engine — admissions, a re-optimisation recorded with Replace,
-// departures, and an Apply whose recovery pass repairs some sessions and
-// sheds one — and compares every segment file with its pinned digest.
+// engine — admissions, a re-optimisation pass, departures, and an Apply
+// whose recovery pass repairs some sessions and sheds one — and compares
+// every segment file with its pinned digest.
 func TestSegmentBytesPinned(t *testing.T) {
 	const seed = 7
 	dir := filepath.Join(t.TempDir(), "wal")
@@ -55,30 +54,12 @@ func TestSegmentBytesPinned(t *testing.T) {
 	}
 
 	admit(40)
-	// Re-place the live sessions with Appro_Multi on the writer and
-	// record every moved session with Replace.
+	// Re-place the live sessions with Appro_Multi on the writer; the
+	// engine journals every moved session.
+	if moved, _, err := eng.Reoptimize(core.Options{K: 1}); err != nil || len(moved) == 0 {
+		t.Fatalf("re-optimisation moved %d sessions: %v", len(moved), err)
+	}
 	lives := eng.Lives()
-	var moved []*core.Solution
-	if err := eng.Update(func(nw *sdn.Network) error {
-		out, _, _, rerr := core.Reoptimize(nw, lives, core.Options{K: 1})
-		for i := range out {
-			if out[i] != lives[i] {
-				moved = append(moved, out[i])
-			}
-		}
-		return rerr
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(moved) == 0 {
-		t.Fatal("re-optimisation moved no session")
-	}
-	for _, sol := range moved {
-		if err := eng.Replace(sol.Request.ID, sol); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lives = eng.Lives()
 	for i := 0; i < len(lives); i += 8 {
 		if _, err := eng.Depart(lives[i].Request.ID); err != nil {
 			t.Fatal(err)

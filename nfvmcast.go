@@ -237,7 +237,6 @@ var (
 	AlgOneServerNearest = core.AlgOneServerNearest
 	DefaultOptions      = core.DefaultOptions
 	DefaultCostModel    = core.DefaultCostModel
-	Reoptimize          = core.Reoptimize
 	OperationalCost     = core.OperationalCost
 	AllocationFor       = core.AllocationFor
 	IsRejection         = core.IsRejection
@@ -280,12 +279,13 @@ type (
 	// exponential cost model as Online_CP.
 	DistCPPlanner = core.DistCPPlanner
 	// ReconfPlanner wraps Online_CP and additionally migrates the
-	// worst-drifted live sessions to cheaper trees during Engine.Update
-	// when the projected saving clears its hysteresis factor.
+	// worst-drifted live sessions to cheaper trees after each
+	// Engine.Apply and Engine.Reoptimize when the projected saving
+	// clears its hysteresis factor.
 	ReconfPlanner = core.ReconfPlanner
 	// Reconfigurer is the capability interface the engine probes for:
 	// planners implementing it run a migration pass after every
-	// successful Update.
+	// successful Apply or Reoptimize.
 	Reconfigurer = core.Reconfigurer
 )
 
@@ -305,18 +305,19 @@ const (
 	// session migrates only when its current price is at least β× the
 	// freshly planned tree's cost.
 	DefaultReconfHysteresis = core.DefaultReconfHysteresis
-	// DefaultReconfMigrations bounds migrations per Update pass.
+	// DefaultReconfMigrations bounds migrations per pass.
 	DefaultReconfMigrations = core.DefaultReconfMigrations
 )
 
 // Admission engine (single-writer concurrency over a capacitated SDN).
 type (
 	// Engine serializes all network mutations under one writer lock
-	// while planning fans out across callers. Its Admit and
-	// Update carry context-aware variants (AdmitContext,
-	// UpdateContext): cancellation aborts planning between candidate
-	// evaluations, is never counted as a rejection, and never leaves a
-	// request half-admitted.
+	// while planning fans out across callers. The network changes only
+	// through its typed operations — Admit, Depart, Apply (a batch of
+	// typed maintenance mutations) and Reoptimize — each journaled when
+	// the engine is durable. AdmitContext is Admit with cancellation:
+	// it aborts planning between candidate evaluations, is never
+	// counted as a rejection, and never leaves a request half-admitted.
 	Engine = engine.Engine
 	// EngineOptions configures NewEngine. Workers bounds concurrent
 	// planning (0 or 1 sequential, n > 1 overlaps n planners on

@@ -25,7 +25,6 @@ var unreachedAllowed = map[string]string{
 	"core.Admitter.Admitted":                 "the live sessions in admission order; oracle tests compare admitters by it",
 	"core.CostModel.LinkCost":                "the paper's c_e(k); the Online_CP reference test prices trees with it",
 	"engine.Engine.Planner":                  "accessor the engine tests read",
-	"engine.Engine.RecoverNow":               "on-demand recovery pass for failures outside Update; tests pin its contract",
 	"engine.Engine.RecoveryEnabled":          "accessor the recovery tests read",
 	"graph.BellmanFord":                      "independent oracle the tests check Dijkstra against",
 	"graph.DisjointSet.Connected":            "union-find query the graph tests use as a connectivity oracle",
@@ -76,7 +75,6 @@ var unreachedAllowed = map[string]string{
 	"topology.Topology.NumEdges":             "size accessor the tests read",
 	"topology.Topology.NumNodes":             "size accessor the tests read",
 	"trace.ReadResults":                      "reads what Results.Write writes; the trace tests round-trip through it",
-	"wal.Log.Err":                            "sticky append/sync failure the WAL tests read",
 }
 
 // TestInternalNamesReached type-checks every non-test package of the
